@@ -1,70 +1,20 @@
-"""Hot mod-p row-reduction kernels.
+"""The mod-p row-reduction kernel.
 
-Two interchangeable implementations: a numba @njit version and a pure-numpy
-version.  Selection: ARTINSUM_BACKEND=numba|numpy|auto (default auto, which
-uses numba when importable).  Both operate in place on int64 matrices with
-entries already reduced into [0, p).
+One numpy implementation, in place on an int64 matrix whose entries are
+already reduced into [0, p).  Every product it forms is of two such entries,
+so it stays below p**2 < 2**40 for each modulus a PrimeField accepts
+(p < MAX_PRIME = 2**20) and cannot overflow int64.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is optional (extra "numba"); the numpy kernel serves
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap if not (args and callable(args[0])) else args[0]
+BACKEND = "numpy"  # the kernel's name, printed by perfbench/run.py
 
 
-@njit(cache=True)
-def _rref_numba(a, p):
-    m, n = a.shape
-    pivots = np.empty(min(m, n), np.int64)
-    r = 0
-    for c in range(n):
-        pivot_row = -1
-        for i in range(r, m):
-            if a[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        if pivot_row != r:
-            for j in range(n):
-                tmp = a[r, j]
-                a[r, j] = a[pivot_row, j]
-                a[pivot_row, j] = tmp
-        # modular inverse by extended euclid
-        g, x, b = a[r, c], np.int64(0), np.int64(p)
-        x0, x1 = np.int64(1), np.int64(0)
-        while b != 0:
-            q = g // b
-            g, b = b, g - q * b
-            x0, x1 = x1, x0 - q * x1
-        inv = x0 % p
-        if inv != 1:
-            for j in range(c, n):
-                a[r, j] = a[r, j] * inv % p
-        for i in range(m):
-            f = a[i, c]
-            if i != r and f != 0:
-                for j in range(c, n):
-                    a[i, j] = (a[i, j] - f * a[r, j]) % p
-        pivots[r] = c
-        r += 1
-        if r == m:
-            break
-    return r, pivots[:r]
-
-
-def _rref_numpy(a, p):
+def rref_mod(a, p):
+    """In-place reduced row echelon form mod p; returns (rank, pivot columns)."""
+    if a.size == 0:
+        return 0, np.empty(0, dtype=np.int64)
     m, n = a.shape
     pivots = []
     r = 0
@@ -88,29 +38,3 @@ def _rref_numpy(a, p):
         if r == m:
             break
     return r, np.asarray(pivots, dtype=np.int64)
-
-
-def _select_backend():
-    choice = os.environ.get("ARTINSUM_BACKEND", "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("ARTINSUM_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice != "auto":
-        raise RuntimeError(f"unknown ARTINSUM_BACKEND value {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-
-def rref_mod(a, p):
-    """In-place reduced row echelon form mod p; returns (rank, pivot columns)."""
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    if BACKEND == "numba":
-        rank, pivots = _rref_numba(a, p)
-        return int(rank), pivots
-    return _rref_numpy(a, p)

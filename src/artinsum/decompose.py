@@ -14,20 +14,11 @@ import numpy as np
 
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
-from .graded import associated_graded, classify, gls_split, is_gls
+from .graded import _binom, associated_graded, classify, gls_split, is_gls
 from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing
 from .quotient import ArtinAlgebra, build_algebra
 from .sums import connected_sum, socle_generator
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +123,7 @@ def split_witness(Q):
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
     top = Q.power(s - 1)
-    z_vecs = []
-    acc_rows, acc_piv = top.rows, top.pivots
-    for w in ann2.rows:
-        res = linalg.reduce_row(Q.field, w, acc_rows, acc_piv)
-        if np.any(res != Q.field.zero):
-            lead = next(i for i, c in enumerate(res) if c != Q.field.zero)
-            inv = Q.field.inv(res[lead])
-            res = np.asarray([Q.field.mul(inv, c) for c in res], dtype=res.dtype)
-            z_vecs.append(res)
-            acc_rows, acc_piv = linalg.echelon(Q.field,
-                                               np.vstack([acc_rows, res.reshape(1, -1)]))
+    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.rows, top.pivots)
     if len(z_vecs) != n:
         raise PreconditionError(
             f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_vecs)}, expected {n}")

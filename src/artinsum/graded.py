@@ -91,7 +91,6 @@ class GradedAlgebra:
     def linear_socle_rows(self):
         """Degree-1 socle vectors as rows over the variables in declaration order."""
         A = self.algebra
-        deg1 = self
         rows = self.socle_by_degree().get(1)
         if rows is None:
             return linalg.zeros(A.field, (0, A.ring.nvars))

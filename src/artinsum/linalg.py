@@ -116,13 +116,43 @@ def reduce_row(field, vec, rows, pivots):
     if len(rows) == 0:
         return v
     coeffs = v[list(map(int, pivots))]
-    if is_prime_field(field):
-        if not np.any(coeffs):
-            return v
-        return (v - coeffs @ rows) % field.p
-    if all(c == 0 for c in coeffs):
+    hit = np.flatnonzero(coeffs)
+    if hit.size == 0:
         return v
-    return v - coeffs @ rows
+    return _canonical(field, v - coeffs[hit] @ rows[hit])
+
+
+def _canonical(field, a):
+    return a % field.p if is_prime_field(field) else a
+
+
+def complement_rows(field, rows, base_rows, base_pivots):
+    """Monic residues of `rows` that extend a reduced echelon base, in input order.
+
+    Row j yields its residue modulo the base and rows 0..j-1, scaled so the
+    first nonzero entry is one, when that residue is nonzero.  A residue
+    taken with zeros at the span's pivot columns is unique, so it does not
+    depend on how the span's basis is kept: each row is reduced against the
+    base and then against the kept residues, which stay a reduced basis of
+    their own through one rank-1 update per kept row.
+    """
+    kept = zeros(field, (min(rows.shape), rows.shape[1]))
+    pivots = []
+    out = []
+    for r in rows:
+        k = len(pivots)
+        r = reduce_row(field, reduce_row(field, r, base_rows, base_pivots), kept[:k], pivots)
+        nonzero = np.flatnonzero(r)
+        if nonzero.size == 0:
+            continue
+        c = int(nonzero[0])
+        r = _canonical(field, r * field.inv(r[c]))
+        hit = np.flatnonzero(kept[:k, c])
+        kept[hit] = _canonical(field, kept[hit] - np.outer(kept[hit, c], r))
+        kept[k] = r
+        pivots.append(c)
+        out.append(r)
+    return out
 
 
 def in_row_space(field, vec, rows, pivots):

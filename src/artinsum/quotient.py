@@ -368,16 +368,7 @@ class ArtinAlgebra:
         if not sub.is_ideal():
             raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
         mw = self.m_times(sub)
-        reps = []
-        rows, pivots = mw.rows, mw.pivots
-        for w in sub.rows:
-            r = linalg.reduce_row(self.field, w, rows, pivots)
-            if np.any(r != self.field.zero):
-                lead = next(i for i, c in enumerate(r) if c != self.field.zero)
-                inv = self.field.inv(r[lead])
-                r = np.asarray([self.field.mul(inv, c) for c in r], dtype=r.dtype)
-                reps.append(r)
-                rows, pivots = linalg.echelon(self.field, np.vstack([rows, r.reshape(1, -1)]))
+        reps = linalg.complement_rows(self.field, sub.rows, mw.rows, mw.pivots)
         return len(reps), reps
 
     def subalgebra_dimension_check(self):

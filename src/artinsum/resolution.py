@@ -15,20 +15,12 @@ import numpy as np
 from . import linalg
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
+from .graded import _binom
 from .series import SeriesTrunc
 from .sums import modulo_socle
 
 DEFAULT_TRUNCATION = 6
 MAX_FREE_RANK_DIM = 200_000
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 @dataclass
@@ -104,7 +96,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         return BettiData(cached.betti[: truncation + 1], truncation)
     lam = A.length
     betti = [1]
-    kernel_rows = A.power(1).rows          # ker(A -> k) = m inside A^1
+    kernel_rows = A.power(1).rows          # ker(A -> k) = m inside A^1, reduced echelon
     prev_rank = 1
     for step in range(1, truncation + 1):
         if A.ring.nvars:
@@ -113,17 +105,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         else:
             stacked = kernel_rows[:0]
         mk, mk_piv = linalg.echelon(A.field, stacked)
-        gens = []
-        acc_rows, acc_piv = mk, mk_piv
-        for w in linalg.echelon(A.field, kernel_rows)[0]:
-            res = linalg.reduce_row(A.field, w, acc_rows, acc_piv)
-            if np.any(res != A.field.zero):
-                lead = next(i for i, c in enumerate(res) if c != A.field.zero)
-                inv = A.field.inv(res[lead])
-                res = np.asarray([A.field.mul(inv, c) for c in res], dtype=res.dtype)
-                gens.append(res)
-                acc_rows, acc_piv = linalg.echelon(
-                    A.field, np.vstack([acc_rows, res.reshape(1, -1)]))
+        gens = linalg.complement_rows(A.field, kernel_rows, mk, mk_piv)
         betti.append(len(gens))
         if step == truncation:
             break
@@ -134,14 +116,15 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         if len(gens) * lam > max_dim:
             raise ResourceGuardError(
                 f"free module dimension {len(gens) * lam} exceeds the guard {max_dim}")
-        gen_rows = np.vstack([g.reshape(1, -1) for g in gens])
-        if _unit_entry(A, gen_rows):
+        if _unit_entry(A, np.vstack(gens)):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
         diff = _differential_matrix(A, gens, prev_rank)
-        rank = linalg.rank(A.field, diff)
-        if rank != linalg.echelon(A.field, kernel_rows)[0].shape[0]:
+        kernel = linalg.left_kernel(A.field, diff)
+        # rank-nullity: diff is onto the previous kernel iff its rank, the row
+        # count minus the left-kernel dimension, equals that kernel's dimension
+        if diff.shape[0] - kernel.shape[0] != kernel_rows.shape[0]:
             raise ArtinsumError("resolution is not exact at the previous step")
-        kernel_rows = linalg.left_kernel(A.field, diff)
+        kernel_rows = linalg.echelon(A.field, kernel)[0]
         prev_rank = len(gens)
     data = BettiData(tuple(betti), truncation)
     if cached is None or cached.truncation < truncation:

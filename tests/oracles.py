@@ -76,3 +76,23 @@ def subring_quotient_dimension(algebra, keep_names):
         if not new_frontier:
             return span.shape[0]
         frontier = new_frontier
+
+
+def complement_rows_reference(field, rows, base_rows, base_pivots):
+    """Monic residues of `rows` extending the base: the per-vector loop.
+
+    Reduces each row against the span accumulated so far and re-echelons
+    the whole span after every kept row; `linalg.complement_rows` must give
+    the same arrays in the same order.
+    """
+    out = []
+    acc_rows, acc_piv = base_rows, base_pivots
+    for w in rows:
+        res = linalg.reduce_row(field, w, acc_rows, acc_piv)
+        if np.any(res != field.zero):
+            lead = next(i for i, c in enumerate(res) if c != field.zero)
+            inv = field.inv(res[lead])
+            res = np.asarray([field.mul(inv, c) for c in res], dtype=res.dtype)
+            out.append(res)
+            acc_rows, acc_piv = linalg.echelon(field, np.vstack([acc_rows, res.reshape(1, -1)]))
+    return out

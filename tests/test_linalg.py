@@ -1,17 +1,24 @@
-"""Exact linear algebra over both coefficient lanes, and backend agreement."""
+"""Exact linear algebra over both coefficient lanes, and the mod-p kernel at its bound."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinsum import GF, QQ
 from artinsum import linalg
-from artinsum._kernels import _rref_numba, _rref_numpy, HAS_NUMBA
+from artinsum._kernels import rref_mod
+from artinsum.fields import MAX_PRIME
+
+from oracles import complement_rows_reference
+
+# the largest prime below MAX_PRIME: products of two entries come closest to
+# the int64 bound there
+TOP_PRIME = 1048573
+FIELDS = [GF(101), GF(TOP_PRIME), QQ]
 
 
 def test_rref_rational():
@@ -65,61 +72,6 @@ def test_preimage_rows():
         assert out[1] == 0
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree():
-    rng = random.Random(7)
-    p = 101
-    for _ in range(25):
-        rows = rng.randrange(1, 12)
-        cols = rng.randrange(1, 12)
-        a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
-                     dtype=np.int64)
-        r1, piv1 = a.copy(), None
-        rank1, piv1 = _rref_numba(r1, p)
-        r2 = a.copy()
-        rank2, piv2 = _rref_numpy(r2, p)
-        assert rank1 == rank2
-        assert list(piv1) == list(piv2)
-        assert np.array_equal(r1, r2)
-
-
-def _import_kernels(backend):
-    """Import the kernels in a fresh interpreter under ARTINSUM_BACKEND=backend.
-
-    Returns (returncode, stdout, stderr), so that a failed import can be
-    reported with its own traceback.
-    """
-    env = dict(os.environ, ARTINSUM_BACKEND=backend)
-    out = subprocess.run([sys.executable, "-c",
-                          "import artinsum._kernels as k; print(k.BACKEND)"],
-                         env=env, capture_output=True, text=True)
-    return out.returncode, out.stdout.strip(), out.stderr
-
-
-def test_backend_env_selection():
-    auto = "numba" if HAS_NUMBA else "numpy"
-    for choice, expected in (("numpy", "numpy"), ("auto", auto)):
-        code, stdout, stderr = _import_kernels(choice)
-        assert (code, stdout) == (0, expected), stderr
-    code, _, stderr = _import_kernels("fortran")
-    assert code != 0
-    assert "unknown ARTINSUM_BACKEND value" in stderr, stderr
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backend_env_selects_numba():
-    code, stdout, stderr = _import_kernels("numba")
-    assert (code, stdout) == (0, "numba"), stderr
-
-
-@pytest.mark.skipif(HAS_NUMBA, reason="numba is importable")
-def test_backend_env_numba_unavailable():
-    code, _, stderr = _import_kernels("numba")
-    assert code != 0
-    assert ("RuntimeError: ARTINSUM_BACKEND=numba but numba is not importable"
-            in stderr), stderr
-
-
 def test_rank_against_fraction_lane():
     rng = random.Random(3)
     for _ in range(10):
@@ -129,3 +81,99 @@ def test_rank_against_fraction_lane():
         k = GF(101)
         rp = linalg.rank(k, linalg.matrix(k, [[x % 101 for x in r] for r in rows]))
         assert rp <= rq
+
+
+def _matrix(field, ints, width):
+    return linalg.matrix(field, [[field.coerce(x) for x in row] for row in ints], width=width)
+
+
+def _assert_complement_matches_reference(field, width, base_ints, row_ints):
+    base, pivots = linalg.echelon(field, _matrix(field, base_ints, width))
+    rows = list(_matrix(field, row_ints, width))
+    if base.shape[0]:
+        rows.insert(0, linalg.mat_mul(field, np.arange(1, base.shape[0] + 1), base))
+    if rows:
+        rows.append(rows[-1].copy())
+        rows.insert(len(rows) // 2, rows[0].copy())
+    rows = linalg.matrix(field, rows, width=width)
+    got = linalg.complement_rows(field, rows, base, pivots)
+    want = complement_rows_reference(field, rows, base, pivots)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_complement_rows_matches_reference_on_seeded_inputs(field):
+    rng = random.Random(11)
+    top = 50 if field == QQ else field.p
+    for _ in range(40):
+        width = rng.randrange(1, 9)
+        base = [[rng.randrange(-top, top) for _ in range(width)]
+                for _ in range(rng.randrange(0, width + 1))]
+        rows = [[rng.randrange(-top, top) if rng.random() < 0.7 else 0 for _ in range(width)]
+                for _ in range(rng.randrange(0, 10))]
+        _assert_complement_matches_reference(field, width, base, rows)
+
+
+@st.composite
+def _complement_case(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    return width, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), _complement_case())
+def test_complement_rows_matches_reference_on_hypothesis_inputs(field, case):
+    _assert_complement_matches_reference(field, *case)
+
+
+def test_complement_rows_edge_cases():
+    k = GF(7)
+    empty = linalg.zeros(k, (0, 3))
+    rows = _matrix(k, [[0, 2, 4], [0, 1, 2], [3, 0, 0], [3, 0, 0]], 3)
+    got = linalg.complement_rows(k, rows, empty, [])
+    assert [list(r) for r in got] == [[0, 1, 2], [1, 0, 0]]
+    base, pivots = linalg.echelon(k, rows)
+    assert linalg.complement_rows(k, rows, base, pivots) == []
+    assert linalg.complement_rows(k, empty, base, pivots) == []
+
+
+def _rref_python(rows, p):
+    """Reduced row echelon form mod p on Python ints, which cannot overflow."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c] % p), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def test_rref_mod_at_the_largest_supported_prime():
+    assert TOP_PRIME < MAX_PRIME
+    rng = random.Random(5)
+    p = TOP_PRIME
+    for _ in range(30):
+        m, n = rng.randrange(1, 13), rng.randrange(1, 13)
+        rows = [[rng.randrange(p - 1000, p) if rng.random() < 0.5 else rng.randrange(p)
+                 for _ in range(n)] for _ in range(m)]
+        if m > 2:
+            # a dependent row keeps the rank below the row count
+            rows[-1] = [(x * (p - 1) + y * (p - 2)) % p for x, y in zip(rows[0], rows[1])]
+        a = np.array(rows, dtype=np.int64)
+        rank, pivots = rref_mod(a, p)
+        want, want_pivots = _rref_python(rows, p)
+        assert (rank, list(pivots)) == (len(want_pivots), want_pivots)
+        assert a.tolist() == want

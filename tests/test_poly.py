@@ -36,6 +36,9 @@ def test_non_prime_modulus_rejected():
         GF(6)
     with pytest.raises(NonPrimeModulusError):
         GF(1)
+    # 1048583 is the first prime above MAX_PRIME = 2**20
+    with pytest.raises(NonPrimeModulusError):
+        GF(1048583)
 
 
 # -- term orders ---------------------------------------------------------------
