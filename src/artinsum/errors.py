@@ -55,4 +55,18 @@ class PreconditionError(ArtinsumError):
 
 
 class ResourceGuardError(ArtinsumError):
-    """A configurable degree or dimension guard tripped."""
+    """A configurable degree or dimension guard tripped.
+
+    `guard` names the guard (`max_degree`, `max_dim`), `limit` is its value
+    and `value` is what exceeded it; `what` says what was measured.
+    """
+
+    def __init__(self, guard, limit, value, what):
+        super().__init__(f"{what} {value} exceeds the {guard} guard of {limit}")
+        self.guard = guard
+        self.limit = limit
+        self.value = value
+        self.what = what
+
+    def __reduce__(self):
+        return type(self), (self.guard, self.limit, self.value, self.what)

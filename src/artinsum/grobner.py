@@ -4,8 +4,18 @@ The pair strategy is the normal one (smallest lcm degree first, ties broken
 by the term order and then pair indices) with the coprime-lcm and chain
 criteria.  Bases are fully reduced and monic, so they are unique per order
 and ideal equality is basis equality.
+
+Basis elements never change once they enter the basis, so `buchberger`
+takes each element's leading term once, and the key of a pair,
+(lcm degree, order key of the lcm, pair indices), is fixed when the pair is
+made.  Pairs wait in a heap under that key, so each step pops the smallest
+pending pair without rescanning the others; a set of the pending pairs
+answers the chain criterion's membership test.  `normal_form` accepts the
+leading terms precomputed, and `IdealPresentation` keeps them per order
+beside its cached bases.
 """
 
+import heapq
 import os
 
 from .errors import ResourceGuardError, RingMismatchError
@@ -22,16 +32,18 @@ def degree_guard():
 
 
 def _check_degree(poly, cap):
-    if poly.total_degree() > cap:
-        raise ResourceGuardError(
-            f"intermediate polynomial degree {poly.total_degree()} exceeds guard {cap}")
+    degree = poly.total_degree()
+    if degree > cap:
+        raise ResourceGuardError("max_degree", cap, degree, "intermediate polynomial degree")
 
 
-def normal_form(f, basis, order=None, max_degree=None):
+def normal_form(f, basis, order=None, max_degree=None, leads=None):
     """Unique remainder of f under full reduction by `basis`.
 
     Zero iff f lies in the ideal when `basis` is a Groebner basis; every
-    term of the remainder is then a standard monomial.
+    term of the remainder is then a standard monomial.  `leads` may carry
+    the (monomial, coefficient) leading terms of `basis` under `order`;
+    they are computed here otherwise.
     """
     ring = f.ring
     order = order or ring.order
@@ -39,7 +51,8 @@ def normal_form(f, basis, order=None, max_degree=None):
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("normal form arguments in different rings")
-    leads = [(g.leading(order)) for g in basis]
+    if leads is None:
+        leads = [g.leading(order) for g in basis]
     fld = ring.field
     remainder = {}
     work = dict(f.terms)
@@ -56,8 +69,8 @@ def normal_form(f, basis, order=None, max_degree=None):
                         continue
                     key = mono_mul(q, gm)
                     if mono_deg(key) > cap:
-                        raise ResourceGuardError(
-                            f"reduction exceeded the degree guard {cap}")
+                        raise ResourceGuardError("max_degree", cap, mono_deg(key),
+                                                 "reduction term degree")
                     s = fld.sub(work.get(key, fld.zero), fld.mul(factor, gc))
                     if s == fld.zero:
                         work.pop(key, None)
@@ -80,20 +93,21 @@ def s_polynomial(f, g, order):
     return a - b
 
 
-def _minimalize(basis, order):
-    kept = []
-    for f in sorted(basis, key=lambda h: order.key(h.leading(order)[0])):
-        lm = f.leading(order)[0]
-        if all(mono_div(lm, g.leading(order)[0]) is None for g in kept):
+def _minimalize(basis, leads, order):
+    """Elements whose leading monomial no smaller kept one divides, with their leads."""
+    kept, kept_leads = [], []
+    for f, lead in sorted(zip(basis, leads), key=lambda p: order.key(p[1][0])):
+        if all(mono_div(lead[0], lm) is None for lm, _ in kept_leads):
             kept.append(f)
-    return kept
+            kept_leads.append(lead)
+    return kept, kept_leads
 
 
-def _interreduce(basis, order, cap):
+def _interreduce(basis, leads, order, cap):
     out = []
     for i, f in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
-        r = normal_form(f, others, order, cap)
+        r = normal_form(f, basis[:i] + basis[i + 1:], order, cap,
+                        leads=leads[:i] + leads[i + 1:])
         if not r.is_zero():
             out.append(r.monic(order))
     return sorted(out, key=lambda h: order.key(h.leading(order)[0]))
@@ -105,45 +119,41 @@ def buchberger(generators, order, max_degree=None):
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
-    basis = []
+    basis, leads = [], []
+    pairs, queue = set(), []
+
+    def add(g):
+        """Append a monic element and queue its pairs with every earlier one."""
+        new = len(basis)
+        lead = g.leading(order)
+        for k, (lm, _) in enumerate(leads):
+            lcm = mono_lcm(lm, lead[0])
+            heapq.heappush(queue, (mono_deg(lcm), order.key(lcm), (k, new), lcm))
+            pairs.add((k, new))
+        basis.append(g)
+        leads.append(lead)
+
     for g in gens:
         _check_degree(g, cap)
-        basis.append(g.monic(order))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def pair_key(p):
-        lcm = mono_lcm(basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0])
-        return (mono_deg(lcm), order.key(lcm), p)
-
-    while pairs:
-        i, j = min(pairs, key=pair_key)
+        add(g.monic(order))
+    while queue:
+        _, _, (i, j), lcm = heapq.heappop(queue)
         pairs.discard((i, j))
-        lm_i = basis[i].leading(order)[0]
-        lm_j = basis[j].leading(order)[0]
-        if mono_coprime(lm_i, lm_j):
+        if mono_coprime(leads[i][0], leads[j][0]):
             continue
-        lcm = mono_lcm(lm_i, lm_j)
         # chain criterion: an element whose lead divides the lcm, with both
         # companion pairs already handled, makes this pair redundant
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_div(lcm, basis[k].leading(order)[0]) is not None:
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and mono_div(lcm, lm) is not None
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k, (lm, _) in enumerate(leads)):
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order, cap)
+        r = normal_form(s, basis, order, cap, leads=leads)
         if not r.is_zero():
             _check_degree(r, cap)
-            basis.append(r.monic(order))
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return _interreduce(_minimalize(basis, order), order, cap)
+            add(r.monic(order))
+    return _interreduce(*_minimalize(basis, leads, order), order, cap)
 
 
 class IdealPresentation:
@@ -156,6 +166,7 @@ class IdealPresentation:
         self.ring = ring
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._gb_cache = {}
+        self._leads_cache = {}
 
     def groebner_basis(self, order=None, max_degree=None):
         order = order or self.ring.order
@@ -165,9 +176,18 @@ class IdealPresentation:
             self._gb_cache[order] = cached
         return cached
 
+    def _basis_and_leads(self, order):
+        """The reduced basis under `order` and its leading terms, each taken once."""
+        basis = self.groebner_basis(order)
+        leads = self._leads_cache.get(order)
+        if leads is None:
+            leads = self._leads_cache[order] = [g.leading(order) for g in basis]
+        return basis, leads
+
     def normal_form(self, f, order=None):
         order = order or self.ring.order
-        return normal_form(f, self.groebner_basis(order), order)
+        basis, leads = self._basis_and_leads(order)
+        return normal_form(f, basis, order, leads=leads)
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -178,7 +198,7 @@ class IdealPresentation:
 
     def leading_monomials(self, order=None):
         order = order or self.ring.order
-        return [g.leading(order)[0] for g in self.groebner_basis(order)]
+        return [lm for lm, _ in self._basis_and_leads(order)[1]]
 
     def is_zero_dimensional(self):
         """True iff every variable has a pure power among the leading terms."""

@@ -13,7 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                      NotZeroDimensionalError, UnitIdealError)
-from .grobner import IdealPresentation, buchberger, degree_guard, normal_form
+from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
 
@@ -136,11 +136,12 @@ def _eliminate_variable(pres, gb, idx, coeff, bound_n):
     return IdealPresentation(sub, new_gens), images
 
 
-def minimalize_presentation(pres):
+def minimalize_presentation(pres, bounds=None):
     """Eliminate linear relations until the ideal sits inside the square of m.
 
     Returns (minimal presentation, steps); each step is (target ring, images)
-    mapping the previous ring onto the next one.
+    mapping the previous ring onto the next one.  `bounds` may carry the
+    `_nilpotency_bound` of `pres` when the caller has it already.
     """
     steps = []
     while True:
@@ -155,14 +156,15 @@ def minimalize_presentation(pres):
                 break
         if target is None:
             return pres, steps
-        bounds = _nilpotency_bound(pres, len(std))
+        if bounds is None:
+            bounds = _nilpotency_bound(pres, len(std))
         bound_n = sum(t - 1 for t in bounds) + 1
         new_pres, images = _eliminate_variable(pres, gb, target[0], target[1], bound_n)
         new_std = new_pres.standard_monomials()
         if new_std is None or len(new_std) != len(std):
             raise ArtinsumError("linear elimination changed the quotient dimension")
         steps.append((new_pres.ring, images))
-        pres = new_pres
+        pres, bounds = new_pres, None
 
 
 class ArtinAlgebra:
@@ -395,10 +397,9 @@ def build_algebra(pres_or_ring, generators=None):
     if not pres.is_zero_dimensional():
         raise NotZeroDimensionalError(
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
-    std = pres.standard_monomials()
-    _nilpotency_bound(pres, len(std))
+    bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     original_ring = pres.ring
-    minimal, steps = minimalize_presentation(pres)
+    minimal, steps = minimalize_presentation(pres, bounds)
     return ArtinAlgebra(minimal, original_ring, steps)
 
 

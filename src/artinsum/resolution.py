@@ -114,8 +114,8 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
             betti.extend([0] * (truncation - step))
             break
         if len(gens) * lam > max_dim:
-            raise ResourceGuardError(
-                f"free module dimension {len(gens) * lam} exceeds the guard {max_dim}")
+            raise ResourceGuardError("max_dim", max_dim, len(gens) * lam,
+                                     "free module dimension")
         if _unit_entry(A, np.vstack(gens)):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
         diff = _differential_matrix(A, gens, prev_rank)
@@ -248,8 +248,11 @@ def verify_mu_formulas(R, S, truncation=4):
 
     Checks mu(I_P) = mu(I_R) + mu(I_S) + m*n and mu(I_Q) = mu(I_P) + psi with
     psi = 1 for m, n >= 2, psi = -1 for m = n = 1, and psi = 0 otherwise.
+    Like `verify_cs_series`, it needs both Loewy lengths at least 2.
     """
     from .sums import connected_sum, fibre_product
+    if R.loewy_length < 2 or S.loewy_length < 2:
+        raise PreconditionError("connected-sum generator-count identity needs both Loewy lengths >= 2")
     m, n = R.edim, S.edim
     P = fibre_product(R, S).algebra
     Q = connected_sum(R, S).algebra

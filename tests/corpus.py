@@ -45,6 +45,18 @@ def random_gorenstein(rng, edim, loewy, prefix, field=FIELD):
     raise RuntimeError("could not hit the requested invariants")
 
 
+def random_apolar_ideal(rng, edim, degree, prefix, field=FIELD):
+    """The defining ideal of the apolar algebra of a random dual polynomial.
+
+    The dual polynomial is drawn as over GF(101) and its integer
+    coefficients are read in `field`.
+    """
+    names = tuple(f"{prefix}{i + 1}" for i in range(edim))
+    drawn = random_dual_poly(rng, PolyRing(FIELD, tuple(f"w{n}" for n in names)), degree)
+    dual = PolyRing(field, drawn.ring.names)
+    return apolar_algebra(dual.poly(drawn.terms), names).pres
+
+
 def random_pair(rng, max_edim=2, max_ll=4, min_ll=1):
     """A disjoint-variable Gorenstein pair for sum experiments."""
     m = rng.randint(1, max_edim)

@@ -3,12 +3,16 @@
 These deliberately avoid the code paths they check: ideal membership is
 certified by finding explicit cofactors with bounded-degree linear algebra,
 and elimination is cross-checked by ranking normal-form images of subring
-monomials, never by block orders.
+monomials, never by block orders.  The `*_reference` functions keep the
+earlier, slower forms of routines that were made fast, for differential
+tests: the per-vector complement loop and the pair-rescanning Buchberger.
 """
 
 import numpy as np
 
 from artinsum import linalg
+from artinsum.grobner import _check_degree, degree_guard, normal_form, s_polynomial
+from artinsum.poly import mono_coprime, mono_deg, mono_div, mono_lcm
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -96,3 +100,74 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
             out.append(res)
             acc_rows, acc_piv = linalg.echelon(field, np.vstack([acc_rows, res.reshape(1, -1)]))
     return out
+
+
+def _minimalize_reference(basis, order):
+    kept = []
+    for f in sorted(basis, key=lambda h: order.key(h.leading(order)[0])):
+        lm = f.leading(order)[0]
+        if all(mono_div(lm, g.leading(order)[0]) is None for g in kept):
+            kept.append(f)
+    return kept
+
+
+def _interreduce_reference(basis, order, cap):
+    out = []
+    for i, f in enumerate(basis):
+        others = basis[:i] + basis[i + 1:]
+        r = normal_form(f, others, order, cap)
+        if not r.is_zero():
+            out.append(r.monic(order))
+    return sorted(out, key=lambda h: order.key(h.leading(order)[0]))
+
+
+def buchberger_reference(generators, order, max_degree=None):
+    """The reduced Groebner basis by rescanning every pending pair at each step.
+
+    Recomputes leading terms wherever it needs them and picks the next pair
+    with `min` over the pending set; `grobner.buchberger` must return the
+    same basis.
+    """
+    cap = max_degree if max_degree is not None else degree_guard()
+    gens = [g for g in generators if not g.is_zero()]
+    if not gens:
+        return []
+    basis = []
+    for g in gens:
+        _check_degree(g, cap)
+        basis.append(g.monic(order))
+    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+
+    def pair_key(p):
+        lcm = mono_lcm(basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0])
+        return (mono_deg(lcm), order.key(lcm), p)
+
+    while pairs:
+        i, j = min(pairs, key=pair_key)
+        pairs.discard((i, j))
+        lm_i = basis[i].leading(order)[0]
+        lm_j = basis[j].leading(order)[0]
+        if mono_coprime(lm_i, lm_j):
+            continue
+        lcm = mono_lcm(lm_i, lm_j)
+        # chain criterion: an element whose lead divides the lcm, with both
+        # companion pairs already handled, makes this pair redundant
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j):
+                continue
+            if mono_div(lcm, basis[k].leading(order)[0]) is not None:
+                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+                if a not in pairs and b not in pairs:
+                    skip = True
+                    break
+        if skip:
+            continue
+        s = s_polynomial(basis[i], basis[j], order)
+        r = normal_form(s, basis, order, cap)
+        if not r.is_zero():
+            _check_degree(r, cap)
+            basis.append(r.monic(order))
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+    return _interreduce_reference(_minimalize_reference(basis, order), order, cap)

@@ -1,16 +1,26 @@
 """Groebner engine: golden bases, normal forms, contraction, zero-dimensionality."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artinsum import GF, QQ, Block, Grevlex, IdealPresentation, PolyRing, normal_form
 from artinsum import parse_presentation
+from artinsum.cli import main
 from artinsum.errors import ResourceGuardError
-from artinsum.grobner import s_polynomial
+from artinsum.grobner import buchberger, s_polynomial
+from artinsum.poly import Lex
 from artinsum.quotient import build_algebra
+from artinsum.sums import connected_sum
 
-from oracles import ideal_member, same_ideal, subring_quotient_dimension
+from corpus import random_apolar_ideal
+from oracles import buchberger_reference, ideal_member, same_ideal, subring_quotient_dimension
+
+# GF(1048573) is the largest prime below MAX_PRIME
+FIELDS = [GF(101), GF(1048573), QQ]
 
 
 def ideal_of(text):
@@ -156,8 +166,121 @@ def test_contraction_soundness_and_completeness():
 
 def test_degree_guard_trips():
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3")
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError) as info:
         I.groebner_basis(max_degree=2)
+    assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 2, 3)
+    assert str(info.value) == "intermediate polynomial degree 3 exceeds the max_degree guard of 2"
+
+
+def test_degree_guard_trips_on_a_new_basis_element():
+    # both inputs have degree 3; the reduced basis gains Y^4 - X^2
+    text = "field QQ; vars X Y; ideal X^2*Y - Y^2, X*Y^2 - X^2"
+    with pytest.raises(ResourceGuardError) as info:
+        ideal_of(text).groebner_basis(max_degree=3)
+    assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 3, 4)
+    assert "intermediate polynomial degree 4" in str(info.value)
+    with pytest.raises(ResourceGuardError) as ref:
+        buchberger_reference(list(ideal_of(text).generators), Grevlex(2), 3)
+    assert ref.value.value == 4
+    assert ideal_of(text).groebner_basis(max_degree=4)
+
+
+def test_degree_guard_trips_inside_a_reduction():
+    # under Lex, X -> Y^3 raises the degree: X^2 -> X*Y^3 -> Y^6
+    ring = PolyRing(QQ, ("X", "Y"))
+    x, y = ring.gens()
+    with pytest.raises(ResourceGuardError) as info:
+        normal_form(x ** 2, [x - y ** 3], Lex(2), max_degree=5)
+    assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 5, 6)
+    assert str(info.value) == "reduction term degree 6 exceeds the max_degree guard of 5"
+    assert normal_form(x ** 2, [x - y ** 3], Lex(2), max_degree=6) == y ** 6
+
+
+def test_resource_guard_error_survives_pickling():
+    err = ResourceGuardError("max_degree", 5, 6, "reduction term degree")
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.guard, back.limit, back.value, str(back)) == (
+        err.guard, err.limit, err.value, str(err))
+
+
+def test_cli_exit_code_for_a_tripped_guard(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.txt"
+    path.write_text("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3")
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "2")
+    assert main(["analyze", str(path)]) == 7
+    assert "exceeds the max_degree guard of 2" in capsys.readouterr().err
+
+
+# -- the heap-driven Buchberger against the pair-rescanning reference --------
+
+def _orders(nvars):
+    front = max(1, nvars // 2)
+    return [Grevlex(nvars), Lex(nvars), Block(range(front), range(front, nvars))]
+
+
+def _random_poly(rng, ring, degree, terms=4, low=0):
+    monos = [m for d in range(low, degree + 1) for m in ring.monomials_of_degree(d)]
+    return ring.poly({monos[rng.randrange(len(monos))]: rng.randint(-9, 9)
+                      for _ in range(terms)})
+
+
+def _assert_matches_reference(gens, order, probes, max_degree=None):
+    fast = buchberger(gens, order, max_degree)
+    assert fast == buchberger_reference(gens, order, max_degree)
+    for basis in (fast, [g for g in gens if not g.is_zero()]):
+        leads = [g.leading(order) for g in basis]
+        for f in probes:
+            assert (normal_form(f, basis, order, max_degree, leads=leads)
+                    == normal_form(f, basis, order, max_degree))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_buchberger_matches_reference_on_apolar_ideals(field):
+    rng = random.Random(31)
+    ideals = [random_apolar_ideal(rng, edim, degree, prefix, field)
+              for edim, degree, prefix in ((1, 3, "U"), (2, 2, "Y"), (2, 3, "Z"), (2, 4, "W"))]
+    for I in ideals:
+        probes = [_random_poly(rng, I.ring, 4) for _ in range(3)]
+        for order in _orders(I.ring.nvars):
+            _assert_matches_reference(list(I.generators), order, probes)
+    # the connected-sum ideal, with the block order that check_split contracts by
+    Q = connected_sum(build_algebra(ideals[1]), build_algebra(ideals[2])).algebra
+    probes = [_random_poly(rng, Q.ring, 3) for _ in range(3)]
+    for order in (Grevlex(4), Block((0, 1), (2, 3))):
+        _assert_matches_reference(list(Q.pres.generators), order, probes)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_buchberger_matches_reference_on_seeded_generators(field):
+    rng = random.Random(8)
+    for nvars in (2, 3, 3, 2, 3, 3):
+        ring = PolyRing(field, tuple(f"V{i}" for i in range(nvars)))
+        gens = [ring.var(i) ** rng.randint(3, 5) for i in range(nvars)]
+        gens += [_random_poly(rng, ring, 3, low=2) for _ in range(rng.randint(1, 3))]
+        probes = [_random_poly(rng, ring, 5) for _ in range(3)]
+        for order in _orders(nvars):
+            _assert_matches_reference(gens, order, probes)
+
+
+@st.composite
+def generator_sets(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(field, tuple(f"V{i}" for i in range(nvars)))
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars)
+    poly = st.dictionaries(exponent, st.integers(-5, 5), max_size=4).map(ring.poly)
+    gens = [ring.var(i) ** draw(st.integers(1, 4)) for i in range(nvars)]
+    gens += draw(st.lists(poly, min_size=1, max_size=3))
+    order = draw(st.sampled_from(_orders(nvars)))
+    probes = draw(st.lists(poly, min_size=1, max_size=2))
+    return gens, order, probes
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generator_sets())
+def test_buchberger_matches_reference_on_hypothesis_inputs(case):
+    gens, order, probes = case
+    _assert_matches_reference(gens, order, probes, max_degree=12)
 
 
 def test_ideal_membership_oracle_is_two_sided():

@@ -9,6 +9,7 @@ from artinsum import (GF, QQ, algebra_from_text, build_algebra, parse_polynomial
                       parse_presentation)
 from artinsum.errors import (NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
+from artinsum import quotient
 from artinsum.grobner import IdealPresentation, normal_form
 
 
@@ -168,6 +169,21 @@ def test_minimalization_preserves_invariants():
     assert lifted == parse_polynomial("-Z^2-Z^3", A.ring)
     # format_polynomial lists terms decreasing under the ring's order
     assert str(lifted) == "-Z^3 - Z^2"
+
+
+def test_nilpotency_bound_taken_once_per_presentation(monkeypatch):
+    seen = []
+    original = quotient._nilpotency_bound
+
+    def recording(pres, length):
+        seen.append(pres.ring.names)
+        return original(pres, length)
+
+    monkeypatch.setattr(quotient, "_nilpotency_bound", recording)
+    # two linear eliminations (Y, then X) leave k[Z]/(Z^5)
+    A = algebra_from_text("field QQ; vars X Y Z; ideal Y - Z^2, X - Z^3, Z^5")
+    assert (A.ring.names, A.length) == (("Z",), 5)
+    assert seen == [("X", "Y", "Z"), ("X", "Z")]
 
 
 def test_unit_ideal_rejected():

@@ -4,6 +4,7 @@ import pytest
 
 from artinsum import (algebra_from_text, betti_numbers, connected_sum, fibre_product,
                       verify_cs_series, verify_fp_series, verify_mu_formulas)
+from artinsum.errors import PreconditionError, ResourceGuardError
 
 from corpus import pair_corpus
 
@@ -65,3 +66,22 @@ def test_series_identities_over_rationals():
     R = algebra_from_text("field QQ; vars Y1 Y2; ideal Y1^2, Y2^2")
     S = algebra_from_text("field QQ; vars Z; ideal Z^3")
     _assert_identities(R, S, 3)
+
+
+def test_betti_dimension_guard_names_itself():
+    # the first step has 2 generators over an algebra of length 4: dimension 8
+    A = algebra_from_text("field QQ; vars X Y; ideal X^2, Y^2")
+    with pytest.raises(ResourceGuardError) as info:
+        betti_numbers(A, TRUNCATION, max_dim=5)
+    assert (info.value.guard, info.value.limit, info.value.value) == ("max_dim", 5, 8)
+    assert str(info.value) == "free module dimension 8 exceeds the max_dim guard of 5"
+
+
+def test_mu_formulas_need_both_loewy_lengths_at_least_two():
+    # pair 4: R of edim 2 and Loewy length 2, S = k[Z1]/(Z1^2) of Loewy length 1
+    R, S = pair_corpus(6, max_edim=2, max_ll=3)[4]
+    assert (R.loewy_length, S.loewy_length) == (2, 1)
+    with pytest.raises(PreconditionError, match="Loewy lengths >= 2"):
+        verify_cs_series(R, S, connected_sum(R, S).algebra, 4)
+    with pytest.raises(PreconditionError, match="Loewy lengths >= 2"):
+        verify_mu_formulas(R, S)
