@@ -3,16 +3,29 @@
 Matrices are numpy arrays: dtype int64 with canonical entries over a prime
 field, dtype object holding Fractions over QQ.  Vectors are 1-D arrays of
 the same flavor.  All routines are pure; inputs are never mutated.
+
+The QQ lane holds Fractions only at its interface.  `rref` and `mat_mul`
+scale each row (for the right factor of a product, each column) by the lcm
+of its denominators and compute on Python integers, which cannot overflow.
+`rref` is fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with
+entry f in the pivot column becomes (p/g)*row - (f/g)*pivot_row, with p the
+pivot and g = gcd(p, f), and is then divided by its content; at the end each
+pivot row is divided by its pivot.  The reduced echelon form is unique, so
+this gives the same matrix and pivots as elimination on Fractions.
+`mat_mul` forms one integer product over the columns where the left operand
+is not zero and builds one Fraction per nonzero output entry.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from . import _kernels
-from .fields import PrimeField
+from .fields import QQ, PrimeField
 
 MAX_ECHELON_DIM = 1 << 22
+_ZERO = Fraction(0)
 
 
 def is_prime_field(field):
@@ -38,33 +51,58 @@ def matrix(field, rows, width=None):
     return np.vstack(rows)
 
 
-def _rref_fraction(a):
+def _integer_rows(a):
+    """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
+
+    Returns the scaled rows as lists of Python ints, and the row denominators.
+    Entries may be Fractions or Python ints.
+    """
+    rows, dens = [], []
+    for row in a.tolist():
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return rows, dens
+
+
+def _rref_rational(a):
+    """Fraction-free Gauss-Jordan elimination of a 2-D QQ array: (R, pivots)."""
     m, n = a.shape
+    rows, _ = _integer_rows(a)
     pivots = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = Fraction(1) / a[r, c]
-        if inv != 1:
-            a[r, c:] = a[r, c:] * inv
-        for i in range(m):
-            f = a[i, c]
-            if i != r and f != 0:
-                a[i, c:] = a[i, c:] - f * a[r, c:]
-        pivots.append(c)
-        r += 1
         if r == m:
             break
-    return r, np.asarray(pivots, dtype=np.int64)
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                row = [s * x - t * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = zeros(QQ, (m, n))
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        out[i] = [Fraction(x, p) if x else _ZERO for x in rows[i]]
+    return out, np.asarray(pivots, dtype=np.int64)
 
 
 def rref(field, a):
     """Reduced row echelon form: returns (R, pivot column array)."""
-    a = np.array(a, copy=True)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("matrix expected")
     if max(a.shape, default=0) > MAX_ECHELON_DIM:
@@ -73,8 +111,7 @@ def rref(field, a):
         a = np.asarray(a, dtype=np.int64) % field.p
         rank, pivots = _kernels.rref_mod(a, field.p)
         return a, pivots
-    rank, pivots = _rref_fraction(a)
-    return a, pivots
+    return _rref_rational(a)
 
 
 def echelon(field, a):
@@ -90,18 +127,14 @@ def rank(field, a):
 def right_kernel(field, a):
     """Rows spanning {v : a @ v = 0}, one per free column, deterministic."""
     a = np.asarray(a)
-    m, n = a.shape
+    n = a.shape[1]
     r, pivots = rref(field, a)
-    pivset = set(int(c) for c in pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = zeros(field, (len(free), n))
-    one = field.one
-    for k, c in enumerate(free):
-        basis[k, c] = one
-        for row_idx, pc in enumerate(pivots):
-            v = r[row_idx, c]
-            if v != field.zero:
-                basis[k, int(pc)] = field.neg(v)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = zeros(field, (free.size, n))
+    basis[np.arange(free.size), free] = field.one
+    basis[:, pivots] = _canonical(field, -r[: pivots.size, free].T)
     return basis
 
 
@@ -205,7 +238,28 @@ def identity(field, n):
 
 
 def mat_mul(field, a, b):
-    """Exact matrix product with modular reduction on the prime-field lane."""
+    """Exact product of a matrix or vector `a` with a matrix `b`.
+
+    Reduced mod p on the prime-field lane; on the QQ lane `a` may also hold
+    plain ints.
+    """
     if is_prime_field(field):
         return np.asarray(a, dtype=np.int64).dot(b) % field.p
-    return np.asarray(a, dtype=object).dot(b)
+    a = np.asarray(a)
+    if a.ndim == 1:
+        return _mat_mul_rational(a.reshape(1, -1), b)[0]
+    return _mat_mul_rational(a, b)
+
+
+def _mat_mul_rational(a, b):
+    """The QQ product of a 2-D `a` and `b` on integer rows of `a` and columns of `b`."""
+    m, n = a.shape[0], b.shape[1]
+    rows, row_dens = _integer_rows(a)
+    left = np.array(rows, dtype=object).reshape(a.shape)
+    keep = np.flatnonzero(left.any(axis=0))
+    cols, col_dens = _integer_rows(b[keep].T)
+    right = np.array(cols, dtype=object).reshape(n, keep.size).T
+    out = np.empty((m, n), dtype=object)
+    for i, (row, d) in enumerate(zip(left[:, keep].dot(right).tolist(), row_dens)):
+        out[i] = [Fraction(x, d * e) if x else _ZERO for x, e in zip(row, col_dens)]
+    return out

@@ -316,10 +316,9 @@ class ArtinAlgebra:
 
     def mult_matrix(self, vec):
         """Matrix of multiplication by the element `vec` (acting on row vectors)."""
-        m = np.tensordot(vec, self.struct, axes=(0, 0))
-        if linalg.is_prime_field(self.field):
-            m = m % self.field.p
-        return m
+        lam = self.length
+        m = linalg.mat_mul(self.field, vec, self.struct.reshape(lam, lam * lam))
+        return m.reshape(lam, lam)
 
     def multiply(self, u, v):
         return linalg.mat_mul(self.field, u.reshape(1, -1), self.mult_matrix(v))[0]

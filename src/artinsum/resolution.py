@@ -71,12 +71,11 @@ def _unit_entry(A, rows):
 def _differential_matrix(A, gens, prev_rank):
     """The k-linear matrix of d: free module on `gens` -> A^prev_rank."""
     lam = A.length
+    struct = A.struct.reshape(lam, lam * lam)
     out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
     for r, g in enumerate(gens):
-        blocks = g.reshape(prev_rank, lam)
-        cube = np.tensordot(blocks, A.struct, axes=([1], [0]))
-        if linalg.is_prime_field(A.field):
-            cube = cube % A.field.p
+        cube = linalg.mat_mul(A.field, g.reshape(prev_rank, lam), struct)
+        cube = cube.reshape(prev_rank, lam, lam)
         # cube[t, k, j] = coefficient of e_j in (block t of g) * e_k
         out[r * lam: (r + 1) * lam, :] = cube.transpose(1, 0, 2).reshape(lam, prev_rank * lam)
     return out

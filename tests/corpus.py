@@ -1,4 +1,4 @@
-"""Seeded random Gorenstein algebras over GF(101), built by apolarity.
+"""Seeded random Gorenstein algebras, built by apolarity, over GF(101) by default.
 
 A random dual polynomial with a nonzero top-degree part yields a Gorenstein
 algebra with socle degree equal to its degree; retries pin the embedding
@@ -8,13 +8,15 @@ dimension.  Everything is deterministic for a fixed Random seed.
 import random
 
 from artinsum import GF, PolyRing, apolar_algebra
-from artinsum.poly import Polynomial
 
 FIELD = GF(101)
 
 
 def random_dual_poly(rng, ring, degree):
-    """Random polynomial with a guaranteed nonzero degree-`degree` part."""
+    """Random polynomial with a guaranteed nonzero degree-`degree` part.
+
+    The coefficients are integers drawn from [0, 101), read in the ring's field.
+    """
     terms = {}
     for d in range(2, degree + 1):
         for mono in ring.monomials_of_degree(d):
@@ -25,7 +27,7 @@ def random_dual_poly(rng, ring, degree):
     top = ring.monomials_of_degree(degree)
     if not any(sum(m) == degree and m in terms for m in top):
         terms[top[rng.randrange(len(top))]] = rng.randrange(1, 101)
-    return Polynomial(ring, {m: FIELD.coerce(c) for m, c in terms.items() if c})
+    return ring.poly(terms)
 
 
 def random_gorenstein(rng, edim, loewy, prefix, field=FIELD):
@@ -46,25 +48,20 @@ def random_gorenstein(rng, edim, loewy, prefix, field=FIELD):
 
 
 def random_apolar_ideal(rng, edim, degree, prefix, field=FIELD):
-    """The defining ideal of the apolar algebra of a random dual polynomial.
-
-    The dual polynomial is drawn as over GF(101) and its integer
-    coefficients are read in `field`.
-    """
+    """The defining ideal of the apolar algebra of a random dual polynomial."""
     names = tuple(f"{prefix}{i + 1}" for i in range(edim))
-    drawn = random_dual_poly(rng, PolyRing(FIELD, tuple(f"w{n}" for n in names)), degree)
-    dual = PolyRing(field, drawn.ring.names)
-    return apolar_algebra(dual.poly(drawn.terms), names).pres
+    dual = PolyRing(field, tuple(f"w{n}" for n in names))
+    return apolar_algebra(random_dual_poly(rng, dual, degree), names).pres
 
 
-def random_pair(rng, max_edim=2, max_ll=4, min_ll=1):
+def random_pair(rng, max_edim=2, max_ll=4, min_ll=1, field=FIELD):
     """A disjoint-variable Gorenstein pair for sum experiments."""
     m = rng.randint(1, max_edim)
     lr = rng.randint(max(min_ll, 2 if m > 1 else min_ll), max_ll)
     n = rng.randint(1, max_edim)
     ls = rng.randint(max(min_ll, 2 if n > 1 else min_ll), max_ll)
-    R = random_gorenstein(rng, m, lr, "Y")
-    S = random_gorenstein(rng, n, ls, "Z")
+    R = random_gorenstein(rng, m, lr, "Y", field)
+    S = random_gorenstein(rng, n, ls, "Z", field)
     return R, S
 
 

@@ -5,8 +5,11 @@ certified by finding explicit cofactors with bounded-degree linear algebra,
 and elimination is cross-checked by ranking normal-form images of subring
 monomials, never by block orders.  The `*_reference` functions keep the
 earlier, slower forms of routines that were made fast, for differential
-tests: the per-vector complement loop and the pair-rescanning Buchberger.
+tests: Gauss-Jordan on Fractions, the per-column kernel loop, the
+per-vector complement loop and the pair-rescanning Buchberger.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +83,52 @@ def subring_quotient_dimension(algebra, keep_names):
         if not new_frontier:
             return span.shape[0]
         frontier = new_frontier
+
+
+def rref_fraction_reference(a):
+    """Gauss-Jordan on Fractions, in place; returns (rank, pivot column array).
+
+    `linalg.rref` over QQ must give the same matrix and pivots.
+    """
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if a[i, c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = Fraction(1) / a[r, c]
+        if inv != 1:
+            a[r, c:] = a[r, c:] * inv
+        for i in range(m):
+            f = a[i, c]
+            if i != r and f != 0:
+                a[i, c:] = a[i, c:] - f * a[r, c:]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return r, np.asarray(pivots, dtype=np.int64)
+
+
+def right_kernel_reference(field, a):
+    """Rows spanning {v : a @ v = 0}, filled entry by entry from the rref."""
+    a = np.asarray(a)
+    m, n = a.shape
+    r, pivots = linalg.rref(field, a)
+    pivset = set(int(c) for c in pivots)
+    free = [c for c in range(n) if c not in pivset]
+    basis = linalg.zeros(field, (len(free), n))
+    one = field.one
+    for k, c in enumerate(free):
+        basis[k, c] = one
+        for row_idx, pc in enumerate(pivots):
+            v = r[row_idx, c]
+            if v != field.zero:
+                basis[k, int(pc)] = field.neg(v)
+    return basis
 
 
 def complement_rows_reference(field, rows, base_rows, base_pivots):

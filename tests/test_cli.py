@@ -12,11 +12,34 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # of F(u) + b*v^2 with F(u) = u^4 + 2*u^3 - u^2, b = -2, u = w1 + w2 and
 # v = w1 + 2*w2: the connected sum QQ[Y]/(Y^5) # QQ[Z]/(Z^3) in hidden
 # coordinates, so decompose must build witnesses from minimal generators.
+#
+# qq_left.txt is the apolar algebra of 1/2*w1^3 + w1*w2^2 - 2/3*w2^3 (the
+# apolar case below) and qq_right.txt that of u^2*v + 1/5*v^3; every QQ case
+# carries non-integer coefficients, so the reports exercise the Fraction
+# interface of the linear algebra.
+QQ_CASES = {
+    "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
+    "apolar_qq": ["apolar", "--poly", "1/2*w1^3 + w1*w2^2 - 2/3*w2^3",
+                  "--dual-vars", "w1", "w2", "--ops", "Y1", "Y2", "--field", "QQ"],
+    "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",
+                   "--verify-series", "2"],
+    "fibre_qq": ["fibre", "qq_left.txt", "qq_right.txt"],
+}
+
+
+def _report(argv, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv + ["--json"]) == 0
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["decompose", "betti"])
 def test_json_report_is_golden(command, monkeypatch, capsys):
-    monkeypatch.chdir(GOLDEN)
-    assert main([command, "hidden_sum.txt", "--json"]) == 0
-    expected = (GOLDEN / f"{command}_hidden_sum.json").read_text()
-    assert capsys.readouterr().out == expected
+    out = _report([command, "hidden_sum.txt"], monkeypatch, capsys)
+    assert out == (GOLDEN / f"{command}_hidden_sum.json").read_text()
+
+
+@pytest.mark.parametrize("golden", list(QQ_CASES))
+def test_qq_json_report_is_golden(golden, monkeypatch, capsys):
+    out = _report(QQ_CASES[golden], monkeypatch, capsys)
+    assert out == (GOLDEN / f"{golden}.json").read_text()

@@ -13,12 +13,14 @@ from artinsum import linalg
 from artinsum._kernels import rref_mod
 from artinsum.fields import MAX_PRIME
 
-from oracles import complement_rows_reference
+from oracles import complement_rows_reference, rref_fraction_reference, right_kernel_reference
 
 # the largest prime below MAX_PRIME: products of two entries come closest to
 # the int64 bound there
 TOP_PRIME = 1048573
 FIELDS = [GF(101), GF(TOP_PRIME), QQ]
+# numerators and denominators past the int64 range
+HUGE = 1 << 70
 
 
 def test_rref_rational():
@@ -177,3 +179,173 @@ def test_rref_mod_at_the_largest_supported_prime():
         want, want_pivots = _rref_python(rows, p)
         assert (rank, list(pivots)) == (len(want_pivots), want_pivots)
         assert a.tolist() == want
+
+
+# -- the QQ lane against Fraction references ------------------------------------
+
+def _qq(rows, width):
+    """A QQ matrix of Fractions from rows of ints or Fractions."""
+    a = np.empty((len(rows), width), dtype=object)
+    for i, row in enumerate(rows):
+        a[i] = [Fraction(x) for x in row]
+    return a
+
+
+def _assert_all_fractions(a):
+    assert a.dtype == object
+    assert all(type(x) is Fraction for x in a.flat)
+
+
+def _assert_rref_matches_reference(a):
+    before = a.copy()
+    got, pivots = linalg.rref(QQ, a)
+    assert np.array_equal(a, before)
+    want = _qq(a.tolist(), a.shape[1])
+    rank, want_pivots = rref_fraction_reference(want)
+    assert pivots.dtype == want_pivots.dtype and np.array_equal(pivots, want_pivots)
+    assert rank == pivots.size
+    _assert_all_fractions(got)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _dot_reference(a, b):
+    """The product in Fractions, one sum per entry."""
+    a2 = np.atleast_2d(a)
+    out = np.empty((a2.shape[0], b.shape[1]), dtype=object)
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            out[i, j] = sum((Fraction(a2[i, k]) * b[k, j] for k in range(b.shape[0])),
+                            Fraction(0))
+    return out[0] if np.ndim(a) == 1 else out
+
+
+def _assert_mat_mul_matches_reference(a, b):
+    got = linalg.mat_mul(QQ, a, b)
+    want = _dot_reference(a, b)
+    _assert_all_fractions(got)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _random_entry(rng, top):
+    if rng.random() < 0.4:
+        return Fraction(0)
+    num = rng.randrange(-top, top + 1)
+    return Fraction(num, rng.randrange(1, 7)) if rng.random() < 0.3 else Fraction(num)
+
+
+def _random_qq_rows(rng, m, n, top):
+    rows = [[_random_entry(rng, top) for _ in range(n)] for _ in range(m)]
+    if m > 4:
+        # a dependent row, a duplicate row and a zero row, in random places
+        rows[2] = [Fraction(3, 2) * x - 5 * y for x, y in zip(rows[0], rows[1])]
+        rows[3] = list(rows[1])
+        rows[4] = [Fraction(0)] * n
+        rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("top", [5, HUGE], ids=["small", "huge"])
+def test_rref_qq_matches_fraction_reference_on_seeded_inputs(top):
+    rng = random.Random(17)
+    for _ in range(60):
+        m, n = rng.randrange(0, 9), rng.randrange(0, 9)
+        _assert_rref_matches_reference(_qq(_random_qq_rows(rng, m, n, top), n))
+
+
+def test_rref_qq_edge_shapes_and_int_entries():
+    for m, n in [(0, 0), (0, 4), (3, 0), (3, 4)]:
+        _assert_rref_matches_reference(linalg.zeros(QQ, (m, n)))
+    # plain ints in an object array, and an int64 array
+    ints = [[2, 4, -6, 1], [1, 2, -3, 7], [0, 0, 5, 5]]
+    _assert_rref_matches_reference(np.array(ints, dtype=object))
+    got, pivots = linalg.rref(QQ, np.array(ints, dtype=np.int64))
+    _assert_all_fractions(got)
+    assert list(pivots) == [0, 2, 3]
+    # pivots and entries whose numerators and denominators pass 2**63
+    big = _qq([[Fraction(HUGE + 1, 3), Fraction(-HUGE, HUGE + 7), 1],
+               [Fraction(HUGE, 5), 2, Fraction(1, HUGE)]], 3)
+    _assert_rref_matches_reference(big)
+
+
+_QQ_ENTRY = (st.integers(-3, 3).map(Fraction)
+             | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+             | st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)))
+
+
+@st.composite
+def _qq_matrix(draw, shape=None):
+    m, n = shape or (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    rows = draw(st.lists(st.lists(_QQ_ENTRY, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[-2])]
+    return _qq(rows, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qq_matrix())
+def test_rref_qq_matches_fraction_reference_on_hypothesis_inputs(a):
+    _assert_rref_matches_reference(a)
+
+
+@pytest.mark.parametrize("top", [5, HUGE], ids=["small", "huge"])
+def test_mat_mul_qq_matches_fraction_dot_on_seeded_inputs(top):
+    rng = random.Random(23)
+    for _ in range(60):
+        m, k, n = rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(0, 6)
+        a = _qq(_random_qq_rows(rng, m, k, top), k)
+        b = _qq(_random_qq_rows(rng, k, n, top), n)
+        _assert_mat_mul_matches_reference(a, b)
+        if m:
+            _assert_mat_mul_matches_reference(a[0], b)
+
+
+def test_mat_mul_qq_int_left_operands_and_edge_shapes():
+    rng = random.Random(29)
+    b = _qq(_random_qq_rows(rng, 4, 3, 9), 3)
+    _assert_mat_mul_matches_reference(np.arange(1, 5), b)
+    _assert_mat_mul_matches_reference(np.array([0, 3, 0, -2], dtype=object), b)
+    _assert_mat_mul_matches_reference(np.array([[HUGE, 0, 1, -HUGE]], dtype=object), b)
+    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (2, 4)), b)
+    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (0, 4)), b)
+    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (2, 0)), linalg.zeros(QQ, (0, 3)))
+    _assert_mat_mul_matches_reference(np.arange(0), linalg.zeros(QQ, (0, 3)))
+    _assert_mat_mul_matches_reference(np.arange(1, 5), linalg.zeros(QQ, (4, 0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_qq_matrix(), st.data())
+def test_mat_mul_qq_matches_fraction_dot_on_hypothesis_inputs(a, data):
+    b = data.draw(_qq_matrix((a.shape[1], data.draw(st.integers(0, 6)))))
+    _assert_mat_mul_matches_reference(a, b)
+    if a.shape[0]:
+        _assert_mat_mul_matches_reference(a[0], b)
+
+
+def _assert_right_kernel_matches_reference(field, a):
+    got = linalg.right_kernel(field, a)
+    want = right_kernel_reference(field, a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if field == QQ:
+        _assert_all_fractions(got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_right_kernel_matches_reference_on_seeded_inputs(field):
+    rng = random.Random(31)
+    for _ in range(60):
+        m, n = rng.randrange(0, 8), rng.randrange(0, 8)
+        rows = _random_qq_rows(rng, m, n, HUGE if field == QQ else 50)
+        if field == QQ:
+            a = _qq(rows, n)
+        else:
+            a = _matrix(field, [[int(x) for x in row] for row in rows], n)
+        _assert_right_kernel_matches_reference(field, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), _qq_matrix())
+def test_right_kernel_matches_reference_on_hypothesis_inputs(field, a):
+    if field != QQ:
+        a = _matrix(field, [[int(x) for x in row] for row in a.tolist()], a.shape[1])
+    _assert_right_kernel_matches_reference(field, a)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from artinsum import (algebra_from_text, betti_numbers, connected_sum, fibre_product,
+from artinsum import (GF, QQ, algebra_from_text, betti_numbers, connected_sum, fibre_product,
                       verify_cs_series, verify_fp_series, verify_mu_formulas)
 from artinsum.errors import PreconditionError, ResourceGuardError
+from artinsum.resolution import mu_direct
 
 from corpus import pair_corpus
 
@@ -85,3 +86,18 @@ def test_mu_formulas_need_both_loewy_lengths_at_least_two():
         verify_cs_series(R, S, connected_sum(R, S).algebra, 4)
     with pytest.raises(PreconditionError, match="Loewy lengths >= 2"):
         verify_mu_formulas(R, S)
+
+
+def _lane_invariants(field, index):
+    R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[index]
+    algebras = (R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra)
+    return [(A.hilbert_function(), A.type, betti_numbers(A, 4).betti, mu_direct(A))
+            for A in algebras]
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_field_lanes_agree_on_corpus_pairs(index):
+    # the corpus draws integer dual polynomials, read here over QQ and over
+    # the largest supported prime; both lanes must give the same invariants
+    # for the factors, their connected sum and their fibre product
+    assert _lane_invariants(QQ, index) == _lane_invariants(GF(1048573), index)
