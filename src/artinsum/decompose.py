@@ -16,9 +16,9 @@ from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import _binom, associated_graded, classify, gls_split, is_gls
 from .grobner import IdealPresentation
-from .poly import Polynomial, PolyRing
-from .quotient import ArtinAlgebra, build_algebra
-from .sums import connected_sum, socle_generator
+from .poly import PolyRing
+from .quotient import ArtinAlgebra, build_algebra, presentation_in_coordinates
+from .sums import _proportionality_unit, connected_sum, socle_generator
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +31,6 @@ class SplitCheck:
     right: ArtinAlgebra = None
     unit: object = None
     reasons: list = field(default_factory=list)
-
-
-def _proportionality_unit(Q, vec_left, vec_right):
-    """u with vec_left = u * vec_right, for vectors spanning the same line."""
-    fld = Q.field
-    support = [i for i, c in enumerate(vec_right) if c != fld.zero]
-    if not support or not np.any(vec_left != fld.zero):
-        raise ArtinsumError("socle generators vanish in the quotient")
-    u = fld.div(vec_left[support[0]], vec_right[support[0]])
-    scaled = np.asarray([fld.mul(u, c) for c in vec_right], dtype=vec_right.dtype)
-    if np.any(scaled != vec_left):
-        raise ArtinsumError("socle images are not proportional")
-    return u
 
 
 def check_split(Q, partition):
@@ -165,39 +152,6 @@ def split_witness(Q):
     names = [f"Y{i + 1}" for i in range(m)] + [f"Z{j + 1}" for j in range(n)]
     new_ring = PolyRing(Q.field, names)
     return SplitWitness(z_lifts, y_lifts, new_ring, y_lifts + z_lifts)
-
-
-def presentation_in_coordinates(Q, new_ring, images):
-    """The kernel presentation of Q on a new minimal generating set of m.
-
-    `images` are polynomials of Q's ring lifting the new variables; the
-    kernel is computed degreewise, monomials above the Loewy length mapping
-    to zero.
-    """
-    vecs = [Q.vector(p) for p in images]
-    cap = Q.loewy_length + 1
-    monos = []
-    for d in range(cap + 1):
-        monos.extend(new_ring.monomials_of_degree(d))
-    values = {}
-    one = linalg.zeros(Q.field, Q.length)
-    one[Q.basis_index[(0,) * Q.ring.nvars]] = Q.field.one
-    values[(0,) * new_ring.nvars] = one
-    for mono in monos:
-        if mono in values:
-            continue
-        i = next(k for k, e in enumerate(mono) if e)
-        prev = list(mono)
-        prev[i] -= 1
-        values[mono] = Q.multiply(values[tuple(prev)], vecs[i])
-    mat = linalg.matrix(Q.field, [values[m] for m in monos], width=Q.length)
-    rows = linalg.left_kernel(Q.field, mat)
-    gens = [Polynomial(new_ring, {m: c for m, c in zip(monos, r) if c != Q.field.zero})
-            for r in rows]
-    rebuilt = build_algebra(new_ring, gens)
-    if rebuilt.length != Q.length or rebuilt.hilbert_function() != Q.hilbert_function():
-        raise ArtinsumError("coordinate change did not preserve the algebra")
-    return rebuilt
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,7 @@ class GradedAlgebra:
                 stacked = np.hstack(A.var_matrices)[idx, :]
                 small = linalg.left_kernel(A.field, stacked)
                 block = linalg.zeros(A.field, (small.shape[0], A.length))
-                for r in range(small.shape[0]):
-                    for c, col in enumerate(idx):
-                        block[r, col] = small[r, c]
+                block[:, idx] = small
             rows, _ = linalg.echelon(A.field, block)
             if rows.shape[0]:
                 out[d] = rows
@@ -95,10 +93,7 @@ class GradedAlgebra:
         if rows is None:
             return linalg.zeros(A.field, (0, A.ring.nvars))
         out = linalg.zeros(A.field, (rows.shape[0], A.ring.nvars))
-        for r in range(rows.shape[0]):
-            for i in self.pieces[1]:
-                mono = A.basis[i]
-                out[r, mono.index(1)] = rows[r, i]
+        out[:, [A.basis[i].index(1) for i in self.pieces[1]]] = rows[:, self.pieces[1]]
         return linalg.echelon(A.field, out)[0]
 
     def __repr__(self):

@@ -237,9 +237,10 @@ class IdealPresentation:
                 continue
             kept.append(g.rename_into(sub, [index_map.get(i, 0) for i in range(ring.nvars)]))
         result = IdealPresentation(sub, kept)
-        # the elimination theorem hands us a reduced basis already; reduce
-        # once more so the cache is canonical under the subring order
-        result._gb_cache[sub.order] = tuple(buchberger(kept, sub.order))
+        # on monomials in the kept variables the block order is the subring's
+        # grevlex, so by the elimination theorem the kept elements already
+        # are its reduced basis, monic and in ascending order
+        result._gb_cache[sub.order] = tuple(kept)
         return result
 
     def standard_monomials(self, order=None):

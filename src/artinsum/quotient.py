@@ -1,11 +1,15 @@
 """Artinian local algebras as finite-dimensional vector spaces with multiplication.
 
-An algebra is built from a zero-dimensional ideal supported at the origin.
-Presentations with linear terms are first minimalized by exact linear
-elimination, so the stored presentation always has its ideal inside the
-square of the maximal ideal and the variable count equals the embedding
-dimension.  Elements are coefficient vectors over the standard-monomial
-basis (ascending default order).
+An algebra is built from a zero-dimensional ideal supported at the origin,
+first on the presentation as given; the powers of m failing to shrink to
+zero show that the quotient is not local.  When dim m/m^2 is smaller than
+the variable count, the variables whose classes depend linearly on the
+others modulo m^2 are eliminated, and the ideal is taken again as the
+kernel of the map from the ring on the remaining variables, degree by
+degree.  So the stored presentation always has its ideal inside the square
+of the maximal ideal and the variable count equals the embedding dimension.
+Elements are coefficient vectors over the standard-monomial basis
+(ascending default order).
 """
 
 import numpy as np
@@ -14,7 +18,7 @@ from . import linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                      NotZeroDimensionalError, UnitIdealError)
 from .grobner import IdealPresentation
-from .poly import Polynomial, PolyRing, mono_deg, mono_mul
+from .poly import Polynomial, PolyRing, mono_mul
 
 
 class Subspace:
@@ -67,106 +71,6 @@ class Subspace:
         return f"<subspace dim {self.dim} of algebra dim {self.algebra.length}>"
 
 
-def _linear_coefficients(poly):
-    out = {}
-    for m, c in poly.terms.items():
-        if mono_deg(m) == 1:
-            out[m.index(1)] = c
-    return out
-
-
-def _truncate(poly, cap):
-    return Polynomial(poly.ring, {m: c for m, c in poly.terms.items() if mono_deg(m) < cap})
-
-
-def _nilpotency_bound(pres, length):
-    """Smallest per-variable nilpotency exponents; fails when not local."""
-    ring = pres.ring
-    bounds = []
-    for i in range(ring.nvars):
-        power = ring.var(i)
-        t = None
-        for k in range(1, length + 2):
-            if k > 1:
-                power = pres.normal_form(power * ring.var(i))
-            else:
-                power = pres.normal_form(power)
-            if power.is_zero():
-                t = k
-                break
-        if t is None:
-            raise NotLocalError(
-                f"variable {ring.names[i]} is not nilpotent; the quotient is not local")
-        bounds.append(t)
-    return bounds
-
-
-def _eliminate_variable(pres, gb, idx, coeff, bound_n):
-    """Substitute away variable idx using a basis element with linear part."""
-    ring = pres.ring
-    fld = ring.field
-    g = next(h for h in gb if _linear_coefficients(h).get(idx) == coeff)
-    x = ring.var(idx)
-    h = g - x.scale(coeff)
-    neg_inv = fld.neg(fld.inv(coeff))
-    phi = ring.zero
-    for _ in range(bound_n + 2):
-        nxt = _truncate(h.substitute({idx: phi}).scale(neg_inv), bound_n)
-        if nxt == phi:
-            break
-        phi = nxt
-    else:
-        raise ArtinsumError("linear elimination did not stabilize")
-    if idx in phi.support_vars():
-        raise ArtinsumError("linear elimination left the variable in its own image")
-    if not pres.contains(x - phi):
-        raise ArtinsumError("linear elimination produced an inconsistent substitution")
-    sub = PolyRing(fld, [n for i, n in enumerate(ring.names) if i != idx])
-    images = []
-    pos = 0
-    for i in range(ring.nvars):
-        if i == idx:
-            images.append(sub.zero)  # placeholder, patched below
-        else:
-            images.append(sub.var(pos))
-            pos += 1
-    # phi never mentions the eliminated variable, so the placeholder is inert
-    images[idx] = phi.compose(sub, images)
-    new_gens = [f.compose(sub, images) for f in gb]
-    return IdealPresentation(sub, new_gens), images
-
-
-def minimalize_presentation(pres, bounds=None):
-    """Eliminate linear relations until the ideal sits inside the square of m.
-
-    Returns (minimal presentation, steps); each step is (target ring, images)
-    mapping the previous ring onto the next one.  `bounds` may carry the
-    `_nilpotency_bound` of `pres` when the caller has it already.
-    """
-    steps = []
-    while True:
-        gb = pres.groebner_basis()
-        std = pres.standard_monomials()
-        target = None
-        for g in gb:
-            lin = _linear_coefficients(g)
-            if lin:
-                idx = min(lin)
-                target = (idx, lin[idx])
-                break
-        if target is None:
-            return pres, steps
-        if bounds is None:
-            bounds = _nilpotency_bound(pres, len(std))
-        bound_n = sum(t - 1 for t in bounds) + 1
-        new_pres, images = _eliminate_variable(pres, gb, target[0], target[1], bound_n)
-        new_std = new_pres.standard_monomials()
-        if new_std is None or len(new_std) != len(std):
-            raise ArtinsumError("linear elimination changed the quotient dimension")
-        steps.append((new_pres.ring, images))
-        pres, bounds = new_pres, None
-
-
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration."""
 
@@ -212,14 +116,14 @@ class ArtinAlgebra:
                 struct[i, j] = vec
                 struct[j, i] = vec
         self.struct = struct
+        # a variable outside the basis (a presentation that is not minimal)
+        # acts by multiplication with its normal form
         self.var_matrices = []
         for v in range(self.ring.nvars):
-            exps = [0] * self.ring.nvars
-            exps[v] = 1
-            idx = self.basis_index.get(tuple(exps))
-            if idx is None:
-                raise ArtinsumError("variable is not a standard monomial; presentation not minimal")
-            self.var_matrices.append(struct[idx])
+            mono = tuple(int(i == v) for i in range(self.ring.nvars))
+            idx = self.basis_index.get(mono)
+            self.var_matrices.append(struct[idx] if idx is not None
+                                     else self.mult_matrix(self._nf_monomial_vector(mono)))
 
     def _build_filtration(self):
         levels = [Subspace(self, linalg.identity(self.field, self.length))]
@@ -235,7 +139,9 @@ class ArtinAlgebra:
                                   for mx in self.var_matrices])
                 nxt = Subspace(self, rows)
                 if nxt.dim >= current.dim:
-                    raise NotLocalError("power filtration failed to shrink")
+                    raise NotLocalError(
+                        f"the quotient is not local: m^{len(levels) - 1} stopped shrinking "
+                        f"at dimension {current.dim}")
                 current = nxt
         self.filtration = levels
 
@@ -372,10 +278,6 @@ class ArtinAlgebra:
         reps = linalg.complement_rows(self.field, sub.rows, mw.rows, mw.pivots)
         return len(reps), reps
 
-    def subalgebra_dimension_check(self):
-        # edim equals both the variable count and dim m/m^2 on minimal input
-        return self.edim == self.power(1).dim - self.power(2).dim
-
     def __repr__(self):
         return f"<algebra {self.ring} / {len(self.pres.generators)} gens, dim {self.length}>"
 
@@ -384,8 +286,11 @@ def build_algebra(pres_or_ring, generators=None):
     """Construct the Artinian local algebra for a presentation.
 
     Accepts an IdealPresentation or (ring, generators).  Raises UnitIdealError,
-    NotZeroDimensionalError, or NotLocalError when the input is unsuitable;
-    presentations with linear terms are minimalized first.
+    NotZeroDimensionalError, or NotLocalError when the input is unsuitable.
+    The algebra is first built on the presentation as given.  When dim m/m^2
+    falls short of the variable count, the returned algebra lives on the
+    variables that minimally generate m (see `_minimal_algebra`) and still
+    takes classes of polynomials in the given ring.
     """
     if generators is not None:
         pres = IdealPresentation(pres_or_ring, generators)
@@ -396,10 +301,72 @@ def build_algebra(pres_or_ring, generators=None):
     if not pres.is_zero_dimensional():
         raise NotZeroDimensionalError(
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
-    bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
-    original_ring = pres.ring
-    minimal, steps = minimalize_presentation(pres, bounds)
-    return ArtinAlgebra(minimal, original_ring, steps)
+    A = ArtinAlgebra(pres)
+    if A.power(1).dim - A.power(2).dim == pres.ring.nvars:
+        return A
+    return _minimal_algebra(A)
+
+
+def _minimal_algebra(A):
+    """A on the variables whose classes stay independent in m/m^2.
+
+    The left kernel of the variables' classes in m/m^2 is the space of
+    linear parts of the ideal; the pivots of its echelon form are
+    eliminated and the other variables keep their names and order.  The
+    minimal ideal is the kernel of the map from the ring on the kept
+    variables onto A.  One reduction step carries the given ring there: a
+    kept variable to itself, an eliminated one to the lift of its class.
+    """
+    fld, ring = A.field, A.ring
+    m2 = A.power(2)
+    classes = linalg.matrix(fld, [m2.reduce(A.vector(ring.var(v))) for v in range(ring.nvars)],
+                            width=A.length)
+    _, pivots = linalg.echelon(fld, linalg.left_kernel(fld, classes))
+    keep = sorted(set(range(ring.nvars)) - set(pivots.tolist()))
+    sub = PolyRing(fld, [ring.names[v] for v in keep])
+    minimal = presentation_in_coordinates(A, sub, [ring.var(v) for v in keep])
+    # the minimal basis evaluated in A is invertible and takes classes back
+    lam = A.length
+    basis_values = linalg.matrix(fld, [A.vector(sub.monomial(m).rename_into(ring, keep))
+                                       for m in minimal.basis], width=lam)
+    inverse = linalg.rref(fld, np.hstack([basis_values, linalg.identity(fld, lam)]))[0][:, lam:]
+    images = [sub.var(keep.index(v)) if v in keep
+              else minimal.lift(linalg.mat_mul(fld, A.vector(ring.var(v)), inverse))
+              for v in range(ring.nvars)]
+    minimal.original_ring = ring
+    minimal.reduction_steps = ((sub, images),)
+    return minimal
+
+
+def presentation_in_coordinates(Q, new_ring, images):
+    """The kernel presentation of Q on a new minimal generating set of m.
+
+    `images` are polynomials of Q's ring lifting the new variables; the
+    kernel is computed degreewise, monomials above the Loewy length mapping
+    to zero.
+    """
+    vecs = [Q.vector(p) for p in images]
+    cap = Q.loewy_length + 1
+    monos = []
+    for d in range(cap + 1):
+        monos.extend(new_ring.monomials_of_degree(d))
+    values = {}
+    values[(0,) * new_ring.nvars] = Q.one_vector()
+    for mono in monos:
+        if mono in values:
+            continue
+        i = next(k for k, e in enumerate(mono) if e)
+        prev = list(mono)
+        prev[i] -= 1
+        values[mono] = Q.multiply(values[tuple(prev)], vecs[i])
+    mat = linalg.matrix(Q.field, [values[m] for m in monos], width=Q.length)
+    rows = linalg.left_kernel(Q.field, mat)
+    gens = [Polynomial(new_ring, {m: c for m, c in zip(monos, r) if c != Q.field.zero})
+            for r in rows]
+    rebuilt = build_algebra(new_ring, gens)
+    if rebuilt.length != Q.length or rebuilt.hilbert_function() != Q.hilbert_function():
+        raise ArtinsumError("coordinate change did not preserve the algebra")
+    return rebuilt
 
 
 def algebra_from_text(text):

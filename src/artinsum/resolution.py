@@ -59,13 +59,7 @@ def _module_times_element(field, rows, mat):
 def _unit_entry(A, rows):
     """True when some block of some row has a nonzero coefficient on 1."""
     one_slot = A.basis_index[(0,) * A.ring.nvars]
-    lam = A.length
-    blocks = rows.shape[1] // lam
-    for r in rows:
-        for b in range(blocks):
-            if r[b * lam + one_slot] != A.field.zero:
-                return True
-    return False
+    return bool(np.any(rows[:, one_slot::A.length] != A.field.zero))
 
 
 def _differential_matrix(A, gens, prev_rank):

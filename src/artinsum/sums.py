@@ -43,6 +43,15 @@ def _embed(poly, big, offset):
     return poly.rename_into(big, index_map)
 
 
+def _fibre_generators(R, S, big):
+    """Both factors' ideals in `big`, joined by every cross product of their variables."""
+    m = R.ring.nvars
+    gens = [_embed(g, big, 0) for g in R.pres.generators]
+    gens += [_embed(g, big, m) for g in S.pres.generators]
+    gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
+    return gens
+
+
 def fibre_product(R, S):
     """R x_k S as a quotient of the concatenated polynomial ring.
 
@@ -54,11 +63,7 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     big = _combined_ring(R, S)
-    m = R.ring.nvars
-    gens = [_embed(g, big, 0) for g in R.pres.generators]
-    gens += [_embed(g, big, m) for g in S.pres.generators]
-    gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
-    P = build_algebra(big, gens)
+    P = build_algebra(big, _fibre_generators(R, S, big))
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.edim != R.edim + S.edim or P.type != R.type + S.type:
@@ -80,6 +85,19 @@ def socle_generator(A):
     inv = A.field.inv(vec[lead])
     vec = np.asarray([A.field.mul(inv, c) for c in vec], dtype=vec.dtype)
     return A.lift(vec)
+
+
+def _proportionality_unit(Q, vec_left, vec_right):
+    """u with vec_left = u * vec_right, for vectors spanning the same line."""
+    fld = Q.field
+    support = [i for i, c in enumerate(vec_right) if c != fld.zero]
+    if not support or not np.any(vec_left != fld.zero):
+        raise ArtinsumError("socle generators vanish in the quotient")
+    u = fld.div(vec_left[support[0]], vec_right[support[0]])
+    scaled = np.asarray([fld.mul(u, c) for c in vec_right], dtype=vec_right.dtype)
+    if np.any(scaled != vec_left):
+        raise ArtinsumError("socle images are not proportional")
+    return u
 
 
 def _validate_socle(A, poly, side):
@@ -113,11 +131,8 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     big = _combined_ring(R, S)
-    m = R.ring.nvars
-    gens = [_embed(g, big, 0) for g in R.pres.generators]
-    gens += [_embed(g, big, m) for g in S.pres.generators]
-    gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
-    gens.append(_embed(delta_r, big, 0) - _embed(delta_s, big, m).scale(unit))
+    gens = _fibre_generators(R, S, big)
+    gens.append(_embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit))
     Q = build_algebra(big, gens)
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
@@ -228,17 +243,10 @@ def apolar_sum_check(F, G):
     combined = apolar_algebra(H, all_ops)
     delta_r = _embed(socle_generator(R), combined.ring, 0)
     delta_s = _embed(socle_generator(S), combined.ring, m)
-    vr = combined.vector(delta_r)
-    vs = combined.vector(delta_s)
-    lead = [i for i, c in enumerate(vs) if c != combined.field.zero]
-    if not lead or not np.any(vr != combined.field.zero):
-        return ApolarSumReport(False, None, combined.pres, None,
-                               detail="socle images vanish in the combined algebra")
-    unit = combined.field.div(vr[lead[0]], vs[lead[0]])
-    scaled = np.asarray([combined.field.mul(unit, c) for c in vs], dtype=vs.dtype)
-    if np.any(scaled != vr):
-        return ApolarSumReport(False, None, combined.pres, None,
-                               detail="socle images are not proportional")
+    try:
+        unit = _proportionality_unit(combined, combined.vector(delta_r), combined.vector(delta_s))
+    except ArtinsumError as exc:
+        return ApolarSumReport(False, None, combined.pres, None, detail=str(exc))
     result = connected_sum(R, S, unit=unit)
     lhs = combined.pres.groebner_basis()
     rhs = result.algebra.pres.groebner_basis()

@@ -6,7 +6,8 @@ and elimination is cross-checked by ranking normal-form images of subring
 monomials, never by block orders.  The `*_reference` functions keep the
 earlier, slower forms of routines that were made fast, for differential
 tests: Gauss-Jordan on Fractions, the per-column kernel loop, the
-per-vector complement loop and the pair-rescanning Buchberger.
+per-vector complement loop, the pair-rescanning Buchberger and the
+substitution loop that made presentations minimal.
 """
 
 from fractions import Fraction
@@ -14,8 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from artinsum import linalg
-from artinsum.grobner import _check_degree, degree_guard, normal_form, s_polynomial
-from artinsum.poly import mono_coprime, mono_deg, mono_div, mono_lcm
+from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
+                             UnitIdealError)
+from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
+                              s_polynomial)
+from artinsum.poly import Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm
+from artinsum.quotient import ArtinAlgebra
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -220,3 +225,121 @@ def buchberger_reference(generators, order, max_degree=None):
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     return _interreduce_reference(_minimalize_reference(basis, order), order, cap)
+
+
+# ---------------------------------------------------------------------------
+# minimal presentations by substitution
+
+def _linear_coefficients(poly):
+    out = {}
+    for m, c in poly.terms.items():
+        if mono_deg(m) == 1:
+            out[m.index(1)] = c
+    return out
+
+
+def _truncate(poly, cap):
+    return Polynomial(poly.ring, {m: c for m, c in poly.terms.items() if mono_deg(m) < cap})
+
+
+def _nilpotency_bound(pres, length):
+    """Smallest per-variable nilpotency exponents; fails when not local."""
+    ring = pres.ring
+    bounds = []
+    for i in range(ring.nvars):
+        power = ring.var(i)
+        t = None
+        for k in range(1, length + 2):
+            if k > 1:
+                power = pres.normal_form(power * ring.var(i))
+            else:
+                power = pres.normal_form(power)
+            if power.is_zero():
+                t = k
+                break
+        if t is None:
+            raise NotLocalError(
+                f"variable {ring.names[i]} is not nilpotent; the quotient is not local")
+        bounds.append(t)
+    return bounds
+
+
+def _eliminate_variable(pres, gb, idx, coeff, bound_n):
+    """Substitute away variable idx using a basis element with linear part."""
+    ring = pres.ring
+    fld = ring.field
+    g = next(h for h in gb if _linear_coefficients(h).get(idx) == coeff)
+    x = ring.var(idx)
+    h = g - x.scale(coeff)
+    neg_inv = fld.neg(fld.inv(coeff))
+    phi = ring.zero
+    for _ in range(bound_n + 2):
+        nxt = _truncate(h.substitute({idx: phi}).scale(neg_inv), bound_n)
+        if nxt == phi:
+            break
+        phi = nxt
+    else:
+        raise ArtinsumError("linear elimination did not stabilize")
+    if idx in phi.support_vars():
+        raise ArtinsumError("linear elimination left the variable in its own image")
+    if not pres.contains(x - phi):
+        raise ArtinsumError("linear elimination produced an inconsistent substitution")
+    sub = PolyRing(fld, [n for i, n in enumerate(ring.names) if i != idx])
+    images = []
+    pos = 0
+    for i in range(ring.nvars):
+        if i == idx:
+            images.append(sub.zero)  # placeholder, patched below
+        else:
+            images.append(sub.var(pos))
+            pos += 1
+    # phi never mentions the eliminated variable, so the placeholder is inert
+    images[idx] = phi.compose(sub, images)
+    new_gens = [f.compose(sub, images) for f in gb]
+    return IdealPresentation(sub, new_gens), images
+
+
+def minimalize_presentation(pres, bounds=None):
+    """Eliminate linear relations until the ideal sits inside the square of m.
+
+    Returns (minimal presentation, steps); each step is (target ring, images)
+    mapping the previous ring onto the next one.  `bounds` may carry the
+    `_nilpotency_bound` of `pres` when the caller has it already.
+    """
+    steps = []
+    while True:
+        gb = pres.groebner_basis()
+        std = pres.standard_monomials()
+        target = None
+        for g in gb:
+            lin = _linear_coefficients(g)
+            if lin:
+                idx = min(lin)
+                target = (idx, lin[idx])
+                break
+        if target is None:
+            return pres, steps
+        if bounds is None:
+            bounds = _nilpotency_bound(pres, len(std))
+        bound_n = sum(t - 1 for t in bounds) + 1
+        new_pres, images = _eliminate_variable(pres, gb, target[0], target[1], bound_n)
+        new_std = new_pres.standard_monomials()
+        if new_std is None or len(new_std) != len(std):
+            raise ArtinsumError("linear elimination changed the quotient dimension")
+        steps.append((new_pres.ring, images))
+        pres, bounds = new_pres, None
+
+
+def build_algebra_reference(pres):
+    """The algebra of `pres`, made minimal by one substitution fixed point per variable.
+
+    `quotient.build_algebra` must give the same ring, reduced basis,
+    standard basis, structure tensor and classes, or the same error class.
+    """
+    if pres.is_unit_ideal():
+        raise UnitIdealError("1 lies in the ideal")
+    if not pres.is_zero_dimensional():
+        raise NotZeroDimensionalError("quotient is infinite-dimensional")
+    bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
+    minimal, steps = minimalize_presentation(pres, bounds)
+    return ArtinAlgebra(minimal, pres.ring, steps)

@@ -17,8 +17,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # apolar case below) and qq_right.txt that of u^2*v + 1/5*v^3; every QQ case
 # carries non-integer coefficients, so the reports exercise the Fraction
 # interface of the linear algebra.
+#
+# nonminimal_qq.txt has linear relations in B and D, so analyze reports the
+# algebra on A and C: two eliminations, one of them not the last variable.
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
+    "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
     "apolar_qq": ["apolar", "--poly", "1/2*w1^3 + w1*w2^2 - 2/3*w2^3",
                   "--dual-vars", "w1", "w2", "--ops", "Y1", "Y2", "--field", "QQ"],
     "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",

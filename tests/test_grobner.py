@@ -103,6 +103,22 @@ def test_contract_empty_keep():
     assert J.contract([]).generators != ()
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_contract_caches_the_reduced_basis(field):
+    # the basis `contract` caches without a second Buchberger run is the one
+    # that run would give
+    rng = random.Random(13)
+    ideals = [random_apolar_ideal(rng, edim, degree, prefix, field)
+              for edim, degree, prefix in ((2, 3, "Y"), (3, 2, "U"), (2, 4, "Z"))]
+    ideals.append(connected_sum(build_algebra(ideals[0]), build_algebra(ideals[2])).algebra.pres)
+    for I in ideals:
+        names = I.ring.names
+        keeps = [names[:1], names[1:], names[::2], names[-2:], names]
+        for keep in keeps:
+            C = I.contract(list(keep))
+            assert C.groebner_basis() == tuple(buchberger(list(C.generators), C.ring.order))
+
+
 def test_zero_dimensionality():
     assert ideal_of("field QQ; vars Y Z; ideal Y^2, Z^2, Y*Z").is_zero_dimensional()
     assert not ideal_of("field QQ; vars Y Z; ideal Y*Z").is_zero_dimensional()

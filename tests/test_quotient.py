@@ -1,16 +1,24 @@
 """Artinian quotient construction, invariants, and annihilator machinery."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, algebra_from_text, build_algebra, parse_polynomial,
+from artinsum import (GF, QQ, PolyRing, algebra_from_text, build_algebra, parse_polynomial,
                       parse_presentation)
-from artinsum.errors import (NotAnIdealError, NotLocalError,
+from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
-from artinsum import quotient
 from artinsum.grobner import IdealPresentation, normal_form
+
+from corpus import random_gorenstein
+from oracles import build_algebra_reference
+
+# GF(1048573) is the largest prime below MAX_PRIME
+FIELDS = [GF(101), GF(1048573), QQ]
 
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
@@ -171,19 +179,10 @@ def test_minimalization_preserves_invariants():
     assert str(lifted) == "-Z^3 - Z^2"
 
 
-def test_nilpotency_bound_taken_once_per_presentation(monkeypatch):
-    seen = []
-    original = quotient._nilpotency_bound
-
-    def recording(pres, length):
-        seen.append(pres.ring.names)
-        return original(pres, length)
-
-    monkeypatch.setattr(quotient, "_nilpotency_bound", recording)
-    # two linear eliminations (Y, then X) leave k[Z]/(Z^5)
+def test_nilpotency_bound_taken_once_per_presentation():
+    # two linear eliminations (X and Y) leave k[Z]/(Z^5)
     A = algebra_from_text("field QQ; vars X Y Z; ideal Y - Z^2, X - Z^3, Z^5")
     assert (A.ring.names, A.length) == (("Z",), 5)
-    assert seen == [("X", "Y", "Z"), ("X", "Z")]
 
 
 def test_unit_ideal_rejected():
@@ -207,3 +206,112 @@ def test_zero_variable_algebra():
     assert k.length == 1
     assert k.loewy_length == 0
     assert k.is_gorenstein()
+
+
+# -- minimal presentations against the substitution-loop reference ----------
+
+HAND_INPUTS = [
+    "vars X Y Z; ideal Y - Z^2, X - Z^3, Z^5",
+    "vars Y Z; ideal Y + Z^2 + Z^3, Z^4",
+    "vars A B C D; ideal B - C + 1/2*A^2 - D*C, D - 3*A*C + B^2, A^2 - 2/5*C^2, A*C^2, C^3",
+    "vars X Y Z; ideal X - Y - Z^2, Y^2 - X*Z, Z^3",
+    "vars X Y Z; ideal X, Y, Z^3",
+    "vars Y; ideal Y^2 - Y",
+    "vars Y Z; ideal Y^2 - Y, Z^2",
+    "vars Y; ideal Y^2 - 2*Y + 1",
+    "vars Y Z; ideal Y*Z",
+    "vars Y; ideal Y, Y - 1",
+]
+
+
+def _hide(A, extra, coeff, perm):
+    """A's ideal with `extra` adjoined variables T - h, under an invertible linear change.
+
+    Each h has linear and quadratic parts in the variables before its T.
+    The change sends variable v to x[perm[v]] plus a combination of the
+    x[perm[j]] with j < v, so it is invertible whatever `coeff()` returns;
+    the coefficients are Fractions read in A's field.
+    """
+    ring = PolyRing(A.field, A.ring.names + tuple(f"T{k + 1}" for k in range(extra)))
+    n = ring.nvars
+    gens = [g.rename_into(ring) for g in A.pres.generators]
+    for k in range(extra):
+        before = A.ring.nvars + k
+        h = ring.poly({m: coeff() for d in (1, 2) for m in ring.monomials_of_degree(d)
+                       if not any(m[before:])})
+        gens.append(ring.var(before) - h)
+    images = []
+    for v in range(n):
+        image = ring.var(perm[v])
+        for j in range(v):
+            image = image + ring.var(perm[j]).scale(A.field.coerce(coeff()))
+        images.append(image)
+    return IdealPresentation(ring, [g.compose(ring, images) for g in gens])
+
+
+def _assert_same_algebra(pres, probes):
+    fresh = IdealPresentation(pres.ring, list(pres.generators))
+    try:
+        expected = build_algebra_reference(pres)
+    except ArtinsumError as exc:
+        with pytest.raises(ArtinsumError) as info:
+            build_algebra(fresh)
+        assert type(info.value) is type(exc)
+        return
+    got = build_algebra(fresh)
+    assert got.ring == expected.ring and got.original_ring == pres.ring
+    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.basis == expected.basis
+    assert np.array_equal(got.struct, expected.struct)
+    for f in probes:
+        assert np.array_equal(got.vector(f), expected.vector(f))
+
+
+def _probes(rng, ring, count=3):
+    monos = [m for d in range(4) for m in ring.monomials_of_degree(d)]
+    return [ring.poly({monos[rng.randrange(len(monos))]: Fraction(rng.randint(-5, 5),
+                                                                   rng.randint(1, 3))
+                       for _ in range(4)}) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_minimal_presentation_matches_reference_on_hand_inputs(field):
+    rng = random.Random(4)
+    for text in HAND_INPUTS:
+        ring, gens = parse_presentation(f"field {field}; {text}")
+        _assert_same_algebra(IdealPresentation(ring, gens), _probes(rng, ring))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_minimal_presentation_matches_reference_on_seeded_inputs(field):
+    rng = random.Random(17)
+
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    for edim, loewy, extra in ((1, 3, 1), (2, 2, 2), (2, 3, 1), (1, 4, 2), (2, 3, 2),
+                               (1, 2, 2), (2, 2, 1), (2, 4, 1)):
+        A = random_gorenstein(rng, edim, loewy, "Y", field)
+        perm = list(range(edim + extra))
+        rng.shuffle(perm)
+        pres = _hide(A, extra, coeff, perm)
+        _assert_same_algebra(pres, _probes(rng, pres.ring))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_minimal_presentation_matches_reference_on_hypothesis_inputs(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    edim, loewy = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 2), (2, 3)]))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    A = random_gorenstein(random.Random(seed), edim, loewy, "Y", field)
+    numerator = st.integers(-3, 3)
+    denominator = st.integers(1, 2)
+
+    def coeff():
+        return Fraction(data.draw(numerator), data.draw(denominator))
+
+    extra = data.draw(st.integers(1, 2))
+    perm = data.draw(st.permutations(range(edim + extra)))
+    pres = _hide(A, extra, coeff, perm)
+    _assert_same_algebra(pres, _probes(random.Random(seed), pres.ring))
