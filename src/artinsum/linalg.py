@@ -124,8 +124,8 @@ def rank(field, a):
     return len(rref(field, a)[1])
 
 
-def right_kernel(field, a):
-    """Rows spanning {v : a @ v = 0}, one per free column, deterministic."""
+def _kernel_and_free(field, a):
+    """Rows spanning {v : a @ v = 0}, and the free columns they are the identity on."""
     a = np.asarray(a)
     n = a.shape[1]
     r, pivots = rref(field, a)
@@ -135,12 +135,27 @@ def right_kernel(field, a):
     basis = zeros(field, (free.size, n))
     basis[np.arange(free.size), free] = field.one
     basis[:, pivots] = _canonical(field, -r[: pivots.size, free].T)
-    return basis
+    return basis, free
+
+
+def right_kernel(field, a):
+    """Rows spanning {v : a @ v = 0}, one per free column, deterministic."""
+    return _kernel_and_free(field, a)[0]
 
 
 def left_kernel(field, a):
     """Rows spanning {v : v @ a = 0}."""
     return right_kernel(field, np.asarray(a).T)
+
+
+def left_kernel_with_leads(field, a):
+    """The `left_kernel` rows and their lead columns.
+
+    Row i is one at column leads[i] and zero at every other lead column, so
+    the rows are a reduced echelon basis for the column order that puts the
+    leads first.
+    """
+    return _kernel_and_free(field, np.asarray(a).T)
 
 
 def reduce_row(field, vec, rows, pivots):

@@ -1,11 +1,14 @@
 """Minimal free resolutions of the residue field by exact linear algebra.
 
-Each step takes the kernel of the current differential as a subspace of a
+Each step holds the kernel K of the current differential as a subspace of a
 free module (a plain matrix kernel over the standard-monomial coordinates),
-selects minimal generators modulo m times the kernel, and certifies
-minimality by checking that no differential entry has a unit component.
-Betti numbers are the ranks; truncated Poincare identities are then checked
-with exact series arithmetic.
+kept as a basis that is the identity on its lead columns.  Minimal
+generators are the rows of that basis whose lead is not a pivot of m*K,
+echeloned with the lead columns first: since m*K lies inside K, its pivots
+are among K's leads, and the other rows span a complement of m*K in K.
+Minimality is certified by checking that no differential entry has a unit
+component.  Betti numbers are the ranks; truncated Poincare identities are
+then checked with exact series arithmetic.
 """
 
 from dataclasses import dataclass
@@ -63,24 +66,30 @@ def _unit_entry(A, rows):
 
 
 def _differential_matrix(A, gens, prev_rank):
-    """The k-linear matrix of d: free module on `gens` -> A^prev_rank."""
+    """The k-linear matrix of d: free module on the rows of `gens` -> A^prev_rank."""
     lam = A.length
     struct = A.struct.reshape(lam, lam * lam)
-    out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
-    for r, g in enumerate(gens):
-        cube = linalg.mat_mul(A.field, g.reshape(prev_rank, lam), struct)
-        cube = cube.reshape(prev_rank, lam, lam)
-        # cube[t, k, j] = coefficient of e_j in (block t of g) * e_k
-        out[r * lam: (r + 1) * lam, :] = cube.transpose(1, 0, 2).reshape(lam, prev_rank * lam)
-    return out
+    cube = linalg.mat_mul(A.field, gens.reshape(len(gens) * prev_rank, lam), struct)
+    # cube[r, t, k, j] = coefficient of e_j in (block t of generator r) * e_k
+    cube = cube.reshape(len(gens), prev_rank, lam, lam)
+    return cube.transpose(0, 2, 1, 3).reshape(len(gens) * lam, prev_rank * lam)
+
+
+def _leads_first(leads, n):
+    """The column order that puts `leads` first, in their order, then the rest."""
+    rest = np.ones(n, dtype=bool)
+    rest[leads] = False
+    return np.concatenate([leads, np.flatnonzero(rest)])
 
 
 def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     """Betti numbers beta_0..beta_N from a minimal free resolution of k over A.
 
-    Minimality is certified at every step (all differential entries in m) and
-    exactness is enforced by rank arithmetic; a dimension guard protects
-    against runaway rank growth.
+    The generators at each step are the rows of the kernel basis whose lead
+    column is not a pivot of m*K; a pivot of m*K outside the leads would
+    mean m*K is not inside K, and raises.  Minimality is certified at every
+    step (all differential entries in m) and exactness is enforced by rank
+    arithmetic; a dimension guard protects against runaway rank growth.
     """
     if truncation < 2:
         raise PreconditionError("truncation must be at least 2")
@@ -89,35 +98,41 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         return BettiData(cached.betti[: truncation + 1], truncation)
     lam = A.length
     betti = [1]
-    kernel_rows = A.power(1).rows          # ker(A -> k) = m inside A^1, reduced echelon
+    m = A.power(1)                          # ker(A -> k) = m inside A^1, reduced echelon
+    kernel, leads = m.rows, m.pivots
     prev_rank = 1
     for step in range(1, truncation + 1):
         if A.ring.nvars:
-            stacked = np.vstack([_module_times_element(A.field, kernel_rows, mx)
+            stacked = np.vstack([_module_times_element(A.field, kernel, mx)
                                  for mx in A.var_matrices])
         else:
-            stacked = kernel_rows[:0]
-        mk, mk_piv = linalg.echelon(A.field, stacked)
-        gens = linalg.complement_rows(A.field, kernel_rows, mk, mk_piv)
+            stacked = kernel[:0]
+        mk_piv = linalg.rref(A.field, stacked[:, _leads_first(leads, kernel.shape[1])])[1]
+        if mk_piv.size and mk_piv[-1] >= kernel.shape[0]:
+            raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
+                                "outside the kernel's lead columns")
+        is_gen = np.ones(kernel.shape[0], dtype=bool)
+        is_gen[mk_piv] = False
+        gens = kernel[is_gen]
         betti.append(len(gens))
         if step == truncation:
             break
-        if not gens:
+        if not len(gens):
             # resolution terminated (regular input); pad with zeros
             betti.extend([0] * (truncation - step))
             break
         if len(gens) * lam > max_dim:
             raise ResourceGuardError("max_dim", max_dim, len(gens) * lam,
                                      "free module dimension")
-        if _unit_entry(A, np.vstack(gens)):
+        if _unit_entry(A, gens):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
         diff = _differential_matrix(A, gens, prev_rank)
-        kernel = linalg.left_kernel(A.field, diff)
+        next_kernel, leads = linalg.left_kernel_with_leads(A.field, diff)
         # rank-nullity: diff is onto the previous kernel iff its rank, the row
         # count minus the left-kernel dimension, equals that kernel's dimension
-        if diff.shape[0] - kernel.shape[0] != kernel_rows.shape[0]:
+        if diff.shape[0] - next_kernel.shape[0] != kernel.shape[0]:
             raise ArtinsumError("resolution is not exact at the previous step")
-        kernel_rows = linalg.echelon(A.field, kernel)[0]
+        kernel = next_kernel
         prev_rank = len(gens)
     data = BettiData(tuple(betti), truncation)
     if cached is None or cached.truncation < truncation:

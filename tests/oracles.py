@@ -6,8 +6,9 @@ and elimination is cross-checked by ranking normal-form images of subring
 monomials, never by block orders.  The `*_reference` functions keep the
 earlier, slower forms of routines that were made fast, for differential
 tests: Gauss-Jordan on Fractions, the per-column kernel loop, the
-per-vector complement loop, the pair-rescanning Buchberger and the
-substitution loop that made presentations minimal.
+per-vector complement loop, the pair-rescanning Buchberger, the
+substitution loop that made presentations minimal, and the resolution loop
+that took Betti numbers by row reduction against m times the kernel.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, no
                               s_polynomial)
 from artinsum.poly import Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm
 from artinsum.quotient import ArtinAlgebra
+from artinsum.resolution import _module_times_element, _unit_entry
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -343,3 +345,50 @@ def build_algebra_reference(pres):
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
     return ArtinAlgebra(minimal, pres.ring, steps)
+
+
+def differential_matrix_reference(A, gens, prev_rank):
+    """The k-linear matrix of d: free module on `gens` -> A^prev_rank, one product per generator."""
+    lam = A.length
+    struct = A.struct.reshape(lam, lam * lam)
+    out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
+    for r, g in enumerate(gens):
+        cube = linalg.mat_mul(A.field, g.reshape(prev_rank, lam), struct)
+        cube = cube.reshape(prev_rank, lam, lam)
+        # cube[t, k, j] = coefficient of e_j in (block t of g) * e_k
+        out[r * lam: (r + 1) * lam, :] = cube.transpose(1, 0, 2).reshape(lam, prev_rank * lam)
+    return out
+
+
+def betti_numbers_reference(A, truncation):
+    """beta_0..beta_truncation by complements against m times the re-echeloned kernel.
+
+    Reads and writes no cache; `resolution.betti_numbers` must give the
+    same tuple.
+    """
+    betti = [1]
+    kernel_rows = A.power(1).rows
+    prev_rank = 1
+    for step in range(1, truncation + 1):
+        if A.ring.nvars:
+            stacked = np.vstack([_module_times_element(A.field, kernel_rows, mx)
+                                 for mx in A.var_matrices])
+        else:
+            stacked = kernel_rows[:0]
+        mk, mk_piv = linalg.echelon(A.field, stacked)
+        gens = linalg.complement_rows(A.field, kernel_rows, mk, mk_piv)
+        betti.append(len(gens))
+        if step == truncation:
+            break
+        if not gens:
+            betti.extend([0] * (truncation - step))
+            break
+        if _unit_entry(A, np.vstack(gens)):
+            raise ArtinsumError("differential has a unit entry; resolution not minimal")
+        diff = differential_matrix_reference(A, gens, prev_rank)
+        kernel = linalg.left_kernel(A.field, diff)
+        if diff.shape[0] - kernel.shape[0] != kernel_rows.shape[0]:
+            raise ArtinsumError("resolution is not exact at the previous step")
+        kernel_rows = linalg.echelon(A.field, kernel)[0]
+        prev_rank = len(gens)
+    return tuple(betti)

@@ -1,13 +1,20 @@
 """Betti numbers of the residue field and the paper's series identities."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, algebra_from_text, betti_numbers, connected_sum, fibre_product,
-                      verify_cs_series, verify_fp_series, verify_mu_formulas)
-from artinsum.errors import PreconditionError, ResourceGuardError
-from artinsum.resolution import mu_direct
+from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti_numbers,
+                      connected_sum, fibre_product, linalg, modulo_socle, verify_cs_series,
+                      verify_fp_series, verify_mu_formulas)
+from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
+from artinsum.resolution import _differential_matrix, mu_direct
 
 from corpus import pair_corpus
+from oracles import betti_numbers_reference, differential_matrix_reference
+
+FIELDS = [GF(101), GF(1048573), QQ]
 
 TRUNCATION = 5
 
@@ -89,15 +96,78 @@ def test_mu_formulas_need_both_loewy_lengths_at_least_two():
 
 
 def _lane_invariants(field, index):
-    R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[index]
+    R, S = pair_corpus(4, max_edim=2, max_ll=3, field=field)[index]
     algebras = (R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra)
     return [(A.hilbert_function(), A.type, betti_numbers(A, 4).betti, mu_direct(A))
             for A in algebras]
 
 
-@pytest.mark.parametrize("index", [0, 2])
+@pytest.mark.parametrize("index", [0, 2, 3])
 def test_field_lanes_agree_on_corpus_pairs(index):
     # the corpus draws integer dual polynomials, read here over QQ and over
     # the largest supported prime; both lanes must give the same invariants
     # for the factors, their connected sum and their fibre product
     assert _lane_invariants(QQ, index) == _lane_invariants(GF(1048573), index)
+
+
+def _assert_betti_matches_reference(A, truncation):
+    A._betti_cache = None
+    assert betti_numbers(A, truncation).betti == betti_numbers_reference(A, truncation)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_betti_matches_reference_on_corpus_pairs(field):
+    # pairs 0 and 2 of the module's corpus, read in each field; QQ stops at
+    # truncation 4 to keep the Fraction lane's edim-4 sums affordable
+    truncation = 4 if field == QQ else 5
+    for index in (0, 2):
+        R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[index]
+        for A in (R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra):
+            _assert_betti_matches_reference(A, truncation)
+
+
+def test_betti_matches_reference_on_edge_algebras():
+    R, S = PAIRS[0]
+    _assert_betti_matches_reference(modulo_socle(connected_sum(R, S).algebra), 4)
+    _assert_betti_matches_reference(algebra_from_text("field QQ; vars X; ideal X^2"), 5)
+
+
+@st.composite
+def _apolar_algebras(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(2, 4 if nvars < 3 else 3))
+    dual = PolyRing(field, tuple(f"w{i}" for i in range(nvars)))
+    monos = [m for d in range(1, degree + 1) for m in dual.monomials_of_degree(d)]
+    terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-5, 5), max_size=6))
+    top = draw(st.sampled_from(dual.monomials_of_degree(degree)))
+    terms[top] = draw(st.integers(1, 5))
+    return apolar_algebra(dual.poly(terms), tuple(f"X{i}" for i in range(nvars)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_apolar_algebras())
+def test_betti_matches_reference_on_hypothesis_apolar_algebras(A):
+    _assert_betti_matches_reference(A, 4)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
+def test_differential_matrix_matches_the_per_generator_products(field):
+    R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
+    A = connected_sum(R, S).algebra
+    rng = np.random.default_rng(7)
+    for prev_rank in (1, 2, 3):
+        ints = rng.integers(-3, 4, size=(4, prev_rank * A.length))
+        gens = linalg.matrix(field, [[field.coerce(int(x)) for x in row] for row in ints])
+        got = _differential_matrix(A, gens, prev_rank)
+        want = differential_matrix_reference(A, gens, prev_rank)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_betti_checks_that_m_times_the_kernel_lies_inside_it(monkeypatch):
+    # span(X) is not an ideal of k[X, Y]/(X^2, Y^2): Y*X = XY lies outside it
+    A = algebra_from_text("field GF(101); vars X Y; ideal X^2, Y^2")
+    x = A.subspace([A.vector(A.ring.var(0))])
+    monkeypatch.setattr(A, "power", lambda i: x)
+    with pytest.raises(ArtinsumError, match=r"m\*K is not inside K"):
+        betti_numbers(A, 3)
