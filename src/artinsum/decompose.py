@@ -1,7 +1,9 @@
 """Connected-sum decomposition: coordinate splits, annihilator witnesses, certificates.
 
-A coordinate split is checked directly from the defining ideal (all cross
-products must lie in it; the components are the contractions).  When no
+A coordinate split is checked directly from the defining ideal: all cross
+products must lie in it, and the components are the subalgebras
+k[Y]/(I ∩ k[Y]) and k[Z]/(I ∩ k[Z]) that the two variable groups generate,
+each presented by one degreewise kernel (`quotient.subalgebra`).  When no
 split is visible, a Gorenstein algebra whose associated graded ring is
 Gorenstein up to linear socle is rewritten in witness coordinates built
 from (0 : m^2) and split there.  Everything the pipeline claims is
@@ -15,9 +17,8 @@ import numpy as np
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import _binom, associated_graded, classify, gls_split, is_gls
-from .grobner import IdealPresentation
 from .poly import PolyRing
-from .quotient import ArtinAlgebra, build_algebra, presentation_in_coordinates
+from .quotient import ArtinAlgebra, build_algebra, presentation_in_coordinates, subalgebra
 from .sums import _proportionality_unit, connected_sum, socle_generator
 
 
@@ -37,8 +38,9 @@ def check_split(Q, partition):
     """Try to split Q along a partition of its variables into two factors.
 
     Succeeds exactly when every cross product of the two variable groups
-    lies in the defining ideal and both contractions are Gorenstein; the
-    failure report lists the offending products or the bad contraction.
+    lies in the defining ideal and both subalgebras they generate are
+    Gorenstein; the failure report lists the offending products or the bad
+    component.
     """
     if not Q.is_gorenstein():
         raise NotGorensteinError("coordinate splits are defined for Gorenstein algebras")
@@ -49,18 +51,14 @@ def check_split(Q, partition):
     if not left_names or not right_names:
         raise PreconditionError("both sides of the partition must be nonempty")
     reasons = []
-    offending = []
-    for yn in left_names:
-        for zn in right_names:
-            prod = Q.ring.var(Q.ring.index[yn]) * Q.ring.var(Q.ring.index[zn])
-            if not Q.pres.contains(prod):
-                offending.append(f"{yn}*{zn}")
+    var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
+    offending = [f"{yn}*{zn}" for yn in left_names for zn in right_names
+                 if not Q.pres.contains(var[yn] * var[zn])]
     if offending:
         reasons.append("cross products outside the ideal: " + ", ".join(offending))
-    left_pres = Q.pres.contract(left_names)
-    right_pres = Q.pres.contract(right_names)
-    left = build_algebra(left_pres)
-    right = build_algebra(right_pres)
+    sides = [[n for n in Q.ring.names if n in side] for side in (left_names, right_names)]
+    left, right = (subalgebra(Q, PolyRing(Q.field, names), [var[n] for n in names])
+                   for names in sides)
     for name, A in (("left", left), ("right", right)):
         if not A.is_gorenstein():
             reasons.append(f"{name} contraction has socle dimension {A.type}, not 1")

@@ -1,10 +1,12 @@
 """Associated graded rings, graded socles, linear-socle splitting, and classifiers.
 
-The homogeneous presentation of gr(A) is found degreewise by exact linear
-algebra: a degree-d form belongs to the presentation ideal exactly when its
-image in A falls into the next filtration step.  Artinian inputs bound all
-degrees by the Loewy length plus one, so no standard-basis machinery is
-needed.
+The homogeneous presentations of gr(A) and of Iarrobino's quotient Q0 are
+found degreewise by exact linear algebra: a degree-d form belongs to the
+ideal exactly when its image in A falls into a target subspace, m^(d+1) for
+gr(A) and (0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all
+degrees by the Loewy length s plus one, so the forms of all degrees are one
+kernel, and its echelon form gives the reduced basis
+(`quotient.kernel_presentation`) without Buchberger.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_deg
-from .quotient import ArtinAlgebra, Subspace, build_algebra
+from .quotient import build_algebra, kernel_presentation
 
 
 class GradedAlgebra:
@@ -106,6 +108,27 @@ def graded_from_homogeneous(ring, generators, source=None):
     return GradedAlgebra(build_algebra(pres), source=source)
 
 
+def _degreewise_algebra(A, targets, source):
+    """The graded algebra whose ideal holds the degree-d forms with image in targets[d].
+
+    `targets[d]`, for d = 1..s+1 with s the Loewy length of A, is a subspace
+    of A containing m^(d+1).  Every form of degree s+1 maps to zero and so
+    lies in the ideal, and the forms of all degrees present it by one kernel.
+    """
+    ring, fld, s = A.ring, A.field, A.loewy_length
+    monos = [m for d in range(s + 2) for m in ring.monomials_of_degree(d)]
+    blocks = [linalg.zeros(fld, (0, len(monos)))]
+    for d in range(1, s + 2):
+        cols = [j for j, m in enumerate(monos) if mono_deg(m) == d]
+        images = linalg.matrix(fld, [A._nf_monomial_vector(monos[j]) for j in cols],
+                               width=A.length)
+        rows = linalg.preimage_rows(fld, images, targets[d].rows)
+        blocks.append(linalg.zeros(fld, (rows.shape[0], len(monos))))
+        blocks[-1][:, cols] = rows
+    return GradedAlgebra(build_algebra(kernel_presentation(ring, monos, np.vstack(blocks))),
+                         source=source)
+
+
 def associated_graded(A):
     """The associated graded ring of A with its ideal of initial forms.
 
@@ -115,17 +138,8 @@ def associated_graded(A):
     """
     if isinstance(A, GradedAlgebra):
         return A
-    ring = A.ring
-    s = A.loewy_length
-    gens = []
-    for d in range(1, s + 2):
-        monos = ring.monomials_of_degree(d)
-        images = linalg.matrix(A.field, [A._nf_monomial_vector(m) for m in monos],
-                               width=A.length)
-        rows = linalg.preimage_rows(A.field, images, A.power(d + 1).rows)
-        for r in rows:
-            gens.append(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero}))
-    graded = graded_from_homogeneous(ring, gens, source=A)
+    targets = [A.power(d + 1) for d in range(A.loewy_length + 2)]
+    graded = _degreewise_algebra(A, targets, source=A)
     if graded.hilbert_function() != A.hilbert_function():
         raise ArtinsumError("initial-form computation broke the Hilbert function")
     return graded
@@ -229,11 +243,9 @@ def iarrobino(A):
     G = associated_graded(A)
     s = A.loewy_length
     data = GradedIdealData(G)
-    extra = []
-    for i in range(s + 1):
-        ann = A.annihilator_of_subspace(A.power(s - i))
-        wi = ann.intersect(A.power(i))
-        target = wi.add(A.power(i + 1))
+    targets = [A.annihilator_of_subspace(A.power(s - i)).intersect(A.power(i))
+               .add(A.power(i + 1)) for i in range(s + 1)]
+    for i, target in enumerate(targets):
         monos = G.piece_monomials(i)
         if not monos:
             continue
@@ -247,11 +259,10 @@ def iarrobino(A):
             if i >= s - 1:
                 raise ArtinsumError("filtration ideal unexpectedly nonzero in top degrees")
             data.components[i] = rows
-            for r in rows:
-                p = Polynomial(G.ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
-                data.forms.append(p)
-                extra.append(p)
-    q0 = graded_from_homogeneous(G.ring, list(G.presentation.generators) + extra, source=A)
+            data.forms.extend(Polynomial(G.ring, {m: c for m, c in zip(monos, r)
+                                                  if c != A.field.zero})
+                              for r in rows)
+    q0 = _degreewise_algebra(A, targets + [A.power(s + 2)], source=A)
     socle = q0.socle_by_degree()
     if q0.type != 1 or set(socle) != {s}:
         raise ArtinsumError("filtration quotient is not Gorenstein with socle degree s")

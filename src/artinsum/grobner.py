@@ -1,4 +1,10 @@
-"""Reduced Groebner bases (Buchberger), normal forms, and elimination.
+"""Reduced Groebner bases (Buchberger) of generator lists, and normal forms.
+
+Buchberger serves ideals given by generators: parsed presentations, fibre
+products, connected sums, quotients by extra elements and the parts of a
+linear-socle split.  Ideals known as truncated kernels get their reduced
+basis from one echelon form (`quotient.kernel_presentation`), and there is
+no elimination: a subalgebra is presented by its own kernel.
 
 The pair strategy is the normal one (smallest lcm degree first, ties broken
 by the term order and then pair indices) with the coprime-lcm and chain
@@ -19,8 +25,7 @@ import heapq
 import os
 
 from .errors import ResourceGuardError, RingMismatchError
-from .poly import (Block, Grevlex, Polynomial, PolyRing, mono_coprime, mono_deg,
-                   mono_div, mono_lcm, mono_mul)
+from .poly import Polynomial, mono_coprime, mono_deg, mono_div, mono_lcm, mono_mul
 
 DEFAULT_MAX_DEGREE = 64
 
@@ -210,38 +215,6 @@ class IdealPresentation:
                        for m in leads):
                 return False
         return True
-
-    def contract(self, keep):
-        """Generators of the contraction to the subring on the kept variables.
-
-        `keep` is a list of variable names or indices; the elimination runs
-        under a block order with the dropped variables in front.
-        """
-        ring = self.ring
-        keep_idx = []
-        for v in keep:
-            keep_idx.append(ring.index[v] if isinstance(v, str) else int(v))
-        keep_idx = sorted(set(keep_idx))
-        drop_idx = [i for i in range(ring.nvars) if i not in set(keep_idx)]
-        sub = PolyRing(ring.field, [ring.names[i] for i in keep_idx])
-        if not keep_idx:
-            gens = [sub.one] if self.is_unit_ideal() else []
-            return IdealPresentation(sub, gens)
-        order = Block(drop_idx, keep_idx) if drop_idx else ring.order
-        gb = self.groebner_basis(order)
-        drop = set(drop_idx)
-        index_map = {old: new for new, old in enumerate(keep_idx)}
-        kept = []
-        for g in gb:
-            if g.support_vars() & drop:
-                continue
-            kept.append(g.rename_into(sub, [index_map.get(i, 0) for i in range(ring.nvars)]))
-        result = IdealPresentation(sub, kept)
-        # on monomials in the kept variables the block order is the subring's
-        # grevlex, so by the elimination theorem the kept elements already
-        # are its reduced basis, monic and in ascending order
-        result._gb_cache[sub.order] = tuple(kept)
-        return result
 
     def standard_monomials(self, order=None):
         """All monomials outside the leading-term ideal, sorted ascending."""

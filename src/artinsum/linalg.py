@@ -220,14 +220,7 @@ def preimage_rows(field, m, sub_rows):
     Found as the v-components of the left kernel of [m ; sub_rows] stacked.
     """
     m = np.asarray(m)
-    sub = np.asarray(sub_rows)
-    if sub.shape[0] == 0:
-        ker = left_kernel(field, m)
-        return echelon(field, ker)[0]
-    stacked = np.vstack([m, sub])
-    ker = left_kernel(field, stacked)
-    if ker.shape[0] == 0:
-        return zeros(field, (0, m.shape[0]))
+    ker = left_kernel(field, np.vstack([m, np.asarray(sub_rows)]))
     return echelon(field, ker[:, : m.shape[0]])[0]
 
 

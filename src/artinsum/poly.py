@@ -241,9 +241,6 @@ class Polynomial:
     def constant_term(self):
         return self.coefficient((0,) * self.ring.nvars)
 
-    def homogeneous_component(self, d):
-        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if mono_deg(m) == d})
-
     def is_homogeneous(self):
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1

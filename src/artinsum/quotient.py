@@ -6,8 +6,10 @@ zero show that the quotient is not local.  When dim m/m^2 is smaller than
 the variable count, the variables whose classes depend linearly on the
 others modulo m^2 are eliminated, and the ideal is taken again as the
 kernel of the map from the ring on the remaining variables, degree by
-degree.  So the stored presentation always has its ideal inside the square
-of the maximal ideal and the variable count equals the embedding dimension.
+degree (`subalgebra`).  So the stored presentation always has its ideal
+inside the square of the maximal ideal and the variable count equals the
+embedding dimension.  Such a truncated kernel gives its reduced basis by
+one echelon form (`kernel_presentation`), not by Buchberger.
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order).
 """
@@ -18,7 +20,7 @@ from . import linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                      NotZeroDimensionalError, UnitIdealError)
 from .grobner import IdealPresentation
-from .poly import Polynomial, PolyRing, mono_mul
+from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
 
 class Subspace:
@@ -338,32 +340,59 @@ def _minimal_algebra(A):
     return minimal
 
 
-def presentation_in_coordinates(Q, new_ring, images):
-    """The kernel presentation of Q on a new minimal generating set of m.
+def kernel_presentation(ring, monos, rows):
+    """The ideal I whose truncation I ∩ span(monos) the rows span, reduced basis cached.
 
-    `images` are polynomials of Q's ring lifting the new variables; the
-    kernel is computed degreewise, monomials above the Loewy length mapping
-    to zero.
+    `monos` holds every monomial of `ring` up to a degree D, m^D lies in I,
+    and the rows are coefficient vectors over `monos`.  With the columns in
+    decreasing default order the reduced echelon rows are monic, their leads
+    are the leading monomials of I up to degree D, and each row is zero at
+    every other lead.  The rows whose lead has no one-step divisor among the
+    leads, in ascending order, are the reduced Groebner basis.
+    """
+    fld, order = ring.field, ring.order
+    cols = sorted(range(len(monos)), key=lambda j: order.key(monos[j]), reverse=True)
+    ordered = [monos[j] for j in cols]
+    echelon, pivots = linalg.echelon(fld, rows[:, cols])
+    leads = {ordered[c] for c in pivots.tolist()}
+    top = max(map(mono_deg, monos))
+    missing = [m for m in monos if mono_deg(m) == top and m not in leads]
+    if missing and ring.nvars:
+        raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
+                            f"{ring.monomial(missing[0])} of degree {top} is not in its span")
+    basis = []
+    for row, c in zip(echelon.tolist(), pivots.tolist()):
+        lead = ordered[c]
+        if not any(e and lead[:i] + (e - 1,) + lead[i + 1:] in leads
+                   for i, e in enumerate(lead)):
+            basis.append(Polynomial(ring, {m: x for m, x in zip(ordered, row) if x}))
+    basis.reverse()
+    pres = IdealPresentation(ring, basis)
+    pres._gb_cache[order] = tuple(basis)
+    return pres
+
+
+def subalgebra(Q, new_ring, images):
+    """The subalgebra of Q that `images` generate, presented on `new_ring`.
+
+    `images` are polynomials of Q's ring in its maximal ideal, one per
+    variable of `new_ring`.  Monomials above the Loewy length map to zero,
+    so the kernel of the map up to one degree beyond it is the truncated
+    ideal, taken as one left kernel.
     """
     vecs = [Q.vector(p) for p in images]
-    cap = Q.loewy_length + 1
-    monos = []
-    for d in range(cap + 1):
-        monos.extend(new_ring.monomials_of_degree(d))
-    values = {}
-    values[(0,) * new_ring.nvars] = Q.one_vector()
-    for mono in monos:
-        if mono in values:
-            continue
+    monos = [m for d in range(Q.loewy_length + 2) for m in new_ring.monomials_of_degree(d)]
+    values = {monos[0]: Q.one_vector()}
+    for mono in monos[1:]:
         i = next(k for k, e in enumerate(mono) if e)
-        prev = list(mono)
-        prev[i] -= 1
-        values[mono] = Q.multiply(values[tuple(prev)], vecs[i])
+        values[mono] = Q.multiply(values[mono[:i] + (mono[i] - 1,) + mono[i + 1:]], vecs[i])
     mat = linalg.matrix(Q.field, [values[m] for m in monos], width=Q.length)
-    rows = linalg.left_kernel(Q.field, mat)
-    gens = [Polynomial(new_ring, {m: c for m, c in zip(monos, r) if c != Q.field.zero})
-            for r in rows]
-    rebuilt = build_algebra(new_ring, gens)
+    return build_algebra(kernel_presentation(new_ring, monos, linalg.left_kernel(Q.field, mat)))
+
+
+def presentation_in_coordinates(Q, new_ring, images):
+    """Q presented on a new minimal generating set of m, lifted by `images`."""
+    rebuilt = subalgebra(Q, new_ring, images)
     if rebuilt.length != Q.length or rebuilt.hilbert_function() != Q.hilbert_function():
         raise ArtinsumError("coordinate change did not preserve the algebra")
     return rebuilt

@@ -13,7 +13,7 @@ from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing
-from .quotient import ArtinAlgebra, build_algebra, quotient_algebra
+from .quotient import ArtinAlgebra, build_algebra, kernel_presentation, quotient_algebra
 
 
 @dataclass
@@ -167,6 +167,21 @@ def _apply_operator(exps, F):
     return out
 
 
+def _apolar_kernel(F, ops):
+    """The monomials of `ops` up to degree deg F + 1, and rows spanning Ann(F) over them."""
+    monos = [m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)]
+    derived = [_apply_operator(m, F) for m in monos]
+    col = {}
+    for p in derived:
+        for t in p.terms:
+            col.setdefault(t, len(col))
+    mat = linalg.zeros(ops.field, (len(monos), max(len(col), 1)))
+    for i, p in enumerate(derived):
+        for t, c in p.terms.items():
+            mat[i, col[t]] = c
+    return monos, linalg.left_kernel(ops.field, mat)
+
+
 def apolar_algebra(F, operator_names=None):
     """k[X] / Ann(F) with the variables acting on F by partial differentiation.
 
@@ -185,27 +200,8 @@ def apolar_algebra(F, operator_names=None):
     if len(names) != dual.nvars:
         raise ValueError("one operator name per dual variable required")
     ops = PolyRing(field, names)
-    cap = degree + 1
-    monos = []
-    for d in range(cap + 1):
-        monos.extend(ops.monomials_of_degree(d))
-    dual_monos = []
-    seen = set()
-    derived = [_apply_operator(m, F) for m in monos]
-    for p in derived:
-        for t in p.terms:
-            if t not in seen:
-                seen.add(t)
-                dual_monos.append(t)
-    col = {t: j for j, t in enumerate(dual_monos)}
-    mat = linalg.zeros(field, (len(monos), max(len(dual_monos), 1)))
-    for i, p in enumerate(derived):
-        for t, c in p.terms.items():
-            mat[i, col[t]] = c
-    rows = linalg.left_kernel(field, mat)
-    gens = [Polynomial(ops, {m: c for m, c in zip(monos, r) if c != field.zero})
-            for r in rows]
-    A = build_algebra(ops, gens)
+    monos, rows = _apolar_kernel(F, ops)
+    A = build_algebra(kernel_presentation(ops, monos, rows))
     inverse_system_dim = len(monos) - rows.shape[0]
     if A.length != inverse_system_dim:
         raise ArtinsumError("apolar dimension disagrees with the derivative span")

@@ -2,13 +2,14 @@
 
 These deliberately avoid the code paths they check: ideal membership is
 certified by finding explicit cofactors with bounded-degree linear algebra,
-and elimination is cross-checked by ranking normal-form images of subring
-monomials, never by block orders.  The `*_reference` functions keep the
-earlier, slower forms of routines that were made fast, for differential
-tests: Gauss-Jordan on Fractions, the per-column kernel loop, the
-per-vector complement loop, the pair-rescanning Buchberger, the
-substitution loop that made presentations minimal, and the resolution loop
-that took Betti numbers by row reduction against m times the kernel.
+and subalgebras are cross-checked by ranking normal-form images of subring
+monomials.  The `*_reference` functions keep the earlier, slower forms of
+routines that were made fast, for differential tests: Gauss-Jordan on
+Fractions, the per-column kernel loop, the per-vector complement loop, the
+pair-rescanning Buchberger, the substitution loop that made presentations
+minimal, the resolution loop that took Betti numbers by row reduction
+against m times the kernel, and the block-order elimination that contracted
+an ideal to the ring on a subset of its variables.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalErr
                              UnitIdealError)
 from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
                               s_polynomial)
-from artinsum.poly import Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm
+from artinsum.poly import (Block, Polynomial, PolyRing, mono_coprime, mono_deg, mono_div,
+                           mono_lcm)
 from artinsum.quotient import ArtinAlgebra
 from artinsum.resolution import _module_times_element, _unit_entry
 
@@ -227,6 +229,59 @@ def buchberger_reference(generators, order, max_degree=None):
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     return _interreduce_reference(_minimalize_reference(basis, order), order, cap)
+
+
+def contract_reference(pres, keep):
+    """Generators of the contraction to the subring on the kept variables.
+
+    `keep` is a list of variable names or indices; the elimination runs
+    under a block order with the dropped variables in front.
+    `quotient.subalgebra` must give the same reduced basis.
+    """
+    ring = pres.ring
+    keep_idx = []
+    for v in keep:
+        keep_idx.append(ring.index[v] if isinstance(v, str) else int(v))
+    keep_idx = sorted(set(keep_idx))
+    drop_idx = [i for i in range(ring.nvars) if i not in set(keep_idx)]
+    sub = PolyRing(ring.field, [ring.names[i] for i in keep_idx])
+    if not keep_idx:
+        gens = [sub.one] if pres.is_unit_ideal() else []
+        return IdealPresentation(sub, gens)
+    order = Block(drop_idx, keep_idx) if drop_idx else ring.order
+    gb = pres.groebner_basis(order)
+    drop = set(drop_idx)
+    index_map = {old: new for new, old in enumerate(keep_idx)}
+    kept = []
+    for g in gb:
+        if g.support_vars() & drop:
+            continue
+        kept.append(g.rename_into(sub, [index_map.get(i, 0) for i in range(ring.nvars)]))
+    result = IdealPresentation(sub, kept)
+    # on monomials in the kept variables the block order is the subring's
+    # grevlex, so by the elimination theorem the kept elements already
+    # are its reduced basis, monic and in ascending order
+    result._gb_cache[sub.order] = tuple(kept)
+    return result
+
+
+def initial_form_generators(A):
+    """Homogeneous generators of the ideal of gr(A), degree by degree up to s + 1.
+
+    Degree d contributes the forms whose image in A lies in m^(d+1); the
+    reduced basis of these by `buchberger` must be the presentation of
+    `graded.associated_graded`.
+    """
+    ring = A.ring
+    gens = []
+    for d in range(1, A.loewy_length + 2):
+        monos = ring.monomials_of_degree(d)
+        images = linalg.matrix(A.field, [A._nf_monomial_vector(m) for m in monos],
+                               width=A.length)
+        rows = linalg.preimage_rows(A.field, images, A.power(d + 1).rows)
+        gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
+                    for r in rows)
+    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, classify, connected_sum, fibre_product,
                       gls_split, iarrobino, is_gls, parse_polynomial)
 from artinsum.errors import PreconditionError
-from artinsum.graded import compressed_hilbert
-from artinsum.grobner import IdealPresentation
+from artinsum.graded import compressed_hilbert, graded_from_homogeneous
+from artinsum.grobner import IdealPresentation, buchberger
 
-from corpus import random_pair
+from corpus import pair_corpus, random_pair
+from oracles import initial_form_generators
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
 
@@ -171,6 +172,28 @@ def test_iarrobino_values():
     data, q0 = iarrobino(graded_gor)
     assert data.dim == 0
     assert q0.presentation == associated_graded(graded_gor).presentation
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(1048573), QQ], ids=repr)
+def test_degreewise_presentations_match_buchberger(field):
+    # gr(A) and Q0, each presented by one kernel, against Buchberger on the
+    # generators they were built from before: the initial forms degree by
+    # degree, and for Q0 those joined by the forms of the filtration ideal.
+    # Q0 is compared as an algebra: when the filtration ideal has linear
+    # forms, both routes present it on fewer variables
+    algebras = []
+    for R, S in pair_corpus(3, max_edim=2, max_ll=4, field=field):
+        algebras += [R, S]
+        result = connected_sum(R, S)
+        if not result.trivial:
+            algebras.append(result.algebra)
+    for A in algebras:
+        G = associated_graded(A)
+        basis = G.presentation.groebner_basis()
+        assert basis == tuple(buchberger(initial_form_generators(A), A.ring.order))
+        data, q0 = iarrobino(A)
+        reference = graded_from_homogeneous(A.ring, list(basis) + data.forms)
+        assert q0.presentation == reference.presentation
 
 
 def test_classify_patterns():

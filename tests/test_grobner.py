@@ -1,23 +1,27 @@
-"""Groebner engine: golden bases, normal forms, contraction, zero-dimensionality."""
+"""Groebner engine: golden bases, normal forms, kernel presentations, zero-dimensionality."""
 
 import pickle
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import GF, QQ, Block, Grevlex, IdealPresentation, PolyRing, normal_form
-from artinsum import parse_presentation
+from artinsum import (GF, QQ, Block, Grevlex, IdealPresentation, Polynomial, PolyRing,
+                      apolar_algebra, normal_form, parse_presentation)
 from artinsum.cli import main
-from artinsum.errors import ResourceGuardError
+from artinsum.decompose import check_split
+from artinsum.errors import ArtinsumError, ResourceGuardError
 from artinsum.grobner import buchberger, s_polynomial
 from artinsum.poly import Lex
-from artinsum.quotient import build_algebra
-from artinsum.sums import connected_sum
+from artinsum.quotient import build_algebra, kernel_presentation, subalgebra
+from artinsum.sums import _apolar_kernel, connected_sum
 
-from corpus import random_apolar_ideal
-from oracles import buchberger_reference, ideal_member, same_ideal, subring_quotient_dimension
+from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
+from oracles import (buchberger_reference, contract_reference, ideal_member, same_ideal,
+                     subring_quotient_dimension)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -75,48 +79,58 @@ def test_normal_form_standard_monomial():
     assert I.normal_form(z * z) == z * z
 
 
+def _subalgebra_on(Q, keep):
+    """The subalgebra of Q on the kept variable names, in Q's variable order."""
+    keep = sorted(keep, key=Q.ring.index.get)
+    return subalgebra(Q, PolyRing(Q.field, keep), [Q.ring.var(Q.ring.index[n]) for n in keep])
+
+
 def test_contract_golden():
-    I = ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2")
-    C = I.contract(["Z1", "Z2"])
-    assert sorted(str(g) for g in C.groebner_basis()) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
+    Q = build_algebra(ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2"))
+    C = _subalgebra_on(Q, ["Z1", "Z2"])
+    assert sorted(str(g) for g in C.pres.groebner_basis()) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
 
 
 def test_contract_derived():
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Y^3-Z^2")
-    C = I.contract(["Y"])
-    assert [str(g) for g in C.groebner_basis()] == ["Y^4"]
+    C = _subalgebra_on(build_algebra(I), ["Y"])
+    assert [str(g) for g in C.pres.groebner_basis()] == ["Y^4"]
     # minimality: Y^3 is not in the ideal
     assert not I.contains(I.ring.var(0) ** 3)
 
 
-def test_contract_trivial():
-    I = ideal_of("field QQ; vars Y Z; ideal Y^2")
-    C = I.contract(["Z"])
-    assert C.generators == ()
-
-
-def test_contract_empty_keep():
-    I = ideal_of("field QQ; vars Y Z; ideal Y^2")
-    C = I.contract([])
-    assert C.generators == ()
-    J = ideal_of("field QQ; vars Y; ideal Y, Y-1")
-    assert J.contract([]).generators != ()
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_contract_caches_the_reduced_basis(field):
-    # the basis `contract` caches without a second Buchberger run is the one
-    # that run would give
+    # the basis `subalgebra` caches without a Buchberger run is the one the
+    # block-order elimination gives, and a Buchberger run would keep it
     rng = random.Random(13)
     ideals = [random_apolar_ideal(rng, edim, degree, prefix, field)
               for edim, degree, prefix in ((2, 3, "Y"), (3, 2, "U"), (2, 4, "Z"))]
     ideals.append(connected_sum(build_algebra(ideals[0]), build_algebra(ideals[2])).algebra.pres)
     for I in ideals:
+        Q = build_algebra(I)
         names = I.ring.names
         keeps = [names[:1], names[1:], names[::2], names[-2:], names]
         for keep in keeps:
-            C = I.contract(list(keep))
-            assert C.groebner_basis() == tuple(buchberger(list(C.generators), C.ring.order))
+            basis = _subalgebra_on(Q, keep).pres.groebner_basis()
+            reference = contract_reference(I, list(keep)).groebner_basis()
+            assert basis == reference
+            assert basis == tuple(buchberger(list(reference), Grevlex(len(keep))))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_split_components_match_the_contraction_reference(field):
+    for R, S in pair_corpus(4, max_edim=2, max_ll=3, field=field):
+        result = connected_sum(R, S)
+        if result.trivial:
+            continue
+        Q = result.algebra
+        check = check_split(Q, (R.ring.names, S.ring.names))
+        assert check.ok
+        for component, names in ((check.left, R.ring.names), (check.right, S.ring.names)):
+            assert component.ring.names == names
+            assert (component.pres.groebner_basis()
+                    == contract_reference(Q.pres, list(names)).groebner_basis())
 
 
 def test_zero_dimensionality():
@@ -168,16 +182,13 @@ def test_contraction_soundness_and_completeness():
         if not I.is_zero_dimensional() or I.is_unit_ideal():
             continue
         keep = ["Z1", "Z2"]
-        C = I.contract(keep)
-        # soundness: every contraction generator lies in I and only uses kept vars
-        for g in C.generators:
-            lifted = g.rename_into(ring)
-            assert I.contains(lifted)
-            assert g.support_vars() <= {0, 1}
-        # completeness: standard-monomial count equals the subalgebra dimension
         A = build_algebra(I)
-        expected = subring_quotient_dimension(A, keep)
-        assert len(C.standard_monomials()) == expected
+        C = _subalgebra_on(A, keep)
+        # soundness: every basis element lies in I and only uses kept vars
+        for g in C.pres.generators:
+            assert I.contains(g.rename_into(ring))
+        # completeness: standard-monomial count equals the subalgebra dimension
+        assert len(C.pres.standard_monomials()) == subring_quotient_dimension(A, keep)
 
 
 def test_degree_guard_trips():
@@ -259,7 +270,8 @@ def test_buchberger_matches_reference_on_apolar_ideals(field):
         probes = [_random_poly(rng, I.ring, 4) for _ in range(3)]
         for order in _orders(I.ring.nvars):
             _assert_matches_reference(list(I.generators), order, probes)
-    # the connected-sum ideal, with the block order that check_split contracts by
+    # the connected-sum ideal, also under a block order: `check_split` no
+    # longer eliminates, but Block stays a public order of `groebner_basis`
     Q = connected_sum(build_algebra(ideals[1]), build_algebra(ideals[2])).algebra
     probes = [_random_poly(rng, Q.ring, 3) for _ in range(3)]
     for order in (Grevlex(4), Block((0, 1), (2, 3))):
@@ -304,3 +316,69 @@ def test_ideal_membership_oracle_is_two_sided():
     y, z = ring.gens()
     assert ideal_member(z ** 3, gens)
     assert not ideal_member(z ** 2, gens)
+
+
+# -- kernel presentations against Buchberger on the same rows ----------------
+
+def _rows_as_polynomials(ring, monos, rows):
+    return [Polynomial(ring, {m: c for m, c in zip(monos, r.tolist()) if c}) for r in rows]
+
+
+def _assert_kernel_presentation_matches(ring, monos, rows):
+    basis = kernel_presentation(ring, monos, rows).groebner_basis()
+    assert basis == tuple(buchberger(_rows_as_polynomials(ring, monos, rows), ring.order))
+    return basis
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_kernel_presentation_matches_buchberger_on_apolar_kernels(field):
+    rng = random.Random(41)
+    for edim, degree in ((1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+        dual = PolyRing(field, tuple(f"w{i}" for i in range(edim)))
+        ops = PolyRing(field, tuple(f"X{i}" for i in range(edim)))
+        F = random_dual_poly(rng, dual, degree)
+        _assert_kernel_presentation_matches(ops, *_apolar_kernel(F, ops))
+
+
+@st.composite
+def dual_polynomials(draw):
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(field, tuple(f"w{i}" for i in range(nvars)))
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: 0 < sum(m) <= 4)
+    F = draw(st.dictionaries(exponent, st.integers(-5, 5), min_size=1, max_size=4)
+             .map(ring.poly).filter(lambda p: not p.is_zero()))
+    return F
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dual_polynomials())
+def test_kernel_presentation_matches_buchberger_on_hypothesis_apolar_kernels(F):
+    ops = PolyRing(F.ring.field, tuple(f"X{i}" for i in range(F.ring.nvars)))
+    _assert_kernel_presentation_matches(ops, *_apolar_kernel(F, ops))
+
+
+@pytest.mark.parametrize("field, kind", [(GF(101), int), (QQ, Fraction)], ids=repr)
+def test_apolar_presentation_holds_field_scalars(field, kind):
+    # canonical int in [0, p) over GF(p) and Fraction over QQ, as in fields.py
+    dual = PolyRing(field, ("w1", "w2"))
+    F = dual.poly({(3, 0): 3, (1, 2): -7, (0, 2): 5})
+    pres = apolar_algebra(F).pres
+    coefficients = [c for g in pres.generators + pres.groebner_basis() for c in g.terms.values()]
+    assert coefficients and all(type(c) is kind for c in coefficients)
+    if kind is int:
+        assert all(0 < c < field.p for c in coefficients)
+
+
+def test_kernel_presentation_needs_the_top_power_of_m():
+    ring = PolyRing(GF(101), ("X", "Y"))
+    monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
+    top = [m for m in monos if sum(m) == 2 and m != (1, 1)]
+    rows = np.array([[int(m == t) for m in monos] for t in top], dtype=np.int64)
+    with pytest.raises(ArtinsumError) as info:
+        kernel_presentation(ring, monos, rows)
+    assert "m^2 inside the ideal" in str(info.value)
+    assert "X*Y" in str(info.value)
+    rows = np.vstack([rows, [int(m == (1, 1)) for m in monos]])
+    assert [str(g) for g in kernel_presentation(ring, monos, rows).generators] == [
+        "Y^2", "X*Y", "X^2"]
