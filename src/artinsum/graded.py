@@ -134,15 +134,17 @@ def associated_graded(A):
 
     Degree d of the presentation consists of the degree-d forms whose image
     in A lies in m^(d+1); all monomials of degree loewy+1 are adjoined so the
-    presentation is visibly zero-dimensional.
+    presentation is visibly zero-dimensional.  The result is kept on A.
     """
     if isinstance(A, GradedAlgebra):
         return A
-    targets = [A.power(d + 1) for d in range(A.loewy_length + 2)]
-    graded = _degreewise_algebra(A, targets, source=A)
-    if graded.hilbert_function() != A.hilbert_function():
-        raise ArtinsumError("initial-form computation broke the Hilbert function")
-    return graded
+    if A._graded is None:
+        targets = [A.power(d + 1) for d in range(A.loewy_length + 2)]
+        graded = _degreewise_algebra(A, targets, source=A)
+        if graded.hilbert_function() != A.hilbert_function():
+            raise ArtinsumError("initial-form computation broke the Hilbert function")
+        A._graded = graded
+    return A._graded
 
 
 def is_gls(G):

@@ -11,7 +11,9 @@ inside the square of the maximal ideal and the variable count equals the
 embedding dimension.  Such a truncated kernel gives its reduced basis by
 one echelon form (`kernel_presentation`), not by Buchberger.
 Elements are coefficient vectors over the standard-monomial basis
-(ascending default order).
+(ascending default order).  The structure tensor holds the products of the
+basis elements, taken by normal forms unless the caller already has it, as
+`sums` has for fibre products and connected sums.
 """
 
 import numpy as np
@@ -74,21 +76,28 @@ class Subspace:
 
 
 class ArtinAlgebra:
-    """Zero-dimensional local quotient with basis, multiplication, and filtration."""
+    """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    def __init__(self, pres, original_ring=None, reduction_steps=()):
+    A caller that already has the standard basis and the structure tensor
+    over it passes both, and no normal form is taken.  The filtration, and
+    with it the locality check, is built from the tensor either way.
+    """
+
+    def __init__(self, pres, original_ring=None, reduction_steps=(), basis=None, struct=None):
         self.pres = pres
         self.ring = pres.ring
         self.field = pres.ring.field
         self.original_ring = original_ring or pres.ring
         self.reduction_steps = tuple(reduction_steps)
-        self.basis = tuple(pres.standard_monomials())
+        self.basis = tuple(pres.standard_monomials() if basis is None else basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._nf_cache = {}
-        self._build_structure()
+        self.struct = self._normal_form_structure() if struct is None else struct
+        self._build_var_matrices()
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
+        self._graded = None
 
     # -- construction --------------------------------------------------------
 
@@ -106,25 +115,25 @@ class ArtinAlgebra:
             self._nf_cache[mono] = vec
         return vec
 
-    def _build_structure(self):
+    def _normal_form_structure(self):
+        """struct[i, j] = the class of basis[i] * basis[j], by normal forms."""
         lam = self.length
-        struct = np.empty((lam, lam, lam), dtype=object) if not linalg.is_prime_field(self.field) \
-            else np.zeros((lam, lam, lam), dtype=np.int64)
-        if not linalg.is_prime_field(self.field):
-            struct[...] = self.field.zero
+        struct = linalg.zeros(self.field, (lam, lam, lam))
         for i in range(lam):
             for j in range(i, lam):
                 vec = self._nf_monomial_vector(mono_mul(self.basis[i], self.basis[j]))
                 struct[i, j] = vec
                 struct[j, i] = vec
-        self.struct = struct
+        return struct
+
+    def _build_var_matrices(self):
         # a variable outside the basis (a presentation that is not minimal)
         # acts by multiplication with its normal form
         self.var_matrices = []
         for v in range(self.ring.nvars):
             mono = tuple(int(i == v) for i in range(self.ring.nvars))
             idx = self.basis_index.get(mono)
-            self.var_matrices.append(struct[idx] if idx is not None
+            self.var_matrices.append(self.struct[idx] if idx is not None
                                      else self.mult_matrix(self._nf_monomial_vector(mono)))
 
     def _build_filtration(self):

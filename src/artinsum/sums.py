@@ -2,6 +2,27 @@
 
 Trivial cases (a residue-field factor, or a length-two connected-sum factor)
 return the surviving algebra with an explicit flag rather than erroring.
+
+Fibre products and connected sums are assembled from their factors, with
+no Buchberger run and no normal form.  Let R = k[Y]/I_R and S = k[Z]/I_S
+have reduced Grevlex bases G_R and G_S, with I_R and I_S inside the square
+of the maximal ideal, as `build_algebra` leaves them.  Grevlex on Y, Z
+restricts to Grevlex on Y and on Z.
+
+- P = R x_k S has ideal I_P = I_R + I_S + (Y)(Z), and its reduced basis
+  is G_R, G_S and every y_i*z_j, sorted by lead.  The S-pair of y_i*z_j
+  and g in G_R is z_j times a multiple of the tail of g, whose terms all
+  hold a variable of Y, so some y_k*z_j divides each of its terms; pairs
+  across G_R and G_S have coprime leads.  No lead divides y_i*z_j, as the
+  ideals hold no linear form, and every tail is standard.
+  The standard monomials of P are those of R and of S with the two 1s
+  merged, and m_R * m_S = 0 in P.
+- Q = R # S = P / (h) with h = sigma_R - u*sigma_S monic.  Since m*h lies
+  in I_P, I_Q = I_P + k*h, and lead(I_Q) = lead(I_P) + (lm h): the
+  multiples of lm h by variables are leads of I_P already.  So the reduced
+  basis of Q is h and the elements of G_P whose lead lm h does not divide,
+  each with the lm h term of its tail replaced through h, and Q's basis is
+  P's without lm h.
 """
 
 from dataclasses import dataclass
@@ -12,7 +33,7 @@ from . import linalg
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .grobner import IdealPresentation
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, mono_div
 from .quotient import ArtinAlgebra, build_algebra, kernel_presentation, quotient_algebra
 
 
@@ -52,6 +73,60 @@ def _fibre_generators(R, S, big):
     return gens
 
 
+def _fibre_assembly(R, S, big):
+    """P = R x_k S on `big`: its reduced basis, standard monomials and structure tensor."""
+    m, n = R.ring.nvars, S.ring.nvars
+    key = big.order.key
+    gb = [_embed(g, big, 0) for g in R.pres.groebner_basis()]
+    gb += [_embed(g, big, m) for g in S.pres.groebner_basis()]
+    gb += [big.var(i) * big.var(m + j) for i in range(m) for j in range(n)]
+    gb.sort(key=lambda g: key(g.leading()[0]))
+    left = [a + (0,) * n for a in R.basis]
+    right = [(0,) * m + b for b in S.basis]
+    basis = sorted(set(left + right), key=key)
+    index = {mono: i for i, mono in enumerate(basis)}
+    struct = linalg.zeros(big.field, (len(basis),) * 3)
+    for A, monos in ((R, left), (S, right)):
+        idx = [index[mono] for mono in monos]
+        struct[np.ix_(idx, idx, idx)] = A.struct
+    return gb, basis, struct
+
+
+def _socle_quotient(gb, basis, struct, h):
+    """P / (h) from P's reduced basis, standard monomials and tensor, for h with m*h in I_P.
+
+    The tensor's lm h component is rewritten through h, as the tails are.
+    """
+    fld = h.ring.field
+    key = h.ring.order.key
+    h = h.monic()
+    lead = h.leading()[0]
+    reduced = [h] + [g - h.scale(g.coefficient(lead)) for g in gb
+                     if mono_div(g.leading()[0], lead) is None]
+    reduced.sort(key=lambda g: key(g.leading()[0]))
+    lam = len(basis)
+    index = {mono: i for i, mono in enumerate(basis)}
+    at = index[lead]
+    # a product times `rewrite` has its e_lead replaced by e_lead - h
+    rewrite = linalg.identity(fld, lam)
+    rewrite[at, at] = fld.zero
+    for mono, c in h.terms.items():
+        if mono != lead:
+            rewrite[at, index[mono]] = fld.neg(c)
+    flat = struct.reshape(lam * lam, lam)
+    hit = np.flatnonzero(flat[:, at])
+    flat[hit] = linalg.mat_mul(fld, flat[hit], rewrite)
+    keep = [i for i in range(lam) if i != at]
+    return reduced, basis[:at] + basis[at + 1:], struct[np.ix_(keep, keep, keep)]
+
+
+def _assemble(big, generators, gb, basis, struct):
+    """The algebra on `generators`, with its reduced basis and tensor already known."""
+    pres = IdealPresentation(big, generators)
+    pres._gb_cache[big.order] = tuple(gb)
+    return ArtinAlgebra(pres, basis=basis, struct=struct)
+
+
 def fibre_product(R, S):
     """R x_k S as a quotient of the concatenated polynomial ring.
 
@@ -63,10 +138,10 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     big = _combined_ring(R, S)
-    P = build_algebra(big, _fibre_generators(R, S, big))
+    P = _assemble(big, _fibre_generators(R, S, big), *_fibre_assembly(R, S, big))
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
-    if P.edim != R.edim + S.edim or P.type != R.type + S.type:
+    if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
         raise ArtinsumError("fibre product additivity failed")
     return SumResult(P, trivial=False,
                      left_names=R.ring.names, right_names=S.ring.names)
@@ -131,14 +206,14 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     big = _combined_ring(R, S)
-    gens = _fibre_generators(R, S, big)
-    gens.append(_embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit))
-    Q = build_algebra(big, gens)
+    h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
+    Q = _assemble(big, _fibre_generators(R, S, big) + [h],
+                  *_socle_quotient(*_fibre_assembly(R, S, big), h))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:
         raise ArtinsumError("connected sum length identity failed")
-    if R.loewy_length >= 2 and S.loewy_length >= 2 and Q.edim != R.edim + S.edim:
+    if Q.hilbert_function()[1] != R.edim + S.edim:
         raise ArtinsumError("connected sum embedding-dimension identity failed")
     return SumResult(Q, trivial=False, unit=unit,
                      socle_left=delta_r, socle_right=delta_s,

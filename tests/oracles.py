@@ -8,8 +8,10 @@ routines that were made fast, for differential tests: Gauss-Jordan on
 Fractions, the per-column kernel loop, the per-vector complement loop, the
 pair-rescanning Buchberger, the substitution loop that made presentations
 minimal, the resolution loop that took Betti numbers by row reduction
-against m times the kernel, and the block-order elimination that contracted
-an ideal to the ring on a subset of its variables.
+against m times the kernel, the block-order elimination that contracted
+an ideal to the ring on a subset of its variables, and the fibre products
+and connected sums built by Buchberger and normal forms from their
+generator lists.
 """
 
 from fractions import Fraction
@@ -23,8 +25,10 @@ from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, no
                               s_polynomial)
 from artinsum.poly import (Block, Polynomial, PolyRing, mono_coprime, mono_deg, mono_div,
                            mono_lcm)
-from artinsum.quotient import ArtinAlgebra
+from artinsum.quotient import ArtinAlgebra, build_algebra
 from artinsum.resolution import _module_times_element, _unit_entry
+from artinsum.sums import (_combined_ring, _embed, _fibre_generators, _validate_socle,
+                           socle_generator)
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -447,3 +451,18 @@ def betti_numbers_reference(A, truncation):
         kernel_rows = linalg.echelon(A.field, kernel)[0]
         prev_rank = len(gens)
     return tuple(betti)
+
+
+def fibre_product_reference(R, S):
+    """R x_k S by `build_algebra` on the factors' generators and the cross products."""
+    big = _combined_ring(R, S)
+    return build_algebra(big, _fibre_generators(R, S, big))
+
+
+def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
+    """R # S by `build_algebra` on the fibre product's generators and the socle difference."""
+    big = _combined_ring(R, S)
+    delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
+    delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
+    h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
+    return build_algebra(big, _fibre_generators(R, S, big) + [h])

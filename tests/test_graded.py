@@ -1,12 +1,15 @@
 """Associated graded rings, linear-socle splitting, the filtration quotient, classifiers."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, classify, connected_sum, fibre_product,
-                      gls_split, iarrobino, is_gls, parse_polynomial)
+                      gls_split, iarrobino, is_gls, parse_polynomial, structure_decompose)
+from artinsum import graded
 from artinsum.errors import PreconditionError
 from artinsum.graded import compressed_hilbert, graded_from_homogeneous
 from artinsum.grobner import IdealPresentation, buchberger
@@ -220,3 +223,21 @@ def test_gr_of_fibre_product_is_fibre_of_gr():
         lhs = associated_graded(P).presentation
         rhs = _fibre_presentation(associated_graded(R), associated_graded(S))
         assert lhs == rhs
+
+
+def test_associated_graded_is_built_once_per_algebra(monkeypatch):
+    built = Counter()
+    degreewise = graded._degreewise_algebra
+
+    def counting(A, targets, source):
+        built[A] += 1
+        return degreewise(A, targets, source)
+
+    monkeypatch.setattr(graded, "_degreewise_algebra", counting)
+    text = (Path(__file__).resolve().parent / "golden" / "hidden_sum.txt").read_text()
+    Q = algebra_from_text(text)
+    report = structure_decompose(Q)
+    assert report.status == "decomposed"
+    # Q, the split algebra and the left component
+    assert built[Q] == 1 and len(built) == 3 and set(built.values()) == {1}
+    assert associated_graded(Q) is associated_graded(Q)

@@ -4,15 +4,20 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       apolar_sum_check, connected_sum, fibre_product, modulo_socle,
-                      parse_polynomial, socle_generator)
+                      parse_polynomial, socle_generator, structure_decompose)
 from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
 
-from corpus import random_pair
+from corpus import pair_corpus, random_gorenstein, random_pair
+from oracles import connected_sum_reference, fibre_product_reference
+
+FIELDS = [GF(101), GF(1048573), QQ]
 
 
 def gb_strings(A):
@@ -111,7 +116,7 @@ def test_sum_invariants_random_corpus():
         R, S = random_pair(rng)
         P = fibre_product(R, S)
         assert P.algebra.length == R.length + S.length - 1
-        assert P.algebra.edim == R.edim + S.edim
+        assert P.algebra.hilbert_function()[1] == R.edim + S.edim
         assert P.algebra.type == R.type + S.type
         assert not P.algebra.is_gorenstein()
         Q = connected_sum(R, S)
@@ -121,7 +126,7 @@ def test_sum_invariants_random_corpus():
         assert Q.algebra.is_gorenstein()
         assert Q.algebra.length == R.length + S.length - 2
         if R.loewy_length >= 2 and S.loewy_length >= 2:
-            assert Q.algebra.edim == R.edim + S.edim
+            assert Q.algebra.hilbert_function()[1] == R.edim + S.edim
 
 
 def test_quotient_by_socle_splits_as_fibre_product():
@@ -192,3 +197,110 @@ def test_apolar_sum_check_examples():
     quadrics = apolar_sum_check(parse_polynomial("Y^2", ring_y),
                                 parse_polynomial("Z^2", ring_z))
     assert quadrics.matched and quadrics.unit == 1
+
+
+# ---------------------------------------------------------------------------
+# assembled fibre products and connected sums against Buchberger on generators
+
+def _assert_same_algebra(new, old):
+    assert new.ring == old.ring
+    assert new.pres.generators == old.pres.generators
+    assert new.pres.groebner_basis() == old.pres.groebner_basis()
+    assert new.basis == old.basis
+    assert new.struct.dtype == old.struct.dtype
+    assert new.struct.shape == old.struct.shape and np.array_equal(new.struct, old.struct)
+
+
+def _assert_sums_match_reference(R, S, unit=1, socle_left=None, socle_right=None):
+    P = fibre_product(R, S)
+    assert not P.trivial
+    _assert_same_algebra(P.algebra, fibre_product_reference(R, S))
+    Q = connected_sum(R, S, unit=unit, socle_left=socle_left, socle_right=socle_right)
+    if Q.trivial:
+        assert min(R.length, S.length) == 2
+        return
+    _assert_same_algebra(Q.algebra, connected_sum_reference(R, S, unit, socle_left, socle_right))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sums_match_reference_on_corpus_pairs(field):
+    for R, S in pair_corpus(6, field=field):
+        _assert_sums_match_reference(R, S)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sums_match_reference_on_unequal_loewy_lengths_and_edim_one(field):
+    rng = random.Random(7)
+    for (m, lr), (n, ls) in (((1, 5), (2, 2)), ((2, 4), (1, 2)), ((1, 1), (2, 3)),
+                             ((1, 2), (1, 5)), ((1, 3), (1, 3)), ((2, 2), (2, 4))):
+        R = random_gorenstein(rng, m, lr, "Y", field)
+        S = random_gorenstein(rng, n, ls, "Z", field)
+        _assert_sums_match_reference(R, S)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sums_match_reference_with_units_and_custom_socles(field):
+    rng = random.Random(11)
+    for R, S in pair_corpus(3, seed=5, min_ll=2, field=field):
+        for unit in (2, -1, 57):
+            _assert_sums_match_reference(R, S, unit=unit)
+        # scalar multiples of the socle generators, shifted by elements of the ideals
+        left = socle_generator(R).scale(rng.randrange(1, 50)) + R.pres.generators[0]
+        right = socle_generator(S).scale(-rng.randrange(1, 50)) + S.pres.generators[-1]
+        _assert_sums_match_reference(R, S, unit=3, socle_left=left, socle_right=right)
+        _assert_sums_match_reference(R, S, socle_right=right)
+
+
+@st.composite
+def _factor_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    factors = []
+    for prefix in ("Y", "Z"):
+        nvars = draw(st.integers(1, 2))
+        degree = draw(st.integers(2, 4 if nvars == 1 else 3))
+        dual = PolyRing(field, tuple(f"w{prefix}{i}" for i in range(nvars)))
+        monos = [m for d in range(1, degree + 1) for m in dual.monomials_of_degree(d)]
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-5, 5), max_size=5))
+        top = draw(st.sampled_from(dual.monomials_of_degree(degree)))
+        terms[top] = draw(st.integers(1, 5))
+        ops = tuple(f"{prefix}{i + 1}" for i in range(nvars))
+        factors.append(apolar_algebra(dual.poly(terms), ops))
+    return factors
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_factor_pairs(), st.integers(1, 100))
+def test_sums_match_reference_on_hypothesis_apolar_factors(factors, unit):
+    _assert_sums_match_reference(*factors, unit=unit)
+
+
+@st.composite
+def _graded_and_quadric(draw):
+    """A graded Gorenstein R of socle degree 3 or 4 and a Loewy-length-2 S, over QQ."""
+    nvars = draw(st.integers(1, 2))
+    degree = draw(st.integers(3, 4))
+    dual = PolyRing(QQ, tuple(f"w{i}" for i in range(nvars)))
+    forms = dual.monomials_of_degree(degree)
+    terms = draw(st.dictionaries(st.sampled_from(forms), st.integers(-3, 3), max_size=3))
+    terms[draw(st.sampled_from(forms))] = draw(st.integers(1, 3))
+    R = apolar_algebra(dual.poly(terms), tuple(f"Y{i + 1}" for i in range(nvars)))
+    n = draw(st.integers(1, 2))
+    squares = PolyRing(QQ, tuple(f"v{j}" for j in range(n)))
+    quadric = squares.poly({tuple(2 * (i == j) for i in range(n)): draw(st.integers(1, 4))
+                            for j in range(n)})
+    S = apolar_algebra(quadric, tuple(f"Z{j + 1}" for j in range(n)))
+    return R, S
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_graded_and_quadric(), st.integers(1, 5))
+def test_structure_decompose_recovers_the_factors_of_a_connected_sum(factors, unit):
+    # gr(R) = R is Gorenstein, so gr(R # S) is Gorenstein up to the linear
+    # socle that S contributes, and the linear-socle route splits it off
+    R, S = factors
+    report = structure_decompose(connected_sum(R, S, unit=unit).algebra)
+    assert report.status == "decomposed" and not report.trivial
+    left, right = report.components
+    assert (left.length, right.length) == (R.length, S.length)
+    assert left.hilbert_function() == R.hilbert_function()
+    assert right.hilbert_function() == S.hilbert_function()
