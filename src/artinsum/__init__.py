@@ -14,7 +14,7 @@ from .graded import (GradedAlgebra, associated_graded, classify, gls_split,
                      iarrobino, is_gls)
 from .grobner import IdealPresentation, buchberger, normal_form
 from .parse import parse_polynomial, parse_presentation, print_presentation
-from .poly import Block, Grevlex, Lex, Polynomial, PolyRing, compare
+from .poly import Grevlex, Polynomial, PolyRing, compare
 from .quotient import ArtinAlgebra, Subspace, algebra_from_text, build_algebra
 from .resolution import (BettiData, betti_numbers, mu_direct, mu_from_betti,
                          verify_cs_series, verify_fp_series, verify_mu_formulas,
@@ -26,8 +26,8 @@ from .sums import (apolar_algebra, apolar_sum_check, connected_sum, fibre_produc
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtinAlgebra", "ArtinsumError", "BettiData", "Block", "DecompositionReport",
-    "GF", "GradedAlgebra", "Grevlex", "IdealPresentation", "Lex", "Polynomial",
+    "ArtinAlgebra", "ArtinsumError", "BettiData", "DecompositionReport",
+    "GF", "GradedAlgebra", "Grevlex", "IdealPresentation", "Polynomial",
     "PolyRing", "QQ", "SeriesTrunc", "Subspace", "algebra_from_text",
     "apolar_algebra", "apolar_sum_check", "associated_graded", "betti_numbers",
     "buchberger", "build_algebra", "certify_indecomposable", "check_split",

@@ -18,9 +18,8 @@ from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotLocalError, NotZeroDimensionalError, ParseError,
                      PreconditionError, ResourceGuardError, RingMismatchError,
                      UnitIdealError)
-from .fields import GF, QQ
 from .graded import associated_graded, classify, iarrobino, is_gls
-from .parse import parse_polynomial, parse_presentation, print_presentation
+from .parse import parse_field, parse_polynomial, parse_presentation, print_presentation
 from .poly import PolyRing
 from .quotient import build_algebra
 from .resolution import betti_numbers, inverse_poincare, mu_from_betti, verify_cs_series
@@ -191,7 +190,7 @@ def cmd_connect(args):
         ["hilbert-degree-2-bound", h2_bound_check(R, S, Q)],
     ]
     if R.loewy_length >= 2 and S.loewy_length >= 2 and not result.trivial:
-        identities.append(["edim", Q.edim == R.edim + S.edim])
+        identities.append(["edim", Q.hilbert_function()[1] == R.edim + S.edim])
     if args.verify_series and not result.trivial:
         rep = verify_cs_series(R, S, Q, args.verify_series)
         identities.append([f"poincare-series-t{args.verify_series}", rep.holds])
@@ -217,7 +216,7 @@ def cmd_fibre(args):
     P = result.algebra
     identities = [["length", P.length == R.length + S.length - 1 or result.trivial]]
     if not result.trivial:
-        identities.append(["edim", P.edim == R.edim + S.edim])
+        identities.append(["edim", P.hilbert_function()[1] == R.edim + S.edim])
         identities.append(["type", P.type == R.type + S.type])
     report = {
         "schema": 1,
@@ -282,7 +281,7 @@ def cmd_decompose(args):
 
 
 def cmd_apolar(args):
-    field = QQ if args.field == "QQ" else GF(int(args.field[3:-1]))
+    field = parse_field(args.field)
     dual = PolyRing(field, args.dual_vars)
     F = parse_polynomial(args.poly, dual)
     A = apolar_algebra(F, tuple(args.ops) if args.ops else None)

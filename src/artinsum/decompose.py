@@ -1,7 +1,7 @@
 """Connected-sum decomposition: coordinate splits, annihilator witnesses, certificates.
 
-A coordinate split is checked directly from the defining ideal: all cross
-products must lie in it, and the components are the subalgebras
+A coordinate split is checked in the algebra: every cross product must
+have class zero, and the components are the subalgebras
 k[Y]/(I ∩ k[Y]) and k[Z]/(I ∩ k[Z]) that the two variable groups generate,
 each presented by one degreewise kernel (`quotient.subalgebra`).  When no
 split is visible, a Gorenstein algebra whose associated graded ring is
@@ -18,7 +18,8 @@ from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import _binom, associated_graded, classify, gls_split, is_gls
 from .poly import PolyRing
-from .quotient import ArtinAlgebra, build_algebra, presentation_in_coordinates, subalgebra
+from .quotient import (ArtinAlgebra, presentation_in_coordinates, square_zero_algebra,
+                       subalgebra)
 from .sums import _proportionality_unit, connected_sum, socle_generator
 
 
@@ -53,7 +54,7 @@ def check_split(Q, partition):
     reasons = []
     var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
     offending = [f"{yn}*{zn}" for yn in left_names for zn in right_names
-                 if not Q.pres.contains(var[yn] * var[zn])]
+                 if np.any(Q.vector(var[yn] * var[zn]) != Q.field.zero)]
     if offending:
         reasons.append("cross products outside the ideal: " + ", ".join(offending))
     sides = [[n for n in Q.ring.names if n in side] for side in (left_names, right_names)]
@@ -239,8 +240,7 @@ def structure_decompose(Q):
     if G.type == 1:
         # graded Gorenstein: only the trivial sum with a length-two factor
         zname = _fresh_name(set(Q.ring.names))
-        ring = PolyRing(Q.field, [zname])
-        S = build_algebra(ring, [ring.var(0) * ring.var(0)])
+        S = square_zero_algebra(PolyRing(Q.field, [zname]))
         report = DecompositionReport(status="decomposed", trivial=True,
                                      components=(Q, S), unit=Q.field.one)
         report.verified_identities.append(("graded-part-is-whole-ring", True))

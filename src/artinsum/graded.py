@@ -5,8 +5,9 @@ found degreewise by exact linear algebra: a degree-d form belongs to the
 ideal exactly when its image in A falls into a target subspace, m^(d+1) for
 gr(A) and (0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all
 degrees by the Loewy length s plus one, so the forms of all degrees are one
-kernel, and its echelon form gives the reduced basis
-(`quotient.kernel_presentation`) without Buchberger.
+kernel, and its echelon form gives the reduced basis and the structure
+tensor (`quotient.kernel_algebra`).  The linear-socle split is a quotient
+and a square-zero algebra, also kernels: no Buchberger run here.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
-from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_deg
-from .quotient import build_algebra, kernel_presentation
+from .quotient import kernel_algebra, quotient_algebra, square_zero_algebra
 
 
 class GradedAlgebra:
@@ -102,12 +102,6 @@ class GradedAlgebra:
         return f"<graded algebra {self.ring}, H = {self.hilbert_function()}>"
 
 
-def graded_from_homogeneous(ring, generators, source=None):
-    """Build a GradedAlgebra from homogeneous generators (canonicalized)."""
-    pres = IdealPresentation(ring, generators)
-    return GradedAlgebra(build_algebra(pres), source=source)
-
-
 def _degreewise_algebra(A, targets, source):
     """The graded algebra whose ideal holds the degree-d forms with image in targets[d].
 
@@ -120,13 +114,12 @@ def _degreewise_algebra(A, targets, source):
     blocks = [linalg.zeros(fld, (0, len(monos)))]
     for d in range(1, s + 2):
         cols = [j for j, m in enumerate(monos) if mono_deg(m) == d]
-        images = linalg.matrix(fld, [A._nf_monomial_vector(monos[j]) for j in cols],
+        images = linalg.matrix(fld, [A.monomial_vector(monos[j]) for j in cols],
                                width=A.length)
         rows = linalg.preimage_rows(fld, images, targets[d].rows)
         blocks.append(linalg.zeros(fld, (rows.shape[0], len(monos))))
         blocks[-1][:, cols] = rows
-    return GradedAlgebra(build_algebra(kernel_presentation(ring, monos, np.vstack(blocks))),
-                         source=source)
+    return GradedAlgebra(kernel_algebra(ring, monos, np.vstack(blocks)), source=source)
 
 
 def associated_graded(A):
@@ -178,8 +171,8 @@ def gls_split(G):
     """Split G as (graded Gorenstein A) x_k (square-zero B) along the linear socle.
 
     The witnesses are the reduced echelon basis of the degree-1 socle in
-    declaration order; their pivot variables are eliminated from A and become
-    the variables of B.
+    declaration order.  A is G modulo the witness forms, made minimal by
+    eliminating their pivot variables, which become the variables of B.
     """
     flag, witness = is_gls(G)
     if not flag:
@@ -188,26 +181,10 @@ def gls_split(G):
     fld = ring.field
     forms = [_linear_form(ring, row) for row in witness]
     pivots = [next(i for i, c in enumerate(row) if c != fld.zero) for row in witness]
-    keep = [i for i in range(ring.nvars) if i not in set(pivots)]
-    sub = PolyRing(fld, [ring.names[i] for i in keep])
-    substitution = {}
-    images = [None] * ring.nvars
-    for new, old in enumerate(keep):
-        images[old] = sub.var(new)
-    for row, piv in zip(witness, pivots):
-        expr = sub.zero
-        for new, old in enumerate(keep):
-            c = row[old]
-            if c != fld.zero:
-                expr = expr - sub.var(new).scale(c)
-        images[piv] = expr
-        substitution[ring.names[piv]] = expr
-    a_gens = [g.compose(sub, images) for g in G.presentation.generators]
-    a_part = graded_from_homogeneous(sub, a_gens)
-    b_ring = PolyRing(fld, [ring.names[i] for i in pivots])
-    b_gens = [b_ring.var(i) * b_ring.var(j)
-              for i in range(len(pivots)) for j in range(i, len(pivots))]
-    b_part = graded_from_homogeneous(b_ring, b_gens)
+    a_part = GradedAlgebra(quotient_algebra(G.algebra, forms))
+    images = a_part.algebra.reduction_steps[0][1] if pivots else ()
+    substitution = {ring.names[piv]: images[piv] for piv in pivots}
+    b_part = GradedAlgebra(square_zero_algebra(PolyRing(fld, [ring.names[i] for i in pivots])))
     n = len(forms)
     if a_part.type != 1:
         raise ArtinsumError("linear-socle quotient is not Gorenstein")
@@ -251,7 +228,7 @@ def iarrobino(A):
         monos = G.piece_monomials(i)
         if not monos:
             continue
-        images = linalg.matrix(A.field, [A._nf_monomial_vector(m) for m in monos],
+        images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos],
                                width=A.length)
         rows = linalg.preimage_rows(A.field, images, target.rows)
         # quotient out the next filtration step: forms already in m^(i+1)

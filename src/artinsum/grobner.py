@@ -1,12 +1,12 @@
 """Reduced Groebner bases (Buchberger) of generator lists, and normal forms.
 
-Buchberger serves ideals given by generators: parsed presentations,
-quotients by extra elements (`quotient_algebra`, hence `modulo_socle`) and
-the parts of a linear-socle split.  Ideals known as truncated kernels get
-their reduced basis from one echelon form (`quotient.kernel_presentation`),
-fibre products and connected sums get theirs from their factors' bases
-(`sums`), and there is no elimination: a subalgebra is presented by its own
-kernel.
+Buchberger and normal forms serve only ideals given by generator lists, as
+the parser gives them (`quotient.build_algebra`): such text carries no
+degree that bounds the ideal.  Every derived ideal contains a power of the
+maximal ideal and is a truncated kernel, whose reduced basis and classes
+come from one echelon form (`quotient.kernel_presentation`); fibre products
+and connected sums get theirs from their factors' bases (`sums`), and there
+is no elimination: a subalgebra is presented by its own kernel.
 
 The pair strategy is the normal one (smallest lcm degree first, ties broken
 by the term order and then pair indices) with the coprime-lcm and chain

@@ -102,14 +102,21 @@ class _Parser:
         field = self.field_decl()
         names = self.vars_decl()
         ring = PolyRing(field, names)
-        gens = self.ideal_decl(ring)
+        return ring, self.end(self.ideal_decl(ring))
+
+    def end(self, value):
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return ring, gens
+        return value
 
     def field_decl(self):
         self.expect_keyword("field")
+        field = self.field_name()
+        self.expect(";")
+        return field
+
+    def field_name(self):
         tok = self.next()
         if tok.kind == "ident" and tok.text == "QQ":
             field = QQ
@@ -123,7 +130,6 @@ class _Parser:
                 raise ParseError(str(exc), ptok.line, ptok.col) from None
         else:
             raise ParseError(f"expected QQ or GF(p), found {tok.text!r}", tok.line, tok.col)
-        self.expect(";")
         return field
 
     def vars_decl(self):
@@ -220,11 +226,13 @@ def parse_presentation(text):
 def parse_polynomial(text, ring):
     """Parse a single polynomial expression in an existing ring."""
     parser = _Parser(text)
-    poly = parser.polynomial(ring)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return poly
+    return parser.end(parser.polynomial(ring))
+
+
+def parse_field(text):
+    """Parse a field name, QQ or GF(p), as the `field` declaration spells it."""
+    parser = _Parser(text)
+    return parser.end(parser.field_name())
 
 
 def print_presentation(ring, generators):

@@ -73,54 +73,6 @@ class Grevlex(TermOrder):
         return hash(("grevlex", self.nvars))
 
 
-class Lex(TermOrder):
-    """Lexicographic order with earlier-declared variables larger."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
-
-    def key(self, mono):
-        return mono
-
-    def __repr__(self):
-        return f"Lex({self.nvars})"
-
-    def __eq__(self, other):
-        return type(other) is Lex and other.nvars == self.nvars
-
-    def __hash__(self):
-        return hash(("lex", self.nvars))
-
-
-class Block(TermOrder):
-    """Elimination order: grevlex on the front block, ties broken by grevlex behind.
-
-    Any monomial involving a front variable exceeds every monomial in back
-    variables alone, so front variables are eliminated from a Groebner basis.
-    """
-
-    def __init__(self, front, back):
-        self.front = tuple(front)
-        self.back = tuple(back)
-        self.nvars = len(self.front) + len(self.back)
-        if sorted(self.front + self.back) != list(range(self.nvars)):
-            raise ValueError("front/back must partition the variable indices")
-
-    def key(self, mono):
-        f = tuple(mono[i] for i in self.front)
-        b = tuple(mono[i] for i in self.back)
-        return (sum(f), tuple(-e for e in reversed(f)), sum(b), tuple(-e for e in reversed(b)))
-
-    def __repr__(self):
-        return f"Block({self.front}, {self.back})"
-
-    def __eq__(self, other):
-        return type(other) is Block and (other.front, other.back) == (self.front, self.back)
-
-    def __hash__(self):
-        return hash(("block", self.front, self.back))
-
-
 def compare(order, a, b):
     """Total comparison of monomials under `order`: -1, 0 or +1."""
     if len(a) != order.nvars or len(b) != order.nvars:

@@ -8,19 +8,22 @@ others modulo m^2 are eliminated, and the ideal is taken again as the
 kernel of the map from the ring on the remaining variables, degree by
 degree (`subalgebra`).  So the stored presentation always has its ideal
 inside the square of the maximal ideal and the variable count equals the
-embedding dimension.  Such a truncated kernel gives its reduced basis by
-one echelon form (`kernel_presentation`), not by Buchberger.
+embedding dimension.
+
 Elements are coefficient vectors over the standard-monomial basis
-(ascending default order).  The structure tensor holds the products of the
-basis elements, taken by normal forms unless the caller already has it, as
-`sums` has for fibre products and connected sums.
+(ascending default order); the structure tensor holds the products of the
+basis elements and is scattered from a table of monomial classes.  Only
+parsed generator lists take that table from Buchberger and normal forms
+(`build_algebra`).  Every derived algebra, a subalgebra or a quotient, has
+an ideal containing a power of m: it is a truncated kernel, whose echelon
+form gives the reduced basis and the table (`kernel_algebra`).
 """
 
 import numpy as np
 
 from . import linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
-                     NotZeroDimensionalError, UnitIdealError)
+                     NotZeroDimensionalError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_deg, mono_mul
 
@@ -78,22 +81,22 @@ class Subspace:
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    A caller that already has the standard basis and the structure tensor
-    over it passes both, and no normal form is taken.  The filtration, and
-    with it the locality check, is built from the tensor either way.
+    `basis` holds the standard monomials of `pres`, whose reduced basis is
+    known, and `struct[i, j]` the class of basis[i] * basis[j].  The
+    filtration, and with it the locality check, is built from the tensor.
     """
 
-    def __init__(self, pres, original_ring=None, reduction_steps=(), basis=None, struct=None):
+    def __init__(self, pres, basis, struct):
         self.pres = pres
         self.ring = pres.ring
         self.field = pres.ring.field
-        self.original_ring = original_ring or pres.ring
-        self.reduction_steps = tuple(reduction_steps)
-        self.basis = tuple(pres.standard_monomials() if basis is None else basis)
+        self.original_ring = pres.ring
+        self.reduction_steps = ()
+        self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        self._nf_cache = {}
-        self.struct = self._normal_form_structure() if struct is None else struct
+        self.struct = struct
         self._build_var_matrices()
+        self._classes = {(0,) * self.ring.nvars: self.one_vector()}
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
@@ -101,40 +104,19 @@ class ArtinAlgebra:
 
     # -- construction --------------------------------------------------------
 
-    def _nf_monomial_vector(self, mono):
-        vec = self._nf_cache.get(mono)
-        if vec is None:
-            if mono in self.basis_index:
-                vec = linalg.zeros(self.field, self.length)
-                vec[self.basis_index[mono]] = self.field.one
-            else:
-                nf = self.pres.normal_form(self.ring.monomial(mono))
-                vec = linalg.zeros(self.field, self.length)
-                for m, c in nf.terms.items():
-                    vec[self.basis_index[m]] = c
-            self._nf_cache[mono] = vec
-        return vec
-
-    def _normal_form_structure(self):
-        """struct[i, j] = the class of basis[i] * basis[j], by normal forms."""
-        lam = self.length
-        struct = linalg.zeros(self.field, (lam, lam, lam))
-        for i in range(lam):
-            for j in range(i, lam):
-                vec = self._nf_monomial_vector(mono_mul(self.basis[i], self.basis[j]))
-                struct[i, j] = vec
-                struct[j, i] = vec
-        return struct
-
     def _build_var_matrices(self):
         # a variable outside the basis (a presentation that is not minimal)
-        # acts by multiplication with its normal form
+        # leads a linear element of the reduced basis and is minus its tail
         self.var_matrices = []
         for v in range(self.ring.nvars):
             mono = tuple(int(i == v) for i in range(self.ring.nvars))
             idx = self.basis_index.get(mono)
-            self.var_matrices.append(self.struct[idx] if idx is not None
-                                     else self.mult_matrix(self._nf_monomial_vector(mono)))
+            if idx is None:
+                g = next(g for g in self.pres.groebner_basis() if g.leading()[0] == mono)
+                tail = _coordinates(self.ring.monomial(mono) - g, self.basis_index)
+                self.var_matrices.append(self.mult_matrix(tail))
+            else:
+                self.var_matrices.append(self.struct[idx])
 
     def _build_filtration(self):
         levels = [Subspace(self, linalg.identity(self.field, self.length))]
@@ -207,15 +189,20 @@ class ArtinAlgebra:
             poly = poly.compose(target, images)
         return poly
 
+    def monomial_vector(self, mono):
+        """Coefficient vector of the class of a monomial of the presentation ring."""
+        return _product_class(self._classes, mono, self.var_matrices, self.field)
+
     def vector(self, poly):
         """Coefficient vector of the class of `poly` over the standard basis."""
         if poly.ring == self.original_ring and self.reduction_steps:
             poly = self.reduce_to_presentation_ring(poly)
-        nf = self.pres.normal_form(poly)
-        vec = linalg.zeros(self.field, self.length)
-        for m, c in nf.terms.items():
-            vec[self.basis_index[m]] = c
-        return vec
+        if poly.ring != self.ring:
+            raise RingMismatchError(f"a polynomial of {poly.ring} has no class in {self.ring}")
+        coeffs = linalg.matrix(self.field, [list(poly.terms.values())])[0]
+        classes = [self.monomial_vector(m) for m in poly.terms]
+        return linalg.mat_mul(self.field, coeffs, linalg.matrix(self.field, classes,
+                                                                width=self.length))
 
     def lift(self, vec):
         """The canonical polynomial representative with standard-monomial support."""
@@ -293,15 +280,33 @@ class ArtinAlgebra:
         return f"<algebra {self.ring} / {len(self.pres.generators)} gens, dim {self.length}>"
 
 
+def _product_class(memo, mono, matrices, field):
+    """The class of `mono`, memoised: its first exponent lowered, times that variable."""
+    vec = memo.get(mono)
+    if vec is None:
+        i = next(k for k, e in enumerate(mono) if e)
+        vec = _product_class(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], matrices, field)
+        vec = memo[mono] = linalg.mat_mul(field, vec, matrices[i])
+    return vec
+
+
+def _coordinates(poly, index):
+    vec = linalg.zeros(poly.ring.field, len(index))
+    for m, c in poly.terms.items():
+        vec[index[m]] = c
+    return vec
+
+
 def build_algebra(pres_or_ring, generators=None):
-    """Construct the Artinian local algebra for a presentation.
+    """Construct the Artinian local algebra of a generator list.
 
     Accepts an IdealPresentation or (ring, generators).  Raises UnitIdealError,
     NotZeroDimensionalError, or NotLocalError when the input is unsuitable.
-    The algebra is first built on the presentation as given.  When dim m/m^2
-    falls short of the variable count, the returned algebra lives on the
-    variables that minimally generate m (see `_minimal_algebra`) and still
-    takes classes of polynomials in the given ring.
+    Parsed generators bound no degree of the ideal, so only this runs
+    Buchberger and normal forms.  When dim m/m^2 falls short of the variable
+    count, the returned algebra lives on the variables that minimally
+    generate m (see `_minimal_algebra`) and still takes classes of
+    polynomials in the given ring.
     """
     if generators is not None:
         pres = IdealPresentation(pres_or_ring, generators)
@@ -312,14 +317,23 @@ def build_algebra(pres_or_ring, generators=None):
     if not pres.is_zero_dimensional():
         raise NotZeroDimensionalError(
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
-    A = ArtinAlgebra(pres)
-    if A.power(1).dim - A.power(2).dim == pres.ring.nvars:
-        return A
-    return _minimal_algebra(A)
+    basis = pres.standard_monomials()
+    index = {m: i for i, m in enumerate(basis)}
+    products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
+    return _table_algebra(pres, basis, {
+        mono: _coordinates(pres.normal_form(pres.ring.monomial(mono)), index)
+        for mono in products})
+
+
+def _table_algebra(pres, basis, classes):
+    """The algebra whose basis products have the classes in the table, or else are zero."""
+    zero = linalg.zeros(pres.ring.field, len(basis))
+    struct = np.array([[classes.get(mono_mul(a, b), zero) for b in basis] for a in basis])
+    return _minimal_algebra(ArtinAlgebra(pres, basis, struct.reshape((len(basis),) * 3)))
 
 
 def _minimal_algebra(A):
-    """A on the variables whose classes stay independent in m/m^2.
+    """A itself when dim m/m^2 equals the variable count, else A on fewer variables.
 
     The left kernel of the variables' classes in m/m^2 is the space of
     linear parts of the ideal; the pivots of its echelon form are
@@ -328,6 +342,8 @@ def _minimal_algebra(A):
     variables onto A.  One reduction step carries the given ring there: a
     kept variable to itself, an eliminated one to the lift of its class.
     """
+    if A.power(1).dim - A.power(2).dim == A.ring.nvars:
+        return A
     fld, ring = A.field, A.ring
     m2 = A.power(2)
     classes = linalg.matrix(fld, [m2.reduce(A.vector(ring.var(v))) for v in range(ring.nvars)],
@@ -350,27 +366,31 @@ def _minimal_algebra(A):
 
 
 def kernel_presentation(ring, monos, rows):
-    """The ideal I whose truncation I ∩ span(monos) the rows span, reduced basis cached.
+    """The ideal I whose truncation I ∩ span(monos) the rows span, and the classes modulo I.
 
     `monos` holds every monomial of `ring` up to a degree D, m^D lies in I,
     and the rows are coefficient vectors over `monos`.  With the columns in
     decreasing default order the reduced echelon rows are monic, their leads
     are the leading monomials of I up to degree D, and each row is zero at
     every other lead.  The rows whose lead has no one-step divisor among the
-    leads, in ascending order, are the reduced Groebner basis.
+    leads, in ascending order, are the reduced Groebner basis, cached on the
+    presentation.  Also returned: the other columns, the standard monomials
+    in ascending order, and the class over them of each monomial of `monos`,
+    a unit vector or minus the reduced tail of a lead.
     """
     fld, order = ring.field, ring.order
     cols = sorted(range(len(monos)), key=lambda j: order.key(monos[j]), reverse=True)
     ordered = [monos[j] for j in cols]
     echelon, pivots = linalg.echelon(fld, rows[:, cols])
-    leads = {ordered[c] for c in pivots.tolist()}
+    pivots = pivots.tolist()
+    leads = {ordered[c] for c in pivots}
     top = max(map(mono_deg, monos))
     missing = [m for m in monos if mono_deg(m) == top and m not in leads]
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
     basis = []
-    for row, c in zip(echelon.tolist(), pivots.tolist()):
+    for row, c in zip(echelon.tolist(), pivots):
         lead = ordered[c]
         if not any(e and lead[:i] + (e - 1,) + lead[i + 1:] in leads
                    for i, e in enumerate(lead)):
@@ -378,7 +398,20 @@ def kernel_presentation(ring, monos, rows):
     basis.reverse()
     pres = IdealPresentation(ring, basis)
     pres._gb_cache[order] = tuple(basis)
-    return pres
+    standard = sorted(set(range(len(ordered))) - set(pivots), reverse=True)
+    classes = dict(zip((ordered[c] for c in standard), linalg.identity(fld, len(standard))))
+    tails = linalg._canonical(fld, -echelon[:, standard])
+    classes.update(zip((ordered[c] for c in pivots), tails))
+    return pres, [ordered[c] for c in standard], classes
+
+
+def kernel_algebra(ring, monos, rows):
+    """The algebra of the truncated kernel that `kernel_presentation` reads off the rows."""
+    return _table_algebra(*kernel_presentation(ring, monos, rows))
+
+
+def _monomials_up_to(ring, degree):
+    return [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
 
 
 def subalgebra(Q, new_ring, images):
@@ -389,14 +422,12 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal, taken as one left kernel.
     """
-    vecs = [Q.vector(p) for p in images]
-    monos = [m for d in range(Q.loewy_length + 2) for m in new_ring.monomials_of_degree(d)]
-    values = {monos[0]: Q.one_vector()}
-    for mono in monos[1:]:
-        i = next(k for k, e in enumerate(mono) if e)
-        values[mono] = Q.multiply(values[mono[:i] + (mono[i] - 1,) + mono[i + 1:]], vecs[i])
-    mat = linalg.matrix(Q.field, [values[m] for m in monos], width=Q.length)
-    return build_algebra(kernel_presentation(new_ring, monos, linalg.left_kernel(Q.field, mat)))
+    matrices = [Q.mult_matrix(Q.vector(p)) for p in images]
+    monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
+    memo = {monos[0]: Q.one_vector()}
+    mat = linalg.matrix(Q.field, [_product_class(memo, m, matrices, Q.field) for m in monos],
+                        width=Q.length)
+    return kernel_algebra(new_ring, monos, linalg.left_kernel(Q.field, mat))
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -414,12 +445,22 @@ def algebra_from_text(text):
 
 
 def quotient_algebra(algebra, extra_polys):
-    """The quotient of an algebra by the ideal generated by extra presentation polys."""
-    gens = list(algebra.pres.generators) + [p for p in extra_polys if not p.is_zero()]
-    return build_algebra(algebra.ring, gens)
+    """The algebra modulo the ideal J of extra presentation polys, as the kernel onto it."""
+    A = algebra
+    J = A.ideal_span([A.vector(p) for p in extra_polys])
+    if J.dim == A.length:
+        raise UnitIdealError("1 lies in the ideal")
+    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
+    images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos], width=A.length)
+    return kernel_algebra(A.ring, monos, linalg.preimage_rows(A.field, images, J.rows))
+
+
+def square_zero_algebra(ring):
+    """k[ring]/m^2, the kernel of the monomials up to degree 2 with every quadric in it."""
+    monos = _monomials_up_to(ring, 2)
+    return kernel_algebra(ring, monos, linalg.identity(ring.field, len(monos))[ring.nvars + 1:])
 
 
 def residue_field_algebra(field):
     """The base field as a zero-variable algebra."""
-    ring = PolyRing(field, [])
-    return build_algebra(ring, [])
+    return square_zero_algebra(PolyRing(field, []))

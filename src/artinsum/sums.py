@@ -3,11 +3,13 @@
 Trivial cases (a residue-field factor, or a length-two connected-sum factor)
 return the surviving algebra with an explicit flag rather than erroring.
 
-Fibre products and connected sums are assembled from their factors, with
-no Buchberger run and no normal form.  Let R = k[Y]/I_R and S = k[Z]/I_S
-have reduced Grevlex bases G_R and G_S, with I_R and I_S inside the square
-of the maximal ideal, as `build_algebra` leaves them.  Grevlex on Y, Z
-restricts to Grevlex on Y and on Z.
+Nothing here runs Buchberger or a normal form.  An apolar algebra is the
+truncated kernel Ann(F) (`quotient.kernel_algebra`).
+
+Fibre products and connected sums are assembled from their factors.  Let
+R = k[Y]/I_R and S = k[Z]/I_S have reduced Grevlex bases G_R and G_S, with
+I_R and I_S inside the square of the maximal ideal, as every algebra is
+presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
 
 - P = R x_k S has ideal I_P = I_R + I_S + (Y)(Z), and its reduced basis
   is G_R, G_S and every y_i*z_j, sorted by lead.  The S-pair of y_i*z_j
@@ -34,7 +36,7 @@ from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_div
-from .quotient import ArtinAlgebra, build_algebra, kernel_presentation, quotient_algebra
+from .quotient import ArtinAlgebra, kernel_algebra, quotient_algebra
 
 
 @dataclass
@@ -124,7 +126,7 @@ def _assemble(big, generators, gb, basis, struct):
     """The algebra on `generators`, with its reduced basis and tensor already known."""
     pres = IdealPresentation(big, generators)
     pres._gb_cache[big.order] = tuple(gb)
-    return ArtinAlgebra(pres, basis=basis, struct=struct)
+    return ArtinAlgebra(pres, basis, struct)
 
 
 def fibre_product(R, S):
@@ -276,7 +278,7 @@ def apolar_algebra(F, operator_names=None):
         raise ValueError("one operator name per dual variable required")
     ops = PolyRing(field, names)
     monos, rows = _apolar_kernel(F, ops)
-    A = build_algebra(kernel_presentation(ops, monos, rows))
+    A = kernel_algebra(ops, monos, rows)
     inverse_system_dim = len(monos) - rows.shape[0]
     if A.length != inverse_system_dim:
         raise ArtinsumError("apolar dimension disagrees with the derivative span")

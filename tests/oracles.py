@@ -9,9 +9,13 @@ Fractions, the per-column kernel loop, the per-vector complement loop, the
 pair-rescanning Buchberger, the substitution loop that made presentations
 minimal, the resolution loop that took Betti numbers by row reduction
 against m times the kernel, the block-order elimination that contracted
-an ideal to the ring on a subset of its variables, and the fibre products
+an ideal to the ring on a subset of its variables, the fibre products
 and connected sums built by Buchberger and normal forms from their
-generator lists.
+generator lists, classes of polynomials by normal forms, quotients and the
+linear-socle split built by Buchberger on generator lists, and the
+cross-product test of a coordinate split by ideal membership.  The `Lex`
+and `Block` term orders live here too: only the Buchberger tests and the
+elimination reference use them.
 """
 
 from fractions import Fraction
@@ -21,14 +25,64 @@ import numpy as np
 from artinsum import linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
+from artinsum.errors import PreconditionError
+from artinsum.graded import GlsSplit, GradedAlgebra, _linear_form, is_gls
 from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
                               s_polynomial)
-from artinsum.poly import (Block, Polynomial, PolyRing, mono_coprime, mono_deg, mono_div,
-                           mono_lcm)
+from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
+                           mono_lcm, mono_mul)
 from artinsum.quotient import ArtinAlgebra, build_algebra
 from artinsum.resolution import _module_times_element, _unit_entry
 from artinsum.sums import (_combined_ring, _embed, _fibre_generators, _validate_socle,
                            socle_generator)
+
+
+class Lex(TermOrder):
+    """Lexicographic order with earlier-declared variables larger."""
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+
+    def key(self, mono):
+        return mono
+
+    def __repr__(self):
+        return f"Lex({self.nvars})"
+
+    def __eq__(self, other):
+        return type(other) is Lex and other.nvars == self.nvars
+
+    def __hash__(self):
+        return hash(("lex", self.nvars))
+
+
+class Block(TermOrder):
+    """Elimination order: grevlex on the front block, ties broken by grevlex behind.
+
+    Any monomial involving a front variable exceeds every monomial in back
+    variables alone, so front variables are eliminated from a Groebner basis.
+    """
+
+    def __init__(self, front, back):
+        self.front = tuple(front)
+        self.back = tuple(back)
+        self.nvars = len(self.front) + len(self.back)
+        if sorted(self.front + self.back) != list(range(self.nvars)):
+            raise ValueError("front/back must partition the variable indices")
+
+    def key(self, mono):
+        f = tuple(mono[i] for i in self.front)
+        b = tuple(mono[i] for i in self.back)
+        return (sum(f), tuple(-e for e in reversed(f)), sum(b), tuple(-e for e in reversed(b)))
+
+    def __repr__(self):
+        return f"Block({self.front}, {self.back})"
+
+    def __eq__(self, other):
+        return type(other) is Block and (other.front, other.back) == (self.front, self.back)
+
+    def __hash__(self):
+        return hash(("block", self.front, self.back))
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -280,7 +334,7 @@ def initial_form_generators(A):
     gens = []
     for d in range(1, A.loewy_length + 2):
         monos = ring.monomials_of_degree(d)
-        images = linalg.matrix(A.field, [A._nf_monomial_vector(m) for m in monos],
+        images = linalg.matrix(A.field, [vector_reference(A, ring.monomial(m)) for m in monos],
                                width=A.length)
         rows = linalg.preimage_rows(A.field, images, A.power(d + 1).rows)
         gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
@@ -403,7 +457,11 @@ def build_algebra_reference(pres):
         raise NotZeroDimensionalError("quotient is infinite-dimensional")
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
-    return ArtinAlgebra(minimal, pres.ring, steps)
+    basis = minimal.standard_monomials()
+    A = ArtinAlgebra(minimal, basis, normal_form_structure_reference(minimal, basis))
+    A.original_ring = pres.ring
+    A.reduction_steps = tuple(steps)
+    return A
 
 
 def differential_matrix_reference(A, gens, prev_rank):
@@ -466,3 +524,105 @@ def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
     return build_algebra(big, _fibre_generators(R, S, big) + [h])
+
+
+# ---------------------------------------------------------------------------
+# classes, quotients and the linear-socle split by normal forms and Buchberger
+
+def normal_form_structure_reference(pres, basis):
+    """struct[i, j] = the class of basis[i] * basis[j], one normal form per product.
+
+    The structure tensor of every algebra, whether read off an echelon or
+    built from normal forms of a parsed presentation, must equal this one.
+    """
+    ring, fld = pres.ring, pres.ring.field
+    lam = len(basis)
+    index = {m: i for i, m in enumerate(basis)}
+    struct = linalg.zeros(fld, (lam, lam, lam))
+    for i in range(lam):
+        for j in range(i, lam):
+            vec = linalg.zeros(fld, lam)
+            product = ring.monomial(mono_mul(basis[i], basis[j]))
+            for m, c in pres.normal_form(product).terms.items():
+                vec[index[m]] = c
+            struct[i, j] = vec
+            struct[j, i] = vec
+    return struct
+
+
+def vector_reference(A, poly):
+    """The class of `poly` in A as the normal form of its image in the presentation ring.
+
+    `ArtinAlgebra.vector` must give the same vector.
+    """
+    if poly.ring == A.original_ring and A.reduction_steps:
+        poly = A.reduce_to_presentation_ring(poly)
+    vec = linalg.zeros(A.field, A.length)
+    for m, c in A.pres.normal_form(poly).terms.items():
+        vec[A.basis_index[m]] = c
+    return vec
+
+
+def quotient_algebra_reference(algebra, extra_polys):
+    """A quotient by `build_algebra` on the algebra's generators joined by the extras.
+
+    `quotient.quotient_algebra` must give the same algebra.
+    """
+    gens = list(algebra.pres.generators) + [p for p in extra_polys if not p.is_zero()]
+    return build_algebra(algebra.ring, gens)
+
+
+def modulo_socle_reference(A):
+    """A / soc(A) by `quotient_algebra_reference`; `sums.modulo_socle` must agree."""
+    return quotient_algebra_reference(A, A.socle().lifts())
+
+
+def graded_from_homogeneous(ring, generators, source=None):
+    """Build a GradedAlgebra from homogeneous generators (canonicalized)."""
+    pres = IdealPresentation(ring, generators)
+    return GradedAlgebra(build_algebra(pres), source=source)
+
+
+def gls_split_reference(G):
+    """The linear-socle split by substituting the witnesses and running Buchberger.
+
+    `graded.gls_split` must give the same parts, forms and substitution.
+    """
+    flag, witness = is_gls(G)
+    if not flag:
+        raise PreconditionError("algebra is not Gorenstein up to linear socle")
+    ring = G.ring
+    fld = ring.field
+    forms = [_linear_form(ring, row) for row in witness]
+    pivots = [next(i for i, c in enumerate(row) if c != fld.zero) for row in witness]
+    keep = [i for i in range(ring.nvars) if i not in set(pivots)]
+    sub = PolyRing(fld, [ring.names[i] for i in keep])
+    substitution = {}
+    images = [None] * ring.nvars
+    for new, old in enumerate(keep):
+        images[old] = sub.var(new)
+    for row, piv in zip(witness, pivots):
+        expr = sub.zero
+        for new, old in enumerate(keep):
+            c = row[old]
+            if c != fld.zero:
+                expr = expr - sub.var(new).scale(c)
+        images[piv] = expr
+        substitution[ring.names[piv]] = expr
+    a_gens = [g.compose(sub, images) for g in G.presentation.generators]
+    a_part = graded_from_homogeneous(sub, a_gens)
+    b_ring = PolyRing(fld, [ring.names[i] for i in pivots])
+    b_gens = [b_ring.var(i) * b_ring.var(j)
+              for i in range(len(pivots)) for j in range(i, len(pivots))]
+    b_part = graded_from_homogeneous(b_ring, b_gens)
+    return GlsSplit(a_part, b_part, forms, tuple(ring.names[i] for i in pivots), substitution)
+
+
+def cross_products_outside_reference(Q, left_names, right_names):
+    """The cross products y*z outside the ideal of Q, by ideal membership.
+
+    `decompose.check_split` must list the same products.
+    """
+    var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
+    return [f"{yn}*{zn}" for yn in left_names for zn in right_names
+            if not Q.pres.contains(var[yn] * var[zn])]

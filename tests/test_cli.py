@@ -47,3 +47,17 @@ def test_json_report_is_golden(command, monkeypatch, capsys):
 def test_qq_json_report_is_golden(golden, monkeypatch, capsys):
     out = _report(QQ_CASES[golden], monkeypatch, capsys)
     assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize("value", ["GF7", "GF(7", "ab(7)", "GF(8)"])
+def test_apolar_rejects_a_malformed_field_as_a_parse_error(value, capsys):
+    # the value is read by the `field` grammar of the presentation format
+    argv = ["apolar", "--poly", "w^3", "--dual-vars", "w", "--field", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_apolar_reads_a_prime_field(capsys):
+    argv = ["apolar", "--poly", "w^3", "--dual-vars", "w", "--field", "GF( 7 )", "--json"]
+    assert main(argv) == 0
+    assert '"field": "GF(7)"' in capsys.readouterr().out

@@ -4,18 +4,22 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, classify, connected_sum, fibre_product,
                       gls_split, iarrobino, is_gls, parse_polynomial, structure_decompose)
 from artinsum import graded
 from artinsum.errors import PreconditionError
-from artinsum.graded import compressed_hilbert, graded_from_homogeneous
+from artinsum.graded import compressed_hilbert
 from artinsum.grobner import IdealPresentation, buchberger
+from artinsum.quotient import presentation_in_coordinates
 
 from corpus import pair_corpus, random_pair
-from oracles import initial_form_generators
+from oracles import graded_from_homogeneous, gls_split_reference, initial_form_generators
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
 
@@ -241,3 +245,69 @@ def test_associated_graded_is_built_once_per_algebra(monkeypatch):
     # Q, the split algebra and the left component
     assert built[Q] == 1 and len(built) == 3 and set(built.values()) == {1}
     assert associated_graded(Q) is associated_graded(Q)
+
+
+# -- the linear-socle split by linear algebra against the Buchberger route ---
+
+def _hidden(Q, coeff):
+    """Q presented on unitriangular linear combinations of its variables."""
+    ring = Q.ring
+    images = [ring.var(v) + sum((ring.var(j).scale(coeff()) for j in range(v)), ring.zero)
+              for v in range(ring.nvars)]
+    return presentation_in_coordinates(Q, ring, images)
+
+
+def _assert_same_graded(got, expected):
+    assert got.ring == expected.ring
+    assert got.presentation.groebner_basis() == expected.presentation.groebner_basis()
+    assert got.algebra.basis == expected.algebra.basis
+    assert np.array_equal(got.algebra.struct, expected.algebra.struct)
+
+
+def _assert_split_matches_reference(G):
+    got, expected = gls_split(G), gls_split_reference(G)
+    _assert_same_graded(got.gorenstein_part, expected.gorenstein_part)
+    _assert_same_graded(got.square_zero_part, expected.square_zero_part)
+    assert got.witness_forms == expected.witness_forms
+    assert got.eliminated == expected.eliminated
+    assert got.substitution == expected.substitution
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(1048573), QQ], ids=repr)
+def test_gls_split_matches_reference_on_seeded_sums(field):
+    rng = random.Random(37)
+    instances = []
+    for R, S in pair_corpus(8, seed=3, max_edim=2, max_ll=4, min_ll=2, field=field):
+        result = connected_sum(R, S)
+        if not result.trivial:
+            instances.append(result.algebra)
+    checked = 0
+    for Q in instances:
+        for A in (Q, _hidden(Q, lambda: rng.randint(-3, 3))):
+            G = associated_graded(A)
+            if G.loewy_length >= 2 and is_gls(G)[0]:
+                _assert_split_matches_reference(G)
+                checked += bool(G.type > 1)
+    assert checked
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_gls_split_matches_reference_on_hypothesis_sums(data):
+    # R graded Gorenstein of socle degree 3, S of Loewy length 2: gr(R # S) is
+    # Gorenstein up to the linear socle of S, here in hidden coordinates
+    field = data.draw(st.sampled_from([GF(101), GF(1048573), QQ]))
+    nvars, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    dual = PolyRing(field, tuple(f"w{i}" for i in range(nvars)))
+    forms = dual.monomials_of_degree(3)
+    terms = data.draw(st.dictionaries(st.sampled_from(forms), st.integers(-3, 3), max_size=3))
+    terms[data.draw(st.sampled_from(forms))] = data.draw(st.integers(1, 3))
+    R = apolar_algebra(dual.poly(terms), tuple(f"Y{i + 1}" for i in range(nvars)))
+    squares = PolyRing(field, tuple(f"v{j}" for j in range(n)))
+    S = apolar_algebra(squares.poly({tuple(2 * (i == j) for i in range(n)):
+                                     data.draw(st.integers(1, 4)) for j in range(n)}),
+                       tuple(f"Z{j + 1}" for j in range(n)))
+    Q = connected_sum(R, S).algebra
+    G = associated_graded(_hidden(Q, lambda: data.draw(st.integers(-3, 3))))
+    assert is_gls(G)[0] and G.type == n + 1
+    _assert_split_matches_reference(G)

@@ -9,18 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, Block, Grevlex, IdealPresentation, Polynomial, PolyRing,
+from artinsum import (GF, QQ, Grevlex, IdealPresentation, Polynomial, PolyRing,
                       apolar_algebra, normal_form, parse_presentation)
 from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
 from artinsum.grobner import buchberger, s_polynomial
-from artinsum.poly import Lex
 from artinsum.quotient import build_algebra, kernel_presentation, subalgebra
 from artinsum.sums import _apolar_kernel, connected_sum
 
 from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
-from oracles import (buchberger_reference, contract_reference, ideal_member, same_ideal,
+from oracles import (Block, Lex, buchberger_reference, contract_reference,
+                     cross_products_outside_reference, ideal_member, same_ideal,
                      subring_quotient_dimension)
 
 # GF(1048573) is the largest prime below MAX_PRIME
@@ -271,7 +271,7 @@ def test_buchberger_matches_reference_on_apolar_ideals(field):
         for order in _orders(I.ring.nvars):
             _assert_matches_reference(list(I.generators), order, probes)
     # the connected-sum ideal, also under a block order: `check_split` no
-    # longer eliminates, but Block stays a public order of `groebner_basis`
+    # longer eliminates, but `groebner_basis` still takes any term order
     Q = connected_sum(build_algebra(ideals[1]), build_algebra(ideals[2])).algebra
     probes = [_random_poly(rng, Q.ring, 3) for _ in range(3)]
     for order in (Grevlex(4), Block((0, 1), (2, 3))):
@@ -325,7 +325,7 @@ def _rows_as_polynomials(ring, monos, rows):
 
 
 def _assert_kernel_presentation_matches(ring, monos, rows):
-    basis = kernel_presentation(ring, monos, rows).groebner_basis()
+    basis = kernel_presentation(ring, monos, rows)[0].groebner_basis()
     assert basis == tuple(buchberger(_rows_as_polynomials(ring, monos, rows), ring.order))
     return basis
 
@@ -380,5 +380,43 @@ def test_kernel_presentation_needs_the_top_power_of_m():
     assert "m^2 inside the ideal" in str(info.value)
     assert "X*Y" in str(info.value)
     rows = np.vstack([rows, [int(m == (1, 1)) for m in monos]])
-    assert [str(g) for g in kernel_presentation(ring, monos, rows).generators] == [
+    assert [str(g) for g in kernel_presentation(ring, monos, rows)[0].generators] == [
         "Y^2", "X*Y", "X^2"]
+
+
+# -- the cross products of a coordinate split against ideal membership -------
+
+def _bipartitions(names):
+    for mask in range(1, 2 ** len(names) - 1):
+        yield ([n for i, n in enumerate(names) if mask >> i & 1],
+               [n for i, n in enumerate(names) if not mask >> i & 1])
+
+
+def _assert_cross_products_match_reference(Q):
+    for left, right in _bipartitions(Q.ring.names):
+        expected = cross_products_outside_reference(Q, left, right)
+        reasons = [r for r in check_split(Q, (left, right)).reasons
+                   if r.startswith("cross products outside the ideal: ")]
+        assert reasons == (["cross products outside the ideal: " + ", ".join(expected)]
+                           if expected else [])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_split_cross_products_match_ideal_membership(field):
+    rng = random.Random(43)
+    for R, S in pair_corpus(3, seed=2, max_edim=2, max_ll=3, min_ll=2, field=field):
+        Q = connected_sum(R, S).algebra
+        _assert_cross_products_match_reference(Q)
+        # a unitriangular change of coordinates moves some cross products out
+        images = [Q.ring.var(v) + sum((Q.ring.var(j).scale(rng.randint(-2, 2))
+                                       for j in range(v)), Q.ring.zero)
+                  for v in range(Q.ring.nvars)]
+        _assert_cross_products_match_reference(subalgebra(Q, Q.ring, images))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dual_polynomials())
+def test_split_cross_products_match_ideal_membership_on_hypothesis_inputs(F):
+    A = apolar_algebra(F, tuple(f"X{i}" for i in range(F.ring.nvars)))
+    if A.is_gorenstein() and A.edim >= 2:
+        _assert_cross_products_match_reference(A)

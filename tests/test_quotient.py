@@ -8,14 +8,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, PolyRing, algebra_from_text, build_algebra, parse_polynomial,
-                      parse_presentation)
+from artinsum import (GF, QQ, ArtinAlgebra, PolyRing, algebra_from_text, apolar_algebra,
+                      associated_graded, build_algebra, connected_sum, iarrobino, linalg,
+                      modulo_socle, parse_polynomial, parse_presentation)
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
+from artinsum.quotient import kernel_presentation, quotient_algebra, subalgebra
+from artinsum.sums import _apolar_kernel
 
-from corpus import random_gorenstein
-from oracles import build_algebra_reference
+from corpus import pair_corpus, random_gorenstein
+from oracles import (build_algebra_reference, modulo_socle_reference,
+                     normal_form_structure_reference, quotient_algebra_reference,
+                     vector_reference)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -315,3 +320,120 @@ def test_minimal_presentation_matches_reference_on_hypothesis_inputs(data):
     perm = data.draw(st.permutations(range(edim + extra)))
     pres = _hide(A, extra, coeff, perm)
     _assert_same_algebra(pres, _probes(random.Random(seed), pres.ring))
+
+
+# -- derived algebras read off the echelon, against normal forms and Buchberger
+
+def _assert_same_quotient(got, expected):
+    assert got.ring == expected.ring and got.original_ring == expected.original_ring
+    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.basis == expected.basis
+    assert got.struct.dtype == expected.struct.dtype
+    assert np.array_equal(got.struct, expected.struct)
+    assert len(got.reduction_steps) == len(expected.reduction_steps)
+    for (ring, images), (ring_ref, images_ref) in zip(got.reduction_steps,
+                                                      expected.reduction_steps):
+        assert ring == ring_ref and images == images_ref
+
+
+def _assert_tensor_and_classes(A, probes):
+    # the tensor read off the echelon is the normal-form tensor, and classes
+    # taken as products of variable matrices are normal forms
+    assert A.basis == tuple(A.pres.standard_monomials())
+    expected = normal_form_structure_reference(A.pres, A.basis)
+    assert A.struct.dtype == expected.dtype and np.array_equal(A.struct, expected)
+    for f in probes:
+        assert np.array_equal(A.vector(f), vector_reference(A, f))
+
+
+def _derived_from(R, S):
+    """Algebras built from R and S without parsed text: the sum, gr, Q0 and subalgebras."""
+    Q = connected_sum(R, S).algebra
+    out = [R, S, Q, associated_graded(Q).algebra, iarrobino(Q)[1].algebra]
+    names = Q.ring.names
+    out.append(subalgebra(Q, PolyRing(Q.field, names[:1]), [Q.ring.var(0)]))
+    # a coordinate change that keeps m: every variable plus the last one squared
+    last = Q.ring.var(len(names) - 1)
+    images = [Q.ring.var(i) + last * last for i in range(len(names))]
+    out.append(subalgebra(Q, Q.ring, images))
+    return Q, out
+
+
+def _random_extras(rng, A, count=2):
+    """Random elements of the maximal ideal of A, some with a linear part."""
+    monos = [m for d in range(1, 3) for m in A.ring.monomials_of_degree(d)]
+    return [A.ring.poly({monos[rng.randrange(len(monos))]: rng.randint(-4, 4)
+                         for _ in range(3)}) for _ in range(count)]
+
+
+def _assert_quotients_match(rng, A):
+    _assert_same_quotient(modulo_socle(A), modulo_socle_reference(A))
+    extras = _random_extras(rng, A)
+    _assert_same_quotient(quotient_algebra(A, extras), quotient_algebra_reference(A, extras))
+    for quotient in (quotient_algebra, quotient_algebra_reference):
+        with pytest.raises(UnitIdealError):
+            quotient(A, [A.ring.one + extras[0]])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_echelon_tensors_and_classes_match_normal_forms_on_seeded_pairs(field):
+    rng = random.Random(23)
+    for R, S in pair_corpus(3, seed=9, max_edim=2, max_ll=3, min_ll=2, field=field):
+        _, algebras = _derived_from(R, S)
+        for A in algebras:
+            _assert_tensor_and_classes(A, _probes(rng, A.ring))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_quotients_match_buchberger_on_seeded_algebras(field):
+    rng = random.Random(29)
+    for R, S in pair_corpus(3, seed=19, max_edim=2, max_ll=3, min_ll=2, field=field):
+        Q, algebras = _derived_from(R, S)
+        for A in (R, Q, algebras[3]):
+            _assert_quotients_match(rng, A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(field):
+    # F depends on w1 + 2*w2 and w3 only, so Ann(F) holds the linear form
+    # 2*X1 - X2: X1 is the lead of a linear basis element and not standard
+    dual = PolyRing(field, ("w1", "w2", "w3"))
+    u = dual.var(0) + dual.var(1).scale(2)
+    F = u ** 3 + u * dual.var(2) ** 2 + dual.var(2) ** 3
+    ops = PolyRing(field, ("X1", "X2", "X3"))
+    pres, basis, classes = kernel_presentation(ops, *_apolar_kernel(F, ops))
+    assert (1, 0, 0) not in basis
+    zero = linalg.zeros(field, len(basis))
+    struct = np.array([[classes.get(tuple(a + b for a, b in zip(x, y)), zero) for y in basis]
+                       for x in basis])
+    A = ArtinAlgebra(pres, basis, struct)
+    _assert_tensor_and_classes(A, _probes(random.Random(3), ops) + ops.gens())
+    minimal = apolar_algebra(F, ops.names)
+    assert minimal.ring.names == ("X2", "X3")
+    assert np.array_equal(minimal.vector(ops.var(0)), vector_reference(minimal, ops.var(0)))
+
+
+@st.composite
+def _apolar_pairs(draw):
+    field = draw(st.sampled_from(FIELDS))
+    factors = []
+    for prefix in ("Y", "Z"):
+        nvars = draw(st.integers(1, 2))
+        degree = draw(st.integers(2, 3))
+        dual = PolyRing(field, tuple(f"w{prefix}{i}" for i in range(nvars)))
+        monos = [m for d in range(1, degree + 1) for m in dual.monomials_of_degree(d)]
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-5, 5), max_size=4))
+        terms[draw(st.sampled_from(dual.monomials_of_degree(degree)))] = draw(st.integers(1, 5))
+        factors.append(apolar_algebra(dual.poly(terms), tuple(f"{prefix}{i + 1}"
+                                                              for i in range(nvars))))
+    return factors
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_apolar_pairs(), st.integers(0, 2 ** 16))
+def test_derived_algebras_match_normal_forms_and_buchberger_on_hypothesis_pairs(pair, seed):
+    rng = random.Random(seed)
+    Q, algebras = _derived_from(*pair)
+    for A in algebras:
+        _assert_tensor_and_classes(A, _probes(rng, A.ring, count=2))
+    _assert_quotients_match(rng, Q)

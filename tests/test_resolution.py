@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti_numbers,
-                      connected_sum, fibre_product, linalg, modulo_socle, verify_cs_series,
-                      verify_fp_series, verify_mu_formulas)
+                      connected_sum, fibre_product, h2_bound_check, linalg, modulo_socle,
+                      verify_cs_series, verify_fp_series, verify_mu_formulas,
+                      verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
 from artinsum.resolution import _differential_matrix, mu_direct
 
@@ -171,3 +172,34 @@ def test_betti_checks_that_m_times_the_kernel_lies_inside_it(monkeypatch):
     monkeypatch.setattr(A, "power", lambda i: x)
     with pytest.raises(ArtinsumError, match=r"m\*K is not inside K"):
         betti_numbers(A, 3)
+
+
+@st.composite
+def _apolar_pairs(draw):
+    """Apolar R and S of edim at most 2 and Loewy length 2 or 3, over one field."""
+    field = draw(st.sampled_from([GF(1048573), QQ]))
+    pair = []
+    for prefix in ("Y", "Z"):
+        nvars = draw(st.integers(1, 2))
+        degree = draw(st.integers(2, 3))
+        dual = PolyRing(field, tuple(f"w{prefix}{i}" for i in range(nvars)))
+        monos = [m for d in range(1, degree + 1) for m in dual.monomials_of_degree(d)]
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-5, 5), max_size=4))
+        terms[draw(st.sampled_from(dual.monomials_of_degree(degree)))] = draw(st.integers(1, 5))
+        pair.append(apolar_algebra(dual.poly(terms),
+                                   tuple(f"{prefix}{i + 1}" for i in range(nvars))))
+    return pair
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_apolar_pairs())
+def test_paper_identities_hold_on_hypothesis_pairs(pair):
+    # both factors have length at least 3, so Q has edim m + n >= 2 and the
+    # socle-quotient identity applies to it
+    R, S = pair
+    Q = connected_sum(R, S).algebra
+    P = fibre_product(R, S).algebra
+    for report in (verify_cs_series(R, S, Q, 3), verify_fp_series(R, S, P, 3),
+                   verify_mu_formulas(R, S, 3), verify_socle_quotient(Q, 3)):
+        assert report.holds, report
+    assert h2_bound_check(R, S, Q)

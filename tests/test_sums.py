@@ -1,6 +1,8 @@
 """Fibre products, connected sums, socle generators, and apolarity."""
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
-                      apolar_sum_check, connected_sum, fibre_product, modulo_socle,
-                      parse_polynomial, socle_generator, structure_decompose)
+                      apolar_sum_check, associated_graded, connected_sum, fibre_product,
+                      gls_split, grobner, iarrobino, modulo_socle, parse_polynomial,
+                      socle_generator, structure_decompose)
 from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
@@ -304,3 +307,36 @@ def test_structure_decompose_recovers_the_factors_of_a_connected_sum(factors, un
     assert (left.length, right.length) == (R.length, S.length)
     assert left.hilbert_function() == R.hilbert_function()
     assert right.hilbert_function() == S.hilbert_function()
+
+
+# ---------------------------------------------------------------------------
+# Buchberger and normal forms run only on parsed generator lists
+
+def test_derived_algebras_run_no_buchberger_and_no_normal_form(monkeypatch):
+    hidden = algebra_from_text((Path(__file__).resolve().parent / "golden"
+                                / "hidden_sum.txt").read_text())
+    graded_gorenstein = algebra_from_text("field QQ; vars Y; ideal Y^5")
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("buchberger", "normal_form"):
+        monkeypatch.setattr(grobner, name, counting(name, getattr(grobner, name)))
+    for field in FIELDS:
+        R = apolar_algebra(parse_polynomial("w1^3 + w1*w2^2 + w2^3",
+                                            PolyRing(field, ("w1", "w2"))), ("Y1", "Y2"))
+        S = apolar_algebra(parse_polynomial("v^2", PolyRing(field, ("v",))), ("Z",))
+        Q = connected_sum(R, S).algebra
+        fibre_product(R, S)
+        G = associated_graded(Q)
+        iarrobino(Q)
+        modulo_socle(Q)
+        assert gls_split(G).square_zero_part.edim == 1
+        assert structure_decompose(Q).status == "decomposed"
+    assert structure_decompose(hidden).status == "decomposed"
+    assert structure_decompose(graded_gorenstein).trivial
+    assert calls == Counter()
