@@ -11,12 +11,13 @@ re-verified at presentation level before it is reported.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
-from .graded import _binom, associated_graded, classify, gls_split, is_gls
+from .graded import associated_graded, classify, gls_split, is_gls
 from .poly import PolyRing
 from .quotient import (ArtinAlgebra, presentation_in_coordinates, square_zero_algebra,
                        subalgebra)
@@ -105,7 +106,7 @@ def split_witness(Q):
     n = G.type - 1
     if n == 0:
         return None
-    ann2 = Q.annihilator_of_subspace(Q.power(2))
+    ann2 = Q.annihilator(Q.power(2).rows)
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
     top = Q.power(s - 1)
@@ -123,7 +124,7 @@ def split_witness(Q):
         if not linalg.row_spaces_equal(Q.field, products, socle.rows):
             raise PreconditionError("clause (c) failed: w*m is not the socle")
     J = Q.ideal_span(z_vecs)
-    ideal_i = Q.annihilator_of_subspace(J)
+    ideal_i = Q.annihilator(J.rows)
     if not ideal_i.is_ideal():
         raise ArtinsumError("the annihilator of J is not an ideal")
     # invariants of the annihilator pair
@@ -171,9 +172,9 @@ def certify_indecomposable(Q):
     H = Q.hilbert_function()
     d = Q.edim
     h2 = H[2] if len(H) > 2 else 0
-    if h2 >= _binom(d, 2) + 2:
+    if h2 >= comb(d, 2) + 2:
         out.append(Certificate("HILBERT2",
-                               f"H(2) = {h2} >= C({d},2) + 2 = {_binom(d, 2) + 2}"))
+                               f"H(2) = {h2} >= C({d},2) + 2 = {comb(d, 2) + 2}"))
     mu = mu_direct(Q)
     if d >= 3 and mu == d:
         out.append(Certificate("COMPLETE_INTERSECTION",
@@ -190,7 +191,7 @@ def h2_bound_check(R, S, Q):
     m, n = R.edim, S.edim
     H = Q.hilbert_function()
     h2 = H[2] if len(H) > 2 else 0
-    return h2 <= _binom(m + n + 1, 2) - m * n
+    return h2 <= comb(m + n + 1, 2) - m * n
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ and a square-zero algebra, also kernels: no Buchberger run here.
 """
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -171,20 +172,19 @@ def gls_split(G):
     """Split G as (graded Gorenstein A) x_k (square-zero B) along the linear socle.
 
     The witnesses are the reduced echelon basis of the degree-1 socle in
-    declaration order.  A is G modulo the witness forms, made minimal by
-    eliminating their pivot variables, which become the variables of B.
+    declaration order.  A is G modulo the witness forms, which the quotient
+    presents without their pivot variables; these become the variables of B.
     """
     flag, witness = is_gls(G)
     if not flag:
         raise PreconditionError("algebra is not Gorenstein up to linear socle")
     ring = G.ring
-    fld = ring.field
     forms = [_linear_form(ring, row) for row in witness]
-    pivots = [next(i for i, c in enumerate(row) if c != fld.zero) for row in witness]
     a_part = GradedAlgebra(quotient_algebra(G.algebra, forms))
-    images = a_part.algebra.reduction_steps[0][1] if pivots else ()
-    substitution = {ring.names[piv]: images[piv] for piv in pivots}
-    b_part = GradedAlgebra(square_zero_algebra(PolyRing(fld, [ring.names[i] for i in pivots])))
+    eliminated = tuple(name for name in ring.names if name not in a_part.ring.names)
+    substitution = {name: a_part.algebra.reduction_steps[0][1][ring.index[name]]
+                    for name in eliminated}
+    b_part = GradedAlgebra(square_zero_algebra(PolyRing(ring.field, eliminated)))
     n = len(forms)
     if a_part.type != 1:
         raise ArtinsumError("linear-socle quotient is not Gorenstein")
@@ -192,7 +192,7 @@ def gls_split(G):
         raise ArtinsumError("linear-socle quotient changed the Loewy length")
     if a_part.edim != G.edim - n or a_part.length != G.length - n:
         raise ArtinsumError("linear-socle quotient has wrong size")
-    return GlsSplit(a_part, b_part, forms, tuple(ring.names[i] for i in pivots), substitution)
+    return GlsSplit(a_part, b_part, forms, eliminated, substitution)
 
 
 @dataclass
@@ -222,7 +222,7 @@ def iarrobino(A):
     G = associated_graded(A)
     s = A.loewy_length
     data = GradedIdealData(G)
-    targets = [A.annihilator_of_subspace(A.power(s - i)).intersect(A.power(i))
+    targets = [A.annihilator(A.power(s - i).rows).intersect(A.power(i))
                .add(A.power(i + 1)) for i in range(s + 1)]
     for i, target in enumerate(targets):
         monos = G.piece_monomials(i)
@@ -258,17 +258,8 @@ class Classification:
     compressed: bool
 
 
-def _binom(n, k):
-    if k < 0 or n < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def compressed_hilbert(edim, loewy):
-    return tuple(min(_binom(edim + i - 1, i), _binom(edim + loewy - i - 1, loewy - i))
+    return tuple(min(comb(edim + i - 1, i), comb(edim + loewy - i - 1, loewy - i))
                  for i in range(loewy + 1))
 
 
@@ -281,5 +272,5 @@ def classify(A):
     short = len(H) == 4 and H[3] == 1 and H[2] >= 2
     stretched = (s >= 2 and all(H[i] == 1 for i in range(2, s + 1))
                  and (s >= 3 or H[1] == 1))
-    compressed = H == compressed_hilbert(H[1] if s >= 1 else 0, s) if s >= 1 else True
+    compressed = H == compressed_hilbert(H[1], s) if s >= 1 else True
     return Classification(short=short, stretched=stretched, compressed=compressed)

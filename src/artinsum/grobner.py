@@ -5,8 +5,9 @@ the parser gives them (`quotient.build_algebra`): such text carries no
 degree that bounds the ideal.  Every derived ideal contains a power of the
 maximal ideal and is a truncated kernel, whose reduced basis and classes
 come from one echelon form (`quotient.kernel_presentation`); fibre products
-and connected sums get theirs from their factors' bases (`sums`), and there
-is no elimination: a subalgebra is presented by its own kernel.
+and connected sums get theirs from their factors' bases (`sums`).  No
+Buchberger elimination runs: a subalgebra is presented by its own kernel,
+and linear forms are eliminated in its echelon (`quotient.kernel_algebra`).
 
 The pair strategy is the normal one (smallest lcm degree first, ties broken
 by the term order and then pair indices) with the coprime-lcm and chain

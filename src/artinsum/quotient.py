@@ -1,14 +1,15 @@
 """Artinian local algebras as finite-dimensional vector spaces with multiplication.
 
-An algebra is built from a zero-dimensional ideal supported at the origin,
-first on the presentation as given; the powers of m failing to shrink to
-zero show that the quotient is not local.  When dim m/m^2 is smaller than
-the variable count, the variables whose classes depend linearly on the
-others modulo m^2 are eliminated, and the ideal is taken again as the
-kernel of the map from the ring on the remaining variables, degree by
-degree (`subalgebra`).  So the stored presentation always has its ideal
-inside the square of the maximal ideal and the variable count equals the
-embedding dimension.
+An algebra is built from a zero-dimensional ideal supported at the origin;
+the powers of m failing to shrink to zero show that the quotient is not
+local.  The stored presentation always has its ideal inside the square of
+the maximal ideal, so the variable count equals the embedding dimension.
+When a truncated kernel holds linear forms, the pivots of their echelon
+form are eliminated: one echelon form, in an order that ranks monomials
+first by their degree in the eliminated variables, gives both the ideal on
+the kept variables and the image of each eliminated one (`kernel_algebra`).
+Parsed text that is not minimal is built on its variables as given, then
+taken as the subalgebra they generate.
 
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order); the structure tensor holds the products of the
@@ -63,8 +64,8 @@ class Subspace:
 
     def is_ideal(self):
         A = self.algebra
-        return all(self.contains(A.vec_mult_matrix_row(r, j))
-                   for r in self.rows for j in range(A.ring.nvars))
+        return all(self.contains(r) for mx in A.var_matrices
+                   for r in linalg.mat_mul(A.field, self.rows, mx))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.algebra is self.algebra
@@ -236,17 +237,11 @@ class ArtinAlgebra:
     # -- ideals and annihilators ----------------------------------------------
 
     def annihilator(self, vectors):
-        """(0 : given elements) as a subspace, plus whether it is an ideal."""
+        """(0 : given elements) as a subspace."""
         mats = [self.mult_matrix(np.asarray(v)) for v in vectors]
         if not mats:
-            rows = linalg.identity(self.field, self.length)
-        else:
-            rows = linalg.left_kernel(self.field, np.hstack(mats))
-        sub = Subspace(self, rows)
-        return sub, sub.is_ideal()
-
-    def annihilator_of_subspace(self, sub):
-        return self.annihilator(list(sub.rows))[0]
+            return Subspace(self, linalg.identity(self.field, self.length))
+        return Subspace(self, linalg.left_kernel(self.field, np.hstack(mats)))
 
     def ideal_span(self, vectors):
         """Smallest ideal containing the given elements."""
@@ -304,9 +299,10 @@ def build_algebra(pres_or_ring, generators=None):
     NotZeroDimensionalError, or NotLocalError when the input is unsuitable.
     Parsed generators bound no degree of the ideal, so only this runs
     Buchberger and normal forms.  When dim m/m^2 falls short of the variable
-    count, the returned algebra lives on the variables that minimally
-    generate m (see `_minimal_algebra`) and still takes classes of
-    polynomials in the given ring.
+    count, the returned algebra is the subalgebra that all the variables
+    generate, which `kernel_algebra` presents on the variables that
+    minimally generate m; it still takes classes of polynomials in the
+    given ring.
     """
     if generators is not None:
         pres = IdealPresentation(pres_or_ring, generators)
@@ -320,49 +316,19 @@ def build_algebra(pres_or_ring, generators=None):
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
-    return _table_algebra(pres, basis, {
+    A = _table_algebra(pres, basis, {
         mono: _coordinates(pres.normal_form(pres.ring.monomial(mono)), index)
         for mono in products})
+    if A.power(1).dim - A.power(2).dim == A.ring.nvars:
+        return A
+    return subalgebra(A, A.ring, A.ring.gens())
 
 
 def _table_algebra(pres, basis, classes):
     """The algebra whose basis products have the classes in the table, or else are zero."""
     zero = linalg.zeros(pres.ring.field, len(basis))
     struct = np.array([[classes.get(mono_mul(a, b), zero) for b in basis] for a in basis])
-    return _minimal_algebra(ArtinAlgebra(pres, basis, struct.reshape((len(basis),) * 3)))
-
-
-def _minimal_algebra(A):
-    """A itself when dim m/m^2 equals the variable count, else A on fewer variables.
-
-    The left kernel of the variables' classes in m/m^2 is the space of
-    linear parts of the ideal; the pivots of its echelon form are
-    eliminated and the other variables keep their names and order.  The
-    minimal ideal is the kernel of the map from the ring on the kept
-    variables onto A.  One reduction step carries the given ring there: a
-    kept variable to itself, an eliminated one to the lift of its class.
-    """
-    if A.power(1).dim - A.power(2).dim == A.ring.nvars:
-        return A
-    fld, ring = A.field, A.ring
-    m2 = A.power(2)
-    classes = linalg.matrix(fld, [m2.reduce(A.vector(ring.var(v))) for v in range(ring.nvars)],
-                            width=A.length)
-    _, pivots = linalg.echelon(fld, linalg.left_kernel(fld, classes))
-    keep = sorted(set(range(ring.nvars)) - set(pivots.tolist()))
-    sub = PolyRing(fld, [ring.names[v] for v in keep])
-    minimal = presentation_in_coordinates(A, sub, [ring.var(v) for v in keep])
-    # the minimal basis evaluated in A is invertible and takes classes back
-    lam = A.length
-    basis_values = linalg.matrix(fld, [A.vector(sub.monomial(m).rename_into(ring, keep))
-                                       for m in minimal.basis], width=lam)
-    inverse = linalg.rref(fld, np.hstack([basis_values, linalg.identity(fld, lam)]))[0][:, lam:]
-    images = [sub.var(keep.index(v)) if v in keep
-              else minimal.lift(linalg.mat_mul(fld, A.vector(ring.var(v)), inverse))
-              for v in range(ring.nvars)]
-    minimal.original_ring = ring
-    minimal.reduction_steps = ((sub, images),)
-    return minimal
+    return ArtinAlgebra(pres, basis, struct.reshape((len(basis),) * 3))
 
 
 def kernel_presentation(ring, monos, rows):
@@ -406,8 +372,39 @@ def kernel_presentation(ring, monos, rows):
 
 
 def kernel_algebra(ring, monos, rows):
-    """The algebra of the truncated kernel that `kernel_presentation` reads off the rows."""
-    return _table_algebra(*kernel_presentation(ring, monos, rows))
+    """The algebra of the truncated kernel, on the variables that minimally generate m.
+
+    An ideal inside m^2 is the presentation `kernel_presentation` reads off
+    the rows.  Otherwise the pivots of the linear parts' echelon form, in
+    declaration order, are eliminated.  With the columns in decreasing order
+    of (degree in the eliminated variables, default order), the rows led by
+    a kept monomial span I ∩ k[kept], the minimal ideal, because the default
+    order restricts to the kept variables; and the row led by an eliminated
+    variable is that variable minus the standard-monomial lift of its class.
+    One reduction step carries the given ring to the kept one.
+    """
+    fld = ring.field
+    units = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
+    linear = rows[:, [monos.index(u) for u in units]]
+    if not np.any(linear != fld.zero):
+        return _table_algebra(*kernel_presentation(ring, monos, rows))
+    elim = linalg.echelon(fld, linear)[1].tolist()
+    keep = [v for v in range(ring.nvars) if v not in elim]
+    cols = sorted(range(len(monos)), reverse=True,
+                  key=lambda j: (sum(monos[j][v] for v in elim), ring.order.key(monos[j])))
+    echelon, pivots = linalg.echelon(fld, rows[:, cols])
+    ordered = [monos[j] for j in cols]
+    first = next(c for c, m in enumerate(ordered) if not any(m[v] for v in elim))
+    kept = [tuple(m[v] for v in keep) for m in ordered[first:]]
+    sub = PolyRing(fld, [ring.names[v] for v in keep])
+    A = _table_algebra(*kernel_presentation(sub, kept, echelon[pivots >= first, first:]))
+    lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
+    images = [sub.var(keep.index(v)) if v in keep
+              else -Polynomial(sub, {m: x for m, x in zip(kept, lead_rows[u]) if x})
+              for v, u in enumerate(units)]
+    A.original_ring = ring
+    A.reduction_steps = ((sub, images),)
+    return A
 
 
 def _monomials_up_to(ring, degree):

@@ -1,5 +1,6 @@
 """Golden schema-1 JSON reports of the CLI, compared byte for byte."""
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #
 # nonminimal_qq.txt has linear relations in B and D, so analyze reports the
 # algebra on A and C: two eliminations, one of them not the last variable.
+#
+# The nonminimal apolar case is (w1 + w2)^3, whose annihilator holds X1 - X2:
+# the algebra is reported on X2 alone, QQ[X2]/(X2^4).
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
     "apolar_qq": ["apolar", "--poly", "1/2*w1^3 + w1*w2^2 - 2/3*w2^3",
                   "--dual-vars", "w1", "w2", "--ops", "Y1", "Y2", "--field", "QQ"],
+    "apolar_nonminimal_qq": ["apolar", "--poly", "w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3",
+                             "--dual-vars", "w1", "w2", "--field", "QQ"],
     "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",
                    "--verify-series", "2"],
     "fibre_qq": ["fibre", "qq_left.txt", "qq_right.txt"],
@@ -61,3 +67,15 @@ def test_apolar_reads_a_prime_field(capsys):
     argv = ["apolar", "--poly", "w^3", "--dual-vars", "w", "--field", "GF( 7 )", "--json"]
     assert main(argv) == 0
     assert '"field": "GF(7)"' in capsys.readouterr().out
+
+
+def test_analyze_directory_report_does_not_depend_on_jobs(tmp_path, capsys):
+    names = ["hidden_sum.txt", "nonminimal_qq.txt"]
+    for name in names:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    reports = []
+    for jobs in ("1", "2"):
+        assert main(["analyze", str(tmp_path), "--jobs", jobs, "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert reports[0].count('"path": ') == len(names)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, classify, connected_sum, fibre_product,
                       gls_split, iarrobino, is_gls, parse_polynomial, structure_decompose)
-from artinsum import graded
+from artinsum import graded, quotient
 from artinsum.errors import PreconditionError
 from artinsum.graded import compressed_hilbert
 from artinsum.grobner import IdealPresentation, buchberger
@@ -245,6 +245,22 @@ def test_associated_graded_is_built_once_per_algebra(monkeypatch):
     # Q, the split algebra and the left component
     assert built[Q] == 1 and len(built) == 3 and set(built.values()) == {1}
     assert associated_graded(Q) is associated_graded(Q)
+
+
+def test_gls_split_presents_each_part_by_one_kernel(monkeypatch):
+    calls = Counter()
+    for name in ("kernel_presentation", "subalgebra"):
+        def counting(*args, _name=name, _original=getattr(quotient, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(quotient, name, counting)
+    text = (Path(__file__).resolve().parent / "golden" / "hidden_sum.txt").read_text()
+    G = associated_graded(algebra_from_text(text))
+    calls.clear()
+    split = gls_split(G)
+    assert split.eliminated and split.gorenstein_part.edim < G.edim
+    # the quotient by the witness forms and the square-zero part
+    assert calls == Counter(kernel_presentation=2)
 
 
 # -- the linear-socle split by linear algebra against the Buchberger route ---

@@ -17,7 +17,7 @@ from artinsum.grobner import IdealPresentation, normal_form
 from artinsum.quotient import kernel_presentation, quotient_algebra, subalgebra
 from artinsum.sums import _apolar_kernel
 
-from corpus import pair_corpus, random_gorenstein
+from corpus import pair_corpus, random_dual_poly, random_gorenstein
 from oracles import (build_algebra_reference, modulo_socle_reference,
                      normal_form_structure_reference, quotient_algebra_reference,
                      vector_reference)
@@ -97,16 +97,16 @@ def test_hilbert_invariants():
 
 def test_annihilator_examples():
     A = algebra_from_text(STRETCHED)
-    ann2, is_ideal = A.annihilator(list(A.power(2).rows))
-    assert ann2.dim == 3 and is_ideal
+    ann2 = A.annihilator(A.power(2).rows)
+    assert ann2.dim == 3 and ann2.is_ideal()
     lifts = {str(p) for p in ann2.lifts()}
     assert lifts == {"Z", "Y^2", "Z^2"}   # z, y^2, and y^3 = z^2
     z = A.vector(A.ring.var(1))
-    annz, is_ideal = A.annihilator([z])
-    assert is_ideal and annz.dim == 3
+    annz = A.annihilator([z])
+    assert annz.is_ideal() and annz.dim == 3
     assert {str(p) for p in annz.lifts()} == {"Y", "Y^2", "Z^2"}
     one = A.one_vector()
-    ann1, _ = A.annihilator([one])
+    ann1 = A.annihilator([one])
     assert ann1.dim == 0
 
 
@@ -142,9 +142,9 @@ def test_gorenstein_duality_random_ideals():
         if not vec.any():
             continue
         W = A.ideal_span([vec])
-        ann = A.annihilator_of_subspace(W)
+        ann = A.annihilator(W.rows)
         assert ann.dim == A.length - W.dim
-        again = A.annihilator_of_subspace(ann)
+        again = A.annihilator(ann.rows)
         assert again == W
 
 
@@ -437,3 +437,71 @@ def test_derived_algebras_match_normal_forms_and_buchberger_on_hypothesis_pairs(
     for A in algebras:
         _assert_tensor_and_classes(A, _probes(rng, A.ring, count=2))
     _assert_quotients_match(rng, Q)
+
+
+# -- apolar algebras of forms in fewer linear forms than dual variables -------
+
+def _form_in_fewer_linear_forms(G, nvars, coeffs, perm):
+    """G(l_1, .., l_k) in `nvars` > k dual variables, with independent linear forms.
+
+    l_i is w_perm[i] plus coeffs[i][j] * w_perm[k + j], so F depends on k
+    linear forms only and Ann(F) holds nvars - k independent linear forms.
+    """
+    k = G.ring.nvars
+    dual = PolyRing(G.ring.field, tuple(f"w{i + 1}" for i in range(nvars)))
+    forms = [dual.var(perm[i]) + sum((dual.var(perm[k + j]).scale(c)
+                                      for j, c in enumerate(coeffs[i])), dual.zero)
+             for i in range(k)]
+    return G.compose(dual, forms)
+
+
+def _assert_apolar_matches_reference(F, probes):
+    got = apolar_algebra(F)
+    ops = got.original_ring
+    monos, rows = _apolar_kernel(F, ops)
+    kernel = [ops.poly(dict(zip(monos, row))) for row in rows.tolist()]
+    expected = build_algebra_reference(IdealPresentation(ops, kernel))
+    assert got.ring == expected.ring and got.ring.nvars < ops.nvars
+    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.basis == expected.basis
+    assert got.struct.dtype == expected.struct.dtype
+    assert np.array_equal(got.struct, expected.struct)
+    # one step to the kept ring: each variable goes to the lift of its class
+    (ring, images), = got.reduction_steps
+    assert ring == expected.ring
+    assert images == [expected.lift(vector_reference(expected, x)) for x in ops.gens()]
+    for f in probes + ops.gens():
+        assert np.array_equal(got.vector(f), vector_reference(expected, f))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_apolar_algebra_of_a_form_in_fewer_linear_forms_matches_reference(field):
+    rng = random.Random(41)
+    for nvars, k, degree in ((2, 1, 3), (3, 1, 4), (3, 2, 3), (3, 2, 2)):
+        G = random_dual_poly(rng, PolyRing(field, tuple(f"u{i + 1}" for i in range(k))), degree)
+        coeffs = [[rng.randint(-3, 3) for _ in range(nvars - k)] for _ in range(k)]
+        perm = rng.sample(range(nvars), nvars)
+        F = _form_in_fewer_linear_forms(G, nvars, coeffs, perm)
+        ops = PolyRing(field, tuple(f"X{i + 1}" for i in range(nvars)))
+        _assert_apolar_matches_reference(F, _probes(rng, ops))
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_apolar_algebra_of_a_form_in_fewer_linear_forms_matches_reference_on_hypothesis_inputs(
+        data):
+    field = data.draw(st.sampled_from(FIELDS))
+    nvars = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, nvars - 1))
+    degree = data.draw(st.integers(2, 3))
+    ring = PolyRing(field, tuple(f"u{i + 1}" for i in range(k)))
+    monos = [m for d in range(1, degree + 1) for m in ring.monomials_of_degree(d)]
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=3))
+    terms[data.draw(st.sampled_from(ring.monomials_of_degree(degree)))] = data.draw(
+        st.integers(1, 3))
+    coeffs = [[data.draw(st.integers(-3, 3)) for _ in range(nvars - k)] for _ in range(k)]
+    perm = data.draw(st.permutations(range(nvars)))
+    F = _form_in_fewer_linear_forms(ring.poly(terms), nvars, coeffs, perm)
+    seed = data.draw(st.integers(0, 2 ** 16))
+    ops = PolyRing(field, tuple(f"X{i + 1}" for i in range(nvars)))
+    _assert_apolar_matches_reference(F, _probes(random.Random(seed), ops))

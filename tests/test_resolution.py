@@ -200,6 +200,6 @@ def test_paper_identities_hold_on_hypothesis_pairs(pair):
     Q = connected_sum(R, S).algebra
     P = fibre_product(R, S).algebra
     for report in (verify_cs_series(R, S, Q, 3), verify_fp_series(R, S, P, 3),
-                   verify_mu_formulas(R, S, 3), verify_socle_quotient(Q, 3)):
+                   verify_mu_formulas(R, S), verify_socle_quotient(Q, 3)):
         assert report.holds, report
     assert h2_bound_check(R, S, Q)
