@@ -10,8 +10,7 @@ from .decompose import (DecompositionReport, certify_indecomposable, check_split
                         h2_bound_check, split_witness, structure_decompose)
 from .errors import ArtinsumError
 from .fields import GF, QQ
-from .graded import (GradedAlgebra, associated_graded, classify, gls_split,
-                     iarrobino, is_gls)
+from .graded import associated_graded, classify, gls_split, iarrobino, is_gls
 from .grobner import IdealPresentation, buchberger, normal_form
 from .parse import parse_polynomial, parse_presentation, print_presentation
 from .poly import Grevlex, Polynomial, PolyRing, compare
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtinAlgebra", "ArtinsumError", "BettiData", "DecompositionReport",
-    "GF", "GradedAlgebra", "Grevlex", "IdealPresentation", "Polynomial",
+    "GF", "Grevlex", "IdealPresentation", "Polynomial",
     "PolyRing", "QQ", "SeriesTrunc", "Subspace", "algebra_from_text",
     "apolar_algebra", "apolar_sum_check", "associated_graded", "betti_numbers",
     "buchberger", "build_algebra", "certify_indecomposable", "check_split",

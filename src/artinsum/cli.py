@@ -47,13 +47,12 @@ def _load_algebra(path):
 
 
 def _presentation_block(algebra):
-    basis = algebra.pres.groebner_basis()
     return {
         "ring": repr(algebra.ring),
         "variables": list(algebra.ring.names),
         "field": algebra.field.name,
-        "reduced_basis": [str(g) for g in basis],
-        "source": print_presentation(algebra.ring, list(basis)),
+        "reduced_basis": [str(g) for g in algebra.gb],
+        "source": print_presentation(algebra.ring, algebra.gb),
     }
 
 
@@ -146,7 +145,7 @@ def _analyze_one(path):
         "presentation": _presentation_block(algebra),
     }
     graded = associated_graded(algebra)
-    block = _presentation_block(graded.algebra)
+    block = _presentation_block(graded)
     if graded.loewy_length >= 2:
         flag, witness = is_gls(graded)
         block["gls"] = flag

@@ -10,8 +10,12 @@ class ParseError(ArtinsumError):
 
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
+
+    def __reduce__(self):
+        return type(self), (self.message, self.line, self.col)
 
 
 class NonPrimeModulusError(ArtinsumError):

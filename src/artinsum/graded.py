@@ -1,13 +1,15 @@
 """Associated graded rings, graded socles, linear-socle splitting, and classifiers.
 
-The homogeneous presentations of gr(A) and of Iarrobino's quotient Q0 are
-found degreewise by exact linear algebra: a degree-d form belongs to the
-ideal exactly when its image in A falls into a target subspace, m^(d+1) for
-gr(A) and (0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all
-degrees by the Loewy length s plus one, so the forms of all degrees are one
-kernel, and its echelon form gives the reduced basis and the structure
-tensor (`quotient.kernel_algebra`).  The linear-socle split is a quotient
-and a square-zero algebra, also kernels: no Buchberger run here.
+A graded algebra is an `ArtinAlgebra` with a homogeneous reduced basis;
+its degree pieces are read off its standard monomials.  The homogeneous
+presentations of gr(A) and of Iarrobino's quotient Q0 are found degreewise
+by exact linear algebra: a degree-d form belongs to the ideal exactly when
+its image in A falls into a target subspace, m^(d+1) for gr(A) and
+(0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all degrees by
+the Loewy length s plus one, so the forms of all degrees are one kernel,
+and its echelon form gives the reduced basis and the structure tensor
+(`quotient.kernel_algebra`).  The linear-socle split is a quotient and a
+square-zero algebra, also kernels: no Buchberger run here.
 """
 
 from dataclasses import dataclass, field
@@ -18,92 +20,49 @@ import numpy as np
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import Polynomial, PolyRing, mono_deg
-from .quotient import kernel_algebra, quotient_algebra, square_zero_algebra
+from .quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
+                       square_zero_algebra)
 
 
-class GradedAlgebra:
-    """A standard graded Artinian algebra with its canonical homogeneous presentation."""
-
-    def __init__(self, algebra, source=None):
-        self.algebra = algebra
-        self.source = source
-        for g in algebra.pres.generators:
-            if not g.is_homogeneous():
-                raise ArtinsumError("graded algebra built from a non-homogeneous presentation")
-        self.pieces = {}
-        for i, m in enumerate(algebra.basis):
-            self.pieces.setdefault(mono_deg(m), []).append(i)
-
-    @property
-    def ring(self):
-        return self.algebra.ring
-
-    @property
-    def presentation(self):
-        return self.algebra.pres
-
-    @property
-    def length(self):
-        return self.algebra.length
-
-    @property
-    def loewy_length(self):
-        return self.algebra.loewy_length
-
-    @property
-    def edim(self):
-        return self.algebra.edim
-
-    @property
-    def type(self):
-        return self.algebra.type
-
-    def hilbert_function(self):
-        return self.algebra.hilbert_function()
-
-    def is_gorenstein(self):
-        return self.algebra.is_gorenstein()
-
-    def piece_monomials(self, d):
-        return [self.algebra.basis[i] for i in self.pieces.get(d, [])]
-
-    def socle_by_degree(self):
-        """For each degree, an echelon basis of the degree-d socle (full coordinates)."""
-        A = self.algebra
-        out = {}
-        for d in sorted(self.pieces):
-            idx = self.pieces[d]
-            if A.ring.nvars == 0:
-                block = linalg.identity(A.field, A.length)[idx]
-            else:
-                stacked = np.hstack(A.var_matrices)[idx, :]
-                small = linalg.left_kernel(A.field, stacked)
-                block = linalg.zeros(A.field, (small.shape[0], A.length))
-                block[:, idx] = small
-            rows, _ = linalg.echelon(A.field, block)
-            if rows.shape[0]:
-                out[d] = rows
-        return out
-
-    def socle_interior_dimension(self):
-        """dim of the socle meeting degrees two and higher."""
-        return sum(rows.shape[0] for d, rows in self.socle_by_degree().items() if d >= 2)
-
-    def linear_socle_rows(self):
-        """Degree-1 socle vectors as rows over the variables in declaration order."""
-        A = self.algebra
-        rows = self.socle_by_degree().get(1)
-        if rows is None:
-            return linalg.zeros(A.field, (0, A.ring.nvars))
-        out = linalg.zeros(A.field, (rows.shape[0], A.ring.nvars))
-        out[:, [A.basis[i].index(1) for i in self.pieces[1]]] = rows[:, self.pieces[1]]
-        return linalg.echelon(A.field, out)[0]
-
-    def __repr__(self):
-        return f"<graded algebra {self.ring}, H = {self.hilbert_function()}>"
+def _homogeneous(A):
+    """A itself, once its reduced basis is checked to be homogeneous."""
+    if not all(g.is_homogeneous() for g in A.gb):
+        raise ArtinsumError("graded algebra built from a non-homogeneous presentation")
+    return A
 
 
-def _degreewise_algebra(A, targets, source):
+def socle_by_degree(G):
+    """For each degree, an echelon basis of the degree-d socle of G (full coordinates)."""
+    pieces = {}
+    for i, m in enumerate(G.basis):
+        pieces.setdefault(mono_deg(m), []).append(i)
+    out = {}
+    for d, idx in sorted(pieces.items()):
+        if G.ring.nvars == 0:
+            block = linalg.identity(G.field, G.length)[idx]
+        else:
+            stacked = np.hstack(G.var_matrices)[idx, :]
+            small = linalg.left_kernel(G.field, stacked)
+            block = linalg.zeros(G.field, (small.shape[0], G.length))
+            block[:, idx] = small
+        rows, _ = linalg.echelon(G.field, block)
+        if rows.shape[0]:
+            out[d] = rows
+    return out
+
+
+def linear_socle_rows(G):
+    """Degree-1 socle vectors of G as rows over the variables in declaration order."""
+    rows = socle_by_degree(G).get(1)
+    if rows is None:
+        return linalg.zeros(G.field, (0, G.ring.nvars))
+    linear = [i for i, m in enumerate(G.basis) if mono_deg(m) == 1]
+    out = linalg.zeros(G.field, (rows.shape[0], G.ring.nvars))
+    out[:, [G.basis[i].index(1) for i in linear]] = rows[:, linear]
+    return linalg.echelon(G.field, out)[0]
+
+
+def _degreewise_algebra(A, targets):
     """The graded algebra whose ideal holds the degree-d forms with image in targets[d].
 
     `targets[d]`, for d = 1..s+1 with s the Loewy length of A, is a subspace
@@ -120,7 +79,7 @@ def _degreewise_algebra(A, targets, source):
         rows = linalg.preimage_rows(fld, images, targets[d].rows)
         blocks.append(linalg.zeros(fld, (rows.shape[0], len(monos))))
         blocks[-1][:, cols] = rows
-    return GradedAlgebra(kernel_algebra(ring, monos, np.vstack(blocks)), source=source)
+    return _homogeneous(kernel_algebra(ring, monos, np.vstack(blocks)))
 
 
 def associated_graded(A):
@@ -128,15 +87,15 @@ def associated_graded(A):
 
     Degree d of the presentation consists of the degree-d forms whose image
     in A lies in m^(d+1); all monomials of degree loewy+1 are adjoined so the
-    presentation is visibly zero-dimensional.  The result is kept on A.
+    presentation is visibly zero-dimensional.  The result is kept on A, and
+    is its own associated graded ring.
     """
-    if isinstance(A, GradedAlgebra):
-        return A
     if A._graded is None:
         targets = [A.power(d + 1) for d in range(A.loewy_length + 2)]
-        graded = _degreewise_algebra(A, targets, source=A)
+        graded = _degreewise_algebra(A, targets)
         if graded.hilbert_function() != A.hilbert_function():
             raise ArtinsumError("initial-form computation broke the Hilbert function")
+        graded._graded = graded
         A._graded = graded
     return A._graded
 
@@ -150,14 +109,14 @@ def is_gls(G):
     """
     if G.loewy_length < 2:
         raise PreconditionError("linear-socle test needs Loewy length at least 2")
-    flag = G.socle_interior_dimension() == 1
-    return flag, G.linear_socle_rows()
+    interior = sum(rows.shape[0] for d, rows in socle_by_degree(G).items() if d >= 2)
+    return interior == 1, linear_socle_rows(G)
 
 
 @dataclass
 class GlsSplit:
-    gorenstein_part: GradedAlgebra
-    square_zero_part: GradedAlgebra
+    gorenstein_part: ArtinAlgebra
+    square_zero_part: ArtinAlgebra
     witness_forms: list
     eliminated: tuple
     substitution: dict
@@ -180,11 +139,11 @@ def gls_split(G):
         raise PreconditionError("algebra is not Gorenstein up to linear socle")
     ring = G.ring
     forms = [_linear_form(ring, row) for row in witness]
-    a_part = GradedAlgebra(quotient_algebra(G.algebra, forms))
+    a_part = _homogeneous(quotient_algebra(G, forms))
     eliminated = tuple(name for name in ring.names if name not in a_part.ring.names)
-    substitution = {name: a_part.algebra.reduction_steps[0][1][ring.index[name]]
+    substitution = {name: a_part.reduction_steps[0][1][ring.index[name]]
                     for name in eliminated}
-    b_part = GradedAlgebra(square_zero_algebra(PolyRing(ring.field, eliminated)))
+    b_part = square_zero_algebra(PolyRing(ring.field, eliminated))
     n = len(forms)
     if a_part.type != 1:
         raise ArtinsumError("linear-socle quotient is not Gorenstein")
@@ -199,7 +158,7 @@ def gls_split(G):
 class GradedIdealData:
     """A homogeneous ideal of a graded algebra, held degree by degree."""
 
-    owner: GradedAlgebra
+    owner: ArtinAlgebra
     components: dict = field(default_factory=dict)   # degree -> rows over piece monomials
     forms: list = field(default_factory=list)
 
@@ -215,8 +174,6 @@ def iarrobino(A):
     (0 : m^(s-i)) visible inside m^i; for Gorenstein A the quotient gr(A)/C
     is graded Gorenstein with socle concentrated in degree s.
     """
-    if isinstance(A, GradedAlgebra):
-        A = A.source if A.source is not None else A.algebra
     if not A.is_gorenstein():
         raise NotGorensteinError("the filtration quotient needs a Gorenstein input")
     G = associated_graded(A)
@@ -225,7 +182,7 @@ def iarrobino(A):
     targets = [A.annihilator(A.power(s - i).rows).intersect(A.power(i))
                .add(A.power(i + 1)) for i in range(s + 1)]
     for i, target in enumerate(targets):
-        monos = G.piece_monomials(i)
+        monos = [m for m in G.basis if mono_deg(m) == i]
         if not monos:
             continue
         images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos],
@@ -241,8 +198,8 @@ def iarrobino(A):
             data.forms.extend(Polynomial(G.ring, {m: c for m, c in zip(monos, r)
                                                   if c != A.field.zero})
                               for r in rows)
-    q0 = _degreewise_algebra(A, targets + [A.power(s + 2)], source=A)
-    socle = q0.socle_by_degree()
+    q0 = _degreewise_algebra(A, targets + [A.power(s + 2)])
+    socle = socle_by_degree(q0)
     if q0.type != 1 or set(socle) != {s}:
         raise ArtinsumError("filtration quotient is not Gorenstein with socle degree s")
     hg, hq = G.hilbert_function(), q0.hilbert_function()

@@ -2,12 +2,13 @@
 
 Buchberger and normal forms serve only ideals given by generator lists, as
 the parser gives them (`quotient.build_algebra`): such text carries no
-degree that bounds the ideal.  Every derived ideal contains a power of the
+degree that bounds the ideal.  `IdealPresentation` holds such a list and
+caches its reduced bases; an algebra keeps only the reduced basis
+(`quotient.ArtinAlgebra.gb`).  Every derived ideal contains a power of the
 maximal ideal and is a truncated kernel, whose reduced basis and classes
-come from one echelon form (`quotient.kernel_presentation`); fibre products
-and connected sums get theirs from their factors' bases (`sums`).  No
-Buchberger elimination runs: a subalgebra is presented by its own kernel,
-and linear forms are eliminated in its echelon (`quotient.kernel_algebra`).
+come from one echelon form, in which linear forms are also eliminated
+(`quotient.kernel_algebra`); fibre products and connected sums get theirs
+from their factors' bases (`sums`).  No Buchberger elimination runs.
 
 The pair strategy is the normal one (smallest lcm degree first, ties broken
 by the term order and then pair indices) with the coprime-lcm and chain

@@ -1,23 +1,23 @@
 """Artinian local algebras as finite-dimensional vector spaces with multiplication.
 
-An algebra is built from a zero-dimensional ideal supported at the origin;
-the powers of m failing to shrink to zero show that the quotient is not
-local.  The stored presentation always has its ideal inside the square of
-the maximal ideal, so the variable count equals the embedding dimension.
-When a truncated kernel holds linear forms, the pivots of their echelon
-form are eliminated: one echelon form, in an order that ranks monomials
-first by their degree in the eliminated variables, gives both the ideal on
-the kept variables and the image of each eliminated one (`kernel_algebra`).
-Parsed text that is not minimal is built on its variables as given, then
-taken as the subalgebra they generate.
+`ArtinAlgebra` is the one object that carries an algebra k[x]/I: the
+reduced Grevlex basis of I (`gb`), its standard monomials and the
+structure tensor.  Its ideal lies inside the square of the maximal ideal,
+so the variable count equals the embedding dimension, and the powers of m
+failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order); the structure tensor holds the products of the
 basis elements and is scattered from a table of monomial classes.  Only
-parsed generator lists take that table from Buchberger and normal forms
-(`build_algebra`).  Every derived algebra, a subalgebra or a quotient, has
-an ideal containing a power of m: it is a truncated kernel, whose echelon
-form gives the reduced basis and the table (`kernel_algebra`).
+parsed generator lists, an `IdealPresentation`, take that table from
+Buchberger and normal forms (`build_algebra`); text that is not minimal is
+then taken as the subalgebra its variables generate.  Every derived
+algebra, a subalgebra or a quotient, has an ideal containing a power of m:
+it is a truncated kernel, echeloned once (`kernel_algebra`).  When the
+kernel holds linear forms, the pivots of their echelon form are
+eliminated, in an order that ranks monomials first by their degree in the
+eliminated variables: the one echelon gives the reduced basis and classes
+on the kept variables and the image of each eliminated one.
 """
 
 import numpy as np
@@ -82,16 +82,17 @@ class Subspace:
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    `basis` holds the standard monomials of `pres`, whose reduced basis is
-    known, and `struct[i, j]` the class of basis[i] * basis[j].  The
-    filtration, and with it the locality check, is built from the tensor.
+    `gb` is the reduced Groebner basis of the ideal in the default order,
+    ascending, `basis` its standard monomials and `struct[i, j]` the class
+    of basis[i] * basis[j].  The filtration, and with it the locality
+    check, is built from the tensor.
     """
 
-    def __init__(self, pres, basis, struct):
-        self.pres = pres
-        self.ring = pres.ring
-        self.field = pres.ring.field
-        self.original_ring = pres.ring
+    def __init__(self, ring, gb, basis, struct):
+        self.ring = ring
+        self.gb = tuple(gb)
+        self.field = ring.field
+        self.original_ring = ring
         self.reduction_steps = ()
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
@@ -113,7 +114,7 @@ class ArtinAlgebra:
             mono = tuple(int(i == v) for i in range(self.ring.nvars))
             idx = self.basis_index.get(mono)
             if idx is None:
-                g = next(g for g in self.pres.groebner_basis() if g.leading()[0] == mono)
+                g = next(g for g in self.gb if g.leading()[0] == mono)
                 tail = _coordinates(self.ring.monomial(mono) - g, self.basis_index)
                 self.var_matrices.append(self.mult_matrix(tail))
             else:
@@ -272,7 +273,7 @@ class ArtinAlgebra:
         return len(reps), reps
 
     def __repr__(self):
-        return f"<algebra {self.ring} / {len(self.pres.generators)} gens, dim {self.length}>"
+        return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
 
 
 def _product_class(memo, mono, matrices, field):
@@ -316,7 +317,7 @@ def build_algebra(pres_or_ring, generators=None):
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
-    A = _table_algebra(pres, basis, {
+    A = _table_algebra(pres.ring, pres.groebner_basis(), basis, {
         mono: _coordinates(pres.normal_form(pres.ring.monomial(mono)), index)
         for mono in products})
     if A.power(1).dim - A.power(2).dim == A.ring.nvars:
@@ -324,86 +325,84 @@ def build_algebra(pres_or_ring, generators=None):
     return subalgebra(A, A.ring, A.ring.gens())
 
 
-def _table_algebra(pres, basis, classes):
+def _table_algebra(ring, gb, basis, classes):
     """The algebra whose basis products have the classes in the table, or else are zero."""
-    zero = linalg.zeros(pres.ring.field, len(basis))
+    zero = linalg.zeros(ring.field, len(basis))
     struct = np.array([[classes.get(mono_mul(a, b), zero) for b in basis] for a in basis])
-    return ArtinAlgebra(pres, basis, struct.reshape((len(basis),) * 3))
+    return ArtinAlgebra(ring, gb, basis, struct.reshape((len(basis),) * 3))
 
 
-def kernel_presentation(ring, monos, rows):
-    """The ideal I whose truncation I ∩ span(monos) the rows span, and the classes modulo I.
+def _read_echelon(ring, ordered, echelon, pivots):
+    """The reduced basis, standard monomials and classes of the ideal I an echelon spans.
 
-    `monos` holds every monomial of `ring` up to a degree D, m^D lies in I,
-    and the rows are coefficient vectors over `monos`.  With the columns in
-    decreasing default order the reduced echelon rows are monic, their leads
-    are the leading monomials of I up to degree D, and each row is zero at
-    every other lead.  The rows whose lead has no one-step divisor among the
-    leads, in ascending order, are the reduced Groebner basis, cached on the
-    presentation.  Also returned: the other columns, the standard monomials
-    in ascending order, and the class over them of each monomial of `monos`,
-    a unit vector or minus the reduced tail of a lead.
+    `ordered` holds every monomial of `ring` up to a degree D, in decreasing
+    default order, m^D lies in I, and `echelon` is the reduced echelon basis
+    of I ∩ span(ordered) over those columns, with pivot columns `pivots`.
+    Its rows are monic, their leads are the leading monomials of I up to
+    degree D, and each row is zero at every other lead.  The rows whose
+    lead has no one-step divisor among the leads, in ascending order, are
+    the reduced Groebner basis; the other columns are the standard
+    monomials, and the class of a lead is minus the reduced tail of its row.
     """
-    fld, order = ring.field, ring.order
-    cols = sorted(range(len(monos)), key=lambda j: order.key(monos[j]), reverse=True)
-    ordered = [monos[j] for j in cols]
-    echelon, pivots = linalg.echelon(fld, rows[:, cols])
+    fld = ring.field
     pivots = pivots.tolist()
     leads = {ordered[c] for c in pivots}
-    top = max(map(mono_deg, monos))
-    missing = [m for m in monos if mono_deg(m) == top and m not in leads]
+    top = mono_deg(ordered[0])
+    missing = [m for m in ordered if mono_deg(m) == top and m not in leads]
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
-    basis = []
+    gb = []
     for row, c in zip(echelon.tolist(), pivots):
         lead = ordered[c]
         if not any(e and lead[:i] + (e - 1,) + lead[i + 1:] in leads
                    for i, e in enumerate(lead)):
-            basis.append(Polynomial(ring, {m: x for m, x in zip(ordered, row) if x}))
-    basis.reverse()
-    pres = IdealPresentation(ring, basis)
-    pres._gb_cache[order] = tuple(basis)
+            gb.append(Polynomial(ring, {m: x for m, x in zip(ordered, row) if x}))
+    gb.reverse()
     standard = sorted(set(range(len(ordered))) - set(pivots), reverse=True)
     classes = dict(zip((ordered[c] for c in standard), linalg.identity(fld, len(standard))))
     tails = linalg._canonical(fld, -echelon[:, standard])
     classes.update(zip((ordered[c] for c in pivots), tails))
-    return pres, [ordered[c] for c in standard], classes
+    return gb, [ordered[c] for c in standard], classes
 
 
 def kernel_algebra(ring, monos, rows):
     """The algebra of the truncated kernel, on the variables that minimally generate m.
 
-    An ideal inside m^2 is the presentation `kernel_presentation` reads off
-    the rows.  Otherwise the pivots of the linear parts' echelon form, in
-    declaration order, are eliminated.  With the columns in decreasing order
-    of (degree in the eliminated variables, default order), the rows led by
-    a kept monomial span I ∩ k[kept], the minimal ideal, because the default
-    order restricts to the kept variables; and the row led by an eliminated
-    variable is that variable minus the standard-monomial lift of its class.
-    One reduction step carries the given ring to the kept one.
+    The rows span I ∩ span(monos), where `monos` holds every monomial of
+    `ring` up to a degree D and m^D lies in I.  The pivots of the linear
+    parts' echelon form, in declaration order, are eliminated; there are
+    none when I lies inside m^2.  The rows are echeloned once, with the
+    columns in decreasing order of (degree in the eliminated variables,
+    default order).  The rows led by a kept monomial are then the reduced
+    echelon basis of I ∩ k[kept], the minimal ideal, in default column
+    order, because the default order restricts to the kept variables; and
+    the row led by an eliminated variable is that variable minus the
+    standard-monomial lift of its class.  One reduction step carries the
+    given ring to the kept one.
     """
     fld = ring.field
     units = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
     linear = rows[:, [monos.index(u) for u in units]]
-    if not np.any(linear != fld.zero):
-        return _table_algebra(*kernel_presentation(ring, monos, rows))
-    elim = linalg.echelon(fld, linear)[1].tolist()
+    elim = linalg.echelon(fld, linear)[1].tolist() if np.any(linear != fld.zero) else []
     keep = [v for v in range(ring.nvars) if v not in elim]
     cols = sorted(range(len(monos)), reverse=True,
                   key=lambda j: (sum(monos[j][v] for v in elim), ring.order.key(monos[j])))
     echelon, pivots = linalg.echelon(fld, rows[:, cols])
     ordered = [monos[j] for j in cols]
     first = next(c for c, m in enumerate(ordered) if not any(m[v] for v in elim))
-    kept = [tuple(m[v] for v in keep) for m in ordered[first:]]
-    sub = PolyRing(fld, [ring.names[v] for v in keep])
-    A = _table_algebra(*kernel_presentation(sub, kept, echelon[pivots >= first, first:]))
-    lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
-    images = [sub.var(keep.index(v)) if v in keep
-              else -Polynomial(sub, {m: x for m, x in zip(kept, lead_rows[u]) if x})
-              for v, u in enumerate(units)]
-    A.original_ring = ring
-    A.reduction_steps = ((sub, images),)
+    sub = PolyRing(fld, [ring.names[v] for v in keep]) if elim else ring
+    kept = [tuple(m[v] for v in keep) for m in ordered[first:]] if elim else ordered
+    inside = pivots >= first
+    A = _table_algebra(sub, *_read_echelon(sub, kept, echelon[inside, first:],
+                                           pivots[inside] - first))
+    if elim:
+        lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
+        images = [sub.var(keep.index(v)) if v in keep
+                  else -Polynomial(sub, {m: x for m, x in zip(kept, lead_rows[u]) if x})
+                  for v, u in enumerate(units)]
+        A.original_ring = ring
+        A.reduction_steps = ((sub, images),)
     return A
 
 

@@ -147,7 +147,7 @@ def mu_direct(A):
     their variable multiples certify, which contains m-times-ideal exactly.
     """
     ring = A.ring
-    gens = list(A.pres.generators)
+    gens = A.gb
     if not gens:
         return 0
     bound = A.loewy_length + 2

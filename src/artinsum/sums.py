@@ -6,7 +6,8 @@ return the surviving algebra with an explicit flag rather than erroring.
 Nothing here runs Buchberger or a normal form.  An apolar algebra is the
 truncated kernel Ann(F) (`quotient.kernel_algebra`).
 
-Fibre products and connected sums are assembled from their factors.  Let
+Fibre products and connected sums are assembled from their factors'
+reduced bases (`ArtinAlgebra.gb`), standard monomials and tensors.  Let
 R = k[Y]/I_R and S = k[Z]/I_S have reduced Grevlex bases G_R and G_S, with
 I_R and I_S inside the square of the maximal ideal, as every algebra is
 presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
@@ -34,7 +35,6 @@ import numpy as np
 from . import linalg
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
-from .grobner import IdealPresentation
 from .poly import Polynomial, PolyRing, mono_div
 from .quotient import ArtinAlgebra, kernel_algebra, quotient_algebra
 
@@ -66,21 +66,12 @@ def _embed(poly, big, offset):
     return poly.rename_into(big, index_map)
 
 
-def _fibre_generators(R, S, big):
-    """Both factors' ideals in `big`, joined by every cross product of their variables."""
-    m = R.ring.nvars
-    gens = [_embed(g, big, 0) for g in R.pres.generators]
-    gens += [_embed(g, big, m) for g in S.pres.generators]
-    gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
-    return gens
-
-
 def _fibre_assembly(R, S, big):
     """P = R x_k S on `big`: its reduced basis, standard monomials and structure tensor."""
     m, n = R.ring.nvars, S.ring.nvars
     key = big.order.key
-    gb = [_embed(g, big, 0) for g in R.pres.groebner_basis()]
-    gb += [_embed(g, big, m) for g in S.pres.groebner_basis()]
+    gb = [_embed(g, big, 0) for g in R.gb]
+    gb += [_embed(g, big, m) for g in S.gb]
     gb += [big.var(i) * big.var(m + j) for i in range(m) for j in range(n)]
     gb.sort(key=lambda g: key(g.leading()[0]))
     left = [a + (0,) * n for a in R.basis]
@@ -122,13 +113,6 @@ def _socle_quotient(gb, basis, struct, h):
     return reduced, basis[:at] + basis[at + 1:], struct[np.ix_(keep, keep, keep)]
 
 
-def _assemble(big, generators, gb, basis, struct):
-    """The algebra on `generators`, with its reduced basis and tensor already known."""
-    pres = IdealPresentation(big, generators)
-    pres._gb_cache[big.order] = tuple(gb)
-    return ArtinAlgebra(pres, basis, struct)
-
-
 def fibre_product(R, S):
     """R x_k S as a quotient of the concatenated polynomial ring.
 
@@ -140,7 +124,7 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     big = _combined_ring(R, S)
-    P = _assemble(big, _fibre_generators(R, S, big), *_fibre_assembly(R, S, big))
+    P = ArtinAlgebra(big, *_fibre_assembly(R, S, big))
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -209,8 +193,7 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     big = _combined_ring(R, S)
     h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
-    Q = _assemble(big, _fibre_generators(R, S, big) + [h],
-                  *_socle_quotient(*_fibre_assembly(R, S, big), h))
+    Q = ArtinAlgebra(big, *_socle_quotient(*_fibre_assembly(R, S, big), h))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:
@@ -291,8 +274,8 @@ def apolar_algebra(F, operator_names=None):
 class ApolarSumReport:
     matched: bool
     unit: object
-    combined: IdealPresentation
-    reconstructed: IdealPresentation
+    combined: ArtinAlgebra
+    reconstructed: ArtinAlgebra
     detail: str = ""
 
 
@@ -319,9 +302,7 @@ def apolar_sum_check(F, G):
     try:
         unit = _proportionality_unit(combined, combined.vector(delta_r), combined.vector(delta_s))
     except ArtinsumError as exc:
-        return ApolarSumReport(False, None, combined.pres, None, detail=str(exc))
-    result = connected_sum(R, S, unit=unit)
-    lhs = combined.pres.groebner_basis()
-    rhs = result.algebra.pres.groebner_basis()
-    matched = (combined.ring == result.algebra.ring and lhs == rhs)
-    return ApolarSumReport(matched, unit, combined.pres, result.algebra.pres)
+        return ApolarSumReport(False, None, combined, None, detail=str(exc))
+    reconstructed = connected_sum(R, S, unit=unit).algebra
+    matched = (combined.ring, combined.gb) == (reconstructed.ring, reconstructed.gb)
+    return ApolarSumReport(matched, unit, combined, reconstructed)

@@ -9,6 +9,8 @@ import random
 
 from artinsum import GF, PolyRing, apolar_algebra
 
+from oracles import algebra_ideal
+
 FIELD = GF(101)
 
 
@@ -51,7 +53,7 @@ def random_apolar_ideal(rng, edim, degree, prefix, field=FIELD):
     """The defining ideal of the apolar algebra of a random dual polynomial."""
     names = tuple(f"{prefix}{i + 1}" for i in range(edim))
     dual = PolyRing(field, tuple(f"w{n}" for n in names))
-    return apolar_algebra(random_dual_poly(rng, dual, degree), names).pres
+    return algebra_ideal(apolar_algebra(random_dual_poly(rng, dual, degree), names))
 
 
 def random_pair(rng, max_edim=2, max_ll=4, min_ll=1, field=FIELD):

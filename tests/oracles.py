@@ -26,15 +26,14 @@ from artinsum import linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
 from artinsum.errors import PreconditionError
-from artinsum.graded import GlsSplit, GradedAlgebra, _linear_form, is_gls
+from artinsum.graded import GlsSplit, _linear_form, is_gls
 from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
                               s_polynomial)
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
 from artinsum.quotient import ArtinAlgebra, build_algebra
 from artinsum.resolution import _module_times_element, _unit_entry
-from artinsum.sums import (_combined_ring, _embed, _fibre_generators, _validate_socle,
-                           socle_generator)
+from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
 
 class Lex(TermOrder):
@@ -289,6 +288,16 @@ def buchberger_reference(generators, order, max_degree=None):
     return _interreduce_reference(_minimalize_reference(basis, order), order, cap)
 
 
+def algebra_ideal(A):
+    """The defining ideal of A as an `IdealPresentation` on its reduced basis."""
+    return IdealPresentation(A.ring, list(A.gb))
+
+
+def same_presentation(A, B):
+    """Whether two algebras have the same ring and the same reduced basis."""
+    return (A.ring, A.gb) == (B.ring, B.gb)
+
+
 def contract_reference(pres, keep):
     """Generators of the contraction to the subring on the kept variables.
 
@@ -458,7 +467,8 @@ def build_algebra_reference(pres):
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
-    A = ArtinAlgebra(minimal, basis, normal_form_structure_reference(minimal, basis))
+    A = ArtinAlgebra(minimal.ring, minimal.groebner_basis(), basis,
+                     normal_form_structure_reference(minimal, basis))
     A.original_ring = pres.ring
     A.reduction_steps = tuple(steps)
     return A
@@ -511,6 +521,14 @@ def betti_numbers_reference(A, truncation):
     return tuple(betti)
 
 
+def _fibre_generators(R, S, big):
+    """Both factors' reduced bases in `big`, joined by every cross product of their variables."""
+    m = R.ring.nvars
+    gens = [_embed(g, big, 0) for g in R.gb] + [_embed(g, big, m) for g in S.gb]
+    gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
+    return gens
+
+
 def fibre_product_reference(R, S):
     """R x_k S by `build_algebra` on the factors' generators and the cross products."""
     big = _combined_ring(R, S)
@@ -558,7 +576,7 @@ def vector_reference(A, poly):
     if poly.ring == A.original_ring and A.reduction_steps:
         poly = A.reduce_to_presentation_ring(poly)
     vec = linalg.zeros(A.field, A.length)
-    for m, c in A.pres.normal_form(poly).terms.items():
+    for m, c in algebra_ideal(A).normal_form(poly).terms.items():
         vec[A.basis_index[m]] = c
     return vec
 
@@ -568,7 +586,7 @@ def quotient_algebra_reference(algebra, extra_polys):
 
     `quotient.quotient_algebra` must give the same algebra.
     """
-    gens = list(algebra.pres.generators) + [p for p in extra_polys if not p.is_zero()]
+    gens = list(algebra.gb) + [p for p in extra_polys if not p.is_zero()]
     return build_algebra(algebra.ring, gens)
 
 
@@ -577,10 +595,11 @@ def modulo_socle_reference(A):
     return quotient_algebra_reference(A, A.socle().lifts())
 
 
-def graded_from_homogeneous(ring, generators, source=None):
-    """Build a GradedAlgebra from homogeneous generators (canonicalized)."""
-    pres = IdealPresentation(ring, generators)
-    return GradedAlgebra(build_algebra(pres), source=source)
+def graded_from_homogeneous(ring, generators):
+    """The graded algebra of homogeneous generators, by `build_algebra`."""
+    A = build_algebra(ring, generators)
+    assert all(g.is_homogeneous() for g in A.gb)
+    return A
 
 
 def gls_split_reference(G):
@@ -609,7 +628,7 @@ def gls_split_reference(G):
                 expr = expr - sub.var(new).scale(c)
         images[piv] = expr
         substitution[ring.names[piv]] = expr
-    a_gens = [g.compose(sub, images) for g in G.presentation.generators]
+    a_gens = [g.compose(sub, images) for g in G.gb]
     a_part = graded_from_homogeneous(sub, a_gens)
     b_ring = PolyRing(fld, [ring.names[i] for i in pivots])
     b_gens = [b_ring.var(i) * b_ring.var(j)
@@ -624,5 +643,6 @@ def cross_products_outside_reference(Q, left_names, right_names):
     `decompose.check_split` must list the same products.
     """
     var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
+    ideal = algebra_ideal(Q)
     return [f"{yn}*{zn}" for yn in left_names for zn in right_names
-            if not Q.pres.contains(var[yn] * var[zn])]
+            if not ideal.contains(var[yn] * var[zn])]

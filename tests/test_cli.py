@@ -1,6 +1,9 @@
 """Golden schema-1 JSON reports of the CLI, compared byte for byte."""
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from artinsum.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parents[1] / "src"
 
 # hidden_sum.txt is `artinsum apolar --field QQ --dual-vars w1 w2 --ops X1 X2`
 # of F(u) + b*v^2 with F(u) = u^4 + 2*u^3 - u^2, b = -2, u = w1 + w2 and
@@ -24,6 +28,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 #
 # The nonminimal apolar case is (w1 + w2)^3, whose annihilator holds X1 - X2:
 # the algebra is reported on X2 alone, QQ[X2]/(X2^4).
+#
+# split_gf101.txt is GF(101)[Y]/(Y^5) # GF(101)[Z]/(Z^4) in its split
+# coordinates, the case that `decompose --partition` takes.
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
@@ -55,6 +62,11 @@ def test_qq_json_report_is_golden(golden, monkeypatch, capsys):
     assert out == (GOLDEN / f"{golden}.json").read_text()
 
 
+def test_gf_partition_json_report_is_golden(monkeypatch, capsys):
+    out = _report(["decompose", "split_gf101.txt", "--partition", "Y|Z"], monkeypatch, capsys)
+    assert out == (GOLDEN / "decompose_partition_gf101.json").read_text()
+
+
 @pytest.mark.parametrize("value", ["GF7", "GF(7", "ab(7)", "GF(8)"])
 def test_apolar_rejects_a_malformed_field_as_a_parse_error(value, capsys):
     # the value is read by the `field` grammar of the presentation format
@@ -79,3 +91,18 @@ def test_analyze_directory_report_does_not_depend_on_jobs(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert reports[0].count('"path": ') == len(names)
+
+
+def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_path):
+    shutil.copy(GOLDEN / "hidden_sum.txt", tmp_path / "good.txt")
+    (tmp_path / "bad.txt").write_text("field QQ;\nvars Y;\nideal Y^2 +;\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    runs = []
+    for jobs in ("1", "2"):
+        # in a subprocess with a timeout, so that a hang fails here
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "artinsum", "analyze", str(tmp_path), "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=60))
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr.startswith("error: ") and runs[1].stderr == runs[0].stderr

@@ -15,11 +15,12 @@ from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
 from artinsum.grobner import buchberger, s_polynomial
-from artinsum.quotient import build_algebra, kernel_presentation, subalgebra
+from artinsum.quotient import build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_kernel, connected_sum
 
 from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
-from oracles import (Block, Lex, buchberger_reference, contract_reference,
+from oracles import (Block, Lex, algebra_ideal, buchberger_reference,
+                     build_algebra_reference, contract_reference,
                      cross_products_outside_reference, ideal_member, same_ideal,
                      subring_quotient_dimension)
 
@@ -88,13 +89,13 @@ def _subalgebra_on(Q, keep):
 def test_contract_golden():
     Q = build_algebra(ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2"))
     C = _subalgebra_on(Q, ["Z1", "Z2"])
-    assert sorted(str(g) for g in C.pres.groebner_basis()) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
+    assert sorted(str(g) for g in C.gb) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
 
 
 def test_contract_derived():
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Y^3-Z^2")
     C = _subalgebra_on(build_algebra(I), ["Y"])
-    assert [str(g) for g in C.pres.groebner_basis()] == ["Y^4"]
+    assert [str(g) for g in C.gb] == ["Y^4"]
     # minimality: Y^3 is not in the ideal
     assert not I.contains(I.ring.var(0) ** 3)
 
@@ -106,13 +107,14 @@ def test_contract_caches_the_reduced_basis(field):
     rng = random.Random(13)
     ideals = [random_apolar_ideal(rng, edim, degree, prefix, field)
               for edim, degree, prefix in ((2, 3, "Y"), (3, 2, "U"), (2, 4, "Z"))]
-    ideals.append(connected_sum(build_algebra(ideals[0]), build_algebra(ideals[2])).algebra.pres)
+    ideals.append(algebra_ideal(connected_sum(build_algebra(ideals[0]),
+                                              build_algebra(ideals[2])).algebra))
     for I in ideals:
         Q = build_algebra(I)
         names = I.ring.names
         keeps = [names[:1], names[1:], names[::2], names[-2:], names]
         for keep in keeps:
-            basis = _subalgebra_on(Q, keep).pres.groebner_basis()
+            basis = _subalgebra_on(Q, keep).gb
             reference = contract_reference(I, list(keep)).groebner_basis()
             assert basis == reference
             assert basis == tuple(buchberger(list(reference), Grevlex(len(keep))))
@@ -129,8 +131,8 @@ def test_split_components_match_the_contraction_reference(field):
         assert check.ok
         for component, names in ((check.left, R.ring.names), (check.right, S.ring.names)):
             assert component.ring.names == names
-            assert (component.pres.groebner_basis()
-                    == contract_reference(Q.pres, list(names)).groebner_basis())
+            assert (component.gb
+                    == contract_reference(algebra_ideal(Q), list(names)).groebner_basis())
 
 
 def test_zero_dimensionality():
@@ -185,10 +187,10 @@ def test_contraction_soundness_and_completeness():
         A = build_algebra(I)
         C = _subalgebra_on(A, keep)
         # soundness: every basis element lies in I and only uses kept vars
-        for g in C.pres.generators:
+        for g in C.gb:
             assert I.contains(g.rename_into(ring))
         # completeness: standard-monomial count equals the subalgebra dimension
-        assert len(C.pres.standard_monomials()) == subring_quotient_dimension(A, keep)
+        assert len(algebra_ideal(C).standard_monomials()) == subring_quotient_dimension(A, keep)
 
 
 def test_degree_guard_trips():
@@ -275,7 +277,7 @@ def test_buchberger_matches_reference_on_apolar_ideals(field):
     Q = connected_sum(build_algebra(ideals[1]), build_algebra(ideals[2])).algebra
     probes = [_random_poly(rng, Q.ring, 3) for _ in range(3)]
     for order in (Grevlex(4), Block((0, 1), (2, 3))):
-        _assert_matches_reference(list(Q.pres.generators), order, probes)
+        _assert_matches_reference(list(Q.gb), order, probes)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -325,9 +327,12 @@ def _rows_as_polynomials(ring, monos, rows):
 
 
 def _assert_kernel_presentation_matches(ring, monos, rows):
-    basis = kernel_presentation(ring, monos, rows)[0].groebner_basis()
-    assert basis == tuple(buchberger(_rows_as_polynomials(ring, monos, rows), ring.order))
-    return basis
+    # the reference makes the ideal minimal by substitution when the rows
+    # have linear parts, and is Buchberger's reduced basis otherwise
+    A = kernel_algebra(ring, monos, rows)
+    expected = build_algebra_reference(
+        IdealPresentation(ring, _rows_as_polynomials(ring, monos, rows)))
+    assert (A.ring, A.gb) == (expected.ring, expected.gb)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -363,8 +368,7 @@ def test_apolar_presentation_holds_field_scalars(field, kind):
     # canonical int in [0, p) over GF(p) and Fraction over QQ, as in fields.py
     dual = PolyRing(field, ("w1", "w2"))
     F = dual.poly({(3, 0): 3, (1, 2): -7, (0, 2): 5})
-    pres = apolar_algebra(F).pres
-    coefficients = [c for g in pres.generators + pres.groebner_basis() for c in g.terms.values()]
+    coefficients = [c for g in apolar_algebra(F).gb for c in g.terms.values()]
     assert coefficients and all(type(c) is kind for c in coefficients)
     if kind is int:
         assert all(0 < c < field.p for c in coefficients)
@@ -376,11 +380,11 @@ def test_kernel_presentation_needs_the_top_power_of_m():
     top = [m for m in monos if sum(m) == 2 and m != (1, 1)]
     rows = np.array([[int(m == t) for m in monos] for t in top], dtype=np.int64)
     with pytest.raises(ArtinsumError) as info:
-        kernel_presentation(ring, monos, rows)
+        kernel_algebra(ring, monos, rows)
     assert "m^2 inside the ideal" in str(info.value)
     assert "X*Y" in str(info.value)
     rows = np.vstack([rows, [int(m == (1, 1)) for m in monos]])
-    assert [str(g) for g in kernel_presentation(ring, monos, rows)[0].generators] == [
+    assert [str(g) for g in kernel_algebra(ring, monos, rows).gb] == [
         "Y^2", "X*Y", "X^2"]
 
 

@@ -1,5 +1,7 @@
 """Presentation grammar: golden cases, error locations, and round trips."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,15 @@ def test_syntax_error_location():
     with pytest.raises(ParseError) as err:
         parse_presentation("field QQ;\nvars Y;\nideal Y^^2;")
     assert err.value.line == 3
+
+
+def test_parse_error_survives_pickling():
+    # a worker process of `analyze --jobs` hands its error back by pickle
+    with pytest.raises(ParseError) as err:
+        parse_presentation("field QQ;\nvars Y;\nideal Y^^2;")
+    back = pickle.loads(pickle.dumps(err.value))
+    assert type(back) is ParseError
+    assert (back.line, back.col, str(back)) == (err.value.line, err.value.col, str(err.value))
 
 
 def test_unknown_variable():

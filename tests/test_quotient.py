@@ -14,11 +14,12 @@ from artinsum import (GF, QQ, ArtinAlgebra, PolyRing, algebra_from_text, apolar_
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
-from artinsum.quotient import kernel_presentation, quotient_algebra, subalgebra
+from artinsum import quotient
+from artinsum.quotient import kernel_algebra, quotient_algebra, subalgebra
 from artinsum.sums import _apolar_kernel
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
-from oracles import (build_algebra_reference, modulo_socle_reference,
+from oracles import (algebra_ideal, build_algebra_reference, modulo_socle_reference,
                      normal_form_structure_reference, quotient_algebra_reference,
                      vector_reference)
 
@@ -150,7 +151,7 @@ def test_gorenstein_duality_random_ideals():
 
 def test_multiplication_oracle():
     A = algebra_from_text(STRETCHED)
-    gb = list(A.pres.groebner_basis())
+    gb = list(A.gb)
     for i, bi in enumerate(A.basis):
         for j, bj in enumerate(A.basis):
             prod = A.ring.monomial(bi, 1) * A.ring.monomial(bj, 1)
@@ -239,7 +240,7 @@ def _hide(A, extra, coeff, perm):
     """
     ring = PolyRing(A.field, A.ring.names + tuple(f"T{k + 1}" for k in range(extra)))
     n = ring.nvars
-    gens = [g.rename_into(ring) for g in A.pres.generators]
+    gens = [g.rename_into(ring) for g in A.gb]
     for k in range(extra):
         before = A.ring.nvars + k
         h = ring.poly({m: coeff() for d in (1, 2) for m in ring.monomials_of_degree(d)
@@ -265,7 +266,7 @@ def _assert_same_algebra(pres, probes):
         return
     got = build_algebra(fresh)
     assert got.ring == expected.ring and got.original_ring == pres.ring
-    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.gb == expected.gb
     assert got.basis == expected.basis
     assert np.array_equal(got.struct, expected.struct)
     for f in probes:
@@ -326,7 +327,7 @@ def test_minimal_presentation_matches_reference_on_hypothesis_inputs(data):
 
 def _assert_same_quotient(got, expected):
     assert got.ring == expected.ring and got.original_ring == expected.original_ring
-    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.gb == expected.gb
     assert got.basis == expected.basis
     assert got.struct.dtype == expected.struct.dtype
     assert np.array_equal(got.struct, expected.struct)
@@ -339,8 +340,9 @@ def _assert_same_quotient(got, expected):
 def _assert_tensor_and_classes(A, probes):
     # the tensor read off the echelon is the normal-form tensor, and classes
     # taken as products of variable matrices are normal forms
-    assert A.basis == tuple(A.pres.standard_monomials())
-    expected = normal_form_structure_reference(A.pres, A.basis)
+    ideal = algebra_ideal(A)
+    assert A.basis == tuple(ideal.standard_monomials())
+    expected = normal_form_structure_reference(ideal, A.basis)
     assert A.struct.dtype == expected.dtype and np.array_equal(A.struct, expected)
     for f in probes:
         assert np.array_equal(A.vector(f), vector_reference(A, f))
@@ -349,7 +351,7 @@ def _assert_tensor_and_classes(A, probes):
 def _derived_from(R, S):
     """Algebras built from R and S without parsed text: the sum, gr, Q0 and subalgebras."""
     Q = connected_sum(R, S).algebra
-    out = [R, S, Q, associated_graded(Q).algebra, iarrobino(Q)[1].algebra]
+    out = [R, S, Q, associated_graded(Q), iarrobino(Q)[1]]
     names = Q.ring.names
     out.append(subalgebra(Q, PolyRing(Q.field, names[:1]), [Q.ring.var(0)]))
     # a coordinate change that keeps m: every variable plus the last one squared
@@ -401,16 +403,42 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
     u = dual.var(0) + dual.var(1).scale(2)
     F = u ** 3 + u * dual.var(2) ** 2 + dual.var(2) ** 3
     ops = PolyRing(field, ("X1", "X2", "X3"))
-    pres, basis, classes = kernel_presentation(ops, *_apolar_kernel(F, ops))
+    monos, rows = _apolar_kernel(F, ops)
+    pres = IdealPresentation(ops, [ops.poly(dict(zip(monos, row))) for row in rows.tolist()])
+    basis = pres.standard_monomials()
     assert (1, 0, 0) not in basis
-    zero = linalg.zeros(field, len(basis))
-    struct = np.array([[classes.get(tuple(a + b for a, b in zip(x, y)), zero) for y in basis]
-                       for x in basis])
-    A = ArtinAlgebra(pres, basis, struct)
+    A = ArtinAlgebra(ops, pres.groebner_basis(), basis,
+                     normal_form_structure_reference(pres, basis))
     _assert_tensor_and_classes(A, _probes(random.Random(3), ops) + ops.gens())
     minimal = apolar_algebra(F, ops.names)
     assert minimal.ring.names == ("X2", "X3")
     assert np.array_equal(minimal.vector(ops.var(0)), vector_reference(minimal, ops.var(0)))
+
+
+@pytest.mark.parametrize("text, shapes", [
+    ("w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3", [(11, 2), (11, 15)]),  # (w1 + w2)^3
+    ("w1^3 + w2^3", [(9, 15)])])
+def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
+    # the linear parts' echelon, then one echelon of all rows: the rows led
+    # by kept monomials are the kept ideal's echelon, and are not echeloned again
+    recorded, recording = [], [True]
+    echelon, table = linalg.echelon, quotient._table_algebra
+
+    def recording_echelon(field, a):
+        if recording[0]:
+            recorded.append(np.shape(a))
+        return echelon(field, a)
+
+    def table_algebra(*args):
+        recording[0] = False
+        return table(*args)
+
+    dual, ops = PolyRing(QQ, ("w1", "w2")), PolyRing(QQ, ("X1", "X2"))
+    monos, rows = _apolar_kernel(parse_polynomial(text, dual), ops)
+    monkeypatch.setattr(linalg, "echelon", recording_echelon)
+    monkeypatch.setattr(quotient, "_table_algebra", table_algebra)
+    kernel_algebra(ops, monos, rows)
+    assert recorded == shapes
 
 
 @st.composite
@@ -462,7 +490,7 @@ def _assert_apolar_matches_reference(F, probes):
     kernel = [ops.poly(dict(zip(monos, row))) for row in rows.tolist()]
     expected = build_algebra_reference(IdealPresentation(ops, kernel))
     assert got.ring == expected.ring and got.ring.nvars < ops.nvars
-    assert got.pres.groebner_basis() == expected.pres.groebner_basis()
+    assert got.gb == expected.gb
     assert got.basis == expected.basis
     assert got.struct.dtype == expected.struct.dtype
     assert np.array_equal(got.struct, expected.struct)

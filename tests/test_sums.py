@@ -18,13 +18,14 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
 from artinsum.grobner import IdealPresentation
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import connected_sum_reference, fibre_product_reference
+from oracles import connected_sum_reference, fibre_product_reference, same_presentation
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
 
 def gb_strings(A):
-    return sorted(str(g) for g in A.pres.groebner_basis())
+    return sorted(str(g) for g in A.gb)
+
 
 
 def test_fibre_product_of_quadrics():
@@ -136,9 +137,8 @@ def test_quotient_by_socle_splits_as_fibre_product():
     R = algebra_from_text("field QQ; vars Y; ideal Y^3")
     S = algebra_from_text("field QQ; vars Z; ideal Z^3")
     Q = connected_sum(R, S).algebra
-    lhs = modulo_socle(Q).pres
-    rhs = fibre_product(modulo_socle(R), modulo_socle(S)).algebra.pres
-    assert lhs == rhs
+    P = fibre_product(modulo_socle(R), modulo_socle(S)).algebra
+    assert same_presentation(modulo_socle(Q), P)
 
 
 def test_apolar_sum_of_squares():
@@ -162,7 +162,7 @@ def test_apolar_mixed_degrees():
     B = connected_sum(algebra_from_text("field QQ; vars U; ideal U^4"),
                       algebra_from_text("field QQ; vars V; ideal V^3"),
                       unit=3).algebra
-    assert A.pres == B.pres
+    assert same_presentation(A, B)
 
 
 def test_apolar_characteristic_guard():
@@ -207,8 +207,7 @@ def test_apolar_sum_check_examples():
 
 def _assert_same_algebra(new, old):
     assert new.ring == old.ring
-    assert new.pres.generators == old.pres.generators
-    assert new.pres.groebner_basis() == old.pres.groebner_basis()
+    assert new.gb == old.gb
     assert new.basis == old.basis
     assert new.struct.dtype == old.struct.dtype
     assert new.struct.shape == old.struct.shape and np.array_equal(new.struct, old.struct)
@@ -248,8 +247,8 @@ def test_sums_match_reference_with_units_and_custom_socles(field):
         for unit in (2, -1, 57):
             _assert_sums_match_reference(R, S, unit=unit)
         # scalar multiples of the socle generators, shifted by elements of the ideals
-        left = socle_generator(R).scale(rng.randrange(1, 50)) + R.pres.generators[0]
-        right = socle_generator(S).scale(-rng.randrange(1, 50)) + S.pres.generators[-1]
+        left = socle_generator(R).scale(rng.randrange(1, 50)) + R.gb[0]
+        right = socle_generator(S).scale(-rng.randrange(1, 50)) + S.gb[-1]
         _assert_sums_match_reference(R, S, unit=3, socle_left=left, socle_right=right)
         _assert_sums_match_reference(R, S, socle_right=right)
 
