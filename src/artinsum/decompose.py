@@ -260,12 +260,10 @@ def structure_decompose(Q):
     identities.append(("length-additivity", R.length + S.length == Q.length + 2))
     identities.append(("right-factor-loewy-2", S.loewy_length == 2))
     reconstructed = connected_sum(R, S, unit=check.unit).algebra
-    identities.append(("reconstruction", (reconstructed.ring, reconstructed.gb)
-                       == (split_algebra.ring, split_algebra.gb)))
+    identities.append(("reconstruction", reconstructed.same_presentation(split_algebra)))
     graded_part = gls_split(associated_graded(split_algebra)).gorenstein_part
-    gr_R = associated_graded(R)
     identities.append(("graded-part-presentation",
-                       (graded_part.ring, graded_part.gb) == (gr_R.ring, gr_R.gb)))
+                       graded_part.same_presentation(associated_graded(R))))
     if not all(flag for _, flag in identities):
         failed = [name for name, flag in identities if not flag]
         raise ArtinsumError("verification failed: " + ", ".join(failed))

@@ -33,6 +33,7 @@ def _homogeneous(A):
 
 def socle_by_degree(G):
     """For each degree, an echelon basis of the degree-d socle of G (full coordinates)."""
+    _homogeneous(G)
     pieces = {}
     for i, m in enumerate(G.basis):
         pieces.setdefault(mono_deg(m), []).append(i)
@@ -60,6 +61,11 @@ def linear_socle_rows(G):
     out = linalg.zeros(G.field, (rows.shape[0], G.ring.nvars))
     out[:, [G.basis[i].index(1) for i in linear]] = rows[:, linear]
     return linalg.echelon(G.field, out)[0]
+
+
+def interior_socle_dimension(G):
+    """The dimension of the socle of G in degrees two and up."""
+    return sum(rows.shape[0] for d, rows in socle_by_degree(G).items() if d >= 2)
 
 
 def _degreewise_algebra(A, targets):
@@ -109,8 +115,7 @@ def is_gls(G):
     """
     if G.loewy_length < 2:
         raise PreconditionError("linear-socle test needs Loewy length at least 2")
-    interior = sum(rows.shape[0] for d, rows in socle_by_degree(G).items() if d >= 2)
-    return interior == 1, linear_socle_rows(G)
+    return interior_socle_dimension(G) == 1, linear_socle_rows(G)
 
 
 @dataclass

@@ -272,6 +272,10 @@ class ArtinAlgebra:
         reps = linalg.complement_rows(self.field, sub.rows, mw.rows, mw.pivots)
         return len(reps), reps
 
+    def same_presentation(self, other):
+        """Whether `other` is presented on the same ring by the same reduced basis."""
+        return (self.ring, self.gb) == (other.ring, other.gb)
+
     def __repr__(self):
         return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
 

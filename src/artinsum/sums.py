@@ -304,5 +304,5 @@ def apolar_sum_check(F, G):
     except ArtinsumError as exc:
         return ApolarSumReport(False, None, combined, None, detail=str(exc))
     reconstructed = connected_sum(R, S, unit=unit).algebra
-    matched = (combined.ring, combined.gb) == (reconstructed.ring, reconstructed.gb)
-    return ApolarSumReport(matched, unit, combined, reconstructed)
+    return ApolarSumReport(combined.same_presentation(reconstructed), unit, combined,
+                           reconstructed)

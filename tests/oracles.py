@@ -293,11 +293,6 @@ def algebra_ideal(A):
     return IdealPresentation(A.ring, list(A.gb))
 
 
-def same_presentation(A, B):
-    """Whether two algebras have the same ring and the same reduced basis."""
-    return (A.ring, A.gb) == (B.ring, B.gb)
-
-
 def contract_reference(pres, keep):
     """Generators of the contraction to the subring on the kept variables.
 
@@ -535,13 +530,21 @@ def fibre_product_reference(R, S):
     return build_algebra(big, _fibre_generators(R, S, big))
 
 
-def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
-    """R # S by `build_algebra` on the fibre product's generators and the socle difference."""
+def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
+    """The ideal of R # S on the fibre product's generators and the socle difference.
+
+    Its generators are in general not a Groebner basis.
+    """
     big = _combined_ring(R, S)
     delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
-    return build_algebra(big, _fibre_generators(R, S, big) + [h])
+    return IdealPresentation(big, _fibre_generators(R, S, big) + [h])
+
+
+def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
+    """R # S by `build_algebra` on the fibre product's generators and the socle difference."""
+    return build_algebra(connected_sum_ideal(R, S, unit, socle_left, socle_right))
 
 
 # ---------------------------------------------------------------------------

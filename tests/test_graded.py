@@ -13,25 +13,20 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, classify, connected_sum, fibre_product,
                       gls_split, iarrobino, is_gls, parse_polynomial, structure_decompose)
 from artinsum import graded, quotient
-from artinsum.errors import PreconditionError
-from artinsum.graded import compressed_hilbert, linear_socle_rows, socle_by_degree
+from artinsum.errors import ArtinsumError, PreconditionError
+from artinsum.graded import (compressed_hilbert, interior_socle_dimension, linear_socle_rows,
+                             socle_by_degree)
 from artinsum.grobner import IdealPresentation, buchberger
 from artinsum.quotient import presentation_in_coordinates
 
 from corpus import pair_corpus, random_pair
-from oracles import (graded_from_homogeneous, gls_split_reference, initial_form_generators,
-                     same_presentation)
+from oracles import graded_from_homogeneous, gls_split_reference, initial_form_generators
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
 
 
 def gb_strings(graded):
     return sorted(str(g) for g in graded.gb)
-
-
-
-def interior_socle_dimension(G):
-    return sum(rows.shape[0] for d, rows in socle_by_degree(G).items() if d >= 2)
 
 
 def test_initial_forms_of_stretched_example():
@@ -44,7 +39,7 @@ def test_initial_forms_of_stretched_example():
 def test_graded_input_is_fixed_point():
     A = algebra_from_text("field QQ; vars Y; ideal Y^3")
     G = associated_graded(A)
-    assert same_presentation(G, A)
+    assert G.same_presentation(A)
     assert G.length == A.length
     assert associated_graded(G) is G
 
@@ -58,7 +53,7 @@ def test_gr_of_sum_with_unequal_loewy_lengths_splits():
     gr_r = associated_graded(R)
     s_mod_socle = algebra_from_text("field QQ; vars Z; ideal Z^2")
     fp = fibre_product(gr_r, s_mod_socle).algebra
-    assert same_presentation(G, fp)
+    assert G.same_presentation(fp)
 
 
 def test_graded_socle_degrees():
@@ -93,6 +88,14 @@ def test_is_gls_examples():
         is_gls(flat)  # Loewy length 1 is outside the contract
 
 
+def test_graded_readers_reject_a_non_graded_algebra():
+    A = algebra_from_text(STRETCHED)  # Z^2 - Y^3 is not homogeneous
+    for reader in (is_gls, gls_split, socle_by_degree, linear_socle_rows,
+                   interior_socle_dimension):
+        with pytest.raises(ArtinsumError, match="non-homogeneous"):
+            reader(A)
+
+
 def test_gls_split_stretched():
     G = associated_graded(algebra_from_text(STRETCHED))
     split = gls_split(G)
@@ -105,7 +108,7 @@ def test_gls_split_stretched():
 def test_gls_split_gorenstein_input_is_trivial():
     G = associated_graded(algebra_from_text("field QQ; vars Y; ideal Y^4"))
     split = gls_split(G)
-    assert same_presentation(split.gorenstein_part, G)
+    assert split.gorenstein_part.same_presentation(G)
     assert split.square_zero_part.edim == 0
     assert split.square_zero_part.length == 1
 
@@ -186,7 +189,7 @@ def test_iarrobino_values():
     graded_gor = algebra_from_text("field QQ; vars Y; ideal Y^4")
     data, q0 = iarrobino(graded_gor)
     assert data.dim == 0
-    assert same_presentation(q0, associated_graded(graded_gor))
+    assert q0.same_presentation(associated_graded(graded_gor))
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(1048573), QQ], ids=repr)
@@ -207,7 +210,7 @@ def test_degreewise_presentations_match_buchberger(field):
         assert G.gb == tuple(buchberger(initial_form_generators(A), A.ring.order))
         data, q0 = iarrobino(A)
         reference = graded_from_homogeneous(A.ring, list(G.gb) + data.forms)
-        assert same_presentation(q0, reference)
+        assert q0.same_presentation(reference)
 
 
 def test_classify_patterns():
@@ -232,7 +235,7 @@ def test_gr_of_fibre_product_is_fibre_of_gr():
     for R, S in pairs:
         P = fibre_product(R, S).algebra
         rhs = fibre_product(associated_graded(R), associated_graded(S)).algebra
-        assert same_presentation(associated_graded(P), rhs)
+        assert associated_graded(P).same_presentation(rhs)
 
 
 def test_associated_graded_is_built_once_per_algebra(monkeypatch):
