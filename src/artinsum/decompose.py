@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
-from .graded import associated_graded, classify, gls_split, is_gls
+from .graded import associated_graded, classify, gls_split, interior_socle_dimension
 from .poly import PolyRing
 from .quotient import (ArtinAlgebra, presentation_in_coordinates, square_zero_algebra,
                        subalgebra)
@@ -100,8 +100,7 @@ def split_witness(Q):
     if s < 3:
         raise PreconditionError("witness extraction needs Loewy length at least 3")
     G = associated_graded(Q)
-    gls_flag, _ = is_gls(G)
-    if not gls_flag:
+    if interior_socle_dimension(G) != 1:
         raise PreconditionError("associated graded ring is not Gorenstein up to linear socle")
     n = G.type - 1
     if n == 0:
@@ -233,8 +232,7 @@ def structure_decompose(Q):
     if Q.loewy_length < 3:
         raise PreconditionError("structure decomposition needs Loewy length at least 3")
     G = associated_graded(Q)
-    gls_flag, _ = is_gls(G)
-    if not gls_flag:
+    if interior_socle_dimension(G) != 1:
         certs = certify_indecomposable(Q)
         status = "indecomposable-certified" if certs else "inconclusive"
         return DecompositionReport(status=status, certificates=certs)

@@ -2,7 +2,10 @@
 
 Scalars are plain Python values (``Fraction`` over QQ, canonical ``int`` in
 [0, p) over GF(p)); all arithmetic routes through the field object so the
-two lanes share every algorithm above this module.
+two lanes share every algorithm above this module.  Polynomial coefficients
+are such scalars.  QQ matrices (see `linalg`) also hold a Python ``int``
+wherever an entry is integral; the field operations accept ints, and
+``coerce`` turns them back into Fractions where polynomials are built.
 """
 
 from fractions import Fraction

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
-from .poly import Polynomial, PolyRing, mono_deg
+from .poly import PolyRing, mono_deg
 from .quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
                        square_zero_algebra)
 
@@ -32,24 +32,19 @@ def _homogeneous(A):
 
 
 def socle_by_degree(G):
-    """For each degree, an echelon basis of the degree-d socle of G (full coordinates)."""
+    """For each degree, an echelon basis of the degree-d socle of G (full coordinates).
+
+    Multiplication by a variable raises degrees, so the socle of G is graded
+    and its reduced echelon basis (`G.socle()`, kept on G) is made of forms:
+    the rows whose pivot has degree d are the reduced echelon basis of the
+    degree-d socle.
+    """
     _homogeneous(G)
-    pieces = {}
-    for i, m in enumerate(G.basis):
-        pieces.setdefault(mono_deg(m), []).append(i)
+    socle = G.socle()
     out = {}
-    for d, idx in sorted(pieces.items()):
-        if G.ring.nvars == 0:
-            block = linalg.identity(G.field, G.length)[idx]
-        else:
-            stacked = np.hstack(G.var_matrices)[idx, :]
-            small = linalg.left_kernel(G.field, stacked)
-            block = linalg.zeros(G.field, (small.shape[0], G.length))
-            block[:, idx] = small
-        rows, _ = linalg.echelon(G.field, block)
-        if rows.shape[0]:
-            out[d] = rows
-    return out
+    for row, c in zip(socle.rows, socle.pivots.tolist()):
+        out.setdefault(mono_deg(G.basis[c]), []).append(row)
+    return {d: np.vstack(rows) for d, rows in sorted(out.items())}
 
 
 def linear_socle_rows(G):
@@ -128,8 +123,8 @@ class GlsSplit:
 
 
 def _linear_form(ring, row):
-    return Polynomial(ring, {tuple(1 if j == i else 0 for j in range(ring.nvars)): c
-                             for i, c in enumerate(row) if c != ring.field.zero})
+    return ring.poly({tuple(1 if j == i else 0 for j in range(ring.nvars)): c
+                      for i, c in enumerate(row) if c})
 
 
 def gls_split(G):
@@ -200,8 +195,7 @@ def iarrobino(A):
             if i >= s - 1:
                 raise ArtinsumError("filtration ideal unexpectedly nonzero in top degrees")
             data.components[i] = rows
-            data.forms.extend(Polynomial(G.ring, {m: c for m, c in zip(monos, r)
-                                                  if c != A.field.zero})
+            data.forms.extend(G.ring.poly({m: c for m, c in zip(monos, r) if c})
                               for r in rows)
     q0 = _degreewise_algebra(A, targets + [A.power(s + 2)])
     socle = socle_by_degree(q0)

@@ -1,22 +1,30 @@
 """Exact dense linear algebra over QQ and GF(p).
 
 Matrices are numpy arrays: dtype int64 with canonical entries over a prime
-field, dtype object holding Fractions over QQ.  Vectors are 1-D arrays of
-the same flavor.  All routines are pure; inputs are never mutated.
+field, dtype object over QQ.  Vectors are 1-D arrays of the same flavor.
+All routines are pure; inputs are never mutated.
 
-The QQ lane holds Fractions only at its interface.  `rref` and `mat_mul`
-scale each row (for the right factor of a product, each column) by the lcm
-of its denominators and compute on Python integers, which cannot overflow.
-`rref` is fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with
-entry f in the pivot column becomes (p/g)*row - (f/g)*pivot_row, with p the
-pivot and g = gcd(p, f), and is then divided by its content; at the end each
-pivot row is divided by its pivot.  The reduced echelon form is unique, so
-this gives the same matrix and pivots as elimination on Fractions.
-`mat_mul` forms one integer product over the columns where the left operand
-is not zero and builds one Fraction per nonzero output entry.
+A QQ array may hold Python ints and Fractions.  Every QQ matrix that
+`rref`, `mat_mul` and the kernels return is canonical: an entry is an
+`int` exactly when it is integral, and a `Fraction` otherwise, so arrays
+whose entries are all integral stay on Python integers.  Polynomials built
+from such arrays coerce their coefficients back to Fractions.
+
+`rref` and `mat_mul` scale each row (for the right factor of a product,
+each column) by the lcm of its denominators and compute on Python integers,
+which cannot overflow; rows of ints skip the scaling.  `rref` is
+fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with entry f in
+the pivot column becomes (p/g)*row - (f/g)*pivot_row, with p the pivot and
+g = gcd(p, f), and is then divided by its content; at the end each pivot
+row is divided by its pivot.  The reduced echelon form is unique, so this
+gives the same matrix and pivots as elimination on Fractions.  `mat_mul`
+forms one integer product over the columns where the left operand is not
+zero.  A right factor used in many products is converted once
+(`prepared`).
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -25,7 +33,6 @@ from . import _kernels
 from .fields import QQ, PrimeField
 
 MAX_ECHELON_DIM = 1 << 22
-_ZERO = Fraction(0)
 
 
 def is_prime_field(field):
@@ -33,11 +40,7 @@ def is_prime_field(field):
 
 
 def zeros(field, shape):
-    if is_prime_field(field):
-        return np.zeros(shape, dtype=np.int64)
-    a = np.empty(shape, dtype=object)
-    a[...] = Fraction(0)
-    return a
+    return np.zeros(shape, dtype=np.int64 if is_prime_field(field) else object)
 
 
 def matrix(field, rows, width=None):
@@ -55,15 +58,18 @@ def _integer_rows(a):
     """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
 
     Returns the scaled rows as lists of Python ints, and the row denominators.
-    Entries may be Fractions or Python ints.
+    Entries may be Fractions or Python ints; rows of ints are returned as they are.
     """
-    rows, dens = [], []
-    for row in a.tolist():
+    rows = a.tolist()
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, [1] * len(rows)
+    dens = []
+    for i, row in enumerate(rows):
         d = lcm(*[x.denominator for x in row])
         if d == 1:
-            rows.append([x.numerator for x in row])
+            rows[i] = [x.numerator for x in row]
         else:
-            rows.append([x.numerator * (d // x.denominator) for x in row])
+            rows[i] = [x.numerator * (d // x.denominator) for x in row]
         dens.append(d)
     return rows, dens
 
@@ -96,8 +102,13 @@ def _rref_rational(a):
     out = zeros(QQ, (m, n))
     for i, c in enumerate(pivots):
         p = rows[i][c]
-        out[i] = [Fraction(x, p) if x else _ZERO for x in rows[i]]
+        out[i] = rows[i] if p == 1 else _quotients(rows[i], [p] * n)
     return out, np.asarray(pivots, dtype=np.int64)
+
+
+def _quotients(nums, dens):
+    """The entries x / d, each an int where it is integral and a Fraction otherwise."""
+    return [x // d if x % d == 0 else Fraction(x, d) for x, d in zip(nums, dens)]
 
 
 def rref(field, a):
@@ -133,7 +144,7 @@ def _kernel_and_free(field, a):
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     basis = zeros(field, (free.size, n))
-    basis[np.arange(free.size), free] = field.one
+    basis[np.arange(free.size), free] = 1
     basis[:, pivots] = _canonical(field, -r[: pivots.size, free].T)
     return basis, free
 
@@ -240,13 +251,33 @@ def intersect_row_spaces(field, a, b):
 
 def identity(field, n):
     a = zeros(field, (n, n))
-    for i in range(n):
-        a[i, i] = field.one
+    np.fill_diagonal(a, 1)
     return a
 
 
+class _Columns:
+    """A QQ right factor as integer columns and their denominators, converted once."""
+
+    __slots__ = ("shape", "ints", "dens", "integral")
+
+    def __init__(self, b):
+        cols, self.dens = _integer_rows(b.T)
+        self.shape = b.shape
+        self.ints = np.array(cols, dtype=object).reshape(b.shape[1], b.shape[0]).T
+        self.integral = set(self.dens) <= {1}
+
+
+def prepared(field, b):
+    """A matrix `b` in the form `mat_mul` takes it fastest as a right factor.
+
+    Over QQ it is converted to integer columns once, for products by the
+    same matrix over and over; over GF(p) it is `b` itself.
+    """
+    return b if is_prime_field(field) else _Columns(np.asarray(b))
+
+
 def mat_mul(field, a, b):
-    """Exact product of a matrix or vector `a` with a matrix `b`.
+    """Exact product of a matrix or vector `a` with a matrix `b`, or with `prepared(b)`.
 
     Reduced mod p on the prime-field lane; on the QQ lane `a` may also hold
     plain ints.
@@ -261,13 +292,17 @@ def mat_mul(field, a, b):
 
 def _mat_mul_rational(a, b):
     """The QQ product of a 2-D `a` and `b` on integer rows of `a` and columns of `b`."""
-    m, n = a.shape[0], b.shape[1]
     rows, row_dens = _integer_rows(a)
     left = np.array(rows, dtype=object).reshape(a.shape)
     keep = np.flatnonzero(left.any(axis=0))
-    cols, col_dens = _integer_rows(b[keep].T)
-    right = np.array(cols, dtype=object).reshape(n, keep.size).T
-    out = np.empty((m, n), dtype=object)
-    for i, (row, d) in enumerate(zip(left[:, keep].dot(right).tolist(), row_dens)):
-        out[i] = [Fraction(x, d * e) if x else _ZERO for x, e in zip(row, col_dens)]
+    if isinstance(b, _Columns):
+        right = b.ints[keep]
+    else:
+        b = _Columns(b[keep])
+        right = b.ints
+    out = left[:, keep].dot(right)
+    if b.integral and set(row_dens) <= {1}:
+        return out
+    for i, (row, d) in enumerate(zip(out.tolist(), row_dens)):
+        out[i] = _quotients(row, [d * e for e in b.dens])
     return out

@@ -20,13 +20,15 @@ eliminated variables: the one echelon gives the reduced basis and classes
 on the kept variables and the image of each eliminated one.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from . import linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                      NotZeroDimensionalError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
-from .poly import Polynomial, PolyRing, mono_deg, mono_mul
+from .poly import PolyRing, mono_deg, mono_mul
 
 
 class Subspace:
@@ -64,7 +66,7 @@ class Subspace:
 
     def is_ideal(self):
         A = self.algebra
-        return all(self.contains(r) for mx in A.var_matrices
+        return all(self.contains(r) for mx in A._var_operands
                    for r in linalg.mat_mul(A.field, self.rows, mx))
 
     def __eq__(self, other):
@@ -85,7 +87,9 @@ class ArtinAlgebra:
     `gb` is the reduced Groebner basis of the ideal in the default order,
     ascending, `basis` its standard monomials and `struct[i, j]` the class
     of basis[i] * basis[j].  The filtration, and with it the locality
-    check, is built from the tensor.
+    check, is built from the tensor.  The tensor and the variables'
+    multiplication matrices enter products in `linalg.prepared` form, made
+    once per algebra.
     """
 
     def __init__(self, ring, gb, basis, struct):
@@ -119,6 +123,12 @@ class ArtinAlgebra:
                 self.var_matrices.append(self.mult_matrix(tail))
             else:
                 self.var_matrices.append(self.struct[idx])
+        self._var_operands = [linalg.prepared(self.field, mx) for mx in self.var_matrices]
+
+    @cached_property
+    def _struct_operand(self):
+        lam = self.length
+        return linalg.prepared(self.field, self.struct.reshape(lam, lam * lam))
 
     def _build_filtration(self):
         levels = [Subspace(self, linalg.identity(self.field, self.length))]
@@ -131,7 +141,7 @@ class ArtinAlgebra:
                 if current.dim == 0:
                     break
                 rows = np.vstack([linalg.mat_mul(self.field, current.rows, mx)
-                                  for mx in self.var_matrices])
+                                  for mx in self._var_operands])
                 nxt = Subspace(self, rows)
                 if nxt.dim >= current.dim:
                     raise NotLocalError(
@@ -193,7 +203,7 @@ class ArtinAlgebra:
 
     def monomial_vector(self, mono):
         """Coefficient vector of the class of a monomial of the presentation ring."""
-        return _product_class(self._classes, mono, self.var_matrices, self.field)
+        return _product_class(self._classes, mono, self._var_operands, self.field)
 
     def vector(self, poly):
         """Coefficient vector of the class of `poly` over the standard basis."""
@@ -208,12 +218,7 @@ class ArtinAlgebra:
 
     def lift(self, vec):
         """The canonical polynomial representative with standard-monomial support."""
-        terms = {}
-        zero = self.field.zero
-        for i, c in enumerate(vec):
-            if c != zero:
-                terms[self.basis[i]] = c
-        return Polynomial(self.ring, terms)
+        return self.ring.poly({m: c for m, c in zip(self.basis, vec) if c})
 
     def one_vector(self):
         vec = linalg.zeros(self.field, self.length)
@@ -223,14 +228,13 @@ class ArtinAlgebra:
     def mult_matrix(self, vec):
         """Matrix of multiplication by the element `vec` (acting on row vectors)."""
         lam = self.length
-        m = linalg.mat_mul(self.field, vec, self.struct.reshape(lam, lam * lam))
-        return m.reshape(lam, lam)
+        return linalg.mat_mul(self.field, vec, self._struct_operand).reshape(lam, lam)
 
     def multiply(self, u, v):
         return linalg.mat_mul(self.field, u.reshape(1, -1), self.mult_matrix(v))[0]
 
     def vec_mult_matrix_row(self, vec, var_index):
-        return linalg.mat_mul(self.field, vec.reshape(1, -1), self.var_matrices[var_index])[0]
+        return linalg.mat_mul(self.field, vec, self._var_operands[var_index])
 
     def subspace(self, rows):
         return Subspace(self, linalg.matrix(self.field, rows, width=self.length))
@@ -250,7 +254,7 @@ class ArtinAlgebra:
         while True:
             rows = [current.rows]
             rows.extend(linalg.mat_mul(self.field, current.rows, mx)
-                        for mx in self.var_matrices)
+                        for mx in self._var_operands)
             nxt = Subspace(self, np.vstack(rows))
             if nxt.dim == current.dim:
                 return nxt
@@ -261,7 +265,7 @@ class ArtinAlgebra:
         if self.ring.nvars == 0 or sub.dim == 0:
             return Subspace(self, linalg.zeros(self.field, (0, self.length)))
         rows = np.vstack([linalg.mat_mul(self.field, sub.rows, mx)
-                          for mx in self.var_matrices])
+                          for mx in self._var_operands])
         return Subspace(self, rows)
 
     def minimal_generators(self, sub):
@@ -361,7 +365,7 @@ def _read_echelon(ring, ordered, echelon, pivots):
         lead = ordered[c]
         if not any(e and lead[:i] + (e - 1,) + lead[i + 1:] in leads
                    for i, e in enumerate(lead)):
-            gb.append(Polynomial(ring, {m: x for m, x in zip(ordered, row) if x}))
+            gb.append(ring.poly({m: x for m, x in zip(ordered, row) if x}))
     gb.reverse()
     standard = sorted(set(range(len(ordered))) - set(pivots), reverse=True)
     classes = dict(zip((ordered[c] for c in standard), linalg.identity(fld, len(standard))))
@@ -403,7 +407,7 @@ def kernel_algebra(ring, monos, rows):
     if elim:
         lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
         images = [sub.var(keep.index(v)) if v in keep
-                  else -Polynomial(sub, {m: x for m, x in zip(kept, lead_rows[u]) if x})
+                  else -sub.poly({m: x for m, x in zip(kept, lead_rows[u]) if x})
                   for v, u in enumerate(units)]
         A.original_ring = ring
         A.reduction_steps = ((sub, images),)
@@ -422,7 +426,7 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal, taken as one left kernel.
     """
-    matrices = [Q.mult_matrix(Q.vector(p)) for p in images]
+    matrices = [linalg.prepared(Q.field, Q.mult_matrix(Q.vector(p))) for p in images]
     monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
     memo = {monos[0]: Q.one_vector()}
     mat = linalg.matrix(Q.field, [_product_class(memo, m, matrices, Q.field) for m in monos],

@@ -49,7 +49,7 @@ class BettiData:
 
 
 def _module_times_element(field, rows, mat):
-    """Right-multiply every length-lambda block of each row by `mat`."""
+    """Right-multiply every length-lambda block of each row by `mat` (or `linalg.prepared(mat)`)."""
     if rows.shape[0] == 0:
         return rows
     lam = mat.shape[0]
@@ -68,8 +68,7 @@ def _unit_entry(A, rows):
 def _differential_matrix(A, gens, prev_rank):
     """The k-linear matrix of d: free module on the rows of `gens` -> A^prev_rank."""
     lam = A.length
-    struct = A.struct.reshape(lam, lam * lam)
-    cube = linalg.mat_mul(A.field, gens.reshape(len(gens) * prev_rank, lam), struct)
+    cube = linalg.mat_mul(A.field, gens.reshape(len(gens) * prev_rank, lam), A._struct_operand)
     # cube[r, t, k, j] = coefficient of e_j in (block t of generator r) * e_k
     cube = cube.reshape(len(gens), prev_rank, lam, lam)
     return cube.transpose(0, 2, 1, 3).reshape(len(gens) * lam, prev_rank * lam)
@@ -104,7 +103,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     for step in range(1, truncation + 1):
         if A.ring.nvars:
             stacked = np.vstack([_module_times_element(A.field, kernel, mx)
-                                 for mx in A.var_matrices])
+                                 for mx in A._var_operands])
         else:
             stacked = kernel[:0]
         mk_piv = linalg.rref(A.field, stacked[:, _leads_first(leads, kernel.shape[1])])[1]
@@ -141,38 +140,34 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
 
 
 def mu_direct(A):
-    """Minimal generator count of the defining ideal by bounded linear algebra.
+    """Minimal generator count of the defining ideal I by bounded linear algebra.
 
-    Works modulo the power of the variable ideal that the generators and
-    their variable multiples certify, which contains m-times-ideal exactly.
+    With s the Loewy length, m^(s+1) lies in I, so m^(s+2) lies in m*I and
+    mu(I) = dim I/m*I is counted modulo m^(s+2): it is the dimension of the
+    image of I there minus that of m*I.  The first needs no rank: the
+    monomials up to degree s+1 span k[x]/m^(s+2), and the quotient of that
+    by the image of I is A itself, so the image of I has dimension
+    len(monos) - A.length.  The second is the rank of the variable
+    multiples of the reduced basis, truncated above degree s+1.
     """
     ring = A.ring
-    gens = A.gb
-    if not gens:
+    if not A.gb:
         return 0
-    bound = A.loewy_length + 2
-    monos = []
-    for d in range(bound + 1):
-        monos.extend(ring.monomials_of_degree(d))
+    bound = A.loewy_length + 1
+    monos = [m for d in range(bound + 1) for m in ring.monomials_of_degree(d)]
     col = {m: j for j, m in enumerate(monos)}
-
-    def truncated_rows(min_mult_degree):
-        rows = []
-        for g in gens:
-            order = min(sum(t) for t in g.terms)
-            for d in range(min_mult_degree, bound - order + 1):
-                for m in ring.monomials_of_degree(d):
-                    prod = g.mul_term(m, ring.field.one)
-                    row = linalg.zeros(ring.field, len(monos))
-                    for t, c in prod.terms.items():
-                        if sum(t) <= bound:
-                            row[col[t]] = c
-                    rows.append(row)
-        return linalg.matrix(ring.field, rows, width=len(monos))
-
-    full = linalg.rank(ring.field, truncated_rows(0))
-    inside = linalg.rank(ring.field, truncated_rows(1))
-    return full - inside
+    rows = []
+    for g in A.gb:
+        order = min(sum(t) for t in g.terms)
+        for d in range(1, bound - order + 1):
+            for m in ring.monomials_of_degree(d):
+                row = linalg.zeros(ring.field, len(monos))
+                for t, c in g.mul_term(m, ring.field.one).terms.items():
+                    if sum(t) <= bound:
+                        row[col[t]] = c
+                rows.append(row)
+    inside = linalg.rank(ring.field, linalg.matrix(ring.field, rows, width=len(monos)))
+    return len(monos) - A.length - inside
 
 
 def mu_from_betti(A, betti=None):

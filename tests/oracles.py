@@ -13,7 +13,9 @@ an ideal to the ring on a subset of its variables, the fibre products
 and connected sums built by Buchberger and normal forms from their
 generator lists, classes of polynomials by normal forms, quotients and the
 linear-socle split built by Buchberger on generator lists, and the
-cross-product test of a coordinate split by ideal membership.  The `Lex`
+cross-product test of a coordinate split by ideal membership, the two
+ranks that counted the minimal generators of an ideal, and the graded
+socle taken as one kernel per degree.  The `Lex`
 and `Block` term orders live here too: only the Buchberger tests and the
 elimination reference use them.
 """
@@ -29,6 +31,7 @@ from artinsum.errors import PreconditionError
 from artinsum.graded import GlsSplit, _linear_form, is_gls
 from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
                               s_polynomial)
+from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
 from artinsum.quotient import ArtinAlgebra, build_algebra
@@ -649,3 +652,61 @@ def cross_products_outside_reference(Q, left_names, right_names):
     ideal = algebra_ideal(Q)
     return [f"{yn}*{zn}" for yn in left_names for zn in right_names
             if not ideal.contains(var[yn] * var[zn])]
+
+
+def mu_direct_reference(A):
+    """mu of the defining ideal I as rank(I) - rank(m*I) modulo m^(s+3), s the Loewy length.
+
+    `resolution.mu_direct` must give the same count.
+    """
+    ring = A.ring
+    gens = A.gb
+    if not gens:
+        return 0
+    bound = A.loewy_length + 2
+    monos = []
+    for d in range(bound + 1):
+        monos.extend(ring.monomials_of_degree(d))
+    col = {m: j for j, m in enumerate(monos)}
+
+    def truncated_rows(min_mult_degree):
+        rows = []
+        for g in gens:
+            order = min(sum(t) for t in g.terms)
+            for d in range(min_mult_degree, bound - order + 1):
+                for m in ring.monomials_of_degree(d):
+                    prod = g.mul_term(m, ring.field.one)
+                    row = linalg.zeros(ring.field, len(monos))
+                    for t, c in prod.terms.items():
+                        if sum(t) <= bound:
+                            row[col[t]] = c
+                    rows.append(row)
+        return linalg.matrix(ring.field, rows, width=len(monos))
+
+    full = linalg.rank(ring.field, truncated_rows(0))
+    inside = linalg.rank(ring.field, truncated_rows(1))
+    return full - inside
+
+
+def socle_by_degree_reference(G):
+    """The degree-d socles of a graded G, one left kernel per degree piece.
+
+    `graded.socle_by_degree` must give the same echelon rows.
+    """
+    _homogeneous(G)
+    pieces = {}
+    for i, m in enumerate(G.basis):
+        pieces.setdefault(mono_deg(m), []).append(i)
+    out = {}
+    for d, idx in sorted(pieces.items()):
+        if G.ring.nvars == 0:
+            block = linalg.identity(G.field, G.length)[idx]
+        else:
+            stacked = np.hstack(G.var_matrices)[idx, :]
+            small = linalg.left_kernel(G.field, stacked)
+            block = linalg.zeros(G.field, (small.shape[0], G.length))
+            block[:, idx] = small
+        rows, _ = linalg.echelon(G.field, block)
+        if rows.shape[0]:
+            out[d] = rows
+    return out

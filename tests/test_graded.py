@@ -17,10 +17,11 @@ from artinsum.errors import ArtinsumError, PreconditionError
 from artinsum.graded import (compressed_hilbert, interior_socle_dimension, linear_socle_rows,
                              socle_by_degree)
 from artinsum.grobner import IdealPresentation, buchberger
-from artinsum.quotient import presentation_in_coordinates
+from artinsum.quotient import presentation_in_coordinates, residue_field_algebra
 
 from corpus import pair_corpus, random_pair
-from oracles import graded_from_homogeneous, gls_split_reference, initial_form_generators
+from oracles import (graded_from_homogeneous, gls_split_reference, initial_form_generators,
+                     socle_by_degree_reference)
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
 
@@ -289,7 +290,23 @@ def _assert_same_graded(got, expected):
     assert np.array_equal(got.struct, expected.struct)
 
 
+def _assert_socle_matches_reference(G):
+    got, expected = socle_by_degree(G), socle_by_degree_reference(G)
+    assert list(got) == list(expected)
+    assert all(np.array_equal(got[d], expected[d]) for d in expected)
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(1048573), QQ], ids=repr)
+def test_graded_socle_matches_reference_on_seeded_algebras(field):
+    algebras = [residue_field_algebra(field)]
+    for R, S in pair_corpus(6, seed=3, max_edim=2, max_ll=4, field=field):
+        algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
+    for A in algebras:
+        _assert_socle_matches_reference(associated_graded(A))
+
+
 def _assert_split_matches_reference(G):
+    _assert_socle_matches_reference(G)
     got, expected = gls_split(G), gls_split_reference(G)
     _assert_same_graded(got.gorenstein_part, expected.gorenstein_part)
     _assert_same_graded(got.square_zero_part, expected.square_zero_part)

@@ -191,9 +191,11 @@ def _qq(rows, width):
     return a
 
 
-def _assert_all_fractions(a):
+def _assert_canonical(a):
+    # an int exactly where the entry is integral, a Fraction with denominator > 1 elsewhere
     assert a.dtype == object
-    assert all(type(x) is Fraction for x in a.flat)
+    assert all(type(x) is int if x.denominator == 1
+               else type(x) is Fraction and x.denominator > 1 for x in a.flat)
 
 
 def _assert_rref_matches_reference(a):
@@ -204,7 +206,7 @@ def _assert_rref_matches_reference(a):
     rank, want_pivots = rref_fraction_reference(want)
     assert pivots.dtype == want_pivots.dtype and np.array_equal(pivots, want_pivots)
     assert rank == pivots.size
-    _assert_all_fractions(got)
+    _assert_canonical(got)
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -222,7 +224,7 @@ def _dot_reference(a, b):
 def _assert_mat_mul_matches_reference(a, b):
     got = linalg.mat_mul(QQ, a, b)
     want = _dot_reference(a, b)
-    _assert_all_fractions(got)
+    _assert_canonical(got)
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -259,7 +261,7 @@ def test_rref_qq_edge_shapes_and_int_entries():
     ints = [[2, 4, -6, 1], [1, 2, -3, 7], [0, 0, 5, 5]]
     _assert_rref_matches_reference(np.array(ints, dtype=object))
     got, pivots = linalg.rref(QQ, np.array(ints, dtype=np.int64))
-    _assert_all_fractions(got)
+    _assert_canonical(got)
     assert list(pivots) == [0, 2, 3]
     # pivots and entries whose numerators and denominators pass 2**63
     big = _qq([[Fraction(HUGE + 1, 3), Fraction(-HUGE, HUGE + 7), 1],
@@ -321,13 +323,32 @@ def test_mat_mul_qq_matches_fraction_dot_on_hypothesis_inputs(a, data):
         _assert_mat_mul_matches_reference(a[0], b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), _qq_matrix(), st.data())
+def test_mat_mul_by_a_prepared_factor_equals_the_plain_product(field, b, data):
+    a = data.draw(_qq_matrix((data.draw(st.integers(0, 6)), b.shape[0])))
+    if a.shape[0] and data.draw(st.booleans()):
+        a[data.draw(st.integers(0, a.shape[0] - 1))] = 0
+    a, b = (_matrix(field, x.tolist(), x.shape[1]) for x in (a, b))
+    prepared = linalg.prepared(field, b)
+    assert (prepared is b) == (field != QQ)
+    # an all-zero left operand keeps no column of b
+    for left in (a, linalg.zeros(field, a.shape)):
+        got, want = linalg.mat_mul(field, left, prepared), linalg.mat_mul(field, left, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        if field == QQ:
+            _assert_canonical(got)
+        for row, expected in zip(left, want):
+            assert np.array_equal(linalg.mat_mul(field, row, prepared), expected)
+
+
 def _assert_right_kernel_matches_reference(field, a):
     got = linalg.right_kernel(field, a)
     want = right_kernel_reference(field, a)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     if field == QQ:
-        _assert_all_fractions(got)
+        _assert_canonical(got)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,39 @@ def test_nilpotency_bound_taken_once_per_presentation():
     # two linear eliminations (X and Y) leave k[Z]/(Z^5)
     A = algebra_from_text("field QQ; vars X Y Z; ideal Y - Z^2, X - Z^3, Z^5")
     assert (A.ring.names, A.length) == (("Z",), 5)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_prepared_products_match_plain_products(field):
+    R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
+    algebras = [quotient.residue_field_algebra(field), R, connected_sum(R, S).algebra]
+    rng = random.Random(41)
+    for A in algebras:
+        lam = A.length
+        vecs = [linalg.zeros(field, lam), A.one_vector()]
+        vecs += [linalg.matrix(field, [[field.coerce(rng.randint(-4, 4)) for _ in range(lam)]])[0]
+                 for _ in range(3)]
+        for v in vecs:
+            assert np.array_equal(A.mult_matrix(v), linalg.mat_mul(
+                field, v, A.struct.reshape(lam, lam * lam)).reshape(lam, lam))
+            for i, mx in enumerate(A.var_matrices):
+                assert np.array_equal(A.vec_mult_matrix_row(v, i), linalg.mat_mul(field, v, mx))
+    assert algebras[0].mult_matrix(algebras[0].one_vector()).tolist() == [[1]]
+
+
+def test_qq_polynomials_from_arrays_hold_fractions():
+    # the echelons behind these hold ints wherever an entry is integral
+    text = (Path(__file__).resolve().parent / "golden" / "nonminimal_qq.txt").read_text()
+    A = algebra_from_text(text)
+    assert A.reduction_steps
+    polys = list(A.gb) + [img for _, images in A.reduction_steps for img in images]
+    polys += A.socle().lifts() + A.power(1).lifts()
+    R, S = pair_corpus(3, max_edim=2, max_ll=3, field=QQ)[2]
+    Q = connected_sum(R, S).algebra
+    polys += list(Q.gb) + list(modulo_socle(Q).gb) + Q.power(2).lifts()
+    coefficients = [c for p in polys for c in p.terms.values()]
+    assert any(c.denominator == 1 for c in coefficients)
+    assert all(type(c) is Fraction for c in coefficients)
 
 
 def test_unit_ideal_rejected():

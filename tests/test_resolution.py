@@ -10,10 +10,11 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti
                       verify_cs_series, verify_fp_series, verify_mu_formulas,
                       verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
+from artinsum.quotient import residue_field_algebra
 from artinsum.resolution import _differential_matrix, mu_direct
 
 from corpus import pair_corpus
-from oracles import betti_numbers_reference, differential_matrix_reference
+from oracles import betti_numbers_reference, differential_matrix_reference, mu_direct_reference
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -152,6 +153,23 @@ def test_betti_matches_reference_on_hypothesis_apolar_algebras(A):
     _assert_betti_matches_reference(A, 4)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mu_direct_matches_reference_on_corpus_sums(field):
+    # four seeded pairs of the module's corpus shapes, read in each field
+    algebras = [residue_field_algebra(field)]
+    for R, S in pair_corpus(4, max_edim=2, max_ll=3, field=field):
+        Q = connected_sum(R, S).algebra
+        algebras += [R, S, Q, fibre_product(R, S).algebra, modulo_socle(Q)]
+    for A in algebras:
+        assert mu_direct(A) == mu_direct_reference(A)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_apolar_algebras())
+def test_mu_direct_matches_reference_on_hypothesis_apolar_algebras(A):
+    assert mu_direct(A) == mu_direct_reference(A)
+
+
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
 def test_differential_matrix_matches_the_per_generator_products(field):
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
@@ -203,3 +221,4 @@ def test_paper_identities_hold_on_hypothesis_pairs(pair):
                    verify_mu_formulas(R, S), verify_socle_quotient(Q, 3)):
         assert report.holds, report
     assert h2_bound_check(R, S, Q)
+    assert all(mu_direct(A) == mu_direct_reference(A) for A in (Q, P))
