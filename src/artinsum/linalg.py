@@ -159,16 +159,6 @@ def left_kernel(field, a):
     return right_kernel(field, np.asarray(a).T)
 
 
-def left_kernel_with_leads(field, a):
-    """The `left_kernel` rows and their lead columns.
-
-    Row i is one at column leads[i] and zero at every other lead column, so
-    the rows are a reduced echelon basis for the column order that puts the
-    leads first.
-    """
-    return _kernel_and_free(field, np.asarray(a).T)
-
-
 def reduce_row(field, vec, rows, pivots):
     """Residue of `vec` after elimination against a reduced echelon basis."""
     v = np.array(vec, copy=True)

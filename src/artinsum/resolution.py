@@ -1,20 +1,24 @@
 """Minimal free resolutions of the residue field by exact linear algebra.
 
-Each step holds the kernel K of the current differential as a subspace of a
-free module (a plain matrix kernel over the standard-monomial coordinates),
-kept as a basis that is the identity on its lead columns.  Minimal
-generators are the rows of that basis whose lead is not a pivot of m*K,
-echeloned with the lead columns first: since m*K lies inside K, its pivots
-are among K's leads, and the other rows span a complement of m*K in K.
-Minimality is certified by checking that no differential entry has a unit
-component.  Betti numbers are the ranks; truncated Poincare identities are
-then checked with exact series arithmetic.
+Every element of a free module A^r is a sparse row, a dict from column
+t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
+[0, p) over GF(p), an int or Fraction over QQ.  One field-generic sparse
+echelon serves both lanes; products are read off the nonzeros of the
+variables' multiplication matrices and of the structure tensor.
+
+Each step holds the kernel K of the current differential as a basis that
+is the identity on its lead columns.  Minimal generators are the rows of
+that basis whose lead is not a pivot of m*K, echeloned with the lead
+columns first: since m*K lies inside K, its pivots are among K's leads, and
+the other rows span a complement of m*K in K.  The next kernel is read off
+the reduced echelon form of the transposed differential.  Minimality is
+certified by checking that no differential entry has a unit component.
+Betti numbers are the ranks; truncated Poincare identities are then
+checked with exact series arithmetic.
 """
 
 from dataclasses import dataclass
 from math import comb
-
-import numpy as np
 
 from . import linalg
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
@@ -48,37 +52,97 @@ class BettiData:
         return SeriesTrunc.from_terms(n, dict(enumerate(self.betti[: n + 1])))
 
 
-def _module_times_element(field, rows, mat):
-    """Right-multiply every length-lambda block of each row by `mat` (or `linalg.prepared(mat)`)."""
-    if rows.shape[0] == 0:
-        return rows
-    lam = mat.shape[0]
-    blocks = rows.shape[1] // lam
-    flat = rows.reshape(rows.shape[0] * blocks, lam)
-    out = linalg.mat_mul(field, flat, mat)
-    return out.reshape(rows.shape[0], rows.shape[1])
+def _tables(A):
+    """The nonzeros of the variables' multiplication matrices and of the structure tensor.
 
-
-def _unit_entry(A, rows):
-    """True when some block of some row has a nonzero coefficient on 1."""
-    one_slot = A.basis_index[(0,) * A.ring.nvars]
-    return bool(np.any(rows[:, one_slot::A.length] != A.field.zero))
-
-
-def _differential_matrix(A, gens, prev_rank):
-    """The k-linear matrix of d: free module on the rows of `gens` -> A^prev_rank."""
+    var[v][l] lists the pairs (j, c) with e_l * x_v = sum of c*e_j, and
+    struct[l] the triples (k, j, c) with e_l * e_k = sum of c*e_j.
+    """
     lam = A.length
-    cube = linalg.mat_mul(A.field, gens.reshape(len(gens) * prev_rank, lam), A._struct_operand)
-    # cube[r, t, k, j] = coefficient of e_j in (block t of generator r) * e_k
-    cube = cube.reshape(len(gens), prev_rank, lam, lam)
-    return cube.transpose(0, 2, 1, 3).reshape(len(gens) * lam, prev_rank * lam)
+
+    def nonzeros(mat):
+        return [[(j, c) for j, c in enumerate(row) if c] for row in mat.tolist()]
+
+    var = [nonzeros(mx) for mx in A.var_matrices]
+    struct = [[(*divmod(kj, lam), c) for kj, c in row]
+              for row in nonzeros(A.struct.reshape(lam, lam * lam))]
+    return var, struct
 
 
-def _leads_first(leads, n):
-    """The column order that puts `leads` first, in their order, then the rest."""
-    rest = np.ones(n, dtype=bool)
-    rest[leads] = False
-    return np.concatenate([leads, np.flatnonzero(rest)])
+def _canonical(row, p):
+    """The nonzero entries of a row, reduced mod p over GF(p) (p = 0 over QQ)."""
+    if p:
+        return {k: y for k, x in row.items() if (y := x % p)}
+    return {k: x for k, x in row.items() if x}
+
+
+def _times(row, table, lam, p, order):
+    """The row times the element whose products `table` lists, column c renamed order[c].
+
+    Each length-lam block of the row is multiplied by the element on its own.
+    """
+    out = {}
+    for col, c in row.items():
+        base = col - col % lam
+        for j, s in table[col % lam]:
+            k = order[base + j]
+            out[k] = out.get(k, 0) + c * s
+    return _canonical(out, p)
+
+
+def _differential(struct, gens, lam, p):
+    """The transposed matrix of d: free module on `gens` -> A^rank.
+
+    Its nonzero rows, keyed by index: row t*lam + j, column r*lam + k holds
+    the coefficient of e_j in (block t of generator r) * e_k.
+    """
+    rows = {}
+    for r, g in enumerate(gens):
+        for col, c in g.items():
+            base = col - col % lam
+            for k, j, s in struct[col % lam]:
+                row = rows.setdefault(base + j, {})
+                row[r * lam + k] = row.get(r * lam + k, 0) + c * s
+    rows = {i: _canonical(row, p) for i, row in rows.items()}
+    return {i: row for i, row in rows.items() if row}
+
+
+def _subtract(row, f, prow, p):
+    """row -= f * prow in place; f and prow's entries are nonzero, so a new entry is too."""
+    get = row.get
+    for k, x in prow.items():
+        y = get(k, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _echelon(rows, field, p, reduced):
+    """An echelon basis of the span of `rows` (dicts, consumed), keyed by pivot column.
+
+    Each basis row is one at its pivot, its least column, so the pivots are
+    those of the reduced echelon form.  Elimination is forward only unless
+    `reduced`, which then clears every pivot column from the other rows.
+    """
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                f = field.inv(row[c])
+                pivots[c] = _canonical({k: x * f for k, x in row.items()}, p)
+                break
+            _subtract(row, row[c], prow, p)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            prow = pivots[c]
+            for k in [k for k in prow if k != c and k in pivots]:
+                _subtract(prow, prow[k], pivots[k], p)
+    return pivots
 
 
 def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
@@ -95,44 +159,53 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     cached = A._betti_cache
     if cached is not None and cached.truncation >= truncation:
         return BettiData(cached.betti[: truncation + 1], truncation)
-    lam = A.length
+    field, lam = A.field, A.length
+    p = field.p if linalg.is_prime_field(field) else 0
+    one_slot = A.basis_index[(0,) * A.ring.nvars]
+    var, struct = _tables(A)
     betti = [1]
     m = A.power(1)                          # ker(A -> k) = m inside A^1, reduced echelon
-    kernel, leads = m.rows, m.pivots
-    prev_rank = 1
+    kernel = [{j: c for j, c in enumerate(row) if c} for row in m.rows.tolist()]
+    leads = [int(c) for c in m.pivots]
+    width = lam                             # columns of the free module K lies in
     for step in range(1, truncation + 1):
-        if A.ring.nvars:
-            stacked = np.vstack([_module_times_element(A.field, kernel, mx)
-                                 for mx in A._var_operands])
-        else:
-            stacked = kernel[:0]
-        mk_piv = linalg.rref(A.field, stacked[:, _leads_first(leads, kernel.shape[1])])[1]
-        if mk_piv.size and mk_piv[-1] >= kernel.shape[0]:
+        # K's basis is one at its own lead and zero at the others: with the
+        # leads put first, lead i is column i, and pivot i of m*K names row i
+        order = [len(leads) + c for c in range(width)]
+        for i, c in enumerate(leads):
+            order[c] = i
+        products = (_times(row, table, lam, p, order) for table in var for row in kernel)
+        mk_piv = _echelon(products, field, p, reduced=False)
+        if mk_piv and max(mk_piv) >= len(leads):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
                                 "outside the kernel's lead columns")
-        is_gen = np.ones(kernel.shape[0], dtype=bool)
-        is_gen[mk_piv] = False
-        gens = kernel[is_gen]
+        gens = [row for i, row in enumerate(kernel) if i not in mk_piv]
         betti.append(len(gens))
         if step == truncation:
             break
-        if not len(gens):
+        if not gens:
             # resolution terminated (regular input); pad with zeros
             betti.extend([0] * (truncation - step))
             break
-        if len(gens) * lam > max_dim:
-            raise ResourceGuardError("max_dim", max_dim, len(gens) * lam,
-                                     "free module dimension")
-        if _unit_entry(A, gens):
+        width = len(gens) * lam
+        if width > max_dim:
+            raise ResourceGuardError("max_dim", max_dim, width, "free module dimension")
+        if any(c % lam == one_slot for g in gens for c in g):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
-        diff = _differential_matrix(A, gens, prev_rank)
-        next_kernel, leads = linalg.left_kernel_with_leads(A.field, diff)
-        # rank-nullity: diff is onto the previous kernel iff its rank, the row
-        # count minus the left-kernel dimension, equals that kernel's dimension
-        if diff.shape[0] - next_kernel.shape[0] != kernel.shape[0]:
+        image = _echelon(_differential(struct, gens, lam, p).values(), field, p, reduced=True)
+        # rank-nullity: d is onto the previous kernel iff its rank equals
+        # that kernel's dimension
+        if len(image) != len(kernel):
             raise ArtinsumError("resolution is not exact at the previous step")
-        kernel = next_kernel
-        prev_rank = len(gens)
+        # the next kernel: one row per free column f of the reduced echelon
+        # form, one at f and minus column f of each pivot row at its pivot
+        leads = [f for f in range(width) if f not in image]
+        rows = {f: {f: 1} for f in leads}
+        for c, prow in image.items():
+            for f, x in prow.items():
+                if f != c:
+                    rows[f][c] = (-x) % p if p else -x
+        kernel = [rows[f] for f in leads]
     data = BettiData(tuple(betti), truncation)
     if cached is None or cached.truncation < truncation:
         A._betti_cache = data

@@ -35,7 +35,6 @@ from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
 from artinsum.quotient import ArtinAlgebra, build_algebra
-from artinsum.resolution import _module_times_element, _unit_entry
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
 
@@ -470,6 +469,23 @@ def build_algebra_reference(pres):
     A.original_ring = pres.ring
     A.reduction_steps = tuple(steps)
     return A
+
+
+def _module_times_element(field, rows, mat):
+    """Right-multiply every length-lambda block of each row by `mat`."""
+    if rows.shape[0] == 0:
+        return rows
+    lam = mat.shape[0]
+    blocks = rows.shape[1] // lam
+    flat = rows.reshape(rows.shape[0] * blocks, lam)
+    out = linalg.mat_mul(field, flat, mat)
+    return out.reshape(rows.shape[0], rows.shape[1])
+
+
+def _unit_entry(A, rows):
+    """True when some block of some row has a nonzero coefficient on 1."""
+    one_slot = A.basis_index[(0,) * A.ring.nvars]
+    return bool(np.any(rows[:, one_slot::A.length] != A.field.zero))
 
 
 def differential_matrix_reference(A, gens, prev_rank):

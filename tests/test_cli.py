@@ -63,13 +63,16 @@ def test_qq_json_report_is_golden(golden, monkeypatch, capsys):
 
 
 def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, capsys):
-    # the presentation `connect -o` writes, read back: betti (1, 4, 15, 56, 209)
+    # the presentation `connect -o` writes, read back: betti (1, 4, 15, 56, 209),
+    # then 780 and 2911 at depths 5 and 6
     monkeypatch.chdir(tmp_path)
     assert main(["connect", str(GOLDEN / "qq_left.txt"), str(GOLDEN / "qq_right.txt"),
                  "--unit", "2/3", "-o", "connect_qq.txt"]) == 0
     capsys.readouterr()
     assert main(["betti", "connect_qq.txt", "--max", "4", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq.json").read_text()
+    assert main(["betti", "connect_qq.txt", "--max", "6", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq_max6.json").read_text()
 
 
 def test_gf_partition_json_report_is_golden(monkeypatch, capsys):

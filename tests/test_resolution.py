@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti_numbers,
                       connected_sum, fibre_product, h2_bound_check, linalg, modulo_socle,
-                      verify_cs_series, verify_fp_series, verify_mu_formulas,
+                      resolution, verify_cs_series, verify_fp_series, verify_mu_formulas,
                       verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
 from artinsum.quotient import residue_field_algebra
-from artinsum.resolution import _differential_matrix, mu_direct
+from artinsum.resolution import _differential, _tables, mu_direct
 
 from corpus import pair_corpus
 from oracles import betti_numbers_reference, differential_matrix_reference, mu_direct_reference
@@ -174,11 +174,19 @@ def test_mu_direct_matches_reference_on_hypothesis_apolar_algebras(A):
 def test_differential_matrix_matches_the_per_generator_products(field):
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
     A = connected_sum(R, S).algebra
+    lam, p = A.length, getattr(field, "p", 0)
+    struct = _tables(A)[1]
     rng = np.random.default_rng(7)
     for prev_rank in (1, 2, 3):
-        ints = rng.integers(-3, 4, size=(4, prev_rank * A.length))
+        ints = rng.integers(-3, 4, size=(4, prev_rank * lam))
         gens = linalg.matrix(field, [[field.coerce(int(x)) for x in row] for row in ints])
-        got = _differential_matrix(A, gens, prev_rank)
+        rows = [{j: c for j, c in enumerate(g) if c} for g in gens.tolist()]
+        # the sparse differential is transposed: densify it back
+        got = linalg.zeros(field, (len(gens) * lam, prev_rank * lam))
+        for i, row in _differential(struct, rows, lam, p).items():
+            assert row and all(row.values())
+            for c, x in row.items():
+                got[c, i] = x
         want = differential_matrix_reference(A, gens, prev_rank)
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -189,6 +197,32 @@ def test_betti_checks_that_m_times_the_kernel_lies_inside_it(monkeypatch):
     x = A.subspace([A.vector(A.ring.var(0))])
     monkeypatch.setattr(A, "power", lambda i: x)
     with pytest.raises(ArtinsumError, match=r"m\*K is not inside K"):
+        betti_numbers(A, 3)
+
+
+def test_betti_checks_that_the_differential_has_no_unit_entry(monkeypatch):
+    # with K = A in place of m, the generator of K modulo m*K is 1 itself
+    A = algebra_from_text("field QQ; vars X Y; ideal X^2, Y^2")
+    whole = A.power(0)
+    monkeypatch.setattr(A, "power", lambda i: whole)
+    for betti in (betti_numbers, betti_numbers_reference):
+        with pytest.raises(ArtinsumError, match="differential has a unit entry"):
+            betti(A, 3)
+
+
+def test_betti_checks_that_the_differential_is_onto_the_previous_kernel(monkeypatch):
+    # in k[X, Y]/(X^2, Y^2) the first differential's transpose has three
+    # nonzero rows, one per coordinate of m = ker(A -> k); losing one loses rank
+    A = algebra_from_text("field QQ; vars X Y; ideal X^2, Y^2")
+    differential = resolution._differential
+
+    def lossy(*args):
+        rows = differential(*args)
+        del rows[max(rows)]
+        return rows
+
+    monkeypatch.setattr(resolution, "_differential", lossy)
+    with pytest.raises(ArtinsumError, match="not exact at the previous step"):
         betti_numbers(A, 3)
 
 
@@ -222,3 +256,11 @@ def test_paper_identities_hold_on_hypothesis_pairs(pair):
         assert report.holds, report
     assert h2_bound_check(R, S, Q)
     assert all(mu_direct(A) == mu_direct_reference(A) for A in (Q, P))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_apolar_pairs())
+def test_betti_matches_reference_on_hypothesis_sums_and_products(pair):
+    R, S = pair
+    for A in (connected_sum(R, S).algebra, fibre_product(R, S).algebra):
+        _assert_betti_matches_reference(A, 4)
