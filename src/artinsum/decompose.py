@@ -117,10 +117,8 @@ def split_witness(Q):
     for z in z_vecs:
         if Q.power(2).contains(z):
             raise PreconditionError("clause (c) failed: a witness fell into m^2")
-        products = linalg.matrix(Q.field,
-                                 [Q.vec_mult_matrix_row(z, j) for j in range(Q.edim)],
-                                 width=Q.length)
-        if not linalg.row_spaces_equal(Q.field, products, socle.rows):
+        products = [Q.vec_mult_matrix_row(z, j) for j in range(Q.edim)]
+        if Q.subspace(products) != socle:
             raise PreconditionError("clause (c) failed: w*m is not the socle")
     J = Q.ideal_span(z_vecs)
     ideal_i = Q.annihilator(J.rows)

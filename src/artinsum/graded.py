@@ -6,10 +6,11 @@ presentations of gr(A) and of Iarrobino's quotient Q0 are found degreewise
 by exact linear algebra: a degree-d form belongs to the ideal exactly when
 its image in A falls into a target subspace, m^(d+1) for gr(A) and
 (0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all degrees by
-the Loewy length s plus one, so the forms of all degrees are one kernel,
-and its echelon form gives the reduced basis and the structure tensor
-(`quotient.kernel_algebra`).  The linear-socle split is a quotient and a
-square-zero algebra, also kernels: no Buchberger run here.
+the Loewy length s plus one, so the ideal is the kernel of one map, which
+sends each monomial to the residue of its class modulo its degree's
+target; the left kernel of those residues gives the reduced basis and the
+structure tensor (`quotient.kernel_algebra`).  The linear-socle split is a
+quotient and a square-zero algebra, also kernels: no Buchberger run here.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
-from .quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
+from .quotient import (ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra,
                        square_zero_algebra)
 
 
@@ -66,21 +67,20 @@ def interior_socle_dimension(G):
 def _degreewise_algebra(A, targets):
     """The graded algebra whose ideal holds the degree-d forms with image in targets[d].
 
-    `targets[d]`, for d = 1..s+1 with s the Loewy length of A, is a subspace
-    of A containing m^(d+1).  Every form of degree s+1 maps to zero and so
-    lies in the ideal, and the forms of all degrees present it by one kernel.
+    `targets[d]`, for d = 0..s+1 with s the Loewy length of A, is a subspace
+    of m^d containing m^(d+1).  Each monomial of degree d is sent to the
+    residue of its class modulo targets[d], and the ideal is the kernel of
+    that one map.  Residues of different degrees cannot cancel: were a sum
+    of them zero, the one of least degree d would lie in m^(d+1), inside
+    targets[d], and a residue that lies in its own target is zero.  Every
+    form of degree s+1 maps to zero and so lies in the ideal.
     """
-    ring, fld, s = A.ring, A.field, A.loewy_length
-    monos = [m for d in range(s + 2) for m in ring.monomials_of_degree(d)]
-    blocks = [linalg.zeros(fld, (0, len(monos)))]
-    for d in range(1, s + 2):
-        cols = [j for j, m in enumerate(monos) if mono_deg(m) == d]
-        images = linalg.matrix(fld, [A.monomial_vector(monos[j]) for j in cols],
-                               width=A.length)
-        rows = linalg.preimage_rows(fld, images, targets[d].rows)
-        blocks.append(linalg.zeros(fld, (rows.shape[0], len(monos))))
-        blocks[-1][:, cols] = rows
-    return _homogeneous(kernel_algebra(ring, monos, np.vstack(blocks)))
+    residues = []
+    for d, target in enumerate(targets):
+        classes = [A.monomial_vector(m) for m in A.ring.monomials_of_degree(d)]
+        residues.append(target.reduce(linalg.matrix(A.field, classes, width=A.length)))
+    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
+    return _homogeneous(kernel_algebra(A.ring, monos, np.vstack(residues)))
 
 
 def associated_graded(A):
@@ -187,7 +187,7 @@ def iarrobino(A):
             continue
         images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos],
                                width=A.length)
-        rows = linalg.preimage_rows(A.field, images, target.rows)
+        rows = linalg.left_kernel(A.field, target.reduce(images))
         # quotient out the next filtration step: forms already in m^(i+1)
         # have zero class, recognized by lying in I*'s degree-i piece, which
         # has no standard-monomial support, so rows here are honest classes

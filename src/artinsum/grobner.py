@@ -5,9 +5,11 @@ the parser gives them (`quotient.build_algebra`): such text carries no
 degree that bounds the ideal.  `IdealPresentation` holds such a list and
 caches its reduced bases; an algebra keeps only the reduced basis
 (`quotient.ArtinAlgebra.gb`).  Every derived ideal contains a power of the
-maximal ideal and is a truncated kernel, whose reduced basis and classes
-come from one echelon form, in which linear forms are also eliminated
-(`quotient.kernel_algebra`); fibre products and connected sums get theirs
+maximal ideal and is the kernel of the map sending each monomial to its
+class; the left kernel of those classes, with the monomials in increasing
+order, is the reduced echelon basis of its truncation and gives its reduced
+basis and classes, and linear forms are eliminated by one more echelon
+(`quotient.kernel_algebra`).  Fibre products and connected sums get theirs
 from their factors' bases (`sums`).  No Buchberger elimination runs.
 
 The pair strategy is the normal one (smallest lcm degree first, ties broken

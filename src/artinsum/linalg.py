@@ -160,15 +160,18 @@ def left_kernel(field, a):
 
 
 def reduce_row(field, vec, rows, pivots):
-    """Residue of `vec` after elimination against a reduced echelon basis."""
+    """Residue of `vec`, or of each row of a matrix, modulo a reduced echelon basis.
+
+    The residue is zero at every pivot column, so it is unique.
+    """
     v = np.array(vec, copy=True)
     if len(rows) == 0:
         return v
-    coeffs = v[list(map(int, pivots))]
-    hit = np.flatnonzero(coeffs)
+    coeffs = v[..., list(map(int, pivots))]
+    hit = np.flatnonzero(coeffs if v.ndim == 1 else coeffs.any(axis=0))
     if hit.size == 0:
         return v
-    return _canonical(field, v - coeffs[hit] @ rows[hit])
+    return _canonical(field, v - mat_mul(field, coeffs[..., hit], rows[hit]))
 
 
 def _canonical(field, a):
@@ -202,27 +205,6 @@ def complement_rows(field, rows, base_rows, base_pivots):
         pivots.append(c)
         out.append(r)
     return out
-
-
-def in_row_space(field, vec, rows, pivots):
-    res = reduce_row(field, vec, rows, pivots)
-    return not np.any(res != field.zero)
-
-
-def row_spaces_equal(field, a, b):
-    ea, _ = echelon(field, a)
-    eb, _ = echelon(field, b)
-    return ea.shape == eb.shape and bool(np.all(ea == eb))
-
-
-def preimage_rows(field, m, sub_rows):
-    """Rows spanning {v : v @ m lies in the row space of sub_rows}.
-
-    Found as the v-components of the left kernel of [m ; sub_rows] stacked.
-    """
-    m = np.asarray(m)
-    ker = left_kernel(field, np.vstack([m, np.asarray(sub_rows)]))
-    return echelon(field, ker[:, : m.shape[0]])[0]
 
 
 def intersect_row_spaces(field, a, b):

@@ -197,13 +197,6 @@ class Polynomial:
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
 
-    def support_vars(self):
-        """Indices of variables actually appearing."""
-        used = set()
-        for m in self.terms:
-            used.update(i for i, e in enumerate(m) if e)
-        return used
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
@@ -300,11 +293,6 @@ class Polynomial:
                     term = term * images[i] ** e
             result = result + term
         return result
-
-    def substitute(self, replacements):
-        """Replace selected variables by polynomials of the same ring."""
-        images = [replacements.get(i, self.ring.var(i)) for i in range(self.ring.nvars)]
-        return self.compose(self.ring, images)
 
     def rename_into(self, target, index_map=None):
         """Move to `target`, variable i of self going to index_map[i] (default: by name)."""

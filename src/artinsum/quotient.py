@@ -13,11 +13,15 @@ parsed generator lists, an `IdealPresentation`, take that table from
 Buchberger and normal forms (`build_algebra`); text that is not minimal is
 then taken as the subalgebra its variables generate.  Every derived
 algebra, a subalgebra or a quotient, has an ideal containing a power of m:
-it is a truncated kernel, echeloned once (`kernel_algebra`).  When the
-kernel holds linear forms, the pivots of their echelon form are
-eliminated, in an order that ranks monomials first by their degree in the
-eliminated variables: the one echelon gives the reduced basis and classes
-on the kept variables and the image of each eliminated one.
+it is given by the classes of the monomials up to that degree, and the
+left kernel of those classes, taken with the monomials in increasing
+order, is the reduced echelon basis of its truncation (`kernel_algebra`).
+That basis gives the reduced basis and the class of every monomial.  When
+the ideal holds linear forms, the pivots of their echelon form are
+eliminated: the basis is echeloned once more, in an order that ranks
+monomials first by their degree in the eliminated variables, and gives the
+reduced basis and classes on the kept variables and the image of each
+eliminated one.
 """
 
 from functools import cached_property
@@ -374,43 +378,53 @@ def _read_echelon(ring, ordered, echelon, pivots):
     return gb, [ordered[c] for c in standard], classes
 
 
-def kernel_algebra(ring, monos, rows):
-    """The algebra of the truncated kernel, on the variables that minimally generate m.
+def kernel_algebra(ring, monos, classes):
+    """The algebra k[ring]/I, on the variables that minimally generate m.
 
-    The rows span I ∩ span(monos), where `monos` holds every monomial of
-    `ring` up to a degree D and m^D lies in I.  The pivots of the linear
+    I is the kernel of the map sending `monos[j]` to row j of `classes`,
+    `monos` holds every monomial of `ring` up to a degree D, and m^D lies
+    in I.  The left kernel of the classes, taken with the monomials in
+    increasing default order, is the reduced echelon basis of
+    I ∩ span(monos) read backwards, the linear dependencies from which FGLM
+    reads a reduced basis: each row is one at its free column, which is its
+    largest, and zero at the other free columns.  The pivots of the linear
     parts' echelon form, in declaration order, are eliminated; there are
-    none when I lies inside m^2.  The rows are echeloned once, with the
-    columns in decreasing order of (degree in the eliminated variables,
-    default order).  The rows led by a kept monomial are then the reduced
-    echelon basis of I ∩ k[kept], the minimal ideal, in default column
-    order, because the default order restricts to the kept variables; and
-    the row led by an eliminated variable is that variable minus the
-    standard-monomial lift of its class.  One reduction step carries the
-    given ring to the kept one.
+    none when I lies inside m^2.  Only then are the rows echeloned again,
+    with the columns in decreasing order of (degree in the eliminated
+    variables, default order).  The rows led by a kept monomial are then
+    the reduced echelon basis of I ∩ k[kept], the minimal ideal, in default
+    column order, because the default order restricts to the kept
+    variables; and the row led by an eliminated variable is that variable
+    minus the standard-monomial lift of its class.  One reduction step
+    carries the given ring to the kept one.
     """
     fld = ring.field
+    order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
+    kernel, free = linalg._kernel_and_free(fld, np.asarray(classes)[order].T)
+    ordered = [monos[j] for j in reversed(order)]
+    echelon, pivots = kernel[::-1, ::-1], len(monos) - 1 - free[::-1]
     units = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
-    linear = rows[:, [monos.index(u) for u in units]]
+    linear = echelon[:, [ordered.index(u) for u in units]]
     elim = linalg.echelon(fld, linear)[1].tolist() if np.any(linear != fld.zero) else []
+    if not elim:
+        return _table_algebra(ring, *_read_echelon(ring, ordered, echelon, pivots))
     keep = [v for v in range(ring.nvars) if v not in elim]
     cols = sorted(range(len(monos)), reverse=True,
-                  key=lambda j: (sum(monos[j][v] for v in elim), ring.order.key(monos[j])))
-    echelon, pivots = linalg.echelon(fld, rows[:, cols])
-    ordered = [monos[j] for j in cols]
+                  key=lambda j: (sum(ordered[j][v] for v in elim), ring.order.key(ordered[j])))
+    echelon, pivots = linalg.echelon(fld, echelon[:, cols])
+    ordered = [ordered[j] for j in cols]
     first = next(c for c, m in enumerate(ordered) if not any(m[v] for v in elim))
-    sub = PolyRing(fld, [ring.names[v] for v in keep]) if elim else ring
-    kept = [tuple(m[v] for v in keep) for m in ordered[first:]] if elim else ordered
+    sub = PolyRing(fld, [ring.names[v] for v in keep])
+    kept = [tuple(m[v] for v in keep) for m in ordered[first:]]
     inside = pivots >= first
     A = _table_algebra(sub, *_read_echelon(sub, kept, echelon[inside, first:],
                                            pivots[inside] - first))
-    if elim:
-        lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
-        images = [sub.var(keep.index(v)) if v in keep
-                  else -sub.poly({m: x for m, x in zip(kept, lead_rows[u]) if x})
-                  for v, u in enumerate(units)]
-        A.original_ring = ring
-        A.reduction_steps = ((sub, images),)
+    lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
+    images = [sub.var(keep.index(v)) if v in keep
+              else -sub.poly({m: x for m, x in zip(kept, lead_rows[u]) if x})
+              for v, u in enumerate(units)]
+    A.original_ring = ring
+    A.reduction_steps = ((sub, images),)
     return A
 
 
@@ -424,14 +438,14 @@ def subalgebra(Q, new_ring, images):
     `images` are polynomials of Q's ring in its maximal ideal, one per
     variable of `new_ring`.  Monomials above the Loewy length map to zero,
     so the kernel of the map up to one degree beyond it is the truncated
-    ideal, taken as one left kernel.
+    ideal.
     """
     matrices = [linalg.prepared(Q.field, Q.mult_matrix(Q.vector(p))) for p in images]
     monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
     memo = {monos[0]: Q.one_vector()}
     mat = linalg.matrix(Q.field, [_product_class(memo, m, matrices, Q.field) for m in monos],
                         width=Q.length)
-    return kernel_algebra(new_ring, monos, linalg.left_kernel(Q.field, mat))
+    return kernel_algebra(new_ring, monos, mat)
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -449,22 +463,17 @@ def algebra_from_text(text):
 
 
 def quotient_algebra(algebra, extra_polys):
-    """The algebra modulo the ideal J of extra presentation polys, as the kernel onto it."""
+    """The algebra modulo the ideal J of extra presentation polys, on residues modulo J."""
     A = algebra
     J = A.ideal_span([A.vector(p) for p in extra_polys])
     if J.dim == A.length:
         raise UnitIdealError("1 lies in the ideal")
     monos = _monomials_up_to(A.ring, A.loewy_length + 1)
     images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos], width=A.length)
-    return kernel_algebra(A.ring, monos, linalg.preimage_rows(A.field, images, J.rows))
+    return kernel_algebra(A.ring, monos, J.reduce(images))
 
 
 def square_zero_algebra(ring):
-    """k[ring]/m^2, the kernel of the monomials up to degree 2 with every quadric in it."""
+    """k[ring]/m^2: 1 and the variables are independent, and every quadric is zero."""
     monos = _monomials_up_to(ring, 2)
-    return kernel_algebra(ring, monos, linalg.identity(ring.field, len(monos))[ring.nvars + 1:])
-
-
-def residue_field_algebra(field):
-    """The base field as a zero-variable algebra."""
-    return square_zero_algebra(PolyRing(field, []))
+    return kernel_algebra(ring, monos, linalg.identity(ring.field, len(monos))[:, :ring.nvars + 1])

@@ -23,6 +23,7 @@ from math import comb
 from . import linalg
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
+from .quotient import _monomials_up_to
 from .series import SeriesTrunc
 from .sums import modulo_socle
 
@@ -227,7 +228,7 @@ def mu_direct(A):
     if not A.gb:
         return 0
     bound = A.loewy_length + 1
-    monos = [m for d in range(bound + 1) for m in ring.monomials_of_degree(d)]
+    monos = _monomials_up_to(ring, bound)
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:

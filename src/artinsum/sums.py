@@ -3,8 +3,9 @@
 Trivial cases (a residue-field factor, or a length-two connected-sum factor)
 return the surviving algebra with an explicit flag rather than erroring.
 
-Nothing here runs Buchberger or a normal form.  An apolar algebra is the
-truncated kernel Ann(F) (`quotient.kernel_algebra`).
+Nothing here runs Buchberger or a normal form.  An apolar algebra is
+k[X]/Ann(F), presented by the derivatives of F that the monomials of k[X]
+give (`quotient.kernel_algebra`).
 
 Fibre products and connected sums are assembled from their factors'
 reduced bases (`ArtinAlgebra.gb`), standard monomials and tensors.  Let
@@ -36,7 +37,7 @@ from . import linalg
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_div
-from .quotient import ArtinAlgebra, kernel_algebra, quotient_algebra
+from .quotient import ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra
 
 
 @dataclass
@@ -227,9 +228,9 @@ def _apply_operator(exps, F):
     return out
 
 
-def _apolar_kernel(F, ops):
-    """The monomials of `ops` up to degree deg F + 1, and rows spanning Ann(F) over them."""
-    monos = [m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)]
+def _apolar_classes(F, ops):
+    """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F."""
+    monos = _monomials_up_to(ops, F.total_degree() + 1)
     derived = [_apply_operator(m, F) for m in monos]
     col = {}
     for p in derived:
@@ -239,7 +240,7 @@ def _apolar_kernel(F, ops):
     for i, p in enumerate(derived):
         for t, c in p.terms.items():
             mat[i, col[t]] = c
-    return monos, linalg.left_kernel(ops.field, mat)
+    return monos, mat
 
 
 def apolar_algebra(F, operator_names=None):
@@ -260,10 +261,9 @@ def apolar_algebra(F, operator_names=None):
     if len(names) != dual.nvars:
         raise ValueError("one operator name per dual variable required")
     ops = PolyRing(field, names)
-    monos, rows = _apolar_kernel(F, ops)
-    A = kernel_algebra(ops, monos, rows)
-    inverse_system_dim = len(monos) - rows.shape[0]
-    if A.length != inverse_system_dim:
+    monos, classes = _apolar_classes(F, ops)
+    A = kernel_algebra(ops, monos, classes)
+    if A.length != linalg.rank(field, classes):
         raise ArtinsumError("apolar dimension disagrees with the derivative span")
     if A.loewy_length != degree or not A.is_gorenstein():
         raise ArtinsumError("apolar algebra failed the duality sanity checks")

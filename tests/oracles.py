@@ -17,7 +17,9 @@ cross-product test of a coordinate split by ideal membership, the two
 ranks that counted the minimal generators of an ideal, and the graded
 socle taken as one kernel per degree.  The `Lex`
 and `Block` term orders live here too: only the Buchberger tests and the
-elimination reference use them.
+elimination reference use them.  So do the helpers that only tests call:
+row-space membership, preimages of a row space, substituting and listing
+the variables of a polynomial, and the residue field as an algebra.
 """
 
 from fractions import Fraction
@@ -34,8 +36,39 @@ from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, no
 from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
-from artinsum.quotient import ArtinAlgebra, build_algebra
+from artinsum.quotient import ArtinAlgebra, build_algebra, square_zero_algebra
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
+
+
+def in_row_space(field, vec, rows, pivots):
+    res = linalg.reduce_row(field, vec, rows, pivots)
+    return not np.any(res != field.zero)
+
+
+def preimage_rows(field, m, sub_rows):
+    """Rows spanning {v : v @ m lies in the row space of sub_rows}.
+
+    Found as the v-components of the left kernel of [m ; sub_rows] stacked.
+    """
+    m = np.asarray(m)
+    ker = linalg.left_kernel(field, np.vstack([m, np.asarray(sub_rows)]))
+    return linalg.echelon(field, ker[:, : m.shape[0]])[0]
+
+
+def support_vars(poly):
+    """Indices of the variables that appear in `poly`."""
+    return {i for m in poly.terms for i, e in enumerate(m) if e}
+
+
+def substitute(poly, replacements):
+    """Replace selected variables by polynomials of the same ring."""
+    ring = poly.ring
+    return poly.compose(ring, [replacements.get(i, ring.var(i)) for i in range(ring.nvars)])
+
+
+def residue_field_algebra(field):
+    """The base field as a zero-variable algebra."""
+    return square_zero_algebra(PolyRing(field, []))
 
 
 class Lex(TermOrder):
@@ -114,7 +147,7 @@ def ideal_member(f, gens, max_degree=12):
         for m, c in f.terms.items():
             target[col[m]] = c
         rows, pivots = linalg.echelon(field, mat)
-        if linalg.in_row_space(field, target, rows, pivots):
+        if in_row_space(field, target, rows, pivots):
             return True
     return False
 
@@ -144,7 +177,7 @@ def subring_quotient_dimension(algebra, keep_names):
         for v in frontier:
             for i in keep_idx:
                 w = algebra.vec_mult_matrix_row(v, i)
-                if not linalg.in_row_space(algebra.field, w, span, pivots):
+                if not in_row_space(algebra.field, w, span, pivots):
                     span, pivots = linalg.echelon(
                         algebra.field, np.vstack([span, w.reshape(1, -1)]))
                     new_frontier.append(w)
@@ -318,7 +351,7 @@ def contract_reference(pres, keep):
     index_map = {old: new for new, old in enumerate(keep_idx)}
     kept = []
     for g in gb:
-        if g.support_vars() & drop:
+        if support_vars(g) & drop:
             continue
         kept.append(g.rename_into(sub, [index_map.get(i, 0) for i in range(ring.nvars)]))
     result = IdealPresentation(sub, kept)
@@ -329,12 +362,11 @@ def contract_reference(pres, keep):
     return result
 
 
-def initial_form_generators(A):
-    """Homogeneous generators of the ideal of gr(A), degree by degree up to s + 1.
+def degreewise_generators_reference(A, targets):
+    """The degree-d forms whose image in A lies in targets[d], for d = 1..s+1.
 
-    Degree d contributes the forms whose image in A lies in m^(d+1); the
-    reduced basis of these by `buchberger` must be the presentation of
-    `graded.associated_graded`.
+    Each degree is one preimage of a row space, taken separately, as
+    `graded._degreewise_algebra` did before its residues became one map.
     """
     ring = A.ring
     gens = []
@@ -342,10 +374,21 @@ def initial_form_generators(A):
         monos = ring.monomials_of_degree(d)
         images = linalg.matrix(A.field, [vector_reference(A, ring.monomial(m)) for m in monos],
                                width=A.length)
-        rows = linalg.preimage_rows(A.field, images, A.power(d + 1).rows)
+        rows = preimage_rows(A.field, images, targets[d].rows)
         gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
                     for r in rows)
     return gens
+
+
+def initial_form_generators(A):
+    """Homogeneous generators of the ideal of gr(A), degree by degree up to s + 1.
+
+    Degree d contributes the forms whose image in A lies in m^(d+1); the
+    reduced basis of these by `buchberger` must be the presentation of
+    `graded.associated_graded`.
+    """
+    return degreewise_generators_reference(
+        A, [A.power(d + 1) for d in range(A.loewy_length + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +438,13 @@ def _eliminate_variable(pres, gb, idx, coeff, bound_n):
     neg_inv = fld.neg(fld.inv(coeff))
     phi = ring.zero
     for _ in range(bound_n + 2):
-        nxt = _truncate(h.substitute({idx: phi}).scale(neg_inv), bound_n)
+        nxt = _truncate(substitute(h, {idx: phi}).scale(neg_inv), bound_n)
         if nxt == phi:
             break
         phi = nxt
     else:
         raise ArtinsumError("linear elimination did not stabilize")
-    if idx in phi.support_vars():
+    if idx in support_vars(phi):
         raise ArtinsumError("linear elimination left the variable in its own image")
     if not pres.contains(x - phi):
         raise ArtinsumError("linear elimination produced an inconsistent substitution")

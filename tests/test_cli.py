@@ -31,6 +31,15 @@ SRC = GOLDEN.parents[1] / "src"
 #
 # split_gf101.txt is GF(101)[Y]/(Y^5) # GF(101)[Z]/(Z^4) in its split
 # coordinates, the case that `decompose --partition` takes.
+#
+# The GF(101) cases take gr(A), Q0 and apolar algebras through the
+# elimination of linear forms on the prime-field lane.  nonminimal_gf101.txt
+# is the ideal of hidden_sum.txt read mod 101 on A and C, with two relations
+# whose linear parts tie in B and D: A and B are eliminated and the algebra
+# is reported on C and D.  It is Gorenstein and not graded, so analyze
+# reports gr(A) and the Hilbert function of Q0.  The
+# apolar case is (w1 + 2*w3)^4 + 5*(w2 - w3)^3, which depends on two linear
+# forms in three variables, so its annihilator holds a linear form.
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
@@ -41,6 +50,15 @@ QQ_CASES = {
     "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",
                    "--verify-series", "2"],
     "fibre_qq": ["fibre", "qq_left.txt", "qq_right.txt"],
+}
+
+
+GF_CASES = {
+    "analyze_nonminimal_gf101": ["analyze", "nonminimal_gf101.txt"],
+    "apolar_nonminimal_gf101": [
+        "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"
+        " - 15*w2^2*w3 + 15*w2*w3^2 + 16*w3^4 - 5*w3^3",
+        "--dual-vars", "w1", "w2", "w3", "--field", "GF(101)"],
 }
 
 
@@ -73,6 +91,12 @@ def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq.json").read_text()
     assert main(["betti", "connect_qq.txt", "--max", "6", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq_max6.json").read_text()
+
+
+@pytest.mark.parametrize("golden", list(GF_CASES))
+def test_gf_json_report_is_golden(golden, monkeypatch, capsys):
+    out = _report(GF_CASES[golden], monkeypatch, capsys)
+    assert out == (GOLDEN / f"{golden}.json").read_text()
 
 
 def test_gf_partition_json_report_is_golden(monkeypatch, capsys):

@@ -17,11 +17,12 @@ from artinsum.errors import ArtinsumError, PreconditionError
 from artinsum.graded import (compressed_hilbert, interior_socle_dimension, linear_socle_rows,
                              socle_by_degree)
 from artinsum.grobner import IdealPresentation, buchberger
-from artinsum.quotient import presentation_in_coordinates, residue_field_algebra
+from artinsum.quotient import presentation_in_coordinates
 
-from corpus import pair_corpus, random_pair
-from oracles import (graded_from_homogeneous, gls_split_reference, initial_form_generators,
-                     socle_by_degree_reference)
+from corpus import pair_corpus, random_gorenstein, random_pair
+from oracles import (build_algebra_reference, degreewise_generators_reference,
+                     graded_from_homogeneous, gls_split_reference, initial_form_generators,
+                     residue_field_algebra, socle_by_degree_reference)
 
 STRETCHED = "field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3"
 
@@ -212,6 +213,42 @@ def test_degreewise_presentations_match_buchberger(field):
         data, q0 = iarrobino(A)
         reference = graded_from_homogeneous(A.ring, list(G.gb) + data.forms)
         assert q0.same_presentation(reference)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_degreewise_algebras_match_the_per_degree_preimage_route_on_hidden_sums(data):
+    # gr(A) and Q0 from one matrix of residues against the forms taken one
+    # degree at a time as preimages, presented by Buchberger and substitution;
+    # a unitriangular change of coordinates with quadratic terms keeps the
+    # presentation of A from being graded.  The sums have edim at most 3 and
+    # are kept off Loewy length 4 with edim 3, where the reference takes
+    # seconds per example over QQ
+    field = data.draw(st.sampled_from([GF(101), GF(1048573), QQ]))
+    edim = data.draw(st.integers(1, 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    R = random_gorenstein(rng, edim, data.draw(st.integers(2, 5 - edim)), "Y", field)
+    S = random_gorenstein(rng, 1, data.draw(st.integers(2, 4)), "Z", field)
+    Q = connected_sum(R, S).algebra
+    ring = Q.ring
+
+    def coeff():
+        return data.draw(st.integers(-3, 3))
+
+    images = [ring.var(v) + sum((ring.var(j).scale(coeff()) for j in range(v)), ring.zero)
+              + (ring.var(data.draw(st.integers(0, ring.nvars - 1))) ** 2).scale(coeff())
+              for v in range(ring.nvars)]
+    A = presentation_in_coordinates(Q, ring, images)
+    s = A.loewy_length
+    q0_targets = [A.annihilator(A.power(s - i).rows).intersect(A.power(i)).add(A.power(i + 1))
+                  for i in range(s + 1)] + [A.power(s + 2)]
+    gr_targets = [A.power(d + 1) for d in range(s + 2)]
+    for got, targets in ((associated_graded(A), gr_targets), (iarrobino(A)[1], q0_targets)):
+        expected = build_algebra_reference(
+            IdealPresentation(ring, degreewise_generators_reference(A, targets)))
+        assert got.same_presentation(expected)
+        assert got.basis == expected.basis
+        assert np.array_equal(got.struct, expected.struct)
 
 
 def test_classify_patterns():

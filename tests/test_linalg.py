@@ -13,7 +13,8 @@ from artinsum import linalg
 from artinsum._kernels import rref_mod
 from artinsum.fields import MAX_PRIME
 
-from oracles import complement_rows_reference, rref_fraction_reference, right_kernel_reference
+from oracles import (complement_rows_reference, in_row_space, preimage_rows,
+                     rref_fraction_reference, right_kernel_reference)
 
 # the largest prime below MAX_PRIME: products of two entries come closest to
 # the int64 bound there
@@ -52,8 +53,15 @@ def test_kernel_mod_p():
 def test_reduce_row_and_membership():
     k = GF(7)
     rows, pivots = linalg.echelon(k, linalg.matrix(k, [[1, 0, 3], [0, 1, 2]]))
-    assert linalg.in_row_space(k, np.array([2, 3, 12]) % 7, rows, pivots)
-    assert not linalg.in_row_space(k, np.array([0, 0, 1]), rows, pivots)
+    assert in_row_space(k, np.array([2, 3, 12]) % 7, rows, pivots)
+    assert not in_row_space(k, np.array([0, 0, 1]), rows, pivots)
+    # a matrix is reduced row by row, in one product
+    for field, vecs in ((k, [[2, 3, 5], [0, 0, 1], [1, 1, 1]]),
+                        (QQ, [[Fraction(1, 2), 3, 5], [0, 0, 1], [1, -2, Fraction(2, 3)]])):
+        rows, pivots = linalg.echelon(field, linalg.matrix(field, [[1, 0, 3], [0, 2, 2]]))
+        mat = linalg.matrix(field, vecs)
+        assert np.array_equal(linalg.reduce_row(field, mat, rows, pivots),
+                              [linalg.reduce_row(field, v, rows, pivots) for v in mat])
 
 
 def test_intersect_row_spaces():
@@ -68,7 +76,7 @@ def test_preimage_rows():
     # v @ m in span{(1,0)} means v orthogonal to the second output coordinate
     m = linalg.matrix(QQ, [[1, 0], [0, 1], [1, 1]])
     sub = linalg.matrix(QQ, [[1, 0]])
-    pre = linalg.preimage_rows(QQ, m, sub)
+    pre = preimage_rows(QQ, m, sub)
     for v in pre:
         out = v.dot(m)
         assert out[1] == 0

@@ -10,11 +10,11 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti
                       resolution, verify_cs_series, verify_fp_series, verify_mu_formulas,
                       verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
-from artinsum.quotient import residue_field_algebra
 from artinsum.resolution import _differential, _tables, mu_direct
 
 from corpus import pair_corpus
-from oracles import betti_numbers_reference, differential_matrix_reference, mu_direct_reference
+from oracles import (betti_numbers_reference, differential_matrix_reference, mu_direct_reference,
+                     residue_field_algebra)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 

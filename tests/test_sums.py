@@ -18,7 +18,7 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
 from artinsum.grobner import IdealPresentation
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import connected_sum_reference, fibre_product_reference
+from oracles import connected_sum_reference, fibre_product_reference, residue_field_algebra
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -37,7 +37,6 @@ def test_fibre_product_of_quadrics():
 
 
 def test_fibre_product_trivial():
-    from artinsum.quotient import residue_field_algebra
     R = algebra_from_text("field QQ; vars Y; ideal Y^3")
     res = fibre_product(R, residue_field_algebra(QQ))
     assert res.trivial and res.algebra is R
