@@ -1,40 +1,119 @@
-"""The mod-p row-reduction kernel.
+"""The row-reduction kernel: one sparse echelon on dict rows, over GF(p) and QQ.
 
-One numpy implementation, in place on an int64 matrix whose entries are
-already reduced into [0, p).  Every product it forms is of two such entries,
-so it stays below p**2 < 2**40 for each modulus a PrimeField accepts
-(p < MAX_PRIME = 2**20) and cannot overflow int64.
+A row is a dict from column to nonzero scalar, and `p` names the lane: the
+prime over GF(p), whose entries are ints in [0, p), and 0 over QQ.  An
+echelon basis is a dict from pivot column to the row whose least column
+that is.  Over GF(p) a pivot row is one at its pivot.  Over QQ rows are
+primitive integer rows, eliminated fraction-free (Bareiss 1968); a pivot is
+divided out only when a row is read out (`monic`), so each entry is then an
+int where it is integral and a Fraction otherwise.  `rref_mod` is the
+adapter for a dense array.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
-BACKEND = "numpy"  # the kernel's name, printed by perfbench/run.py
+BACKEND = "sparse"  # the kernel's name, printed by perfbench/run.py
+
+
+def _eliminate(row, c, prow, p):
+    """Clear column c of `row` in place with the pivot row `prow`.
+
+    A pivot of one subtracts f*prow with f = row[c], mod p or exactly (on
+    Fractions too).  Another pivot v is an integer row's: the row becomes
+    (v/g)*row - (f/g)*prow, with g = gcd(v, f), and is divided by its content.
+    """
+    f, v = row[c], prow[c]
+    if v != 1:
+        g = gcd(v, f)
+        f, v = f // g, v // g
+        if v != 1:
+            for k in row:
+                row[k] *= v
+    for k, x in prow.items():
+        y = row.get(k, 0) - f * x
+        if p:
+            y %= p
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+    if v != 1 and row:
+        g = gcd(*row.values())
+        for k in row:
+            row[k] //= g
+
+
+def reduce(row, pivots, p):
+    """Clear in place every column of `row` that is a pivot of the reduced basis `pivots`.
+
+    Each basis row is zero at the other pivots, so the columns can be
+    cleared in any order; what is left is the residue of `row` modulo the
+    span, exact when every pivot is one.
+    """
+    for c in [c for c in row if c in pivots]:
+        _eliminate(row, c, pivots[c], p)
+    return row
+
+
+def echelon(rows, p, reduced=False):
+    """An echelon basis of the span of `rows` (dicts, consumed), keyed by pivot column.
+
+    The pivots are those of the reduced echelon form.  Elimination is
+    forward only unless `reduced`, which then clears every pivot column
+    from the other rows, the last pivot first.
+    """
+    pivots = {}
+    for row in rows:
+        if not p and not all(type(x) is int for x in row.values()):
+            d = lcm(*[x.denominator for x in row.values()])
+            row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    f = pow(row[c], -1, p)
+                    pivots[c] = row if f == 1 else {k: x * f % p for k, x in row.items()}
+                else:
+                    g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+                    pivots[c] = row if g == 1 else {k: x // g for k, x in row.items()}
+                break
+            _eliminate(row, c, prow, p)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            pivots[c] = reduce(pivots.pop(c), pivots, p)
+    return pivots
+
+
+def monic(row, c):
+    """The pivot row `row` divided by its pivot at c."""
+    v = row[c]
+    if v == 1:
+        return row
+    return {k: x // v if x % v == 0 else Fraction(x, v) for k, x in row.items()}
+
+
+def sparse_rows(a):
+    """The rows of a 2-D array as dicts of their nonzero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in a.tolist()]
 
 
 def rref_mod(a, p):
-    """In-place reduced row echelon form mod p; returns (rank, pivot columns)."""
-    if a.size == 0:
-        return 0, np.empty(0, dtype=np.int64)
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        rows = np.nonzero(a[r:, c])[0]
-        if rows.size == 0:
-            continue
-        pr = r + int(rows[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = a[r, c:] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return r, np.asarray(pivots, dtype=np.int64)
+    """Reduced row echelon form of a 2-D array, in place; returns (rank, pivot columns).
+
+    Over GF(p) `a` is an int64 array with entries in [0, p); with p = 0 it
+    is an object array over QQ.
+    """
+    pivots = echelon(sparse_rows(a), p, reduced=True)
+    cols = sorted(pivots)
+    at, values = [], []
+    for i, c in enumerate(cols):
+        row = monic(pivots[c], c)
+        at += [i * a.shape[1] + k for k in row]
+        values += row.values()
+    a[...] = 0
+    a.flat[at] = values
+    return len(cols), np.asarray(cols, dtype=np.int64)

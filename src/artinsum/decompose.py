@@ -109,7 +109,7 @@ def split_witness(Q):
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
     top = Q.power(s - 1)
-    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.rows, top.pivots)
+    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.rows)
     if len(z_vecs) != n:
         raise PreconditionError(
             f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_vecs)}, expected {n}")

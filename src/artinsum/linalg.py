@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over QQ and GF(p).
+"""Exact linear algebra over QQ and GF(p) on numpy arrays.
 
 Matrices are numpy arrays: dtype int64 with canonical entries over a prime
 field, dtype object over QQ.  Vectors are 1-D arrays of the same flavor.
@@ -10,27 +10,29 @@ A QQ array may hold Python ints and Fractions.  Every QQ matrix that
 whose entries are all integral stay on Python integers.  Polynomials built
 from such arrays coerce their coefficients back to Fractions.
 
-`rref` and `mat_mul` scale each row (for the right factor of a product,
-each column) by the lcm of its denominators and compute on Python integers,
-which cannot overflow; rows of ints skip the scaling.  `rref` is
-fraction-free Gauss-Jordan elimination (Bareiss 1968): a row with entry f in
-the pivot column becomes (p/g)*row - (f/g)*pivot_row, with p the pivot and
-g = gcd(p, f), and is then divided by its content; at the end each pivot
-row is divided by its pivot.  The reduced echelon form is unique, so this
-gives the same matrix and pivots as elimination on Fractions.  `mat_mul`
-forms one integer product over the columns where the left operand is not
-zero.  A right factor used in many products is converted once
-(`prepared`).
+Row reduction runs on the sparse echelon of `_kernels`, on both lanes:
+`rref` (and so `echelon` and the kernels) through its dense
+adapter, `reduce_row` and `complement_rows` on the dict rows themselves.
+
+`mat_mul` forms one product over the columns where the left operand is not
+zero.  Over GF(p) that is an int64 product of entries in [0, p): each term
+is below p**2 < 2**40 for every modulus a PrimeField accepts
+(p < MAX_PRIME = 2**20), so a sum of up to 2**23 terms cannot overflow.
+Over QQ it scales each row of the left factor and each column of the right
+one by the lcm of its denominators and computes on Python integers, which
+cannot overflow; rows of ints skip the scaling.  A right factor used in many
+products is converted once (`prepared`).
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from . import _kernels
-from .fields import QQ, PrimeField
+from .errors import ResourceGuardError
+from .fields import PrimeField
 
 MAX_ECHELON_DIM = 1 << 22
 
@@ -54,85 +56,25 @@ def matrix(field, rows, width=None):
     return np.vstack(rows)
 
 
-def _integer_rows(a):
-    """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
-
-    Returns the scaled rows as lists of Python ints, and the row denominators.
-    Entries may be Fractions or Python ints; rows of ints are returned as they are.
-    """
-    rows = a.tolist()
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows, [1] * len(rows)
-    dens = []
-    for i, row in enumerate(rows):
-        d = lcm(*[x.denominator for x in row])
-        if d == 1:
-            rows[i] = [x.numerator for x in row]
-        else:
-            rows[i] = [x.numerator * (d // x.denominator) for x in row]
-        dens.append(d)
-    return rows, dens
-
-
-def _rref_rational(a):
-    """Fraction-free Gauss-Jordan elimination of a 2-D QQ array: (R, pivots)."""
-    m, n = a.shape
-    rows, _ = _integer_rows(a)
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                g = gcd(p, f)
-                s, t = p // g, f // g
-                row = [s * x - t * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    out = zeros(QQ, (m, n))
-    for i, c in enumerate(pivots):
-        p = rows[i][c]
-        out[i] = rows[i] if p == 1 else _quotients(rows[i], [p] * n)
-    return out, np.asarray(pivots, dtype=np.int64)
-
-
-def _quotients(nums, dens):
-    """The entries x / d, each an int where it is integral and a Fraction otherwise."""
-    return [x // d if x % d == 0 else Fraction(x, d) for x, d in zip(nums, dens)]
-
-
 def rref(field, a):
     """Reduced row echelon form: returns (R, pivot column array)."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("matrix expected")
-    if max(a.shape, default=0) > MAX_ECHELON_DIM:
-        raise ValueError("matrix dimension exceeds supported bound")
+    size = max(a.shape, default=0)
+    if size > MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, size, "matrix dimension")
     if is_prime_field(field):
         a = np.asarray(a, dtype=np.int64) % field.p
-        rank, pivots = _kernels.rref_mod(a, field.p)
-        return a, pivots
-    return _rref_rational(a)
+    else:
+        a = np.array(a, dtype=object)
+    return a, _kernels.rref_mod(a, field.char)[1]
 
 
 def echelon(field, a):
     """Reduced echelon basis of the row space, zero rows dropped."""
     r, pivots = rref(field, a)
     return r[: len(pivots)], pivots
-
-
-def rank(field, a):
-    return len(rref(field, a)[1])
 
 
 def _kernel_and_free(field, a):
@@ -162,48 +104,47 @@ def left_kernel(field, a):
 def reduce_row(field, vec, rows, pivots):
     """Residue of `vec`, or of each row of a matrix, modulo a reduced echelon basis.
 
-    The residue is zero at every pivot column, so it is unique.
+    The residue is zero at every pivot column, so it is unique.  The basis
+    rows are one at their pivots, so the kernel reduces exactly.
     """
     v = np.array(vec, copy=True)
-    if len(rows) == 0:
-        return v
-    coeffs = v[..., list(map(int, pivots))]
-    hit = np.flatnonzero(coeffs if v.ndim == 1 else coeffs.any(axis=0))
-    if hit.size == 0:
-        return v
-    return _canonical(field, v - mat_mul(field, coeffs[..., hit], rows[hit]))
+    basis = dict(zip(map(int, pivots), _kernels.sparse_rows(np.asarray(rows))))
+    flat = v.reshape(-1, v.shape[-1])
+    for i, row in enumerate(_kernels.sparse_rows(flat)):
+        if basis.keys() & row.keys():
+            row = _kernels.reduce(row, basis, field.char)
+            flat[i] = 0
+            flat[i, list(row)] = list(row.values())
+    return v
 
 
 def _canonical(field, a):
     return a % field.p if is_prime_field(field) else a
 
 
-def complement_rows(field, rows, base_rows, base_pivots):
-    """Monic residues of `rows` that extend a reduced echelon base, in input order.
+def complement_rows(field, rows, base_rows):
+    """Monic residues of `rows` that extend the span of `base_rows`, in input order.
 
     Row j yields its residue modulo the base and rows 0..j-1, scaled so the
     first nonzero entry is one, when that residue is nonzero.  A residue
-    taken with zeros at the span's pivot columns is unique, so it does not
-    depend on how the span's basis is kept: each row is reduced against the
-    base and then against the kept residues, which stay a reduced basis of
-    their own through one rank-1 update per kept row.
+    taken with zeros at the span's pivot columns is unique: each row is
+    reduced exactly against the base's monic reduced basis and then against
+    that of the residues kept so far, which is zero at the base's pivots.
     """
-    kept = zeros(field, (min(rows.shape), rows.shape[1]))
-    pivots = []
+    p = field.char
+
+    def monic_basis(rows):
+        return {c: _kernels.monic(r, c) for c, r in _kernels.echelon(rows, p, reduced=True).items()}
+
+    base = monic_basis(_kernels.sparse_rows(np.asarray(base_rows)))
+    kept = {}
     out = []
-    for r in rows:
-        k = len(pivots)
-        r = reduce_row(field, reduce_row(field, r, base_rows, base_pivots), kept[:k], pivots)
-        nonzero = np.flatnonzero(r)
-        if nonzero.size == 0:
-            continue
-        c = int(nonzero[0])
-        r = _canonical(field, r * field.inv(r[c]))
-        hit = np.flatnonzero(kept[:k, c])
-        kept[hit] = _canonical(field, kept[hit] - np.outer(kept[hit, c], r))
-        kept[k] = r
-        pivots.append(c)
-        out.append(r)
+    for row in _kernels.sparse_rows(rows):
+        if _kernels.reduce(_kernels.reduce(row, base, p), kept, p):
+            c = min(row)
+            kept = monic_basis([*kept.values(), row])
+            out.append(zeros(field, rows.shape[1]))
+            out[-1][list(kept[c])] = list(kept[c].values())
     return out
 
 
@@ -225,6 +166,31 @@ def identity(field, n):
     a = zeros(field, (n, n))
     np.fill_diagonal(a, 1)
     return a
+
+
+def _integer_rows(a):
+    """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
+
+    Returns the scaled rows as lists of Python ints, and the row denominators.
+    Entries may be Fractions or Python ints; rows of ints are returned as they are.
+    """
+    rows = a.tolist()
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, [1] * len(rows)
+    dens = []
+    for i, row in enumerate(rows):
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            rows[i] = [x.numerator for x in row]
+        else:
+            rows[i] = [x.numerator * (d // x.denominator) for x in row]
+        dens.append(d)
+    return rows, dens
+
+
+def _quotients(nums, dens):
+    """The entries x / d, each an int where it is integral and a Fraction otherwise."""
+    return [x // d if x % d == 0 else Fraction(x, d) for x, d in zip(nums, dens)]
 
 
 class _Columns:

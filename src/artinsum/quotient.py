@@ -52,10 +52,11 @@ class Subspace:
         return linalg.reduce_row(self.algebra.field, vec, self.rows, self.pivots)
 
     def contains(self, vec):
+        """Whether a vector, or every row of a matrix, lies in the subspace."""
         return not np.any(self.reduce(vec) != self.algebra.field.zero)
 
     def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return self.contains(other.rows)
 
     def add(self, other):
         return Subspace(self.algebra, np.vstack([self.rows, other.rows]))
@@ -70,8 +71,8 @@ class Subspace:
 
     def is_ideal(self):
         A = self.algebra
-        return all(self.contains(r) for mx in A._var_operands
-                   for r in linalg.mat_mul(A.field, self.rows, mx))
+        return all(self.contains(linalg.mat_mul(A.field, self.rows, mx))
+                   for mx in A._var_operands)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.algebra is self.algebra
@@ -277,7 +278,7 @@ class ArtinAlgebra:
         if not sub.is_ideal():
             raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
         mw = self.m_times(sub)
-        reps = linalg.complement_rows(self.field, sub.rows, mw.rows, mw.pivots)
+        reps = linalg.complement_rows(self.field, sub.rows, mw.rows)
         return len(reps), reps
 
     def same_presentation(self, other):

@@ -2,9 +2,10 @@
 
 Every element of a free module A^r is a sparse row, a dict from column
 t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
-[0, p) over GF(p), an int or Fraction over QQ.  One field-generic sparse
-echelon serves both lanes; products are read off the nonzeros of the
-variables' multiplication matrices and of the structure tensor.
+[0, p) over GF(p), an int or Fraction over QQ.  The sparse echelon of
+`_kernels` serves both lanes, on integer rows over QQ; products are read
+off the nonzeros of the variables' multiplication matrices and of the
+structure tensor.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
@@ -20,7 +21,7 @@ checked with exact series arithmetic.
 from dataclasses import dataclass
 from math import comb
 
-from . import linalg
+from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
 from .quotient import _monomials_up_to
@@ -60,13 +61,9 @@ def _tables(A):
     struct[l] the triples (k, j, c) with e_l * e_k = sum of c*e_j.
     """
     lam = A.length
-
-    def nonzeros(mat):
-        return [[(j, c) for j, c in enumerate(row) if c] for row in mat.tolist()]
-
-    var = [nonzeros(mx) for mx in A.var_matrices]
-    struct = [[(*divmod(kj, lam), c) for kj, c in row]
-              for row in nonzeros(A.struct.reshape(lam, lam * lam))]
+    var = [[list(row.items()) for row in _kernels.sparse_rows(mx)] for mx in A.var_matrices]
+    struct = [[(*divmod(kj, lam), c) for kj, c in row.items()]
+              for row in _kernels.sparse_rows(A.struct.reshape(lam, lam * lam))]
     return var, struct
 
 
@@ -108,44 +105,6 @@ def _differential(struct, gens, lam, p):
     return {i: row for i, row in rows.items() if row}
 
 
-def _subtract(row, f, prow, p):
-    """row -= f * prow in place; f and prow's entries are nonzero, so a new entry is too."""
-    get = row.get
-    for k, x in prow.items():
-        y = get(k, 0) - f * x
-        if p:
-            y %= p
-        if y:
-            row[k] = y
-        else:
-            del row[k]
-
-
-def _echelon(rows, field, p, reduced):
-    """An echelon basis of the span of `rows` (dicts, consumed), keyed by pivot column.
-
-    Each basis row is one at its pivot, its least column, so the pivots are
-    those of the reduced echelon form.  Elimination is forward only unless
-    `reduced`, which then clears every pivot column from the other rows.
-    """
-    pivots = {}
-    for row in rows:
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                f = field.inv(row[c])
-                pivots[c] = _canonical({k: x * f for k, x in row.items()}, p)
-                break
-            _subtract(row, row[c], prow, p)
-    if reduced:
-        for c in sorted(pivots, reverse=True):
-            prow = pivots[c]
-            for k in [k for k in prow if k != c and k in pivots]:
-                _subtract(prow, prow[k], pivots[k], p)
-    return pivots
-
-
 def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     """Betti numbers beta_0..beta_N from a minimal free resolution of k over A.
 
@@ -160,13 +119,13 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     cached = A._betti_cache
     if cached is not None and cached.truncation >= truncation:
         return BettiData(cached.betti[: truncation + 1], truncation)
-    field, lam = A.field, A.length
-    p = field.p if linalg.is_prime_field(field) else 0
+    lam = A.length
+    p = A.field.char
     one_slot = A.basis_index[(0,) * A.ring.nvars]
     var, struct = _tables(A)
     betti = [1]
     m = A.power(1)                          # ker(A -> k) = m inside A^1, reduced echelon
-    kernel = [{j: c for j, c in enumerate(row) if c} for row in m.rows.tolist()]
+    kernel = _kernels.sparse_rows(m.rows)
     leads = [int(c) for c in m.pivots]
     width = lam                             # columns of the free module K lies in
     for step in range(1, truncation + 1):
@@ -176,7 +135,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         for i, c in enumerate(leads):
             order[c] = i
         products = (_times(row, table, lam, p, order) for table in var for row in kernel)
-        mk_piv = _echelon(products, field, p, reduced=False)
+        mk_piv = _kernels.echelon(products, p)
         if mk_piv and max(mk_piv) >= len(leads):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
                                 "outside the kernel's lead columns")
@@ -193,7 +152,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
             raise ResourceGuardError("max_dim", max_dim, width, "free module dimension")
         if any(c % lam == one_slot for g in gens for c in g):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
-        image = _echelon(_differential(struct, gens, lam, p).values(), field, p, reduced=True)
+        image = _kernels.echelon(_differential(struct, gens, lam, p).values(), p, reduced=True)
         # rank-nullity: d is onto the previous kernel iff its rank equals
         # that kernel's dimension
         if len(image) != len(kernel):
@@ -203,7 +162,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         leads = [f for f in range(width) if f not in image]
         rows = {f: {f: 1} for f in leads}
         for c, prow in image.items():
-            for f, x in prow.items():
+            for f, x in _kernels.monic(prow, c).items():
                 if f != c:
                     rows[f][c] = (-x) % p if p else -x
         kernel = [rows[f] for f in leads]
@@ -232,16 +191,11 @@ def mu_direct(A):
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:
-        order = min(sum(t) for t in g.terms)
-        for d in range(1, bound - order + 1):
+        for d in range(1, bound - min(sum(t) for t in g.terms) + 1):
             for m in ring.monomials_of_degree(d):
-                row = linalg.zeros(ring.field, len(monos))
-                for t, c in g.mul_term(m, ring.field.one).terms.items():
-                    if sum(t) <= bound:
-                        row[col[t]] = c
-                rows.append(row)
-    inside = linalg.rank(ring.field, linalg.matrix(ring.field, rows, width=len(monos)))
-    return len(monos) - A.length - inside
+                terms = g.mul_term(m, ring.field.one).terms.items()
+                rows.append({col[t]: c for t, c in terms if sum(t) <= bound})
+    return len(monos) - A.length - len(_kernels.echelon(rows, ring.field.char))
 
 
 def mu_from_betti(A, betti=None):

@@ -5,7 +5,9 @@ certified by finding explicit cofactors with bounded-degree linear algebra,
 and subalgebras are cross-checked by ranking normal-form images of subring
 monomials.  The `*_reference` functions keep the earlier, slower forms of
 routines that were made fast, for differential tests: Gauss-Jordan on
-Fractions, the per-column kernel loop, the per-vector complement loop, the
+Fractions, the dense numpy pivot loop mod p and the dense fraction-free
+Gauss-Jordan on integers that ran before the sparse kernel, the
+per-column kernel loop, the per-vector complement loop, the
 pair-rescanning Buchberger, the substitution loop that made presentations
 minimal, the resolution loop that took Betti numbers by row reduction
 against m times the kernel, the block-order elimination that contracted
@@ -23,6 +25,7 @@ the variables of a polynomial, and the residue field as an algebra.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -212,6 +215,85 @@ def rref_fraction_reference(a):
         if r == m:
             break
     return r, np.asarray(pivots, dtype=np.int64)
+
+
+def rref_mod_reference(a, p):
+    """The dense numpy pivot loop mod p, in place on an int64 matrix with entries in [0, p).
+
+    Returns (rank, pivot column array); `_kernels.rref_mod` must give the
+    same matrix and pivots.
+    """
+    if a.size == 0:
+        return 0, np.empty(0, dtype=np.int64)
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        rows = np.nonzero(a[r:, c])[0]
+        if rows.size == 0:
+            continue
+        pr = r + int(rows[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r, c:] = a[r, c:] * inv % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return r, np.asarray(pivots, dtype=np.int64)
+
+
+def rref_bareiss_reference(a):
+    """Dense fraction-free Gauss-Jordan (Bareiss 1968) of a 2-D QQ array: (R, pivots).
+
+    A row with entry f in the pivot column becomes (p/g)*row - (f/g)*pivot_row,
+    with p the pivot and g = gcd(p, f), and is then divided by its content;
+    at the end each pivot row is divided by its pivot.  `linalg.rref` over QQ
+    must give the same matrix, pivots and entry types.
+    """
+    m, n = a.shape
+    rows, _ = linalg._integer_rows(a)
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(p, f)
+                s, t = p // g, f // g
+                row = [s * x - t * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    out = np.zeros((m, n), dtype=object)
+    for i, c in enumerate(pivots):
+        p = rows[i][c]
+        out[i] = rows[i] if p == 1 else linalg._quotients(rows[i], [p] * n)
+    return out, np.asarray(pivots, dtype=np.int64)
+
+
+def rank_reference(field, a):
+    """The rank of a matrix by the dense references: Bareiss over QQ, numpy mod p."""
+    a = np.asarray(a)
+    if linalg.is_prime_field(field):
+        return rref_mod_reference(np.asarray(a, dtype=np.int64) % field.p, field.p)[0]
+    return rref_bareiss_reference(np.asarray(a, dtype=object))[1].size
 
 
 def right_kernel_reference(field, a):
@@ -559,8 +641,8 @@ def betti_numbers_reference(A, truncation):
                                  for mx in A.var_matrices])
         else:
             stacked = kernel_rows[:0]
-        mk, mk_piv = linalg.echelon(A.field, stacked)
-        gens = linalg.complement_rows(A.field, kernel_rows, mk, mk_piv)
+        mk = linalg.echelon(A.field, stacked)[0]
+        gens = linalg.complement_rows(A.field, kernel_rows, mk)
         betti.append(len(gens))
         if step == truncation:
             break
@@ -742,8 +824,8 @@ def mu_direct_reference(A):
                     rows.append(row)
         return linalg.matrix(ring.field, rows, width=len(monos))
 
-    full = linalg.rank(ring.field, truncated_rows(0))
-    inside = linalg.rank(ring.field, truncated_rows(1))
+    full = rank_reference(ring.field, truncated_rows(0))
+    inside = rank_reference(ring.field, truncated_rows(1))
     return full - inside
 
 

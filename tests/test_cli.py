@@ -93,6 +93,17 @@ def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq_max6.json").read_text()
 
 
+def test_gf_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, capsys):
+    # the same factors read over GF(101), joined with unit 2: the prime lane
+    # of the resolution, with the QQ lane's Betti numbers to depth 6
+    monkeypatch.chdir(tmp_path)
+    assert main(["connect", str(GOLDEN / "gf_left.txt"), str(GOLDEN / "gf_right.txt"),
+                 "--unit", "2", "-o", "connect_gf101.txt"]) == 0
+    capsys.readouterr()
+    assert main(["betti", "connect_gf101.txt", "--max", "6", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "betti_connect_gf101_max6.json").read_text()
+
+
 @pytest.mark.parametrize("golden", list(GF_CASES))
 def test_gf_json_report_is_golden(golden, monkeypatch, capsys):
     out = _report(GF_CASES[golden], monkeypatch, capsys)

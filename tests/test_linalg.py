@@ -1,4 +1,8 @@
-"""Exact linear algebra over both coefficient lanes, and the mod-p kernel at its bound."""
+"""Exact linear algebra over both coefficient lanes, and the row-reduction kernel.
+
+The sparse kernel is checked against the dense loops it replaced, over
+GF(101), the largest supported prime and QQ.
+"""
 
 import random
 from fractions import Fraction
@@ -9,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artinsum import GF, QQ
-from artinsum import linalg
+from artinsum import _kernels, linalg
 from artinsum._kernels import rref_mod
+from artinsum.errors import ResourceGuardError
 from artinsum.fields import MAX_PRIME
 
 from oracles import (complement_rows_reference, in_row_space, preimage_rows,
-                     rref_fraction_reference, right_kernel_reference)
+                     rref_bareiss_reference, rref_fraction_reference, rref_mod_reference,
+                     right_kernel_reference)
 
 # the largest prime below MAX_PRIME: products of two entries come closest to
 # the int64 bound there
@@ -86,10 +92,10 @@ def test_rank_against_fraction_lane():
     rng = random.Random(3)
     for _ in range(10):
         rows = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(5)]
-        rq = linalg.rank(QQ, linalg.matrix(QQ, rows))
+        rq = len(linalg.echelon(QQ, linalg.matrix(QQ, rows))[1])
         # reduce mod a large prime: ranks agree when no pivot degenerates
         k = GF(101)
-        rp = linalg.rank(k, linalg.matrix(k, [[x % 101 for x in r] for r in rows]))
+        rp = len(linalg.echelon(k, linalg.matrix(k, [[x % 101 for x in r] for r in rows]))[1])
         assert rp <= rq
 
 
@@ -106,7 +112,7 @@ def _assert_complement_matches_reference(field, width, base_ints, row_ints):
         rows.append(rows[-1].copy())
         rows.insert(len(rows) // 2, rows[0].copy())
     rows = linalg.matrix(field, rows, width=width)
-    got = linalg.complement_rows(field, rows, base, pivots)
+    got = linalg.complement_rows(field, rows, base)
     want = complement_rows_reference(field, rows, base, pivots)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -144,11 +150,11 @@ def test_complement_rows_edge_cases():
     k = GF(7)
     empty = linalg.zeros(k, (0, 3))
     rows = _matrix(k, [[0, 2, 4], [0, 1, 2], [3, 0, 0], [3, 0, 0]], 3)
-    got = linalg.complement_rows(k, rows, empty, [])
+    got = linalg.complement_rows(k, rows, empty)
     assert [list(r) for r in got] == [[0, 1, 2], [1, 0, 0]]
-    base, pivots = linalg.echelon(k, rows)
-    assert linalg.complement_rows(k, rows, base, pivots) == []
-    assert linalg.complement_rows(k, empty, base, pivots) == []
+    base = linalg.echelon(k, rows)[0]
+    assert linalg.complement_rows(k, rows, base) == []
+    assert linalg.complement_rows(k, empty, base) == []
 
 
 def _rref_python(rows, p):
@@ -172,21 +178,36 @@ def _rref_python(rows, p):
 
 
 def test_rref_mod_at_the_largest_supported_prime():
+    # perfbench reduces an int64 array with rref_mod and prints BACKEND
+    assert isinstance(_kernels.BACKEND, str)
     assert TOP_PRIME < MAX_PRIME
     rng = random.Random(5)
     p = TOP_PRIME
-    for _ in range(30):
-        m, n = rng.randrange(1, 13), rng.randrange(1, 13)
+    shapes = [(0, 0), (0, 3), (3, 0)]
+    shapes += [(rng.randrange(1, 13), rng.randrange(1, 13)) for _ in range(30)]
+    for m, n in shapes:
         rows = [[rng.randrange(p - 1000, p) if rng.random() < 0.5 else rng.randrange(p)
                  for _ in range(n)] for _ in range(m)]
         if m > 2:
             # a dependent row keeps the rank below the row count
             rows[-1] = [(x * (p - 1) + y * (p - 2)) % p for x, y in zip(rows[0], rows[1])]
-        a = np.array(rows, dtype=np.int64)
+        a = np.array(rows, dtype=np.int64).reshape(m, n)
+        dense = a.copy()
         rank, pivots = rref_mod(a, p)
         want, want_pivots = _rref_python(rows, p)
         assert (rank, list(pivots)) == (len(want_pivots), want_pivots)
-        assert a.tolist() == want
+        assert a.dtype == pivots.dtype == np.int64 and a.tolist() == want
+        assert rref_mod_reference(dense, p)[0] == rank and np.array_equal(dense, a)
+
+
+def test_rref_dimension_guard_names_itself():
+    # a matrix with no rows allocates nothing, whatever its width
+    width = linalg.MAX_ECHELON_DIM + 1
+    for field in (GF(101), QQ):
+        with pytest.raises(ResourceGuardError) as info:
+            linalg.rref(field, linalg.zeros(field, (0, width)))
+        err = info.value
+        assert (err.guard, err.limit, err.value) == ("max_echelon_dim", width - 1, width)
 
 
 # -- the QQ lane against Fraction references ------------------------------------
@@ -403,3 +424,50 @@ def test_right_kernel_matches_reference_on_hypothesis_inputs(field, a):
     if field != QQ:
         a = _matrix(field, [[int(x) for x in row] for row in a.tolist()], a.shape[1])
     _assert_right_kernel_matches_reference(field, a)
+
+
+# -- the sparse kernel against the dense loops it replaced -------------------------
+
+def _assert_rref_matches_dense_reference(field, a):
+    got, pivots = linalg.rref(field, a)
+    if field == QQ:
+        want, want_pivots = rref_bareiss_reference(a)
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+        rows = _kernels.sparse_rows(a)
+    else:
+        want = np.asarray(a, dtype=np.int64) % field.p
+        rows = _kernels.sparse_rows(want)
+        want_pivots = rref_mod_reference(want, field.p)[1]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert pivots.dtype == want_pivots.dtype and np.array_equal(pivots, want_pivots)
+    # forward elimination alone finds the same pivots
+    assert sorted(_kernels.echelon(rows, field.char)) == pivots.tolist()
+
+
+def _random_matrix(rng, field, m, n):
+    if field == QQ:
+        return _qq(_random_qq_rows(rng, m, n, rng.choice([5, HUGE])), n)
+    p = field.p
+    rows = [[rng.choice([0, rng.randrange(p), p - 1 - rng.randrange(3)]) for _ in range(n)]
+            for _ in range(m)]
+    if m > 2:
+        rows[-1] = [(3 * x + (p - 1) * y) % p for x, y in zip(rows[0], rows[1])]
+    return np.array(rows, dtype=np.int64).reshape(m, n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_kernel_matches_dense_references_on_seeded_inputs(field):
+    rng = random.Random(37)
+    for _ in range(80):
+        m, n = rng.randrange(0, 10), rng.randrange(0, 10)
+        _assert_rref_matches_dense_reference(field, _random_matrix(rng, field, m, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FIELDS), st.data())
+def test_kernel_matches_dense_references_on_hypothesis_inputs(field, data):
+    a = data.draw(_qq_matrix())
+    if field != QQ:
+        a = _matrix(field, _unit_denominators(field.p, a).tolist(), a.shape[1])
+    _assert_rref_matches_dense_reference(field, a)

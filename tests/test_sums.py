@@ -16,9 +16,11 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
 from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
+from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import connected_sum_reference, fibre_product_reference, residue_field_algebra
+from oracles import (connected_sum_reference, fibre_product_reference, rank_reference,
+                     residue_field_algebra)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -184,6 +186,27 @@ def test_apolar_length_invariant_under_linear_substitution():
         w2 = dual.var(0).scale(c) + dual.var(1).scale(d)
         moved = F.compose(dual, [w1, w2])
         assert apolar_algebra(moved, ("X1", "X2")).length == base
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_apolar_length_is_the_rank_of_the_derivative_classes(field):
+    # kernel_algebra keeps one standard monomial per non-free column of the
+    # classes' left kernel, so by rank-nullity the length is their rank, also
+    # when a linear form is eliminated
+    rng = random.Random(41)
+    dual = PolyRing(field, ("w1", "w2", "w3"))
+    names = ("X1", "X2", "X3")
+    polys = [parse_polynomial(text, dual) for text in (
+        "w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3",
+        "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3 - 15*w2^2*w3"
+        " + 15*w2*w3^2 + 16*w3^4 - 5*w3^3")]
+    monos = [m for d in range(1, 5) for m in dual.monomials_of_degree(d)]
+    for _ in range(10):
+        polys.append(dual.poly({rng.choice(monos): rng.randrange(-5, 6)
+                                for _ in range(rng.randrange(1, 6))} | {(3, 0, 1): 1}))
+    for F in polys:
+        classes = _apolar_classes(F, PolyRing(field, names))[1]
+        assert apolar_algebra(F, names).length == rank_reference(field, classes)
 
 
 def test_apolar_sum_check_examples():
