@@ -6,8 +6,10 @@ echelon basis is a dict from pivot column to the row whose least column
 that is.  Over GF(p) a pivot row is one at its pivot.  Over QQ rows are
 primitive integer rows, eliminated fraction-free (Bareiss 1968); a pivot is
 divided out only when a row is read out (`monic`), so each entry is then an
-int where it is integral and a Fraction otherwise.  `rref_mod` is the
-adapter for a dense array.
+int where it is integral and a Fraction otherwise.  Outside this module an
+echelon basis has one format (`basis`): the monic rows by increasing
+pivot, against which residues are exact.  `rref_mod` is the adapter for a
+dense array.
 """
 
 from fractions import Fraction
@@ -96,9 +98,45 @@ def monic(row, c):
     return {k: x // v if x % v == 0 else Fraction(x, v) for k, x in row.items()}
 
 
+def basis(rows, p):
+    """The reduced echelon basis of the span of `rows` (consumed): monic rows by pivot."""
+    pivots = echelon(rows, p, reduced=True)
+    return {c: monic(pivots[c], c) for c in sorted(pivots)}
+
+
+def kernel(pivots, width, p):
+    """The right kernel of a reduced echelon form of `width` columns, keyed by free column.
+
+    Row f is one at the free column f and minus column f of each pivot row
+    at that row's pivot.
+    """
+    rows = {f: {f: 1} for f in range(width) if f not in pivots}
+    for c, prow in pivots.items():
+        for f, x in monic(prow, c).items():
+            if f != c:
+                rows[f][c] = (-x) % p if p else -x
+    return rows
+
+
 def sparse_rows(a):
     """The rows of a 2-D array as dicts of their nonzero entries."""
     return [{j: x for j, x in enumerate(r) if x} for r in a.tolist()]
+
+
+def fill(a, rows, p):
+    """Write dict rows into the leading rows of the 2-D array `a`, zeroing the rest; returns `a`.
+
+    Over QQ (p = 0) each entry is written as an int where it is integral.
+    """
+    at, values = [], []
+    for i, row in enumerate(rows):
+        at += [i * a.shape[1] + k for k in row]
+        values += row.values()
+    if not p:
+        values = [x if type(x) is int or x.denominator != 1 else x.numerator for x in values]
+    a[...] = 0
+    a.flat[at] = values
+    return a
 
 
 def rref_mod(a, p):
@@ -107,13 +145,6 @@ def rref_mod(a, p):
     Over GF(p) `a` is an int64 array with entries in [0, p); with p = 0 it
     is an object array over QQ.
     """
-    pivots = echelon(sparse_rows(a), p, reduced=True)
-    cols = sorted(pivots)
-    at, values = [], []
-    for i, c in enumerate(cols):
-        row = monic(pivots[c], c)
-        at += [i * a.shape[1] + k for k in row]
-        values += row.values()
-    a[...] = 0
-    a.flat[at] = values
-    return len(cols), np.asarray(cols, dtype=np.int64)
+    pivots = basis(sparse_rows(a), p)
+    fill(a, pivots.values(), p)
+    return len(pivots), np.asarray(list(pivots), dtype=np.int64)

@@ -109,7 +109,7 @@ def split_witness(Q):
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
     top = Q.power(s - 1)
-    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.rows)
+    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.basis)
     if len(z_vecs) != n:
         raise PreconditionError(
             f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_vecs)}, expected {n}")
@@ -125,7 +125,7 @@ def split_witness(Q):
     if not ideal_i.is_ideal():
         raise ArtinsumError("the annihilator of J is not an ideal")
     # invariants of the annihilator pair
-    if Q.m_times(J).dim and not socle.contains_space(Q.m_times(J)):
+    if not socle.contains_space(Q.m_times(J)):
         raise ArtinsumError("J*m escapes the socle")
     if any(np.any(Q.multiply(a, b) != Q.field.zero)
            for a in J.rows for b in Q.power(2).rows):
@@ -134,9 +134,8 @@ def split_witness(Q):
         raise ArtinsumError("0:J + J is not the maximal ideal")
     power_i = ideal_i
     for r in range(2, s + 1):
-        next_rows = np.vstack([linalg.mat_mul(Q.field, power_i.rows, Q.mult_matrix(v))
-                               for v in ideal_i.rows]) if ideal_i.dim else ideal_i.rows
-        power_i = Q.subspace(list(next_rows))
+        power_i = Q.subspace(np.vstack([linalg.mat_mul(Q.field, power_i.rows, Q.mult_matrix(v))
+                                        for v in ideal_i.rows]))
         if not power_i == Q.power(r):
             raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     mu_j, _ = Q.minimal_generators(J)

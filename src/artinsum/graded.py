@@ -36,27 +36,22 @@ def socle_by_degree(G):
     """For each degree, an echelon basis of the degree-d socle of G (full coordinates).
 
     Multiplication by a variable raises degrees, so the socle of G is graded
-    and its reduced echelon basis (`G.socle()`, kept on G) is made of forms:
-    the rows whose pivot has degree d are the reduced echelon basis of the
-    degree-d socle.
+    and its reduced echelon basis (`G.socle().basis`, kept on G) is made of
+    forms: the rows whose pivot has degree d are the reduced echelon basis
+    of the degree-d socle.
     """
     _homogeneous(G)
-    socle = G.socle()
     out = {}
-    for row, c in zip(socle.rows, socle.pivots.tolist()):
+    for c, row in G.socle().basis.items():
         out.setdefault(mono_deg(G.basis[c]), []).append(row)
-    return {d: np.vstack(rows) for d, rows in sorted(out.items())}
+    return {d: linalg.dense(G.field, rows, G.length) for d, rows in sorted(out.items())}
 
 
 def linear_socle_rows(G):
     """Degree-1 socle vectors of G as rows over the variables in declaration order."""
-    rows = socle_by_degree(G).get(1)
-    if rows is None:
-        return linalg.zeros(G.field, (0, G.ring.nvars))
-    linear = [i for i, m in enumerate(G.basis) if mono_deg(m) == 1]
-    out = linalg.zeros(G.field, (rows.shape[0], G.ring.nvars))
-    out[:, [G.basis[i].index(1) for i in linear]] = rows[:, linear]
-    return linalg.echelon(G.field, out)[0]
+    rows = [{G.basis[k].index(1): x for k, x in row.items()}
+            for c, row in _homogeneous(G).socle().basis.items() if mono_deg(G.basis[c]) == 1]
+    return linalg.echelon(G.field, linalg.dense(G.field, rows, G.ring.nvars))[0]
 
 
 def interior_socle_dimension(G):

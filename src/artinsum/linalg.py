@@ -4,15 +4,16 @@ Matrices are numpy arrays: dtype int64 with canonical entries over a prime
 field, dtype object over QQ.  Vectors are 1-D arrays of the same flavor.
 All routines are pure; inputs are never mutated.
 
-A QQ array may hold Python ints and Fractions.  Every QQ matrix that
-`rref`, `mat_mul` and the kernels return is canonical: an entry is an
-`int` exactly when it is integral, and a `Fraction` otherwise, so arrays
-whose entries are all integral stay on Python integers.  Polynomials built
-from such arrays coerce their coefficients back to Fractions.
+A QQ array may hold Python ints and Fractions.  Every QQ matrix returned
+here is canonical: an entry is an `int` exactly when it is integral, and a
+`Fraction` otherwise, so arrays whose entries are all integral stay on
+Python integers.  Polynomials built from such arrays coerce their
+coefficients back to Fractions.
 
-Row reduction runs on the sparse echelon of `_kernels`, on both lanes:
-`rref` (and so `echelon` and the kernels) through its dense
-adapter, `reduce_row` and `complement_rows` on the dict rows themselves.
+Row reduction runs on the sparse echelon of `_kernels`, on both lanes.  A
+matrix enters it through the dimension guard and, over GF(p), mod p: as
+dict rows (`sparse_rows`, `pivot_basis`) or through the dense adapter
+(`rref`).  `dense` writes dict rows back into an array.
 
 `mat_mul` forms one product over the columns where the left operand is not
 zero.  Over GF(p) that is an int64 product of entries in [0, p): each term
@@ -56,8 +57,8 @@ def matrix(field, rows, width=None):
     return np.vstack(rows)
 
 
-def rref(field, a):
-    """Reduced row echelon form: returns (R, pivot column array)."""
+def _checked(field, a):
+    """`a` as a 2-D int64 array reduced mod p, or an object array over QQ, within the guard."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("matrix expected")
@@ -65,9 +66,28 @@ def rref(field, a):
     if size > MAX_ECHELON_DIM:
         raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, size, "matrix dimension")
     if is_prime_field(field):
-        a = np.asarray(a, dtype=np.int64) % field.p
-    else:
-        a = np.array(a, dtype=object)
+        return np.asarray(a, dtype=np.int64) % field.p
+    return np.asarray(a, dtype=object)
+
+
+def sparse_rows(field, a):
+    """The rows of a matrix as the kernel's dict rows: the one way into `_kernels`."""
+    return _kernels.sparse_rows(_checked(field, a))
+
+
+def pivot_basis(field, a):
+    """The reduced echelon basis of the row space: each pivot's monic dict row, by pivot."""
+    return _kernels.basis(sparse_rows(field, a), field.char)
+
+
+def dense(field, rows, width):
+    """Dict rows as a matrix of `width` columns, canonical on both lanes."""
+    return _kernels.fill(zeros(field, (len(rows), width)), rows, field.char)
+
+
+def rref(field, a):
+    """Reduced row echelon form: returns (R, pivot column array)."""
+    a = np.array(_checked(field, a))
     return a, _kernels.rref_mod(a, field.char)[1]
 
 
@@ -79,16 +99,9 @@ def echelon(field, a):
 
 def _kernel_and_free(field, a):
     """Rows spanning {v : a @ v = 0}, and the free columns they are the identity on."""
-    a = np.asarray(a)
-    n = a.shape[1]
-    r, pivots = rref(field, a)
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = zeros(field, (free.size, n))
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = _canonical(field, -r[: pivots.size, free].T)
-    return basis, free
+    p, n = field.char, np.shape(a)[-1]
+    kernel = _kernels.kernel(_kernels.echelon(sparse_rows(field, a), p, reduced=True), n, p)
+    return dense(field, kernel.values(), n), np.fromiter(kernel, dtype=np.int64, count=len(kernel))
 
 
 def right_kernel(field, a):
@@ -101,65 +114,24 @@ def left_kernel(field, a):
     return right_kernel(field, np.asarray(a).T)
 
 
-def reduce_row(field, vec, rows, pivots):
-    """Residue of `vec`, or of each row of a matrix, modulo a reduced echelon basis.
-
-    The residue is zero at every pivot column, so it is unique.  The basis
-    rows are one at their pivots, so the kernel reduces exactly.
-    """
-    v = np.array(vec, copy=True)
-    basis = dict(zip(map(int, pivots), _kernels.sparse_rows(np.asarray(rows))))
-    flat = v.reshape(-1, v.shape[-1])
-    for i, row in enumerate(_kernels.sparse_rows(flat)):
-        if basis.keys() & row.keys():
-            row = _kernels.reduce(row, basis, field.char)
-            flat[i] = 0
-            flat[i, list(row)] = list(row.values())
-    return v
-
-
-def _canonical(field, a):
-    return a % field.p if is_prime_field(field) else a
-
-
-def complement_rows(field, rows, base_rows):
-    """Monic residues of `rows` that extend the span of `base_rows`, in input order.
+def complement_rows(field, rows, base):
+    """Monic residues of `rows` that extend the span of the pivot basis `base`, in input order.
 
     Row j yields its residue modulo the base and rows 0..j-1, scaled so the
     first nonzero entry is one, when that residue is nonzero.  A residue
     taken with zeros at the span's pivot columns is unique: each row is
-    reduced exactly against the base's monic reduced basis and then against
-    that of the residues kept so far, which is zero at the base's pivots.
+    reduced exactly against the base and then against the reduced basis of
+    the residues kept so far, which is zero at the base's pivots.
     """
     p = field.char
-
-    def monic_basis(rows):
-        return {c: _kernels.monic(r, c) for c, r in _kernels.echelon(rows, p, reduced=True).items()}
-
-    base = monic_basis(_kernels.sparse_rows(np.asarray(base_rows)))
     kept = {}
     out = []
-    for row in _kernels.sparse_rows(rows):
+    for row in sparse_rows(field, rows):
         if _kernels.reduce(_kernels.reduce(row, base, p), kept, p):
             c = min(row)
-            kept = monic_basis([*kept.values(), row])
-            out.append(zeros(field, rows.shape[1]))
-            out[-1][list(kept[c])] = list(kept[c].values())
-    return out
-
-
-def intersect_row_spaces(field, a, b):
-    """Echelon basis of rowspace(a) ∩ rowspace(b), by the Zassenhaus layout."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[1]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return zeros(field, (0, n))
-    top = np.hstack([a, a])
-    bottom = np.hstack([b, zeros(field, b.shape)])
-    r, pivots = rref(field, np.vstack([top, bottom]))
-    out = [r[i, n:] for i, c in enumerate(pivots) if c >= n]
-    return matrix(field, out, width=n)
+            kept = _kernels.basis([*kept.values(), row], p)
+            out.append(dict(kept[c]))
+    return list(dense(field, out, np.shape(rows)[1]))
 
 
 def identity(field, n):

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                      NotZeroDimensionalError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
@@ -36,51 +36,70 @@ from .poly import PolyRing, mono_deg, mono_mul
 
 
 class Subspace:
-    """A subspace of an algebra, stored as a reduced echelon row basis."""
+    """A subspace of an algebra, held as its unique reduced echelon basis.
 
-    __slots__ = ("algebra", "rows", "pivots")
+    `basis` maps each pivot column, in increasing order, to its monic dict
+    row (`_kernels.basis`); the dense `rows`, for products, are made on
+    first use.
+    """
 
-    def __init__(self, algebra, rows):
+    def __init__(self, algebra, basis):
         self.algebra = algebra
-        self.rows, self.pivots = linalg.echelon(algebra.field, rows)
+        self.basis = basis
 
     @property
     def dim(self):
-        return self.rows.shape[0]
+        return len(self.basis)
+
+    @cached_property
+    def rows(self):
+        """The basis rows as a dense matrix, in pivot order."""
+        return linalg.dense(self.algebra.field, self.basis.values(), self.algebra.length)
+
+    def _residues(self, vec):
+        A = self.algebra
+        rows = linalg.sparse_rows(A.field, np.reshape(vec, (-1, A.length)))
+        return [_kernels.reduce(row, self.basis, A.field.char) for row in rows]
 
     def reduce(self, vec):
-        return linalg.reduce_row(self.algebra.field, vec, self.rows, self.pivots)
+        """The residue of a vector, or of each row of a matrix: zero at every pivot."""
+        A = self.algebra
+        return linalg.dense(A.field, self._residues(vec), A.length).reshape(np.shape(vec))
 
     def contains(self, vec):
         """Whether a vector, or every row of a matrix, lies in the subspace."""
-        return not np.any(self.reduce(vec) != self.algebra.field.zero)
+        return not any(self._residues(vec))
 
     def contains_space(self, other):
-        return self.contains(other.rows)
+        p = self.algebra.field.char
+        return not any(_kernels.reduce(dict(row), self.basis, p) for row in other.basis.values())
 
     def add(self, other):
-        return Subspace(self.algebra, np.vstack([self.rows, other.rows]))
+        rows = [dict(row) for row in (*self.basis.values(), *other.basis.values())]
+        return Subspace(self.algebra, _kernels.basis(rows, self.algebra.field.char))
 
     def intersect(self, other):
-        rows = linalg.intersect_row_spaces(self.algebra.field, self.rows, other.rows)
-        return Subspace(self.algebra, rows)
+        """U ∩ W: rows led in the right half of an echelon of (u | u), (w | 0) (Zassenhaus)."""
+        n, p = self.algebra.length, self.algebra.field.char
+        rows = [{**row, **{n + k: x for k, x in row.items()}} for row in self.basis.values()]
+        rows += [dict(row) for row in other.basis.values()]
+        meet = [{k - n: x for k, x in row.items()}
+                for c, row in _kernels.echelon(rows, p).items() if c >= n]
+        return Subspace(self.algebra, _kernels.basis(meet, p))
 
     def lifts(self):
         """The echelon basis as explicit polynomials over the standard monomials."""
         return [self.algebra.lift(r) for r in self.rows]
 
     def is_ideal(self):
-        A = self.algebra
-        return all(self.contains(linalg.mat_mul(A.field, self.rows, mx))
-                   for mx in A._var_operands)
+        return self.contains_space(self.algebra.m_times(self))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.algebra is self.algebra
-                and self.rows.shape == other.rows.shape
-                and bool(np.all(self.rows == other.rows)))
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash((id(self.algebra), self.rows.shape))
+        return hash((id(self.algebra), self.dim))
 
     def __repr__(self):
         return f"<subspace dim {self.dim} of algebra dim {self.algebra.length}>"
@@ -136,24 +155,20 @@ class ArtinAlgebra:
         return linalg.prepared(self.field, self.struct.reshape(lam, lam * lam))
 
     def _build_filtration(self):
-        levels = [Subspace(self, linalg.identity(self.field, self.length))]
-        if self.ring.nvars == 0:
-            levels.append(Subspace(self, linalg.zeros(self.field, (0, self.length))))
-        else:
-            current = Subspace(self, np.vstack(self.var_matrices))
-            while True:
-                levels.append(current)
-                if current.dim == 0:
-                    break
-                rows = np.vstack([linalg.mat_mul(self.field, current.rows, mx)
-                                  for mx in self._var_operands])
-                nxt = Subspace(self, rows)
-                if nxt.dim >= current.dim:
-                    raise NotLocalError(
-                        f"the quotient is not local: m^{len(levels) - 1} stopped shrinking "
-                        f"at dimension {current.dim}")
-                current = nxt
+        m = self._span(np.vstack(self.var_matrices)) if self.ring.nvars else Subspace(self, {})
+        levels = [Subspace(self, {i: {i: 1} for i in range(self.length)}), m]
+        while levels[-1].dim:
+            nxt = self.m_times(levels[-1])
+            if nxt.dim >= levels[-1].dim:
+                raise NotLocalError(
+                    f"the quotient is not local: m^{len(levels) - 1} stopped shrinking "
+                    f"at dimension {levels[-1].dim}")
+            levels.append(nxt)
         self.filtration = levels
+
+    def _span(self, a):
+        """The span of the rows of a matrix."""
+        return Subspace(self, linalg.pivot_basis(self.field, a))
 
     # -- invariants ----------------------------------------------------------
 
@@ -183,12 +198,7 @@ class ArtinAlgebra:
 
     def socle(self):
         if self._socle is None:
-            if self.ring.nvars == 0:
-                self._socle = Subspace(self, linalg.identity(self.field, self.length))
-            else:
-                stacked = np.hstack(self.var_matrices)
-                rows = linalg.left_kernel(self.field, stacked)
-                self._socle = Subspace(self, rows)
+            self._socle = self._annihilator(self.var_matrices)
         return self._socle
 
     @property
@@ -242,25 +252,24 @@ class ArtinAlgebra:
         return linalg.mat_mul(self.field, vec, self._var_operands[var_index])
 
     def subspace(self, rows):
-        return Subspace(self, linalg.matrix(self.field, rows, width=self.length))
+        return self._span(linalg.matrix(self.field, rows, width=self.length))
 
     # -- ideals and annihilators ----------------------------------------------
 
     def annihilator(self, vectors):
         """(0 : given elements) as a subspace."""
-        mats = [self.mult_matrix(np.asarray(v)) for v in vectors]
-        if not mats:
-            return Subspace(self, linalg.identity(self.field, self.length))
-        return Subspace(self, linalg.left_kernel(self.field, np.hstack(mats)))
+        return self._annihilator([self.mult_matrix(np.asarray(v)) for v in vectors])
+
+    def _annihilator(self, mats):
+        """The elements that all the multiplication matrices `mats` send to zero."""
+        stacked = np.hstack([linalg.zeros(self.field, (self.length, 0)), *mats])
+        return self._span(linalg.left_kernel(self.field, stacked))
 
     def ideal_span(self, vectors):
         """Smallest ideal containing the given elements."""
         current = self.subspace(list(vectors))
         while True:
-            rows = [current.rows]
-            rows.extend(linalg.mat_mul(self.field, current.rows, mx)
-                        for mx in self._var_operands)
-            nxt = Subspace(self, np.vstack(rows))
+            nxt = current.add(self.m_times(current))
             if nxt.dim == current.dim:
                 return nxt
             current = nxt
@@ -268,17 +277,16 @@ class ArtinAlgebra:
     def m_times(self, sub):
         """The subspace m * W for a subspace W."""
         if self.ring.nvars == 0 or sub.dim == 0:
-            return Subspace(self, linalg.zeros(self.field, (0, self.length)))
-        rows = np.vstack([linalg.mat_mul(self.field, sub.rows, mx)
-                          for mx in self._var_operands])
-        return Subspace(self, rows)
+            return Subspace(self, {})
+        return self._span(np.vstack([linalg.mat_mul(self.field, sub.rows, mx)
+                                        for mx in self._var_operands]))
 
     def minimal_generators(self, sub):
         """mu(W) and echelon-lift representatives for an ideal W."""
-        if not sub.is_ideal():
-            raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
         mw = self.m_times(sub)
-        reps = linalg.complement_rows(self.field, sub.rows, mw.rows)
+        if not sub.contains_space(mw):
+            raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
+        reps = linalg.complement_rows(self.field, sub.rows, mw.basis)
         return len(reps), reps
 
     def same_presentation(self, other):
@@ -374,7 +382,7 @@ def _read_echelon(ring, ordered, echelon, pivots):
     gb.reverse()
     standard = sorted(set(range(len(ordered))) - set(pivots), reverse=True)
     classes = dict(zip((ordered[c] for c in standard), linalg.identity(fld, len(standard))))
-    tails = linalg._canonical(fld, -echelon[:, standard])
+    tails = -echelon[:, standard] % fld.char if fld.char else -echelon[:, standard]
     classes.update(zip((ordered[c] for c in pivots), tails))
     return gb, [ordered[c] for c in standard], classes
 

@@ -124,22 +124,21 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     one_slot = A.basis_index[(0,) * A.ring.nvars]
     var, struct = _tables(A)
     betti = [1]
-    m = A.power(1)                          # ker(A -> k) = m inside A^1, reduced echelon
-    kernel = _kernels.sparse_rows(m.rows)
-    leads = [int(c) for c in m.pivots]
+    kernel = A.power(1).basis               # ker(A -> k) = m inside A^1, by lead column
     width = lam                             # columns of the free module K lies in
     for step in range(1, truncation + 1):
         # K's basis is one at its own lead and zero at the others: with the
         # leads put first, lead i is column i, and pivot i of m*K names row i
-        order = [len(leads) + c for c in range(width)]
-        for i, c in enumerate(leads):
+        order = [len(kernel) + c for c in range(width)]
+        for i, c in enumerate(kernel):
             order[c] = i
-        products = (_times(row, table, lam, p, order) for table in var for row in kernel)
+        products = (_times(row, table, lam, p, order)
+                    for table in var for row in kernel.values())
         mk_piv = _kernels.echelon(products, p)
-        if mk_piv and max(mk_piv) >= len(leads):
+        if mk_piv and max(mk_piv) >= len(kernel):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
                                 "outside the kernel's lead columns")
-        gens = [row for i, row in enumerate(kernel) if i not in mk_piv]
+        gens = [row for i, row in enumerate(kernel.values()) if i not in mk_piv]
         betti.append(len(gens))
         if step == truncation:
             break
@@ -157,15 +156,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         # that kernel's dimension
         if len(image) != len(kernel):
             raise ArtinsumError("resolution is not exact at the previous step")
-        # the next kernel: one row per free column f of the reduced echelon
-        # form, one at f and minus column f of each pivot row at its pivot
-        leads = [f for f in range(width) if f not in image]
-        rows = {f: {f: 1} for f in leads}
-        for c, prow in image.items():
-            for f, x in _kernels.monic(prow, c).items():
-                if f != c:
-                    rows[f][c] = (-x) % p if p else -x
-        kernel = [rows[f] for f in leads]
+        kernel = _kernels.kernel(image, width, p)
     data = BettiData(tuple(betti), truncation)
     if cached is None or cached.truncation < truncation:
         A._betti_cache = data

@@ -142,11 +142,9 @@ def socle_generator(A):
     """
     if not A.is_gorenstein():
         raise NotGorensteinError(f"socle has dimension {A.type}, not 1")
-    vec = A.socle().rows[0]
-    lead = max(i for i, c in enumerate(vec) if c != A.field.zero)
-    inv = A.field.inv(vec[lead])
-    vec = np.asarray([A.field.mul(inv, c) for c in vec], dtype=vec.dtype)
-    return A.lift(vec)
+    (row,) = A.socle().basis.values()
+    inv = A.field.inv(row[max(row)])
+    return A.ring.poly({A.basis[k]: A.field.mul(inv, x) for k, x in row.items()})
 
 
 def _proportionality_unit(Q, vec_left, vec_right):

@@ -6,7 +6,8 @@ and subalgebras are cross-checked by ranking normal-form images of subring
 monomials.  The `*_reference` functions keep the earlier, slower forms of
 routines that were made fast, for differential tests: Gauss-Jordan on
 Fractions, the dense numpy pivot loop mod p and the dense fraction-free
-Gauss-Jordan on integers that ran before the sparse kernel, the
+Gauss-Jordan on integers that ran before the sparse kernel, residues and
+the Zassenhaus intersection on dense echelon forms, the
 per-column kernel loop, the per-vector complement loop, the
 pair-rescanning Buchberger, the substitution loop that made presentations
 minimal, the resolution loop that took Betti numbers by row reduction
@@ -44,7 +45,7 @@ from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generat
 
 
 def in_row_space(field, vec, rows, pivots):
-    res = linalg.reduce_row(field, vec, rows, pivots)
+    res = reduce_row_reference(field, vec, rows, pivots)
     return not np.any(res != field.zero)
 
 
@@ -288,6 +289,50 @@ def rref_bareiss_reference(a):
     return out, np.asarray(pivots, dtype=np.int64)
 
 
+def echelon_reference(field, a):
+    """The reduced echelon basis of the row space, zero rows dropped, by the dense loops.
+
+    Returns (R, pivot column array): numpy mod p, Gauss-Jordan on Fractions over QQ.
+    """
+    if linalg.is_prime_field(field):
+        a = np.asarray(a, dtype=np.int64) % field.p
+        rank, pivots = rref_mod_reference(a, field.p)
+    else:
+        a = np.array(a, dtype=object)
+        rank, pivots = rref_fraction_reference(a)
+    return a[:rank], pivots
+
+
+def reduce_row_reference(field, vec, rows, pivots):
+    """The residue v - v[pivots] @ R of a vector, or of each row of a matrix.
+
+    R is a reduced echelon basis with pivot columns `pivots`, so the residue
+    is zero at every pivot.  `Subspace.reduce` must give the same residues.
+    """
+    if linalg.is_prime_field(field):
+        v = np.asarray(vec, dtype=np.int64) % field.p
+        return (v - v[..., pivots].dot(rows)) % field.p
+    v = np.asarray(vec, dtype=object)
+    return v - v[..., pivots].dot(np.asarray(rows, dtype=object))
+
+
+def intersect_reference(field, a, b):
+    """rowspace(a) ∩ rowspace(b) by the dense Zassenhaus layout: (R, pivot column array).
+
+    The rows of the reduced echelon form of [a a; b 0] whose pivot lies in
+    the second half are zero in the first, and their second halves are the
+    reduced echelon basis of the intersection.  `Subspace.intersect` must
+    give the same basis.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = a.shape[1]
+    top = np.hstack([a, a])
+    bottom = np.hstack([b, linalg.zeros(field, b.shape)])
+    r, pivots = echelon_reference(field, np.vstack([top, bottom]))
+    inside = pivots >= n
+    return r[inside, n:], pivots[inside] - n
+
+
 def rank_reference(field, a):
     """The rank of a matrix by the dense references: Bareiss over QQ, numpy mod p."""
     a = np.asarray(a)
@@ -315,7 +360,7 @@ def right_kernel_reference(field, a):
 
 
 def complement_rows_reference(field, rows, base_rows, base_pivots):
-    """Monic residues of `rows` extending the base: the per-vector loop.
+    """Monic residues of `rows` extending the base: the per-vector loop on dense echelon forms.
 
     Reduces each row against the span accumulated so far and re-echelons
     the whole span after every kept row; `linalg.complement_rows` must give
@@ -324,13 +369,13 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
     out = []
     acc_rows, acc_piv = base_rows, base_pivots
     for w in rows:
-        res = linalg.reduce_row(field, w, acc_rows, acc_piv)
+        res = reduce_row_reference(field, w, acc_rows, acc_piv)
         if np.any(res != field.zero):
             lead = next(i for i, c in enumerate(res) if c != field.zero)
             inv = field.inv(res[lead])
             res = np.asarray([field.mul(inv, c) for c in res], dtype=res.dtype)
             out.append(res)
-            acc_rows, acc_piv = linalg.echelon(field, np.vstack([acc_rows, res.reshape(1, -1)]))
+            acc_rows, acc_piv = echelon_reference(field, np.vstack([acc_rows, res.reshape(1, -1)]))
     return out
 
 
@@ -641,7 +686,7 @@ def betti_numbers_reference(A, truncation):
                                  for mx in A.var_matrices])
         else:
             stacked = kernel_rows[:0]
-        mk = linalg.echelon(A.field, stacked)[0]
+        mk = linalg.pivot_basis(A.field, stacked)
         gens = linalg.complement_rows(A.field, kernel_rows, mk)
         betti.append(len(gens))
         if step == truncation:

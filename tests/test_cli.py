@@ -40,6 +40,12 @@ SRC = GOLDEN.parents[1] / "src"
 # reports gr(A) and the Hilbert function of Q0.  The
 # apolar case is (w1 + 2*w3)^4 + 5*(w2 - w3)^3, which depends on two linear
 # forms in three variables, so its annihilator holds a linear form.
+#
+# hidden_sum_gf101.txt is `artinsum apolar --field "GF(101)" --dual-vars w1 w2`
+# of (w1 + 2*w2)^4 + 3*(w1 - w2)^2: GF(101)[Y1]/(Y1^5) # GF(101)[Z1]/(Z1^3)
+# in hidden coordinates, so decompose takes the structure route on the
+# prime-field lane: the intersection, complement and annihilators of
+# `split_witness`.
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
@@ -54,6 +60,8 @@ QQ_CASES = {
 
 
 GF_CASES = {
+    "analyze_hidden_sum_gf101": ["analyze", "hidden_sum_gf101.txt"],
+    "decompose_hidden_sum_gf101": ["decompose", "hidden_sum_gf101.txt"],
     "analyze_nonminimal_gf101": ["analyze", "nonminimal_gf101.txt"],
     "apolar_nonminimal_gf101": [
         "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"

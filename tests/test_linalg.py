@@ -1,24 +1,28 @@
 """Exact linear algebra over both coefficient lanes, and the row-reduction kernel.
 
-The sparse kernel is checked against the dense loops it replaced, over
-GF(101), the largest supported prime and QQ.
+The sparse kernel, and the subspaces held as its pivot bases, are checked
+against the dense loops they replaced, over GF(101), the largest supported
+prime and QQ.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from artinsum import GF, QQ
+from artinsum import GF, QQ, PolyRing
 from artinsum import _kernels, linalg
 from artinsum._kernels import rref_mod
 from artinsum.errors import ResourceGuardError
 from artinsum.fields import MAX_PRIME
+from artinsum.quotient import square_zero_algebra
 
-from oracles import (complement_rows_reference, in_row_space, preimage_rows,
+from oracles import (complement_rows_reference, echelon_reference, in_row_space,
+                     intersect_reference, preimage_rows, reduce_row_reference,
                      rref_bareiss_reference, rref_fraction_reference, rref_mod_reference,
                      right_kernel_reference)
 
@@ -56,26 +60,106 @@ def test_kernel_mod_p():
     assert linalg.right_kernel(k, b).shape[0] == 1
 
 
-def test_reduce_row_and_membership():
+@lru_cache(maxsize=None)
+def _algebra(field, width):
+    """k[X1..X(width-1)]/m^2, whose coordinate space is k^width."""
+    return square_zero_algebra(PolyRing(field, [f"X{i}" for i in range(1, width)]))
+
+
+def _space(field, rows, width):
+    return _algebra(field, width).subspace(linalg.matrix(field, rows, width=width))
+
+
+def test_subspace_reduce_and_membership():
     k = GF(7)
-    rows, pivots = linalg.echelon(k, linalg.matrix(k, [[1, 0, 3], [0, 1, 2]]))
-    assert in_row_space(k, np.array([2, 3, 12]) % 7, rows, pivots)
-    assert not in_row_space(k, np.array([0, 0, 1]), rows, pivots)
-    # a matrix is reduced row by row, in one product
+    space = _space(k, [[1, 0, 3], [0, 1, 2]], 3)
+    assert space.contains(np.array([2, 3, 12]) % 7)
+    assert not space.contains(np.array([0, 0, 1]))
+    # a matrix is reduced row by row
     for field, vecs in ((k, [[2, 3, 5], [0, 0, 1], [1, 1, 1]]),
                         (QQ, [[Fraction(1, 2), 3, 5], [0, 0, 1], [1, -2, Fraction(2, 3)]])):
-        rows, pivots = linalg.echelon(field, linalg.matrix(field, [[1, 0, 3], [0, 2, 2]]))
+        space = _space(field, [[1, 0, 3], [0, 2, 2]], 3)
         mat = linalg.matrix(field, vecs)
-        assert np.array_equal(linalg.reduce_row(field, mat, rows, pivots),
-                              [linalg.reduce_row(field, v, rows, pivots) for v in mat])
+        assert np.array_equal(space.reduce(mat), [space.reduce(v) for v in mat])
+    # an integral residue of Fractions is an int
+    space = _space(QQ, [[1, Fraction(1, 2), 0]], 3)
+    got = space.reduce(np.array([1, Fraction(3, 2), 1], dtype=object))
+    assert got.tolist() == [0, 1, 1]
+    _assert_canonical(got)
 
 
-def test_intersect_row_spaces():
-    a = linalg.matrix(QQ, [[1, 0, 0], [0, 1, 0]])
-    b = linalg.matrix(QQ, [[0, 1, 0], [0, 0, 1]])
-    inter = linalg.intersect_row_spaces(QQ, a, b)
-    assert inter.shape == (1, 3)
-    assert inter[0][1] == 1
+def test_subspace_intersect():
+    a = _space(QQ, [[1, 0, 0], [0, 1, 0]], 3)
+    b = _space(QQ, [[0, 1, 0], [0, 0, 1]], 3)
+    inter = a.intersect(b)
+    assert inter.rows.shape == (1, 3)
+    assert inter.rows[0][1] == 1
+    assert inter.basis == {1: {1: 1}}
+
+
+def test_dense_input_is_reduced_mod_p_on_the_dict_paths():
+    # entries outside [0, p) enter the kernel reduced, as in rref
+    A = square_zero_algebra(PolyRing(GF(101), ["X"]))
+    one, x = A.one_vector(), A.vector(A.ring.var(0))
+    assert A.power(1).contains(101 * one)
+    assert np.array_equal(A.power(1).reduce(205 * x - one), 100 * one)
+    k = GF(7)
+    got = linalg.complement_rows(k, np.array([[1, -1, 0]]), {})
+    assert [list(r) for r in got] == [[1, 6, 0]]
+
+
+def _assert_subspaces_match_references(field, width, u_ints, w_ints, v_ints):
+    mats = [_matrix(field, ints, width) for ints in (u_ints, w_ints, v_ints)]
+    U, W = (_algebra(field, width).subspace(m) for m in mats[:2])
+    refs = [echelon_reference(field, m) for m in mats[:2]]
+    for space, (rows, pivots) in zip((U, W), refs):
+        assert list(space.basis) == pivots.tolist()
+        assert space.rows.dtype == rows.dtype and np.array_equal(space.rows, rows)
+    got = U.reduce(mats[2])
+    want = reduce_row_reference(field, mats[2], *refs[0])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert U.contains(mats[2]) == (not np.any(want != field.zero))
+    meet, join = U.intersect(W), U.add(W)
+    rows, pivots = intersect_reference(field, refs[0][0], refs[1][0])
+    assert list(meet.basis) == pivots.tolist() and np.array_equal(meet.rows, rows)
+    rows, pivots = echelon_reference(field, np.vstack([mats[0], mats[1]]))
+    assert list(join.basis) == pivots.tolist() and np.array_equal(join.rows, rows)
+    assert meet.dim + join.dim == U.dim + W.dim
+    assert U.contains_space(meet) and W.contains_space(meet)
+    assert join.contains_space(U) and join.contains_space(W)
+    assert meet == W.intersect(U) and join == W.add(U)
+    if field == QQ:
+        for a in (got, U.rows, meet.rows, join.rows):
+            _assert_canonical(a)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_subspaces_match_dense_references_on_seeded_inputs(field):
+    rng = random.Random(13)
+    top = 50 if field == QQ else field.p
+    for _ in range(40):
+        width = rng.randrange(1, 9)
+        u, w, v = ([[rng.randrange(-top, top) if rng.random() < 0.7 else 0 for _ in range(width)]
+                    for _ in range(rng.randrange(0, width + 2))] for _ in range(3))
+        if u and w:
+            # a shared row keeps the intersection from being zero
+            w[0] = [2 * x for x in u[-1]]
+        _assert_subspaces_match_references(field, width, u, w, v)
+
+
+@st.composite
+def _subspace_case(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
+    return (width, *(draw(st.lists(row, max_size=5)) for _ in range(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FIELDS), _subspace_case())
+def test_subspace_sum_and_intersection_on_hypothesis_inputs(field, case):
+    # dim(U ∩ W) + dim(U + W) = dim U + dim W, U ∩ W lies in both, and both
+    # equal the dense references
+    _assert_subspaces_match_references(field, *case)
 
 
 def test_preimage_rows():
@@ -104,7 +188,7 @@ def _matrix(field, ints, width):
 
 
 def _assert_complement_matches_reference(field, width, base_ints, row_ints):
-    base, pivots = linalg.echelon(field, _matrix(field, base_ints, width))
+    base, pivots = echelon_reference(field, _matrix(field, base_ints, width))
     rows = list(_matrix(field, row_ints, width))
     if base.shape[0]:
         rows.insert(0, linalg.mat_mul(field, np.arange(1, base.shape[0] + 1), base))
@@ -112,12 +196,14 @@ def _assert_complement_matches_reference(field, width, base_ints, row_ints):
         rows.append(rows[-1].copy())
         rows.insert(len(rows) // 2, rows[0].copy())
     rows = linalg.matrix(field, rows, width=width)
-    got = linalg.complement_rows(field, rows, base)
+    got = linalg.complement_rows(field, rows, linalg.pivot_basis(field, base))
     want = complement_rows_reference(field, rows, base, pivots)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+        if field == QQ:
+            _assert_canonical(g)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -150,9 +236,9 @@ def test_complement_rows_edge_cases():
     k = GF(7)
     empty = linalg.zeros(k, (0, 3))
     rows = _matrix(k, [[0, 2, 4], [0, 1, 2], [3, 0, 0], [3, 0, 0]], 3)
-    got = linalg.complement_rows(k, rows, empty)
+    got = linalg.complement_rows(k, rows, {})
     assert [list(r) for r in got] == [[0, 1, 2], [1, 0, 0]]
-    base = linalg.echelon(k, rows)[0]
+    base = linalg.pivot_basis(k, rows)
     assert linalg.complement_rows(k, rows, base) == []
     assert linalg.complement_rows(k, empty, base) == []
 
