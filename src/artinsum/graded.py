@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from . import linalg
+from . import _kernels, linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
 from .quotient import (ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra,
@@ -51,7 +51,7 @@ def linear_socle_rows(G):
     """Degree-1 socle vectors of G as rows over the variables in declaration order."""
     rows = [{G.basis[k].index(1): x for k, x in row.items()}
             for c, row in _homogeneous(G).socle().basis.items() if mono_deg(G.basis[c]) == 1]
-    return linalg.echelon(G.field, linalg.dense(G.field, rows, G.ring.nvars))[0]
+    return linalg.dense(G.field, list(_kernels.basis(rows, G.field.char).values()), G.ring.nvars)
 
 
 def interior_socle_dimension(G):

@@ -11,9 +11,10 @@ Python integers.  Polynomials built from such arrays coerce their
 coefficients back to Fractions.
 
 Row reduction runs on the sparse echelon of `_kernels`, on both lanes.  A
-matrix enters it through the dimension guard and, over GF(p), mod p: as
-dict rows (`sparse_rows`, `pivot_basis`) or through the dense adapter
-(`rref`).  `dense` writes dict rows back into an array.
+matrix enters it through the dimension guard and, over GF(p), mod p, as
+dict rows (`sparse_rows`, `pivot_basis`); `dense` writes dict rows back
+into an array.  The dense adapter `rref` has no caller in the library: it
+is kept because the benchmark's set-up probe and its span tracer name it.
 
 `mat_mul` forms one product over the columns where the left operand is not
 zero.  Over GF(p) that is an int64 product of entries in [0, p): each term
@@ -91,22 +92,11 @@ def rref(field, a):
     return a, _kernels.rref_mod(a, field.char)[1]
 
 
-def echelon(field, a):
-    """Reduced echelon basis of the row space, zero rows dropped."""
-    r, pivots = rref(field, a)
-    return r[: len(pivots)], pivots
-
-
-def _kernel_and_free(field, a):
-    """Rows spanning {v : a @ v = 0}, and the free columns they are the identity on."""
-    p, n = field.char, np.shape(a)[-1]
-    kernel = _kernels.kernel(_kernels.echelon(sparse_rows(field, a), p, reduced=True), n, p)
-    return dense(field, kernel.values(), n), np.fromiter(kernel, dtype=np.int64, count=len(kernel))
-
-
 def right_kernel(field, a):
     """Rows spanning {v : a @ v = 0}, one per free column, deterministic."""
-    return _kernel_and_free(field, a)[0]
+    p, n = field.char, np.shape(a)[-1]
+    kernel = _kernels.kernel(_kernels.echelon(sparse_rows(field, a), p, reduced=True), n, p)
+    return dense(field, kernel.values(), n)
 
 
 def left_kernel(field, a):

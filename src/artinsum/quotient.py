@@ -8,20 +8,22 @@ failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order); the structure tensor holds the products of the
-basis elements and is scattered from a table of monomial classes.  Only
-parsed generator lists, an `IdealPresentation`, take that table from
-Buchberger and normal forms (`build_algebra`); text that is not minimal is
-then taken as the subalgebra its variables generate.  Every derived
-algebra, a subalgebra or a quotient, has an ideal containing a power of m:
-it is given by the classes of the monomials up to that degree, and the
-left kernel of those classes, taken with the monomials in increasing
-order, is the reduced echelon basis of its truncation (`kernel_algebra`).
-That basis gives the reduced basis and the class of every monomial.  When
-the ideal holds linear forms, the pivots of their echelon form are
-eliminated: the basis is echeloned once more, in an order that ranks
-monomials first by their degree in the eliminated variables, and gives the
-reduced basis and classes on the kept variables and the image of each
-eliminated one.
+basis elements and is scattered from a table of monomial classes; m*W is
+one product of a subspace's dict rows (`_times`, shared with the
+resolution).  Only parsed generator lists, an `IdealPresentation`, take
+that table from Buchberger and normal forms (`build_algebra`); text that
+is not minimal is then taken as the subalgebra its variables generate.
+Every derived algebra, a subalgebra or a quotient, has an ideal containing
+a power of m: it is given by the classes of the monomials up to that
+degree, and the left kernel of those classes, taken with the monomials in
+increasing order, is the reduced echelon basis of its truncation
+(`kernel_algebra`): dict rows keyed by their lead column, from which
+`_read_echelon` reads the reduced basis and the class of every monomial.
+When the ideal holds linear forms, the pivots of their echelon form are
+eliminated: the rows are echeloned once more, with the columns ranked
+first by their degree in the eliminated variables, and give the reduced
+basis and classes on the kept variables and the image of each eliminated
+one.
 """
 
 from functools import cached_property
@@ -39,8 +41,7 @@ class Subspace:
     """A subspace of an algebra, held as its unique reduced echelon basis.
 
     `basis` maps each pivot column, in increasing order, to its monic dict
-    row (`_kernels.basis`); the dense `rows`, for products, are made on
-    first use.
+    row (`_kernels.basis`); the dense `rows` are made on first use.
     """
 
     def __init__(self, algebra, basis):
@@ -110,10 +111,9 @@ class ArtinAlgebra:
 
     `gb` is the reduced Groebner basis of the ideal in the default order,
     ascending, `basis` its standard monomials and `struct[i, j]` the class
-    of basis[i] * basis[j].  The filtration, and with it the locality
-    check, is built from the tensor.  The tensor and the variables'
-    multiplication matrices enter products in `linalg.prepared` form, made
-    once per algebra.
+    of basis[i] * basis[j].  The tensor and the variables' multiplication
+    matrices enter dense products in `linalg.prepared` form, and the
+    matrices' nonzeros (`var_tables`) the products m*W, each made once.
     """
 
     def __init__(self, ring, gb, basis, struct):
@@ -150,13 +150,18 @@ class ArtinAlgebra:
         self._var_operands = [linalg.prepared(self.field, mx) for mx in self.var_matrices]
 
     @cached_property
+    def var_tables(self):
+        """var_tables[v][l] lists the pairs (j, c) with e_l * x_v = sum of c*e_j."""
+        return [[list(r.items()) for r in _kernels.sparse_rows(mx)] for mx in self.var_matrices]
+
+    @cached_property
     def _struct_operand(self):
         lam = self.length
         return linalg.prepared(self.field, self.struct.reshape(lam, lam * lam))
 
     def _build_filtration(self):
-        m = self._span(np.vstack(self.var_matrices)) if self.ring.nvars else Subspace(self, {})
-        levels = [Subspace(self, {i: {i: 1} for i in range(self.length)}), m]
+        whole = Subspace(self, {i: {i: 1} for i in range(self.length)})
+        levels = [whole, self.m_times(whole)]
         while levels[-1].dim:
             nxt = self.m_times(levels[-1])
             if nxt.dim >= levels[-1].dim:
@@ -275,11 +280,11 @@ class ArtinAlgebra:
             current = nxt
 
     def m_times(self, sub):
-        """The subspace m * W for a subspace W."""
-        if self.ring.nvars == 0 or sub.dim == 0:
-            return Subspace(self, {})
-        return self._span(np.vstack([linalg.mat_mul(self.field, sub.rows, mx)
-                                        for mx in self._var_operands]))
+        """The subspace m * W for a subspace W: the span of its rows times the variables."""
+        lam, p = self.length, self.field.char
+        return Subspace(self, _kernels.basis([_times(row, table, lam, p, range(lam))
+                                              for table in self.var_tables
+                                              for row in sub.basis.values()], p))
 
     def minimal_generators(self, sub):
         """mu(W) and echelon-lift representatives for an ideal W."""
@@ -305,6 +310,27 @@ def _product_class(memo, mono, matrices, field):
         vec = _product_class(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], matrices, field)
         vec = memo[mono] = linalg.mat_mul(field, vec, matrices[i])
     return vec
+
+
+def _canonical(row, p):
+    """The nonzero entries of a row, reduced mod p over GF(p) (p = 0 over QQ)."""
+    if p:
+        return {k: y for k, x in row.items() if (y := x % p)}
+    return {k: x for k, x in row.items() if x}
+
+
+def _times(row, table, lam, p, order):
+    """The row times the element whose products `table` lists, column c renamed order[c].
+
+    Each length-lam block of the row is multiplied by the element on its own.
+    """
+    out = {}
+    for col, c in row.items():
+        base = col - col % lam
+        for j, s in table[col % lam]:
+            k = order[base + j]
+            out[k] = out.get(k, 0) + c * s
+    return _canonical(out, p)
 
 
 def _coordinates(poly, index):
@@ -353,38 +379,37 @@ def _table_algebra(ring, gb, basis, classes):
     return ArtinAlgebra(ring, gb, basis, struct.reshape((len(basis),) * 3))
 
 
-def _read_echelon(ring, ordered, echelon, pivots):
-    """The reduced basis, standard monomials and classes of the ideal I an echelon spans.
+def _read_echelon(ring, monos, rows):
+    """The reduced basis, standard monomials and classes of the ideal I that `rows` span.
 
-    `ordered` holds every monomial of `ring` up to a degree D, in decreasing
-    default order, m^D lies in I, and `echelon` is the reduced echelon basis
-    of I ∩ span(ordered) over those columns, with pivot columns `pivots`.
-    Its rows are monic, their leads are the leading monomials of I up to
-    degree D, and each row is zero at every other lead.  The rows whose
-    lead has no one-step divisor among the leads, in ascending order, are
-    the reduced Groebner basis; the other columns are the standard
-    monomials, and the class of a lead is minus the reduced tail of its row.
+    `monos` maps columns to the monomials of `ring` up to a degree D, m^D
+    lies in I, and `rows`, dict rows over those columns keyed by lead
+    column, are the reduced echelon basis of I ∩ span(monos): each row is
+    one at its lead, which is its largest monomial, and zero at the other
+    leads, so the leads are the leading monomials of I up to degree D.  The
+    rows whose lead has no one-step divisor among the leads, in ascending
+    order, are the reduced Groebner basis; the columns that lead no row are
+    the standard monomials, and the class of a lead is minus its row's tail.
     """
-    fld = ring.field
-    pivots = pivots.tolist()
-    leads = {ordered[c] for c in pivots}
-    top = mono_deg(ordered[0])
-    missing = [m for m in ordered if mono_deg(m) == top and m not in leads]
+    p = ring.field.char
+    leads = {monos[c] for c in rows}
+    top = max(map(mono_deg, monos.values()))
+    missing = [m for m in monos.values() if mono_deg(m) == top and m not in leads]
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
-    gb = []
-    for row, c in zip(echelon.tolist(), pivots):
-        lead = ordered[c]
-        if not any(e and lead[:i] + (e - 1,) + lead[i + 1:] in leads
-                   for i, e in enumerate(lead)):
-            gb.append(ring.poly({m: x for m, x in zip(ordered, row) if x}))
-    gb.reverse()
-    standard = sorted(set(range(len(ordered))) - set(pivots), reverse=True)
-    classes = dict(zip((ordered[c] for c in standard), linalg.identity(fld, len(standard))))
-    tails = -echelon[:, standard] % fld.char if fld.char else -echelon[:, standard]
-    classes.update(zip((ordered[c] for c in pivots), tails))
-    return gb, [ordered[c] for c in standard], classes
+    ascending = sorted(monos, key=lambda c: ring.order.key(monos[c]))
+    gb = [ring.poly({monos[k]: x for k, x in rows[c].items()}) for c in ascending
+          if c in rows and not any(e and monos[c][:i] + (e - 1,) + monos[c][i + 1:] in leads
+                                   for i, e in enumerate(monos[c]))]
+    standard = [c for c in ascending if c not in rows]
+    index = {c: i for i, c in enumerate(standard)}
+    tails = [{index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
+             for c, row in rows.items()]
+    vectors = linalg.dense(ring.field, [{i: 1} for i in range(len(standard))] + tails,
+                           len(standard))
+    classes = dict(zip([monos[c] for c in (*standard, *rows)], vectors))
+    return gb, [monos[c] for c in standard], classes
 
 
 def kernel_algebra(ring, monos, classes):
@@ -393,45 +418,46 @@ def kernel_algebra(ring, monos, classes):
     I is the kernel of the map sending `monos[j]` to row j of `classes`,
     `monos` holds every monomial of `ring` up to a degree D, and m^D lies
     in I.  The left kernel of the classes, taken with the monomials in
-    increasing default order, is the reduced echelon basis of
-    I ∩ span(monos) read backwards, the linear dependencies from which FGLM
-    reads a reduced basis: each row is one at its free column, which is its
-    largest, and zero at the other free columns.  The pivots of the linear
-    parts' echelon form, in declaration order, are eliminated; there are
-    none when I lies inside m^2.  Only then are the rows echeloned again,
-    with the columns in decreasing order of (degree in the eliminated
-    variables, default order).  The rows led by a kept monomial are then
-    the reduced echelon basis of I ∩ k[kept], the minimal ideal, in default
-    column order, because the default order restricts to the kept
-    variables; and the row led by an eliminated variable is that variable
-    minus the standard-monomial lift of its class.  One reduction step
-    carries the given ring to the kept one.
+    increasing default order (`_kernels.kernel`), is the reduced echelon
+    basis of I ∩ span(monos), the linear dependencies from which FGLM reads
+    a reduced basis: its dict rows are keyed by free column, and each is
+    one at its free column, which is its largest monomial, and zero at the
+    other free columns.  The pivots of the linear parts' echelon form, in
+    declaration order, are eliminated; there are none when I lies inside
+    m^2.  Only then are the rows echeloned again, with each column renamed
+    to its rank in decreasing order of (degree in the eliminated variables,
+    default order).  The rows led by a kept monomial are then the reduced
+    echelon basis of I ∩ k[kept], the minimal ideal, because the default
+    order restricts to the kept variables; and the row led by an eliminated
+    variable is that variable minus the standard-monomial lift of its
+    class.  One reduction step carries the given ring to the kept one.
     """
-    fld = ring.field
+    fld, p = ring.field, ring.field.char
     order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
-    kernel, free = linalg._kernel_and_free(fld, np.asarray(classes)[order].T)
-    ordered = [monos[j] for j in reversed(order)]
-    echelon, pivots = kernel[::-1, ::-1], len(monos) - 1 - free[::-1]
-    units = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
-    linear = echelon[:, [ordered.index(u) for u in units]]
-    elim = linalg.echelon(fld, linear)[1].tolist() if np.any(linear != fld.zero) else []
-    if not elim:
-        return _table_algebra(ring, *_read_echelon(ring, ordered, echelon, pivots))
+    ordered = [monos[j] for j in order]
+    image = linalg.sparse_rows(fld, np.asarray(classes)[order].T)
+    rows = _kernels.kernel(_kernels.echelon(image, p, reduced=True), len(monos), p)
+    linear = [part for row in rows.values()
+              if (part := {ordered[k].index(1): x for k, x in row.items()
+                           if mono_deg(ordered[k]) == 1})]
+    if not linear:
+        return _table_algebra(ring, *_read_echelon(ring, dict(enumerate(ordered)), rows))
+    elim = sorted(_kernels.echelon(linear, p))
     keep = [v for v in range(ring.nvars) if v not in elim]
     cols = sorted(range(len(monos)), reverse=True,
                   key=lambda j: (sum(ordered[j][v] for v in elim), ring.order.key(ordered[j])))
-    echelon, pivots = linalg.echelon(fld, echelon[:, cols])
-    ordered = [ordered[j] for j in cols]
-    first = next(c for c, m in enumerate(ordered) if not any(m[v] for v in elim))
+    rank = {j: r for r, j in enumerate(cols)}
+    lead_rows = _kernels.basis([{rank[k]: x for k, x in row.items()} for row in rows.values()], p)
+    first = next(r for r, j in enumerate(cols) if not any(ordered[j][v] for v in elim))
     sub = PolyRing(fld, [ring.names[v] for v in keep])
-    kept = [tuple(m[v] for v in keep) for m in ordered[first:]]
-    inside = pivots >= first
-    A = _table_algebra(sub, *_read_echelon(sub, kept, echelon[inside, first:],
-                                           pivots[inside] - first))
-    lead_rows = dict(zip((ordered[c] for c in pivots), echelon[:, first:].tolist()))
-    images = [sub.var(keep.index(v)) if v in keep
-              else -sub.poly({m: x for m, x in zip(kept, lead_rows[u]) if x})
-              for v, u in enumerate(units)]
+    kept = {r: tuple(ordered[j][v] for v in keep) for r, j in enumerate(cols[first:], first)}
+    A = _table_algebra(sub, *_read_echelon(sub, kept, {c: row for c, row in lead_rows.items()
+                                                       if c >= first}))
+    # the rows led by a variable are those of the eliminated ones
+    tails = {ordered[cols[c]].index(1): {kept[k]: x for k, x in row.items() if k >= first}
+             for c, row in lead_rows.items() if mono_deg(ordered[cols[c]]) == 1}
+    images = [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
+              for v in range(ring.nvars)]
     A.original_ring = ring
     A.reduction_steps = ((sub, images),)
     return A

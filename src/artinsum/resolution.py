@@ -3,9 +3,10 @@
 Every element of a free module A^r is a sparse row, a dict from column
 t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
 [0, p) over GF(p), an int or Fraction over QQ.  The sparse echelon of
-`_kernels` serves both lanes, on integer rows over QQ; products are read
-off the nonzeros of the variables' multiplication matrices and of the
-structure tensor.
+`_kernels` serves both lanes, on integer rows over QQ.  Products by the
+variables are the algebra's own m*W product (`quotient._times` on the
+algebra's `var_tables`), applied block by block; the differential is read
+off the nonzeros of the structure tensor.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
@@ -24,7 +25,7 @@ from math import comb
 from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
-from .quotient import _monomials_up_to
+from .quotient import _canonical, _monomials_up_to, _times
 from .series import SeriesTrunc
 from .sums import modulo_socle
 
@@ -54,38 +55,11 @@ class BettiData:
         return SeriesTrunc.from_terms(n, dict(enumerate(self.betti[: n + 1])))
 
 
-def _tables(A):
-    """The nonzeros of the variables' multiplication matrices and of the structure tensor.
-
-    var[v][l] lists the pairs (j, c) with e_l * x_v = sum of c*e_j, and
-    struct[l] the triples (k, j, c) with e_l * e_k = sum of c*e_j.
-    """
+def _struct_table(A):
+    """Entry l lists the triples (k, j, c) with e_l * e_k = sum of c*e_j."""
     lam = A.length
-    var = [[list(row.items()) for row in _kernels.sparse_rows(mx)] for mx in A.var_matrices]
-    struct = [[(*divmod(kj, lam), c) for kj, c in row.items()]
-              for row in _kernels.sparse_rows(A.struct.reshape(lam, lam * lam))]
-    return var, struct
-
-
-def _canonical(row, p):
-    """The nonzero entries of a row, reduced mod p over GF(p) (p = 0 over QQ)."""
-    if p:
-        return {k: y for k, x in row.items() if (y := x % p)}
-    return {k: x for k, x in row.items() if x}
-
-
-def _times(row, table, lam, p, order):
-    """The row times the element whose products `table` lists, column c renamed order[c].
-
-    Each length-lam block of the row is multiplied by the element on its own.
-    """
-    out = {}
-    for col, c in row.items():
-        base = col - col % lam
-        for j, s in table[col % lam]:
-            k = order[base + j]
-            out[k] = out.get(k, 0) + c * s
-    return _canonical(out, p)
+    return [[(*divmod(kj, lam), c) for kj, c in row.items()]
+            for row in _kernels.sparse_rows(A.struct.reshape(lam, lam * lam))]
 
 
 def _differential(struct, gens, lam, p):
@@ -122,7 +96,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     lam = A.length
     p = A.field.char
     one_slot = A.basis_index[(0,) * A.ring.nvars]
-    var, struct = _tables(A)
+    struct = _struct_table(A)
     betti = [1]
     kernel = A.power(1).basis               # ker(A -> k) = m inside A^1, by lead column
     width = lam                             # columns of the free module K lies in
@@ -133,7 +107,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         for i, c in enumerate(kernel):
             order[c] = i
         products = (_times(row, table, lam, p, order)
-                    for table in var for row in kernel.values())
+                    for table in A.var_tables for row in kernel.values())
         mk_piv = _kernels.echelon(products, p)
         if mk_piv and max(mk_piv) >= len(kernel):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "

@@ -56,7 +56,7 @@ def preimage_rows(field, m, sub_rows):
     """
     m = np.asarray(m)
     ker = linalg.left_kernel(field, np.vstack([m, np.asarray(sub_rows)]))
-    return linalg.echelon(field, ker[:, : m.shape[0]])[0]
+    return echelon_reference(field, ker[:, : m.shape[0]])[0]
 
 
 def support_vars(poly):
@@ -150,7 +150,7 @@ def ideal_member(f, gens, max_degree=12):
         target = linalg.zeros(field, len(monos))
         for m, c in f.terms.items():
             target[col[m]] = c
-        rows, pivots = linalg.echelon(field, mat)
+        rows, pivots = echelon_reference(field, mat)
         if in_row_space(field, target, rows, pivots):
             return True
     return False
@@ -174,7 +174,7 @@ def subring_quotient_dimension(algebra, keep_names):
     ring = algebra.ring
     keep_idx = [ring.index[n] for n in keep_names]
     span_rows = linalg.matrix(algebra.field, [algebra.one_vector()], width=algebra.length)
-    span, pivots = linalg.echelon(algebra.field, span_rows)
+    span, pivots = echelon_reference(algebra.field, span_rows)
     frontier = [algebra.one_vector()]
     while True:
         new_frontier = []
@@ -182,7 +182,7 @@ def subring_quotient_dimension(algebra, keep_names):
             for i in keep_idx:
                 w = algebra.vec_mult_matrix_row(v, i)
                 if not in_row_space(algebra.field, w, span, pivots):
-                    span, pivots = linalg.echelon(
+                    span, pivots = echelon_reference(
                         algebra.field, np.vstack([span, w.reshape(1, -1)]))
                     new_frontier.append(w)
         if not new_frontier:
@@ -700,7 +700,7 @@ def betti_numbers_reference(A, truncation):
         kernel = linalg.left_kernel(A.field, diff)
         if diff.shape[0] - kernel.shape[0] != kernel_rows.shape[0]:
             raise ArtinsumError("resolution is not exact at the previous step")
-        kernel_rows = linalg.echelon(A.field, kernel)[0]
+        kernel_rows = echelon_reference(A.field, kernel)[0]
         prev_rank = len(gens)
     return tuple(betti)
 
@@ -892,7 +892,7 @@ def socle_by_degree_reference(G):
             small = linalg.left_kernel(G.field, stacked)
             block = linalg.zeros(G.field, (small.shape[0], G.length))
             block[:, idx] = small
-        rows, _ = linalg.echelon(G.field, block)
+        rows, _ = echelon_reference(G.field, block)
         if rows.shape[0]:
             out[d] = rows
     return out

@@ -45,7 +45,9 @@ SRC = GOLDEN.parents[1] / "src"
 # of (w1 + 2*w2)^4 + 3*(w1 - w2)^2: GF(101)[Y1]/(Y1^5) # GF(101)[Z1]/(Z1^3)
 # in hidden coordinates, so decompose takes the structure route on the
 # prime-field lane: the intersection, complement and annihilators of
-# `split_witness`.
+# `split_witness`.  hidden_sum_gf1048573.txt is the same polynomial over
+# GF(1048573), and apolar_nonminimal_gf1048573 repeats the apolar case there:
+# the large-modulus lane of the derived algebras and of m*W.
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
@@ -67,6 +69,11 @@ GF_CASES = {
         "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"
         " - 15*w2^2*w3 + 15*w2*w3^2 + 16*w3^4 - 5*w3^3",
         "--dual-vars", "w1", "w2", "w3", "--field", "GF(101)"],
+    "decompose_hidden_sum_gf1048573": ["decompose", "hidden_sum_gf1048573.txt"],
+    "apolar_nonminimal_gf1048573": [
+        "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"
+        " - 15*w2^2*w3 + 15*w2*w3^2 + 16*w3^4 - 5*w3^3",
+        "--dual-vars", "w1", "w2", "w3", "--field", "GF(1048573)"],
 }
 
 

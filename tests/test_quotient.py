@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,14 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
-from artinsum import quotient
+from artinsum import _kernels, quotient
 from artinsum.quotient import kernel_algebra, quotient_algebra, subalgebra
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
-from oracles import (algebra_ideal, build_algebra_reference, modulo_socle_reference,
-                     normal_form_structure_reference, quotient_algebra_reference,
-                     residue_field_algebra, vector_reference)
+from oracles import (algebra_ideal, build_algebra_reference, echelon_reference,
+                     modulo_socle_reference, normal_form_structure_reference,
+                     quotient_algebra_reference, residue_field_algebra, vector_reference)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -440,8 +441,8 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
     rows = linalg.left_kernel(field, classes)
     # the kernel's echelon read on all three variables, without eliminating X1
     cols = sorted(range(len(monos)), key=lambda j: ops.order.key(monos[j]), reverse=True)
-    echelon, pivots = linalg.echelon(field, rows[:, cols])
-    gb, basis, classes = quotient._read_echelon(ops, [monos[j] for j in cols], echelon, pivots)
+    gb, basis, classes = quotient._read_echelon(ops, dict(enumerate(monos[j] for j in cols)),
+                                                linalg.pivot_basis(field, rows[:, cols]))
     assert (1, 0, 0) not in basis
     A = quotient._table_algebra(ops, gb, basis, classes)
     _assert_tensor_and_classes(A, _probes(random.Random(3), ops) + ops.gens())
@@ -451,20 +452,23 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
 
 
 @pytest.mark.parametrize("text, shapes", [
-    ("w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3", [(11, 2), (11, 15)]),  # (w1 + w2)^3
+    ("w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3", [1, 11]),  # (w1 + w2)^3
     ("w1^3 + w2^3", [])])
 def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
-    # the left kernel of the classes is the reduced echelon basis, so without
-    # linear forms nothing is echeloned; with them, the linear parts' echelon
-    # and one echelon of all rows in the elimination order, whose rows led by
-    # kept monomials are the kept ideal's echelon and are not echeloned again
+    # the left kernel of the classes is the reduced echelon basis, so past
+    # the classes' own echelon nothing is echeloned without linear forms;
+    # with them, the linear parts' echelon and one echelon of all rows in
+    # the elimination order, whose rows led by kept monomials are the kept
+    # ideal's echelon and are not echeloned again; `shapes` holds the row
+    # counts of the echelons past the first
     recorded, recording = [], [True]
-    echelon, table = linalg.echelon, quotient._table_algebra
+    echelon, table = _kernels.echelon, quotient._table_algebra
 
-    def recording_echelon(field, a):
+    def recording_echelon(rows, p, reduced=False):
+        rows = list(rows)
         if recording[0]:
-            recorded.append(np.shape(a))
-        return echelon(field, a)
+            recorded.append(len(rows))
+        return echelon(rows, p, reduced)
 
     def table_algebra(*args):
         recording[0] = False
@@ -472,10 +476,10 @@ def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
 
     dual, ops = PolyRing(QQ, ("w1", "w2")), PolyRing(QQ, ("X1", "X2"))
     monos, classes = _apolar_classes(parse_polynomial(text, dual), ops)
-    monkeypatch.setattr(linalg, "echelon", recording_echelon)
+    monkeypatch.setattr(_kernels, "echelon", recording_echelon)
     monkeypatch.setattr(quotient, "_table_algebra", table_algebra)
     kernel_algebra(ops, monos, classes)
-    assert recorded == shapes
+    assert recorded == [np.shape(classes)[1], *shapes]
 
 
 @st.composite
@@ -571,3 +575,57 @@ def test_apolar_algebra_of_a_form_in_fewer_linear_forms_matches_reference_on_hyp
     seed = data.draw(st.integers(0, 2 ** 16))
     ops = PolyRing(field, tuple(f"X{i + 1}" for i in range(nvars)))
     _assert_apolar_matches_reference(F, _probes(random.Random(seed), ops))
+
+
+# -- m*W on dict rows against the dense products ------------------------------
+
+def _assert_m_times_matches_dense_products(A, W):
+    products = [linalg.mat_mul(A.field, W.rows, mx) for mx in A.var_matrices]
+    rows, pivots = echelon_reference(A.field, np.vstack([linalg.zeros(A.field, (0, A.length)),
+                                                         *products]))
+    got = A.m_times(W)
+    assert list(got.basis) == pivots.tolist()
+    assert got.rows.dtype == rows.dtype and np.array_equal(got.rows, rows)
+
+
+def _non_minimal_table_algebra(monkeypatch, field):
+    """nonminimal_qq.txt over `field`, as `build_algebra` builds it before minimising.
+
+    B and D lead linear elements of its reduced basis, so their
+    multiplication matrices come from linear tails.
+    """
+    text = (Path(__file__).resolve().parent / "golden" / "nonminimal_qq.txt").read_text()
+    monkeypatch.setattr(quotient, "subalgebra", lambda A, ring, images: A)
+    A = build_algebra(*parse_presentation(text.replace("field QQ", f"field {field}")))
+    assert A.ring.nvars == 4 and A.hilbert_function()[1] == 2
+    return A
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_m_times_matches_dense_products_on_seeded_algebras(monkeypatch, field):
+    algebras = [residue_field_algebra(field)]
+    for R, S in pair_corpus(3, seed=31, max_edim=3, max_ll=4, min_ll=2, field=field):
+        algebras += [R, S, connected_sum(R, S).algebra]
+    algebras.append(_non_minimal_table_algebra(monkeypatch, field))
+    for A in algebras:
+        for W in (*A.filtration, A.annihilator(A.power(2).rows)):
+            _assert_m_times_matches_dense_products(A, W)
+
+
+@lru_cache(maxsize=None)
+def _m_times_corpus(field):
+    R, S = pair_corpus(1, seed=37, max_edim=3, max_ll=4, min_ll=2, field=field)[0]
+    return R, connected_sum(R, S).algebra
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_m_times_matches_dense_products_on_hypothesis_subspaces(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
+    count = data.draw(st.integers(0, 3))
+    entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    rows = [[field.coerce(x) for x in data.draw(st.lists(entries, min_size=A.length,
+                                                          max_size=A.length))]
+            for _ in range(count)]
+    _assert_m_times_matches_dense_products(A, A.subspace(rows))
