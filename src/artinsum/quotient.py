@@ -9,9 +9,10 @@ failing to shrink to zero show that the quotient is not local.
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order); the structure tensor holds the products of the
 basis elements and is scattered from a table of monomial classes; m*W is
-one product of a subspace's dict rows (`_times`, shared with the
-resolution).  Only parsed generator lists, an `IdealPresentation`, take
-that table from Buchberger and normal forms (`build_algebra`); text that
+one pass over a subspace's dict rows against the algebra's product table
+(`_times` on `times_table`, shared with the resolution).  Only parsed
+generator lists, an `IdealPresentation`, take that table from Buchberger
+and normal forms (`build_algebra`); text that
 is not minimal is then taken as the subalgebra its variables generate.
 Every derived algebra, a subalgebra or a quotient, has an ideal containing
 a power of m: it is given by the classes of the monomials up to that
@@ -113,7 +114,8 @@ class ArtinAlgebra:
     ascending, `basis` its standard monomials and `struct[i, j]` the class
     of basis[i] * basis[j].  The tensor and the variables' multiplication
     matrices enter dense products in `linalg.prepared` form, and the
-    matrices' nonzeros (`var_tables`) the products m*W, each made once.
+    matrices' nonzeros, one product table for all the variables
+    (`times_table`), the products m*W, each made once.
     """
 
     def __init__(self, ring, gb, basis, struct):
@@ -150,9 +152,14 @@ class ArtinAlgebra:
         self._var_operands = [linalg.prepared(self.field, mx) for mx in self.var_matrices]
 
     @cached_property
-    def var_tables(self):
-        """var_tables[v][l] lists the pairs (j, c) with e_l * x_v = sum of c*e_j."""
-        return [[list(r.items()) for r in _kernels.sparse_rows(mx)] for mx in self.var_matrices]
+    def times_table(self):
+        """Entry l lists the triples (v, j, c) with e_l * x_v = sum of c*e_j, by v.
+
+        The filtration builds it, so it is made once per algebra.
+        """
+        rows = [_kernels.sparse_rows(mx) for mx in self.var_matrices]
+        return [[(v, j, c) for v, table in enumerate(rows) for j, c in table[l].items()]
+                for l in range(self.length)]
 
     @cached_property
     def _struct_operand(self):
@@ -282,9 +289,8 @@ class ArtinAlgebra:
     def m_times(self, sub):
         """The subspace m * W for a subspace W: the span of its rows times the variables."""
         lam, p = self.length, self.field.char
-        return Subspace(self, _kernels.basis([_times(row, table, lam, p, range(lam))
-                                              for table in self.var_tables
-                                              for row in sub.basis.values()], p))
+        return Subspace(self, _kernels.basis(
+            _times(sub.basis.values(), self.times_table, lam, p, range(lam)), p))
 
     def minimal_generators(self, sub):
         """mu(W) and echelon-lift representatives for an ideal W."""
@@ -319,18 +325,39 @@ def _canonical(row, p):
     return {k: x for k, x in row.items() if x}
 
 
-def _times(row, table, lam, p, order):
-    """The row times the element whose products `table` lists, column c renamed order[c].
+def _times(rows, table, lam, p, order):
+    """Each row times each variable, the nonzero products only, column c renamed order[c].
 
-    Each length-lam block of the row is multiplied by the element on its own.
+    `table` is an algebra's `times_table`, and each length-lam block of a
+    row is multiplied on its own.  One walk over a row's entries opens a
+    product row for x_v only when some entry has a nonzero product by x_v.
+    A row of one entry c*e_l is entry l of the table, scaled by c: no
+    product of it cancels, so it yields one row per variable that does not
+    kill e_l.
     """
-    out = {}
-    for col, c in row.items():
-        base = col - col % lam
-        for j, s in table[col % lam]:
-            k = order[base + j]
-            out[k] = out.get(k, 0) + c * s
-    return _canonical(out, p)
+    for row in rows:
+        out = {}
+        if len(row) == 1:
+            [(col, c)] = row.items()
+            base = col - col % lam
+            for v, j, s in table[col % lam]:
+                prod = out.get(v)
+                if prod is None:
+                    prod = out[v] = {}
+                prod[order[base + j]] = c * s % p if p else c * s
+            yield from out.values()
+            continue
+        for col, c in row.items():
+            base = col - col % lam
+            for v, j, s in table[col % lam]:
+                prod = out.get(v)
+                if prod is None:
+                    prod = out[v] = {}
+                k = order[base + j]
+                prod[k] = prod.get(k, 0) + c * s
+        for prod in out.values():
+            if prod := _canonical(prod, p):
+                yield prod
 
 
 def _coordinates(poly, index):

@@ -5,8 +5,9 @@ t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
 [0, p) over GF(p), an int or Fraction over QQ.  The sparse echelon of
 `_kernels` serves both lanes, on integer rows over QQ.  Products by the
 variables are the algebra's own m*W product (`quotient._times` on the
-algebra's `var_tables`), applied block by block; the differential is read
-off the nonzeros of the structure tensor.
+algebra's `times_table`), applied block by block in one pass per row that
+forms only the nonzero products; the differential is read off the
+nonzeros of the structure tensor.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
@@ -106,9 +107,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
         order = [len(kernel) + c for c in range(width)]
         for i, c in enumerate(kernel):
             order[c] = i
-        products = (_times(row, table, lam, p, order)
-                    for table in A.var_tables for row in kernel.values())
-        mk_piv = _kernels.echelon(products, p)
+        mk_piv = _kernels.echelon(_times(kernel.values(), A.times_table, lam, p, order), p)
         if mk_piv and max(mk_piv) >= len(kernel):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
                                 "outside the kernel's lead columns")

@@ -3,16 +3,24 @@
 from fractions import Fraction
 
 
+def _exact(c):
+    """A rational coefficient as an int where it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class SeriesTrunc:
-    """A power series modulo t^(N+1); arithmetic is exact."""
+    """A power series modulo t^(N+1); arithmetic is exact, on ints where integral."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, truncation=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if truncation is not None:
             coeffs = coeffs[: truncation + 1]
-            coeffs += [Fraction(0)] * (truncation + 1 - len(coeffs))
+            coeffs += [0] * (truncation + 1 - len(coeffs))
         self.coeffs = tuple(coeffs)
 
     @property
@@ -22,10 +30,10 @@ class SeriesTrunc:
     @classmethod
     def from_terms(cls, truncation, terms):
         """Series from a {power: coefficient} mapping."""
-        coeffs = [Fraction(0)] * (truncation + 1)
+        coeffs = [0] * (truncation + 1)
         for k, c in terms.items():
             if k <= truncation:
-                coeffs[k] = Fraction(c)
+                coeffs[k] = c
         return cls(coeffs)
 
     @classmethod
@@ -57,7 +65,7 @@ class SeriesTrunc:
     def __mul__(self, other):
         other = self._match(other)
         n = self.truncation
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -68,15 +76,15 @@ class SeriesTrunc:
         return SeriesTrunc(out)
 
     def reciprocal(self):
-        """Inverse modulo t^(N+1); the constant term must be a unit."""
+        """Inverse modulo t^(N+1); the constant term must be a unit (on ints if it is ±1)."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ZeroDivisionError("series with zero constant term")
         n = self.truncation
-        inv0 = Fraction(1) / a0
-        out = [inv0] + [Fraction(0)] * n
+        inv0 = a0 if a0 in (1, -1) else 1 / Fraction(a0)
+        out = [inv0] + [0] * n
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for i in range(1, k + 1):
                 acc += self.coeffs[i] * out[k - i]
             out[k] = -inv0 * acc

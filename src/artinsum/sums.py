@@ -216,26 +216,24 @@ def default_operator_names(n):
     return ("X",) if n == 1 else tuple(f"X{i + 1}" for i in range(n))
 
 
-def _apply_operator(exps, F):
-    out = F
-    for i, e in enumerate(exps):
-        for _ in range(e):
-            out = out.derivative(i)
-            if out.is_zero():
-                return out
-    return out
-
-
 def _apolar_classes(F, ops):
-    """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F."""
+    """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F.
+
+    Each monomial's derivative is one derivative of its predecessor's, the
+    monomial with its first nonzero exponent lowered, as `_product_class`
+    memoises classes; the monomials come in increasing degree.
+    """
     monos = _monomials_up_to(ops, F.total_degree() + 1)
-    derived = [_apply_operator(m, F) for m in monos]
+    derived = {monos[0]: F}
+    for m in monos[1:]:
+        i = next(k for k, e in enumerate(m) if e)
+        derived[m] = derived[m[:i] + (m[i] - 1,) + m[i + 1:]].derivative(i)
     col = {}
-    for p in derived:
+    for p in derived.values():
         for t in p.terms:
             col.setdefault(t, len(col))
     mat = linalg.zeros(ops.field, (len(monos), max(len(col), 1)))
-    for i, p in enumerate(derived):
+    for i, p in enumerate(derived.values()):
         for t, c in p.terms.items():
             mat[i, col[t]] = c
     return monos, mat

@@ -7,8 +7,8 @@ monomials.  The `*_reference` functions keep the earlier, slower forms of
 routines that were made fast, for differential tests: Gauss-Jordan on
 Fractions, the dense numpy pivot loop mod p and the dense fraction-free
 Gauss-Jordan on integers that ran before the sparse kernel, residues and
-the Zassenhaus intersection on dense echelon forms, the
-per-column kernel loop, the per-vector complement loop, the
+the Zassenhaus intersection on dense echelon forms, the per-vector
+complement loop, the
 pair-rescanning Buchberger, the substitution loop that made presentations
 minimal, the resolution loop that took Betti numbers by row reduction
 against m times the kernel, the block-order elimination that contracted
@@ -23,6 +23,10 @@ and `Block` term orders live here too: only the Buchberger tests and the
 elimination reference use them.  So do the helpers that only tests call:
 row-space membership, preimages of a row space, substituting and listing
 the variables of a polynomial, and the residue field as an algebra.
+The per-variable product that formed m*W one variable at a time, apolar
+classes with every derivative taken from F, and the right kernel and the
+resolution on dense echelons (numpy mod p, Bareiss over QQ) are
+references too.
 """
 
 from fractions import Fraction
@@ -30,7 +34,7 @@ from math import gcd
 
 import numpy as np
 
-from artinsum import linalg
+from artinsum import _kernels, linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
 from artinsum.errors import PreconditionError
@@ -40,7 +44,7 @@ from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, no
 from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
-from artinsum.quotient import ArtinAlgebra, build_algebra, square_zero_algebra
+from artinsum.quotient import ArtinAlgebra, _canonical, build_algebra, square_zero_algebra
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
 
@@ -342,21 +346,27 @@ def rank_reference(field, a):
 
 
 def right_kernel_reference(field, a):
-    """Rows spanning {v : a @ v = 0}, filled entry by entry from the rref."""
+    """Rows spanning {v : a @ v = 0}, read off the dense reduced echelon form of `a`.
+
+    Row k is one at the k-th free column f and minus column f of each pivot
+    row at that row's pivot; the echelon is numpy mod p or Bareiss over QQ.
+    """
     a = np.asarray(a)
-    m, n = a.shape
-    r, pivots = linalg.rref(field, a)
-    pivset = set(int(c) for c in pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = linalg.zeros(field, (len(free), n))
-    one = field.one
-    for k, c in enumerate(free):
-        basis[k, c] = one
-        for row_idx, pc in enumerate(pivots):
-            v = r[row_idx, c]
-            if v != field.zero:
-                basis[k, int(pc)] = field.neg(v)
+    r, pivots = _echelon_dense(field, a)
+    free = np.setdiff1d(np.arange(a.shape[1]), pivots)
+    basis = linalg.zeros(field, (free.size, a.shape[1]))
+    basis[np.arange(free.size), free] = 1
+    tails = -r[:, free].T
+    basis[:, pivots] = tails % field.p if linalg.is_prime_field(field) else tails
     return basis
+
+
+def _echelon_dense(field, a):
+    """The reduced echelon basis and pivots by the dense loops: numpy mod p, Bareiss over QQ."""
+    if linalg.is_prime_field(field):
+        return echelon_reference(field, a)
+    r, pivots = rref_bareiss_reference(np.asarray(a, dtype=object))
+    return r[:pivots.size], pivots
 
 
 def complement_rows_reference(field, rows, base_rows, base_pivots):
@@ -641,6 +651,27 @@ def build_algebra_reference(pres):
     return A
 
 
+def var_tables_reference(A):
+    """Per variable v, entry l lists the pairs (j, c) with e_l * x_v = sum of c*e_j."""
+    return [[list(r.items()) for r in _kernels.sparse_rows(mx)] for mx in A.var_matrices]
+
+
+def times_reference(row, table, lam, p, order):
+    """The row times one variable, whose products `table` lists, column c renamed order[c].
+
+    Each length-lam block of the row is multiplied on its own, and the
+    product may be empty.  `quotient._times` must yield the nonzero ones of
+    these products, over all the variables.
+    """
+    out = {}
+    for col, c in row.items():
+        base = col - col % lam
+        for j, s in table[col % lam]:
+            k = order[base + j]
+            out[k] = out.get(k, 0) + c * s
+    return _canonical(out, p)
+
+
 def _module_times_element(field, rows, mat):
     """Right-multiply every length-lambda block of each row by `mat`."""
     if rows.shape[0] == 0:
@@ -672,22 +703,24 @@ def differential_matrix_reference(A, gens, prev_rank):
 
 
 def betti_numbers_reference(A, truncation):
-    """beta_0..beta_truncation by complements against m times the re-echeloned kernel.
+    """beta_0..beta_truncation by complements against m times the kernel, on dense echelons.
 
-    Reads and writes no cache; `resolution.betti_numbers` must give the
-    same tuple.
+    Every echelon is a dense reference loop (`_echelon_dense`): numpy mod
+    p, fraction-free Bareiss over QQ, so no step runs the sparse kernel it
+    checks.  The generators are the kernel rows that extend m*K,
+    the pivots past m*K of the echelon of (m*K ; K) transposed.  Reads and
+    writes no cache; `resolution.betti_numbers` must give the same tuple.
     """
     betti = [1]
     kernel_rows = A.power(1).rows
     prev_rank = 1
     for step in range(1, truncation + 1):
-        if A.ring.nvars:
-            stacked = np.vstack([_module_times_element(A.field, kernel_rows, mx)
-                                 for mx in A.var_matrices])
-        else:
-            stacked = kernel_rows[:0]
-        mk = linalg.pivot_basis(A.field, stacked)
-        gens = linalg.complement_rows(A.field, kernel_rows, mk)
+        stacked = np.vstack([linalg.zeros(A.field, (0, kernel_rows.shape[1])),
+                             *(_module_times_element(A.field, kernel_rows, mx)
+                               for mx in A.var_matrices)])
+        mk = _echelon_dense(A.field, stacked)[0]
+        extend = _echelon_dense(A.field, np.vstack([mk, kernel_rows]).T)[1]
+        gens = [kernel_rows[i - len(mk)] for i in extend.tolist() if i >= len(mk)]
         betti.append(len(gens))
         if step == truncation:
             break
@@ -697,10 +730,10 @@ def betti_numbers_reference(A, truncation):
         if _unit_entry(A, np.vstack(gens)):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
         diff = differential_matrix_reference(A, gens, prev_rank)
-        kernel = linalg.left_kernel(A.field, diff)
+        kernel = right_kernel_reference(A.field, diff.T)
         if diff.shape[0] - kernel.shape[0] != kernel_rows.shape[0]:
             raise ArtinsumError("resolution is not exact at the previous step")
-        kernel_rows = echelon_reference(A.field, kernel)[0]
+        kernel_rows = kernel
         prev_rank = len(gens)
     return tuple(betti)
 
@@ -896,3 +929,35 @@ def socle_by_degree_reference(G):
         if rows.shape[0]:
             out[d] = rows
     return out
+
+
+# ---------------------------------------------------------------------------
+# apolar classes with every derivative taken from F
+
+def _apply_operator(exps, F):
+    out = F
+    for i, e in enumerate(exps):
+        for _ in range(e):
+            out = out.derivative(i)
+            if out.is_zero():
+                return out
+    return out
+
+
+def apolar_classes_reference(F, ops):
+    """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F.
+
+    Each monomial differentiates F from scratch, one partial derivative per
+    unit of its degree; `sums._apolar_classes` must give the same matrix.
+    """
+    monos = [m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)]
+    derived = [_apply_operator(m, F) for m in monos]
+    col = {}
+    for p in derived:
+        for t in p.terms:
+            col.setdefault(t, len(col))
+    mat = linalg.zeros(ops.field, (len(monos), max(len(col), 1)))
+    for i, p in enumerate(derived):
+        for t, c in p.terms.items():
+            mat[i, col[t]] = c
+    return monos, mat

@@ -108,15 +108,25 @@ def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq_max6.json").read_text()
 
 
+def _assert_gf_betti_of_written_sum_is_golden(prefix, name, capsys):
+    assert main(["connect", str(GOLDEN / f"{prefix}_left.txt"),
+                 str(GOLDEN / f"{prefix}_right.txt"), "--unit", "2", "-o", f"{name}.txt"]) == 0
+    capsys.readouterr()
+    assert main(["betti", f"{name}.txt", "--max", "6", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"betti_{name}_max6.json").read_text()
+
+
 def test_gf_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, capsys):
     # the same factors read over GF(101), joined with unit 2: the prime lane
     # of the resolution, with the QQ lane's Betti numbers to depth 6
     monkeypatch.chdir(tmp_path)
-    assert main(["connect", str(GOLDEN / "gf_left.txt"), str(GOLDEN / "gf_right.txt"),
-                 "--unit", "2", "-o", "connect_gf101.txt"]) == 0
-    capsys.readouterr()
-    assert main(["betti", "connect_gf101.txt", "--max", "6", "--json"]) == 0
-    assert capsys.readouterr().out == (GOLDEN / "betti_connect_gf101_max6.json").read_text()
+    _assert_gf_betti_of_written_sum_is_golden("gf", "connect_gf101", capsys)
+
+
+def test_large_prime_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, capsys):
+    # the same factors over GF(1048573), the largest supported prime
+    monkeypatch.chdir(tmp_path)
+    _assert_gf_betti_of_written_sum_is_golden("gf1048573", "connect_gf1048573", capsys)
 
 
 @pytest.mark.parametrize("golden", list(GF_CASES))

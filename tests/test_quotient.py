@@ -1,6 +1,7 @@
 """Artinian quotient construction, invariants, and annihilator machinery."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
-                      associated_graded, build_algebra, connected_sum, iarrobino, linalg,
+                      associated_graded, build_algebra, connected_sum, fibre_product,
+                      iarrobino, linalg,
                       modulo_socle, parse_polynomial, parse_presentation)
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, UnitIdealError)
@@ -23,7 +25,8 @@ from artinsum.sums import _apolar_classes
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
 from oracles import (algebra_ideal, build_algebra_reference, echelon_reference,
                      modulo_socle_reference, normal_form_structure_reference,
-                     quotient_algebra_reference, residue_field_algebra, vector_reference)
+                     quotient_algebra_reference, residue_field_algebra, times_reference,
+                     var_tables_reference, vector_reference)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -629,3 +632,67 @@ def test_m_times_matches_dense_products_on_hypothesis_subspaces(data):
                                                           max_size=A.length))]
             for _ in range(count)]
     _assert_m_times_matches_dense_products(A, A.subspace(rows))
+
+
+# -- one product pass per row against the per-variable reference ---------------
+
+def _product_multiset(rows):
+    return Counter(tuple(sorted(row.items())) for row in rows)
+
+
+def _assert_times_matches_per_variable_reference(A, rows, order):
+    lam, p = A.length, A.field.char
+    got = list(quotient._times(rows, A.times_table, lam, p, order))
+    want = [prod for row in rows for table in var_tables_reference(A)
+            if (prod := times_reference(row, table, lam, p, order))]
+    assert all(got), "a product row is empty"
+    assert _product_multiset(got) == _product_multiset(want)
+
+
+def _random_rows(rng, field, blocks, lam):
+    """Single-entry rows, rows inside one block and rows across blocks, nonzero entries."""
+    def scalar():
+        if field == QQ:
+            return field.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        return rng.randrange(1, field.p)
+    width = blocks * lam
+    rows = [{c: scalar()} for c in rng.sample(range(width), min(width, 4))]
+    for _ in range(4):
+        base = rng.randrange(blocks) * lam
+        rows.append({base + j: scalar() for j in rng.sample(range(lam), rng.randint(1, lam))})
+        rows.append({c: scalar() for c in rng.sample(range(width), rng.randint(1, width))})
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_times_matches_the_per_variable_products_on_seeded_algebras(monkeypatch, field):
+    rng = random.Random(43)
+    algebras = [residue_field_algebra(field)]
+    for R, S in pair_corpus(3, seed=31, max_edim=3, max_ll=4, min_ll=2, field=field):
+        algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
+    algebras.append(_non_minimal_table_algebra(monkeypatch, field))
+    for A in algebras:
+        lam = A.length
+        for W in A.filtration:
+            _assert_times_matches_per_variable_reference(A, list(W.basis.values()), range(lam))
+        for blocks in (1, 3):
+            order = rng.sample(range(blocks * lam), blocks * lam)
+            rows = _random_rows(rng, field, blocks, lam)
+            _assert_times_matches_per_variable_reference(A, rows, order)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_times_matches_the_per_variable_products_on_hypothesis_rows(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
+    lam = A.length
+    blocks = data.draw(st.integers(1, 3))
+    if field == QQ:
+        scalars = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 3))
+    else:
+        scalars = st.integers(1, field.p - 1)
+    entries = st.dictionaries(st.integers(0, blocks * lam - 1), scalars, min_size=1, max_size=6)
+    rows = data.draw(st.lists(entries, max_size=6))
+    order = data.draw(st.permutations(range(blocks * lam)))
+    _assert_times_matches_per_variable_reference(A, rows, order)

@@ -1,14 +1,16 @@
 """Betti numbers of the residue field and the paper's series identities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, betti_numbers,
-                      connected_sum, fibre_product, h2_bound_check, linalg, modulo_socle,
-                      resolution, verify_cs_series, verify_fp_series, verify_mu_formulas,
-                      verify_socle_quotient)
+from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
+                      betti_numbers, connected_sum, fibre_product, h2_bound_check, linalg,
+                      modulo_socle, resolution, verify_cs_series, verify_fp_series,
+                      verify_mu_formulas, verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
 from artinsum.resolution import _differential, _struct_table, mu_direct
 
@@ -53,6 +55,35 @@ def test_betti_truncation_reuses_the_cache():
     assert betti_numbers(Q, 3).betti == (1, 3, 8, 21)
     assert betti_numbers(Q, TRUNCATION).betti == (1, 3, 8, 21, 55, 144)
     assert betti_numbers(Q, 2).betti == (1, 3, 8)
+
+
+def test_inverse_poincare_series_has_int_coefficients():
+    R, S = PAIRS[0]
+    inverse = betti_numbers(connected_sum(R, S).algebra, TRUNCATION).poincare().reciprocal()
+    assert inverse.coeffs == (1, -4, 1, 0, 0, 0)
+    assert all(type(c) is int for c in inverse.coeffs)
+
+
+def test_series_keeps_fractions_where_a_coefficient_is_not_integral():
+    inverse = SeriesTrunc([2, 1]).reciprocal()
+    assert inverse.coeffs == (Fraction(1, 2), Fraction(-1, 4))
+    assert [type(c) for c in inverse.coeffs] == [Fraction, Fraction]
+    assert SeriesTrunc([2, 1], 3).reciprocal().coeffs == (
+        Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
+    # a Fraction sum that is integral is stored as an int
+    half = SeriesTrunc([Fraction(1, 2), 0])
+    assert [type(c) for c in (half + half).coeffs] == [int, int]
+
+
+def test_series_of_fractions_and_of_ints_are_equal_and_print_alike():
+    ints = SeriesTrunc([1, -4, 1, 0], 3)
+    fractions = SeriesTrunc([Fraction(1), Fraction(-4), Fraction(1), Fraction(0)], 3)
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert ints == SeriesTrunc.from_terms(3, {0: Fraction(1), 1: Fraction(-4), 2: 1})
+    assert repr(ints) == repr(fractions) == "1 - 4*t + t^2 + O(t^4)"
+    mixed = SeriesTrunc([Fraction(1, 2), 3, Fraction(-5, 3)])
+    assert repr(mixed) == "1/2 + 3*t - 5/3*t^2 + O(t^3)"
+    assert repr(SeriesTrunc([2, 1]).reciprocal()) == "1/2 - 1/4*t + O(t^2)"
 
 
 def _assert_identities(R, S, truncation):

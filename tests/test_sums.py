@@ -16,11 +16,12 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
 from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
+from artinsum.poly import Polynomial
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import (connected_sum_reference, fibre_product_reference, rank_reference,
-                     residue_field_algebra)
+from oracles import (apolar_classes_reference, connected_sum_reference,
+                     fibre_product_reference, rank_reference, residue_field_algebra)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -207,6 +208,35 @@ def test_apolar_length_is_the_rank_of_the_derivative_classes(field):
     for F in polys:
         classes = _apolar_classes(F, PolyRing(field, names))[1]
         assert apolar_algebra(F, names).length == rank_reference(field, classes)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_apolar_classes_take_one_derivative_per_monomial(monkeypatch, field):
+    # each monomial's derivative is one derivative of its predecessor's; the
+    # matrix equals the one that differentiates F from scratch per monomial
+    rng = random.Random(47)
+    dual = PolyRing(field, ("w1", "w2", "w3"))
+    ops = PolyRing(field, ("X1", "X2", "X3"))
+    monos = [m for d in range(1, 5) for m in dual.monomials_of_degree(d)]
+    polys = [dual.poly({rng.choice(monos): rng.randrange(1, 6) for _ in range(rng.randrange(1, 8))})
+             for _ in range(8)]
+    polys.append(dual.var(2))
+    calls = Counter()
+    derivative = Polynomial.derivative
+
+    def counting(self, i):
+        calls["derivative"] += 1
+        return derivative(self, i)
+
+    for F in polys:
+        want_monos, want = apolar_classes_reference(F, ops)
+        calls.clear()
+        monkeypatch.setattr(Polynomial, "derivative", counting)
+        got_monos, got = _apolar_classes(F, ops)
+        monkeypatch.setattr(Polynomial, "derivative", derivative)
+        assert got_monos == want_monos
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert calls["derivative"] == len(got_monos) - 1
 
 
 def test_apolar_sum_check_examples():
