@@ -331,22 +331,9 @@ def _times(rows, table, lam, p, order):
     `table` is an algebra's `times_table`, and each length-lam block of a
     row is multiplied on its own.  One walk over a row's entries opens a
     product row for x_v only when some entry has a nonzero product by x_v.
-    A row of one entry c*e_l is entry l of the table, scaled by c: no
-    product of it cancels, so it yields one row per variable that does not
-    kill e_l.
     """
     for row in rows:
         out = {}
-        if len(row) == 1:
-            [(col, c)] = row.items()
-            base = col - col % lam
-            for v, j, s in table[col % lam]:
-                prod = out.get(v)
-                if prod is None:
-                    prod = out[v] = {}
-                prod[order[base + j]] = c * s % p if p else c * s
-            yield from out.values()
-            continue
         for col, c in row.items():
             base = col - col % lam
             for v, j, s in table[col % lam]:
