@@ -13,8 +13,6 @@ re-verified at presentation level before it is reported.
 from dataclasses import dataclass, field
 from math import comb
 
-import numpy as np
-
 from . import linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import associated_graded, classify, gls_split, interior_socle_dimension
@@ -55,7 +53,7 @@ def check_split(Q, partition):
     reasons = []
     var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
     offending = [f"{yn}*{zn}" for yn in left_names for zn in right_names
-                 if np.any(Q.vector(var[yn] * var[zn]) != Q.field.zero)]
+                 if Q.element_row(var[yn] * var[zn])]
     if offending:
         reasons.append("cross products outside the ideal: " + ", ".join(offending))
     sides = [[n for n in Q.ring.names if n in side] for side in (left_names, right_names)]
@@ -117,29 +115,30 @@ def split_witness(Q):
     for z in z_vecs:
         if Q.power(2).contains(z):
             raise PreconditionError("clause (c) failed: a witness fell into m^2")
-        products = [Q.vec_mult_matrix_row(z, j) for j in range(Q.edim)]
-        if Q.subspace(products) != socle:
+        if Q.m_times(Q.subspace([z])) != socle:
             raise PreconditionError("clause (c) failed: w*m is not the socle")
     J = Q.ideal_span(z_vecs)
-    ideal_i = Q.annihilator(J.rows)
+    # J is the ideal that the witnesses generate, so 0:J is their annihilator
+    ideal_i = Q.annihilator(z_vecs)
     if not ideal_i.is_ideal():
         raise ArtinsumError("the annihilator of J is not an ideal")
-    # invariants of the annihilator pair
-    if not socle.contains_space(Q.m_times(J)):
+    # invariants of the annihilator pair; J is an ideal, so J*m^2 = m*(m*J)
+    mj = Q.m_times(J)
+    if not socle.contains_space(mj):
         raise ArtinsumError("J*m escapes the socle")
-    if any(np.any(Q.multiply(a, b) != Q.field.zero)
-           for a in J.rows for b in Q.power(2).rows):
+    if Q.m_times(mj).dim:
         raise ArtinsumError("J does not annihilate m^2")
     if not ideal_i.add(J) == Q.power(1):
         raise ArtinsumError("0:J + J is not the maximal ideal")
-    power_i = ideal_i
-    for r in range(2, s + 1):
-        power_i = Q.subspace(np.vstack([linalg.mat_mul(Q.field, power_i.rows, Q.mult_matrix(v))
-                                        for v in ideal_i.rows]))
-        if not power_i == Q.power(r):
-            raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     mu_j, _ = Q.minimal_generators(J)
     mu_i, y_vec_reps = Q.minimal_generators(ideal_i)
+    # (0:J)^r is (0:J)^(r-1) times the minimal generators of 0:J
+    generators = Q.product_table(Q.subspace(y_vec_reps).basis.values())
+    power_i = ideal_i
+    for r in range(2, s + 1):
+        power_i = Q.span_times(power_i, generators)
+        if not power_i == Q.power(r):
+            raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     if mu_j != n or mu_i + mu_j != Q.edim:
         raise ArtinsumError("generator counts of the annihilator pair are off")
     y_lifts = [Q.lift(v) for v in y_vec_reps]

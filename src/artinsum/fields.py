@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from .errors import NonPrimeModulusError
 
-# Keeps p**2 * (largest matrix dimension we allow) inside int64.
+# The supported moduli are below 2**20.  Products run on Python ints, so no
+# int64 bound needs it any more; raising it is a change of its own, with
+# goldens and guard tests at the new edge.
 MAX_PRIME = 1 << 20
 
 

@@ -16,8 +16,6 @@ quotient and a square-zero algebra, also kernels: no Buchberger run here.
 from dataclasses import dataclass, field
 from math import comb
 
-import numpy as np
-
 from . import _kernels, linalg
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
@@ -70,12 +68,14 @@ def _degreewise_algebra(A, targets):
     targets[d], and a residue that lies in its own target is zero.  Every
     form of degree s+1 maps to zero and so lies in the ideal.
     """
-    residues = []
-    for d, target in enumerate(targets):
-        classes = [A.monomial_vector(m) for m in A.ring.monomials_of_degree(d)]
-        residues.append(target.reduce(linalg.matrix(A.field, classes, width=A.length)))
     monos = _monomials_up_to(A.ring, A.loewy_length + 1)
-    return _homogeneous(kernel_algebra(A.ring, monos, np.vstack(residues)))
+    residues = [_residue(A, m, targets[mono_deg(m)]) for m in monos]
+    return _homogeneous(kernel_algebra(A.ring, monos, residues))
+
+
+def _residue(A, mono, target):
+    """The class of a monomial modulo a subspace, as a dict row."""
+    return _kernels.reduce(dict(A.monomial_row(mono)), target.basis, A.field.char)
 
 
 def associated_graded(A):
@@ -180,9 +180,8 @@ def iarrobino(A):
         monos = [m for m in G.basis if mono_deg(m) == i]
         if not monos:
             continue
-        images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos],
-                               width=A.length)
-        rows = linalg.left_kernel(A.field, target.reduce(images))
+        residues = [_residue(A, m, target) for m in monos]
+        rows = linalg.left_kernel(A.field, linalg.dense(A.field, residues, A.length))
         # quotient out the next filtration step: forms already in m^(i+1)
         # have zero class, recognized by lying in I*'s degree-i piece, which
         # has no standard-monomial support, so rows here are honest classes

@@ -16,19 +16,12 @@ dict rows (`sparse_rows`, `pivot_basis`); `dense` writes dict rows back
 into an array.  The dense adapter `rref` has no caller in the library: it
 is kept because the benchmark's set-up probe and its span tracer name it.
 
-`mat_mul` forms one product over the columns where the left operand is not
-zero.  Over GF(p) that is an int64 product of entries in [0, p): each term
-is below p**2 < 2**40 for every modulus a PrimeField accepts
-(p < MAX_PRIME = 2**20), so a sum of up to 2**23 terms cannot overflow.
-Over QQ it scales each row of the left factor and each column of the right
-one by the lcm of its denominators and computes on Python integers, which
-cannot overflow; rows of ints skip the scaling.  A right factor used in many
-products is converted once (`prepared`).
+No product of matrices is formed here: products in an algebra run on dict
+rows against its sparse product tables (`quotient._times`), in Python
+integers, so no int64 product can overflow.  `fields.MAX_PRIME` stays at
+2**20 all the same; raising it is a change of its own, with goldens at a
+larger prime.
 """
-
-from fractions import Fraction
-from itertools import chain
-from math import lcm
 
 import numpy as np
 
@@ -122,87 +115,3 @@ def complement_rows(field, rows, base):
             kept = _kernels.basis([*kept.values(), row], p)
             out.append(dict(kept[c]))
     return list(dense(field, out, np.shape(rows)[1]))
-
-
-def identity(field, n):
-    a = zeros(field, (n, n))
-    np.fill_diagonal(a, 1)
-    return a
-
-
-def _integer_rows(a):
-    """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
-
-    Returns the scaled rows as lists of Python ints, and the row denominators.
-    Entries may be Fractions or Python ints; rows of ints are returned as they are.
-    """
-    rows = a.tolist()
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows, [1] * len(rows)
-    dens = []
-    for i, row in enumerate(rows):
-        d = lcm(*[x.denominator for x in row])
-        if d == 1:
-            rows[i] = [x.numerator for x in row]
-        else:
-            rows[i] = [x.numerator * (d // x.denominator) for x in row]
-        dens.append(d)
-    return rows, dens
-
-
-def _quotients(nums, dens):
-    """The entries x / d, each an int where it is integral and a Fraction otherwise."""
-    return [x // d if x % d == 0 else Fraction(x, d) for x, d in zip(nums, dens)]
-
-
-class _Columns:
-    """A QQ right factor as integer columns and their denominators, converted once."""
-
-    __slots__ = ("shape", "ints", "dens", "integral")
-
-    def __init__(self, b):
-        cols, self.dens = _integer_rows(b.T)
-        self.shape = b.shape
-        self.ints = np.array(cols, dtype=object).reshape(b.shape[1], b.shape[0]).T
-        self.integral = set(self.dens) <= {1}
-
-
-def prepared(field, b):
-    """A matrix `b` in the form `mat_mul` takes it fastest as a right factor.
-
-    Over QQ it is converted to integer columns once, for products by the
-    same matrix over and over; over GF(p) it is `b` itself.
-    """
-    return b if is_prime_field(field) else _Columns(np.asarray(b))
-
-
-def mat_mul(field, a, b):
-    """Exact product of a matrix or vector `a` with a matrix `b`, or with `prepared(b)`.
-
-    Reduced mod p on the prime-field lane; on the QQ lane `a` may also hold
-    plain ints.
-    """
-    if is_prime_field(field):
-        return np.asarray(a, dtype=np.int64).dot(b) % field.p
-    a = np.asarray(a)
-    if a.ndim == 1:
-        return _mat_mul_rational(a.reshape(1, -1), b)[0]
-    return _mat_mul_rational(a, b)
-
-
-def _mat_mul_rational(a, b):
-    """The QQ product of a 2-D `a` and `b` on integer rows of `a` and columns of `b`."""
-    rows, row_dens = _integer_rows(a)
-    left = np.array(rows, dtype=object).reshape(a.shape)
-    keep = np.flatnonzero(left.any(axis=0))
-    if isinstance(b, _Columns):
-        right = b.ints[keep]
-    else:
-        b = _Columns(b[keep])
-        right = b.ints
-    out = left[:, keep].dot(right)
-    if b.integral and set(row_dens) <= {1}:
-        return out
-    for i, (row, d) in enumerate(zip(out.tolist(), row_dens)):
-        out[i] = _quotients(row, [d * e for e in b.dens])
-    return out

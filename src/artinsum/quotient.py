@@ -7,19 +7,23 @@ so the variable count equals the embedding dimension, and the powers of m
 failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
-(ascending default order); the structure tensor holds the products of the
-basis elements and is scattered from a table of monomial classes; m*W is
-one pass over a subspace's dict rows against the algebra's product table
-(`_times` on `times_table`, shared with the resolution).  Only parsed
-generator lists, an `IdealPresentation`, take that table from Buchberger
-and normal forms (`build_algebra`); text that
-is not minimal is then taken as the subalgebra its variables generate.
-Every derived algebra, a subalgebra or a quotient, has an ideal containing
-a power of m: it is given by the classes of the monomials up to that
-degree, and the left kernel of those classes, taken with the monomials in
-increasing order, is the reduced echelon basis of its truncation
-(`kernel_algebra`): dict rows keyed by their lead column, from which
-`_read_echelon` reads the reduced basis and the class of every monomial.
+(ascending default order), held inside as dict rows from column to nonzero
+scalar; the structure tensor holds the products of the basis elements and
+is scattered from a table of monomial classes.  Every product is one pass
+over dict rows against a sparse product table (`_times`): the algebra's
+`times_table`, the products by the variables, for m*W, for the classes of
+monomials and for the resolution, or the table of any elements
+(`product_table`, read off the tensor's nonzeros in `struct_table`) for
+products by elements and annihilators.  Only parsed generator lists, an
+`IdealPresentation`, take the class table from Buchberger and normal forms
+(`build_algebra`); text that is not minimal is then taken as the
+subalgebra its variables generate.  Every derived algebra, a subalgebra or
+a quotient, has an ideal containing a power of m: it is given by the
+classes of the monomials up to that degree, as dict rows, and the left
+kernel of those classes, taken with the monomials in increasing order, is
+the reduced echelon basis of its truncation (`kernel_algebra`): dict rows
+keyed by their lead column, from which `_read_echelon` reads the reduced
+basis and the class of every monomial.
 When the ideal holds linear forms, the pivots of their echelon form are
 eliminated: the rows are echeloned once more, with the columns ranked
 first by their degree in the eliminated variables, and give the reduced
@@ -32,8 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels, linalg
-from .errors import (ArtinsumError, NotAnIdealError, NotLocalError,
-                     NotZeroDimensionalError, RingMismatchError, UnitIdealError)
+from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
+                     ResourceGuardError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
 from .poly import PolyRing, mono_deg, mono_mul
 
@@ -112,10 +116,11 @@ class ArtinAlgebra:
 
     `gb` is the reduced Groebner basis of the ideal in the default order,
     ascending, `basis` its standard monomials and `struct[i, j]` the class
-    of basis[i] * basis[j].  The tensor and the variables' multiplication
-    matrices enter dense products in `linalg.prepared` form, and the
-    matrices' nonzeros, one product table for all the variables
-    (`times_table`), the products m*W, each made once.
+    of basis[i] * basis[j].  The tensor's nonzeros are read once into
+    `struct_table`, and the products by the variables into `times_table`;
+    every product runs on dict rows against one of them.  The class of
+    each monomial is a dict row, its predecessor's times one variable,
+    memoised; `vector` and `monomial_vector` write classes out dense.
     """
 
     def __init__(self, ring, gb, basis, struct):
@@ -127,8 +132,7 @@ class ArtinAlgebra:
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self.struct = struct
-        self._build_var_matrices()
-        self._classes = {(0,) * self.ring.nvars: self.one_vector()}
+        self._classes = {(0,) * self.ring.nvars: {self.basis_index[(0,) * self.ring.nvars]: 1}}
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
@@ -136,35 +140,65 @@ class ArtinAlgebra:
 
     # -- construction --------------------------------------------------------
 
-    def _build_var_matrices(self):
-        # a variable outside the basis (a presentation that is not minimal)
-        # leads a linear element of the reduced basis and is minus its tail
-        self.var_matrices = []
-        for v in range(self.ring.nvars):
-            mono = tuple(int(i == v) for i in range(self.ring.nvars))
-            idx = self.basis_index.get(mono)
-            if idx is None:
-                g = next(g for g in self.gb if g.leading()[0] == mono)
-                tail = _coordinates(self.ring.monomial(mono) - g, self.basis_index)
-                self.var_matrices.append(self.mult_matrix(tail))
-            else:
-                self.var_matrices.append(self.struct[idx])
-        self._var_operands = [linalg.prepared(self.field, mx) for mx in self.var_matrices]
+    @cached_property
+    def struct_table(self):
+        """Entry l lists the triples (k, j, c) with e_l * e_k = sum of c*e_j: the tensor's nonzeros.
+
+        The tensor is symmetric, so entry k also lists the products of e_k
+        by each e_l.
+        """
+        table = [[] for _ in range(self.length)]
+        at = np.nonzero(self.struct)
+        for l, k, j, c in zip(*(a.tolist() for a in at), self.struct[at].tolist()):
+            table[l].append((k, j, c))
+        return table
+
+    def product_table(self, elements):
+        """Entry l lists the triples (v, j, c) with e_l * elements[v] = sum of c*e_j, by v.
+
+        `elements` are dict rows; each is multiplied through the entries of
+        `struct_table` at its nonzeros, so only its nonzero products are made.
+        """
+        p = self.field.char
+        table = [[] for _ in range(self.length)]
+        for v, element in enumerate(elements):
+            rows = {}
+            for k, x in element.items():
+                for l, j, c in self.struct_table[k]:
+                    row = rows.get(l)
+                    if row is None:
+                        row = rows[l] = {}
+                    row[j] = row.get(j, 0) + x * c
+            for l, row in rows.items():
+                table[l] += [(v, j, c) for j, c in _canonical(row, p).items()]
+        return table
 
     @cached_property
     def times_table(self):
         """Entry l lists the triples (v, j, c) with e_l * x_v = sum of c*e_j, by v.
 
-        The filtration builds it, so it is made once per algebra.
+        The filtration builds it, so it is made once per algebra.  A variable
+        outside the basis (a presentation that is not minimal) leads a linear
+        element of the reduced basis, and its class is minus that element's
+        tail.
         """
-        rows = [_kernels.sparse_rows(mx) for mx in self.var_matrices]
-        return [[(v, j, c) for v, table in enumerate(rows) for j, c in table[l].items()]
-                for l in range(self.length)]
+        variables = []
+        for v in range(self.ring.nvars):
+            mono = tuple(int(i == v) for i in range(self.ring.nvars))
+            idx = self.basis_index.get(mono)
+            if idx is None:
+                g = next(g for g in self.gb if g.leading()[0] == mono)
+                tail = self.ring.monomial(mono) - g
+                variables.append({self.basis_index[m]: c for m, c in tail.terms.items()})
+            else:
+                variables.append({idx: 1})
+        return self.product_table(variables)
 
     @cached_property
-    def _struct_operand(self):
-        lam = self.length
-        return linalg.prepared(self.field, self.struct.reshape(lam, lam * lam))
+    def _variable_tables(self):
+        """Per variable v, the entries of `times_table` that multiply by x_v."""
+        return [[[t for t in entry if t[0] == v] for entry in self.times_table]
+                for v in range(self.ring.nvars)]
 
     def _build_filtration(self):
         whole = Subspace(self, {i: {i: 1} for i in range(self.length)})
@@ -210,7 +244,7 @@ class ArtinAlgebra:
 
     def socle(self):
         if self._socle is None:
-            self._socle = self._annihilator(self.var_matrices)
+            self._socle = self._annihilator(self.times_table)
         return self._socle
 
     @property
@@ -228,20 +262,33 @@ class ArtinAlgebra:
             poly = poly.compose(target, images)
         return poly
 
-    def monomial_vector(self, mono):
-        """Coefficient vector of the class of a monomial of the presentation ring."""
-        return _product_class(self._classes, mono, self._var_operands, self.field)
+    def monomial_row(self, mono):
+        """The class of a monomial of the presentation ring as a dict row.
 
-    def vector(self, poly):
-        """Coefficient vector of the class of `poly` over the standard basis."""
+        The row is memoised and shared: callers copy it before changing it.
+        """
+        lam = self.length
+        return _class_row(self._classes, mono, self._variable_tables, lam, self.field.char)
+
+    def element_row(self, poly):
+        """The class of `poly` as a dict row over the standard basis."""
         if poly.ring == self.original_ring and self.reduction_steps:
             poly = self.reduce_to_presentation_ring(poly)
         if poly.ring != self.ring:
             raise RingMismatchError(f"a polynomial of {poly.ring} has no class in {self.ring}")
-        coeffs = linalg.matrix(self.field, [list(poly.terms.values())])[0]
-        classes = [self.monomial_vector(m) for m in poly.terms]
-        return linalg.mat_mul(self.field, coeffs, linalg.matrix(self.field, classes,
-                                                                width=self.length))
+        out = {}
+        for m, c in poly.terms.items():
+            for k, x in self.monomial_row(m).items():
+                out[k] = out.get(k, 0) + c * x
+        return _canonical(out, self.field.char)
+
+    def monomial_vector(self, mono):
+        """Coefficient vector of the class of a monomial of the presentation ring."""
+        return linalg.dense(self.field, [self.monomial_row(mono)], self.length)[0]
+
+    def vector(self, poly):
+        """Coefficient vector of the class of `poly` over the standard basis."""
+        return linalg.dense(self.field, [self.element_row(poly)], self.length)[0]
 
     def lift(self, vec):
         """The canonical polynomial representative with standard-monomial support."""
@@ -252,17 +299,6 @@ class ArtinAlgebra:
         vec[self.basis_index[(0,) * self.ring.nvars]] = self.field.one
         return vec
 
-    def mult_matrix(self, vec):
-        """Matrix of multiplication by the element `vec` (acting on row vectors)."""
-        lam = self.length
-        return linalg.mat_mul(self.field, vec, self._struct_operand).reshape(lam, lam)
-
-    def multiply(self, u, v):
-        return linalg.mat_mul(self.field, u.reshape(1, -1), self.mult_matrix(v))[0]
-
-    def vec_mult_matrix_row(self, vec, var_index):
-        return linalg.mat_mul(self.field, vec, self._var_operands[var_index])
-
     def subspace(self, rows):
         return self._span(linalg.matrix(self.field, rows, width=self.length))
 
@@ -270,12 +306,22 @@ class ArtinAlgebra:
 
     def annihilator(self, vectors):
         """(0 : given elements) as a subspace."""
-        return self._annihilator([self.mult_matrix(np.asarray(v)) for v in vectors])
+        rows = linalg.sparse_rows(self.field, np.reshape(vectors, (-1, self.length)))
+        return self._annihilator(self.product_table(rows))
 
-    def _annihilator(self, mats):
-        """The elements that all the multiplication matrices `mats` send to zero."""
-        stacked = np.hstack([linalg.zeros(self.field, (self.length, 0)), *mats])
-        return self._span(linalg.left_kernel(self.field, stacked))
+    def _annihilator(self, table):
+        """The elements w with w*e = 0 for every product table entry: the table's left kernel.
+
+        Row v*lambda + j of the transposed table holds the coefficient of e_j
+        in e_l * element v at column l.
+        """
+        lam, p = self.length, self.field.char
+        image = {}
+        for l, entry in enumerate(table):
+            for v, j, c in entry:
+                image.setdefault(v * lam + j, {})[l] = c
+        kernel = _kernels.kernel(_kernels.echelon(image.values(), p, reduced=True), lam, p)
+        return Subspace(self, _kernels.basis(kernel.values(), p))
 
     def ideal_span(self, vectors):
         """Smallest ideal containing the given elements."""
@@ -288,9 +334,13 @@ class ArtinAlgebra:
 
     def m_times(self, sub):
         """The subspace m * W for a subspace W: the span of its rows times the variables."""
+        return self.span_times(sub, self.times_table)
+
+    def span_times(self, sub, table):
+        """The span of the rows of W times the elements whose products `table` lists."""
         lam, p = self.length, self.field.char
         return Subspace(self, _kernels.basis(
-            _times(sub.basis.values(), self.times_table, lam, p, range(lam)), p))
+            _times(sub.basis.values(), table, lam, p, range(lam)), p))
 
     def minimal_generators(self, sub):
         """mu(W) and echelon-lift representatives for an ideal W."""
@@ -308,14 +358,19 @@ class ArtinAlgebra:
         return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
 
 
-def _product_class(memo, mono, matrices, field):
-    """The class of `mono`, memoised: its first exponent lowered, times that variable."""
-    vec = memo.get(mono)
-    if vec is None:
+def _class_row(memo, mono, tables, lam, p):
+    """The class of `mono` as a dict row, memoised: its predecessor's times one variable.
+
+    The predecessor is `mono` with its first nonzero exponent lowered, and
+    `tables[i]` lists the products by the image of variable i, one entry
+    per basis element.
+    """
+    row = memo.get(mono)
+    if row is None:
         i = next(k for k, e in enumerate(mono) if e)
-        vec = _product_class(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], matrices, field)
-        vec = memo[mono] = linalg.mat_mul(field, vec, matrices[i])
-    return vec
+        row = _class_row(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], tables, lam, p)
+        row = memo[mono] = next(_times([row], tables[i], lam, p, range(lam)), {})
+    return row
 
 
 def _canonical(row, p):
@@ -326,11 +381,12 @@ def _canonical(row, p):
 
 
 def _times(rows, table, lam, p, order):
-    """Each row times each variable, the nonzero products only, column c renamed order[c].
+    """Each row times each element of a product table, the nonzero products only.
 
-    `table` is an algebra's `times_table`, and each length-lam block of a
-    row is multiplied on its own.  One walk over a row's entries opens a
-    product row for x_v only when some entry has a nonzero product by x_v.
+    `table` is an algebra's `times_table`, for the variables, or a
+    `product_table` of elements; each length-lam block of a row is
+    multiplied on its own, and column c of a product is renamed order[c].  One walk over a row's entries opens a product
+    row for element v only when some entry has a nonzero product by it.
     """
     for row in rows:
         out = {}
@@ -429,11 +485,12 @@ def _read_echelon(ring, monos, rows):
 def kernel_algebra(ring, monos, classes):
     """The algebra k[ring]/I, on the variables that minimally generate m.
 
-    I is the kernel of the map sending `monos[j]` to row j of `classes`,
-    `monos` holds every monomial of `ring` up to a degree D, and m^D lies
-    in I.  The left kernel of the classes, taken with the monomials in
-    increasing default order (`_kernels.kernel`), is the reduced echelon
-    basis of I ∩ span(monos), the linear dependencies from which FGLM reads
+    I is the kernel of the map sending `monos[j]` to the dict row
+    `classes[j]` (canonical scalars), `monos` holds every monomial of `ring`
+    up to a degree D, and m^D lies in I.  The map's transposed rows are
+    built straight from the classes.  The left kernel of the classes, taken
+    with the monomials in increasing default order (`_kernels.kernel`), is
+    the reduced echelon basis of I ∩ span(monos), the linear dependencies from which FGLM reads
     a reduced basis: its dict rows are keyed by free column, and each is
     one at its free column, which is its largest monomial, and zero at the
     other free columns.  The pivots of the linear parts' echelon form, in
@@ -446,11 +503,17 @@ def kernel_algebra(ring, monos, classes):
     variable is that variable minus the standard-monomial lift of its
     class.  One reduction step carries the given ring to the kept one.
     """
+    if len(monos) > linalg.MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(monos),
+                                 "matrix dimension")
     fld, p = ring.field, ring.field.char
     order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
     ordered = [monos[j] for j in order]
-    image = linalg.sparse_rows(fld, np.asarray(classes)[order].T)
-    rows = _kernels.kernel(_kernels.echelon(image, p, reduced=True), len(monos), p)
+    image = {}
+    for r, j in enumerate(order):
+        for k, x in classes[j].items():
+            image.setdefault(k, {})[r] = x
+    rows = _kernels.kernel(_kernels.echelon(image.values(), p, reduced=True), len(monos), p)
     linear = [part for row in rows.values()
               if (part := {ordered[k].index(1): x for k, x in row.items()
                            if mono_deg(ordered[k]) == 1})]
@@ -489,12 +552,11 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal.
     """
-    matrices = [linalg.prepared(Q.field, Q.mult_matrix(Q.vector(p))) for p in images]
+    lam, p = Q.length, Q.field.char
+    tables = [Q.product_table([Q.element_row(f)]) for f in images]
     monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
-    memo = {monos[0]: Q.one_vector()}
-    mat = linalg.matrix(Q.field, [_product_class(memo, m, matrices, Q.field) for m in monos],
-                        width=Q.length)
-    return kernel_algebra(new_ring, monos, mat)
+    memo = {monos[0]: Q.monomial_row((0,) * Q.ring.nvars)}
+    return kernel_algebra(new_ring, monos, [_class_row(memo, m, tables, lam, p) for m in monos])
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -518,11 +580,13 @@ def quotient_algebra(algebra, extra_polys):
     if J.dim == A.length:
         raise UnitIdealError("1 lies in the ideal")
     monos = _monomials_up_to(A.ring, A.loewy_length + 1)
-    images = linalg.matrix(A.field, [A.monomial_vector(m) for m in monos], width=A.length)
-    return kernel_algebra(A.ring, monos, J.reduce(images))
+    p = A.field.char
+    return kernel_algebra(A.ring, monos,
+                          [_kernels.reduce(dict(A.monomial_row(m)), J.basis, p) for m in monos])
 
 
 def square_zero_algebra(ring):
     """k[ring]/m^2: 1 and the variables are independent, and every quadric is zero."""
     monos = _monomials_up_to(ring, 2)
-    return kernel_algebra(ring, monos, linalg.identity(ring.field, len(monos))[:, :ring.nvars + 1])
+    return kernel_algebra(ring, monos, [{j: 1} if j <= ring.nvars else {}
+                                        for j in range(len(monos))])

@@ -7,7 +7,7 @@ t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
 variables are the algebra's own m*W product (`quotient._times` on the
 algebra's `times_table`), applied block by block in one pass per row that
 forms only the nonzero products; the differential is read off the
-nonzeros of the structure tensor.
+nonzeros of the structure tensor, the algebra's `struct_table`.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
@@ -56,13 +56,6 @@ class BettiData:
         return SeriesTrunc.from_terms(n, dict(enumerate(self.betti[: n + 1])))
 
 
-def _struct_table(A):
-    """Entry l lists the triples (k, j, c) with e_l * e_k = sum of c*e_j."""
-    lam = A.length
-    return [[(*divmod(kj, lam), c) for kj, c in row.items()]
-            for row in _kernels.sparse_rows(A.struct.reshape(lam, lam * lam))]
-
-
 def _differential(struct, gens, lam, p):
     """The transposed matrix of d: free module on `gens` -> A^rank.
 
@@ -97,7 +90,7 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     lam = A.length
     p = A.field.char
     one_slot = A.basis_index[(0,) * A.ring.nvars]
-    struct = _struct_table(A)
+    struct = A.struct_table
     betti = [1]
     kernel = A.power(1).basis               # ker(A -> k) = m inside A^1, by lead column
     width = lam                             # columns of the free module K lies in

@@ -37,7 +37,8 @@ from . import linalg
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_div
-from .quotient import ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra
+from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
+                       quotient_algebra)
 
 
 @dataclass
@@ -89,7 +90,8 @@ def _fibre_assembly(R, S, big):
 def _socle_quotient(gb, basis, struct, h):
     """P / (h) from P's reduced basis, standard monomials and tensor, for h with m*h in I_P.
 
-    The tensor's lm h component is rewritten through h, as the tails are.
+    The tensor's lm h component is rewritten through h, as the tails are:
+    in each product with a nonzero a at e_lead, e_lead becomes e_lead - h.
     """
     fld = h.ring.field
     key = h.ring.order.key
@@ -101,15 +103,15 @@ def _socle_quotient(gb, basis, struct, h):
     lam = len(basis)
     index = {mono: i for i, mono in enumerate(basis)}
     at = index[lead]
-    # a product times `rewrite` has its e_lead replaced by e_lead - h
-    rewrite = linalg.identity(fld, lam)
-    rewrite[at, at] = fld.zero
-    for mono, c in h.terms.items():
-        if mono != lead:
-            rewrite[at, index[mono]] = fld.neg(c)
+    tail = {index[mono]: c for mono, c in h.terms.items() if mono != lead}
     flat = struct.reshape(lam * lam, lam)
     hit = np.flatnonzero(flat[:, at])
-    flat[hit] = linalg.mat_mul(fld, flat[hit], rewrite)
+    rows = linalg.sparse_rows(fld, flat[hit])
+    for row in rows:
+        a = row.pop(at)
+        for j, c in tail.items():
+            row[j] = row.get(j, 0) - a * c
+    flat[hit] = linalg.dense(fld, [_canonical(row, fld.char) for row in rows], lam)
     keep = [i for i in range(lam) if i != at]
     return reduced, basis[:at] + basis[at + 1:], struct[np.ix_(keep, keep, keep)]
 
@@ -217,11 +219,12 @@ def default_operator_names(n):
 
 
 def _apolar_classes(F, ops):
-    """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F.
+    """The monomials of `ops` up to degree deg F + 1, and dict rows of their derivatives of F.
 
     Each monomial's derivative is one derivative of its predecessor's, the
-    monomial with its first nonzero exponent lowered, as `_product_class`
-    memoises classes; the monomials come in increasing degree.
+    monomial with its first nonzero exponent lowered, as `ArtinAlgebra`
+    memoises classes; the monomials come in increasing degree.  Column c of
+    the rows is the c-th term met among the derivatives.
     """
     monos = _monomials_up_to(ops, F.total_degree() + 1)
     derived = {monos[0]: F}
@@ -229,14 +232,8 @@ def _apolar_classes(F, ops):
         i = next(k for k, e in enumerate(m) if e)
         derived[m] = derived[m[:i] + (m[i] - 1,) + m[i + 1:]].derivative(i)
     col = {}
-    for p in derived.values():
-        for t in p.terms:
-            col.setdefault(t, len(col))
-    mat = linalg.zeros(ops.field, (len(monos), max(len(col), 1)))
-    for i, p in enumerate(derived.values()):
-        for t, c in p.terms.items():
-            mat[i, col[t]] = c
-    return monos, mat
+    return monos, [{col.setdefault(t, len(col)): c for t, c in p.terms.items()}
+                   for p in derived.values()]
 
 
 def apolar_algebra(F, operator_names=None):

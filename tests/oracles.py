@@ -26,11 +26,17 @@ the variables of a polynomial, and the residue field as an algebra.
 The per-variable product that formed m*W one variable at a time, apolar
 classes with every derivative taken from F, and the right kernel and the
 resolution on dense echelons (numpy mod p, Bareiss over QQ) are
-references too.
+references too.  So is the dense product layer that the library ran before
+its products moved onto dict rows: `mat_mul` (int64 products mod p,
+integer rows and columns over QQ, a right factor converted once by
+`prepared`), the multiplication matrices of elements and variables, classes
+of monomials as chains of dense products, annihilators as left kernels of
+stacked multiplication matrices, and subalgebras from those classes.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 import numpy as np
 
@@ -44,7 +50,8 @@ from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, no
 from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
                            mono_lcm, mono_mul)
-from artinsum.quotient import ArtinAlgebra, _canonical, build_algebra, square_zero_algebra
+from artinsum.quotient import (ArtinAlgebra, _canonical, _monomials_up_to, build_algebra,
+                               kernel_algebra, square_zero_algebra)
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
 
@@ -184,7 +191,7 @@ def subring_quotient_dimension(algebra, keep_names):
         new_frontier = []
         for v in frontier:
             for i in keep_idx:
-                w = algebra.vec_mult_matrix_row(v, i)
+                w = vec_mult_matrix_row(algebra, v, i)
                 if not in_row_space(algebra.field, w, span, pivots):
                     span, pivots = echelon_reference(
                         algebra.field, np.vstack([span, w.reshape(1, -1)]))
@@ -264,7 +271,7 @@ def rref_bareiss_reference(a):
     must give the same matrix, pivots and entry types.
     """
     m, n = a.shape
-    rows, _ = linalg._integer_rows(a)
+    rows, _ = _integer_rows(a)
     pivots = []
     r = 0
     for c in range(n):
@@ -289,7 +296,7 @@ def rref_bareiss_reference(a):
     out = np.zeros((m, n), dtype=object)
     for i, c in enumerate(pivots):
         p = rows[i][c]
-        out[i] = rows[i] if p == 1 else linalg._quotients(rows[i], [p] * n)
+        out[i] = rows[i] if p == 1 else _quotients(rows[i], [p] * n)
     return out, np.asarray(pivots, dtype=np.int64)
 
 
@@ -653,7 +660,7 @@ def build_algebra_reference(pres):
 
 def var_tables_reference(A):
     """Per variable v, entry l lists the pairs (j, c) with e_l * x_v = sum of c*e_j."""
-    return [[list(r.items()) for r in _kernels.sparse_rows(mx)] for mx in A.var_matrices]
+    return [[list(r.items()) for r in _kernels.sparse_rows(mx)] for mx in var_matrices(A)]
 
 
 def times_reference(row, table, lam, p, order):
@@ -679,7 +686,7 @@ def _module_times_element(field, rows, mat):
     lam = mat.shape[0]
     blocks = rows.shape[1] // lam
     flat = rows.reshape(rows.shape[0] * blocks, lam)
-    out = linalg.mat_mul(field, flat, mat)
+    out = mat_mul(field, flat, mat)
     return out.reshape(rows.shape[0], rows.shape[1])
 
 
@@ -695,7 +702,7 @@ def differential_matrix_reference(A, gens, prev_rank):
     struct = A.struct.reshape(lam, lam * lam)
     out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
     for r, g in enumerate(gens):
-        cube = linalg.mat_mul(A.field, g.reshape(prev_rank, lam), struct)
+        cube = mat_mul(A.field, g.reshape(prev_rank, lam), struct)
         cube = cube.reshape(prev_rank, lam, lam)
         # cube[t, k, j] = coefficient of e_j in (block t of g) * e_k
         out[r * lam: (r + 1) * lam, :] = cube.transpose(1, 0, 2).reshape(lam, prev_rank * lam)
@@ -717,7 +724,7 @@ def betti_numbers_reference(A, truncation):
     for step in range(1, truncation + 1):
         stacked = np.vstack([linalg.zeros(A.field, (0, kernel_rows.shape[1])),
                              *(_module_times_element(A.field, kernel_rows, mx)
-                               for mx in A.var_matrices)])
+                               for mx in var_matrices(A))])
         mk = _echelon_dense(A.field, stacked)[0]
         extend = _echelon_dense(A.field, np.vstack([mk, kernel_rows]).T)[1]
         gens = [kernel_rows[i - len(mk)] for i in extend.tolist() if i >= len(mk)]
@@ -919,9 +926,9 @@ def socle_by_degree_reference(G):
     out = {}
     for d, idx in sorted(pieces.items()):
         if G.ring.nvars == 0:
-            block = linalg.identity(G.field, G.length)[idx]
+            block = identity(G.field, G.length)[idx]
         else:
-            stacked = np.hstack(G.var_matrices)[idx, :]
+            stacked = np.hstack(var_matrices(G))[idx, :]
             small = linalg.left_kernel(G.field, stacked)
             block = linalg.zeros(G.field, (small.shape[0], G.length))
             block[:, idx] = small
@@ -948,7 +955,7 @@ def apolar_classes_reference(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F.
 
     Each monomial differentiates F from scratch, one partial derivative per
-    unit of its degree; `sums._apolar_classes` must give the same matrix.
+    unit of its degree; `sums._apolar_classes` must give the rows of this matrix.
     """
     monos = [m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)]
     derived = [_apply_operator(m, F) for m in monos]
@@ -961,3 +968,195 @@ def apolar_classes_reference(F, ops):
         for t, c in p.terms.items():
             mat[i, col[t]] = c
     return monos, mat
+
+
+def classes_matrix(field, rows):
+    """Dict rows of classes as a matrix, as wide as their largest column."""
+    return linalg.dense(field, rows, 1 + max((max(row) for row in rows if row), default=0))
+
+
+# ---------------------------------------------------------------------------
+# the dense product layer: mat_mul, multiplication matrices, dense classes
+
+def _integer_rows(a):
+    """The rows of a 2-D QQ array, each scaled by the lcm of its denominators.
+
+    Returns the scaled rows as lists of Python ints, and the row denominators.
+    Entries may be Fractions or Python ints; rows of ints are returned as they are.
+    """
+    rows = a.tolist()
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, [1] * len(rows)
+    dens = []
+    for i, row in enumerate(rows):
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            rows[i] = [x.numerator for x in row]
+        else:
+            rows[i] = [x.numerator * (d // x.denominator) for x in row]
+        dens.append(d)
+    return rows, dens
+
+
+def _quotients(nums, dens):
+    """The entries x / d, each an int where it is integral and a Fraction otherwise."""
+    return [x // d if x % d == 0 else Fraction(x, d) for x, d in zip(nums, dens)]
+
+
+class _Columns:
+    """A QQ right factor as integer columns and their denominators, converted once."""
+
+    __slots__ = ("shape", "ints", "dens", "integral")
+
+    def __init__(self, b):
+        cols, self.dens = _integer_rows(b.T)
+        self.shape = b.shape
+        self.ints = np.array(cols, dtype=object).reshape(b.shape[1], b.shape[0]).T
+        self.integral = set(self.dens) <= {1}
+
+
+def prepared(field, b):
+    """A matrix `b` in the form `mat_mul` takes it fastest as a right factor.
+
+    Over QQ it is converted to integer columns once, for products by the
+    same matrix over and over; over GF(p) it is `b` itself.
+    """
+    return b if linalg.is_prime_field(field) else _Columns(np.asarray(b))
+
+
+def mat_mul(field, a, b):
+    """Exact product of a matrix or vector `a` with a matrix `b`, or with `prepared(b)`.
+
+    Over GF(p) one int64 product of entries in [0, p): each term is below
+    p**2 < 2**40 for p < MAX_PRIME = 2**20, so a sum of up to 2**23 terms
+    cannot overflow.  Over QQ each row of `a` and each column of `b` is
+    scaled by the lcm of its denominators and the product runs on Python
+    integers; the result is canonical, an int wherever it is integral.
+
+    Reduced mod p on the prime-field lane; on the QQ lane `a` may also hold
+    plain ints.
+    """
+    if linalg.is_prime_field(field):
+        return np.asarray(a, dtype=np.int64).dot(b) % field.p
+    a = np.asarray(a)
+    if a.ndim == 1:
+        return _mat_mul_rational(a.reshape(1, -1), b)[0]
+    return _mat_mul_rational(a, b)
+
+
+def _mat_mul_rational(a, b):
+    """The QQ product of a 2-D `a` and `b` on integer rows of `a` and columns of `b`."""
+    rows, row_dens = _integer_rows(a)
+    left = np.array(rows, dtype=object).reshape(a.shape)
+    keep = np.flatnonzero(left.any(axis=0))
+    if isinstance(b, _Columns):
+        right = b.ints[keep]
+    else:
+        b = _Columns(b[keep])
+        right = b.ints
+    out = left[:, keep].dot(right)
+    if b.integral and set(row_dens) <= {1}:
+        return out
+    for i, (row, d) in enumerate(zip(out.tolist(), row_dens)):
+        out[i] = _quotients(row, [d * e for e in b.dens])
+    return out
+
+
+def identity(field, n):
+    a = linalg.zeros(field, (n, n))
+    np.fill_diagonal(a, 1)
+    return a
+
+
+def mult_matrix(A, vec):
+    """The matrix of multiplication by the element `vec`, acting on row vectors."""
+    lam = A.length
+    flat = prepared(A.field, A.struct.reshape(lam, lam * lam))
+    return mat_mul(A.field, vec, flat).reshape(lam, lam)
+
+
+def multiply(A, u, v):
+    """The product of two elements of A, as one dense product."""
+    return mat_mul(A.field, np.asarray(u).reshape(1, -1), mult_matrix(A, v))[0]
+
+
+def var_matrices(A):
+    """The multiplication matrix of each variable of A's ring.
+
+    A variable outside the basis leads a linear element of the reduced basis
+    and is minus its tail.
+    """
+    out = []
+    for v in range(A.ring.nvars):
+        mono = tuple(int(i == v) for i in range(A.ring.nvars))
+        idx = A.basis_index.get(mono)
+        if idx is None:
+            g = next(g for g in A.gb if g.leading()[0] == mono)
+            tail = linalg.zeros(A.field, A.length)
+            for m, c in (A.ring.monomial(mono) - g).terms.items():
+                tail[A.basis_index[m]] = c
+            out.append(mult_matrix(A, tail))
+        else:
+            out.append(A.struct[idx])
+    return out
+
+
+def vec_mult_matrix_row(A, vec, var_index):
+    """The element `vec` times one variable, as one dense product."""
+    return mat_mul(A.field, vec, var_matrices(A)[var_index])
+
+
+def _dense_class(memo, mono, matrices, field):
+    """The class of `mono`, memoised: its first exponent lowered, times that variable's matrix."""
+    vec = memo.get(mono)
+    if vec is None:
+        i = next(k for k, e in enumerate(mono) if e)
+        vec = _dense_class(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], matrices, field)
+        vec = memo[mono] = mat_mul(field, vec, matrices[i])
+    return vec
+
+
+def monomial_vector_reference(A, mono):
+    """The class of a monomial as a chain of dense products by the variables' matrices.
+
+    `ArtinAlgebra.monomial_vector` must give the same vector.
+    """
+    matrices = [prepared(A.field, mx) for mx in var_matrices(A)]
+    return _dense_class({(0,) * A.ring.nvars: A.one_vector()}, mono, matrices, A.field)
+
+
+def vector_by_products_reference(A, poly):
+    """The class of a polynomial as one dense product of its coefficients and monomial classes.
+
+    `ArtinAlgebra.vector` must give the same vector.
+    """
+    if poly.ring == A.original_ring and A.reduction_steps:
+        poly = A.reduce_to_presentation_ring(poly)
+    coeffs = linalg.matrix(A.field, [list(poly.terms.values())], width=len(poly.terms))[0]
+    classes = [monomial_vector_reference(A, m) for m in poly.terms]
+    return mat_mul(A.field, coeffs, linalg.matrix(A.field, classes, width=A.length))
+
+
+def annihilator_reference(A, vectors):
+    """(0 : the elements) as the left kernel of their stacked multiplication matrices.
+
+    Returns the reduced echelon basis and its pivots; `ArtinAlgebra.annihilator`
+    must give the same rows.
+    """
+    stacked = np.hstack([linalg.zeros(A.field, (A.length, 0)),
+                         *(mult_matrix(A, np.asarray(v)) for v in vectors)])
+    return echelon_reference(A.field, linalg.left_kernel(A.field, stacked))
+
+
+def subalgebra_reference(Q, new_ring, images):
+    """The subalgebra that `images` generate, from classes made as chains of dense products.
+
+    The classes enter `kernel_algebra` as they are, so `quotient.subalgebra`
+    must give the same algebra.
+    """
+    matrices = [prepared(Q.field, mult_matrix(Q, Q.vector(f))) for f in images]
+    monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
+    memo = {monos[0]: Q.one_vector()}
+    classes = linalg.matrix(Q.field, [_dense_class(memo, m, matrices, Q.field) for m in monos],
+                            width=Q.length)
+    return kernel_algebra(new_ring, monos, linalg.sparse_rows(Q.field, classes))

@@ -48,6 +48,16 @@ SRC = GOLDEN.parents[1] / "src"
 # `split_witness`.  hidden_sum_gf1048573.txt is the same polynomial over
 # GF(1048573), and apolar_nonminimal_gf1048573 repeats the apolar case there:
 # the large-modulus lane of the derived algebras and of m*W.
+#
+# hidden_sum_edim2.txt is `artinsum apolar --field QQ --dual-vars w1 w2 w3`
+# of F(u1, u2) - 2*v^2 with F = u1^4 + u1^2*u2^2 - 2*u2^4 + 1/3*u1^3*u2,
+# u1 = w1 + w2, u2 = w2 - w3 and v = w1 + 2*w3, expanded (EDIM2_POLY): a
+# hidden connected sum of length 10, H = 1,3,3,2,1, whose Gorenstein part
+# has edim 2, so the witness and its annihilator pair have more than one
+# generator on each side.
+EDIM2_POLY = ("w1^4 + 13/3*w1^3*w2 - 1/3*w1^3*w3 + 8*w1^2*w2^2 - 3*w1^2*w2*w3 + w1^2*w3^2"
+              " - 2*w1^2 + 7*w1*w2^3 - 5*w1*w2^2*w3 + 2*w1*w2*w3^2 - 8*w1*w3 + 1/3*w2^4"
+              " + 17/3*w2^3*w3 - 11*w2^2*w3^2 + 8*w2*w3^3 - 2*w3^4 - 8*w3^2")
 QQ_CASES = {
     "analyze_hidden_sum": ["analyze", "hidden_sum.txt"],
     "analyze_nonminimal_qq": ["analyze", "nonminimal_qq.txt"],
@@ -58,6 +68,10 @@ QQ_CASES = {
     "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",
                    "--verify-series", "2"],
     "fibre_qq": ["fibre", "qq_left.txt", "qq_right.txt"],
+    "apolar_hidden_sum_edim2": ["apolar", "--poly", EDIM2_POLY,
+                                "--dual-vars", "w1", "w2", "w3", "--field", "QQ"],
+    "analyze_hidden_sum_edim2": ["analyze", "hidden_sum_edim2.txt"],
+    "decompose_hidden_sum_edim2": ["decompose", "hidden_sum_edim2.txt"],
 }
 
 

@@ -21,8 +21,8 @@ from artinsum.sums import _apolar_classes, connected_sum
 from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
 from oracles import (Block, Lex, algebra_ideal, buchberger_reference,
                      build_algebra_reference, connected_sum_ideal, contract_reference,
-                     cross_products_outside_reference, ideal_member, same_ideal,
-                     subring_quotient_dimension, support_vars)
+                     classes_matrix, cross_products_outside_reference, ideal_member,
+                     same_ideal, subring_quotient_dimension, support_vars)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -332,7 +332,7 @@ def _assert_kernel_presentation_matches(ring, monos, classes):
     # the reference makes the ideal minimal by substitution when the kernel
     # has linear parts, and is Buchberger's reduced basis otherwise
     A = kernel_algebra(ring, monos, classes)
-    rows = linalg.left_kernel(ring.field, classes)
+    rows = linalg.left_kernel(ring.field, classes_matrix(ring.field, classes))
     expected = build_algebra_reference(
         IdealPresentation(ring, _rows_as_polynomials(ring, monos, rows)))
     assert A.same_presentation(expected)
@@ -378,18 +378,18 @@ def test_apolar_presentation_holds_field_scalars(field, kind):
 
 
 def test_kernel_presentation_needs_the_top_power_of_m():
-    # classes whose left kernel is spanned by the given rows
+    # classes, as dict rows, whose left kernel is spanned by the given rows
     field = GF(101)
     ring = PolyRing(field, ("X", "Y"))
     monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
     top = [m for m in monos if sum(m) == 2 and m != (1, 1)]
     rows = np.array([[int(m == t) for m in monos] for t in top], dtype=np.int64)
     with pytest.raises(ArtinsumError) as info:
-        kernel_algebra(ring, monos, linalg.right_kernel(field, rows).T)
+        kernel_algebra(ring, monos, linalg.sparse_rows(field, linalg.right_kernel(field, rows).T))
     assert "m^2 inside the ideal" in str(info.value)
     assert "X*Y" in str(info.value)
     rows = np.vstack([rows, [int(m == (1, 1)) for m in monos]])
-    A = kernel_algebra(ring, monos, linalg.right_kernel(field, rows).T)
+    A = kernel_algebra(ring, monos, linalg.sparse_rows(field, linalg.right_kernel(field, rows).T))
     assert [str(g) for g in A.gb] == ["Y^2", "X*Y", "X^2"]
 
 

