@@ -9,7 +9,7 @@ its image in A falls into a target subspace, m^(d+1) for gr(A) and
 the Loewy length s plus one, so the ideal is the kernel of one map, which
 sends each monomial to the residue of its class modulo its degree's
 target; the left kernel of those residues gives the reduced basis and the
-structure tensor (`quotient.kernel_algebra`).  The linear-socle split is a
+structure table (`quotient.kernel_algebra`).  The linear-socle split is a
 quotient and a square-zero algebra, also kernels: no Buchberger run here.
 """
 
@@ -136,7 +136,7 @@ def gls_split(G):
     forms = [_linear_form(ring, row) for row in witness]
     a_part = _homogeneous(quotient_algebra(G, forms))
     eliminated = tuple(name for name in ring.names if name not in a_part.ring.names)
-    substitution = {name: a_part.reduction_steps[0][1][ring.index[name]]
+    substitution = {name: a_part.reduction[1][ring.index[name]]
                     for name in eliminated}
     b_part = square_zero_algebra(PolyRing(ring.field, eliminated))
     n = len(forms)

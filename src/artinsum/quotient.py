@@ -2,18 +2,18 @@
 
 `ArtinAlgebra` is the one object that carries an algebra k[x]/I: the
 reduced Grevlex basis of I (`gb`), its standard monomials and the
-structure tensor.  Its ideal lies inside the square of the maximal ideal,
+sparse structure table.  Its ideal lies inside the square of the maximal ideal,
 so the variable count equals the embedding dimension, and the powers of m
 failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
 (ascending default order), held inside as dict rows from column to nonzero
-scalar; the structure tensor holds the products of the basis elements and
-is scattered from a table of monomial classes.  Every product is one pass
+scalar; the structure table lists the products of the basis elements and
+is gathered from a table of monomial classes.  Every product is one pass
 over dict rows against a sparse product table (`_times`): the algebra's
 `times_table`, the products by the variables, for m*W, for the classes of
 monomials and for the resolution, or the table of any elements
-(`product_table`, read off the tensor's nonzeros in `struct_table`) for
+(`product_table`, gathered from the structure table, `struct_table`) for
 products by elements and annihilators.  Only parsed generator lists, an
 `IdealPresentation`, take the class table from Buchberger and normal forms
 (`build_algebra`); text that is not minimal is then taken as the
@@ -115,23 +115,27 @@ class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
     `gb` is the reduced Groebner basis of the ideal in the default order,
-    ascending, `basis` its standard monomials and `struct[i, j]` the class
-    of basis[i] * basis[j].  The tensor's nonzeros are read once into
-    `struct_table`, and the products by the variables into `times_table`;
-    every product runs on dict rows against one of them.  The class of
-    each monomial is a dict row, its predecessor's times one variable,
-    memoised; `vector` and `monomial_vector` write classes out dense.
+    ascending, and `basis` its standard monomials, 1 first.  Entry l of
+    `struct_table`, the one multiplication data, lists the triples (k, j, c)
+    with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
+    over GF(p), and over QQ an int exactly where it is integral.  It is
+    symmetric, so entry k also lists the products of e_k by each e_l.  The
+    products by the variables are gathered from it into `times_table`.
+    The class of each monomial is a dict row, its predecessor's times one
+    variable, memoised; `vector` and `monomial_vector` write classes out
+    dense.  An algebra presented on fewer variables than `original_ring`
+    keeps the substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, gb, basis, struct):
+    def __init__(self, ring, gb, basis, table):
         self.ring = ring
         self.gb = tuple(gb)
         self.field = ring.field
         self.original_ring = ring
-        self.reduction_steps = ()
+        self.reduction = None
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        self.struct = struct
+        self.struct_table = table
         self._classes = {(0,) * self.ring.nvars: {self.basis_index[(0,) * self.ring.nvars]: 1}}
         self._build_filtration()
         self._socle = None
@@ -139,19 +143,6 @@ class ArtinAlgebra:
         self._graded = None
 
     # -- construction --------------------------------------------------------
-
-    @cached_property
-    def struct_table(self):
-        """Entry l lists the triples (k, j, c) with e_l * e_k = sum of c*e_j: the tensor's nonzeros.
-
-        The tensor is symmetric, so entry k also lists the products of e_k
-        by each e_l.
-        """
-        table = [[] for _ in range(self.length)]
-        at = np.nonzero(self.struct)
-        for l, k, j, c in zip(*(a.tolist() for a in at), self.struct[at].tolist()):
-            table[l].append((k, j, c))
-        return table
 
     def product_table(self, elements):
         """Entry l lists the triples (v, j, c) with e_l * elements[v] = sum of c*e_j, by v.
@@ -257,10 +248,8 @@ class ArtinAlgebra:
     # -- elements ------------------------------------------------------------
 
     def reduce_to_presentation_ring(self, poly):
-        """Carry a polynomial of the original ring through recorded eliminations."""
-        for target, images in self.reduction_steps:
-            poly = poly.compose(target, images)
-        return poly
+        """Carry a polynomial of the original ring through the recorded elimination."""
+        return poly if self.reduction is None else poly.compose(*self.reduction)
 
     def monomial_row(self, mono):
         """The class of a monomial of the presentation ring as a dict row.
@@ -272,7 +261,7 @@ class ArtinAlgebra:
 
     def element_row(self, poly):
         """The class of `poly` as a dict row over the standard basis."""
-        if poly.ring == self.original_ring and self.reduction_steps:
+        if poly.ring == self.original_ring:
             poly = self.reduce_to_presentation_ring(poly)
         if poly.ring != self.ring:
             raise RingMismatchError(f"a polynomial of {poly.ring} has no class in {self.ring}")
@@ -403,13 +392,6 @@ def _times(rows, table, lam, p, order):
                 yield prod
 
 
-def _coordinates(poly, index):
-    vec = linalg.zeros(poly.ring.field, len(index))
-    for m, c in poly.terms.items():
-        vec[index[m]] = c
-    return vec
-
-
 def build_algebra(pres_or_ring, generators=None):
     """Construct the Artinian local algebra of a generator list.
 
@@ -434,8 +416,10 @@ def build_algebra(pres_or_ring, generators=None):
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
+    # an integral coefficient is held as an int, on both lanes
     A = _table_algebra(pres.ring, pres.groebner_basis(), basis, {
-        mono: _coordinates(pres.normal_form(pres.ring.monomial(mono)), index)
+        mono: {index[m]: c.numerator if c.denominator == 1 else c
+               for m, c in pres.normal_form(pres.ring.monomial(mono)).terms.items()}
         for mono in products})
     if A.power(1).dim - A.power(2).dim == A.ring.nvars:
         return A
@@ -443,10 +427,11 @@ def build_algebra(pres_or_ring, generators=None):
 
 
 def _table_algebra(ring, gb, basis, classes):
-    """The algebra whose basis products have the classes in the table, or else are zero."""
-    zero = linalg.zeros(ring.field, len(basis))
-    struct = np.array([[classes.get(mono_mul(a, b), zero) for b in basis] for a in basis])
-    return ArtinAlgebra(ring, gb, basis, struct.reshape((len(basis),) * 3))
+    """The algebra whose basis products have the classes, canonical dict rows, or else are 0."""
+    rows = {mono: sorted(row.items()) for mono, row in classes.items()}
+    table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
+             for a in basis]
+    return ArtinAlgebra(ring, gb, basis, table)
 
 
 def _read_echelon(ring, monos, rows):
@@ -474,11 +459,9 @@ def _read_echelon(ring, monos, rows):
                                    for i, e in enumerate(monos[c]))]
     standard = [c for c in ascending if c not in rows]
     index = {c: i for i, c in enumerate(standard)}
-    tails = [{index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
-             for c, row in rows.items()]
-    vectors = linalg.dense(ring.field, [{i: 1} for i in range(len(standard))] + tails,
-                           len(standard))
-    classes = dict(zip([monos[c] for c in (*standard, *rows)], vectors))
+    classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
+    for c, row in rows.items():
+        classes[monos[c]] = {index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
     return gb, [monos[c] for c in standard], classes
 
 
@@ -536,7 +519,7 @@ def kernel_algebra(ring, monos, classes):
     images = [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
               for v in range(ring.nvars)]
     A.original_ring = ring
-    A.reduction_steps = ((sub, images),)
+    A.reduction = (sub, images)
     return A
 
 

@@ -7,7 +7,7 @@ t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
 variables are the algebra's own m*W product (`quotient._times` on the
 algebra's `times_table`), applied block by block in one pass per row that
 forms only the nonzero products; the differential is read off the
-nonzeros of the structure tensor, the algebra's `struct_table`.
+algebra's sparse structure table, `struct_table`.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of

@@ -8,7 +8,8 @@ k[X]/Ann(F), presented by the derivatives of F that the monomials of k[X]
 give (`quotient.kernel_algebra`).
 
 Fibre products and connected sums are assembled from their factors'
-reduced bases (`ArtinAlgebra.gb`), standard monomials and tensors.  Let
+reduced bases (`ArtinAlgebra.gb`), standard monomials and structure
+tables (`ArtinAlgebra.struct_table`).  Let
 R = k[Y]/I_R and S = k[Z]/I_S have reduced Grevlex bases G_R and G_S, with
 I_R and I_S inside the square of the maximal ideal, as every algebra is
 presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
@@ -33,12 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_div
-from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
-                       quotient_algebra)
+from .quotient import ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra
 
 
 @dataclass
@@ -69,7 +68,7 @@ def _embed(poly, big, offset):
 
 
 def _fibre_assembly(R, S, big):
-    """P = R x_k S on `big`: its reduced basis, standard monomials and structure tensor."""
+    """P = R x_k S on `big`: its reduced basis, standard monomials and structure table."""
     m, n = R.ring.nvars, S.ring.nvars
     key = big.order.key
     gb = [_embed(g, big, 0) for g in R.gb]
@@ -80,40 +79,47 @@ def _fibre_assembly(R, S, big):
     right = [(0,) * m + b for b in S.basis]
     basis = sorted(set(left + right), key=key)
     index = {mono: i for i, mono in enumerate(basis)}
-    struct = linalg.zeros(big.field, (len(basis),) * 3)
+    # 1 is basis[0] of every algebra, and its products are the identity; each
+    # factor's basis keeps its order in P's, so renamed entries stay sorted
+    table = [[(k, k, 1) for k in range(len(basis))]] + [None] * (len(basis) - 1)
     for A, monos in ((R, left), (S, right)):
         idx = [index[mono] for mono in monos]
-        struct[np.ix_(idx, idx, idx)] = A.struct
-    return gb, basis, struct
+        for a, entry in enumerate(A.struct_table[1:], 1):
+            table[idx[a]] = [(idx[k], idx[j], c) for k, j, c in entry]
+    return gb, basis, table
 
 
-def _socle_quotient(gb, basis, struct, h):
-    """P / (h) from P's reduced basis, standard monomials and tensor, for h with m*h in I_P.
+def _socle_quotient(gb, basis, table, h):
+    """P / (h) from P's reduced basis, standard monomials and table, for h with m*h in I_P.
 
-    The tensor's lm h component is rewritten through h, as the tails are:
-    in each product with a nonzero a at e_lead, e_lead becomes e_lead - h.
+    The table's lm h component is rewritten through h, as the tails are:
+    in each product with a nonzero a at e_lead, e_lead becomes e_lead - h;
+    then the index of lm h is dropped.
     """
-    fld = h.ring.field
+    p = h.ring.field.char
     key = h.ring.order.key
     h = h.monic()
     lead = h.leading()[0]
     reduced = [h] + [g - h.scale(g.coefficient(lead)) for g in gb
                      if mono_div(g.leading()[0], lead) is None]
     reduced.sort(key=lambda g: key(g.leading()[0]))
-    lam = len(basis)
     index = {mono: i for i, mono in enumerate(basis)}
     at = index[lead]
-    tail = {index[mono]: c for mono, c in h.terms.items() if mono != lead}
-    flat = struct.reshape(lam * lam, lam)
-    hit = np.flatnonzero(flat[:, at])
-    rows = linalg.sparse_rows(fld, flat[hit])
-    for row in rows:
-        a = row.pop(at)
-        for j, c in tail.items():
-            row[j] = row.get(j, 0) - a * c
-    flat[hit] = linalg.dense(fld, [_canonical(row, fld.char) for row in rows], lam)
-    keep = [i for i in range(lam) if i != at]
-    return reduced, basis[:at] + basis[at + 1:], struct[np.ix_(keep, keep, keep)]
+    lead_class = [(index[mono], -c) for mono, c in h.terms.items() if mono != lead]
+    out = []
+    for l, entry in enumerate(table):
+        if l == at:
+            continue
+        row = {(k, j): c for k, j, c in entry if at not in (k, j)}
+        for k, j, a in entry:
+            if j == at and k != at:
+                for t, x in lead_class:
+                    y = row.pop((k, t), 0) + a * x
+                    y = y % p if p else y.numerator if y.denominator == 1 else y
+                    if y:
+                        row[k, t] = y
+        out.append([(k - (k > at), j - (j > at), c) for (k, j), c in sorted(row.items())])
+    return reduced, basis[:at] + basis[at + 1:], out
 
 
 def fibre_product(R, S):

@@ -32,6 +32,11 @@ integer rows and columns over QQ, a right factor converted once by
 `prepared`), the multiplication matrices of elements and variables, classes
 of monomials as chains of dense products, annihilators as left kernels of
 stacked multiplication matrices, and subalgebras from those classes.
+The dense structure tensor that every algebra kept beside its sparse
+table is a reference too: `dense_struct` writes an algebra's table out as
+one, for the dense products, and `struct_readout` reads a tensor's
+nonzeros back into a table, the form in which the normal-form tensor is
+compared with the table an algebra builds.
 """
 
 from fractions import Fraction
@@ -642,7 +647,9 @@ def build_algebra_reference(pres):
     """The algebra of `pres`, made minimal by one substitution fixed point per variable.
 
     `quotient.build_algebra` must give the same ring, reduced basis,
-    standard basis, structure tensor and classes, or the same error class.
+    standard basis, structure table and classes, or the same error class.
+    The table is read off the normal-form tensor (`struct_readout`), and
+    the successive eliminations are composed into one substitution.
     """
     if pres.is_unit_ideal():
         raise UnitIdealError("1 lies in the ideal")
@@ -652,9 +659,13 @@ def build_algebra_reference(pres):
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
     A = ArtinAlgebra(minimal.ring, minimal.groebner_basis(), basis,
-                     normal_form_structure_reference(minimal, basis))
+                     struct_readout(normal_form_structure_reference(minimal, basis)))
     A.original_ring = pres.ring
-    A.reduction_steps = tuple(steps)
+    if steps:
+        ring, images = steps[0]
+        for ring, step in steps[1:]:
+            images = [f.compose(ring, step) for f in images]
+        A.reduction = (ring, images)
     return A
 
 
@@ -699,7 +710,7 @@ def _unit_entry(A, rows):
 def differential_matrix_reference(A, gens, prev_rank):
     """The k-linear matrix of d: free module on `gens` -> A^prev_rank, one product per generator."""
     lam = A.length
-    struct = A.struct.reshape(lam, lam * lam)
+    struct = dense_struct(A).reshape(lam, lam * lam)
     out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
     for r, g in enumerate(gens):
         cube = mat_mul(A.field, g.reshape(prev_rank, lam), struct)
@@ -754,9 +765,9 @@ def _fibre_generators(R, S, big):
 
 
 def fibre_product_reference(R, S):
-    """R x_k S by `build_algebra` on the factors' generators and the cross products."""
+    """R x_k S by `build_algebra_reference` on the factors' generators and the cross products."""
     big = _combined_ring(R, S)
-    return build_algebra(big, _fibre_generators(R, S, big))
+    return build_algebra_reference(IdealPresentation(big, _fibre_generators(R, S, big)))
 
 
 def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
@@ -772,8 +783,8 @@ def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
 
 
 def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
-    """R # S by `build_algebra` on the fibre product's generators and the socle difference."""
-    return build_algebra(connected_sum_ideal(R, S, unit, socle_left, socle_right))
+    """R # S by `build_algebra_reference` on the fibre product's generators and socle difference."""
+    return build_algebra_reference(connected_sum_ideal(R, S, unit, socle_left, socle_right))
 
 
 # ---------------------------------------------------------------------------
@@ -782,8 +793,10 @@ def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
 def normal_form_structure_reference(pres, basis):
     """struct[i, j] = the class of basis[i] * basis[j], one normal form per product.
 
-    The structure tensor of every algebra, whether read off an echelon or
-    built from normal forms of a parsed presentation, must equal this one.
+    An integral QQ coefficient is written as an int.  The structure table
+    of every algebra, whether read off an echelon, built from normal forms
+    of a parsed presentation or assembled from factors, must equal this
+    tensor's `struct_readout`, scalar types included.
     """
     ring, fld = pres.ring, pres.ring.field
     lam = len(basis)
@@ -794,7 +807,7 @@ def normal_form_structure_reference(pres, basis):
             vec = linalg.zeros(fld, lam)
             product = ring.monomial(mono_mul(basis[i], basis[j]))
             for m, c in pres.normal_form(product).terms.items():
-                vec[index[m]] = c
+                vec[index[m]] = c.numerator if c.denominator == 1 else c
             struct[i, j] = vec
             struct[j, i] = vec
     return struct
@@ -805,7 +818,7 @@ def vector_reference(A, poly):
 
     `ArtinAlgebra.vector` must give the same vector.
     """
-    if poly.ring == A.original_ring and A.reduction_steps:
+    if poly.ring == A.original_ring:
         poly = A.reduce_to_presentation_ring(poly)
     vec = linalg.zeros(A.field, A.length)
     for m, c in algebra_ideal(A).normal_form(poly).terms.items():
@@ -1068,10 +1081,47 @@ def identity(field, n):
     return a
 
 
+def normal_form_table_reference(A):
+    """The `struct_readout` of the normal-form tensor of A's own reduced basis and basis.
+
+    `A.struct_table` must equal it, scalar types included (`typed_table`).
+    """
+    return struct_readout(normal_form_structure_reference(algebra_ideal(A), A.basis))
+
+
+def struct_readout(struct):
+    """A dense structure tensor's nonzeros as a structure table, in `np.nonzero` order.
+
+    Entry l lists the triples (k, j, struct[l, k, j]); this is how an
+    algebra read its table off the tensor it kept before it kept the
+    table only.
+    """
+    table = [[] for _ in range(struct.shape[0])]
+    at = np.nonzero(struct)
+    for l, k, j, c in zip(*(a.tolist() for a in at), struct[at].tolist()):
+        table[l].append((k, j, c))
+    return table
+
+
+def dense_struct(A):
+    """A's structure table written out: struct[l, k, j] is the coefficient of e_j in e_l*e_k."""
+    lam = A.length
+    struct = linalg.zeros(A.field, (lam, lam, lam))
+    for l, entry in enumerate(A.struct_table):
+        for k, j, c in entry:
+            struct[l, k, j] = c
+    return struct
+
+
+def typed_table(table):
+    """A structure table with each scalar's type beside it: equal ones hold equal types."""
+    return [[(k, j, c, type(c)) for k, j, c in entry] for entry in table]
+
+
 def mult_matrix(A, vec):
     """The matrix of multiplication by the element `vec`, acting on row vectors."""
     lam = A.length
-    flat = prepared(A.field, A.struct.reshape(lam, lam * lam))
+    flat = prepared(A.field, dense_struct(A).reshape(lam, lam * lam))
     return mat_mul(A.field, vec, flat).reshape(lam, lam)
 
 
@@ -1086,6 +1136,7 @@ def var_matrices(A):
     A variable outside the basis leads a linear element of the reduced basis
     and is minus its tail.
     """
+    struct = dense_struct(A)
     out = []
     for v in range(A.ring.nvars):
         mono = tuple(int(i == v) for i in range(A.ring.nvars))
@@ -1097,7 +1148,7 @@ def var_matrices(A):
                 tail[A.basis_index[m]] = c
             out.append(mult_matrix(A, tail))
         else:
-            out.append(A.struct[idx])
+            out.append(struct[idx])
     return out
 
 
@@ -1130,7 +1181,7 @@ def vector_by_products_reference(A, poly):
 
     `ArtinAlgebra.vector` must give the same vector.
     """
-    if poly.ring == A.original_ring and A.reduction_steps:
+    if poly.ring == A.original_ring:
         poly = A.reduce_to_presentation_ring(poly)
     coeffs = linalg.matrix(A.field, [list(poly.terms.values())], width=len(poly.terms))[0]
     classes = [monomial_vector_reference(A, m) for m in poly.terms]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, build_algebra, connected_sum, fibre_product,
-                      iarrobino, linalg,
+                      gls_split, iarrobino, linalg,
                       modulo_socle, parse_polynomial, parse_presentation, structure_decompose)
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, ResourceGuardError, UnitIdealError)
@@ -26,12 +26,12 @@ from artinsum.sums import _apolar_classes
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
 import oracles
 from oracles import (algebra_ideal, annihilator_reference, build_algebra_reference,
-                     classes_matrix, echelon_reference, mat_mul, modulo_socle_reference,
-                     monomial_vector_reference, mult_matrix, multiply,
-                     normal_form_structure_reference, prepared, quotient_algebra_reference,
-                     residue_field_algebra, subalgebra_reference, times_reference, var_matrices,
-                     var_tables_reference, vec_mult_matrix_row, vector_by_products_reference,
-                     vector_reference)
+                     classes_matrix, dense_struct, echelon_reference, mat_mul,
+                     modulo_socle_reference, monomial_vector_reference, mult_matrix, multiply,
+                     normal_form_table_reference, prepared, quotient_algebra_reference,
+                     residue_field_algebra, subalgebra_reference, times_reference, typed_table,
+                     var_matrices, var_tables_reference, vec_mult_matrix_row,
+                     vector_by_products_reference, vector_reference)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -212,7 +212,7 @@ def test_prepared_products_match_plain_products(field):
         vecs = [linalg.zeros(field, lam), A.one_vector()]
         vecs += [linalg.matrix(field, [[field.coerce(rng.randint(-4, 4)) for _ in range(lam)]])[0]
                  for _ in range(3)]
-        flat = A.struct.reshape(lam, lam * lam)
+        flat = dense_struct(A).reshape(lam, lam * lam)
         for v in vecs:
             assert np.array_equal(mult_matrix(A, v), mat_mul(field, v, flat).reshape(lam, lam))
             assert np.array_equal(mat_mul(field, v, prepared(field, flat)), mat_mul(field, v, flat))
@@ -225,8 +225,8 @@ def test_qq_polynomials_from_arrays_hold_fractions():
     # the echelons behind these hold ints wherever an entry is integral
     text = (Path(__file__).resolve().parent / "golden" / "nonminimal_qq.txt").read_text()
     A = algebra_from_text(text)
-    assert A.reduction_steps
-    polys = list(A.gb) + [img for _, images in A.reduction_steps for img in images]
+    assert A.reduction is not None
+    polys = list(A.gb) + list(A.reduction[1])
     polys += A.socle().lifts() + A.power(1).lifts()
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=QQ)[2]
     Q = connected_sum(R, S).algebra
@@ -234,6 +234,25 @@ def test_qq_polynomials_from_arrays_hold_fractions():
     coefficients = [c for p in polys for c in p.terms.values()]
     assert any(c.denominator == 1 for c in coefficients)
     assert all(type(c) is Fraction for c in coefficients)
+
+
+def test_qq_structure_tables_hold_an_int_exactly_where_integral():
+    # parsed algebras, minimal and not, corpus algebras and their sums; a
+    # unit of 2/3 puts non-integral scalars into the connected sum's table
+    golden = Path(__file__).resolve().parent / "golden"
+    names = ("qq_left.txt", "qq_right.txt", "hidden_sum.txt", "hidden_sum_edim2.txt",
+             "nonminimal_qq.txt")
+    algebras = [algebra_from_text((golden / name).read_text()) for name in names]
+    algebras += [fibre_product(*algebras[:2]).algebra,
+                 connected_sum(*algebras[:2], unit=Fraction(2, 3)).algebra]
+    for R, S in pair_corpus(3, max_edim=2, max_ll=3, field=QQ):
+        algebras += [R, S, fibre_product(R, S).algebra, connected_sum(R, S).algebra]
+    types = set()
+    for A in algebras:
+        scalars = [c for entry in A.struct_table for _, _, c in entry]
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in scalars), A
+        types.update(map(type, scalars))
+    assert types == {int, Fraction}
 
 
 def test_unit_ideal_rejected():
@@ -310,9 +329,10 @@ def _assert_same_algebra(pres, probes):
         return
     got = build_algebra(fresh)
     assert got.ring == expected.ring and got.original_ring == pres.ring
+    assert (got.reduction is None) == (expected.reduction is None)
     assert got.gb == expected.gb
     assert got.basis == expected.basis
-    assert np.array_equal(got.struct, expected.struct)
+    assert typed_table(got.struct_table) == typed_table(expected.struct_table)
     for f in probes:
         assert np.array_equal(got.vector(f), expected.vector(f))
 
@@ -373,21 +393,17 @@ def _assert_same_quotient(got, expected):
     assert got.ring == expected.ring and got.original_ring == expected.original_ring
     assert got.gb == expected.gb
     assert got.basis == expected.basis
-    assert got.struct.dtype == expected.struct.dtype
-    assert np.array_equal(got.struct, expected.struct)
-    assert len(got.reduction_steps) == len(expected.reduction_steps)
-    for (ring, images), (ring_ref, images_ref) in zip(got.reduction_steps,
-                                                      expected.reduction_steps):
-        assert ring == ring_ref and images == images_ref
+    assert typed_table(got.struct_table) == typed_table(expected.struct_table)
+    assert typed_table(got.struct_table) == typed_table(normal_form_table_reference(got))
+    assert got.reduction == expected.reduction
 
 
 def _assert_tensor_and_classes(A, probes):
-    # the tensor read off the echelon is the normal-form tensor, and classes
-    # taken as products of variable matrices are normal forms
-    ideal = algebra_ideal(A)
-    assert A.basis == tuple(ideal.standard_monomials())
-    expected = normal_form_structure_reference(ideal, A.basis)
-    assert A.struct.dtype == expected.dtype and np.array_equal(A.struct, expected)
+    # the table gathered from the echelon's classes is the readout of the
+    # normal-form tensor, scalar types included, and classes taken as
+    # products of variable matrices are normal forms
+    assert A.basis == tuple(algebra_ideal(A).standard_monomials())
+    assert typed_table(A.struct_table) == typed_table(normal_form_table_reference(A))
     for f in probes:
         assert np.array_equal(A.vector(f), vector_reference(A, f))
 
@@ -437,6 +453,29 @@ def test_quotients_match_buchberger_on_seeded_algebras(field):
         Q, algebras = _derived_from(R, S)
         for A in (R, Q, algebras[3]):
             _assert_quotients_match(rng, A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_structure_tables_equal_the_normal_form_readout_on_every_construction(field):
+    # each way an algebra is made, from the parsed golden presentations: the
+    # table equals the readout of the normal-form tensor, in order and with
+    # equal scalar types
+    golden = Path(__file__).resolve().parent / "golden"
+    R, S, N, H = (algebra_from_text((golden / name).read_text().replace("field QQ",
+                                                                        f"field {field}"))
+                  for name in ("qq_left.txt", "qq_right.txt", "nonminimal_qq.txt",
+                               "hidden_sum.txt"))
+    assert N.reduction is not None and H.reduction is None
+    split = gls_split(associated_graded(H))
+    dual = PolyRing(field, ("w1", "w2"))
+    F = parse_polynomial("1/2*w1^3 + w1*w2^2 - 2/3*w2^3", dual)
+    algebras = [R, S, N, H, apolar_algebra(F), fibre_product(R, S).algebra,
+                connected_sum(R, S, unit=Fraction(2, 3)).algebra, modulo_socle(R),
+                quotient_algebra(N, _random_extras(random.Random(5), N)),
+                associated_graded(H), iarrobino(H)[1], split.gorenstein_part,
+                split.square_zero_part]
+    for A in algebras:
+        assert typed_table(A.struct_table) == typed_table(normal_form_table_reference(A))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -556,10 +595,9 @@ def _assert_apolar_matches_reference(F, probes):
     assert got.ring == expected.ring and got.ring.nvars < ops.nvars
     assert got.gb == expected.gb
     assert got.basis == expected.basis
-    assert got.struct.dtype == expected.struct.dtype
-    assert np.array_equal(got.struct, expected.struct)
+    assert typed_table(got.struct_table) == typed_table(expected.struct_table)
     # one step to the kept ring: each variable goes to the lift of its class
-    (ring, images), = got.reduction_steps
+    ring, images = got.reduction
     assert ring == expected.ring
     assert images == [expected.lift(vector_reference(expected, x)) for x in ops.gens()]
     for f in probes + ops.gens():
@@ -803,8 +841,8 @@ def test_element_products_and_annihilators_match_the_dense_products_on_seeded_al
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):
     got, want = subalgebra(Q, ring, images), subalgebra_reference(Q, ring, images)
     assert got.same_presentation(want) and got.basis == want.basis
-    _assert_same_rows(got.struct, want.struct)
-    assert got.reduction_steps == want.reduction_steps
+    assert typed_table(got.struct_table) == typed_table(want.struct_table)
+    assert got.reduction == want.reduction
 
 
 def _subalgebra_images(rng, Q):
