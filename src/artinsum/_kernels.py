@@ -8,8 +8,9 @@ primitive integer rows, eliminated fraction-free (Bareiss 1968); a pivot is
 divided out only when a row is read out (`monic`), so each entry is then an
 int where it is integral and a Fraction otherwise.  Outside this module an
 echelon basis has one format (`basis`): the monic rows by increasing
-pivot, against which residues are exact.  `rref_mod` is the adapter for a
-dense array.
+pivot, against which residues are exact.  The left kernel of a list of
+rows (`left_kernel`) and the rows that extend a span (`complement`) are
+dict rows too; `rref_mod` is the adapter for a dense array.
 """
 
 from fractions import Fraction
@@ -116,6 +117,40 @@ def kernel(pivots, width, p):
             if f != c:
                 rows[f][c] = (-x) % p if p else -x
     return rows
+
+
+def left_kernel(rows, p):
+    """The left kernel of a sequence of dict rows, keyed by free row index.
+
+    The rows are transposed into columns, put in reduced echelon form and
+    read by `kernel`: row f is one at the free row f, and a combination of
+    the rows with those coefficients is zero.
+    """
+    columns = {}
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            columns.setdefault(k, {})[i] = x
+    return kernel(echelon(columns.values(), p, reduced=True), len(rows), p)
+
+
+def complement(rows, base, p):
+    """Monic residues of dict `rows` that extend the span of the basis `base`, in input order.
+
+    Row j yields its residue modulo the base and rows 0..j-1, scaled so its
+    least column is one, when that residue is nonzero.  A residue taken
+    with zeros at the span's pivot columns is unique: each row is reduced
+    exactly against the base and then against the reduced basis of the
+    residues kept so far, which is zero at the base's pivots.  The rows
+    are not changed.
+    """
+    kept = {}
+    out = []
+    for row in map(dict, rows):
+        if reduce(reduce(row, base, p), kept, p):
+            c = min(row)
+            kept = basis([*kept.values(), row], p)
+            out.append(dict(kept[c]))
+    return out
 
 
 def sparse_rows(a):

@@ -19,7 +19,8 @@ from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      PreconditionError, ResourceGuardError, RingMismatchError,
                      UnitIdealError)
 from .graded import associated_graded, classify, iarrobino, is_gls
-from .parse import parse_field, parse_polynomial, parse_presentation, print_presentation
+from .parse import (parse_field, parse_names, parse_polynomial, parse_presentation,
+                    print_presentation)
 from .poly import PolyRing
 from .quotient import build_algebra
 from .resolution import betti_numbers, inverse_poincare, mu_from_betti, verify_cs_series
@@ -163,9 +164,10 @@ def cmd_analyze(args):
     path = Path(args.path)
     if path.is_dir():
         files = sorted(p for p in path.iterdir() if p.is_file())
-        if args.jobs > 1:
+        workers = min(args.jobs, len(files))
+        if workers > 1:
             from multiprocessing import Pool
-            with Pool(args.jobs) as pool:
+            with Pool(workers) as pool:
                 reports = pool.map(_analyze_one, [str(p) for p in files])
         else:
             reports = [_analyze_one(str(p)) for p in files]
@@ -281,9 +283,9 @@ def cmd_decompose(args):
 
 def cmd_apolar(args):
     field = parse_field(args.field)
-    dual = PolyRing(field, args.dual_vars)
+    dual = PolyRing(field, parse_names(" ".join(args.dual_vars)))
     F = parse_polynomial(args.poly, dual)
-    A = apolar_algebra(F, tuple(args.ops) if args.ops else None)
+    A = apolar_algebra(F, parse_names(" ".join(args.ops)) if args.ops else None)
     report = {
         "schema": 1,
         "command": "apolar",

@@ -13,7 +13,7 @@ re-verified at presentation level before it is reported.
 from dataclasses import dataclass, field
 from math import comb
 
-from . import linalg
+from . import _kernels
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import associated_graded, classify, gls_split, interior_socle_dimension
 from .poly import PolyRing
@@ -68,7 +68,7 @@ def check_split(Q, partition):
         raise ArtinsumError("split length identity failed")
     dl = socle_generator(left).rename_into(Q.ring)
     dr = socle_generator(right).rename_into(Q.ring)
-    unit = _proportionality_unit(Q, Q.vector(dl), Q.vector(dr))
+    unit = _proportionality_unit(Q, Q.element_row(dl), Q.element_row(dr))
     return SplitCheck(True, left=left, right=right, unit=unit)
 
 
@@ -103,23 +103,23 @@ def split_witness(Q):
     n = G.type - 1
     if n == 0:
         return None
-    ann2 = Q.annihilator(Q.power(2).rows)
+    ann2 = Q.annihilator(Q.power(2).basis.values())
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
     top = Q.power(s - 1)
-    z_vecs = linalg.complement_rows(Q.field, ann2.rows, top.basis)
-    if len(z_vecs) != n:
+    z_rows = _kernels.complement(ann2.basis.values(), top.basis, Q.field.char)
+    if len(z_rows) != n:
         raise PreconditionError(
-            f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_vecs)}, expected {n}")
+            f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_rows)}, expected {n}")
     socle = Q.socle()
-    for z in z_vecs:
+    for z in z_rows:
         if Q.power(2).contains(z):
             raise PreconditionError("clause (c) failed: a witness fell into m^2")
         if Q.m_times(Q.subspace([z])) != socle:
             raise PreconditionError("clause (c) failed: w*m is not the socle")
-    J = Q.ideal_span(z_vecs)
+    J = Q.ideal_span(z_rows)
     # J is the ideal that the witnesses generate, so 0:J is their annihilator
-    ideal_i = Q.annihilator(z_vecs)
+    ideal_i = Q.annihilator(z_rows)
     if not ideal_i.is_ideal():
         raise ArtinsumError("the annihilator of J is not an ideal")
     # invariants of the annihilator pair; J is an ideal, so J*m^2 = m*(m*J)
@@ -131,9 +131,9 @@ def split_witness(Q):
     if not ideal_i.add(J) == Q.power(1):
         raise ArtinsumError("0:J + J is not the maximal ideal")
     mu_j, _ = Q.minimal_generators(J)
-    mu_i, y_vec_reps = Q.minimal_generators(ideal_i)
+    mu_i, y_reps = Q.minimal_generators(ideal_i)
     # (0:J)^r is (0:J)^(r-1) times the minimal generators of 0:J
-    generators = Q.product_table(Q.subspace(y_vec_reps).basis.values())
+    generators = Q.product_table(Q.subspace(y_reps).basis.values())
     power_i = ideal_i
     for r in range(2, s + 1):
         power_i = Q.span_times(power_i, generators)
@@ -141,8 +141,8 @@ def split_witness(Q):
             raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     if mu_j != n or mu_i + mu_j != Q.edim:
         raise ArtinsumError("generator counts of the annihilator pair are off")
-    y_lifts = [Q.lift(v) for v in y_vec_reps]
-    z_lifts = [Q.lift(v) for v in z_vecs]
+    y_lifts = [Q.lift(row) for row in y_reps]
+    z_lifts = [Q.lift(row) for row in z_rows]
     m = mu_i
     names = [f"Y{i + 1}" for i in range(m)] + [f"Z{j + 1}" for j in range(n)]
     new_ring = PolyRing(Q.field, names)

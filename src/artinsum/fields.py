@@ -3,9 +3,10 @@
 Scalars are plain Python values (``Fraction`` over QQ, canonical ``int`` in
 [0, p) over GF(p)); all arithmetic routes through the field object so the
 two lanes share every algorithm above this module.  Polynomial coefficients
-are such scalars.  QQ matrices (see `linalg`) also hold a Python ``int``
-wherever an entry is integral; the field operations accept ints, and
-``coerce`` turns them back into Fractions where polynomials are built.
+are such scalars.  Over QQ, the dict rows that hold elements, and the
+structure tables, also hold a Python ``int`` wherever an entry is
+integral; the field operations accept ints, and ``coerce`` turns them back
+into Fractions where polynomials are built.
 """
 
 from fractions import Fraction
@@ -119,7 +120,7 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        a = int(a) % self.p  # numpy integers reach here from matrix rows
+        a = int(a) % self.p  # a caller's integer may be a numpy scalar
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)

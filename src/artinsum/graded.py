@@ -11,12 +11,14 @@ sends each monomial to the residue of its class modulo its degree's
 target; the left kernel of those residues gives the reduced basis and the
 structure table (`quotient.kernel_algebra`).  The linear-socle split is a
 quotient and a square-zero algebra, also kernels: no Buchberger run here.
+Graded socles, the linear-socle witnesses and the components of
+Iarrobino's ideal are dict rows, as every element is.
 """
 
 from dataclasses import dataclass, field
 from math import comb
 
-from . import _kernels, linalg
+from . import _kernels
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
 from .quotient import (ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra,
@@ -31,30 +33,30 @@ def _homogeneous(A):
 
 
 def socle_by_degree(G):
-    """For each degree, an echelon basis of the degree-d socle of G (full coordinates).
+    """For each degree d, by increasing d, the echelon basis of the degree-d socle of G.
 
     Multiplication by a variable raises degrees, so the socle of G is graded
     and its reduced echelon basis (`G.socle().basis`, kept on G) is made of
-    forms: the rows whose pivot has degree d are the reduced echelon basis
-    of the degree-d socle.
+    forms: the rows whose pivot has degree d, dict rows over all of G's
+    basis, are the reduced echelon basis of the degree-d socle.
     """
     _homogeneous(G)
     out = {}
     for c, row in G.socle().basis.items():
         out.setdefault(mono_deg(G.basis[c]), []).append(row)
-    return {d: linalg.dense(G.field, rows, G.length) for d, rows in sorted(out.items())}
+    return dict(sorted(out.items()))
 
 
 def linear_socle_rows(G):
-    """Degree-1 socle vectors of G as rows over the variables in declaration order."""
+    """The echelon basis of the degree-1 socle of G: dict rows over the variables."""
     rows = [{G.basis[k].index(1): x for k, x in row.items()}
             for c, row in _homogeneous(G).socle().basis.items() if mono_deg(G.basis[c]) == 1]
-    return linalg.dense(G.field, list(_kernels.basis(rows, G.field.char).values()), G.ring.nvars)
+    return list(_kernels.basis(rows, G.field.char).values())
 
 
 def interior_socle_dimension(G):
     """The dimension of the socle of G in degrees two and up."""
-    return sum(rows.shape[0] for d, rows in socle_by_degree(G).items() if d >= 2)
+    return sum(len(rows) for d, rows in socle_by_degree(G).items() if d >= 2)
 
 
 def _degreewise_algebra(A, targets):
@@ -100,8 +102,8 @@ def is_gls(G):
     """Whether the socle of G in degrees two and up is one-dimensional.
 
     Returns (flag, witness) where the witness is the echelon basis of the
-    degree-1 socle over the variables; its row count is type(G) - 1 exactly
-    when the flag is true.
+    degree-1 socle, dict rows over the variables; its row count is
+    type(G) - 1 exactly when the flag is true.
     """
     if G.loewy_length < 2:
         raise PreconditionError("linear-socle test needs Loewy length at least 2")
@@ -118,8 +120,9 @@ class GlsSplit:
 
 
 def _linear_form(ring, row):
+    """The linear form whose coefficients over the variables are the dict row `row`."""
     return ring.poly({tuple(1 if j == i else 0 for j in range(ring.nvars)): c
-                      for i, c in enumerate(row) if c})
+                      for i, c in row.items()})
 
 
 def gls_split(G):
@@ -154,12 +157,12 @@ class GradedIdealData:
     """A homogeneous ideal of a graded algebra, held degree by degree."""
 
     owner: ArtinAlgebra
-    components: dict = field(default_factory=dict)   # degree -> rows over piece monomials
+    components: dict = field(default_factory=dict)   # degree -> dict rows over its monomials
     forms: list = field(default_factory=list)
 
     @property
     def dim(self):
-        return sum(rows.shape[0] for rows in self.components.values())
+        return sum(len(rows) for rows in self.components.values())
 
 
 def iarrobino(A):
@@ -174,23 +177,22 @@ def iarrobino(A):
     G = associated_graded(A)
     s = A.loewy_length
     data = GradedIdealData(G)
-    targets = [A.annihilator(A.power(s - i).rows).intersect(A.power(i))
+    targets = [A.annihilator(A.power(s - i).basis.values()).intersect(A.power(i))
                .add(A.power(i + 1)) for i in range(s + 1)]
     for i, target in enumerate(targets):
         monos = [m for m in G.basis if mono_deg(m) == i]
         if not monos:
             continue
         residues = [_residue(A, m, target) for m in monos]
-        rows = linalg.left_kernel(A.field, linalg.dense(A.field, residues, A.length))
+        rows = list(_kernels.left_kernel(residues, A.field.char).values())
         # quotient out the next filtration step: forms already in m^(i+1)
         # have zero class, recognized by lying in I*'s degree-i piece, which
         # has no standard-monomial support, so rows here are honest classes
-        if rows.shape[0]:
+        if rows:
             if i >= s - 1:
                 raise ArtinsumError("filtration ideal unexpectedly nonzero in top degrees")
             data.components[i] = rows
-            data.forms.extend(G.ring.poly({m: c for m, c in zip(monos, r) if c})
-                              for r in rows)
+            data.forms.extend(G.ring.poly({monos[k]: c for k, c in r.items()}) for r in rows)
     q0 = _degreewise_algebra(A, targets + [A.power(s + 2)])
     socle = socle_by_degree(q0)
     if q0.type != 1 or set(socle) != {s}:

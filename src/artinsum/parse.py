@@ -134,6 +134,11 @@ class _Parser:
 
     def vars_decl(self):
         self.expect_keyword("vars")
+        names = self.var_names()
+        self.expect(";")
+        return names
+
+    def var_names(self):
         names = []
         while self.peek().kind == "ident" and self.peek().text != "ideal":
             names.append(self.next().text)
@@ -142,8 +147,8 @@ class _Parser:
             raise ParseError("expected at least one variable name", tok.line, tok.col)
         if len(set(names)) != len(names):
             tok = self.peek()
-            raise ParseError("duplicate variable name", tok.line, tok.col)
-        self.expect(";")
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ParseError(f"duplicate variable name {name!r}", tok.line, tok.col)
         return names
 
     def ideal_decl(self, ring):
@@ -233,6 +238,12 @@ def parse_field(text):
     """Parse a field name, QQ or GF(p), as the `field` declaration spells it."""
     parser = _Parser(text)
     return parser.end(parser.field_name())
+
+
+def parse_names(text):
+    """Parse variable names, as the `vars` declaration lists them."""
+    parser = _Parser(text)
+    return parser.end(parser.var_names())
 
 
 def print_presentation(ring, generators):

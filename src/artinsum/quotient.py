@@ -7,10 +7,12 @@ so the variable count equals the embedding dimension, and the powers of m
 failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
-(ascending default order), held inside as dict rows from column to nonzero
-scalar; the structure table lists the products of the basis elements and
-is gathered from a table of monomial classes.  Every product is one pass
-over dict rows against a sparse product table (`_times`): the algebra's
+(ascending default order), held as dict rows from column to nonzero
+scalar, at every entry point too: rows a caller passes in go through one
+check of their columns and scalars (`_checked_rows`).  The structure
+table lists the products of the basis elements and is gathered from a
+table of monomial classes.  Every product is one pass over dict rows
+against a sparse product table (`_times`): the algebra's
 `times_table`, the products by the variables, for m*W, for the classes of
 monomials and for the resolution, or the table of any elements
 (`product_table`, gathered from the structure table, `struct_table`) for
@@ -33,8 +35,6 @@ one.
 
 from functools import cached_property
 
-import numpy as np
-
 from . import _kernels, linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
                      ResourceGuardError, RingMismatchError, UnitIdealError)
@@ -46,7 +46,7 @@ class Subspace:
     """A subspace of an algebra, held as its unique reduced echelon basis.
 
     `basis` maps each pivot column, in increasing order, to its monic dict
-    row (`_kernels.basis`); the dense `rows` are made on first use.
+    row (`_kernels.basis`).
     """
 
     def __init__(self, algebra, basis):
@@ -57,24 +57,10 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    @cached_property
-    def rows(self):
-        """The basis rows as a dense matrix, in pivot order."""
-        return linalg.dense(self.algebra.field, self.basis.values(), self.algebra.length)
-
-    def _residues(self, vec):
-        A = self.algebra
-        rows = linalg.sparse_rows(A.field, np.reshape(vec, (-1, A.length)))
-        return [_kernels.reduce(row, self.basis, A.field.char) for row in rows]
-
-    def reduce(self, vec):
-        """The residue of a vector, or of each row of a matrix: zero at every pivot."""
-        A = self.algebra
-        return linalg.dense(A.field, self._residues(vec), A.length).reshape(np.shape(vec))
-
-    def contains(self, vec):
-        """Whether a vector, or every row of a matrix, lies in the subspace."""
-        return not any(self._residues(vec))
+    def contains(self, row):
+        """Whether an element, a dict row, lies in the subspace."""
+        (row,) = _checked_rows(self.algebra, [row])
+        return not _kernels.reduce(row, self.basis, self.algebra.field.char)
 
     def contains_space(self, other):
         p = self.algebra.field.char
@@ -95,7 +81,7 @@ class Subspace:
 
     def lifts(self):
         """The echelon basis as explicit polynomials over the standard monomials."""
-        return [self.algebra.lift(r) for r in self.rows]
+        return [self.algebra.lift(row) for row in self.basis.values()]
 
     def is_ideal(self):
         return self.contains_space(self.algebra.m_times(self))
@@ -121,10 +107,11 @@ class ArtinAlgebra:
     over GF(p), and over QQ an int exactly where it is integral.  It is
     symmetric, so entry k also lists the products of e_k by each e_l.  The
     products by the variables are gathered from it into `times_table`.
-    The class of each monomial is a dict row, its predecessor's times one
-    variable, memoised; `vector` and `monomial_vector` write classes out
-    dense.  An algebra presented on fewer variables than `original_ring`
-    keeps the substitution onto its ring as `reduction`, (ring, images).
+    Elements are dict rows over the basis: the class of each monomial is
+    one, its predecessor's times one variable, memoised (`monomial_row`),
+    and `element_row` gives the class of a polynomial.  An algebra
+    presented on fewer variables than `original_ring` keeps the
+    substitution onto its ring as `reduction`, (ring, images).
     """
 
     def __init__(self, ring, gb, basis, table):
@@ -203,10 +190,6 @@ class ArtinAlgebra:
             levels.append(nxt)
         self.filtration = levels
 
-    def _span(self, a):
-        """The span of the rows of a matrix."""
-        return Subspace(self, linalg.pivot_basis(self.field, a))
-
     # -- invariants ----------------------------------------------------------
 
     @property
@@ -271,50 +254,34 @@ class ArtinAlgebra:
                 out[k] = out.get(k, 0) + c * x
         return _canonical(out, self.field.char)
 
-    def monomial_vector(self, mono):
-        """Coefficient vector of the class of a monomial of the presentation ring."""
-        return linalg.dense(self.field, [self.monomial_row(mono)], self.length)[0]
-
-    def vector(self, poly):
-        """Coefficient vector of the class of `poly` over the standard basis."""
-        return linalg.dense(self.field, [self.element_row(poly)], self.length)[0]
-
-    def lift(self, vec):
+    def lift(self, row):
         """The canonical polynomial representative with standard-monomial support."""
-        return self.ring.poly({m: c for m, c in zip(self.basis, vec) if c})
-
-    def one_vector(self):
-        vec = linalg.zeros(self.field, self.length)
-        vec[self.basis_index[(0,) * self.ring.nvars]] = self.field.one
-        return vec
+        (row,) = _checked_rows(self, [row])
+        return self.ring.poly({self.basis[k]: c for k, c in row.items()})
 
     def subspace(self, rows):
-        return self._span(linalg.matrix(self.field, rows, width=self.length))
+        """The span of elements, dict rows."""
+        return Subspace(self, _kernels.basis(_checked_rows(self, rows), self.field.char))
 
     # -- ideals and annihilators ----------------------------------------------
 
-    def annihilator(self, vectors):
-        """(0 : given elements) as a subspace."""
-        rows = linalg.sparse_rows(self.field, np.reshape(vectors, (-1, self.length)))
-        return self._annihilator(self.product_table(rows))
+    def annihilator(self, rows):
+        """(0 : given elements, dict rows) as a subspace."""
+        return self._annihilator(self.product_table(_checked_rows(self, rows)))
 
     def _annihilator(self, table):
         """The elements w with w*e = 0 for every product table entry: the table's left kernel.
 
-        Row v*lambda + j of the transposed table holds the coefficient of e_j
-        in e_l * element v at column l.
+        Row l holds the coefficient of e_j in e_l * element v at column
+        v*lambda + j.
         """
         lam, p = self.length, self.field.char
-        image = {}
-        for l, entry in enumerate(table):
-            for v, j, c in entry:
-                image.setdefault(v * lam + j, {})[l] = c
-        kernel = _kernels.kernel(_kernels.echelon(image.values(), p, reduced=True), lam, p)
-        return Subspace(self, _kernels.basis(kernel.values(), p))
+        rows = [{v * lam + j: c for v, j, c in entry} for entry in table]
+        return Subspace(self, _kernels.basis(_kernels.left_kernel(rows, p).values(), p))
 
-    def ideal_span(self, vectors):
-        """Smallest ideal containing the given elements."""
-        current = self.subspace(list(vectors))
+    def ideal_span(self, rows):
+        """Smallest ideal containing the given elements, dict rows."""
+        current = self.subspace(rows)
         while True:
             nxt = current.add(self.m_times(current))
             if nxt.dim == current.dim:
@@ -332,11 +299,11 @@ class ArtinAlgebra:
             _times(sub.basis.values(), table, lam, p, range(lam)), p))
 
     def minimal_generators(self, sub):
-        """mu(W) and echelon-lift representatives for an ideal W."""
+        """mu(W) and representatives for an ideal W: monic dict rows extending m*W."""
         mw = self.m_times(sub)
         if not sub.contains_space(mw):
             raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
-        reps = linalg.complement_rows(self.field, sub.rows, mw.basis)
+        reps = _kernels.complement(sub.basis.values(), mw.basis, self.field.char)
         return len(reps), reps
 
     def same_presentation(self, other):
@@ -345,6 +312,22 @@ class ArtinAlgebra:
 
     def __repr__(self):
         return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
+
+
+def _checked_rows(A, rows):
+    """Elements of A given by a caller as canonical dict rows, new dicts.
+
+    A column must lie in [0, length); a scalar is reduced mod p over GF(p),
+    and a zero entry is dropped.
+    """
+    lam, p = A.length, A.field.char
+    out = []
+    for row in rows:
+        for k in row:
+            if not (isinstance(k, int) and 0 <= k < lam):
+                raise ValueError(f"column {k!r} outside the basis of length {lam}")
+        out.append(_canonical(row, p))
+    return out
 
 
 def _class_row(memo, mono, tables, lam, p):
@@ -470,11 +453,11 @@ def kernel_algebra(ring, monos, classes):
 
     I is the kernel of the map sending `monos[j]` to the dict row
     `classes[j]` (canonical scalars), `monos` holds every monomial of `ring`
-    up to a degree D, and m^D lies in I.  The map's transposed rows are
-    built straight from the classes.  The left kernel of the classes, taken
-    with the monomials in increasing default order (`_kernels.kernel`), is
-    the reduced echelon basis of I ∩ span(monos), the linear dependencies from which FGLM reads
-    a reduced basis: its dict rows are keyed by free column, and each is
+    up to a degree D, and m^D lies in I.  The left kernel of the classes,
+    taken with the monomials in increasing default order
+    (`_kernels.left_kernel`), is the reduced echelon basis of
+    I ∩ span(monos), the linear dependencies from which FGLM reads a
+    reduced basis: its dict rows are keyed by free column, and each is
     one at its free column, which is its largest monomial, and zero at the
     other free columns.  The pivots of the linear parts' echelon form, in
     declaration order, are eliminated; there are none when I lies inside
@@ -492,11 +475,7 @@ def kernel_algebra(ring, monos, classes):
     fld, p = ring.field, ring.field.char
     order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
     ordered = [monos[j] for j in order]
-    image = {}
-    for r, j in enumerate(order):
-        for k, x in classes[j].items():
-            image.setdefault(k, {})[r] = x
-    rows = _kernels.kernel(_kernels.echelon(image.values(), p, reduced=True), len(monos), p)
+    rows = _kernels.left_kernel([classes[j] for j in order], p)
     linear = [part for row in rows.values()
               if (part := {ordered[k].index(1): x for k, x in row.items()
                            if mono_deg(ordered[k]) == 1})]
@@ -559,7 +538,7 @@ def algebra_from_text(text):
 def quotient_algebra(algebra, extra_polys):
     """The algebra modulo the ideal J of extra presentation polys, on residues modulo J."""
     A = algebra
-    J = A.ideal_span([A.vector(p) for p in extra_polys])
+    J = A.ideal_span([A.element_row(p) for p in extra_polys])
     if J.dim == A.length:
         raise UnitIdealError("1 lies in the ideal")
     monos = _monomials_up_to(A.ring, A.loewy_length + 1)

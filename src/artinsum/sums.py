@@ -32,8 +32,6 @@ presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_div
@@ -155,26 +153,25 @@ def socle_generator(A):
     return A.ring.poly({A.basis[k]: A.field.mul(inv, x) for k, x in row.items()})
 
 
-def _proportionality_unit(Q, vec_left, vec_right):
-    """u with vec_left = u * vec_right, for vectors spanning the same line."""
+def _proportionality_unit(Q, left, right):
+    """u with left = u * right, for elements of Q, dict rows, spanning the same line."""
     fld = Q.field
-    support = [i for i, c in enumerate(vec_right) if c != fld.zero]
-    if not support or not np.any(vec_left != fld.zero):
+    if not left or not right:
         raise ArtinsumError("socle generators vanish in the quotient")
-    u = fld.div(vec_left[support[0]], vec_right[support[0]])
-    scaled = np.asarray([fld.mul(u, c) for c in vec_right], dtype=vec_right.dtype)
-    if np.any(scaled != vec_left):
+    k = min(right)
+    u = fld.div(left.get(k, fld.zero), right[k])
+    if {j: fld.mul(u, c) for j, c in right.items()} != left:
         raise ArtinsumError("socle images are not proportional")
     return u
 
 
 def _validate_socle(A, poly, side):
-    vec = A.vector(poly)
-    if not np.any(vec != A.field.zero):
+    row = A.element_row(poly)
+    if not row:
         raise BadSocleError(f"{side} socle expression vanishes in the quotient")
-    if not A.socle().contains(vec):
+    if not A.socle().contains(row):
         raise BadSocleError(f"{side} socle expression does not lie in the socle")
-    return A.lift(vec)
+    return A.lift(row)
 
 
 def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
@@ -258,7 +255,8 @@ def apolar_algebra(F, operator_names=None):
             f"characteristic {field.char} too small for dual degree {degree}")
     names = tuple(operator_names) if operator_names else default_operator_names(dual.nvars)
     if len(names) != dual.nvars:
-        raise ValueError("one operator name per dual variable required")
+        raise PreconditionError(f"one operator name per dual variable required: "
+                                f"{len(names)} names for {dual.nvars} variables")
     ops = PolyRing(field, names)
     monos, classes = _apolar_classes(F, ops)
     A = kernel_algebra(ops, monos, classes)
@@ -297,7 +295,8 @@ def apolar_sum_check(F, G):
     delta_r = _embed(socle_generator(R), combined.ring, 0)
     delta_s = _embed(socle_generator(S), combined.ring, m)
     try:
-        unit = _proportionality_unit(combined, combined.vector(delta_r), combined.vector(delta_s))
+        unit = _proportionality_unit(combined, combined.element_row(delta_r),
+                                     combined.element_row(delta_s))
     except ArtinsumError as exc:
         return ApolarSumReport(False, None, combined, None, detail=str(exc))
     reconstructed = connected_sum(R, S, unit=unit).algebra

@@ -22,7 +22,10 @@ socle taken as one kernel per degree.  The `Lex`
 and `Block` term orders live here too: only the Buchberger tests and the
 elimination reference use them.  So do the helpers that only tests call:
 row-space membership, preimages of a row space, substituting and listing
-the variables of a polynomial, and the residue field as an algebra.
+the variables of a polynomial, the residue field as an algebra, and the
+dense writers that turn the library's dict rows, classes and subspaces
+into the arrays the references compare (`dense`, `vector`, `space_rows`,
+...).
 The per-variable product that formed m*W one variable at a time, apolar
 classes with every derivative taken from F, and the right kernel and the
 resolution on dense echelons (numpy mod p, Bareiss over QQ) are
@@ -60,6 +63,70 @@ from artinsum.quotient import (ArtinAlgebra, _canonical, _monomials_up_to, build
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
 
+# ---------------------------------------------------------------------------
+# dense writers: the library's elements and subspaces are dict rows, and the
+# dense references compare arrays
+
+def zeros(field, shape):
+    return np.zeros(shape, dtype=np.int64 if linalg.is_prime_field(field) else object)
+
+
+def matrix(field, rows, width=None):
+    """Stack an iterable of scalar rows into a matrix (possibly 0 x width)."""
+    rows = [np.asarray(r, dtype=np.int64) if linalg.is_prime_field(field)
+            else np.asarray(list(r), dtype=object) for r in rows]
+    if not rows:
+        if width is None:
+            raise ValueError("width required for an empty matrix")
+        return zeros(field, (0, width))
+    return np.vstack(rows)
+
+
+def dense(field, rows, width):
+    """Dict rows as a matrix of `width` columns, an int wherever a QQ entry is integral."""
+    rows = list(rows)
+    return _kernels.fill(zeros(field, (len(rows), width)), rows, field.char)
+
+
+def sparse_rows(field, a):
+    """The rows of a matrix as dict rows, reduced mod p over GF(p)."""
+    a = np.asarray(a)
+    if linalg.is_prime_field(field):
+        return _kernels.sparse_rows(np.asarray(a, dtype=np.int64) % field.p)
+    return _kernels.sparse_rows(np.asarray(a, dtype=object))
+
+
+def sparse_row(field, vec):
+    """A vector as a dict row, reduced mod p over GF(p)."""
+    return sparse_rows(field, np.reshape(vec, (1, -1)))[0]
+
+
+def space_rows(sub):
+    """The echelon basis of a subspace as a dense matrix, in pivot order."""
+    return dense(sub.algebra.field, sub.basis.values(), sub.algebra.length)
+
+
+def vector(A, poly):
+    """The class of `poly` in A as a dense vector."""
+    return dense(A.field, [A.element_row(poly)], A.length)[0]
+
+
+def monomial_vector(A, mono):
+    """The class of a monomial of A's presentation ring as a dense vector."""
+    return dense(A.field, [A.monomial_row(mono)], A.length)[0]
+
+
+def one_vector(A):
+    vec = zeros(A.field, A.length)
+    vec[A.basis_index[(0,) * A.ring.nvars]] = A.field.one
+    return vec
+
+
+def left_kernel_reference(field, a):
+    """Rows spanning {v : v @ a = 0}: `right_kernel_reference` of the transpose."""
+    return right_kernel_reference(field, np.asarray(a).T)
+
+
 def in_row_space(field, vec, rows, pivots):
     res = reduce_row_reference(field, vec, rows, pivots)
     return not np.any(res != field.zero)
@@ -71,7 +138,7 @@ def preimage_rows(field, m, sub_rows):
     Found as the v-components of the left kernel of [m ; sub_rows] stacked.
     """
     m = np.asarray(m)
-    ker = linalg.left_kernel(field, np.vstack([m, np.asarray(sub_rows)]))
+    ker = left_kernel_reference(field, np.vstack([m, np.asarray(sub_rows)]))
     return echelon_reference(field, ker[:, : m.shape[0]])[0]
 
 
@@ -159,11 +226,11 @@ def ideal_member(f, gens, max_degree=12):
                     products.append(g.mul_term(mono, field.one))
         monos = sorted({m for p in products for m in p.terms} | set(f.terms))
         col = {m: j for j, m in enumerate(monos)}
-        mat = linalg.zeros(field, (len(products), len(monos)))
+        mat = zeros(field, (len(products), len(monos)))
         for i, p in enumerate(products):
             for m, c in p.terms.items():
                 mat[i, col[m]] = c
-        target = linalg.zeros(field, len(monos))
+        target = zeros(field, len(monos))
         for m, c in f.terms.items():
             target[col[m]] = c
         rows, pivots = echelon_reference(field, mat)
@@ -189,9 +256,9 @@ def subring_quotient_dimension(algebra, keep_names):
     """
     ring = algebra.ring
     keep_idx = [ring.index[n] for n in keep_names]
-    span_rows = linalg.matrix(algebra.field, [algebra.one_vector()], width=algebra.length)
+    span_rows = matrix(algebra.field, [one_vector(algebra)], width=algebra.length)
     span, pivots = echelon_reference(algebra.field, span_rows)
-    frontier = [algebra.one_vector()]
+    frontier = [one_vector(algebra)]
     while True:
         new_frontier = []
         for v in frontier:
@@ -343,7 +410,7 @@ def intersect_reference(field, a, b):
     a, b = np.asarray(a), np.asarray(b)
     n = a.shape[1]
     top = np.hstack([a, a])
-    bottom = np.hstack([b, linalg.zeros(field, b.shape)])
+    bottom = np.hstack([b, zeros(field, b.shape)])
     r, pivots = echelon_reference(field, np.vstack([top, bottom]))
     inside = pivots >= n
     return r[inside, n:], pivots[inside] - n
@@ -366,7 +433,7 @@ def right_kernel_reference(field, a):
     a = np.asarray(a)
     r, pivots = _echelon_dense(field, a)
     free = np.setdiff1d(np.arange(a.shape[1]), pivots)
-    basis = linalg.zeros(field, (free.size, a.shape[1]))
+    basis = zeros(field, (free.size, a.shape[1]))
     basis[np.arange(free.size), free] = 1
     tails = -r[:, free].T
     basis[:, pivots] = tails % field.p if linalg.is_prime_field(field) else tails
@@ -385,8 +452,8 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
     """Monic residues of `rows` extending the base: the per-vector loop on dense echelon forms.
 
     Reduces each row against the span accumulated so far and re-echelons
-    the whole span after every kept row; `linalg.complement_rows` must give
-    the same arrays in the same order.
+    the whole span after every kept row; `_kernels.complement` must give
+    the same rows, written dense, in the same order.
     """
     out = []
     acc_rows, acc_piv = base_rows, base_pivots
@@ -521,9 +588,9 @@ def degreewise_generators_reference(A, targets):
     gens = []
     for d in range(1, A.loewy_length + 2):
         monos = ring.monomials_of_degree(d)
-        images = linalg.matrix(A.field, [vector_reference(A, ring.monomial(m)) for m in monos],
+        images = matrix(A.field, [vector_reference(A, ring.monomial(m)) for m in monos],
                                width=A.length)
-        rows = preimage_rows(A.field, images, targets[d].rows)
+        rows = preimage_rows(A.field, images, space_rows(targets[d]))
         gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
                     for r in rows)
     return gens
@@ -711,7 +778,7 @@ def differential_matrix_reference(A, gens, prev_rank):
     """The k-linear matrix of d: free module on `gens` -> A^prev_rank, one product per generator."""
     lam = A.length
     struct = dense_struct(A).reshape(lam, lam * lam)
-    out = linalg.zeros(A.field, (len(gens) * lam, prev_rank * lam))
+    out = zeros(A.field, (len(gens) * lam, prev_rank * lam))
     for r, g in enumerate(gens):
         cube = mat_mul(A.field, g.reshape(prev_rank, lam), struct)
         cube = cube.reshape(prev_rank, lam, lam)
@@ -730,10 +797,10 @@ def betti_numbers_reference(A, truncation):
     writes no cache; `resolution.betti_numbers` must give the same tuple.
     """
     betti = [1]
-    kernel_rows = A.power(1).rows
+    kernel_rows = space_rows(A.power(1))
     prev_rank = 1
     for step in range(1, truncation + 1):
-        stacked = np.vstack([linalg.zeros(A.field, (0, kernel_rows.shape[1])),
+        stacked = np.vstack([zeros(A.field, (0, kernel_rows.shape[1])),
                              *(_module_times_element(A.field, kernel_rows, mx)
                                for mx in var_matrices(A))])
         mk = _echelon_dense(A.field, stacked)[0]
@@ -801,10 +868,10 @@ def normal_form_structure_reference(pres, basis):
     ring, fld = pres.ring, pres.ring.field
     lam = len(basis)
     index = {m: i for i, m in enumerate(basis)}
-    struct = linalg.zeros(fld, (lam, lam, lam))
+    struct = zeros(fld, (lam, lam, lam))
     for i in range(lam):
         for j in range(i, lam):
-            vec = linalg.zeros(fld, lam)
+            vec = zeros(fld, lam)
             product = ring.monomial(mono_mul(basis[i], basis[j]))
             for m, c in pres.normal_form(product).terms.items():
                 vec[index[m]] = c.numerator if c.denominator == 1 else c
@@ -816,11 +883,11 @@ def normal_form_structure_reference(pres, basis):
 def vector_reference(A, poly):
     """The class of `poly` in A as the normal form of its image in the presentation ring.
 
-    `ArtinAlgebra.vector` must give the same vector.
+    `ArtinAlgebra.element_row` must give the same class.
     """
     if poly.ring == A.original_ring:
         poly = A.reduce_to_presentation_ring(poly)
-    vec = linalg.zeros(A.field, A.length)
+    vec = zeros(A.field, A.length)
     for m, c in algebra_ideal(A).normal_form(poly).terms.items():
         vec[A.basis_index[m]] = c
     return vec
@@ -852,12 +919,13 @@ def gls_split_reference(G):
 
     `graded.gls_split` must give the same parts, forms and substitution.
     """
-    flag, witness = is_gls(G)
+    flag, rows = is_gls(G)
     if not flag:
         raise PreconditionError("algebra is not Gorenstein up to linear socle")
     ring = G.ring
     fld = ring.field
-    forms = [_linear_form(ring, row) for row in witness]
+    forms = [_linear_form(ring, row) for row in rows]
+    witness = dense(fld, rows, ring.nvars)
     pivots = [next(i for i, c in enumerate(row) if c != fld.zero) for row in witness]
     keep = [i for i in range(ring.nvars) if i not in set(pivots)]
     sub = PolyRing(fld, [ring.names[i] for i in keep])
@@ -915,12 +983,12 @@ def mu_direct_reference(A):
             for d in range(min_mult_degree, bound - order + 1):
                 for m in ring.monomials_of_degree(d):
                     prod = g.mul_term(m, ring.field.one)
-                    row = linalg.zeros(ring.field, len(monos))
+                    row = zeros(ring.field, len(monos))
                     for t, c in prod.terms.items():
                         if sum(t) <= bound:
                             row[col[t]] = c
                     rows.append(row)
-        return linalg.matrix(ring.field, rows, width=len(monos))
+        return matrix(ring.field, rows, width=len(monos))
 
     full = rank_reference(ring.field, truncated_rows(0))
     inside = rank_reference(ring.field, truncated_rows(1))
@@ -942,8 +1010,8 @@ def socle_by_degree_reference(G):
             block = identity(G.field, G.length)[idx]
         else:
             stacked = np.hstack(var_matrices(G))[idx, :]
-            small = linalg.left_kernel(G.field, stacked)
-            block = linalg.zeros(G.field, (small.shape[0], G.length))
+            small = left_kernel_reference(G.field, stacked)
+            block = zeros(G.field, (small.shape[0], G.length))
             block[:, idx] = small
         rows, _ = echelon_reference(G.field, block)
         if rows.shape[0]:
@@ -976,7 +1044,7 @@ def apolar_classes_reference(F, ops):
     for p in derived:
         for t in p.terms:
             col.setdefault(t, len(col))
-    mat = linalg.zeros(ops.field, (len(monos), max(len(col), 1)))
+    mat = zeros(ops.field, (len(monos), max(len(col), 1)))
     for i, p in enumerate(derived):
         for t, c in p.terms.items():
             mat[i, col[t]] = c
@@ -985,7 +1053,7 @@ def apolar_classes_reference(F, ops):
 
 def classes_matrix(field, rows):
     """Dict rows of classes as a matrix, as wide as their largest column."""
-    return linalg.dense(field, rows, 1 + max((max(row) for row in rows if row), default=0))
+    return dense(field, rows, 1 + max((max(row) for row in rows if row), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -1076,7 +1144,7 @@ def _mat_mul_rational(a, b):
 
 
 def identity(field, n):
-    a = linalg.zeros(field, (n, n))
+    a = zeros(field, (n, n))
     np.fill_diagonal(a, 1)
     return a
 
@@ -1106,7 +1174,7 @@ def struct_readout(struct):
 def dense_struct(A):
     """A's structure table written out: struct[l, k, j] is the coefficient of e_j in e_l*e_k."""
     lam = A.length
-    struct = linalg.zeros(A.field, (lam, lam, lam))
+    struct = zeros(A.field, (lam, lam, lam))
     for l, entry in enumerate(A.struct_table):
         for k, j, c in entry:
             struct[l, k, j] = c
@@ -1143,7 +1211,7 @@ def var_matrices(A):
         idx = A.basis_index.get(mono)
         if idx is None:
             g = next(g for g in A.gb if g.leading()[0] == mono)
-            tail = linalg.zeros(A.field, A.length)
+            tail = zeros(A.field, A.length)
             for m, c in (A.ring.monomial(mono) - g).terms.items():
                 tail[A.basis_index[m]] = c
             out.append(mult_matrix(A, tail))
@@ -1170,22 +1238,22 @@ def _dense_class(memo, mono, matrices, field):
 def monomial_vector_reference(A, mono):
     """The class of a monomial as a chain of dense products by the variables' matrices.
 
-    `ArtinAlgebra.monomial_vector` must give the same vector.
+    `ArtinAlgebra.monomial_row` must give the same class.
     """
     matrices = [prepared(A.field, mx) for mx in var_matrices(A)]
-    return _dense_class({(0,) * A.ring.nvars: A.one_vector()}, mono, matrices, A.field)
+    return _dense_class({(0,) * A.ring.nvars: one_vector(A)}, mono, matrices, A.field)
 
 
 def vector_by_products_reference(A, poly):
     """The class of a polynomial as one dense product of its coefficients and monomial classes.
 
-    `ArtinAlgebra.vector` must give the same vector.
+    `ArtinAlgebra.element_row` must give the same class.
     """
     if poly.ring == A.original_ring:
         poly = A.reduce_to_presentation_ring(poly)
-    coeffs = linalg.matrix(A.field, [list(poly.terms.values())], width=len(poly.terms))[0]
+    coeffs = matrix(A.field, [list(poly.terms.values())], width=len(poly.terms))[0]
     classes = [monomial_vector_reference(A, m) for m in poly.terms]
-    return mat_mul(A.field, coeffs, linalg.matrix(A.field, classes, width=A.length))
+    return mat_mul(A.field, coeffs, matrix(A.field, classes, width=A.length))
 
 
 def annihilator_reference(A, vectors):
@@ -1194,9 +1262,9 @@ def annihilator_reference(A, vectors):
     Returns the reduced echelon basis and its pivots; `ArtinAlgebra.annihilator`
     must give the same rows.
     """
-    stacked = np.hstack([linalg.zeros(A.field, (A.length, 0)),
+    stacked = np.hstack([zeros(A.field, (A.length, 0)),
                          *(mult_matrix(A, np.asarray(v)) for v in vectors)])
-    return echelon_reference(A.field, linalg.left_kernel(A.field, stacked))
+    return echelon_reference(A.field, left_kernel_reference(A.field, stacked))
 
 
 def subalgebra_reference(Q, new_ring, images):
@@ -1205,9 +1273,9 @@ def subalgebra_reference(Q, new_ring, images):
     The classes enter `kernel_algebra` as they are, so `quotient.subalgebra`
     must give the same algebra.
     """
-    matrices = [prepared(Q.field, mult_matrix(Q, Q.vector(f))) for f in images]
+    matrices = [prepared(Q.field, mult_matrix(Q, vector(Q, f))) for f in images]
     monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
-    memo = {monos[0]: Q.one_vector()}
-    classes = linalg.matrix(Q.field, [_dense_class(memo, m, matrices, Q.field) for m in monos],
+    memo = {monos[0]: one_vector(Q)}
+    classes = matrix(Q.field, [_dense_class(memo, m, matrices, Q.field) for m in monos],
                             width=Q.length)
-    return kernel_algebra(new_ring, monos, linalg.sparse_rows(Q.field, classes))
+    return kernel_algebra(new_ring, monos, sparse_rows(Q.field, classes))

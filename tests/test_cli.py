@@ -49,6 +49,11 @@ SRC = GOLDEN.parents[1] / "src"
 # GF(1048573), and apolar_nonminimal_gf1048573 repeats the apolar case there:
 # the large-modulus lane of the derived algebras and of m*W.
 #
+# The connect_socle cases join the same factors along explicit socle
+# expressions, -2*Y1*Y2^2 on the left and 3*Z2^3 on the right, which the
+# library checks to be nonzero socle elements and lifts; the left one is
+# passed as --socle-r=... because argparse reads a leading `-` as an option.
+#
 # hidden_sum_edim2.txt is `artinsum apolar --field QQ --dual-vars w1 w2 w3`
 # of F(u1, u2) - 2*v^2 with F = u1^4 + u1^2*u2^2 - 2*u2^4 + 1/3*u1^3*u2,
 # u1 = w1 + w2, u2 = w2 - w3 and v = w1 + 2*w3, expanded (EDIM2_POLY): a
@@ -68,6 +73,8 @@ QQ_CASES = {
     "connect_qq": ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3",
                    "--verify-series", "2"],
     "fibre_qq": ["fibre", "qq_left.txt", "qq_right.txt"],
+    "connect_socle_qq": ["connect", "qq_left.txt", "qq_right.txt", "--socle-r=-2*Y1*Y2^2",
+                         "--socle-s", "3*Z2^3", "--unit", "2/3"],
     "apolar_hidden_sum_edim2": ["apolar", "--poly", EDIM2_POLY,
                                 "--dual-vars", "w1", "w2", "w3", "--field", "QQ"],
     "analyze_hidden_sum_edim2": ["analyze", "hidden_sum_edim2.txt"],
@@ -78,6 +85,8 @@ QQ_CASES = {
 GF_CASES = {
     "analyze_hidden_sum_gf101": ["analyze", "hidden_sum_gf101.txt"],
     "decompose_hidden_sum_gf101": ["decompose", "hidden_sum_gf101.txt"],
+    "connect_socle_gf101": ["connect", "gf_left.txt", "gf_right.txt", "--socle-r=-2*Y1*Y2^2",
+                            "--socle-s", "3*Z2^3"],
     "analyze_nonminimal_gf101": ["analyze", "nonminimal_gf101.txt"],
     "apolar_nonminimal_gf101": [
         "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"
@@ -162,6 +171,20 @@ def test_apolar_rejects_a_malformed_field_as_a_parse_error(value, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("names, code, says", [
+    (["--dual-vars", "w1", "--ops", "X1", "X2"], 6, "2 names for 1 variables"),
+    (["--dual-vars", "w1", "w2", "--ops", "X1"], 6, "1 names for 2 variables"),
+    (["--dual-vars", "w1", "w1"], 2, "duplicate variable name 'w1'"),
+    (["--dual-vars", "w1", "w2", "--ops", "X1", "X1"], 2, "duplicate variable name 'X1'"),
+], ids=["more-ops", "fewer-ops", "duplicate-dual-var", "duplicate-op"])
+def test_apolar_rejects_bad_variable_names_with_an_error_line(names, code, says, capsys):
+    # a count mismatch is a failed precondition; a repeated name is a parse
+    # error, as `vars Y Y;` is in a presentation file
+    assert main(["apolar", "--poly", "w1^3"] + names) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and says in err and err.count("\n") == 1
+
+
 def test_apolar_reads_a_prime_field(capsys):
     argv = ["apolar", "--poly", "w^3", "--dual-vars", "w", "--field", "GF( 7 )", "--json"]
     assert main(argv) == 0
@@ -178,6 +201,34 @@ def test_analyze_directory_report_does_not_depend_on_jobs(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     assert reports[0].count('"path": ') == len(names)
+
+
+def test_analyze_directory_starts_no_more_workers_than_files(tmp_path, monkeypatch, capsys):
+    # a recording stand-in for the pool, which maps in this process
+    import multiprocessing
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, items):
+            return list(map(function, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    for name in ("hidden_sum.txt", "nonminimal_qq.txt"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    assert main(["analyze", str(tmp_path), "--jobs", "8", "--json"]) == 0
+    assert asked == [2] and capsys.readouterr().out.count('"path": ') == 2
+    (tmp_path / "nonminimal_qq.txt").unlink()
+    assert main(["analyze", str(tmp_path), "--jobs", "8", "--json"]) == 0
+    assert asked == [2] and capsys.readouterr().out.count('"path": ') == 1
 
 
 def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_path):

@@ -20,7 +20,7 @@ from artinsum.grobner import IdealPresentation, buchberger
 from artinsum.quotient import presentation_in_coordinates
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import (build_algebra_reference, degreewise_generators_reference,
+from oracles import (build_algebra_reference, dense, degreewise_generators_reference,
                      graded_from_homogeneous, gls_split_reference, initial_form_generators,
                      normal_form_table_reference, residue_field_algebra,
                      socle_by_degree_reference, typed_table)
@@ -63,12 +63,15 @@ def test_graded_socle_degrees():
     A = algebra_from_text(STRETCHED)
     G = associated_graded(A)
     socle = socle_by_degree(G)
-    assert {d: r.shape[0] for d, r in socle.items()} == {1: 1, 3: 1}
+    assert {d: len(r) for d, r in socle.items()} == {1: 1, 3: 1}
+    # dict rows over all of G's basis: Z in degree 1, Y^3 in degree 3
+    assert [G.lift(row) for d in (1, 3) for row in socle[d]] == [
+        G.ring.var(1), G.ring.var(0) ** 3]
     assert interior_socle_dimension(G) == 1
 
     B = associated_graded(algebra_from_text("field QQ; vars Y; ideal Y^3"))
-    assert {d: r.shape[0] for d, r in socle_by_degree(B).items()} == {2: 1}
-    assert linear_socle_rows(B).shape[0] == 0
+    assert {d: len(r) for d, r in socle_by_degree(B).items()} == {2: 1}
+    assert linear_socle_rows(B) == []
 
     big = associated_graded(algebra_from_text(
         "field QQ; vars Y1 Y2 Z; ideal Y1*Z, Y2*Z, Y1^2*Y2, Y2^2, Y1^4-Z^4"))
@@ -80,11 +83,11 @@ def test_is_gls_examples():
     G = associated_graded(algebra_from_text(STRETCHED))
     flag, witness = is_gls(G)
     assert flag
-    assert witness.tolist() == [[0, 1]]  # the class of Z
+    assert witness == [{1: 1}]  # the class of Z, a dict row over the variables
 
     H = associated_graded(algebra_from_text("field QQ; vars Y Z; ideal Y^2, Y*Z, Z^3"))
     flag, witness = is_gls(H)
-    assert flag and witness.shape[0] == 1
+    assert flag and len(witness) == 1
 
     flat = associated_graded(algebra_from_text("field QQ; vars Y Z; ideal Y^2, Y*Z, Z^2"))
     with pytest.raises(PreconditionError):
@@ -179,6 +182,9 @@ def test_iarrobino_values():
     data, q0 = iarrobino(A)
     assert q0.hilbert_function() == (1, 1, 1, 1)
     assert data.dim == 1
+    # C is spanned by Z in degree one: a dict row over the degree-1
+    # standard monomials of gr(A), Z before Y
+    assert data.components == {1: [{0: 1}]} and data.forms == [A.ring.var(1)]
 
     k = GF(101)
     R = apolar_algebra(parse_polynomial("w1^3 + w2^3 + w1*w2^2", PolyRing(k, ("w1", "w2"))),
@@ -214,6 +220,12 @@ def test_degreewise_presentations_match_buchberger(field):
         data, q0 = iarrobino(A)
         reference = graded_from_homogeneous(A.ring, list(G.gb) + data.forms)
         assert q0.same_presentation(reference)
+        # the components are dict rows over each degree's standard monomials,
+        # one per form
+        assert data.dim == len(data.forms)
+        pieces = {d: [m for m in G.basis if sum(m) == d] for d in data.components}
+        assert data.forms == [G.ring.poly({pieces[d][k]: c for k, c in row.items()})
+                              for d, rows in data.components.items() for row in rows]
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -241,8 +253,8 @@ def test_degreewise_algebras_match_the_per_degree_preimage_route_on_hidden_sums(
               for v in range(ring.nvars)]
     A = presentation_in_coordinates(Q, ring, images)
     s = A.loewy_length
-    q0_targets = [A.annihilator(A.power(s - i).rows).intersect(A.power(i)).add(A.power(i + 1))
-                  for i in range(s + 1)] + [A.power(s + 2)]
+    q0_targets = [A.annihilator(A.power(s - i).basis.values()).intersect(A.power(i))
+                  .add(A.power(i + 1)) for i in range(s + 1)] + [A.power(s + 2)]
     gr_targets = [A.power(d + 1) for d in range(s + 2)]
     for got, targets in ((associated_graded(A), gr_targets), (iarrobino(A)[1], q0_targets)):
         expected = build_algebra_reference(
@@ -332,7 +344,9 @@ def _assert_same_graded(got, expected):
 def _assert_socle_matches_reference(G):
     got, expected = socle_by_degree(G), socle_by_degree_reference(G)
     assert list(got) == list(expected)
-    assert all(np.array_equal(got[d], expected[d]) for d in expected)
+    for d, rows in expected.items():
+        written = dense(G.field, got[d], G.length)
+        assert written.dtype == rows.dtype and np.array_equal(written, rows)
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(1048573), QQ], ids=repr)

@@ -1,8 +1,9 @@
 """Exact linear algebra over both coefficient lanes, and the row-reduction kernel.
 
-The sparse kernel, and the subspaces held as its pivot bases, are checked
-against the dense loops they replaced, over GF(101), the largest supported
-prime and QQ.
+The sparse kernel, its left kernel and complements, and the subspaces held
+as its pivot bases, are checked against the dense loops they replaced, over
+GF(101), the largest supported prime and QQ.  Results are dict rows; the
+oracles' dense writers turn them into arrays for the references.
 """
 
 import random
@@ -21,10 +22,10 @@ from artinsum.errors import ResourceGuardError
 from artinsum.fields import MAX_PRIME
 from artinsum.quotient import square_zero_algebra
 
-from oracles import (complement_rows_reference, echelon_reference, in_row_space,
-                     intersect_reference, mat_mul, preimage_rows, prepared,
-                     reduce_row_reference, rref_bareiss_reference, rref_fraction_reference,
-                     rref_mod_reference, right_kernel_reference)
+from oracles import (complement_rows_reference, dense, echelon_reference, intersect_reference,
+                     mat_mul, matrix, preimage_rows, prepared, reduce_row_reference,
+                     rref_bareiss_reference, rref_fraction_reference, rref_mod_reference,
+                     right_kernel_reference, space_rows, sparse_rows, zeros)
 
 # the largest prime below MAX_PRIME: products of two entries come closest to
 # the int64 bound there
@@ -35,15 +36,22 @@ HUGE = 1 << 70
 
 
 def test_rref_rational():
-    a = linalg.matrix(QQ, [[1, 2, 3], [2, 4, 8], [1, 2, 5]])
+    a = matrix(QQ, [[1, 2, 3], [2, 4, 8], [1, 2, 5]])
     r, pivots = linalg.rref(QQ, a)
     assert list(pivots) == [0, 2]
     assert r[0][1] == Fraction(2)
 
 
+def _right_kernel(field, a):
+    """{v : a @ v = 0} as a matrix: the sparse left kernel of the transpose, written dense."""
+    a = np.asarray(a)
+    kernel = _kernels.left_kernel(sparse_rows(field, a.T), field.char)
+    return dense(field, kernel.values(), a.shape[1])
+
+
 def test_right_kernel_rational():
-    a = linalg.matrix(QQ, [[1, 1, 1], [0, 1, 2]])
-    k = linalg.right_kernel(QQ, a)
+    a = matrix(QQ, [[1, 1, 1], [0, 1, 2]])
+    k = _right_kernel(QQ, a)
     assert k.shape == (1, 3)
     assert not np.any(a.dot(k[0]) != Fraction(0))
 
@@ -51,13 +59,17 @@ def test_right_kernel_rational():
 def test_kernel_mod_p():
     k = GF(5)
     # the second row is twice the first mod 5, so the rank drops to 1
-    a = linalg.matrix(k, [[1, 2, 3], [2, 4, 1]])
-    ker = linalg.right_kernel(k, a)
+    a = matrix(k, [[1, 2, 3], [2, 4, 1]])
+    ker = _right_kernel(k, a)
     assert ker.shape[0] == 2
     for v in ker:
         assert not np.any(a.dot(v) % 5)
-    b = linalg.matrix(k, [[1, 2, 3], [0, 1, 4]])
-    assert linalg.right_kernel(k, b).shape[0] == 1
+    b = matrix(k, [[1, 2, 3], [0, 1, 4]])
+    assert _right_kernel(k, b).shape[0] == 1
+    # the left kernel is keyed by free row index, one row per free row
+    assert _kernels.left_kernel([{0: 1, 1: 2}, {0: 2, 1: 4}, {}], 5) == {1: {1: 1, 0: 3},
+                                                                        2: {2: 1}}
+    assert _kernels.left_kernel([], 5) == {}
 
 
 @lru_cache(maxsize=None)
@@ -67,23 +79,34 @@ def _algebra(field, width):
 
 
 def _space(field, rows, width):
-    return _algebra(field, width).subspace(linalg.matrix(field, rows, width=width))
+    return _algebra(field, width).subspace(sparse_rows(field, matrix(field, rows, width=width)))
+
+
+def _residues(field, space, a):
+    """The residue of each row of the matrix `a` modulo the space's basis, written dense."""
+    rows = [_kernels.reduce(row, space.basis, field.char) for row in sparse_rows(field, a)]
+    return dense(field, rows, np.shape(a)[1])
 
 
 def test_subspace_reduce_and_membership():
     k = GF(7)
     space = _space(k, [[1, 0, 3], [0, 1, 2]], 3)
-    assert space.contains(np.array([2, 3, 12]) % 7)
-    assert not space.contains(np.array([0, 0, 1]))
-    # a matrix is reduced row by row
-    for field, vecs in ((k, [[2, 3, 5], [0, 0, 1], [1, 1, 1]]),
-                        (QQ, [[Fraction(1, 2), 3, 5], [0, 0, 1], [1, -2, Fraction(2, 3)]])):
+    assert space.contains({0: 2, 1: 3, 2: 12 % 7})
+    assert not space.contains({2: 1})
+    # the rows of a matrix are reduced one by one, and lie in the space exactly
+    # when their residue is zero
+    for field, vecs in ((k, [[2, 3, 5], [0, 0, 1], [1, 1, 1], [1, 0, 3]]),
+                        (QQ, [[Fraction(1, 2), 3, 5], [0, 0, 1], [1, -2, Fraction(2, 3)],
+                              [0, 1, 1]])):
         space = _space(field, [[1, 0, 3], [0, 2, 2]], 3)
-        mat = linalg.matrix(field, vecs)
-        assert np.array_equal(space.reduce(mat), [space.reduce(v) for v in mat])
-    # an integral residue of Fractions is an int
+        mat = matrix(field, vecs)
+        got = _residues(field, space, mat)
+        assert np.array_equal(got, [_residues(field, space, [v])[0] for v in mat])
+        assert [space.contains(row) for row in sparse_rows(field, mat)] == [
+            not np.any(r != 0) for r in got]
+    # an integral residue of Fractions is written as an int
     space = _space(QQ, [[1, Fraction(1, 2), 0]], 3)
-    got = space.reduce(np.array([1, Fraction(3, 2), 1], dtype=object))
+    got = _residues(QQ, space, [[1, Fraction(3, 2), 1]])[0]
     assert got.tolist() == [0, 1, 1]
     _assert_canonical(got)
 
@@ -92,45 +115,73 @@ def test_subspace_intersect():
     a = _space(QQ, [[1, 0, 0], [0, 1, 0]], 3)
     b = _space(QQ, [[0, 1, 0], [0, 0, 1]], 3)
     inter = a.intersect(b)
-    assert inter.rows.shape == (1, 3)
-    assert inter.rows[0][1] == 1
+    assert space_rows(inter).shape == (1, 3)
+    assert space_rows(inter)[0][1] == 1
     assert inter.basis == {1: {1: 1}}
+    _assert_canonical_rows(inter.basis.values())
 
 
-def test_dense_input_is_reduced_mod_p_on_the_dict_paths():
-    # entries outside [0, p) enter the kernel reduced, as in rref
+def test_caller_rows_are_reduced_mod_p_at_the_entry_points():
+    # scalars outside [0, p) are reduced before they enter the kernel, and a
+    # zero entry is dropped
     A = square_zero_algebra(PolyRing(GF(101), ["X"]))
-    one, x = A.one_vector(), A.vector(A.ring.var(0))
-    assert A.power(1).contains(101 * one)
-    assert np.array_equal(A.power(1).reduce(205 * x - one), 100 * one)
-    k = GF(7)
-    got = linalg.complement_rows(k, np.array([[1, -1, 0]]), {})
-    assert [list(r) for r in got] == [[1, 6, 0]]
+    one, x = A.element_row(A.ring.one), A.element_row(A.ring.var(0))
+    assert (one, x) == ({0: 1}, {1: 1})
+    m = A.power(1)
+    assert m.contains({0: 101}) and m.contains({0: 202, 1: -3})
+    assert not m.contains({0: -1, 1: 205})
+    assert A.subspace([{0: 102, 1: -1}]).basis == {0: {0: 1, 1: 100}}
+    assert A.lift({0: -1, 1: 101}) == A.ring.poly({(0,): 100})
+    # 101*X is zero, so its annihilator is all of A; 2*X generates m
+    assert A.annihilator([{1: 101}]).dim == 2
+    assert A.ideal_span([{0: 202, 1: 103}]) == m
+    assert A.minimal_generators(A.ideal_span([{1: -1}])) == (1, [{1: 1}])
+    # the caller's rows are left as they were
+    row = {0: -1, 1: 205}
+    m.contains(row)
+    assert row == {0: -1, 1: 205}
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
+def test_a_column_outside_the_basis_is_rejected_at_each_entry_point(field):
+    A = square_zero_algebra(PolyRing(field, ["X"]))
+    entry_points = [A.lift, A.power(1).contains, lambda row: A.subspace([{0: 1}, row]),
+                    lambda row: A.annihilator([row]), lambda row: A.ideal_span([row])]
+    for bad in ({2: 1}, {-1: 1}, {0: 1, 5: 0}, {"0": 1}):
+        for call in entry_points:
+            with pytest.raises(ValueError, match="outside the basis"):
+                call(bad)
+    # the same rows with their columns in range are accepted
+    assert A.lift({1: 1}) == A.ring.var(0)
+    assert A.subspace([{1: 3}]).basis == {1: {1: 1}}
 
 
 def _assert_subspaces_match_references(field, width, u_ints, w_ints, v_ints):
     mats = [_matrix(field, ints, width) for ints in (u_ints, w_ints, v_ints)]
-    U, W = (_algebra(field, width).subspace(m) for m in mats[:2])
+    U, W = (_algebra(field, width).subspace(sparse_rows(field, m)) for m in mats[:2])
     refs = [echelon_reference(field, m) for m in mats[:2]]
     for space, (rows, pivots) in zip((U, W), refs):
         assert list(space.basis) == pivots.tolist()
-        assert space.rows.dtype == rows.dtype and np.array_equal(space.rows, rows)
-    got = U.reduce(mats[2])
+        got = space_rows(space)
+        assert got.dtype == rows.dtype and np.array_equal(got, rows)
+    got = _residues(field, U, mats[2])
     want = reduce_row_reference(field, mats[2], *refs[0])
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert U.contains(mats[2]) == (not np.any(want != field.zero))
+    assert [U.contains(row) for row in sparse_rows(field, mats[2])] == [
+        not np.any(r != field.zero) for r in want]
     meet, join = U.intersect(W), U.add(W)
     rows, pivots = intersect_reference(field, refs[0][0], refs[1][0])
-    assert list(meet.basis) == pivots.tolist() and np.array_equal(meet.rows, rows)
+    assert list(meet.basis) == pivots.tolist() and np.array_equal(space_rows(meet), rows)
     rows, pivots = echelon_reference(field, np.vstack([mats[0], mats[1]]))
-    assert list(join.basis) == pivots.tolist() and np.array_equal(join.rows, rows)
+    assert list(join.basis) == pivots.tolist() and np.array_equal(space_rows(join), rows)
     assert meet.dim + join.dim == U.dim + W.dim
     assert U.contains_space(meet) and W.contains_space(meet)
     assert join.contains_space(U) and join.contains_space(W)
     assert meet == W.intersect(U) and join == W.add(U)
     if field == QQ:
-        for a in (got, U.rows, meet.rows, join.rows):
-            _assert_canonical(a)
+        _assert_canonical(got)
+        for space in (U, meet, join):
+            _assert_canonical_rows(space.basis.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -164,8 +215,8 @@ def test_subspace_sum_and_intersection_on_hypothesis_inputs(field, case):
 
 def test_preimage_rows():
     # v @ m in span{(1,0)} means v orthogonal to the second output coordinate
-    m = linalg.matrix(QQ, [[1, 0], [0, 1], [1, 1]])
-    sub = linalg.matrix(QQ, [[1, 0]])
+    m = matrix(QQ, [[1, 0], [0, 1], [1, 1]])
+    sub = matrix(QQ, [[1, 0]])
     pre = preimage_rows(QQ, m, sub)
     for v in pre:
         out = v.dot(m)
@@ -176,15 +227,16 @@ def test_rank_against_fraction_lane():
     rng = random.Random(3)
     for _ in range(10):
         rows = [[rng.randrange(-3, 4) for _ in range(6)] for _ in range(5)]
-        rq = len(linalg.pivot_basis(QQ, linalg.matrix(QQ, rows)))
+        rq = len(_kernels.basis(sparse_rows(QQ, matrix(QQ, rows)), 0))
         # reduce mod a large prime: ranks agree when no pivot degenerates
         k = GF(101)
-        rp = len(linalg.pivot_basis(k, linalg.matrix(k, [[x % 101 for x in r] for r in rows])))
+        rp = len(_kernels.basis(sparse_rows(k, matrix(k, [[x % 101 for x in r] for r in rows])),
+                                101))
         assert rp <= rq
 
 
 def _matrix(field, ints, width):
-    return linalg.matrix(field, [[field.coerce(x) for x in row] for row in ints], width=width)
+    return matrix(field, [[field.coerce(x) for x in row] for row in ints], width=width)
 
 
 def _assert_complement_matches_reference(field, width, base_ints, row_ints):
@@ -195,15 +247,21 @@ def _assert_complement_matches_reference(field, width, base_ints, row_ints):
     if rows:
         rows.append(rows[-1].copy())
         rows.insert(len(rows) // 2, rows[0].copy())
-    rows = linalg.matrix(field, rows, width=width)
-    got = linalg.complement_rows(field, rows, linalg.pivot_basis(field, base))
+    rows = matrix(field, rows, width=width)
+    p = field.char
+    given = sparse_rows(field, rows)
+    before = [dict(row) for row in given]
+    got = _kernels.complement(given, _kernels.basis(sparse_rows(field, base), p), p)
+    assert given == before
     want = complement_rows_reference(field, rows, base, pivots)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
+    for g, w in zip(dense(field, got, width), want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
         if field == QQ:
             _assert_canonical(g)
+    if field == QQ:
+        _assert_canonical_rows(got)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -233,14 +291,13 @@ def test_complement_rows_matches_reference_on_hypothesis_inputs(field, case):
 
 
 def test_complement_rows_edge_cases():
-    k = GF(7)
-    empty = linalg.zeros(k, (0, 3))
-    rows = _matrix(k, [[0, 2, 4], [0, 1, 2], [3, 0, 0], [3, 0, 0]], 3)
-    got = linalg.complement_rows(k, rows, {})
-    assert [list(r) for r in got] == [[0, 1, 2], [1, 0, 0]]
-    base = linalg.pivot_basis(k, rows)
-    assert linalg.complement_rows(k, rows, base) == []
-    assert linalg.complement_rows(k, empty, base) == []
+    rows = [{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3}, {0: 3}]
+    got = _kernels.complement(rows, {}, 7)
+    assert got == [{1: 1, 2: 2}, {0: 1}]
+    base = _kernels.basis([dict(row) for row in rows], 7)
+    assert _kernels.complement(rows, base, 7) == []
+    assert _kernels.complement([], base, 7) == []
+    assert _kernels.complement([{}], {}, 7) == []
 
 
 def _rref_python(rows, p):
@@ -291,7 +348,7 @@ def test_rref_dimension_guard_names_itself():
     width = linalg.MAX_ECHELON_DIM + 1
     for field in (GF(101), QQ):
         with pytest.raises(ResourceGuardError) as info:
-            linalg.rref(field, linalg.zeros(field, (0, width)))
+            linalg.rref(field, zeros(field, (0, width)))
         err = info.value
         assert (err.guard, err.limit, err.value) == ("max_echelon_dim", width - 1, width)
 
@@ -311,6 +368,14 @@ def _assert_canonical(a):
     assert a.dtype == object
     assert all(type(x) is int if x.denominator == 1
                else type(x) is Fraction and x.denominator > 1 for x in a.flat)
+
+
+def _assert_canonical_rows(rows):
+    # dict rows of nonzero entries, each canonical as in `_assert_canonical`
+    for row in rows:
+        assert all(x and (type(x) is int if x.denominator == 1
+                          else type(x) is Fraction and x.denominator > 1)
+                   for x in row.values())
 
 
 def _assert_rref_matches_reference(a):
@@ -371,7 +436,7 @@ def test_rref_qq_matches_fraction_reference_on_seeded_inputs(top):
 
 def test_rref_qq_edge_shapes_and_int_entries():
     for m, n in [(0, 0), (0, 4), (3, 0), (3, 4)]:
-        _assert_rref_matches_reference(linalg.zeros(QQ, (m, n)))
+        _assert_rref_matches_reference(zeros(QQ, (m, n)))
     # plain ints in an object array, and an int64 array
     ints = [[2, 4, -6, 1], [1, 2, -3, 7], [0, 0, 5, 5]]
     _assert_rref_matches_reference(np.array(ints, dtype=object))
@@ -422,11 +487,11 @@ def test_mat_mul_qq_int_left_operands_and_edge_shapes():
     _assert_mat_mul_matches_reference(np.arange(1, 5), b)
     _assert_mat_mul_matches_reference(np.array([0, 3, 0, -2], dtype=object), b)
     _assert_mat_mul_matches_reference(np.array([[HUGE, 0, 1, -HUGE]], dtype=object), b)
-    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (2, 4)), b)
-    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (0, 4)), b)
-    _assert_mat_mul_matches_reference(linalg.zeros(QQ, (2, 0)), linalg.zeros(QQ, (0, 3)))
-    _assert_mat_mul_matches_reference(np.arange(0), linalg.zeros(QQ, (0, 3)))
-    _assert_mat_mul_matches_reference(np.arange(1, 5), linalg.zeros(QQ, (4, 0)))
+    _assert_mat_mul_matches_reference(zeros(QQ, (2, 4)), b)
+    _assert_mat_mul_matches_reference(zeros(QQ, (0, 4)), b)
+    _assert_mat_mul_matches_reference(zeros(QQ, (2, 0)), zeros(QQ, (0, 3)))
+    _assert_mat_mul_matches_reference(np.arange(0), zeros(QQ, (0, 3)))
+    _assert_mat_mul_matches_reference(np.arange(1, 5), zeros(QQ, (4, 0)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -473,7 +538,7 @@ def test_mat_mul_by_a_prepared_factor_equals_the_plain_product(field, operands):
     factor = prepared(field, b)
     assert (factor is b) == (field != QQ)
     # an all-zero left operand keeps no column of b
-    for left in (a, linalg.zeros(field, a.shape)):
+    for left in (a, zeros(field, a.shape)):
         got, want = mat_mul(field, left, factor), mat_mul(field, left, b)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         if field == QQ:
@@ -483,12 +548,18 @@ def test_mat_mul_by_a_prepared_factor_equals_the_plain_product(field, operands):
 
 
 def _assert_right_kernel_matches_reference(field, a):
-    got = linalg.right_kernel(field, a)
+    # the right kernel of a is the left kernel of its transpose
+    kernel = _kernels.left_kernel(sparse_rows(field, np.asarray(a).T), field.char)
+    got = dense(field, kernel.values(), a.shape[1])
     want = right_kernel_reference(field, a)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    # keyed by free column, each row one there
+    assert all(row[f] == 1 and got[i, f] == 1 for i, (f, row) in enumerate(kernel.items()))
+    assert list(kernel) == sorted(kernel)
     if field == QQ:
         _assert_canonical(got)
+        _assert_canonical_rows(kernel.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -26,12 +26,14 @@ from artinsum.sums import _apolar_classes
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
 import oracles
 from oracles import (algebra_ideal, annihilator_reference, build_algebra_reference,
-                     classes_matrix, dense_struct, echelon_reference, mat_mul,
-                     modulo_socle_reference, monomial_vector_reference, mult_matrix, multiply,
-                     normal_form_table_reference, prepared, quotient_algebra_reference,
-                     residue_field_algebra, subalgebra_reference, times_reference, typed_table,
-                     var_matrices, var_tables_reference, vec_mult_matrix_row,
-                     vector_by_products_reference, vector_reference)
+                     classes_matrix, dense_struct, echelon_reference, left_kernel_reference,
+                     mat_mul, matrix, modulo_socle_reference, monomial_vector,
+                     monomial_vector_reference, mult_matrix, multiply,
+                     normal_form_table_reference, one_vector, prepared,
+                     quotient_algebra_reference, residue_field_algebra, space_rows,
+                     sparse_row, sparse_rows, subalgebra_reference, times_reference,
+                     typed_table, var_matrices, var_tables_reference, vec_mult_matrix_row,
+                     vector, vector_by_products_reference, vector_reference, zeros)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -72,8 +74,9 @@ def test_socle_examples():
     C = algebra_from_text(STRETCHED)
     assert C.type == 1
     # y*z = 0 but z*z = y^3 is nonzero, so z is not in the socle
-    z = C.vector(C.ring.var(1))
+    z = C.element_row(C.ring.var(1))
     assert not C.socle().contains(z)
+    assert C.socle().contains(C.element_row(C.ring.var(1) ** 2))
 
 
 def test_loewy_edim_type_gorenstein():
@@ -108,27 +111,31 @@ def test_hilbert_invariants():
 
 def test_annihilator_examples():
     A = algebra_from_text(STRETCHED)
-    ann2 = A.annihilator(A.power(2).rows)
+    ann2 = A.annihilator(A.power(2).basis.values())
     assert ann2.dim == 3 and ann2.is_ideal()
     lifts = {str(p) for p in ann2.lifts()}
     assert lifts == {"Z", "Y^2", "Z^2"}   # z, y^2, and y^3 = z^2
-    z = A.vector(A.ring.var(1))
+    z = A.element_row(A.ring.var(1))
     annz = A.annihilator([z])
     assert annz.is_ideal() and annz.dim == 3
     assert {str(p) for p in annz.lifts()} == {"Y", "Y^2", "Z^2"}
-    one = A.one_vector()
+    one = A.element_row(A.ring.one)
     ann1 = A.annihilator([one])
     assert ann1.dim == 0
+    # no elements annihilate nothing: the annihilator is all of A
+    assert A.annihilator([]).dim == A.length
 
 
 def test_minimal_generators():
     A = algebra_from_text(STRETCHED)
     mu, _ = A.minimal_generators(A.power(1))
     assert mu == 2
-    z = A.vector(A.ring.var(1))
+    z = A.element_row(A.ring.var(1))
     J = A.ideal_span([z])
     mu_j, reps = A.minimal_generators(J)
     assert mu_j == 1
+    # the representatives are monic dict rows: here z itself
+    assert [A.lift(row) for row in reps] == [A.ring.var(1)]
     B = algebra_from_text("field QQ; vars Y Z; ideal Y^2, Z^2, Y*Z")
     mu_soc, _ = B.minimal_generators(B.socle())
     assert mu_soc == 2
@@ -136,7 +143,7 @@ def test_minimal_generators():
 
 def test_minimal_generators_rejects_non_ideal():
     A = algebra_from_text(STRETCHED)
-    y2 = A.vector(A.ring.var(0) ** 2)
+    y2 = A.element_row(A.ring.var(0) ** 2)
     # span{y^2} alone is not an ideal here (misses y^3)
     W = A.subspace([y2])
     assert not W.is_ideal()
@@ -148,14 +155,14 @@ def test_gorenstein_duality_random_ideals():
     rng = random.Random(5)
     A = algebra_from_text("field GF(101); vars Y Z; ideal Y*Z, Z^2-Y^3")
     for _ in range(20):
-        vec = np.array([rng.randrange(101) for _ in range(A.length)], dtype=np.int64)
-        vec[0] = 0  # stay inside m
-        if not vec.any():
+        values = [rng.randrange(101) for _ in range(A.length)]
+        row = {k: x for k, x in enumerate(values) if k and x}  # stay inside m
+        if not row:
             continue
-        W = A.ideal_span([vec])
-        ann = A.annihilator(W.rows)
+        W = A.ideal_span([row])
+        ann = A.annihilator(W.basis.values())
         assert ann.dim == A.length - W.dim
-        again = A.annihilator(ann.rows)
+        again = A.annihilator(ann.basis.values())
         assert again == W
 
 
@@ -169,7 +176,7 @@ def test_multiplication_oracle():
             ei = np.zeros(A.length, dtype=object)
             ei[:] = [A.field.zero] * A.length
             ei[i] = A.field.one
-            got = A.lift(multiply(A, ei, A.vector(A.ring.monomial(bj, 1))))
+            got = A.lift(sparse_row(A.field, multiply(A, ei, vector(A, A.ring.monomial(bj, 1)))))
             assert got == expected
 
 
@@ -189,7 +196,7 @@ def test_minimalization_preserves_invariants():
     # classes can still be taken of polynomials in the original ring
     ring, _ = parse_presentation("field QQ; vars Y Z; ideal Y")
     y = ring.var(0)
-    lifted = A.lift(A.vector(y))
+    lifted = A.lift(A.element_row(y))
     assert lifted == parse_polynomial("-Z^2-Z^3", A.ring)
     # format_polynomial lists terms decreasing under the ring's order
     assert str(lifted) == "-Z^3 - Z^2"
@@ -209,8 +216,8 @@ def test_prepared_products_match_plain_products(field):
     rng = random.Random(41)
     for A in algebras:
         lam = A.length
-        vecs = [linalg.zeros(field, lam), A.one_vector()]
-        vecs += [linalg.matrix(field, [[field.coerce(rng.randint(-4, 4)) for _ in range(lam)]])[0]
+        vecs = [zeros(field, lam), one_vector(A)]
+        vecs += [matrix(field, [[field.coerce(rng.randint(-4, 4)) for _ in range(lam)]])[0]
                  for _ in range(3)]
         flat = dense_struct(A).reshape(lam, lam * lam)
         for v in vecs:
@@ -218,7 +225,7 @@ def test_prepared_products_match_plain_products(field):
             assert np.array_equal(mat_mul(field, v, prepared(field, flat)), mat_mul(field, v, flat))
             for i, mx in enumerate(var_matrices(A)):
                 assert np.array_equal(vec_mult_matrix_row(A, v, i), mat_mul(field, v, mx))
-    assert mult_matrix(algebras[0], algebras[0].one_vector()).tolist() == [[1]]
+    assert mult_matrix(algebras[0], one_vector(algebras[0])).tolist() == [[1]]
 
 
 def test_qq_polynomials_from_arrays_hold_fractions():
@@ -334,7 +341,7 @@ def _assert_same_algebra(pres, probes):
     assert got.basis == expected.basis
     assert typed_table(got.struct_table) == typed_table(expected.struct_table)
     for f in probes:
-        assert np.array_equal(got.vector(f), expected.vector(f))
+        assert got.element_row(f) == expected.element_row(f)
 
 
 def _probes(rng, ring, count=3):
@@ -405,7 +412,7 @@ def _assert_tensor_and_classes(A, probes):
     assert A.basis == tuple(algebra_ideal(A).standard_monomials())
     assert typed_table(A.struct_table) == typed_table(normal_form_table_reference(A))
     for f in probes:
-        assert np.array_equal(A.vector(f), vector_reference(A, f))
+        assert np.array_equal(vector(A, f), vector_reference(A, f))
 
 
 def _derived_from(R, S):
@@ -487,17 +494,18 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
     F = u ** 3 + u * dual.var(2) ** 2 + dual.var(2) ** 3
     ops = PolyRing(field, ("X1", "X2", "X3"))
     monos, classes = _apolar_classes(F, ops)
-    rows = linalg.left_kernel(field, classes_matrix(field, classes))
+    rows = left_kernel_reference(field, classes_matrix(field, classes))
     # the kernel's echelon read on all three variables, without eliminating X1
     cols = sorted(range(len(monos)), key=lambda j: ops.order.key(monos[j]), reverse=True)
-    gb, basis, classes = quotient._read_echelon(ops, dict(enumerate(monos[j] for j in cols)),
-                                                linalg.pivot_basis(field, rows[:, cols]))
+    gb, basis, classes = quotient._read_echelon(
+        ops, dict(enumerate(monos[j] for j in cols)),
+        _kernels.basis(sparse_rows(field, rows[:, cols]), field.char))
     assert (1, 0, 0) not in basis
     A = quotient._table_algebra(ops, gb, basis, classes)
     _assert_tensor_and_classes(A, _probes(random.Random(3), ops) + ops.gens())
     minimal = apolar_algebra(F, ops.names)
     assert minimal.ring.names == ("X2", "X3")
-    assert np.array_equal(minimal.vector(ops.var(0)), vector_reference(minimal, ops.var(0)))
+    assert np.array_equal(vector(minimal, ops.var(0)), vector_reference(minimal, ops.var(0)))
 
 
 @pytest.mark.parametrize("text, shapes", [
@@ -589,7 +597,7 @@ def _assert_apolar_matches_reference(F, probes):
     got = apolar_algebra(F)
     ops = got.original_ring
     monos, classes = _apolar_classes(F, ops)
-    rows = linalg.left_kernel(ops.field, classes_matrix(ops.field, classes))
+    rows = left_kernel_reference(ops.field, classes_matrix(ops.field, classes))
     kernel = [ops.poly(dict(zip(monos, row))) for row in rows.tolist()]
     expected = build_algebra_reference(IdealPresentation(ops, kernel))
     assert got.ring == expected.ring and got.ring.nvars < ops.nvars
@@ -599,9 +607,10 @@ def _assert_apolar_matches_reference(F, probes):
     # one step to the kept ring: each variable goes to the lift of its class
     ring, images = got.reduction
     assert ring == expected.ring
-    assert images == [expected.lift(vector_reference(expected, x)) for x in ops.gens()]
+    assert images == [expected.lift(sparse_row(ops.field, vector_reference(expected, x)))
+                      for x in ops.gens()]
     for f in probes + ops.gens():
-        assert np.array_equal(got.vector(f), vector_reference(expected, f))
+        assert np.array_equal(vector(got, f), vector_reference(expected, f))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -640,12 +649,12 @@ def test_apolar_algebra_of_a_form_in_fewer_linear_forms_matches_reference_on_hyp
 # -- m*W on dict rows against the dense products ------------------------------
 
 def _assert_m_times_matches_dense_products(A, W):
-    products = [mat_mul(A.field, W.rows, mx) for mx in var_matrices(A)]
-    rows, pivots = echelon_reference(A.field, np.vstack([linalg.zeros(A.field, (0, A.length)),
+    products = [mat_mul(A.field, space_rows(W), mx) for mx in var_matrices(A)]
+    rows, pivots = echelon_reference(A.field, np.vstack([zeros(A.field, (0, A.length)),
                                                          *products]))
     got = A.m_times(W)
     assert list(got.basis) == pivots.tolist()
-    assert got.rows.dtype == rows.dtype and np.array_equal(got.rows, rows)
+    assert space_rows(got).dtype == rows.dtype and np.array_equal(space_rows(got), rows)
 
 
 def _non_minimal_table_algebra(monkeypatch, field):
@@ -668,7 +677,7 @@ def test_m_times_matches_dense_products_on_seeded_algebras(monkeypatch, field):
         algebras += [R, S, connected_sum(R, S).algebra]
     algebras.append(_non_minimal_table_algebra(monkeypatch, field))
     for A in algebras:
-        for W in (*A.filtration, A.annihilator(A.power(2).rows)):
+        for W in (*A.filtration, A.annihilator(A.power(2).basis.values())):
             _assert_m_times_matches_dense_products(A, W)
 
 
@@ -688,7 +697,8 @@ def test_m_times_matches_dense_products_on_hypothesis_subspaces(data):
     rows = [[field.coerce(x) for x in data.draw(st.lists(entries, min_size=A.length,
                                                           max_size=A.length))]
             for _ in range(count)]
-    _assert_m_times_matches_dense_products(A, A.subspace(rows))
+    _assert_m_times_matches_dense_products(
+        A, A.subspace(sparse_rows(field, matrix(field, rows, width=A.length))))
 
 
 # -- one product pass per row against the per-variable reference ---------------
@@ -759,7 +769,7 @@ def test_times_matches_the_per_variable_products_on_hypothesis_rows(data):
 
 def _table_matrix(A, table, count):
     """A product table written out: row l, block v holds e_l times element v."""
-    out = linalg.zeros(A.field, (A.length, count * A.length))
+    out = zeros(A.field, (A.length, count * A.length))
     for l, entry in enumerate(table):
         for v, j, c in entry:
             out[l, v * A.length + j] = c
@@ -772,38 +782,39 @@ def _assert_same_rows(got, want):
 
 def _assert_classes_match_dense_products(A, probes):
     for m in quotient._monomials_up_to(A.ring, A.loewy_length + 1):
-        _assert_same_rows(A.monomial_vector(m), monomial_vector_reference(A, m))
+        _assert_same_rows(monomial_vector(A, m), monomial_vector_reference(A, m))
     for f in probes:
-        _assert_same_rows(A.vector(f), vector_by_products_reference(A, f))
+        _assert_same_rows(vector(A, f), vector_by_products_reference(A, f))
 
 
 def _assert_element_products_match_dense_products(A, elements):
-    rows = linalg.sparse_rows(A.field, np.reshape(elements, (-1, A.length)))
+    rows = sparse_rows(A.field, matrix(A.field, elements, width=A.length))
     got = _table_matrix(A, A.product_table(rows), len(rows))
-    want = np.hstack([linalg.zeros(A.field, (A.length, 0)),
+    want = np.hstack([zeros(A.field, (A.length, 0)),
                       *(mult_matrix(A, np.asarray(v)) for v in elements)])
     _assert_same_rows(got, want)
     for W in (A.power(1), A.power(2), A.socle()):
         # the span of W times the elements, and the annihilator of the elements
-        products = [mat_mul(A.field, W.rows, mult_matrix(A, np.asarray(v))) for v in elements]
-        span, pivots = echelon_reference(A.field, np.vstack([linalg.zeros(A.field, (0, A.length)),
+        products = [mat_mul(A.field, space_rows(W), mult_matrix(A, np.asarray(v)))
+                    for v in elements]
+        span, pivots = echelon_reference(A.field, np.vstack([zeros(A.field, (0, A.length)),
                                                              *products]))
         product = A.span_times(W, A.product_table(rows))
         assert list(product.basis) == pivots.tolist()
-        _assert_same_rows(product.rows, span)
+        _assert_same_rows(space_rows(product), span)
     ann, pivots = annihilator_reference(A, elements)
-    got = A.annihilator(elements)
+    got = A.annihilator(rows)
     assert list(got.basis) == pivots.tolist()
-    _assert_same_rows(got.rows, ann)
+    _assert_same_rows(space_rows(got), ann)
 
 
 def _random_elements(rng, A, count=3):
     """The zero element, 1, a multiple of one basis element and random elements."""
     field = A.field
-    single = linalg.zeros(field, A.length)
+    single = zeros(field, A.length)
     single[rng.randrange(A.length)] = field.coerce(Fraction(-3, 2))
-    vecs = [linalg.zeros(field, A.length), A.one_vector(), single]
-    vecs += [linalg.matrix(field, [[field.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    vecs = [zeros(field, A.length), one_vector(A), single]
+    vecs += [matrix(field, [[field.coerce(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
                                     for _ in range(A.length)]])[0] for _ in range(count)]
     return vecs
 
@@ -832,10 +843,10 @@ def test_element_products_and_annihilators_match_the_dense_products_on_seeded_al
         for elements in ([], vecs[:1], vecs[1:2], vecs[2:3], vecs[3:], vecs):
             _assert_element_products_match_dense_products(A, elements)
         # the socle is the annihilator of the variables' classes
-        ann, pivots = echelon_reference(A.field, linalg.left_kernel(
-            A.field, np.hstack([linalg.zeros(A.field, (A.length, 0)), *var_matrices(A)])))
+        ann, pivots = echelon_reference(A.field, left_kernel_reference(
+            A.field, np.hstack([zeros(A.field, (A.length, 0)), *var_matrices(A)])))
         assert list(A.socle().basis) == pivots.tolist()
-        _assert_same_rows(A.socle().rows, ann)
+        _assert_same_rows(space_rows(A.socle()), ann)
 
 
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):
@@ -877,7 +888,7 @@ def test_classes_products_and_subalgebras_match_the_dense_products_on_hypothesis
     A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
     entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
     count = data.draw(st.integers(0, 3))
-    elements = [linalg.matrix(field, [[field.coerce(x) for x in data.draw(
+    elements = [matrix(field, [[field.coerce(x) for x in data.draw(
         st.lists(entries, min_size=A.length, max_size=A.length))]])[0] for _ in range(count)]
     _assert_element_products_match_dense_products(A, elements)
     rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
@@ -887,8 +898,9 @@ def test_classes_products_and_subalgebras_match_the_dense_products_on_hypothesis
 
 def test_structure_decompose_makes_no_dense_product(monkeypatch):
     # the decompose flow multiplies on dict rows only (`quotient._times`, whose
-    # tables `product_table` reads off the tensor): the dense reference
-    # products, put back where the library kept them, are never called
+    # tables `product_table` reads off the tensor), and its elements are dict
+    # rows: the dense reference products and dense writers, put back where
+    # the library kept them, are never called
     calls = Counter()
 
     def counting(name, function):
@@ -897,9 +909,10 @@ def test_structure_decompose_makes_no_dense_product(monkeypatch):
             return function(*args)
         return wrapped
 
-    for name in ("mat_mul", "prepared"):
+    for name in ("mat_mul", "prepared", "zeros", "matrix", "dense", "sparse_rows"):
         monkeypatch.setattr(linalg, name, counting(name, getattr(oracles, name)), raising=False)
-    for name in ("mult_matrix", "multiply", "vec_mult_matrix_row"):
+    for name in ("mult_matrix", "multiply", "vec_mult_matrix_row", "vector",
+                 "monomial_vector", "one_vector"):
         monkeypatch.setattr(ArtinAlgebra, name, counting(name, getattr(oracles, name)),
                             raising=False)
     monkeypatch.setattr(quotient, "_times", counting("_times", quotient._times))

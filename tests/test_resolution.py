@@ -8,15 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
-                      betti_numbers, connected_sum, fibre_product, h2_bound_check, linalg,
+                      betti_numbers, connected_sum, fibre_product, h2_bound_check,
                       modulo_socle, resolution, verify_cs_series, verify_fp_series,
                       verify_mu_formulas, verify_socle_quotient)
 from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
 from artinsum.resolution import _differential, mu_direct
 
 from corpus import pair_corpus
-from oracles import (betti_numbers_reference, differential_matrix_reference, mu_direct_reference,
-                     residue_field_algebra)
+from oracles import (betti_numbers_reference, differential_matrix_reference, matrix,
+                     mu_direct_reference, residue_field_algebra, zeros)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -210,10 +210,10 @@ def test_differential_matrix_matches_the_per_generator_products(field):
     rng = np.random.default_rng(7)
     for prev_rank in (1, 2, 3):
         ints = rng.integers(-3, 4, size=(4, prev_rank * lam))
-        gens = linalg.matrix(field, [[field.coerce(int(x)) for x in row] for row in ints])
+        gens = matrix(field, [[field.coerce(int(x)) for x in row] for row in ints])
         rows = [{j: c for j, c in enumerate(g) if c} for g in gens.tolist()]
         # the sparse differential is transposed: densify it back
-        got = linalg.zeros(field, (len(gens) * lam, prev_rank * lam))
+        got = zeros(field, (len(gens) * lam, prev_rank * lam))
         for i, row in _differential(struct, rows, lam, p).items():
             assert row and all(row.values())
             for c, x in row.items():
@@ -225,7 +225,7 @@ def test_differential_matrix_matches_the_per_generator_products(field):
 def test_betti_checks_that_m_times_the_kernel_lies_inside_it(monkeypatch):
     # span(X) is not an ideal of k[X, Y]/(X^2, Y^2): Y*X = XY lies outside it
     A = algebra_from_text("field GF(101); vars X Y; ideal X^2, Y^2")
-    x = A.subspace([A.vector(A.ring.var(0))])
+    x = A.subspace([A.element_row(A.ring.var(0))])
     monkeypatch.setattr(A, "power", lambda i: x)
     with pytest.raises(ArtinsumError, match=r"m\*K is not inside K"):
         betti_numbers(A, 3)
