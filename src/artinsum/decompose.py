@@ -136,7 +136,7 @@ def split_witness(Q):
     generators = Q.product_table(Q.subspace(y_reps).basis.values())
     power_i = ideal_i
     for r in range(2, s + 1):
-        power_i = Q.span_times(power_i, generators)
+        power_i = Q.span_times(power_i.basis.values(), generators)
         if not power_i == Q.power(r):
             raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     if mu_j != n or mu_i + mu_j != Q.edim:

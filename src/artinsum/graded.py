@@ -8,9 +8,10 @@ its image in A falls into a target subspace, m^(d+1) for gr(A) and
 (0 : m^(s-d)) ∩ m^d + m^(d+1) for Q0.  Artinian inputs bound all degrees by
 the Loewy length s plus one, so the ideal is the kernel of one map, which
 sends each monomial to the residue of its class modulo its degree's
-target; the left kernel of those residues gives the reduced basis and the
-structure table (`quotient.kernel_algebra`).  The linear-socle split is a
-quotient and a square-zero algebra, also kernels: no Buchberger run here.
+target: `quotient.quotient_algebra`, the one quotient constructor, which
+takes A/J by passing an ideal J for every degree.  The linear-socle split
+is G modulo its degree-1 socle and a square-zero algebra, both kernels:
+no Buchberger run here.
 Graded socles, the linear-socle witnesses and the components of
 Iarrobino's ideal are dict rows, as every element is.
 """
@@ -21,8 +22,7 @@ from math import comb
 from . import _kernels
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
-from .quotient import (ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra,
-                       square_zero_algebra)
+from .quotient import ArtinAlgebra, monomial_residues, quotient_algebra, square_zero_algebra
 
 
 def _homogeneous(A):
@@ -59,27 +59,6 @@ def interior_socle_dimension(G):
     return sum(len(rows) for d, rows in socle_by_degree(G).items() if d >= 2)
 
 
-def _degreewise_algebra(A, targets):
-    """The graded algebra whose ideal holds the degree-d forms with image in targets[d].
-
-    `targets[d]`, for d = 0..s+1 with s the Loewy length of A, is a subspace
-    of m^d containing m^(d+1).  Each monomial of degree d is sent to the
-    residue of its class modulo targets[d], and the ideal is the kernel of
-    that one map.  Residues of different degrees cannot cancel: were a sum
-    of them zero, the one of least degree d would lie in m^(d+1), inside
-    targets[d], and a residue that lies in its own target is zero.  Every
-    form of degree s+1 maps to zero and so lies in the ideal.
-    """
-    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
-    residues = [_residue(A, m, targets[mono_deg(m)]) for m in monos]
-    return _homogeneous(kernel_algebra(A.ring, monos, residues))
-
-
-def _residue(A, mono, target):
-    """The class of a monomial modulo a subspace, as a dict row."""
-    return _kernels.reduce(dict(A.monomial_row(mono)), target.basis, A.field.char)
-
-
 def associated_graded(A):
     """The associated graded ring of A with its ideal of initial forms.
 
@@ -89,8 +68,8 @@ def associated_graded(A):
     is its own associated graded ring.
     """
     if A._graded is None:
-        targets = [A.power(d + 1) for d in range(A.loewy_length + 2)]
-        graded = _degreewise_algebra(A, targets)
+        graded = _homogeneous(quotient_algebra(
+            A, [A.power(d + 1) for d in range(A.loewy_length + 2)]))
         if graded.hilbert_function() != A.hilbert_function():
             raise ArtinsumError("initial-form computation broke the Hilbert function")
         graded._graded = graded
@@ -137,7 +116,9 @@ def gls_split(G):
         raise PreconditionError("algebra is not Gorenstein up to linear socle")
     ring = G.ring
     forms = [_linear_form(ring, row) for row in witness]
-    a_part = _homogeneous(quotient_algebra(G, forms))
+    # the ideal of the forms is the degree-1 socle, which they span
+    J = G.subspace(socle_by_degree(G).get(1, []))
+    a_part = _homogeneous(quotient_algebra(G, [J] * (G.loewy_length + 2)))
     eliminated = tuple(name for name in ring.names if name not in a_part.ring.names)
     substitution = {name: a_part.reduction[1][ring.index[name]]
                     for name in eliminated}
@@ -178,13 +159,13 @@ def iarrobino(A):
     s = A.loewy_length
     data = GradedIdealData(G)
     targets = [A.annihilator(A.power(s - i).basis.values()).intersect(A.power(i))
-               .add(A.power(i + 1)) for i in range(s + 1)]
-    for i, target in enumerate(targets):
+               .add(A.power(i + 1)) for i in range(s + 1)] + [A.power(s + 2)]
+    for i in range(s + 1):
         monos = [m for m in G.basis if mono_deg(m) == i]
         if not monos:
             continue
-        residues = [_residue(A, m, target) for m in monos]
-        rows = list(_kernels.left_kernel(residues, A.field.char).values())
+        rows = list(_kernels.left_kernel(monomial_residues(A, monos, targets),
+                                         A.field.char).values())
         # quotient out the next filtration step: forms already in m^(i+1)
         # have zero class, recognized by lying in I*'s degree-i piece, which
         # has no standard-monomial support, so rows here are honest classes
@@ -193,7 +174,7 @@ def iarrobino(A):
                 raise ArtinsumError("filtration ideal unexpectedly nonzero in top degrees")
             data.components[i] = rows
             data.forms.extend(G.ring.poly({monos[k]: c for k, c in r.items()}) for r in rows)
-    q0 = _degreewise_algebra(A, targets + [A.power(s + 2)])
+    q0 = _homogeneous(quotient_algebra(A, targets))
     socle = socle_by_degree(q0)
     if q0.type != 1 or set(socle) != {s}:
         raise ArtinsumError("filtration quotient is not Gorenstein with socle degree s")

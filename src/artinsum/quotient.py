@@ -25,7 +25,9 @@ classes of the monomials up to that degree, as dict rows, and the left
 kernel of those classes, taken with the monomials in increasing order, is
 the reduced echelon basis of its truncation (`kernel_algebra`): dict rows
 keyed by their lead column, from which `_read_echelon` reads the reduced
-basis and the class of every monomial.
+basis and the class of every monomial.  A quotient, gr(A) and Q0
+included, takes the classes modulo one subspace per degree
+(`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
 eliminated: the rows are echeloned once more, with the columns ranked
 first by their degree in the eliminated variables, and give the reduced
@@ -280,23 +282,17 @@ class ArtinAlgebra:
         return Subspace(self, _kernels.basis(_kernels.left_kernel(rows, p).values(), p))
 
     def ideal_span(self, rows):
-        """Smallest ideal containing the given elements, dict rows."""
-        current = self.subspace(rows)
-        while True:
-            nxt = current.add(self.m_times(current))
-            if nxt.dim == current.dim:
-                return nxt
-            current = nxt
+        """Smallest ideal containing the given elements, dict rows: their products by the basis."""
+        return self.span_times(_checked_rows(self, rows), self.struct_table)
 
     def m_times(self, sub):
         """The subspace m * W for a subspace W: the span of its rows times the variables."""
-        return self.span_times(sub, self.times_table)
+        return self.span_times(sub.basis.values(), self.times_table)
 
-    def span_times(self, sub, table):
-        """The span of the rows of W times the elements whose products `table` lists."""
+    def span_times(self, rows, table):
+        """The span of dict rows times the elements whose products `table` lists."""
         lam, p = self.length, self.field.char
-        return Subspace(self, _kernels.basis(
-            _times(sub.basis.values(), table, lam, p, range(lam)), p))
+        return Subspace(self, _kernels.basis(_times(rows, table, lam, p, range(lam)), p))
 
     def minimal_generators(self, sub):
         """mu(W) and representatives for an ideal W: monic dict rows extending m*W."""
@@ -346,10 +342,11 @@ def _class_row(memo, mono, tables, lam, p):
 
 
 def _canonical(row, p):
-    """The nonzero entries of a row, reduced mod p over GF(p) (p = 0 over QQ)."""
+    """The nonzero entries of a row, mod p over GF(p); over QQ (p = 0) an int where integral."""
     if p:
         return {k: y for k, x in row.items() if (y := x % p)}
-    return {k: x for k, x in row.items() if x}
+    return {k: x if type(x) is int or x.denominator != 1 else x.numerator
+            for k, x in row.items() if x}
 
 
 def _times(rows, table, lam, p, order):
@@ -398,11 +395,11 @@ def build_algebra(pres_or_ring, generators=None):
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
+    p = pres.ring.field.char
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
-    # an integral coefficient is held as an int, on both lanes
     A = _table_algebra(pres.ring, pres.groebner_basis(), basis, {
-        mono: {index[m]: c.numerator if c.denominator == 1 else c
-               for m, c in pres.normal_form(pres.ring.monomial(mono)).terms.items()}
+        mono: _canonical({index[m]: c for m, c in
+                          pres.normal_form(pres.ring.monomial(mono)).terms.items()}, p)
         for mono in products})
     if A.power(1).dim - A.power(2).dim == A.ring.nvars:
         return A
@@ -535,16 +532,28 @@ def algebra_from_text(text):
     return build_algebra(ring, gens)
 
 
-def quotient_algebra(algebra, extra_polys):
-    """The algebra modulo the ideal J of extra presentation polys, on residues modulo J."""
-    A = algebra
-    J = A.ideal_span([A.element_row(p) for p in extra_polys])
-    if J.dim == A.length:
-        raise UnitIdealError("1 lies in the ideal")
-    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
+def monomial_residues(A, monos, targets):
+    """The class in A of each monomial of degree d modulo targets[d], a subspace: dict rows."""
     p = A.field.char
-    return kernel_algebra(A.ring, monos,
-                          [_kernels.reduce(dict(A.monomial_row(m)), J.basis, p) for m in monos])
+    return [_kernels.reduce(dict(A.monomial_row(m)), targets[mono_deg(m)].basis, p)
+            for m in monos]
+
+
+def quotient_algebra(A, targets):
+    """The kernel of the map sending each monomial of degree d to its class modulo targets[d].
+
+    `targets[d]`, for d = 0..s+1 with s the Loewy length of A, is a subspace
+    of A, and m^(s+1) maps to zero.  A/J for an ideal J passes J for every
+    degree.  A filtration passes a subspace of m^d containing m^(d+1), as
+    gr(A) passes m^(d+1) and Q0 Iarrobino's targets; the kernel is then
+    graded, since in a vanishing sum of residues the one of least degree d
+    would lie in m^(d+1), inside targets[d], and so be zero.
+    """
+    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
+    residues = monomial_residues(A, monos, targets)
+    if not residues[0]:
+        raise UnitIdealError("1 lies in the ideal")
+    return kernel_algebra(A.ring, monos, residues)
 
 
 def square_zero_algebra(ring):

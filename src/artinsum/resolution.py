@@ -188,13 +188,18 @@ def verify_fp_series(R, S, P, truncation=DEFAULT_TRUNCATION):
     return SeriesReport(lhs == rhs, truncation, lhs, rhs)
 
 
-def cs_phi(m, n, truncation):
-    """The correction term for a connected sum with factor embedding dimensions m, n."""
+def cs_psi(m, n):
+    """mu(I_Q) - mu(I_P) for a connected sum with factor embedding dimensions m, n."""
     if m >= 2 and n >= 2:
-        return SeriesTrunc.from_terms(truncation, {2: -1})
+        return 1
     if m == 1 and n == 1:
-        return SeriesTrunc.from_terms(truncation, {2: 1})
-    return SeriesTrunc.from_terms(truncation, {})
+        return -1
+    return 0
+
+
+def cs_phi(m, n, truncation):
+    """The correction term phi = -psi*t^2 of the connected-sum series, psi from `cs_psi`."""
+    return SeriesTrunc.from_terms(truncation, {2: -cs_psi(m, n)})
 
 
 def verify_cs_series(R, S, Q, truncation=DEFAULT_TRUNCATION):
@@ -235,7 +240,7 @@ def verify_mu_formulas(R, S):
     """Generator counts of the product and sum ideals against the factor counts.
 
     Checks mu(I_P) = mu(I_R) + mu(I_S) + m*n and mu(I_Q) = mu(I_P) + psi with
-    psi = 1 for m, n >= 2, psi = -1 for m = n = 1, and psi = 0 otherwise.
+    psi from `cs_psi`: 1 for m, n >= 2, -1 for m = n = 1, and 0 otherwise.
     Like `verify_cs_series`, it needs both Loewy lengths at least 2.
     """
     from .sums import connected_sum, fibre_product
@@ -245,11 +250,6 @@ def verify_mu_formulas(R, S):
     P = fibre_product(R, S).algebra
     Q = connected_sum(R, S).algebra
     mu_r, mu_s, mu_p, mu_q = (mu_from_betti(A) for A in (R, S, P, Q))
-    if m >= 2 and n >= 2:
-        expected = 1
-    elif m == 1 and n == 1:
-        expected = -1
-    else:
-        expected = 0
+    expected = cs_psi(m, n)
     holds = (mu_p == mu_r + mu_s + m * n) and (mu_q == mu_p + expected)
     return MuReport(holds, mu_r, mu_s, mu_p, mu_q, mu_q - mu_p, expected)

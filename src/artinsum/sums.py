@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_div
-from .quotient import ArtinAlgebra, _monomials_up_to, kernel_algebra, quotient_algebra
+from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
+                       quotient_algebra)
 
 
 @dataclass
@@ -112,11 +113,9 @@ def _socle_quotient(gb, basis, table, h):
         for k, j, a in entry:
             if j == at and k != at:
                 for t, x in lead_class:
-                    y = row.pop((k, t), 0) + a * x
-                    y = y % p if p else y.numerator if y.denominator == 1 else y
-                    if y:
-                        row[k, t] = y
-        out.append([(k - (k > at), j - (j > at), c) for (k, j), c in sorted(row.items())])
+                    row[k, t] = row.get((k, t), 0) + a * x
+        out.append([(k - (k > at), j - (j > at), c)
+                    for (k, j), c in sorted(_canonical(row, p).items())])
     return reduced, basis[:at] + basis[at + 1:], out
 
 
@@ -211,7 +210,7 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
 
 def modulo_socle(A):
     """A / soc(A); for Gorenstein input this kills the single socle generator."""
-    return quotient_algebra(A, A.socle().lifts())
+    return quotient_algebra(A, [A.socle()] * (A.loewy_length + 2))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ against m times the kernel, the block-order elimination that contracted
 an ideal to the ring on a subset of its variables, the fibre products
 and connected sums built by Buchberger and normal forms from their
 generator lists, classes of polynomials by normal forms, quotients and the
-linear-socle split built by Buchberger on generator lists, and the
+linear-socle split built by Buchberger on generator lists, the ideal
+spanned by elements grown by m*W until it stops growing, and the
 cross-product test of a coordinate split by ideal membership, the two
 ranks that counted the minimal generators of an ideal, and the graded
 socle taken as one kernel per degree.  The `Lex`
@@ -581,8 +582,9 @@ def contract_reference(pres, keep):
 def degreewise_generators_reference(A, targets):
     """The degree-d forms whose image in A lies in targets[d], for d = 1..s+1.
 
-    Each degree is one preimage of a row space, taken separately, as
-    `graded._degreewise_algebra` did before its residues became one map.
+    Each degree is one preimage of a row space, taken separately, as gr(A)
+    and Q0 were built before their residues became one map
+    (`quotient.quotient_algebra`).
     """
     ring = A.ring
     gens = []
@@ -900,6 +902,20 @@ def quotient_algebra_reference(algebra, extra_polys):
     """
     gens = list(algebra.gb) + [p for p in extra_polys if not p.is_zero()]
     return build_algebra(algebra.ring, gens)
+
+
+def ideal_span_reference(A, rows):
+    """The ideal the elements generate, grown by m*W until its dimension stops growing.
+
+    `ArtinAlgebra.ideal_span`, one pass of products by the basis, must give
+    the same subspace.
+    """
+    current = A.subspace(rows)
+    while True:
+        nxt = current.add(A.m_times(current))
+        if nxt.dim == current.dim:
+            return nxt
+        current = nxt
 
 
 def modulo_socle_reference(A):

@@ -60,6 +60,11 @@ SRC = GOLDEN.parents[1] / "src"
 # hidden connected sum of length 10, H = 1,3,3,2,1, whose Gorenstein part
 # has edim 2, so the witness and its annihilator pair have more than one
 # generator on each side.
+#
+# ci_qq.txt is QQ[X,Y,Z]/(X^2, Y^2, Z^2), a graded Gorenstein complete
+# intersection: the default decompose route certifies it indecomposable
+# (COMPLETE_INTERSECTION), while --structure goes straight to the structure
+# route, where a Gorenstein associated graded ring gives the trivial sum.
 EDIM2_POLY = ("w1^4 + 13/3*w1^3*w2 - 1/3*w1^3*w3 + 8*w1^2*w2^2 - 3*w1^2*w2*w3 + w1^2*w3^2"
               " - 2*w1^2 + 7*w1*w2^3 - 5*w1*w2^2*w3 + 2*w1*w2*w3^2 - 8*w1*w3 + 1/3*w2^4"
               " + 17/3*w2^3*w3 - 11*w2^2*w3^2 + 8*w2*w3^3 - 2*w3^4 - 8*w3^2")
@@ -79,6 +84,8 @@ QQ_CASES = {
                                 "--dual-vars", "w1", "w2", "w3", "--field", "QQ"],
     "analyze_hidden_sum_edim2": ["analyze", "hidden_sum_edim2.txt"],
     "decompose_hidden_sum_edim2": ["decompose", "hidden_sum_edim2.txt"],
+    "decompose_ci_qq": ["decompose", "ci_qq.txt"],
+    "decompose_ci_structure_qq": ["decompose", "ci_qq.txt", "--structure"],
 }
 
 
@@ -161,6 +168,19 @@ def test_gf_json_report_is_golden(golden, monkeypatch, capsys):
 def test_gf_partition_json_report_is_golden(monkeypatch, capsys):
     out = _report(["decompose", "split_gf101.txt", "--partition", "Y|Z"], monkeypatch, capsys)
     assert out == (GOLDEN / "decompose_partition_gf101.json").read_text()
+
+
+def test_decompose_structure_rejects_loewy_length_two_with_exit_6(tmp_path, capsys):
+    # k[X,Y]/(XY, X^2 - Y^2) has Loewy length 2: the default route reports
+    # it inconclusive, and the structure route's precondition fails
+    path = tmp_path / "loewy2.txt"
+    path.write_text("field QQ;\nvars X Y;\nideal X*Y, X^2 - Y^2;\n")
+    assert main(["decompose", str(path), "--json"]) == 0
+    assert '"status": "inconclusive"' in capsys.readouterr().out
+    assert main(["decompose", str(path), "--structure", "--json"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: structure decomposition needs Loewy length at least 3\n"
 
 
 @pytest.mark.parametrize("value", ["GF7", "GF(7", "ab(7)", "GF(8)"])

@@ -1,6 +1,7 @@
 """Associated graded rings, linear-socle splitting, the filtration quotient, classifiers."""
 
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -290,20 +291,26 @@ def test_gr_of_fibre_product_is_fibre_of_gr():
 
 
 def test_associated_graded_is_built_once_per_algebra(monkeypatch):
-    built = Counter()
-    degreewise = graded._degreewise_algebra
+    # the quotients that `graded` asks for, by algebra and by asking function
+    built, callers = Counter(), Counter()
+    original = graded.quotient_algebra
 
     def counting(A, targets):
-        built[A] += 1
-        return degreewise(A, targets)
+        caller = sys._getframe(1).f_code.co_name
+        built[A, caller] += 1
+        callers[caller] += 1
+        return original(A, targets)
 
-    monkeypatch.setattr(graded, "_degreewise_algebra", counting)
+    monkeypatch.setattr(graded, "quotient_algebra", counting)
     text = (Path(__file__).resolve().parent / "golden" / "hidden_sum.txt").read_text()
     Q = algebra_from_text(text)
     report = structure_decompose(Q)
     assert report.status == "decomposed"
+    gr_built = Counter({A: n for (A, caller), n in built.items() if caller == "associated_graded"})
     # Q, the split algebra and the left component
-    assert built[Q] == 1 and len(built) == 3 and set(built.values()) == {1}
+    assert gr_built[Q] == 1 and len(gr_built) == 3 and set(gr_built.values()) == {1}
+    # and the Gorenstein part of gr of the split algebra, once
+    assert callers == Counter(associated_graded=3, gls_split=1)
     assert associated_graded(Q) is associated_graded(Q)
 
 

@@ -27,7 +27,8 @@ from corpus import pair_corpus, random_dual_poly, random_gorenstein
 import oracles
 from oracles import (algebra_ideal, annihilator_reference, build_algebra_reference,
                      classes_matrix, dense_struct, echelon_reference, left_kernel_reference,
-                     mat_mul, matrix, modulo_socle_reference, monomial_vector,
+                     ideal_span_reference, mat_mul, matrix, modulo_socle_reference,
+                     monomial_vector,
                      monomial_vector_reference, mult_matrix, multiply,
                      normal_form_table_reference, one_vector, prepared,
                      quotient_algebra_reference, residue_field_algebra, space_rows,
@@ -435,11 +436,17 @@ def _random_extras(rng, A, count=2):
                          for _ in range(3)}) for _ in range(count)]
 
 
+def _quotient_by(A, polys):
+    """A modulo the ideal the polynomials generate, passed to `quotient_algebra` for each degree."""
+    J = A.ideal_span([A.element_row(f) for f in polys])
+    return quotient_algebra(A, [J] * (A.loewy_length + 2))
+
+
 def _assert_quotients_match(rng, A):
     _assert_same_quotient(modulo_socle(A), modulo_socle_reference(A))
     extras = _random_extras(rng, A)
-    _assert_same_quotient(quotient_algebra(A, extras), quotient_algebra_reference(A, extras))
-    for quotient in (quotient_algebra, quotient_algebra_reference):
+    _assert_same_quotient(_quotient_by(A, extras), quotient_algebra_reference(A, extras))
+    for quotient in (_quotient_by, quotient_algebra_reference):
         with pytest.raises(UnitIdealError):
             quotient(A, [A.ring.one + extras[0]])
 
@@ -478,7 +485,7 @@ def test_structure_tables_equal_the_normal_form_readout_on_every_construction(fi
     F = parse_polynomial("1/2*w1^3 + w1*w2^2 - 2/3*w2^3", dual)
     algebras = [R, S, N, H, apolar_algebra(F), fibre_product(R, S).algebra,
                 connected_sum(R, S, unit=Fraction(2, 3)).algebra, modulo_socle(R),
-                quotient_algebra(N, _random_extras(random.Random(5), N)),
+                _quotient_by(N, _random_extras(random.Random(5), N)),
                 associated_graded(H), iarrobino(H)[1], split.gorenstein_part,
                 split.square_zero_part]
     for A in algebras:
@@ -799,7 +806,7 @@ def _assert_element_products_match_dense_products(A, elements):
                     for v in elements]
         span, pivots = echelon_reference(A.field, np.vstack([zeros(A.field, (0, A.length)),
                                                              *products]))
-        product = A.span_times(W, A.product_table(rows))
+        product = A.span_times(W.basis.values(), A.product_table(rows))
         assert list(product.basis) == pivots.tolist()
         _assert_same_rows(space_rows(product), span)
     ann, pivots = annihilator_reference(A, elements)
@@ -923,3 +930,66 @@ def test_structure_decompose_makes_no_dense_product(monkeypatch):
     assert calls.pop("_times") > 0
     assert not calls
 
+
+
+# -- the ideal of elements in one product pass, against the grown span ---------
+
+def _assert_ideal_span_matches_reference(A, rows):
+    got = A.ideal_span(rows)
+    assert got == ideal_span_reference(A, rows)
+    assert got.is_ideal() and all(got.contains(row) for row in rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_ideal_span_matches_the_grown_span_on_seeded_rows(monkeypatch, field):
+    rng = random.Random(61)
+    algebras = [residue_field_algebra(field), _non_minimal_table_algebra(monkeypatch, field)]
+    for R, S in pair_corpus(3, seed=31, max_edim=3, max_ll=4, min_ll=2, field=field):
+        algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
+    for A in algebras:
+        cases = [[], [{0: field.one}], list(A.socle().basis.values())]
+        cases += [list(W.basis.values())[:2] for W in A.filtration]
+        cases += [_random_rows(rng, field, 1, A.length)[k:k + 2] for k in range(0, 12, 3)]
+        for rows in cases:
+            _assert_ideal_span_matches_reference(A, rows)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_ideal_span_matches_the_grown_span_on_hypothesis_rows(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
+    entries = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    rows = [{k: field.coerce(x) for k, x in data.draw(
+        st.dictionaries(st.integers(0, A.length - 1), entries, max_size=A.length)).items()}
+        for _ in range(data.draw(st.integers(0, 3)))]
+    _assert_ideal_span_matches_reference(A, rows)
+
+
+# -- over QQ an entry is an int exactly where it is integral --------------------
+
+def _assert_ints_where_integral(rows):
+    for row in rows:
+        for x in row.values():
+            assert type(x) is int or (type(x) is Fraction and x.denominator != 1), row
+
+
+def test_qq_rows_hold_an_int_exactly_where_an_entry_is_integral():
+    golden = Path(__file__).resolve().parent / "golden"
+    algebras = [algebra_from_text((golden / name).read_text())
+                for name in ("hidden_sum.txt", "hidden_sum_edim2.txt", "qq_left.txt",
+                             "qq_right.txt", "nonminimal_qq.txt", "ci_qq.txt")]
+    for R, S in pair_corpus(3, seed=31, max_edim=3, max_ll=4, min_ll=2, field=QQ):
+        algebras += [R, S, connected_sum(R, S, unit=Fraction(2, 3)).algebra]
+    rng = random.Random(67)
+    for A in algebras:
+        lam = A.length
+        monos = [m for d in range(A.loewy_length + 2) for m in A.ring.monomials_of_degree(d)]
+        _assert_ints_where_integral(A.monomial_row(m) for m in monos)
+        _assert_ints_where_integral(A.element_row(f) for f in _probes(rng, A.original_ring))
+        elements = [A.element_row(f) for f in _probes(rng, A.ring)]
+        _assert_ints_where_integral(quotient._times(elements, A.times_table, lam, 0, range(lam)))
+        for table in (A.times_table, A.product_table(elements), A.struct_table):
+            _assert_ints_where_integral([{(v, j): c} for entry in table for v, j, c in entry])
+        for W in (*A.filtration, A.socle(), A.subspace(elements)):
+            _assert_ints_where_integral(A.m_times(W).basis.values())
