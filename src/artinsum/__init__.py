@@ -13,7 +13,7 @@ from .fields import GF, QQ
 from .graded import associated_graded, classify, gls_split, iarrobino, is_gls
 from .grobner import IdealPresentation, buchberger, normal_form
 from .parse import parse_polynomial, parse_presentation, print_presentation
-from .poly import Grevlex, Polynomial, PolyRing, compare
+from .poly import Grevlex, Polynomial, PolyRing
 from .quotient import ArtinAlgebra, Subspace, algebra_from_text, build_algebra
 from .resolution import (BettiData, betti_numbers, mu_direct, mu_from_betti,
                          verify_cs_series, verify_fp_series, verify_mu_formulas,
@@ -30,7 +30,7 @@ __all__ = [
     "PolyRing", "QQ", "SeriesTrunc", "Subspace", "algebra_from_text",
     "apolar_algebra", "apolar_sum_check", "associated_graded", "betti_numbers",
     "buchberger", "build_algebra", "certify_indecomposable", "check_split",
-    "classify", "compare", "connected_sum", "fibre_product", "gls_split",
+    "classify", "connected_sum", "fibre_product", "gls_split",
     "h2_bound_check", "iarrobino", "is_gls", "modulo_socle", "mu_direct",
     "mu_from_betti", "normal_form", "parse_polynomial", "parse_presentation",
     "print_presentation", "socle_generator", "split_witness",

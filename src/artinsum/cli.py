@@ -387,7 +387,8 @@ def main(argv=None):
                 return code
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable input: a missing file, or one that is not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args)

@@ -59,10 +59,11 @@ class PreconditionError(ArtinsumError):
 
 
 class ResourceGuardError(ArtinsumError):
-    """A configurable degree or dimension guard tripped.
+    """A degree or dimension guard tripped.
 
-    `guard` names the guard (`max_degree`, `max_dim`), `limit` is its value
-    and `value` is what exceeded it; `what` says what was measured.
+    `guard` names the guard (`max_degree`, `max_dim`, `max_echelon_dim`),
+    `limit` is the value of its one setting and `value` is what exceeded
+    it; `what` says what was measured.
     """
 
     def __init__(self, guard, limit, value, what):

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive, `#` starts a comment running to end of line):
     poly   := signed sum of terms
     term   := coeff? ("*"? ident ("^" integer)?)*
 
-Coefficients are integers, or `a/b` rationals over QQ.
+Coefficients are integers or quotients `a/b`; a denominator that is zero in
+the field, a multiple of p over GF(p), is a parse error.
 """
 
 from .errors import NonPrimeModulusError, ParseError
@@ -193,10 +194,11 @@ class _Parser:
                 if self.peek().kind == "/":
                     self.next()
                     den = self.expect("int", "a denominator")
-                    if int(den.text) == 0:
+                    # over GF(p) a multiple of p is zero too
+                    divisor = ring.field.coerce(int(den.text))
+                    if divisor == ring.field.zero:
                         raise ParseError("zero denominator", den.line, den.col)
-                    value = ring.field.div(ring.field.coerce(value),
-                                           ring.field.coerce(int(den.text)))
+                    value = ring.field.div(ring.field.coerce(value), divisor)
                 coeff = ring.field.mul(coeff, ring.field.coerce(value))
                 saw_factor = True
             elif tok.kind == "ident":

@@ -1,4 +1,4 @@
-"""Monomials, term orders, and sparse multivariate polynomials with exact coefficients.
+"""Monomials, the Grevlex order, and sparse multivariate polynomials with exact coefficients.
 
 A monomial is a tuple of non-negative exponents, one slot per ambient
 variable; a polynomial is a dict mapping monomials to nonzero scalars of
@@ -40,45 +40,20 @@ def mono_coprime(a, b):
 
 
 # ---------------------------------------------------------------------------
-# term orders
+# the term order
 
-class TermOrder:
-    """Base class; subclasses provide a sort key compatible with multiplication."""
+class Grevlex:
+    """Graded reverse lexicographic order, variables in declaration sequence.
 
-    nvars = None
-
-    def key(self, mono):
-        raise NotImplementedError
-
-    def max_term(self, monos):
-        return max(monos, key=self.key)
-
-
-class Grevlex(TermOrder):
-    """Graded reverse lexicographic order, variables in declaration sequence."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
+    The one term order of the library: every reduced basis, standard basis
+    and leading term is taken under it.
+    """
 
     def key(self, mono):
         return (sum(mono), tuple(-e for e in reversed(mono)))
 
-    def __repr__(self):
-        return f"Grevlex({self.nvars})"
-
-    def __eq__(self, other):
-        return type(other) is Grevlex and other.nvars == self.nvars
-
-    def __hash__(self):
-        return hash(("grevlex", self.nvars))
-
-
-def compare(order, a, b):
-    """Total comparison of monomials under `order`: -1, 0 or +1."""
-    if len(a) != order.nvars or len(b) != order.nvars:
-        raise RingMismatchError("monomials do not match the order's ambient ring")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
+    def max_term(self, monos):
+        return max(monos, key=self.key)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +69,7 @@ class PolyRing:
         self.field = field
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        self.order = Grevlex(len(names))
+        self.order = Grevlex()
 
     @property
     def nvars(self):
@@ -175,17 +150,16 @@ class Polynomial:
     def total_degree(self):
         return max((mono_deg(m) for m in self.terms), default=-1)
 
-    def leading(self, order=None):
+    def leading(self):
         """(monomial, coefficient) of the largest term; None for the zero polynomial."""
         if not self.terms:
             return None
-        order = order or self.ring.order
-        m = order.max_term(self.terms)
+        m = self.ring.order.max_term(self.terms)
         return m, self.terms[m]
 
-    def sorted_terms(self, order=None):
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self):
+        key = self.ring.order.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), self.ring.field.zero)
@@ -260,8 +234,8 @@ class Polynomial:
             result = result * self
         return result
 
-    def monic(self, order=None):
-        lead = self.leading(order)
+    def monic(self):
+        lead = self.leading()
         if lead is None:
             return self
         return self.scale(self.ring.field.inv(lead[1]))
@@ -321,7 +295,7 @@ class Polynomial:
 
 
 def format_polynomial(p):
-    """Canonical text form: terms decreasing under the ambient default order."""
+    """Canonical text form: terms decreasing under Grevlex."""
     if not p.terms:
         return "0"
     names = p.ring.names

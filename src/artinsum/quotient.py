@@ -7,7 +7,7 @@ so the variable count equals the embedding dimension, and the powers of m
 failing to shrink to zero show that the quotient is not local.
 
 Elements are coefficient vectors over the standard-monomial basis
-(ascending default order), held as dict rows from column to nonzero
+(ascending Grevlex order), held as dict rows from column to nonzero
 scalar, at every entry point too: rows a caller passes in go through one
 check of their columns and scalars (`_checked_rows`).  The structure
 table lists the products of the basis elements and is gathered from a
@@ -16,11 +16,11 @@ against a sparse product table (`_times`): the algebra's
 `times_table`, the products by the variables, for m*W, for the classes of
 monomials and for the resolution, or the table of any elements
 (`product_table`, gathered from the structure table, `struct_table`) for
-products by elements and annihilators.  Only parsed generator lists, an
-`IdealPresentation`, take the class table from Buchberger and normal forms
-(`build_algebra`); text that is not minimal is then taken as the
-subalgebra its variables generate.  Every derived algebra, a subalgebra or
-a quotient, has an ideal containing a power of m: it is given by the
+products by elements and annihilators.  Only parsed generator lists take
+the class table from Buchberger and normal forms (`build_algebra`); text
+that is not minimal is then taken as the subalgebra its variables
+generate.  Every derived algebra, a subalgebra or a quotient, has an ideal
+containing a power of m: it is given by the
 classes of the monomials up to that degree, as dict rows, and the left
 kernel of those classes, taken with the monomials in increasing order, is
 the reduced echelon basis of its truncation (`kernel_algebra`): dict rows
@@ -102,7 +102,7 @@ class Subspace:
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    `gb` is the reduced Groebner basis of the ideal in the default order,
+    `gb` is the reduced Groebner basis of the ideal under Grevlex,
     ascending, and `basis` its standard monomials, 1 first.  Entry l of
     `struct_table`, the one multiplication data, lists the triples (k, j, c)
     with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
@@ -349,13 +349,14 @@ def _canonical(row, p):
             for k, x in row.items() if x}
 
 
-def _times(rows, table, lam, p, order):
+def _times(rows, table, lam, p, columns):
     """Each row times each element of a product table, the nonzero products only.
 
     `table` is an algebra's `times_table`, for the variables, or a
     `product_table` of elements; each length-lam block of a row is
-    multiplied on its own, and column c of a product is renamed order[c].  One walk over a row's entries opens a product
-    row for element v only when some entry has a nonzero product by it.
+    multiplied on its own, and column c of a product is renamed columns[c].
+    One walk over a row's entries opens a product row for element v only
+    when some entry has a nonzero product by it.
     """
     for row in rows:
         out = {}
@@ -365,29 +366,25 @@ def _times(rows, table, lam, p, order):
                 prod = out.get(v)
                 if prod is None:
                     prod = out[v] = {}
-                k = order[base + j]
+                k = columns[base + j]
                 prod[k] = prod.get(k, 0) + c * s
         for prod in out.values():
             if prod := _canonical(prod, p):
                 yield prod
 
 
-def build_algebra(pres_or_ring, generators=None):
-    """Construct the Artinian local algebra of a generator list.
+def build_algebra(ring, generators):
+    """Construct the Artinian local algebra of a generator list in `ring`.
 
-    Accepts an IdealPresentation or (ring, generators).  Raises UnitIdealError,
-    NotZeroDimensionalError, or NotLocalError when the input is unsuitable.
-    Parsed generators bound no degree of the ideal, so only this runs
-    Buchberger and normal forms.  When dim m/m^2 falls short of the variable
-    count, the returned algebra is the subalgebra that all the variables
-    generate, which `kernel_algebra` presents on the variables that
-    minimally generate m; it still takes classes of polynomials in the
-    given ring.
+    Raises UnitIdealError, NotZeroDimensionalError, or NotLocalError when
+    the input is unsuitable.  Parsed generators bound no degree of the
+    ideal, so only this runs Buchberger, once per presentation, and normal
+    forms.  When dim m/m^2 falls short of the variable count, the
+    returned algebra is the subalgebra that all the variables generate,
+    which `kernel_algebra` presents on the variables that minimally generate
+    m; it still takes classes of polynomials in the given ring.
     """
-    if generators is not None:
-        pres = IdealPresentation(pres_or_ring, generators)
-    else:
-        pres = pres_or_ring
+    pres = IdealPresentation(ring, generators)
     if pres.is_unit_ideal():
         raise UnitIdealError("1 lies in the ideal")
     if not pres.is_zero_dimensional():
@@ -395,11 +392,11 @@ def build_algebra(pres_or_ring, generators=None):
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
-    p = pres.ring.field.char
+    p = ring.field.char
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
-    A = _table_algebra(pres.ring, pres.groebner_basis(), basis, {
+    A = _table_algebra(ring, pres.groebner_basis(), basis, {
         mono: _canonical({index[m]: c for m, c in
-                          pres.normal_form(pres.ring.monomial(mono)).terms.items()}, p)
+                          pres.normal_form(ring.monomial(mono)).terms.items()}, p)
         for mono in products})
     if A.power(1).dim - A.power(2).dim == A.ring.nvars:
         return A
@@ -451,7 +448,7 @@ def kernel_algebra(ring, monos, classes):
     I is the kernel of the map sending `monos[j]` to the dict row
     `classes[j]` (canonical scalars), `monos` holds every monomial of `ring`
     up to a degree D, and m^D lies in I.  The left kernel of the classes,
-    taken with the monomials in increasing default order
+    taken with the monomials in increasing Grevlex order
     (`_kernels.left_kernel`), is the reduced echelon basis of
     I ∩ span(monos), the linear dependencies from which FGLM reads a
     reduced basis: its dict rows are keyed by free column, and each is
@@ -460,9 +457,9 @@ def kernel_algebra(ring, monos, classes):
     declaration order, are eliminated; there are none when I lies inside
     m^2.  Only then are the rows echeloned again, with each column renamed
     to its rank in decreasing order of (degree in the eliminated variables,
-    default order).  The rows led by a kept monomial are then the reduced
-    echelon basis of I ∩ k[kept], the minimal ideal, because the default
-    order restricts to the kept variables; and the row led by an eliminated
+    Grevlex).  The rows led by a kept monomial are then the reduced
+    echelon basis of I ∩ k[kept], the minimal ideal, because Grevlex
+    restricts to the kept variables; and the row led by an eliminated
     variable is that variable minus the standard-monomial lift of its
     class.  One reduction step carries the given ring to the kept one.
     """

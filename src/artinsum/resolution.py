@@ -73,14 +73,15 @@ def _differential(struct, gens, lam, p):
     return {i: row for i, row in rows.items() if row}
 
 
-def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
+def betti_numbers(A, truncation=DEFAULT_TRUNCATION):
     """Betti numbers beta_0..beta_N from a minimal free resolution of k over A.
 
     The generators at each step are the rows of the kernel basis whose lead
     column is not a pivot of m*K; a pivot of m*K outside the leads would
     mean m*K is not inside K, and raises.  Minimality is certified at every
     step (all differential entries in m) and exactness is enforced by rank
-    arithmetic; a dimension guard protects against runaway rank growth.
+    arithmetic; a dimension guard, the module constant `MAX_FREE_RANK_DIM`,
+    protects against runaway rank growth.
     """
     if truncation < 2:
         raise PreconditionError("truncation must be at least 2")
@@ -97,10 +98,10 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
     for step in range(1, truncation + 1):
         # K's basis is one at its own lead and zero at the others: with the
         # leads put first, lead i is column i, and pivot i of m*K names row i
-        order = [len(kernel) + c for c in range(width)]
+        columns = [len(kernel) + c for c in range(width)]
         for i, c in enumerate(kernel):
-            order[c] = i
-        mk_piv = _kernels.echelon(_times(kernel.values(), A.times_table, lam, p, order), p)
+            columns[c] = i
+        mk_piv = _kernels.echelon(_times(kernel.values(), A.times_table, lam, p, columns), p)
         if mk_piv and max(mk_piv) >= len(kernel):
             raise ArtinsumError("m*K is not inside K: m times the kernel has a pivot "
                                 "outside the kernel's lead columns")
@@ -113,8 +114,8 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION, max_dim=MAX_FREE_RANK_DIM):
             betti.extend([0] * (truncation - step))
             break
         width = len(gens) * lam
-        if width > max_dim:
-            raise ResourceGuardError("max_dim", max_dim, width, "free module dimension")
+        if width > MAX_FREE_RANK_DIM:
+            raise ResourceGuardError("max_dim", MAX_FREE_RANK_DIM, width, "free module dimension")
         if any(c % lam == one_slot for g in gens for c in g):
             raise ArtinsumError("differential has a unit entry; resolution not minimal")
         image = _kernels.echelon(_differential(struct, gens, lam, p).values(), p, reduced=True)

@@ -143,7 +143,7 @@ def socle_generator(A):
     """Deterministic socle generator of a Gorenstein algebra, lifted verbatim.
 
     The unique echelon representative, scaled so its largest standard
-    monomial under the default order has coefficient one.
+    monomial under Grevlex has coefficient one.
     """
     if not A.is_gorenstein():
         raise NotGorensteinError(f"socle has dimension {A.type}, not 1")

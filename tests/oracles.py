@@ -19,9 +19,11 @@ linear-socle split built by Buchberger on generator lists, the ideal
 spanned by elements grown by m*W until it stops growing, and the
 cross-product test of a coordinate split by ideal membership, the two
 ranks that counted the minimal generators of an ideal, and the graded
-socle taken as one kernel per degree.  The `Lex`
-and `Block` term orders live here too: only the Buchberger tests and the
-elimination reference use them.  So do the helpers that only tests call:
+socle taken as one kernel per degree.  The library has one term order,
+Grevlex; the `Lex` and `Block` orders live here, with the reduction,
+S-polynomial and leading term under any order that the pair-rescanning
+Buchberger runs on (`normal_form_reference`, ...), for the order tests and
+the block-order elimination reference.  So do the helpers that only tests call:
 row-space membership, preimages of a row space, substituting and listing
 the variables of a polynomial, the residue field as an algebra, and the
 dense writers that turn the library's dict rows, classes and subspaces
@@ -52,13 +54,12 @@ import numpy as np
 from artinsum import _kernels, linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
-from artinsum.errors import PreconditionError
+from artinsum.errors import PreconditionError, ResourceGuardError
 from artinsum.graded import GlsSplit, _linear_form, is_gls
-from artinsum.grobner import (IdealPresentation, _check_degree, degree_guard, normal_form,
-                              s_polynomial)
+from artinsum.grobner import IdealPresentation, _check_degree, degree_guard
 from artinsum.graded import _homogeneous
-from artinsum.poly import (Polynomial, PolyRing, TermOrder, mono_coprime, mono_deg, mono_div,
-                           mono_lcm, mono_mul)
+from artinsum.poly import (Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm,
+                           mono_mul)
 from artinsum.quotient import (ArtinAlgebra, _canonical, _monomials_up_to, build_algebra,
                                kernel_algebra, square_zero_algebra)
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
@@ -159,26 +160,14 @@ def residue_field_algebra(field):
     return square_zero_algebra(PolyRing(field, []))
 
 
-class Lex(TermOrder):
+class Lex:
     """Lexicographic order with earlier-declared variables larger."""
-
-    def __init__(self, nvars):
-        self.nvars = nvars
 
     def key(self, mono):
         return mono
 
-    def __repr__(self):
-        return f"Lex({self.nvars})"
 
-    def __eq__(self, other):
-        return type(other) is Lex and other.nvars == self.nvars
-
-    def __hash__(self):
-        return hash(("lex", self.nvars))
-
-
-class Block(TermOrder):
+class Block:
     """Elimination order: grevlex on the front block, ties broken by grevlex behind.
 
     Any monomial involving a front variable exceeds every monomial in back
@@ -188,23 +177,13 @@ class Block(TermOrder):
     def __init__(self, front, back):
         self.front = tuple(front)
         self.back = tuple(back)
-        self.nvars = len(self.front) + len(self.back)
-        if sorted(self.front + self.back) != list(range(self.nvars)):
+        if sorted(self.front + self.back) != list(range(len(self.front) + len(self.back))):
             raise ValueError("front/back must partition the variable indices")
 
     def key(self, mono):
         f = tuple(mono[i] for i in self.front)
         b = tuple(mono[i] for i in self.back)
         return (sum(f), tuple(-e for e in reversed(f)), sum(b), tuple(-e for e in reversed(b)))
-
-    def __repr__(self):
-        return f"Block({self.front}, {self.back})"
-
-    def __eq__(self, other):
-        return type(other) is Block and (other.front, other.back) == (self.front, self.back)
-
-    def __hash__(self):
-        return hash(("block", self.front, self.back))
 
 
 def ideal_member(f, gens, max_degree=12):
@@ -469,51 +448,116 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Buchberger under any term order: the library's runs under Grevlex only
+
+def leading_reference(f, order):
+    """(monomial, coefficient) of the largest term of f under `order`."""
+    m = max(f.terms, key=order.key)
+    return m, f.terms[m]
+
+
+def monic_reference(f, order):
+    return f.scale(f.ring.field.inv(leading_reference(f, order)[1]))
+
+
+def normal_form_reference(f, basis, order):
+    """The remainder of f under full reduction by `basis`, leading terms taken under `order`.
+
+    Under an order that is not graded a reduction can raise the degree, so
+    every new term is held to the degree guard, as `grobner.normal_form` does.
+    """
+    cap = degree_guard()
+    fld = f.ring.field
+    leads = [leading_reference(g, order) for g in basis]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for g, (lm, lc) in zip(basis, leads):
+            q = mono_div(m, lm)
+            if q is not None:
+                factor = fld.div(c, lc)
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    key = mono_mul(q, gm)
+                    if mono_deg(key) > cap:
+                        raise ResourceGuardError("max_degree", cap, mono_deg(key),
+                                                 "reduction term degree")
+                    s = fld.sub(work.get(key, fld.zero), fld.mul(factor, gc))
+                    if s == fld.zero:
+                        work.pop(key, None)
+                    else:
+                        work[key] = s
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
+
+
+def s_polynomial_reference(f, g, order):
+    lm_f, lc_f = leading_reference(f, order)
+    lm_g, lc_g = leading_reference(g, order)
+    lcm = mono_lcm(lm_f, lm_g)
+    fld = f.ring.field
+    return (f.mul_term(mono_div(lcm, lm_f), fld.inv(lc_f))
+            - g.mul_term(mono_div(lcm, lm_g), fld.inv(lc_g)))
+
+
+def _lead_key(order):
+    return lambda h: order.key(leading_reference(h, order)[0])
+
+
 def _minimalize_reference(basis, order):
     kept = []
-    for f in sorted(basis, key=lambda h: order.key(h.leading(order)[0])):
-        lm = f.leading(order)[0]
-        if all(mono_div(lm, g.leading(order)[0]) is None for g in kept):
+    for f in sorted(basis, key=_lead_key(order)):
+        lm = leading_reference(f, order)[0]
+        if all(mono_div(lm, leading_reference(g, order)[0]) is None for g in kept):
             kept.append(f)
     return kept
 
 
-def _interreduce_reference(basis, order, cap):
+def _interreduce_reference(basis, order):
     out = []
     for i, f in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        r = normal_form(f, others, order, cap)
+        r = normal_form_reference(f, others, order)
         if not r.is_zero():
-            out.append(r.monic(order))
-    return sorted(out, key=lambda h: order.key(h.leading(order)[0]))
+            out.append(monic_reference(r, order))
+    return sorted(out, key=_lead_key(order))
 
 
-def buchberger_reference(generators, order, max_degree=None):
-    """The reduced Groebner basis by rescanning every pending pair at each step.
+def buchberger_reference(generators, order):
+    """The reduced Groebner basis under `order`, rescanning every pending pair at each step.
 
     Recomputes leading terms wherever it needs them and picks the next pair
-    with `min` over the pending set; `grobner.buchberger` must return the
-    same basis.
+    with `min` over the pending set; under Grevlex `grobner.buchberger` must
+    return the same basis, and under `Block` it is the elimination that
+    `contract_reference` runs.  The degree guard is `grobner.degree_guard`.
     """
-    cap = max_degree if max_degree is not None else degree_guard()
+    cap = degree_guard()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
     basis = []
     for g in gens:
         _check_degree(g, cap)
-        basis.append(g.monic(order))
+        basis.append(monic_reference(g, order))
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
+    def lead(k):
+        return leading_reference(basis[k], order)[0]
+
     def pair_key(p):
-        lcm = mono_lcm(basis[p[0]].leading(order)[0], basis[p[1]].leading(order)[0])
+        lcm = mono_lcm(lead(p[0]), lead(p[1]))
         return (mono_deg(lcm), order.key(lcm), p)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
-        lm_i = basis[i].leading(order)[0]
-        lm_j = basis[j].leading(order)[0]
+        lm_i, lm_j = lead(i), lead(j)
         if mono_coprime(lm_i, lm_j):
             continue
         lcm = mono_lcm(lm_i, lm_j)
@@ -523,21 +567,21 @@ def buchberger_reference(generators, order, max_degree=None):
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if mono_div(lcm, basis[k].leading(order)[0]) is not None:
+            if mono_div(lcm, lead(k)) is not None:
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
                     skip = True
                     break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order, cap)
+        s = s_polynomial_reference(basis[i], basis[j], order)
+        r = normal_form_reference(s, basis, order)
         if not r.is_zero():
             _check_degree(r, cap)
-            basis.append(r.monic(order))
+            basis.append(monic_reference(r, order))
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
-    return _interreduce_reference(_minimalize_reference(basis, order), order, cap)
+    return _interreduce_reference(_minimalize_reference(basis, order), order)
 
 
 def algebra_ideal(A):
@@ -562,8 +606,8 @@ def contract_reference(pres, keep):
     if not keep_idx:
         gens = [sub.one] if pres.is_unit_ideal() else []
         return IdealPresentation(sub, gens)
-    order = Block(drop_idx, keep_idx) if drop_idx else ring.order
-    gb = pres.groebner_basis(order)
+    gb = (buchberger_reference(list(pres.generators), Block(drop_idx, keep_idx)) if drop_idx
+          else pres.groebner_basis())
     drop = set(drop_idx)
     index_map = {old: new for new, old in enumerate(keep_idx)}
     kept = []
@@ -575,7 +619,7 @@ def contract_reference(pres, keep):
     # on monomials in the kept variables the block order is the subring's
     # grevlex, so by the elimination theorem the kept elements already
     # are its reduced basis, monic and in ascending order
-    result._gb_cache[sub.order] = tuple(kept)
+    result._gb = tuple(kept)
     return result
 
 

@@ -211,6 +211,28 @@ def test_apolar_reads_a_prime_field(capsys):
     assert '"field": "GF(7)"' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "zero_denominator_gf5.txt"],
+    ["connect", "gf_left.txt", "gf_right.txt", "--unit", "1/101"],
+    ["connect", "gf_left.txt", "gf_right.txt", "--socle-r", "3/202*Y1*Y2^2"],
+    ["connect", "gf_left.txt", "gf_right.txt", "--socle-s", "1/101*Z2^3"],
+    ["apolar", "--poly", "1/5*w^3", "--dual-vars", "w", "--field", "GF(5)"],
+], ids=["presentation", "unit", "socle-r", "socle-s", "apolar-poly"])
+def test_a_denominator_that_is_zero_mod_p_is_a_parse_error(argv, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero denominator (line ") and err.count("\n") == 1
+
+
+def test_analyze_rejects_a_file_that_is_not_utf8_with_an_error_line(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"field QQ;\nvars Y;\nideal Y^2\xff;\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "byte 0xff" in err and err.count("\n") == 1
+
+
 def test_analyze_directory_report_does_not_depend_on_jobs(tmp_path, capsys):
     names = ["hidden_sum.txt", "nonminimal_qq.txt"]
     for name in names:
@@ -252,15 +274,21 @@ def test_analyze_directory_starts_no_more_workers_than_files(tmp_path, monkeypat
 
 
 def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_path):
-    shutil.copy(GOLDEN / "hidden_sum.txt", tmp_path / "good.txt")
-    (tmp_path / "bad.txt").write_text("field QQ;\nvars Y;\nideal Y^2 +;\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    runs = []
-    for jobs in ("1", "2"):
-        # in a subprocess with a timeout, so that a hang fails here
-        runs.append(subprocess.run(
-            [sys.executable, "-m", "artinsum", "analyze", str(tmp_path), "--jobs", jobs],
-            capture_output=True, text=True, env=env, timeout=60))
-    assert [run.returncode for run in runs] == [2, 2]
-    assert runs[0].stderr.startswith("error: ") and runs[1].stderr == runs[0].stderr
+    # a syntax error, and a byte that is not UTF-8
+    for k, bad in enumerate([b"field QQ;\nvars Y;\nideal Y^2 +;\n",
+                             b"field QQ;\nvars Y;\nideal Y^2\xff;\n"]):
+        folder = tmp_path / str(k)
+        folder.mkdir()
+        shutil.copy(GOLDEN / "hidden_sum.txt", folder / "good.txt")
+        (folder / "bad.txt").write_bytes(bad)
+        runs = []
+        for jobs in ("1", "2"):
+            # in a subprocess with a timeout, so that a hang fails here
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "artinsum", "analyze", str(folder), "--jobs", jobs],
+                capture_output=True, text=True, env=env, timeout=60))
+        assert [run.returncode for run in runs] == [2, 2]
+        assert runs[0].stderr.startswith("error: ") and runs[1].stderr == runs[0].stderr
+        assert runs[0].stderr.count("\n") == 1

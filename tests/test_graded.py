@@ -217,7 +217,7 @@ def test_degreewise_presentations_match_buchberger(field):
             algebras.append(result.algebra)
     for A in algebras:
         G = associated_graded(A)
-        assert G.gb == tuple(buchberger(initial_form_generators(A), A.ring.order))
+        assert G.gb == tuple(buchberger(initial_form_generators(A)))
         data, q0 = iarrobino(A)
         reference = graded_from_homogeneous(A.ring, list(G.gb) + data.forms)
         assert q0.same_presentation(reference)

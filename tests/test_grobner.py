@@ -1,16 +1,18 @@
 """Groebner engine: golden bases, normal forms, kernel presentations, zero-dimensionality."""
 
+import os
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, Grevlex, IdealPresentation, Polynomial, PolyRing,
-                      apolar_algebra, normal_form, parse_presentation)
+from artinsum import (GF, QQ, IdealPresentation, Polynomial, PolyRing, apolar_algebra,
+                      grobner, normal_form, parse_presentation)
 from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
@@ -19,7 +21,7 @@ from artinsum.quotient import build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_classes, connected_sum
 
 from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
-from oracles import (Block, Lex, algebra_ideal, buchberger_reference,
+from oracles import (Block, algebra_ideal, buchberger_reference,
                      build_algebra_reference, connected_sum_ideal, contract_reference,
                      classes_matrix, cross_products_outside_reference, ideal_member,
                      left_kernel_reference, right_kernel_reference, same_ideal, sparse_rows,
@@ -32,6 +34,10 @@ FIELDS = [GF(101), GF(1048573), QQ]
 def ideal_of(text):
     ring, gens = parse_presentation(text)
     return IdealPresentation(ring, gens)
+
+
+def algebra_of(I):
+    return build_algebra(I.ring, list(I.generators))
 
 
 def test_principal_monomial_ideal():
@@ -50,8 +56,7 @@ def test_hand_run_basis():
 
 def test_elimination_golden_case():
     I = ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2")
-    order = Block((0,), (1, 2))
-    gb = I.groebner_basis(order)
+    gb = buchberger_reference(list(I.generators), Block((0,), (1, 2)))
     in_back = [g for g in gb if 0 not in support_vars(g)]
     assert sorted(str(g) for g in in_back) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
 
@@ -88,14 +93,14 @@ def _subalgebra_on(Q, keep):
 
 
 def test_contract_golden():
-    Q = build_algebra(ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2"))
+    Q = algebra_of(ideal_of("field QQ; vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2, Z1^2"))
     C = _subalgebra_on(Q, ["Z1", "Z2"])
     assert sorted(str(g) for g in C.gb) == ["Z1*Z2^2", "Z1^2", "Z2^4"]
 
 
 def test_contract_derived():
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Y^3-Z^2")
-    C = _subalgebra_on(build_algebra(I), ["Y"])
+    C = _subalgebra_on(algebra_of(I), ["Y"])
     assert [str(g) for g in C.gb] == ["Y^4"]
     # minimality: Y^3 is not in the ideal
     assert not I.contains(I.ring.var(0) ** 3)
@@ -108,16 +113,16 @@ def test_contract_caches_the_reduced_basis(field):
     rng = random.Random(13)
     ideals = [random_apolar_ideal(rng, edim, degree, prefix, field)
               for edim, degree, prefix in ((2, 3, "Y"), (3, 2, "U"), (2, 4, "Z"))]
-    ideals.append(connected_sum_ideal(build_algebra(ideals[0]), build_algebra(ideals[2])))
+    ideals.append(connected_sum_ideal(algebra_of(ideals[0]), algebra_of(ideals[2])))
     for I in ideals:
-        Q = build_algebra(I)
+        Q = algebra_of(I)
         names = I.ring.names
         keeps = [names[:1], names[1:], names[::2], names[-2:], names]
         for keep in keeps:
             basis = _subalgebra_on(Q, keep).gb
             reference = contract_reference(I, list(keep)).groebner_basis()
             assert basis == reference
-            assert basis == tuple(buchberger(list(reference), Grevlex(len(keep))))
+            assert basis == tuple(buchberger(list(reference)))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -145,11 +150,10 @@ def test_zero_dimensionality():
 def test_buchberger_fixed_point_and_idempotence():
     I = ideal_of("field GF(101); vars Y1 Z1 Z2; ideal Y1*Z1-Z2^2, Y1^2+Z1*Z2, Z1^3")
     gb = I.groebner_basis()
-    order = I.ring.order
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
-            s = s_polynomial(gb[i], gb[j], order)
-            assert normal_form(s, list(gb), order).is_zero()
+            s = s_polynomial(gb[i], gb[j])
+            assert normal_form(s, list(gb)).is_zero()
     again = IdealPresentation(I.ring, list(gb)).groebner_basis()
     assert again == gb
 
@@ -184,7 +188,7 @@ def test_contraction_soundness_and_completeness():
         if not I.is_zero_dimensional() or I.is_unit_ideal():
             continue
         keep = ["Z1", "Z2"]
-        A = build_algebra(I)
+        A = algebra_of(I)
         C = _subalgebra_on(A, keep)
         # soundness: every basis element lies in I and only uses kept vars
         for g in C.gb:
@@ -193,36 +197,60 @@ def test_contraction_soundness_and_completeness():
         assert len(algebra_ideal(C).standard_monomials()) == subring_quotient_dimension(A, keep)
 
 
-def test_degree_guard_trips():
+def test_degree_guard_trips(monkeypatch):
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3")
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "2")
     with pytest.raises(ResourceGuardError) as info:
-        I.groebner_basis(max_degree=2)
+        I.groebner_basis()
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 2, 3)
     assert str(info.value) == "intermediate polynomial degree 3 exceeds the max_degree guard of 2"
 
 
-def test_degree_guard_trips_on_a_new_basis_element():
+def test_degree_guard_trips_on_a_new_basis_element(monkeypatch):
     # both inputs have degree 3; the reduced basis gains Y^4 - X^2
     text = "field QQ; vars X Y; ideal X^2*Y - Y^2, X*Y^2 - X^2"
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "3")
     with pytest.raises(ResourceGuardError) as info:
-        ideal_of(text).groebner_basis(max_degree=3)
+        ideal_of(text).groebner_basis()
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 3, 4)
     assert "intermediate polynomial degree 4" in str(info.value)
     with pytest.raises(ResourceGuardError) as ref:
-        buchberger_reference(list(ideal_of(text).generators), Grevlex(2), 3)
+        buchberger_reference(list(ideal_of(text).generators), ideal_of(text).ring.order)
     assert ref.value.value == 4
-    assert ideal_of(text).groebner_basis(max_degree=4)
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "4")
+    assert ideal_of(text).groebner_basis()
 
 
-def test_degree_guard_trips_inside_a_reduction():
-    # under Lex, X -> Y^3 raises the degree: X^2 -> X*Y^3 -> Y^6
+def test_degree_guard_trips_inside_a_reduction(monkeypatch):
+    # X -> Y carries X^6 through X^5*Y, of degree 6, to Y^6
     ring = PolyRing(QQ, ("X", "Y"))
     x, y = ring.gens()
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "5")
     with pytest.raises(ResourceGuardError) as info:
-        normal_form(x ** 2, [x - y ** 3], Lex(2), max_degree=5)
+        normal_form(x ** 6, [x - y])
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 5, 6)
     assert str(info.value) == "reduction term degree 6 exceeds the max_degree guard of 5"
-    assert normal_form(x ** 2, [x - y ** 3], Lex(2), max_degree=6) == y ** 6
+    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "6")
+    assert normal_form(x ** 6, [x - y]) == y ** 6
+
+
+def test_build_algebra_runs_buchberger_once_per_presentation(monkeypatch):
+    # one reduced basis is cached per presentation, and every normal form
+    # and standard monomial is read off it; a non-minimal input is made
+    # minimal by linear algebra, not by a second Buchberger run
+    calls = []
+    run = grobner.buchberger
+
+    def counting(generators):
+        calls.append(len(generators))
+        return run(generators)
+
+    monkeypatch.setattr(grobner, "buchberger", counting)
+    for text in ("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3",
+                 "field GF(101); vars A B C; ideal A - B*C, B^3, C^2, B*C - A^2"):
+        calls.clear()
+        build_algebra(*parse_presentation(text))
+        assert len(calls) == 1
 
 
 def test_resource_guard_error_survives_pickling():
@@ -242,25 +270,19 @@ def test_cli_exit_code_for_a_tripped_guard(tmp_path, monkeypatch, capsys):
 
 # -- the heap-driven Buchberger against the pair-rescanning reference --------
 
-def _orders(nvars):
-    front = max(1, nvars // 2)
-    return [Grevlex(nvars), Lex(nvars), Block(range(front), range(front, nvars))]
-
-
 def _random_poly(rng, ring, degree, terms=4, low=0):
     monos = [m for d in range(low, degree + 1) for m in ring.monomials_of_degree(d)]
     return ring.poly({monos[rng.randrange(len(monos))]: rng.randint(-9, 9)
                       for _ in range(terms)})
 
 
-def _assert_matches_reference(gens, order, probes, max_degree=None):
-    fast = buchberger(gens, order, max_degree)
-    assert fast == buchberger_reference(gens, order, max_degree)
+def _assert_matches_reference(gens, probes):
+    fast = buchberger(gens)
+    assert fast == buchberger_reference(gens, gens[0].ring.order)
     for basis in (fast, [g for g in gens if not g.is_zero()]):
-        leads = [g.leading(order) for g in basis]
+        leads = [g.leading() for g in basis]
         for f in probes:
-            assert (normal_form(f, basis, order, max_degree, leads=leads)
-                    == normal_form(f, basis, order, max_degree))
+            assert normal_form(f, basis, leads=leads) == normal_form(f, basis)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -270,17 +292,13 @@ def test_buchberger_matches_reference_on_apolar_ideals(field):
               for edim, degree, prefix in ((1, 3, "U"), (2, 2, "Y"), (2, 3, "Z"), (2, 4, "W"))]
     for I in ideals:
         probes = [_random_poly(rng, I.ring, 4) for _ in range(3)]
-        for order in _orders(I.ring.nvars):
-            _assert_matches_reference(list(I.generators), order, probes)
-    # the connected-sum ideal, also under a block order: `check_split` no
-    # longer eliminates, but `groebner_basis` still takes any term order
-    # on the factors' bases, the cross products and the socle difference,
-    # which are not a Groebner basis
-    R, S = build_algebra(ideals[1]), build_algebra(ideals[2])
+        _assert_matches_reference(list(I.generators), probes)
+    # the connected-sum ideal on the factors' bases, the cross products and
+    # the socle difference, which are not a Groebner basis
+    R, S = algebra_of(ideals[1]), algebra_of(ideals[2])
     Q = connected_sum(R, S).algebra
     probes = [_random_poly(rng, Q.ring, 3) for _ in range(3)]
-    for order in (Grevlex(4), Block((0, 1), (2, 3))):
-        _assert_matches_reference(list(connected_sum_ideal(R, S).generators), order, probes)
+    _assert_matches_reference(list(connected_sum_ideal(R, S).generators), probes)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -291,8 +309,7 @@ def test_buchberger_matches_reference_on_seeded_generators(field):
         gens = [ring.var(i) ** rng.randint(3, 5) for i in range(nvars)]
         gens += [_random_poly(rng, ring, 3, low=2) for _ in range(rng.randint(1, 3))]
         probes = [_random_poly(rng, ring, 5) for _ in range(3)]
-        for order in _orders(nvars):
-            _assert_matches_reference(gens, order, probes)
+        _assert_matches_reference(gens, probes)
 
 
 @st.composite
@@ -304,16 +321,16 @@ def generator_sets(draw):
     poly = st.dictionaries(exponent, st.integers(-5, 5), max_size=4).map(ring.poly)
     gens = [ring.var(i) ** draw(st.integers(1, 4)) for i in range(nvars)]
     gens += draw(st.lists(poly, min_size=1, max_size=3))
-    order = draw(st.sampled_from(_orders(nvars)))
     probes = draw(st.lists(poly, min_size=1, max_size=2))
-    return gens, order, probes
+    return gens, probes
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(generator_sets())
 def test_buchberger_matches_reference_on_hypothesis_inputs(case):
-    gens, order, probes = case
-    _assert_matches_reference(gens, order, probes, max_degree=12)
+    gens, probes = case
+    with mock.patch.dict(os.environ, {"ARTINSUM_MAX_DEGREE": "12"}):
+        _assert_matches_reference(gens, probes)
 
 
 def test_ideal_membership_oracle_is_two_sided():

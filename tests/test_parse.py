@@ -65,6 +65,21 @@ def test_parse_error_survives_pickling():
     assert (back.line, back.col, str(back)) == (err.value.line, err.value.col, str(err.value))
 
 
+@pytest.mark.parametrize("coefficient", ["1/5", "3/10", "2/0"])
+def test_a_denominator_that_is_zero_in_the_field_is_a_parse_error(coefficient):
+    # over GF(5) a multiple of 5 is zero; the error points at the denominator
+    with pytest.raises(ParseError, match="zero denominator") as err:
+        parse_presentation(f"field GF(5);\nvars X;\nideal X^3 + {coefficient}*X^2")
+    assert (err.value.line, err.value.col) == (3, 15)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_polynomial(f"{coefficient}*X", PolyRing(GF(5), ["X"]))
+
+
+def test_a_denominator_that_is_a_unit_mod_p_divides():
+    ring = PolyRing(GF(7), ["X"])
+    assert parse_polynomial("3/10*X", ring) == ring.var(0)
+
+
 def test_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable"):
         parse_presentation("field QQ; vars Y; ideal Y*Z")

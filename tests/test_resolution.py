@@ -109,11 +109,12 @@ def test_series_identities_over_rationals():
     _assert_identities(R, S, 3)
 
 
-def test_betti_dimension_guard_names_itself():
+def test_betti_dimension_guard_names_itself(monkeypatch):
     # the first step has 2 generators over an algebra of length 4: dimension 8
     A = algebra_from_text("field QQ; vars X Y; ideal X^2, Y^2")
+    monkeypatch.setattr(resolution, "MAX_FREE_RANK_DIM", 5)
     with pytest.raises(ResourceGuardError) as info:
-        betti_numbers(A, TRUNCATION, max_dim=5)
+        betti_numbers(A, TRUNCATION)
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_dim", 5, 8)
     assert str(info.value) == "free module dimension 8 exceeds the max_dim guard of 5"
 
