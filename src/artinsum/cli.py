@@ -160,17 +160,38 @@ def _analyze_one(path):
     return report
 
 
+class _FileFailed(Exception):
+    """The input error that one file of an analysed directory raised, with its path."""
+
+    def __init__(self, path, error):
+        super().__init__(path, error)
+        self.path = path
+        self.error = error
+
+
+def _analyze_listed(path):
+    """`_analyze_one` for a file of a directory: its report, or the input error it raised."""
+    try:
+        return _analyze_one(path)
+    except (ArtinsumError, OSError, UnicodeDecodeError) as exc:
+        return exc
+
+
 def cmd_analyze(args):
     path = Path(args.path)
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.is_file())
+        files = [str(p) for p in sorted(path.iterdir()) if p.is_file()]
         workers = min(args.jobs, len(files))
         if workers > 1:
             from multiprocessing import Pool
             with Pool(workers) as pool:
-                reports = pool.map(_analyze_one, [str(p) for p in files])
+                reports = pool.map(_analyze_listed, files)
         else:
-            reports = [_analyze_one(str(p)) for p in files]
+            reports = [_analyze_listed(p) for p in files]
+        # the first failing file in name order, whatever order the workers finished in
+        for name, r in zip(files, reports):
+            if isinstance(r, Exception):
+                raise _FileFailed(name, r)
         return {"schema": 1, "command": "analyze",
                 "files": [{"path": r["input"]["path"], "sha256": r["input"]["sha256"],
                            "invariants": r["invariants"]} for r in reports]}
@@ -380,19 +401,26 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except ArtinsumError as exc:
-        for types, code in EXIT_CODES:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
-        # unreadable input: a missing file, or one that is not UTF-8 text
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _FileFailed as failed:
+        return _fail(failed.error, f"{failed.path}: ")
+    except (ArtinsumError, OSError, UnicodeDecodeError) as exc:
+        return _fail(exc)
     _emit(report, args)
     return 0
+
+
+def _fail(exc, where=""):
+    """Print the one stderr line for an error, after `where`, and return its exit code."""
+    if not isinstance(exc, ArtinsumError):
+        # unreadable input: a missing file, or one that is not UTF-8 text
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 2
+    for types, code in EXIT_CODES:
+        if isinstance(exc, types):
+            print(f"error: {where}{exc}", file=sys.stderr)
+            return code
+    print(f"internal error: {where}{exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

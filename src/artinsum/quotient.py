@@ -16,11 +16,16 @@ against a sparse product table (`_times`): the algebra's
 `times_table`, the products by the variables, for m*W, for the classes of
 monomials and for the resolution, or the table of any elements
 (`product_table`, gathered from the structure table, `struct_table`) for
-products by elements and annihilators.  Only parsed generator lists take
-the class table from Buchberger and normal forms (`build_algebra`); text
-that is not minimal is then taken as the subalgebra its variables
-generate.  Every derived algebra, a subalgebra or a quotient, has an ideal
-containing a power of m: it is given by the
+products by elements and annihilators.  The powers of m are read off the
+degrees of the standard monomials: the unit rows of those of degree >= i
+lie in m^i, so only the products of m^(i-1) by the variables that fall
+below degree i are echeloned.  The reduced basis `gb` is built on its
+first read, by a function each constructor passes; fibre products and
+connected sums defer their Polynomial work to it.  Only parsed generator
+lists take the class table from Buchberger and normal forms
+(`build_algebra`); text that is not minimal is then taken as the
+subalgebra its variables generate.  Every derived algebra, a subalgebra or
+a quotient, has an ideal containing a power of m: it is given by the
 classes of the monomials up to that degree, as dict rows, and the left
 kernel of those classes, taken with the monomials in increasing order, is
 the reduced echelon basis of its truncation (`kernel_algebra`): dict rows
@@ -35,6 +40,7 @@ basis and classes on the kept variables and the image of each eliminated
 one.
 """
 
+from bisect import bisect_left
 from functools import cached_property
 
 from . import _kernels, linalg
@@ -103,8 +109,11 @@ class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
     `gb` is the reduced Groebner basis of the ideal under Grevlex,
-    ascending, and `basis` its standard monomials, 1 first.  Entry l of
-    `struct_table`, the one multiplication data, lists the triples (k, j, c)
+    ascending, built on its first read by `make_gb`, a function of no
+    arguments; `basis` holds its standard monomials, ascending, 1 first.
+    The table, the filtration and the constructors' identity checks are
+    made without `gb`.  Entry l of `struct_table`, the one multiplication
+    data, lists the triples (k, j, c)
     with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
     over GF(p), and over QQ an int exactly where it is integral.  It is
     symmetric, so entry k also lists the products of e_k by each e_l.  The
@@ -116,9 +125,9 @@ class ArtinAlgebra:
     substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, gb, basis, table):
+    def __init__(self, ring, make_gb, basis, table):
         self.ring = ring
-        self.gb = tuple(gb)
+        self._make_gb = make_gb
         self.field = ring.field
         self.original_ring = ring
         self.reduction = None
@@ -132,6 +141,13 @@ class ArtinAlgebra:
         self._graded = None
 
     # -- construction --------------------------------------------------------
+
+    @cached_property
+    def gb(self):
+        """The reduced basis as a tuple, made by `make_gb` on the first read."""
+        gb = tuple(self._make_gb())
+        del self._make_gb
+        return gb
 
     def product_table(self, elements):
         """Entry l lists the triples (v, j, c) with e_l * elements[v] = sum of c*e_j, by v.
@@ -157,10 +173,12 @@ class ArtinAlgebra:
     def times_table(self):
         """Entry l lists the triples (v, j, c) with e_l * x_v = sum of c*e_j, by v.
 
-        The filtration builds it, so it is made once per algebra.  A variable
-        outside the basis (a presentation that is not minimal) leads a linear
+        The filtration builds it, so it is made once per algebra; it is
+        walked there with the product terms at high columns skipped
+        (`_times_below`).  A variable outside the basis (a presentation that
+        is not minimal, which only `build_algebra` makes) leads a linear
         element of the reduced basis, and its class is minus that element's
-        tail.
+        tail; only then is `gb` read.
         """
         variables = []
         for v in range(self.ring.nvars):
@@ -181,10 +199,26 @@ class ArtinAlgebra:
                 for v in range(self.ring.nvars)]
 
     def _build_filtration(self):
-        whole = Subspace(self, {i: {i: 1} for i in range(self.length)})
-        levels = [whole, self.m_times(whole)]
+        """m^i for i = 0, 1, ... until it is zero, each as its reduced echelon basis.
+
+        For i >= 1 a standard monomial of degree >= i is a product of i
+        variables, so its unit row lies in m^i and is a row of that basis;
+        the basis is ascending, so those columns are a suffix.  The other
+        rows are the reduced echelon basis of the products of m^(i-1) by the
+        variables, restricted to the columns of degree < i (`_times_below`).
+        """
+        lam, p = self.length, self.field.char
+
+        def power(i, prev):
+            top = bisect_left(self.basis, i, key=mono_deg)
+            rows = _kernels.basis(_times_below(prev.basis.values(), self.times_table, top, p), p)
+            rows.update((c, {c: 1}) for c in range(top, lam))
+            return Subspace(self, rows)
+
+        whole = Subspace(self, {i: {i: 1} for i in range(lam)})
+        levels = [whole, power(1, whole)]
         while levels[-1].dim:
-            nxt = self.m_times(levels[-1])
+            nxt = power(len(levels), levels[-1])
             if nxt.dim >= levels[-1].dim:
                 raise NotLocalError(
                     f"the quotient is not local: m^{len(levels) - 1} stopped shrinking "
@@ -373,6 +407,27 @@ def _times(rows, table, lam, p, columns):
                 yield prod
 
 
+def _times_below(rows, table, top, p):
+    """Each row times each variable, restricted to the columns below `top`: the nonzero products.
+
+    `table` is an algebra's `times_table`; the restriction is applied
+    while the table is walked, so a product term at a column >= `top` is
+    never accumulated.
+    """
+    for row in rows:
+        out = {}
+        for col, c in row.items():
+            for v, j, s in table[col]:
+                if j < top:
+                    prod = out.get(v)
+                    if prod is None:
+                        prod = out[v] = {}
+                    prod[j] = prod.get(j, 0) + c * s
+        for prod in out.values():
+            if prod := _canonical(prod, p):
+                yield prod
+
+
 def build_algebra(ring, generators):
     """Construct the Artinian local algebra of a generator list in `ring`.
 
@@ -394,7 +449,7 @@ def build_algebra(ring, generators):
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
     products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
-    A = _table_algebra(ring, pres.groebner_basis(), basis, {
+    A = _table_algebra(ring, list(pres.groebner_basis()), basis, {
         mono: _canonical({index[m]: c for m, c in
                           pres.normal_form(ring.monomial(mono)).terms.items()}, p)
         for mono in products})
@@ -404,11 +459,15 @@ def build_algebra(ring, generators):
 
 
 def _table_algebra(ring, gb, basis, classes):
-    """The algebra whose basis products have the classes, canonical dict rows, or else are 0."""
+    """The algebra whose basis products have the classes, canonical dict rows, or else are 0.
+
+    `gb` is the reduced basis, a list already built; the algebra is handed
+    its `copy` method, which holds less than a closure would.
+    """
     rows = {mono: sorted(row.items()) for mono, row in classes.items()}
     table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
              for a in basis]
-    return ArtinAlgebra(ring, gb, basis, table)
+    return ArtinAlgebra(ring, gb.copy, basis, table)
 
 
 def _read_echelon(ring, monos, rows):

@@ -28,9 +28,16 @@ presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
   basis of Q is h and the elements of G_P whose lead lm h does not divide,
   each with the lm h term of its tail replaced through h, and Q's basis is
   P's without lm h.
+
+At construction only the standard monomials and the structure table are
+assembled (`_fibre_table`, and `_socle_quotient`, which reads the terms of
+h), and the filtration, the socle and the identity checks are taken from
+them.  The reduced basis of P or Q is built on its first read
+(`_reduced_basis`) from R, S, the combined ring and h: no invariant reads it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
@@ -66,17 +73,35 @@ def _embed(poly, big, offset):
     return poly.rename_into(big, index_map)
 
 
-def _fibre_assembly(R, S, big):
-    """P = R x_k S on `big`: its reduced basis, standard monomials and structure table."""
+def _reduced_basis(R, S, big, h=None):
+    """The reduced basis of P = R x_k S on `big`, or of P / (h) for a monic h with m*h in I_P.
+
+    P's holds G_R, G_S and every y_i*z_j.  For P / (h) the elements whose
+    lead lm h divides go, and the lm h term of each other tail is
+    rewritten through h; the leads do not change.
+    """
     m, n = R.ring.nvars, S.ring.nvars
-    key = big.order.key
     gb = [_embed(g, big, 0) for g in R.gb]
     gb += [_embed(g, big, m) for g in S.gb]
     gb += [big.var(i) * big.var(m + j) for i in range(m) for j in range(n)]
-    gb.sort(key=lambda g: key(g.leading()[0]))
+    if h is not None:
+        lead = h.leading()[0]
+        kept = [h]
+        for g in gb:
+            if mono_div(g.leading()[0], lead) is None:
+                c = g.coefficient(lead)
+                kept.append(g - h.scale(c) if c else g)
+        gb = kept
+    key = big.order.key
+    return sorted(gb, key=lambda g: key(g.leading()[0]))
+
+
+def _fibre_table(R, S, big):
+    """P = R x_k S on `big`: its standard monomials and structure table."""
+    m, n = R.ring.nvars, S.ring.nvars
     left = [a + (0,) * n for a in R.basis]
     right = [(0,) * m + b for b in S.basis]
-    basis = sorted(set(left + right), key=key)
+    basis = sorted(set(left + right), key=big.order.key)
     index = {mono: i for i, mono in enumerate(basis)}
     # 1 is basis[0] of every algebra, and its products are the identity; each
     # factor's basis keeps its order in P's, so renamed entries stay sorted
@@ -85,23 +110,18 @@ def _fibre_assembly(R, S, big):
         idx = [index[mono] for mono in monos]
         for a, entry in enumerate(A.struct_table[1:], 1):
             table[idx[a]] = [(idx[k], idx[j], c) for k, j, c in entry]
-    return gb, basis, table
+    return basis, table
 
 
-def _socle_quotient(gb, basis, table, h):
-    """P / (h) from P's reduced basis, standard monomials and table, for h with m*h in I_P.
+def _socle_quotient(basis, table, h):
+    """P / (h) from P's standard monomials and table, for a monic h with m*h in I_P.
 
     The table's lm h component is rewritten through h, as the tails are:
     in each product with a nonzero a at e_lead, e_lead becomes e_lead - h;
     then the index of lm h is dropped.
     """
     p = h.ring.field.char
-    key = h.ring.order.key
-    h = h.monic()
     lead = h.leading()[0]
-    reduced = [h] + [g - h.scale(g.coefficient(lead)) for g in gb
-                     if mono_div(g.leading()[0], lead) is None]
-    reduced.sort(key=lambda g: key(g.leading()[0]))
     index = {mono: i for i, mono in enumerate(basis)}
     at = index[lead]
     lead_class = [(index[mono], -c) for mono, c in h.terms.items() if mono != lead]
@@ -116,7 +136,7 @@ def _socle_quotient(gb, basis, table, h):
                     row[k, t] = row.get((k, t), 0) + a * x
         out.append([(k - (k > at), j - (j > at), c)
                     for (k, j), c in sorted(_canonical(row, p).items())])
-    return reduced, basis[:at] + basis[at + 1:], out
+    return basis[:at] + basis[at + 1:], out
 
 
 def fibre_product(R, S):
@@ -130,7 +150,7 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     big = _combined_ring(R, S)
-    P = ArtinAlgebra(big, *_fibre_assembly(R, S, big))
+    P = ArtinAlgebra(big, partial(_reduced_basis, R, S, big), *_fibre_table(R, S, big))
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -195,8 +215,9 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     big = _combined_ring(R, S)
-    h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
-    Q = ArtinAlgebra(big, *_socle_quotient(*_fibre_assembly(R, S, big), h))
+    h = (delta_r.rename_into(big) - delta_s.rename_into(big).scale(unit)).monic()
+    Q = ArtinAlgebra(big, partial(_reduced_basis, R, S, big, h),
+                     *_socle_quotient(*_fibre_table(R, S, big), h))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:

@@ -16,7 +16,8 @@ an ideal to the ring on a subset of its variables, the fibre products
 and connected sums built by Buchberger and normal forms from their
 generator lists, classes of polynomials by normal forms, quotients and the
 linear-socle split built by Buchberger on generator lists, the ideal
-spanned by elements grown by m*W until it stops growing, and the
+spanned by elements grown by m*W until it stops growing, the m-adic
+filtration as m*W repeated from the whole algebra, and the
 cross-product test of a coordinate split by ideal membership, the two
 ranks that counted the minimal generators of an ideal, and the graded
 socle taken as one kernel per degree.  The library has one term order,
@@ -771,7 +772,7 @@ def build_algebra_reference(pres):
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
-    A = ArtinAlgebra(minimal.ring, minimal.groebner_basis(), basis,
+    A = ArtinAlgebra(minimal.ring, minimal.groebner_basis, basis,
                      struct_readout(normal_form_structure_reference(minimal, basis)))
     A.original_ring = pres.ring
     if steps:
@@ -960,6 +961,25 @@ def ideal_span_reference(A, rows):
         if nxt.dim == current.dim:
             return nxt
         current = nxt
+
+
+def filtration_reference(A):
+    """The powers m^0, m^1, ... of A's maximal ideal, each m times the one before, until zero.
+
+    `ArtinAlgebra.filtration`, which reads the unit rows of m^i off the
+    degrees of the standard monomials, must give the same reduced echelon
+    bases, and raise the same `NotLocalError` when m^i stops shrinking.
+    """
+    whole = A.subspace([{i: 1} for i in range(A.length)])
+    levels = [whole, A.m_times(whole)]
+    while levels[-1].dim:
+        nxt = A.m_times(levels[-1])
+        if nxt.dim >= levels[-1].dim:
+            raise NotLocalError(
+                f"the quotient is not local: m^{len(levels) - 1} stopped shrinking "
+                f"at dimension {levels[-1].dim}")
+        levels.append(nxt)
+    return levels
 
 
 def modulo_socle_reference(A):

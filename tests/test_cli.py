@@ -290,5 +290,6 @@ def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_pa
                 [sys.executable, "-m", "artinsum", "analyze", str(folder), "--jobs", jobs],
                 capture_output=True, text=True, env=env, timeout=60))
         assert [run.returncode for run in runs] == [2, 2]
-        assert runs[0].stderr.startswith("error: ") and runs[1].stderr == runs[0].stderr
+        assert runs[0].stderr.startswith(f"error: {folder / 'bad.txt'}: ")
+        assert runs[1].stderr == runs[0].stderr
         assert runs[0].stderr.count("\n") == 1

@@ -273,9 +273,41 @@ def test_not_zero_dimensional_rejected():
         algebra_from_text("field QQ; vars Y Z; ideal Y*Z")
 
 
-def test_not_local_rejected():
-    with pytest.raises(NotLocalError):
-        algebra_from_text("field QQ; vars Y; ideal Y^2-Y")
+def test_not_local_rejected(monkeypatch):
+    messages = []
+    for ideal in ("Y^2-Y", "Y^2-1"):
+        with pytest.raises(NotLocalError) as got:
+            algebra_from_text(f"field QQ; vars Y; ideal {ideal}")
+        messages.append(str(got.value))
+    assert messages[1] == "the quotient is not local: m^1 stopped shrinking at dimension 2"
+    # the m*W loop stops at the same power with the same message
+    monkeypatch.setattr(ArtinAlgebra, "_build_filtration", _reference_filtration)
+    for ideal, message in zip(("Y^2-Y", "Y^2-1"), messages):
+        with pytest.raises(NotLocalError) as want:
+            algebra_from_text(f"field QQ; vars Y; ideal {ideal}")
+        assert str(want.value) == message
+
+
+def _reference_filtration(A):
+    A.filtration = oracles.filtration_reference(A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_filtration_matches_the_m_times_reference(monkeypatch, field):
+    golden = Path(__file__).resolve().parent / "golden"
+    algebras = [algebra_from_text((golden / name).read_text().replace("field QQ", f"field {field}"))
+                for name in ("hidden_sum.txt", "hidden_sum_edim2.txt", "nonminimal_qq.txt",
+                             "ci_qq.txt")]
+    for R, S in pair_corpus(3, seed=41, min_ll=2, field=field):
+        Q = connected_sum(R, S).algebra
+        algebras += [R, S, fibre_product(R, S).algebra, Q, associated_graded(Q),
+                     iarrobino(Q)[1], modulo_socle(Q)]
+    algebras.append(_non_minimal_table_algebra(monkeypatch, field))
+    assert sum(not all(g.is_homogeneous() for g in A.gb) for A in algebras) >= 6
+    for A in algebras:
+        want = oracles.filtration_reference(A)
+        assert [list(W.basis.items()) for W in A.filtration] == \
+            [list(W.basis.items()) for W in want]
 
 
 def test_zero_variable_algebra():

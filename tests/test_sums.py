@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       apolar_sum_check, associated_graded, connected_sum, fibre_product,
                       gls_split, grobner, iarrobino, modulo_socle, parse_polynomial,
-                      socle_generator, structure_decompose)
+                      socle_generator, structure_decompose, sums)
 from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
@@ -20,9 +20,9 @@ from artinsum.poly import Polynomial
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_gorenstein, random_pair
-from oracles import (apolar_classes_reference, classes_matrix, connected_sum_reference,
-                     dense, fibre_product_reference, rank_reference, residue_field_algebra,
-                     typed_table)
+from oracles import (apolar_classes_reference, classes_matrix, connected_sum_ideal,
+                     connected_sum_reference, dense, fibre_product_reference, rank_reference,
+                     residue_field_algebra, typed_table)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -276,6 +276,29 @@ def _assert_sums_match_reference(R, S, unit=1, socle_left=None, socle_right=None
         assert min(R.length, S.length) == 2
         return
     _assert_same_algebra(Q.algebra, connected_sum_reference(R, S, unit, socle_left, socle_right))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sums_build_their_reduced_basis_on_first_read(monkeypatch, field):
+    calls = Counter()
+    embed = sums._embed
+
+    def counted(*args):
+        calls["embed"] += 1
+        return embed(*args)
+
+    monkeypatch.setattr(sums, "_embed", counted)
+    for R, S in pair_corpus(2, seed=43, min_ll=2, field=field):
+        P = fibre_product(R, S).algebra
+        Q = connected_sum(R, S).algebra
+        assert calls["embed"] == 0
+        first = P.gb, Q.gb
+        # each first read renames both factors' reduced bases, and a second read none
+        assert calls["embed"] == 2 * (len(R.gb) + len(S.gb))
+        assert (P.gb, Q.gb) == first and calls["embed"] == 2 * (len(R.gb) + len(S.gb))
+        assert first == (fibre_product_reference(R, S).gb,
+                         connected_sum_ideal(R, S).groebner_basis())
+        calls.clear()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
