@@ -10,13 +10,12 @@ int where it is integral and a Fraction otherwise.  Outside this module an
 echelon basis has one format (`basis`): the monic rows by increasing
 pivot, against which residues are exact.  The left kernel of a list of
 rows (`left_kernel`) and the rows that extend a span (`complement`) are
-dict rows too; `rref_mod` is the adapter for a dense array.
+dict rows too; `rref_mod` is the adapter for a dense array, and imports numpy
+when it is called.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 BACKEND = "sparse"  # the kernel's name, printed by perfbench/run.py
 
@@ -180,6 +179,8 @@ def rref_mod(a, p):
     Over GF(p) `a` is an int64 array with entries in [0, p); with p = 0 it
     is an object array over QQ.
     """
+    import numpy as np
+
     pivots = basis(sparse_rows(a), p)
     fill(a, pivots.values(), p)
     return len(pivots), np.asarray(list(pivots), dtype=np.int64)

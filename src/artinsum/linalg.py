@@ -8,7 +8,8 @@ way in for such an array: it enforces the dimension guard
 library: it is kept because the benchmark's set-up probe and its span
 tracer name it, with `is_prime_field`.  A QQ matrix it returns is
 canonical: an entry is an `int` exactly when it is integral, and a
-`Fraction` otherwise.
+`Fraction` otherwise.  numpy is imported when `rref` or `_checked` is
+called, so importing the library does not load it.
 
 No product of matrices is formed in the library: products in an algebra
 run on dict rows against its sparse product tables (`quotient._times`), in
@@ -16,8 +17,6 @@ Python integers, so no int64 product can overflow.  `fields.MAX_PRIME`
 stays at 2**20 all the same; raising it is a change of its own, with
 goldens at a larger prime.
 """
-
-import numpy as np
 
 from . import _kernels
 from .errors import ResourceGuardError
@@ -32,6 +31,8 @@ def is_prime_field(field):
 
 def _checked(field, a):
     """`a` as a 2-D int64 array reduced mod p, or an object array over QQ, within the guard."""
+    import numpy as np
+
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("matrix expected")
@@ -45,5 +46,7 @@ def _checked(field, a):
 
 def rref(field, a):
     """Reduced row echelon form: returns (R, pivot column array)."""
+    import numpy as np
+
     a = np.array(_checked(field, a))
     return a, _kernels.rref_mod(a, field.char)[1]

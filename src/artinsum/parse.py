@@ -48,9 +48,9 @@ def _tokenize(text):
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             start, c0 = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
                 col += 1
             tokens.append(_Token("int", text[start:i], line, c0))

@@ -13,10 +13,11 @@ check of their columns and scalars (`_checked_rows`).  The structure
 table lists the products of the basis elements and is gathered from a
 table of monomial classes.  Every product is one pass over dict rows
 against a sparse product table (`_times`): the algebra's
-`times_table`, the products by the variables, for m*W, for the classes of
-monomials and for the resolution, or the table of any elements
-(`product_table`, gathered from the structure table, `struct_table`) for
-products by elements and annihilators.  The powers of m are read off the
+`times_table`, the products by the variables, read off the variables'
+entries of the structure table (`struct_table`), for m*W, for the classes
+of monomials and for the resolution, or the table of any elements
+(`product_table`, gathered from the structure table) for products by
+elements and annihilators.  The powers of m are read off the
 degrees of the standard monomials: the unit rows of those of degree >= i
 lie in m^i, so only the products of m^(i-1) by the variables that fall
 below degree i are echeloned.  The reduced basis `gb` is built on its
@@ -26,28 +27,31 @@ lists take the class table from Buchberger and normal forms
 (`build_algebra`); text that is not minimal is then taken as the
 subalgebra its variables generate.  Every derived algebra, a subalgebra or
 a quotient, has an ideal containing a power of m: it is given by the
-classes of the monomials up to that degree, as dict rows, and the left
-kernel of those classes, taken with the monomials in increasing order, is
-the reduced echelon basis of its truncation (`kernel_algebra`): dict rows
-keyed by their lead column, from which `_read_echelon` reads the reduced
-basis and the class of every monomial.  A quotient, gr(A) and Q0
-included, takes the classes modulo one subspace per degree
+classes of the monomials up to that degree, as dict rows.  The monomials
+are enumerated in ascending Grevlex order (`_monomials_up_to`), so nothing
+is sorted, and the left kernel of their classes is the reduced echelon
+basis of the truncated ideal (`kernel_algebra`): dict rows keyed by their
+lead column, from which `_read_echelon` reads the reduced basis and the
+class of every monomial, walking the columns in order.  A quotient, gr(A)
+and Q0 included, takes the classes modulo one subspace per degree
 (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
 eliminated: the rows are echeloned once more, with the columns ranked
-first by their degree in the eliminated variables, and give the reduced
-basis and classes on the kept variables and the image of each eliminated
-one.
+first by their degree in the eliminated variables and then by column, and
+give the reduced basis and classes on the kept variables and the image of
+each eliminated one.
 """
 
 from bisect import bisect_left
 from functools import cached_property
+from itertools import combinations_with_replacement
+from operator import add
 
 from . import _kernels, linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
                      ResourceGuardError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
-from .poly import PolyRing, mono_deg, mono_mul
+from .poly import PolyRing, mono_deg
 
 
 class Subspace:
@@ -175,14 +179,25 @@ class ArtinAlgebra:
 
         The filtration builds it, so it is made once per algebra; it is
         walked there with the product terms at high columns skipped
-        (`_times_below`).  A variable outside the basis (a presentation that
-        is not minimal, which only `build_algebra` makes) leads a linear
+        (`_times_below`).  When every variable is a basis element, as in
+        every minimal presentation, the table is gathered from the
+        variables' entries of `struct_table`, which list those products in
+        this order.  A variable outside the basis (a presentation that is
+        not minimal, which only `build_algebra` makes) leads a linear
         element of the reduced basis, and its class is minus that element's
-        tail; only then is `gb` read.
+        tail; only then is `gb` read and the table multiplied out
+        (`product_table`).
         """
+        n = self.ring.nvars
+        units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+        if all(mono in self.basis_index for mono in units):
+            table = [[] for _ in range(self.length)]
+            for v, mono in enumerate(units):
+                for l, j, c in self.struct_table[self.basis_index[mono]]:
+                    table[l].append((v, j, c))
+            return table
         variables = []
-        for v in range(self.ring.nvars):
-            mono = tuple(int(i == v) for i in range(self.ring.nvars))
+        for mono in units:
             idx = self.basis_index.get(mono)
             if idx is None:
                 g = next(g for g in self.gb if g.leading()[0] == mono)
@@ -448,7 +463,7 @@ def build_algebra(ring, generators):
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
-    products = dict.fromkeys(mono_mul(a, b) for a in basis for b in basis)
+    products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in basis)
     A = _table_algebra(ring, list(pres.groebner_basis()), basis, {
         mono: _canonical({index[m]: c for m, c in
                           pres.normal_form(ring.monomial(mono)).terms.items()}, p)
@@ -462,10 +477,13 @@ def _table_algebra(ring, gb, basis, classes):
     """The algebra whose basis products have the classes, canonical dict rows, or else are 0.
 
     `gb` is the reduced basis, a list already built; the algebra is handed
-    its `copy` method, which holds less than a closure would.
+    its `copy` method, which holds less than a closure would.  The class of
+    each product of basis elements is looked up by the sum of their
+    exponent tuples.
     """
     rows = {mono: sorted(row.items()) for mono, row in classes.items()}
-    table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
+    table = [[(k, j, c) for k, b in enumerate(basis)
+              for j, c in rows.get(tuple(map(add, a, b)), ())]
              for a in basis]
     return ArtinAlgebra(ring, gb.copy, basis, table)
 
@@ -473,27 +491,28 @@ def _table_algebra(ring, gb, basis, classes):
 def _read_echelon(ring, monos, rows):
     """The reduced basis, standard monomials and classes of the ideal I that `rows` span.
 
-    `monos` maps columns to the monomials of `ring` up to a degree D, m^D
-    lies in I, and `rows`, dict rows over those columns keyed by lead
-    column, are the reduced echelon basis of I ∩ span(monos): each row is
-    one at its lead, which is its largest monomial, and zero at the other
-    leads, so the leads are the leading monomials of I up to degree D.  The
-    rows whose lead has no one-step divisor among the leads, in ascending
-    order, are the reduced Groebner basis; the columns that lead no row are
-    the standard monomials, and the class of a lead is minus its row's tail.
+    `monos` maps columns to the monomials of `ring` up to a degree D, in
+    ascending Grevlex order of the monomials, which is the order the
+    columns are walked in; m^D lies in I, and `rows`, dict rows over those
+    columns keyed by lead column, are the reduced echelon basis of
+    I ∩ span(monos): each row is one at its lead, which is its largest
+    monomial, and zero at the other leads, so the leads are the leading
+    monomials of I up to degree D.  The rows whose lead has no one-step
+    divisor among the leads, in ascending order, are the reduced Groebner
+    basis; the columns that lead no row are the standard monomials, and the
+    class of a lead is minus its row's tail.
     """
     p = ring.field.char
     leads = {monos[c] for c in rows}
-    top = max(map(mono_deg, monos.values()))
+    top = mono_deg(next(reversed(monos.values())))
     missing = [m for m in monos.values() if mono_deg(m) == top and m not in leads]
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
-    ascending = sorted(monos, key=lambda c: ring.order.key(monos[c]))
-    gb = [ring.poly({monos[k]: x for k, x in rows[c].items()}) for c in ascending
+    gb = [ring.poly({monos[k]: x for k, x in rows[c].items()}) for c in monos
           if c in rows and not any(e and monos[c][:i] + (e - 1,) + monos[c][i + 1:] in leads
                                    for i, e in enumerate(monos[c]))]
-    standard = [c for c in ascending if c not in rows]
+    standard = [c for c in monos if c not in rows]
     index = {c: i for i, c in enumerate(standard)}
     classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
     for c, row in rows.items():
@@ -501,53 +520,53 @@ def _read_echelon(ring, monos, rows):
     return gb, [monos[c] for c in standard], classes
 
 
-def kernel_algebra(ring, monos, classes):
+def kernel_algebra(ring, degree, classes):
     """The algebra k[ring]/I, on the variables that minimally generate m.
 
-    I is the kernel of the map sending `monos[j]` to the dict row
-    `classes[j]` (canonical scalars), `monos` holds every monomial of `ring`
-    up to a degree D, and m^D lies in I.  The left kernel of the classes,
-    taken with the monomials in increasing Grevlex order
-    (`_kernels.left_kernel`), is the reduced echelon basis of
-    I ∩ span(monos), the linear dependencies from which FGLM reads a
-    reduced basis: its dict rows are keyed by free column, and each is
-    one at its free column, which is its largest monomial, and zero at the
-    other free columns.  The pivots of the linear parts' echelon form, in
-    declaration order, are eliminated; there are none when I lies inside
-    m^2.  Only then are the rows echeloned again, with each column renamed
-    to its rank in decreasing order of (degree in the eliminated variables,
-    Grevlex).  The rows led by a kept monomial are then the reduced
-    echelon basis of I ∩ k[kept], the minimal ideal, because Grevlex
-    restricts to the kept variables; and the row led by an eliminated
-    variable is that variable minus the standard-monomial lift of its
-    class.  One reduction step carries the given ring to the kept one.
+    I is the kernel of the map sending the j-th monomial of `ring` up to
+    `degree` in ascending Grevlex order (`_monomials_up_to`) to the dict
+    row `classes[j]` (canonical scalars), and m^degree lies in I.  The left
+    kernel of the classes (`_kernels.left_kernel`) is the reduced echelon
+    basis of I up to `degree`, the linear dependencies from which FGLM
+    reads a reduced basis: its dict rows are keyed by free column, and
+    each is one at its free column, which is its largest monomial, and zero
+    at the other free columns.  The pivots of the linear parts' echelon
+    form, in declaration order, are eliminated; there are none when I lies
+    inside m^2.  Only then are the rows echeloned again, with each column
+    renamed to its rank in decreasing order of (degree in the eliminated
+    variables, column).  The rows led by a kept monomial are then the
+    reduced echelon basis of I ∩ k[kept], the minimal ideal, because
+    Grevlex restricts to the kept variables; and the row led by an
+    eliminated variable is that variable minus the standard-monomial lift
+    of its class.  One reduction step carries the given ring to the kept
+    one.
     """
-    if len(monos) > linalg.MAX_ECHELON_DIM:
-        raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(monos),
+    if len(classes) > linalg.MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(classes),
                                  "matrix dimension")
     fld, p = ring.field, ring.field.char
-    order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
-    ordered = [monos[j] for j in order]
-    rows = _kernels.left_kernel([classes[j] for j in order], p)
+    monos = _monomials_up_to(ring, degree)
+    rows = _kernels.left_kernel(classes, p)
+    # columns 1..nvars are the variables
     linear = [part for row in rows.values()
-              if (part := {ordered[k].index(1): x for k, x in row.items()
-                           if mono_deg(ordered[k]) == 1})]
+              if (part := {monos[k].index(1): x for k, x in row.items() if 0 < k <= ring.nvars})]
     if not linear:
-        return _table_algebra(ring, *_read_echelon(ring, dict(enumerate(ordered)), rows))
+        return _table_algebra(ring, *_read_echelon(ring, dict(enumerate(monos)), rows))
     elim = sorted(_kernels.echelon(linear, p))
     keep = [v for v in range(ring.nvars) if v not in elim]
     cols = sorted(range(len(monos)), reverse=True,
-                  key=lambda j: (sum(ordered[j][v] for v in elim), ring.order.key(ordered[j])))
+                  key=lambda j: (sum(monos[j][v] for v in elim), j))
     rank = {j: r for r, j in enumerate(cols)}
     lead_rows = _kernels.basis([{rank[k]: x for k, x in row.items()} for row in rows.values()], p)
-    first = next(r for r, j in enumerate(cols) if not any(ordered[j][v] for v in elim))
+    first = next(r for r, j in enumerate(cols) if not any(monos[j][v] for v in elim))
     sub = PolyRing(fld, [ring.names[v] for v in keep])
-    kept = {r: tuple(ordered[j][v] for v in keep) for r, j in enumerate(cols[first:], first)}
+    # the kept columns ascend in the reverse of their ranks
+    kept = {r: tuple(monos[cols[r]][v] for v in keep) for r in range(len(cols) - 1, first - 1, -1)}
     A = _table_algebra(sub, *_read_echelon(sub, kept, {c: row for c, row in lead_rows.items()
                                                        if c >= first}))
     # the rows led by a variable are those of the eliminated ones
-    tails = {ordered[cols[c]].index(1): {kept[k]: x for k, x in row.items() if k >= first}
-             for c, row in lead_rows.items() if mono_deg(ordered[cols[c]]) == 1}
+    tails = {monos[cols[c]].index(1): {kept[k]: x for k, x in row.items() if k >= first}
+             for c, row in lead_rows.items() if 0 < cols[c] <= ring.nvars}
     images = [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
               for v in range(ring.nvars)]
     A.original_ring = ring
@@ -556,7 +575,14 @@ def kernel_algebra(ring, monos, classes):
 
 
 def _monomials_up_to(ring, degree):
-    return [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
+    """The monomials of `ring` up to `degree`, in ascending Grevlex order.
+
+    Within a degree, Grevlex ascends with the combinations of the variables
+    taken last variable first.
+    """
+    n = ring.nvars
+    return [tuple(map(combo.count, range(n))) for d in range(degree + 1)
+            for combo in combinations_with_replacement(range(n - 1, -1, -1), d)]
 
 
 def subalgebra(Q, new_ring, images):
@@ -569,9 +595,10 @@ def subalgebra(Q, new_ring, images):
     """
     lam, p = Q.length, Q.field.char
     tables = [Q.product_table([Q.element_row(f)]) for f in images]
-    monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
+    degree = Q.loewy_length + 1
+    monos = _monomials_up_to(new_ring, degree)
     memo = {monos[0]: Q.monomial_row((0,) * Q.ring.nvars)}
-    return kernel_algebra(new_ring, monos, [_class_row(memo, m, tables, lam, p) for m in monos])
+    return kernel_algebra(new_ring, degree, [_class_row(memo, m, tables, lam, p) for m in monos])
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -605,15 +632,14 @@ def quotient_algebra(A, targets):
     graded, since in a vanishing sum of residues the one of least degree d
     would lie in m^(d+1), inside targets[d], and so be zero.
     """
-    monos = _monomials_up_to(A.ring, A.loewy_length + 1)
-    residues = monomial_residues(A, monos, targets)
+    degree = A.loewy_length + 1
+    residues = monomial_residues(A, _monomials_up_to(A.ring, degree), targets)
     if not residues[0]:
         raise UnitIdealError("1 lies in the ideal")
-    return kernel_algebra(A.ring, monos, residues)
+    return kernel_algebra(A.ring, degree, residues)
 
 
 def square_zero_algebra(ring):
     """k[ring]/m^2: 1 and the variables are independent, and every quadric is zero."""
-    monos = _monomials_up_to(ring, 2)
-    return kernel_algebra(ring, monos, [{j: 1} if j <= ring.nvars else {}
-                                        for j in range(len(monos))])
+    count = len(_monomials_up_to(ring, 2))
+    return kernel_algebra(ring, 2, [{j: 1} if j <= ring.nvars else {} for j in range(count)])

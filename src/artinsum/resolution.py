@@ -22,6 +22,7 @@ checked with exact series arithmetic.
 
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
@@ -138,22 +139,26 @@ def mu_direct(A):
     image of I there minus that of m*I.  The first needs no rank: the
     monomials up to degree s+1 span k[x]/m^(s+2), and the quotient of that
     by the image of I is A itself, so the image of I has dimension
-    len(monos) - A.length.  The second is the rank of the variable
-    multiples of the reduced basis, truncated above degree s+1.
+    len(monos) - A.length.  The second is the rank of the monomial
+    multiples of the reduced basis, truncated above degree s+1: each row
+    adds a monomial's exponents to the terms of an element.
     """
-    ring = A.ring
     if not A.gb:
         return 0
     bound = A.loewy_length + 1
-    monos = _monomials_up_to(ring, bound)
+    monos = _monomials_up_to(A.ring, bound)
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:
-        for d in range(1, bound - min(sum(t) for t in g.terms) + 1):
-            for m in ring.monomials_of_degree(d):
-                terms = g.mul_term(m, ring.field.one).terms.items()
-                rows.append({col[t]: c for t, c in terms if sum(t) <= bound})
-    return len(monos) - A.length - len(_kernels.echelon(rows, ring.field.char))
+        terms = [(t, sum(t), c) for t, c in g.terms.items()]
+        top = bound - min(e for _, e, _ in terms)
+        # the monomials ascend by degree
+        for m in monos[1:]:
+            d = sum(m)
+            if d > top:
+                break
+            rows.append({col[tuple(map(add, t, m))]: c for t, e, c in terms if e + d <= bound})
+    return len(monos) - A.length - len(_kernels.echelon(rows, A.field.char))
 
 
 def mu_from_betti(A, betti=None):

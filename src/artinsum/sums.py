@@ -5,7 +5,7 @@ return the surviving algebra with an explicit flag rather than erroring.
 
 Nothing here runs Buchberger or a normal form.  An apolar algebra is
 k[X]/Ann(F), presented by the derivatives of F that the monomials of k[X]
-give (`quotient.kernel_algebra`).
+give (`quotient.kernel_algebra`), taken as term dicts (`_derive`).
 
 Fibre products and connected sums are assembled from their factors'
 reduced bases (`ArtinAlgebra.gb`), standard monomials and structure
@@ -21,7 +21,9 @@ presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
   across G_R and G_S have coprime leads.  No lead divides y_i*z_j, as the
   ideals hold no linear form, and every tail is standard.
   The standard monomials of P are those of R and of S with the two 1s
-  merged, and m_R * m_S = 0 in P.
+  merged, and m_R * m_S = 0 in P.  Within a degree every monomial in Z
+  alone is smaller than every one in Y alone, so P's basis is a merge of
+  the factors' bases by degree.
 - Q = R # S = P / (h) with h = sigma_R - u*sigma_S monic.  Since m*h lies
   in I_P, I_Q = I_P + k*h, and lead(I_Q) = lead(I_P) + (lm h): the
   multiples of lm h by variables are leads of I_P already.  So the reduced
@@ -38,10 +40,11 @@ them.  The reduced basis of P or Q is built on its first read
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import merge
 
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
-from .poly import Polynomial, PolyRing, mono_div
+from .poly import Polynomial, PolyRing, mono_deg, mono_div
 from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
                        quotient_algebra)
 
@@ -97,11 +100,17 @@ def _reduced_basis(R, S, big, h=None):
 
 
 def _fibre_table(R, S, big):
-    """P = R x_k S on `big`: its standard monomials and structure table."""
+    """P = R x_k S on `big`: its standard monomials and structure table.
+
+    Both factors' bases ascend, and within a degree Grevlex on `big` puts
+    every pure-Z monomial before every pure-Y one, so P's basis is 1 and
+    then, degree by degree, S's monomials followed by R's: a merge by
+    degree that keeps each factor's order.
+    """
     m, n = R.ring.nvars, S.ring.nvars
     left = [a + (0,) * n for a in R.basis]
     right = [(0,) * m + b for b in S.basis]
-    basis = sorted(set(left + right), key=big.order.key)
+    basis = [left[0], *merge(right[1:], left[1:], key=mono_deg)]
     index = {mono: i for i, mono in enumerate(basis)}
     # 1 is basis[0] of every algebra, and its products are the identity; each
     # factor's basis keeps its order in P's, so renamed entries stay sorted
@@ -118,13 +127,13 @@ def _socle_quotient(basis, table, h):
 
     The table's lm h component is rewritten through h, as the tails are:
     in each product with a nonzero a at e_lead, e_lead becomes e_lead - h;
-    then the index of lm h is dropped.
+    then the index of lm h is dropped.  The basis ascends, so lm h is the
+    term of h at the largest index.
     """
     p = h.ring.field.char
-    lead = h.leading()[0]
     index = {mono: i for i, mono in enumerate(basis)}
-    at = index[lead]
-    lead_class = [(index[mono], -c) for mono, c in h.terms.items() if mono != lead]
+    at = max(index[mono] for mono in h.terms)
+    lead_class = [(index[mono], -c) for mono, c in h.terms.items() if index[mono] != at]
     out = []
     for l, entry in enumerate(table):
         if l == at:
@@ -241,22 +250,38 @@ def default_operator_names(n):
     return ("X",) if n == 1 else tuple(f"X{i + 1}" for i in range(n))
 
 
+def _derive(terms, i, p):
+    """The partial derivative by variable i of a term dict (exponent tuple to scalar).
+
+    Each term's coefficient is multiplied by its exponent, mod p over GF(p).
+    """
+    out = {}
+    for t, c in terms.items():
+        if e := t[i]:
+            if d := (c * e % p if p else c * e):
+                out[t[:i] + (e - 1,) + t[i + 1:]] = d
+    return out
+
+
 def _apolar_classes(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and dict rows of their derivatives of F.
 
-    Each monomial's derivative is one derivative of its predecessor's, the
+    The monomials ascend under Grevlex (`_monomials_up_to`), as
+    `kernel_algebra` takes their classes.  Each monomial's derivative is a
+    term dict, one derivative (`_derive`) of its predecessor's, the
     monomial with its first nonzero exponent lowered, as `ArtinAlgebra`
-    memoises classes; the monomials come in increasing degree.  Column c of
-    the rows is the c-th term met among the derivatives.
+    memoises classes; the predecessor has lower degree, so it comes first.
+    Column c of the rows is the c-th term met among the derivatives.
     """
+    p = F.ring.field.char
     monos = _monomials_up_to(ops, F.total_degree() + 1)
-    derived = {monos[0]: F}
+    derived = {monos[0]: F.terms}
     for m in monos[1:]:
         i = next(k for k, e in enumerate(m) if e)
-        derived[m] = derived[m[:i] + (m[i] - 1,) + m[i + 1:]].derivative(i)
+        derived[m] = _derive(derived[m[:i] + (m[i] - 1,) + m[i + 1:]], i, p)
     col = {}
-    return monos, [{col.setdefault(t, len(col)): c for t, c in p.terms.items()}
-                   for p in derived.values()]
+    return monos, [{col.setdefault(t, len(col)): c for t, c in terms.items()}
+                   for terms in derived.values()]
 
 
 def apolar_algebra(F, operator_names=None):
@@ -278,8 +303,7 @@ def apolar_algebra(F, operator_names=None):
         raise PreconditionError(f"one operator name per dual variable required: "
                                 f"{len(names)} names for {dual.nvars} variables")
     ops = PolyRing(field, names)
-    monos, classes = _apolar_classes(F, ops)
-    A = kernel_algebra(ops, monos, classes)
+    A = kernel_algebra(ops, degree + 1, _apolar_classes(F, ops)[1])
     if A.loewy_length != degree or not A.is_gorenstein():
         raise ArtinsumError("apolar algebra failed the duality sanity checks")
     return A

@@ -3,9 +3,12 @@
 A random dual polynomial with a nonzero top-degree part yields a Gorenstein
 algebra with socle degree equal to its degree; retries pin the embedding
 dimension.  Everything is deterministic for a fixed Random seed.
+`dual_polynomials` draws small dual polynomials for hypothesis.
 """
 
 import random
+
+from hypothesis import strategies as st
 
 from artinsum import GF, PolyRing, apolar_algebra
 
@@ -70,3 +73,14 @@ def random_pair(rng, max_edim=2, max_ll=4, min_ll=1, field=FIELD):
 def pair_corpus(count, seed=20260810, **kwargs):
     rng = random.Random(seed)
     return [random_pair(rng, **kwargs) for _ in range(count)]
+
+
+@st.composite
+def dual_polynomials(draw, fields):
+    """A nonzero polynomial over one of `fields` in 1 to 3 variables, of degree at most 4."""
+    field = draw(st.sampled_from(fields))
+    nvars = draw(st.integers(1, 3))
+    ring = PolyRing(field, tuple(f"w{i}" for i in range(nvars)))
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: 0 < sum(m) <= 4)
+    return draw(st.dictionaries(exponent, st.integers(-5, 5), min_size=1, max_size=4)
+                .map(ring.poly).filter(lambda p: not p.is_zero()))

@@ -19,8 +19,9 @@ linear-socle split built by Buchberger on generator lists, the ideal
 spanned by elements grown by m*W until it stops growing, the m-adic
 filtration as m*W repeated from the whole algebra, and the
 cross-product test of a coordinate split by ideal membership, the two
-ranks that counted the minimal generators of an ideal, and the graded
-socle taken as one kernel per degree.  The library has one term order,
+ranks that counted the minimal generators of an ideal and the count from
+`Polynomial` products of the reduced basis, and the graded socle taken as
+one kernel per degree.  The library has one term order,
 Grevlex; the `Lex` and `Block` orders live here, with the reduction,
 S-polynomial and leading term under any order that the pair-rescanning
 Buchberger runs on (`normal_form_reference`, ...), for the order tests and
@@ -43,7 +44,9 @@ The dense structure tensor that every algebra kept beside its sparse
 table is a reference too: `dense_struct` writes an algebra's table out as
 one, for the dense products, and `struct_readout` reads a tensor's
 nonzeros back into a table, the form in which the normal-form tensor is
-compared with the table an algebra builds.
+compared with the table an algebra builds.  So is `kernel_algebra` as it
+was when it sorted its monomials by their Grevlex keys and looked the
+products of basis elements up by `mono_mul`.
 """
 
 from fractions import Fraction
@@ -1041,7 +1044,7 @@ def cross_products_outside_reference(Q, left_names, right_names):
             if not ideal.contains(var[yn] * var[zn])]
 
 
-def mu_direct_reference(A):
+def mu_rank_reference(A):
     """mu of the defining ideal I as rank(I) - rank(m*I) modulo m^(s+3), s the Loewy length.
 
     `resolution.mu_direct` must give the same count.
@@ -1073,6 +1076,29 @@ def mu_direct_reference(A):
     full = rank_reference(ring.field, truncated_rows(0))
     inside = rank_reference(ring.field, truncated_rows(1))
     return full - inside
+
+
+def mu_direct_reference(A):
+    """mu of the defining ideal I as len(monos) - length - rank(m*I) modulo m^(s+2).
+
+    The rows are the reduced basis times each monomial as `Polynomial`
+    products (`mul_term`), truncated above degree s+1, s the Loewy length;
+    `resolution.mu_direct` must give the same count from its rows built on
+    exponent tuples.
+    """
+    ring = A.ring
+    if not A.gb:
+        return 0
+    bound = A.loewy_length + 1
+    monos = _monomials_up_to(ring, bound)
+    col = {m: j for j, m in enumerate(monos)}
+    rows = []
+    for g in A.gb:
+        for d in range(1, bound - min(sum(t) for t in g.terms) + 1):
+            for m in ring.monomials_of_degree(d):
+                terms = g.mul_term(m, ring.field.one).terms.items()
+                rows.append({col[t]: c for t, c in terms if sum(t) <= bound})
+    return len(monos) - A.length - len(_kernels.echelon(rows, ring.field.char))
 
 
 def socle_by_degree_reference(G):
@@ -1115,10 +1141,12 @@ def _apply_operator(exps, F):
 def apolar_classes_reference(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and rows of their derivatives of F.
 
-    Each monomial differentiates F from scratch, one partial derivative per
-    unit of its degree; `sums._apolar_classes` must give the rows of this matrix.
+    The monomials ascend under Grevlex.  Each monomial differentiates F from
+    scratch, one partial derivative per unit of its degree;
+    `sums._apolar_classes` must give the rows of this matrix.
     """
-    monos = [m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)]
+    monos = sorted((m for d in range(F.total_degree() + 2) for m in ops.monomials_of_degree(d)),
+                   key=ops.order.key)
     derived = [_apply_operator(m, F) for m in monos]
     col = {}
     for p in derived:
@@ -1354,8 +1382,78 @@ def subalgebra_reference(Q, new_ring, images):
     must give the same algebra.
     """
     matrices = [prepared(Q.field, mult_matrix(Q, vector(Q, f))) for f in images]
-    monos = _monomials_up_to(new_ring, Q.loewy_length + 1)
+    degree = Q.loewy_length + 1
+    monos = _monomials_up_to(new_ring, degree)
     memo = {monos[0]: one_vector(Q)}
     classes = matrix(Q.field, [_dense_class(memo, m, matrices, Q.field) for m in monos],
                             width=Q.length)
-    return kernel_algebra(new_ring, monos, sparse_rows(Q.field, classes))
+    return kernel_algebra(new_ring, degree, sparse_rows(Q.field, classes))
+
+
+# ---------------------------------------------------------------------------
+# kernel algebras from monomials in any order, sorted by Grevlex keys
+
+def _table_algebra_reference(ring, gb, basis, classes):
+    """The algebra whose basis products have the classes, looked up by `mono_mul`."""
+    rows = {mono: sorted(row.items()) for mono, row in classes.items()}
+    table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
+             for a in basis]
+    return ArtinAlgebra(ring, gb.copy, basis, table)
+
+
+def _read_echelon_reference(ring, monos, rows):
+    """`quotient._read_echelon` on columns in any order, sorted by their Grevlex keys."""
+    p = ring.field.char
+    leads = {monos[c] for c in rows}
+    top = max(map(mono_deg, monos.values()))
+    missing = [m for m in monos.values() if mono_deg(m) == top and m not in leads]
+    if missing and ring.nvars:
+        raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
+                            f"{ring.monomial(missing[0])} of degree {top} is not in its span")
+    ascending = sorted(monos, key=lambda c: ring.order.key(monos[c]))
+    gb = [ring.poly({monos[k]: x for k, x in rows[c].items()}) for c in ascending
+          if c in rows and not any(e and monos[c][:i] + (e - 1,) + monos[c][i + 1:] in leads
+                                   for i, e in enumerate(monos[c]))]
+    standard = [c for c in ascending if c not in rows]
+    index = {c: i for i, c in enumerate(standard)}
+    classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
+    for c, row in rows.items():
+        classes[monos[c]] = {index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
+    return gb, [monos[c] for c in standard], classes
+
+
+def kernel_algebra_reference(ring, monos, classes):
+    """The kernel of monos[j] -> classes[j] for the monomials up to a degree in any order.
+
+    The monomials are sorted by their Grevlex keys, and the elimination
+    ranks its columns by (degree in the eliminated variables, Grevlex key);
+    `quotient.kernel_algebra`, which takes them already ascending, must give
+    the same algebra.
+    """
+    fld, p = ring.field, ring.field.char
+    order = sorted(range(len(monos)), key=lambda j: ring.order.key(monos[j]))
+    ordered = [monos[j] for j in order]
+    rows = _kernels.left_kernel([classes[j] for j in order], p)
+    linear = [part for row in rows.values()
+              if (part := {ordered[k].index(1): x for k, x in row.items()
+                           if mono_deg(ordered[k]) == 1})]
+    if not linear:
+        return _table_algebra_reference(
+            ring, *_read_echelon_reference(ring, dict(enumerate(ordered)), rows))
+    elim = sorted(_kernels.echelon(linear, p))
+    keep = [v for v in range(ring.nvars) if v not in elim]
+    cols = sorted(range(len(monos)), reverse=True,
+                  key=lambda j: (sum(ordered[j][v] for v in elim), ring.order.key(ordered[j])))
+    rank = {j: r for r, j in enumerate(cols)}
+    lead_rows = _kernels.basis([{rank[k]: x for k, x in row.items()} for row in rows.values()], p)
+    first = next(r for r, j in enumerate(cols) if not any(ordered[j][v] for v in elim))
+    sub = PolyRing(fld, [ring.names[v] for v in keep])
+    kept = {r: tuple(ordered[j][v] for v in keep) for r, j in enumerate(cols[first:], first)}
+    A = _table_algebra_reference(sub, *_read_echelon_reference(
+        sub, kept, {c: row for c, row in lead_rows.items() if c >= first}))
+    tails = {ordered[cols[c]].index(1): {kept[k]: x for k, x in row.items() if k >= first}
+             for c, row in lead_rows.items() if mono_deg(ordered[cols[c]]) == 1}
+    A.original_ring = ring
+    A.reduction = (sub, [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
+                         for v in range(ring.nvars)])
+    return A

@@ -225,6 +225,25 @@ def test_a_denominator_that_is_zero_mod_p_is_a_parse_error(argv, monkeypatch, ca
     assert err.startswith("error: zero denominator (line ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, column", [
+    (["analyze", "superscript_digit_qq.txt"], 10),
+    (["apolar", "--poly", "w^3\u00b2", "--dual-vars", "w"], 4),
+], ids=["presentation", "apolar-poly"])
+def test_a_digit_that_int_does_not_read_is_a_parse_error(argv, column, monkeypatch, capsys):
+    # a superscript two is a digit to str.isdigit but not to int
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected character '\u00b2' (line ")
+    assert f"column {column})" in err and err.count("\n") == 1
+
+
+def test_arabic_indic_digits_read_as_exponents(capsys):
+    # str.isdecimal and int accept the same digits
+    assert main(["apolar", "--poly", "w^\u0663", "--dual-vars", "w", "--json"]) == 0
+    assert '"length": 4' in capsys.readouterr().out
+
+
 def test_analyze_rejects_a_file_that_is_not_utf8_with_an_error_line(tmp_path, capsys):
     path = tmp_path / "binary.txt"
     path.write_bytes(b"field QQ;\nvars Y;\nideal Y^2\xff;\n")
@@ -293,3 +312,13 @@ def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_pa
         assert runs[0].stderr.startswith(f"error: {folder / 'bad.txt'}: ")
         assert runs[1].stderr == runs[0].stderr
         assert runs[0].stderr.count("\n") == 1
+
+
+def test_importing_the_package_loads_no_numpy():
+    # only the dense adapters (`linalg.rref`, `_kernels.rref_mod`) use numpy,
+    # and they import it when called
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, artinsum, artinsum.cli; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 0 and run.stdout == "False\n", run.stderr

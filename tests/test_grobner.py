@@ -17,10 +17,10 @@ from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
 from artinsum.grobner import buchberger, s_polynomial
-from artinsum.quotient import build_algebra, kernel_algebra, subalgebra
+from artinsum.quotient import _monomials_up_to, build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_classes, connected_sum
 
-from corpus import pair_corpus, random_apolar_ideal, random_dual_poly
+from corpus import dual_polynomials, pair_corpus, random_apolar_ideal, random_dual_poly
 from oracles import (Block, algebra_ideal, buchberger_reference,
                      build_algebra_reference, connected_sum_ideal, contract_reference,
                      classes_matrix, cross_products_outside_reference, ideal_member,
@@ -349,7 +349,7 @@ def _rows_as_polynomials(ring, monos, rows):
 def _assert_kernel_presentation_matches(ring, monos, classes):
     # the reference makes the ideal minimal by substitution when the kernel
     # has linear parts, and is Buchberger's reduced basis otherwise
-    A = kernel_algebra(ring, monos, classes)
+    A = kernel_algebra(ring, sum(monos[-1]), classes)
     rows = left_kernel_reference(ring.field, classes_matrix(ring.field, classes))
     expected = build_algebra_reference(
         IdealPresentation(ring, _rows_as_polynomials(ring, monos, rows)))
@@ -366,19 +366,8 @@ def test_kernel_presentation_matches_buchberger_on_apolar_kernels(field):
         _assert_kernel_presentation_matches(ops, *_apolar_classes(F, ops))
 
 
-@st.composite
-def dual_polynomials(draw):
-    field = draw(st.sampled_from(FIELDS))
-    nvars = draw(st.integers(1, 3))
-    ring = PolyRing(field, tuple(f"w{i}" for i in range(nvars)))
-    exponent = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: 0 < sum(m) <= 4)
-    F = draw(st.dictionaries(exponent, st.integers(-5, 5), min_size=1, max_size=4)
-             .map(ring.poly).filter(lambda p: not p.is_zero()))
-    return F
-
-
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(dual_polynomials())
+@given(dual_polynomials(FIELDS))
 def test_kernel_presentation_matches_buchberger_on_hypothesis_apolar_kernels(F):
     ops = PolyRing(F.ring.field, tuple(f"X{i}" for i in range(F.ring.nvars)))
     _assert_kernel_presentation_matches(ops, *_apolar_classes(F, ops))
@@ -399,15 +388,15 @@ def test_kernel_presentation_needs_the_top_power_of_m():
     # classes, as dict rows, whose left kernel is spanned by the given rows
     field = GF(101)
     ring = PolyRing(field, ("X", "Y"))
-    monos = [m for d in range(3) for m in ring.monomials_of_degree(d)]
+    monos = _monomials_up_to(ring, 2)
     top = [m for m in monos if sum(m) == 2 and m != (1, 1)]
     rows = np.array([[int(m == t) for m in monos] for t in top], dtype=np.int64)
     with pytest.raises(ArtinsumError) as info:
-        kernel_algebra(ring, monos, sparse_rows(field, right_kernel_reference(field, rows).T))
+        kernel_algebra(ring, 2, sparse_rows(field, right_kernel_reference(field, rows).T))
     assert "m^2 inside the ideal" in str(info.value)
     assert "X*Y" in str(info.value)
     rows = np.vstack([rows, [int(m == (1, 1)) for m in monos]])
-    A = kernel_algebra(ring, monos, sparse_rows(field, right_kernel_reference(field, rows).T))
+    A = kernel_algebra(ring, 2, sparse_rows(field, right_kernel_reference(field, rows).T))
     assert [str(g) for g in A.gb] == ["Y^2", "X*Y", "X^2"]
 
 
@@ -442,7 +431,7 @@ def test_split_cross_products_match_ideal_membership(field):
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(dual_polynomials())
+@given(dual_polynomials(FIELDS))
 def test_split_cross_products_match_ideal_membership_on_hypothesis_inputs(F):
     A = apolar_algebra(F, tuple(f"X{i}" for i in range(F.ring.nvars)))
     if A.is_gorenstein() and A.edim >= 2:

@@ -533,11 +533,12 @@ def test_non_minimal_kernel_presentation_takes_variable_classes_from_its_basis(f
     ops = PolyRing(field, ("X1", "X2", "X3"))
     monos, classes = _apolar_classes(F, ops)
     rows = left_kernel_reference(field, classes_matrix(field, classes))
-    # the kernel's echelon read on all three variables, without eliminating X1
-    cols = sorted(range(len(monos)), key=lambda j: ops.order.key(monos[j]), reverse=True)
+    # the kernel's echelon read on all three variables, without eliminating X1:
+    # column c holds the c-th largest monomial, so each row leads at its largest
+    n = len(monos)
     gb, basis, classes = quotient._read_echelon(
-        ops, dict(enumerate(monos[j] for j in cols)),
-        _kernels.basis(sparse_rows(field, rows[:, cols]), field.char))
+        ops, {c: monos[n - 1 - c] for c in reversed(range(n))},
+        _kernels.basis(sparse_rows(field, rows[:, ::-1]), field.char))
     assert (1, 0, 0) not in basis
     A = quotient._table_algebra(ops, gb, basis, classes)
     _assert_tensor_and_classes(A, _probes(random.Random(3), ops) + ops.gens())
@@ -573,7 +574,7 @@ def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
     monos, classes = _apolar_classes(parse_polynomial(text, dual), ops)
     monkeypatch.setattr(_kernels, "echelon", recording_echelon)
     monkeypatch.setattr(quotient, "_table_algebra", table_algebra)
-    kernel_algebra(ops, monos, classes)
+    kernel_algebra(ops, sum(monos[-1]), classes)
     assert recorded == [len({c for row in classes for c in row}), *shapes]
 
 

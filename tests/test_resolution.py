@@ -1,6 +1,7 @@
 """Betti numbers of the residue field and the paper's series identities."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_a
                       betti_numbers, connected_sum, fibre_product, h2_bound_check,
                       modulo_socle, resolution, verify_cs_series, verify_fp_series,
                       verify_mu_formulas, verify_socle_quotient)
-from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError
+from artinsum.errors import ArtinsumError, ParseError, PreconditionError, ResourceGuardError
+from artinsum.poly import Polynomial
 from artinsum.resolution import _differential, mu_direct
 
 from corpus import pair_corpus
 from oracles import (betti_numbers_reference, differential_matrix_reference, matrix,
-                     mu_direct_reference, residue_field_algebra, zeros)
+                     mu_direct_reference, mu_rank_reference, residue_field_algebra, zeros)
 
 FIELDS = [GF(101), GF(1048573), QQ]
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TRUNCATION = 5
 
@@ -193,13 +197,42 @@ def test_mu_direct_matches_reference_on_corpus_sums(field):
         Q = connected_sum(R, S).algebra
         algebras += [R, S, Q, fibre_product(R, S).algebra, modulo_socle(Q)]
     for A in algebras:
-        assert mu_direct(A) == mu_direct_reference(A)
+        assert mu_direct(A) == mu_rank_reference(A)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_apolar_algebras())
 def test_mu_direct_matches_reference_on_hypothesis_apolar_algebras(A):
-    assert mu_direct(A) == mu_direct_reference(A)
+    assert mu_direct(A) == mu_rank_reference(A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mu_direct_matches_polynomial_products_on_corpus_sums(monkeypatch, field):
+    # the rows are built on exponent tuples; the reference multiplies the
+    # reduced basis out as polynomials
+    algebras = []
+    for R, S in pair_corpus(4, max_edim=2, max_ll=3, field=field):
+        Q = connected_sum(R, S).algebra
+        algebras += [R, S, Q, fibre_product(R, S).algebra, modulo_socle(Q)]
+    want = [mu_direct_reference(A) for A in algebras]
+
+    def no_products(*args):
+        raise AssertionError("mu_direct formed a Polynomial product")
+
+    monkeypatch.setattr(Polynomial, "mul_term", no_products)
+    assert [mu_direct(A) for A in algebras] == want
+
+
+def test_mu_direct_matches_polynomial_products_on_golden_presentations():
+    fields = set()
+    for path in sorted(GOLDEN.glob("*.txt")):
+        try:
+            A = algebra_from_text(path.read_text())
+        except ParseError:
+            continue
+        fields.add(str(A.field))
+        assert mu_direct(A) == mu_direct_reference(A), path.name
+    assert fields == {"QQ", "GF(101)", "GF(1048573)"}
 
 
 @pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
@@ -287,7 +320,7 @@ def test_paper_identities_hold_on_hypothesis_pairs(pair):
                    verify_mu_formulas(R, S), verify_socle_quotient(Q, 3)):
         assert report.holds, report
     assert h2_bound_check(R, S, Q)
-    assert all(mu_direct(A) == mu_direct_reference(A) for A in (Q, P))
+    assert all(mu_direct(A) == mu_rank_reference(A) for A in (Q, P))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -213,9 +213,9 @@ def test_apolar_length_is_the_rank_of_the_derivative_classes(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_apolar_classes_take_one_derivative_per_monomial(monkeypatch, field):
-    # each monomial's derivative is one derivative of its predecessor's; the
-    # rows, written out, equal the matrix that differentiates F from scratch
-    # per monomial
+    # each monomial's derivative is one derivative of its predecessor's term
+    # dict, and no Polynomial is differentiated; the rows, written out, equal
+    # the matrix that differentiates F from scratch per monomial
     rng = random.Random(47)
     dual = PolyRing(field, ("w1", "w2", "w3"))
     ops = PolyRing(field, ("X1", "X2", "X3"))
@@ -224,22 +224,26 @@ def test_apolar_classes_take_one_derivative_per_monomial(monkeypatch, field):
              for _ in range(8)]
     polys.append(dual.var(2))
     calls = Counter()
-    derivative = Polynomial.derivative
+    derive = sums._derive
 
-    def counting(self, i):
-        calls["derivative"] += 1
-        return derivative(self, i)
+    def counting(terms, i, p):
+        calls["derive"] += 1
+        return derive(terms, i, p)
+
+    def no_derivative(self, i):
+        raise AssertionError("a Polynomial was differentiated")
 
     for F in polys:
         want_monos, want = apolar_classes_reference(F, ops)
         calls.clear()
-        monkeypatch.setattr(Polynomial, "derivative", counting)
+        monkeypatch.setattr(sums, "_derive", counting)
+        monkeypatch.setattr(Polynomial, "derivative", no_derivative)
         got_monos, got = _apolar_classes(F, ops)
-        monkeypatch.setattr(Polynomial, "derivative", derivative)
+        monkeypatch.undo()
         assert got_monos == want_monos
         got = dense(field, got, want.shape[1])
         assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert calls["derivative"] == len(got_monos) - 1
+        assert calls["derive"] == len(got_monos) - 1
 
 
 def test_apolar_sum_check_examples():
