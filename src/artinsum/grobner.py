@@ -3,14 +3,15 @@
 Buchberger and normal forms serve only ideals given by generator lists, as
 the parser gives them (`quotient.build_algebra`): such text carries no
 degree that bounds the ideal.  `IdealPresentation` holds such a list and
-caches its reduced basis; an algebra keeps only the reduced basis
-(`quotient.ArtinAlgebra.gb`).  Every derived ideal contains a power of the
-maximal ideal and is the kernel of the map sending each monomial to its
-class; the left kernel of those classes, with the monomials in increasing
-order, is the reduced echelon basis of its truncation and gives its reduced
-basis and classes, and linear forms are eliminated by one more echelon
-(`quotient.kernel_algebra`).  Fibre products and connected sums get theirs
-from their factors' bases (`sums`).  No Buchberger elimination runs.
+caches its reduced basis, from which the algebra's standard monomials and
+class table are taken.  Every other algebra is assembled from classes:
+every derived ideal contains a power of the maximal ideal and is the
+kernel of the map sending each monomial to its class, and the left kernel
+of those classes, with the monomials in increasing order, is the reduced
+echelon basis of its truncation (`quotient.kernel_algebra`); fibre products
+and connected sums merge their factors' tables (`sums`).  Every algebra
+reads its reduced basis off its own classes (`quotient.ArtinAlgebra.gb`).
+No Buchberger elimination runs.
 
 Every basis, leading term and normal form is taken under the ring's one
 term order, Grevlex.  The pair strategy is the normal one (smallest lcm

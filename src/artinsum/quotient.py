@@ -1,10 +1,13 @@
 """Artinian local algebras as finite-dimensional vector spaces with multiplication.
 
-`ArtinAlgebra` is the one object that carries an algebra k[x]/I: the
-reduced Grevlex basis of I (`gb`), its standard monomials and the
-sparse structure table.  Its ideal lies inside the square of the maximal ideal,
-so the variable count equals the embedding dimension, and the powers of m
-failing to shrink to zero show that the quotient is not local.
+`ArtinAlgebra` is the one object that carries an algebra k[x]/I: its
+standard monomials under Grevlex and the sparse structure table.  Its
+ideal lies inside the square of the maximal ideal, so every variable is a
+basis element and the variable count equals the embedding dimension, and
+the powers of m failing to shrink to zero show that the quotient is not
+local.  The reduced Grevlex basis of I (`gb`) is read off the classes on
+its first read, by the one rule every algebra shares: each minimal
+monomial outside the basis minus the lift of its class.
 
 Elements are coefficient vectors over the standard-monomial basis
 (ascending Grevlex order), held as dict rows from column to nonzero
@@ -20,26 +23,25 @@ of monomials and for the resolution, or the table of any elements
 elements and annihilators.  The powers of m are read off the
 degrees of the standard monomials: the unit rows of those of degree >= i
 lie in m^i, so only the products of m^(i-1) by the variables that fall
-below degree i are echeloned.  The reduced basis `gb` is built on its
-first read, by a function each constructor passes; fibre products and
-connected sums defer their Polynomial work to it.  Only parsed generator
-lists take the class table from Buchberger and normal forms
-(`build_algebra`); text that is not minimal is then taken as the
-subalgebra its variables generate.  Every derived algebra, a subalgebra or
-a quotient, has an ideal containing a power of m: it is given by the
-classes of the monomials up to that degree, as dict rows.  The monomials
-are enumerated in ascending Grevlex order (`_monomials_up_to`), so nothing
-is sorted, and the left kernel of their classes is the reduced echelon
-basis of the truncated ideal (`kernel_algebra`): dict rows keyed by their
-lead column, from which `_read_echelon` reads the reduced basis and the
-class of every monomial, walking the columns in order.  A quotient, gr(A)
-and Q0 included, takes the classes modulo one subspace per degree
+below degree i are echeloned.  Only parsed generator lists take the class
+table from Buchberger and normal forms (`build_algebra`), on the variables
+that lead no linear element of their reduced basis; text that is not
+minimal is then taken as the subalgebra its variables generate.  Every
+derived algebra, a subalgebra or a quotient, has an ideal containing a
+power of m: it is given by the classes of the monomials up to that degree,
+as dict rows.  The monomials are enumerated in ascending Grevlex order
+(`_monomials_up_to`), so nothing is sorted, and the left kernel of their
+classes is the reduced echelon basis of the truncated ideal
+(`kernel_algebra`): dict rows keyed by their lead column, from which
+`_read_echelon` reads the standard monomials and the class of every
+monomial, walking the columns in order.  A quotient, gr(A) and Q0
+included, takes the classes modulo one subspace per degree
 (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
 eliminated: the rows are echeloned once more, with the columns ranked
 first by their degree in the eliminated variables and then by column, and
-give the reduced basis and classes on the kept variables and the image of
-each eliminated one.
+give the classes on the kept variables and the image of each eliminated
+one.
 """
 
 from bisect import bisect_left
@@ -112,26 +114,25 @@ class Subspace:
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    `gb` is the reduced Groebner basis of the ideal under Grevlex,
-    ascending, built on its first read by `make_gb`, a function of no
-    arguments; `basis` holds its standard monomials, ascending, 1 first.
-    The table, the filtration and the constructors' identity checks are
-    made without `gb`.  Entry l of `struct_table`, the one multiplication
-    data, lists the triples (k, j, c)
+    `basis` holds the standard monomials under Grevlex, ascending, 1
+    first, and every variable among them.  Entry l of `struct_table`, the
+    one multiplication data, lists the triples (k, j, c)
     with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
     over GF(p), and over QQ an int exactly where it is integral.  It is
     symmetric, so entry k also lists the products of e_k by each e_l.  The
     products by the variables are gathered from it into `times_table`.
     Elements are dict rows over the basis: the class of each monomial is
     one, its predecessor's times one variable, memoised (`monomial_row`),
-    and `element_row` gives the class of a polynomial.  An algebra
+    and `element_row` gives the class of a polynomial.  `gb`, the reduced
+    Groebner basis of the ideal under Grevlex, ascending, is read off those
+    classes on its first read; the table, the filtration and the
+    constructors' identity checks are made without it.  An algebra
     presented on fewer variables than `original_ring` keeps the
     substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, make_gb, basis, table):
+    def __init__(self, ring, basis, table):
         self.ring = ring
-        self._make_gb = make_gb
         self.field = ring.field
         self.original_ring = ring
         self.reduction = None
@@ -148,10 +149,25 @@ class ArtinAlgebra:
 
     @cached_property
     def gb(self):
-        """The reduced basis as a tuple, made by `make_gb` on the first read."""
-        gb = tuple(self._make_gb())
-        del self._make_gb
-        return gb
+        """The reduced basis as a tuple, read off the classes on the first read.
+
+        Its leads are the minimal monomials outside `basis`: each is b*x_v
+        for a standard b, with every one-step divisor standard.  The element
+        led by m is m minus the lift of its class e_b*x_v, read off
+        `times_table` (as FGLM reads it off the multiplication matrices).
+        """
+        index, n = self.basis_index, self.ring.nvars
+        leads = {}
+        for k, b in enumerate(self.basis):
+            for v in range(n):
+                m = b[:v] + (b[v] + 1,) + b[v + 1:]
+                if m not in index and m not in leads and all(
+                        not e or m[:u] + (e - 1,) + m[u + 1:] in index for u, e in enumerate(m)):
+                    leads[m] = k, v
+        key = self.ring.order.key
+        return tuple(self.ring.poly({m: 1, **{self.basis[j]: -c for w, j, c in self.times_table[k]
+                                              if w == v}})
+                     for m, (k, v) in sorted(leads.items(), key=lambda t: key(t[0])))
 
     def product_table(self, elements):
         """Entry l lists the triples (v, j, c) with e_l * elements[v] = sum of c*e_j, by v.
@@ -179,33 +195,17 @@ class ArtinAlgebra:
 
         The filtration builds it, so it is made once per algebra; it is
         walked there with the product terms at high columns skipped
-        (`_times_below`).  When every variable is a basis element, as in
-        every minimal presentation, the table is gathered from the
-        variables' entries of `struct_table`, which list those products in
-        this order.  A variable outside the basis (a presentation that is
-        not minimal, which only `build_algebra` makes) leads a linear
-        element of the reduced basis, and its class is minus that element's
-        tail; only then is `gb` read and the table multiplied out
-        (`product_table`).
+        (`_times_below`).  Every variable is a basis element, and the
+        entries of its `struct_table` row list those products in this
+        order, so the table is gathered from them.
         """
         n = self.ring.nvars
-        units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
-        if all(mono in self.basis_index for mono in units):
-            table = [[] for _ in range(self.length)]
-            for v, mono in enumerate(units):
-                for l, j, c in self.struct_table[self.basis_index[mono]]:
-                    table[l].append((v, j, c))
-            return table
-        variables = []
-        for mono in units:
-            idx = self.basis_index.get(mono)
-            if idx is None:
-                g = next(g for g in self.gb if g.leading()[0] == mono)
-                tail = self.ring.monomial(mono) - g
-                variables.append({self.basis_index[m]: c for m, c in tail.terms.items()})
-            else:
-                variables.append({idx: 1})
-        return self.product_table(variables)
+        table = [[] for _ in range(self.length)]
+        for v in range(n):
+            unit = tuple(int(i == v) for i in range(n))
+            for l, j, c in self.struct_table[self.basis_index[unit]]:
+                table[l].append((v, j, c))
+        return table
 
     @cached_property
     def _variable_tables(self):
@@ -449,10 +449,13 @@ def build_algebra(ring, generators):
     Raises UnitIdealError, NotZeroDimensionalError, or NotLocalError when
     the input is unsuitable.  Parsed generators bound no degree of the
     ideal, so only this runs Buchberger, once per presentation, and normal
-    forms.  When dim m/m^2 falls short of the variable count, the
-    returned algebra is the subalgebra that all the variables generate,
-    which `kernel_algebra` presents on the variables that minimally generate
-    m; it still takes classes of polynomials in the given ring.
+    forms.  A variable x_v leading a linear element x_v - l of the reduced
+    basis divides no standard monomial, so the table is built on the other
+    variables; l must vanish at the origin.  When dim m/m^2 falls short of
+    the variable count, the returned algebra is the subalgebra that the
+    variables generate, x_v going to l, which `kernel_algebra` presents on
+    the variables that minimally generate m; it still takes classes of
+    polynomials in the given ring.
     """
     pres = IdealPresentation(ring, generators)
     if pres.is_unit_ideal():
@@ -460,36 +463,47 @@ def build_algebra(ring, generators):
     if not pres.is_zero_dimensional():
         raise NotZeroDimensionalError(
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
+    linear = {g.leading()[0].index(1): g for g in pres.groebner_basis() if g.total_degree() == 1}
+    for g in linear.values():
+        if g.constant_term() != ring.field.zero:
+            raise NotLocalError(f"the quotient is not local: {g} lies in the ideal "
+                                f"but does not vanish at the origin")
+    keep = [v for v in range(ring.nvars) if v not in linear]
+    sub = PolyRing(ring.field, [ring.names[v] for v in keep]) if linear else ring
+
+    def kept(mono):
+        return tuple(mono[v] for v in keep)
+
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
     products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in basis)
-    A = _table_algebra(ring, list(pres.groebner_basis()), basis, {
-        mono: _canonical({index[m]: c for m, c in
-                          pres.normal_form(ring.monomial(mono)).terms.items()}, p)
+    A = _table_algebra(sub, [kept(m) for m in basis], {
+        kept(mono): _canonical({index[m]: c for m, c in
+                                pres.normal_form(ring.monomial(mono)).terms.items()}, p)
         for mono in products})
-    if A.power(1).dim - A.power(2).dim == A.ring.nvars:
+    if A.power(1).dim - A.power(2).dim == ring.nvars:
         return A
-    return subalgebra(A, A.ring, A.ring.gens())
+    images = [sub.poly({kept(m): c for m, c in (ring.var(v) - linear[v]).terms.items()})
+              if v in linear else sub.var(keep.index(v)) for v in range(ring.nvars)]
+    return subalgebra(A, ring, images)
 
 
-def _table_algebra(ring, gb, basis, classes):
+def _table_algebra(ring, basis, classes):
     """The algebra whose basis products have the classes, canonical dict rows, or else are 0.
 
-    `gb` is the reduced basis, a list already built; the algebra is handed
-    its `copy` method, which holds less than a closure would.  The class of
-    each product of basis elements is looked up by the sum of their
-    exponent tuples.
+    The class of each product of basis elements is looked up by the sum of
+    their exponent tuples.
     """
     rows = {mono: sorted(row.items()) for mono, row in classes.items()}
     table = [[(k, j, c) for k, b in enumerate(basis)
               for j, c in rows.get(tuple(map(add, a, b)), ())]
              for a in basis]
-    return ArtinAlgebra(ring, gb.copy, basis, table)
+    return ArtinAlgebra(ring, basis, table)
 
 
 def _read_echelon(ring, monos, rows):
-    """The reduced basis, standard monomials and classes of the ideal I that `rows` span.
+    """The standard monomials and classes of the ideal I that `rows` span.
 
     `monos` maps columns to the monomials of `ring` up to a degree D, in
     ascending Grevlex order of the monomials, which is the order the
@@ -497,10 +511,8 @@ def _read_echelon(ring, monos, rows):
     columns keyed by lead column, are the reduced echelon basis of
     I ∩ span(monos): each row is one at its lead, which is its largest
     monomial, and zero at the other leads, so the leads are the leading
-    monomials of I up to degree D.  The rows whose lead has no one-step
-    divisor among the leads, in ascending order, are the reduced Groebner
-    basis; the columns that lead no row are the standard monomials, and the
-    class of a lead is minus its row's tail.
+    monomials of I up to degree D.  The columns that lead no row are the
+    standard monomials, and the class of a lead is minus its row's tail.
     """
     p = ring.field.char
     leads = {monos[c] for c in rows}
@@ -509,15 +521,12 @@ def _read_echelon(ring, monos, rows):
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
-    gb = [ring.poly({monos[k]: x for k, x in rows[c].items()}) for c in monos
-          if c in rows and not any(e and monos[c][:i] + (e - 1,) + monos[c][i + 1:] in leads
-                                   for i, e in enumerate(monos[c]))]
     standard = [c for c in monos if c not in rows]
     index = {c: i for i, c in enumerate(standard)}
     classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
     for c, row in rows.items():
         classes[monos[c]] = {index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
-    return gb, [monos[c] for c in standard], classes
+    return [monos[c] for c in standard], classes
 
 
 def kernel_algebra(ring, degree, classes):
@@ -527,12 +536,11 @@ def kernel_algebra(ring, degree, classes):
     `degree` in ascending Grevlex order (`_monomials_up_to`) to the dict
     row `classes[j]` (canonical scalars), and m^degree lies in I.  The left
     kernel of the classes (`_kernels.left_kernel`) is the reduced echelon
-    basis of I up to `degree`, the linear dependencies from which FGLM
-    reads a reduced basis: its dict rows are keyed by free column, and
-    each is one at its free column, which is its largest monomial, and zero
-    at the other free columns.  The pivots of the linear parts' echelon
-    form, in declaration order, are eliminated; there are none when I lies
-    inside m^2.  Only then are the rows echeloned again, with each column
+    basis of I up to `degree`, the linear dependencies that FGLM reads:
+    its dict rows are keyed by free column, and each is one at its free
+    column, which is its largest monomial, and zero at the other free
+    columns.  The pivots of the linear parts' echelon form, in declaration
+    order, are eliminated; there are none when I lies inside m^2.  Only then are the rows echeloned again, with each column
     renamed to its rank in decreasing order of (degree in the eliminated
     variables, column).  The rows led by a kept monomial are then the
     reduced echelon basis of I ∩ k[kept], the minimal ideal, because

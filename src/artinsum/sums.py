@@ -8,43 +8,36 @@ k[X]/Ann(F), presented by the derivatives of F that the monomials of k[X]
 give (`quotient.kernel_algebra`), taken as term dicts (`_derive`).
 
 Fibre products and connected sums are assembled from their factors'
-reduced bases (`ArtinAlgebra.gb`), standard monomials and structure
-tables (`ArtinAlgebra.struct_table`).  Let
-R = k[Y]/I_R and S = k[Z]/I_S have reduced Grevlex bases G_R and G_S, with
-I_R and I_S inside the square of the maximal ideal, as every algebra is
-presented.  Grevlex on Y, Z restricts to Grevlex on Y and on Z.
+standard monomials and structure tables (`ArtinAlgebra.struct_table`).
+Let R = k[Y]/I_R and S = k[Z]/I_S, with I_R and I_S inside the square of
+the maximal ideal, as every algebra is presented.  Grevlex on Y, Z
+restricts to Grevlex on Y and on Z.
 
-- P = R x_k S has ideal I_P = I_R + I_S + (Y)(Z), and its reduced basis
-  is G_R, G_S and every y_i*z_j, sorted by lead.  The S-pair of y_i*z_j
-  and g in G_R is z_j times a multiple of the tail of g, whose terms all
-  hold a variable of Y, so some y_k*z_j divides each of its terms; pairs
-  across G_R and G_S have coprime leads.  No lead divides y_i*z_j, as the
-  ideals hold no linear form, and every tail is standard.
-  The standard monomials of P are those of R and of S with the two 1s
-  merged, and m_R * m_S = 0 in P.  Within a degree every monomial in Z
-  alone is smaller than every one in Y alone, so P's basis is a merge of
-  the factors' bases by degree.
+- P = R x_k S has ideal I_P = I_R + I_S + (Y)(Z), and its leading ideal
+  is lead(I_R) + lead(I_S) + (Y)(Z): the S-pair of y_i*z_j and an element
+  g of a reduced basis of I_R is z_j times a multiple of the tail of g,
+  each of whose terms some y_k*z_j divides, and likewise for I_S.  So the
+  standard monomials of P are those of R and of S with the two 1s merged,
+  and m_R * m_S = 0 in P.  Within a degree every monomial in Z alone is
+  smaller than every one in Y alone, so P's basis is a merge of the
+  factors' bases by degree.
 - Q = R # S = P / (h) with h = sigma_R - u*sigma_S monic.  Since m*h lies
   in I_P, I_Q = I_P + k*h, and lead(I_Q) = lead(I_P) + (lm h): the
-  multiples of lm h by variables are leads of I_P already.  So the reduced
-  basis of Q is h and the elements of G_P whose lead lm h does not divide,
-  each with the lm h term of its tail replaced through h, and Q's basis is
-  P's without lm h.
+  multiples of lm h by variables are leads of I_P already.  So Q's basis
+  is P's without lm h.
 
-At construction only the standard monomials and the structure table are
-assembled (`_fibre_table`, and `_socle_quotient`, which reads the terms of
-h), and the filtration, the socle and the identity checks are taken from
-them.  The reduced basis of P or Q is built on its first read
-(`_reduced_basis`) from R, S, the combined ring and h: no invariant reads it.
+Only the standard monomials and the structure table are assembled
+(`_fibre_table`, and `_socle_quotient`, which reads the terms of h); the
+filtration, the socle, the identity checks and, on its first read, the
+reduced basis are taken from them.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from heapq import merge
 
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
-from .poly import Polynomial, PolyRing, mono_deg, mono_div
+from .poly import Polynomial, PolyRing, mono_deg
 from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
                        quotient_algebra)
 
@@ -74,29 +67,6 @@ def _combined_ring(R, S):
 def _embed(poly, big, offset):
     index_map = [offset + i for i in range(poly.ring.nvars)]
     return poly.rename_into(big, index_map)
-
-
-def _reduced_basis(R, S, big, h=None):
-    """The reduced basis of P = R x_k S on `big`, or of P / (h) for a monic h with m*h in I_P.
-
-    P's holds G_R, G_S and every y_i*z_j.  For P / (h) the elements whose
-    lead lm h divides go, and the lm h term of each other tail is
-    rewritten through h; the leads do not change.
-    """
-    m, n = R.ring.nvars, S.ring.nvars
-    gb = [_embed(g, big, 0) for g in R.gb]
-    gb += [_embed(g, big, m) for g in S.gb]
-    gb += [big.var(i) * big.var(m + j) for i in range(m) for j in range(n)]
-    if h is not None:
-        lead = h.leading()[0]
-        kept = [h]
-        for g in gb:
-            if mono_div(g.leading()[0], lead) is None:
-                c = g.coefficient(lead)
-                kept.append(g - h.scale(c) if c else g)
-        gb = kept
-    key = big.order.key
-    return sorted(gb, key=lambda g: key(g.leading()[0]))
 
 
 def _fibre_table(R, S, big):
@@ -159,7 +129,7 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     big = _combined_ring(R, S)
-    P = ArtinAlgebra(big, partial(_reduced_basis, R, S, big), *_fibre_table(R, S, big))
+    P = ArtinAlgebra(big, *_fibre_table(R, S, big))
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -225,8 +195,7 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
     big = _combined_ring(R, S)
     h = (delta_r.rename_into(big) - delta_s.rename_into(big).scale(unit)).monic()
-    Q = ArtinAlgebra(big, partial(_reduced_basis, R, S, big, h),
-                     *_socle_quotient(*_fibre_table(R, S, big), h))
+    Q = ArtinAlgebra(big, *_socle_quotient(*_fibre_table(R, S, big), h))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:

@@ -46,7 +46,10 @@ one, for the dense products, and `struct_readout` reads a tensor's
 nonzeros back into a table, the form in which the normal-form tensor is
 compared with the table an algebra builds.  So is `kernel_algebra` as it
 was when it sorted its monomials by their Grevlex keys and looked the
-products of basis elements up by `mono_mul`.
+products of basis elements up by `mono_mul`.  The references that build
+an algebra (`build_algebra_reference`, `kernel_algebra_reference`) set
+its reduced basis to the one Buchberger or the echelon rows give, in
+place of the one the library reads off the algebra's classes.
 """
 
 from fractions import Fraction
@@ -775,8 +778,10 @@ def build_algebra_reference(pres):
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
-    A = ArtinAlgebra(minimal.ring, minimal.groebner_basis, basis,
+    A = ArtinAlgebra(minimal.ring, basis,
                      struct_readout(normal_form_structure_reference(minimal, basis)))
+    # Buchberger's basis in place of the one read off the classes
+    A.gb = minimal.groebner_basis()
     A.original_ring = pres.ring
     if steps:
         ring, images = steps[0]
@@ -1307,25 +1312,10 @@ def multiply(A, u, v):
 
 
 def var_matrices(A):
-    """The multiplication matrix of each variable of A's ring.
-
-    A variable outside the basis leads a linear element of the reduced basis
-    and is minus its tail.
-    """
+    """The multiplication matrix of each variable of A's ring, a basis element."""
+    n = A.ring.nvars
     struct = dense_struct(A)
-    out = []
-    for v in range(A.ring.nvars):
-        mono = tuple(int(i == v) for i in range(A.ring.nvars))
-        idx = A.basis_index.get(mono)
-        if idx is None:
-            g = next(g for g in A.gb if g.leading()[0] == mono)
-            tail = zeros(A.field, A.length)
-            for m, c in (A.ring.monomial(mono) - g).terms.items():
-                tail[A.basis_index[m]] = c
-            out.append(mult_matrix(A, tail))
-        else:
-            out.append(struct[idx])
-    return out
+    return [struct[A.basis_index[tuple(int(i == v) for i in range(n))]] for v in range(n)]
 
 
 def vec_mult_matrix_row(A, vec, var_index):
@@ -1394,15 +1384,26 @@ def subalgebra_reference(Q, new_ring, images):
 # kernel algebras from monomials in any order, sorted by Grevlex keys
 
 def _table_algebra_reference(ring, gb, basis, classes):
-    """The algebra whose basis products have the classes, looked up by `mono_mul`."""
+    """The algebra whose basis products have the classes, looked up by `mono_mul`.
+
+    `gb`, the echelon rows read as the reduced basis, stands in for the one
+    read off the classes.
+    """
     rows = {mono: sorted(row.items()) for mono, row in classes.items()}
     table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
              for a in basis]
-    return ArtinAlgebra(ring, gb.copy, basis, table)
+    A = ArtinAlgebra(ring, basis, table)
+    A.gb = tuple(gb)
+    return A
 
 
 def _read_echelon_reference(ring, monos, rows):
-    """`quotient._read_echelon` on columns in any order, sorted by their Grevlex keys."""
+    """`quotient._read_echelon` on columns in any order, sorted by their Grevlex keys.
+
+    It also reads the reduced basis off the rows, as the library did before
+    the basis was read off the classes: the rows whose lead has no one-step
+    divisor among the leads, in ascending order.
+    """
     p = ring.field.char
     leads = {monos[c] for c in rows}
     top = max(map(mono_deg, monos.values()))

@@ -9,6 +9,12 @@ from pathlib import Path
 import pytest
 
 from artinsum.cli import main
+from artinsum.errors import ArtinsumError, NotLocalError
+from artinsum.grobner import IdealPresentation
+from artinsum.parse import parse_presentation
+from artinsum.quotient import build_algebra
+
+from oracles import build_algebra_reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = GOLDEN.parents[1] / "src"
@@ -223,6 +229,22 @@ def test_a_denominator_that_is_zero_mod_p_is_a_parse_error(argv, monkeypatch, ca
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: zero denominator (line ") and err.count("\n") == 1
+
+
+def test_a_linear_element_with_a_constant_term_is_not_local(monkeypatch, capsys):
+    # Y - 1 lies in the ideal: Y leads a linear element, and the table is
+    # built on Z alone, so build_algebra rejects the constant term itself,
+    # as the substitution-loop reference rejects a variable not nilpotent
+    ring, gens = parse_presentation((GOLDEN / "not_local_linear_qq.txt").read_text())
+    for build in (lambda: build_algebra(ring, gens),
+                  lambda: build_algebra_reference(IdealPresentation(ring, gens))):
+        with pytest.raises(ArtinsumError) as info:
+            build()
+        assert type(info.value) is NotLocalError
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", "not_local_linear_qq.txt"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the quotient is not local: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, column", [

@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, associated_graded,
                       connected_sum, fibre_product, gls_split, iarrobino, modulo_socle,
                       parse_polynomial, quotient, sums)
+from artinsum.grobner import IdealPresentation
+from artinsum.parse import parse_presentation
 from artinsum.poly import Grevlex
 from artinsum.quotient import _monomials_up_to, square_zero_algebra, subalgebra
 
@@ -141,32 +143,35 @@ def test_sums_gather_their_variables_tables(field):
             _assert_times_table_is_gathered(A)
 
 
-@pytest.mark.parametrize("text, outside", [
+@pytest.mark.parametrize("text, eliminated", [
     ((GOLDEN / "nonminimal_qq.txt").read_text(), 0),
     ((GOLDEN / "nonminimal_gf101.txt").read_text(), 0),
     # linear forms of the ideal: X leads X - 2*Y, and Y leads Y - 3*Z
     ("field QQ; vars X Y Z; ideal X - 2*Y, Y^3, Z^2 - Y^2, Y*Z", 1),
     ("field GF(101); vars X Y Z; ideal Y - 3*Z, X^3, Z^2 - X^2, X*Z", 1)])
-def test_parsed_presentations_tabulate_their_variables_classes(text, outside):
-    # build_algebra's algebra on the given variables gathers its variables'
-    # table when every variable is standard, and multiplies the classes of
-    # the variables out when some variable leads a linear basis element;
-    # either way the table is the product table of the normal forms
+def test_parsed_presentations_tabulate_their_variables_classes(text, eliminated):
+    # build_algebra's algebra before minimising is on the variables that
+    # lead no linear element of the reduced basis, each of them standard,
+    # so its variables' table is gathered, and it is the product table of
+    # the normal forms; the subalgebra's images are the variables' normal
+    # forms, a lead of a linear element going to minus its tail
     seen = []
     original = quotient.subalgebra
 
     def capturing(Q, new_ring, images):
-        seen.append(Q)
+        seen.append((Q, new_ring, images))
         return original(Q, new_ring, images)
 
     with mock.patch.object(quotient, "subalgebra", capturing):
         A = algebra_from_text(text)
-    (B,) = seen
+    ((B, ring, images),) = seen
+    assert ring == A.original_ring and B.ring.nvars == ring.nvars - eliminated
     n = B.ring.nvars
-    units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
-    assert sum(mono not in B.basis_index for mono in units) == outside
+    assert all(tuple(int(i == v) for i in range(n)) in B.basis_index for v in range(n))
     classes = [sparse_row(B.field, vector_reference(B, x)) for x in B.ring.gens()]
     assert typed_table(B.times_table) == typed_table(B.product_table(classes))
+    pres = IdealPresentation(*parse_presentation(text))
+    assert [f.rename_into(ring) for f in images] == [pres.normal_form(x) for x in ring.gens()]
     _assert_times_table_is_gathered(A)
 
 

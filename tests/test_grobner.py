@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from artinsum import (GF, QQ, IdealPresentation, Polynomial, PolyRing, apolar_algebra,
-                      grobner, normal_form, parse_presentation)
+from artinsum import (GF, QQ, IdealPresentation, Polynomial, PolyRing, algebra_from_text,
+                      apolar_algebra, associated_graded, fibre_product, gls_split, grobner,
+                      iarrobino, modulo_socle, normal_form, parse_presentation)
 from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
@@ -23,7 +25,8 @@ from artinsum.sums import _apolar_classes, connected_sum
 from corpus import dual_polynomials, pair_corpus, random_apolar_ideal, random_dual_poly
 from oracles import (Block, algebra_ideal, buchberger_reference,
                      build_algebra_reference, connected_sum_ideal, contract_reference,
-                     classes_matrix, cross_products_outside_reference, ideal_member,
+                     classes_matrix, cross_products_outside_reference,
+                     fibre_product_reference, gls_split_reference, ideal_member,
                      left_kernel_reference, right_kernel_reference, same_ideal, sparse_rows,
                      subring_quotient_dimension, support_vars)
 
@@ -436,3 +439,90 @@ def test_split_cross_products_match_ideal_membership_on_hypothesis_inputs(F):
     A = apolar_algebra(F, tuple(f"X{i}" for i in range(F.ring.nvars)))
     if A.is_gorenstein() and A.edim >= 2:
         _assert_cross_products_match_reference(A)
+
+
+# -- the reduced basis read off the classes against Buchberger -----------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+REJECTED = {"zero_denominator_gf5.txt", "superscript_digit_qq.txt", "not_local_linear_qq.txt"}
+
+
+def _assert_basis_read_off_the_classes(A, reference=None):
+    # a reduced basis is its own Buchberger fixed point, and it is the one
+    # of A's ideal when it vanishes in A and leaves A's basis standard, as
+    # the ideal it spans then lies in A's and has A's codimension
+    n = A.ring.nvars
+    assert all(tuple(int(i == v) for i in range(n)) in A.basis_index for v in range(n))
+    pres = IdealPresentation(A.ring, list(A.gb))
+    assert A.gb == pres.groebner_basis()
+    assert tuple(pres.standard_monomials()) == A.basis
+    assert not any(A.element_row(g) for g in A.gb)
+    if reference is not None:
+        assert A.gb == tuple(reference)
+
+
+def _golden_texts(field):
+    """The parsed goldens over `field`: the QQ ones read over it, the others over their own."""
+    for path in sorted(GOLDEN.glob("*.txt")):
+        text = path.read_text()
+        if path.name in REJECTED:
+            continue
+        if "field QQ" in text:
+            yield text.replace("field QQ", f"field {field}")
+        elif f"field {field}" in text:
+            yield text
+
+
+def _assert_derived_bases(R, S):
+    """R, S, their fibre product and connected sum, and gr, Q0 and Q/soc Q of the sum."""
+    _assert_basis_read_off_the_classes(R)
+    _assert_basis_read_off_the_classes(S)
+    _assert_basis_read_off_the_classes(fibre_product(R, S).algebra,
+                                       fibre_product_reference(R, S).gb)
+    result = connected_sum(R, S)
+    if result.trivial:
+        return
+    Q = result.algebra
+    _assert_basis_read_off_the_classes(Q, connected_sum_ideal(R, S).groebner_basis())
+    _assert_basis_read_off_the_classes(associated_graded(Q))
+    _assert_basis_read_off_the_classes(iarrobino(Q)[1])
+    _assert_basis_read_off_the_classes(
+        modulo_socle(Q), IdealPresentation(Q.ring, [*Q.gb, *Q.socle().lifts()]).groebner_basis())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_reduced_bases_read_off_the_classes_match_buchberger(field):
+    texts = list(_golden_texts(field))
+    assert any("vars A B C D" in text for text in texts)
+    for text in texts:
+        ring, gens = parse_presentation(text)
+        A = build_algebra(ring, gens)
+        _assert_basis_read_off_the_classes(
+            A, build_algebra_reference(IdealPresentation(ring, gens)).gb)
+        if A.ring == ring:
+            _assert_basis_read_off_the_classes(A, IdealPresentation(ring, gens).groebner_basis())
+        if A.is_gorenstein() and A.loewy_length >= 2:
+            _assert_basis_read_off_the_classes(associated_graded(A))
+            _assert_basis_read_off_the_classes(modulo_socle(A))
+    G = associated_graded(algebra_from_text(
+        (GOLDEN / "hidden_sum.txt").read_text().replace("field QQ", f"field {field}")))
+    split, reference = gls_split(G), gls_split_reference(G)
+    _assert_basis_read_off_the_classes(split.gorenstein_part, reference.gorenstein_part.gb)
+    _assert_basis_read_off_the_classes(split.square_zero_part, reference.square_zero_part.gb)
+    for R, S in pair_corpus(3, seed=47, max_edim=2, max_ll=3, min_ll=2, field=field):
+        _assert_derived_bases(R, S)
+        Q = connected_sum(R, S).algebra
+        check = check_split(Q, (R.ring.names, S.ring.names))
+        for component, names in ((check.left, R.ring.names), (check.right, S.ring.names)):
+            _assert_basis_read_off_the_classes(
+                component, contract_reference(algebra_ideal(Q), list(names)).groebner_basis())
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(FIELDS).flatmap(
+    lambda field: st.tuples(dual_polynomials([field]), dual_polynomials([field]))))
+def test_reduced_bases_read_off_the_classes_match_buchberger_on_hypothesis_pairs(duals):
+    F, G = duals
+    R = apolar_algebra(F, tuple(f"Y{i + 1}" for i in range(F.ring.nvars)))
+    S = apolar_algebra(G, tuple(f"Z{i + 1}" for i in range(G.ring.nvars)))
+    _assert_derived_bases(R, S)

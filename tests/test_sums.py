@@ -17,12 +17,14 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
 from artinsum.poly import Polynomial
+from artinsum.quotient import kernel_algebra, quotient_algebra
 from artinsum.sums import _apolar_classes
 
-from corpus import pair_corpus, random_gorenstein, random_pair
+from corpus import pair_corpus, random_dual_poly, random_gorenstein, random_pair
 from oracles import (apolar_classes_reference, classes_matrix, connected_sum_ideal,
-                     connected_sum_reference, dense, fibre_product_reference, rank_reference,
-                     residue_field_algebra, typed_table)
+                     connected_sum_reference, dense, fibre_product_reference,
+                     kernel_algebra_reference, rank_reference, residue_field_algebra,
+                     typed_table)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -283,26 +285,25 @@ def _assert_sums_match_reference(R, S, unit=1, socle_left=None, socle_right=None
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_sums_build_their_reduced_basis_on_first_read(monkeypatch, field):
-    calls = Counter()
-    embed = sums._embed
-
-    def counted(*args):
-        calls["embed"] += 1
-        return embed(*args)
-
-    monkeypatch.setattr(sums, "_embed", counted)
-    for R, S in pair_corpus(2, seed=43, min_ll=2, field=field):
-        P = fibre_product(R, S).algebra
-        Q = connected_sum(R, S).algebra
-        assert calls["embed"] == 0
-        first = P.gb, Q.gb
-        # each first read renames both factors' reduced bases, and a second read none
-        assert calls["embed"] == 2 * (len(R.gb) + len(S.gb))
-        assert (P.gb, Q.gb) == first and calls["embed"] == 2 * (len(R.gb) + len(S.gb))
-        assert first == (fibre_product_reference(R, S).gb,
-                         connected_sum_ideal(R, S).groebner_basis())
-        calls.clear()
+def test_constructors_read_their_reduced_basis_on_first_read(field):
+    # no constructor builds a reduced basis: each algebra reads its own off
+    # its classes when it is first asked for, and keeps it
+    dual, ops = PolyRing(field, ("w1", "w2")), PolyRing(field, ("X1", "X2"))
+    F = random_dual_poly(random.Random(43), dual, 3)
+    monos, classes = _apolar_classes(F, ops)
+    apolar = kernel_algebra_reference(ops, monos, classes).gb
+    R, S = pair_corpus(1, seed=43, min_ll=2, field=field)[0]
+    squares = [R.ring.monomial(m) for m in R.ring.monomials_of_degree(2)]
+    built = [
+        (kernel_algebra(ops, sum(monos[-1]), classes), apolar),
+        (apolar_algebra(F, ops.names), apolar),
+        (fibre_product(R, S).algebra, fibre_product_reference(R, S).gb),
+        (connected_sum(R, S).algebra, connected_sum_ideal(R, S).groebner_basis()),
+        (quotient_algebra(R, [R.power(2)] * (R.loewy_length + 2)),
+         IdealPresentation(R.ring, [*R.gb, *squares]).groebner_basis())]
+    for A, reference in built:
+        assert "gb" not in A.__dict__
+        assert A.gb == tuple(reference) and A.gb is A.gb
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
