@@ -6,7 +6,11 @@ echelon basis is a dict from pivot column to the row whose least column
 that is.  Over GF(p) a pivot row is one at its pivot.  Over QQ rows are
 primitive integer rows, eliminated fraction-free (Bareiss 1968); a pivot is
 divided out only when a row is read out (`monic`), so each entry is then an
-int where it is integral and a Fraction otherwise.  Outside this module an
+int where it is integral and a Fraction otherwise.  `echelon` takes every
+single-entry row first, as the pivot row {c: 1} of its column, and strikes
+those columns from the other rows before it eliminates: most product rows
+of a resolution have one entry.  Rows passed in are consumed, but none is
+scaled in place to make its pivot one.  Outside this module an
 echelon basis has one format (`basis`): the monic rows by increasing
 pivot, against which residues are exact.  The left kernel of a list of
 rows (`left_kernel`) and the rows that extend a span (`complement`) are
@@ -63,12 +67,27 @@ def reduce(row, pivots, p):
 def echelon(rows, p, reduced=False):
     """An echelon basis of the span of `rows` (dicts, consumed), keyed by pivot column.
 
-    The pivots are those of the reduced echelon form.  Elimination is
-    forward only unless `reduced`, which then clears every pivot column
-    from the other rows, the last pivot first.
+    The pivots are those of the reduced echelon form.  Every single-entry
+    row is taken first, as the pivot row {c: 1} of its column c, and those
+    columns are struck from the other rows (LaMacchia-Odlyzko 1990): no
+    other pivot row then holds a struck column, so none can fill in there.
+    The rest is eliminated forward, in input order; with `reduced`, every
+    pivot column is then cleared from the other rows, the last pivot first.
+    A single-entry row is left as it is and a struck row is copied; other
+    rows are eliminated in place, but none is scaled in place to make its
+    pivot one.
     """
-    pivots = {}
+    pivots, rest = {}, []
     for row in rows:
+        if len(row) == 1:
+            (c,) = row
+            pivots[c] = {c: 1}
+        else:
+            rest.append(row)
+    struck = set(pivots)
+    for row in rest:
+        if not struck.isdisjoint(row):
+            row = {k: x for k, x in row.items() if k not in struck}
         if not p and not all(type(x) is int for x in row.values()):
             d = lcm(*[x.denominator for x in row.values()])
             row = {k: x.numerator * (d // x.denominator) for k, x in row.items()}

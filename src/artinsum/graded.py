@@ -26,8 +26,15 @@ from .quotient import ArtinAlgebra, monomial_residues, quotient_algebra, square_
 
 
 def _homogeneous(A):
-    """A itself, once its reduced basis is checked to be homogeneous."""
-    if not all(g.is_homogeneous() for g in A.gb):
+    """A itself, once its reduced basis is checked to be homogeneous.
+
+    Each element of the basis is m minus the lift of its class, and each
+    class is a chain of products by the variables, so the basis is
+    homogeneous exactly when every product e_l * x_v of `times_table` has
+    degree deg e_l + 1; the basis itself is not built.
+    """
+    deg = [mono_deg(m) for m in A.basis]
+    if any(deg[j] != deg[l] + 1 for l, entry in enumerate(A.times_table) for _, j, _ in entry):
         raise ArtinsumError("graded algebra built from a non-homogeneous presentation")
     return A
 

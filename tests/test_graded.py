@@ -103,6 +103,28 @@ def test_graded_readers_reject_a_non_graded_algebra():
             reader(A)
 
 
+def test_homogeneity_is_read_off_the_products_without_a_reduced_basis():
+    algebras = [algebra_from_text(STRETCHED)]
+    for R, S in pair_corpus(3, seed=31, max_edim=3, max_ll=4, min_ll=2):
+        algebras += [R, connected_sum(R, S).algebra]
+    for A in algebras:
+        G = associated_graded(A)
+        socle_by_degree(G)
+        is_gls(G)
+        assert "gb" not in G.__dict__
+        # the products raise degree by one exactly when the reduced basis is
+        # made of forms
+        for B in (A, G):
+            homogeneous = all(g.is_homogeneous() for g in B.gb)
+            try:
+                graded._homogeneous(B)
+            except ArtinsumError:
+                assert not homogeneous
+            else:
+                assert homogeneous
+    assert not all(g.is_homogeneous() for g in algebras[0].gb)
+
+
 def test_gls_split_stretched():
     G = associated_graded(algebra_from_text(STRETCHED))
     split = gls_split(G)

@@ -628,3 +628,85 @@ def test_kernel_matches_dense_references_on_hypothesis_inputs(field, data):
     if field != QQ:
         a = _matrix(field, _unit_denominators(field.p, a).tolist(), a.shape[1])
     _assert_rref_matches_dense_reference(field, a)
+
+
+# -- singleton rows are taken first --------------------------------------------
+
+@st.composite
+def _singleton_heavy_rows(draw, field):
+    """Dict rows, most with one entry, and the cases the singleton pass must get right.
+
+    Two singletons share a column, one of them Fraction(1) over QQ and the
+    other -3; a singleton comes after a longer row with the same lead; and
+    a longer row lies on singleton columns only, so striking empties it.
+    """
+    p = field.char
+    n = draw(st.integers(2, 7))
+    col = st.integers(0, n - 1)
+    if p:
+        scalar = st.integers(1, p - 1) | st.sampled_from([1, p - 1, p - 3])
+    else:
+        scalar = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+
+    def row(support):
+        return {k: draw(scalar) for k in sorted(set(support))}
+
+    rows = [row(draw(st.lists(col, min_size=1, max_size=n if draw(st.booleans()) else 1)))
+            for _ in range(draw(st.integers(0, 8)))]
+    a, b, lead = draw(col), draw(col), draw(st.integers(0, n - 2))
+    cases = [{a: Fraction(1) if not p else 1}, {a: -3 if not p else p - 3},
+             row([lead, draw(st.integers(lead + 1, n - 1))]), {lead: draw(scalar)}]
+    if a != b:
+        cases += [{b: draw(scalar)}, row([a, b])]
+    # each case goes in after the one before it, among the random rows
+    at = 0
+    for case in cases:
+        at = draw(st.integers(at, len(rows)))
+        rows.insert(at, case)
+        at += 1
+    return n, rows
+
+
+def _assert_echelon_matches_reference(field, n, rows):
+    p = field.char
+    kept = [dict(row) for row in rows]
+    want, want_pivots = echelon_reference(field, dense(field, rows, n))
+    singles = {c for row in rows if len(row) == 1 for c in row}
+    # a singleton row and a row that meets a singleton column are the
+    # caller's own: the pass copies them, so they stay as they are
+    untouched = [i for i, row in enumerate(rows) if len(row) == 1 or singles & row.keys()]
+    forward = _kernels.echelon(rows, p)
+    assert sorted(forward) == want_pivots.tolist()
+    for i in untouched:
+        assert rows[i] == kept[i] and [type(x) for x in rows[i].values()] == [
+            type(x) for x in kept[i].values()]
+    rows = [dict(row) for row in kept]
+    got = _kernels.basis(rows, p)
+    assert list(got) == want_pivots.tolist()
+    assert all(got[c][c] == 1 and type(got[c][c]) is int for c in got)
+    assert np.array_equal(dense(field, got.values(), n), want)
+    if not p:
+        _assert_canonical_rows(got.values())
+    else:
+        assert all(type(x) is int and 0 < x < p for row in got.values() for x in row.values())
+    for i in untouched:
+        assert rows[i] == kept[i]
+
+
+# two singletons on one column; a singleton after a longer row with the same
+# lead; striking empties a row and leaves another with one entry; a struck
+# row that keeps two entries, and an unstruck row after it
+@example((QQ, 3, [{1: Fraction(1)}, {1: -3}]))
+@example((GF(TOP_PRIME), 3, [{1: 1}, {1: TOP_PRIME - 3}]))
+@example((QQ, 3, [{0: 2, 2: 5}, {0: -3}]))
+@example((GF(TOP_PRIME), 3, [{0: 2, 2: 5}, {0: TOP_PRIME - 3}]))
+@example((QQ, 4, [{0: 3, 2: 1}, {0: Fraction(1)}, {2: -3}, {0: 1, 2: 1, 3: 7}]))
+@example((GF(TOP_PRIME), 4, [{0: 3, 2: 1}, {0: 1}, {2: TOP_PRIME - 3}, {0: 1, 2: 1, 3: 7}]))
+@example((QQ, 5, [{0: 1, 1: 2, 3: 4}, {1: 5, 3: 1, 4: 1}, {3: -3}, {0: 1, 4: 2}]))
+@example((GF(TOP_PRIME), 5, [{0: 1, 1: 2, 3: 4}, {1: 5, 3: 1, 4: 1}, {3: TOP_PRIME - 3},
+                             {0: 1, 4: 2}]))
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([GF(TOP_PRIME), QQ]).flatmap(
+    lambda field: _singleton_heavy_rows(field).map(lambda case: (field, *case))))
+def test_singleton_pass_matches_reference_on_hypothesis_inputs(case):
+    _assert_echelon_matches_reference(*case)

@@ -778,6 +778,35 @@ def test_times_matches_the_per_variable_products_on_hypothesis_rows(data):
     _assert_times_matches_per_variable_reference(A, rows, order)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_one_entry_products_are_canonical(field):
+    # e_0 * x_0 = e_2 and e_1 * x_0 = s*e_2, on a three-element table
+    p = field.char
+    s, c = (2, Fraction(3, 4)) if not p else (p - 2, p - 1)
+    table = [[(0, 2, 1)], [(0, 2, s)], []]
+    # two entries that meet at one column and cancel give no product, and an
+    # echelon of them has no pivot
+    cancel = {0: (-s * c) % p if p else -s * c, 1: c}
+    assert list(quotient._times([cancel], table, 3, p, range(3))) == []
+    assert _kernels.echelon(quotient._times([cancel], table, 3, p, range(3)), p) == {}
+    assert quotient._canonical({4: 0}, p) == {} and quotient._canonical({4: p}, p) == {}
+    (got,) = quotient._times([{1: c}], table, 3, p, range(3))
+    if p:
+        # c*s = (p-1)*(p-2) is past p, and written reduced
+        assert got == {2: 2} and type(got[2]) is int
+        assert quotient._canonical({4: 3 * p + 5}, p) == {4: 5}
+    else:
+        # 2 * 3/4 = 3/2 stays a Fraction; an integral Fraction is written as an int
+        assert got == {2: Fraction(3, 2)}
+        (got,) = quotient._times([{1: Fraction(3, 2)}], table, 3, p, range(3))
+        assert got == {2: 3} and type(got[2]) is int
+        one = quotient._canonical({4: Fraction(-6, 3)}, p)
+        assert one == {4: -2} and type(one[4]) is int
+    # the one-entry row is written as a new dict
+    row = {4: 7}
+    assert quotient._canonical(row, p) is not row
+
+
 # -- classes and products by elements on dict rows against the dense products --
 
 def _table_matrix(A, table, count):
