@@ -3,12 +3,13 @@
 Human-readable tables go to stdout; --json switches to a stable JSON report
 (schema 1) that is byte-identical across runs on identical input.  Exit
 codes: 0 ok, 2 parse, 3 not Artinian/local, 4 not Gorenstein, 5 bad socle,
-6 precondition, 7 resource guard, 1 internal.
+6 precondition, 7 resource guard, 141 stdout closed by its reader, 1 internal.
 """
 
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +36,8 @@ EXIT_CODES = (
     ((PreconditionError, RingMismatchError, CharacteristicError, NotAnIdealError), 6),
     ((ResourceGuardError,), 7),
 )
+# as a process killed by SIGPIPE reports it to the shell, like `yes | head`
+BROKEN_PIPE = 141
 
 
 def _digest(text):
@@ -405,7 +408,16 @@ def main(argv=None):
         return _fail(failed.error, f"{failed.path}: ")
     except (ArtinsumError, OSError, UnicodeDecodeError) as exc:
         return _fail(exc)
-    _emit(report, args)
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: what is still buffered goes to
+        # devnull, so the interpreter's final flush is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     return 0
 
 

@@ -6,10 +6,11 @@ two lanes share every algorithm above this module.  Polynomial coefficients
 are such scalars.  Over QQ, the dict rows that hold elements, and the
 structure tables, also hold a Python ``int`` wherever an entry is
 integral: `quotient._canonical` writes every row so, the products
-(`quotient._times`), the ideals they span in one pass (`ideal_span`) and
-the residues of the one quotient constructor (`quotient_algebra`)
-included.  The field operations accept ints, and ``coerce`` turns them
-back into Fractions where polynomials are built.
+(`quotient._times`, whose walks call it over QQ only, as they reduce mod p
+while they accumulate over GF(p)), the ideals they span in one pass
+(`ideal_span`) and the residues of the one quotient constructor
+(`quotient_algebra`) included.  The field operations accept ints, and
+``coerce`` turns them back into Fractions where polynomials are built.
 """
 
 from fractions import Fraction

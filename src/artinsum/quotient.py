@@ -20,7 +20,9 @@ against a sparse product table (`_times`): the algebra's
 entries of the structure table (`struct_table`), for m*W, for the classes
 of monomials and for the resolution, or the table of any elements
 (`product_table`, gathered from the structure table) for products by
-elements and annihilators.  The powers of m are read off the
+elements and annihilators.  Over GF(p) every such walk reduces each entry
+mod p as it accumulates, so its rows are canonical when they are made.
+The powers of m are read off the
 degrees of the standard monomials: the unit rows of those of degree >= i
 lie in m^i, so only the products of m^(i-1) by the variables that fall
 below degree i are echeloned.  Only parsed generator lists take the class
@@ -173,7 +175,8 @@ class ArtinAlgebra:
         """Entry l lists the triples (v, j, c) with e_l * elements[v] = sum of c*e_j, by v.
 
         `elements` are dict rows; each is multiplied through the entries of
-        `struct_table` at its nonzeros, so only its nonzero products are made.
+        `struct_table` at its nonzeros, so only its nonzero products are made,
+        reduced mod p as they accumulate (as in `_times`).
         """
         p = self.field.char
         table = [[] for _ in range(self.length)]
@@ -181,12 +184,16 @@ class ArtinAlgebra:
             rows = {}
             for k, x in element.items():
                 for l, j, c in self.struct_table[k]:
+                    y = x * c
                     row = rows.get(l)
                     if row is None:
-                        row = rows[l] = {}
-                    row[j] = row.get(j, 0) + x * c
+                        rows[l] = {j: y % p if p else y}
+                    else:
+                        if j in row:
+                            y += row[j]
+                        row[j] = y % p if p else y
             for l, row in rows.items():
-                table[l] += [(v, j, c) for j, c in _canonical(row, p).items()]
+                table[l] += [(v, j, c) for j, c in _finished(row, p).items()]
         return table
 
     @cached_property
@@ -391,7 +398,14 @@ def _class_row(memo, mono, tables, lam, p):
 
 
 def _canonical(row, p):
-    """The nonzero entries of a row, mod p over GF(p); over QQ (p = 0) an int where integral."""
+    """The nonzero entries of a row, mod p over GF(p); over QQ (p = 0) an int where integral.
+
+    It is the one check of the scalars in rows that come from outside a
+    product walk: a caller's rows (`_checked_rows`), the class of a
+    polynomial (`element_row`), the normal forms of `build_algebra` and the
+    rewritten table of `sums._socle_quotient`.  The product walks reduce mod
+    p as they accumulate and call it only over QQ (`_finished`).
+    """
     if p:
         return {k: y for k, x in row.items() if (y := x % p)}
     return {k: x if type(x) is int or x.denominator != 1 else x.numerator
@@ -405,20 +419,27 @@ def _times(rows, table, lam, p, columns):
     `product_table` of elements; each length-lam block of a row is
     multiplied on its own, and column c of a product is renamed columns[c].
     One walk over a row's entries opens a product row for element v only
-    when some entry has a nonzero product by it.
+    when some entry has a nonzero product by it.  Over GF(p) each entry is
+    reduced mod p as it accumulates, so a one-term product is born final; a
+    product row is copied only to drop a zero that a cancellation left
+    (`_finished`).
     """
     for row in rows:
         out = {}
         for col, c in row.items():
             base = col - col % lam
             for v, j, s in table[col % lam]:
+                k = columns[base + j]
+                x = c * s
                 prod = out.get(v)
                 if prod is None:
-                    prod = out[v] = {}
-                k = columns[base + j]
-                prod[k] = prod.get(k, 0) + c * s
+                    out[v] = {k: x % p if p else x}
+                else:
+                    if k in prod:
+                        x += prod[k]
+                    prod[k] = x % p if p else x
         for prod in out.values():
-            if prod := _canonical(prod, p):
+            if prod := _finished(prod, p):
                 yield prod
 
 
@@ -427,20 +448,39 @@ def _times_below(rows, table, top, p):
 
     `table` is an algebra's `times_table`; the restriction is applied
     while the table is walked, so a product term at a column >= `top` is
-    never accumulated.
+    never accumulated.  As in `_times`, each entry is reduced mod p as it
+    accumulates, and a row is copied only to drop a zero (`_finished`).
     """
     for row in rows:
         out = {}
         for col, c in row.items():
             for v, j, s in table[col]:
                 if j < top:
+                    x = c * s
                     prod = out.get(v)
                     if prod is None:
-                        prod = out[v] = {}
-                    prod[j] = prod.get(j, 0) + c * s
+                        out[v] = {j: x % p if p else x}
+                    else:
+                        if j in prod:
+                            x += prod[j]
+                        prod[j] = x % p if p else x
         for prod in out.values():
-            if prod := _canonical(prod, p):
+            if prod := _finished(prod, p):
                 yield prod
+
+
+def _finished(row, p):
+    """A row that a product walk accumulated, its nonzero entries in canonical form.
+
+    Over GF(p) the walk reduced every entry mod p, so the row is returned as
+    it is unless a cancellation left a zero in it; over QQ it is
+    `_canonical`'s copy, an int where an entry is integral.
+    """
+    if not p:
+        return _canonical(row, p)
+    if 0 in row.values():
+        return {k: x for k, x in row.items() if x}
+    return row
 
 
 def build_algebra(ring, generators):

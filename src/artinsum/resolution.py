@@ -7,7 +7,11 @@ t*lambda + j (block t, basis element e_j) to a nonzero scalar: an int in
 variables are the algebra's own m*W product (`quotient._times` on the
 algebra's `times_table`), applied block by block in one pass per row that
 forms only the nonzero products; the differential is read off the
-algebra's sparse structure table, `struct_table`.
+algebra's sparse structure table, `struct_table`.  Both walks reduce each
+entry mod p as it accumulates over GF(p), so their rows are canonical when
+they are made, and a row is copied only when a cancellation left a zero in
+it (`quotient._finished`); over QQ each finished row is written with an int
+where an entry is integral.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
@@ -27,7 +31,7 @@ from operator import add
 from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
-from .quotient import _canonical, _monomials_up_to, _times
+from .quotient import _finished, _monomials_up_to, _times
 from .series import SeriesTrunc
 from .sums import modulo_socle
 
@@ -61,17 +65,26 @@ def _differential(struct, gens, lam, p):
     """The transposed matrix of d: free module on `gens` -> A^rank.
 
     Its nonzero rows, keyed by index: row t*lam + j, column r*lam + k holds
-    the coefficient of e_j in (block t of generator r) * e_k.
+    the coefficient of e_j in (block t of generator r) * e_k.  As in
+    `quotient._times`, each entry is reduced mod p as it accumulates
+    (`quotient._finished`).
     """
     rows = {}
     for r, g in enumerate(gens):
+        shift = r * lam
         for col, c in g.items():
             base = col - col % lam
             for k, j, s in struct[col % lam]:
-                row = rows.setdefault(base + j, {})
-                row[r * lam + k] = row.get(r * lam + k, 0) + c * s
-    rows = {i: _canonical(row, p) for i, row in rows.items()}
-    return {i: row for i, row in rows.items() if row}
+                i, k = base + j, shift + k
+                x = c * s
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {k: x % p if p else x}
+                else:
+                    if k in row:
+                        x += row[k]
+                    row[k] = x % p if p else x
+    return {i: out for i, row in rows.items() if (out := _finished(row, p))}
 
 
 def betti_numbers(A, truncation=DEFAULT_TRUNCATION):

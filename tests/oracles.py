@@ -812,6 +812,18 @@ def times_reference(row, table, lam, p, order):
     return _canonical(out, p)
 
 
+def is_canonical_row(row, p):
+    """Whether a dict row holds nonzero entries only, each canonical.
+
+    Over GF(p) an entry is an int in [0, p); over QQ it is an int exactly
+    where it is integral, and a Fraction elsewhere.
+    """
+    if p:
+        return all(type(x) is int and 0 < x < p for x in row.values())
+    return all(x and (type(x) is int if x.denominator == 1 else type(x) is Fraction)
+               for x in row.values())
+
+
 def _module_times_element(field, rows, mat):
     """Right-multiply every length-lambda block of each row by `mat`."""
     if rows.shape[0] == 0:

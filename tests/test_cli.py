@@ -336,6 +336,23 @@ def test_analyze_directory_with_a_malformed_file_fails_alike_for_any_jobs(tmp_pa
         assert runs[0].stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "human"])
+def test_a_reader_that_closed_stdout_early_gives_exit_141_and_no_traceback(json_flag):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "artinsum", "connect", str(GOLDEN / "gf_left.txt"),
+             str(GOLDEN / "gf_right.txt"), *json_flag],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert run.returncode == 141, run.stderr
+    assert "Traceback" not in run.stderr and "BrokenPipeError" not in run.stderr
+
+
 def test_importing_the_package_loads_no_numpy():
     # only the dense adapters (`linalg.rref`, `_kernels.rref_mod`) use numpy,
     # and they import it when called

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
                       betti_numbers, connected_sum, fibre_product, h2_bound_check,
-                      modulo_socle, quotient, resolution, verify_cs_series, verify_fp_series,
+                      modulo_socle, resolution, verify_cs_series, verify_fp_series,
                       verify_mu_formulas, verify_socle_quotient)
 from artinsum.errors import (ArtinsumError, NotLocalError, ParseError, PreconditionError,
                              ResourceGuardError)
@@ -18,8 +18,9 @@ from artinsum.poly import Polynomial
 from artinsum.resolution import _differential, mu_direct
 
 from corpus import pair_corpus
-from oracles import (betti_numbers_reference, differential_matrix_reference, matrix,
-                     mu_direct_reference, mu_rank_reference, residue_field_algebra, zeros)
+from oracles import (betti_numbers_reference, differential_matrix_reference,
+                     is_canonical_row, matrix, mu_direct_reference, mu_rank_reference,
+                     residue_field_algebra, zeros)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -234,11 +235,12 @@ def test_mu_direct_matches_polynomial_products_on_golden_presentations():
             continue
         fields.add(str(A.field))
         assert mu_direct(A) == mu_direct_reference(A), path.name
-    assert fields == {"QQ", "GF(101)", "GF(1048573)"}
+    assert fields == {"QQ", "GF(7)", "GF(101)", "GF(1048573)"}
 
 
-@pytest.mark.parametrize("field", [GF(101), QQ], ids=str)
+@pytest.mark.parametrize("field", [GF(7), GF(101), GF(1048573), QQ], ids=str)
 def test_differential_matrix_matches_the_per_generator_products(field):
+    # over GF(7) most products c*s are past p, and many sums cancel
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[2]
     A = connected_sum(R, S).algebra
     lam, p = A.length, getattr(field, "p", 0)
@@ -248,12 +250,14 @@ def test_differential_matrix_matches_the_per_generator_products(field):
         ints = rng.integers(-3, 4, size=(4, prev_rank * lam))
         gens = matrix(field, [[field.coerce(int(x)) for x in row] for row in ints])
         rows = [{j: c for j, c in enumerate(g) if c} for g in gens.tolist()]
+        before = [dict(row) for row in rows]
         # the sparse differential is transposed: densify it back
         got = zeros(field, (len(gens) * lam, prev_rank * lam))
         for i, row in _differential(struct, rows, lam, p).items():
-            assert row and all(row.values())
+            assert row and is_canonical_row(row, p)
             for c, x in row.items():
                 got[c, i] = x
+        assert rows == before, "a caller row changed"
         want = differential_matrix_reference(A, gens, prev_rank)
         assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -299,16 +303,32 @@ def test_betti_numbers_match_reference_where_a_one_entry_product_cancels(monkeyp
     # variable meet at one column and cancel: that product is zero, not a pivot
     A = algebra_from_text((GOLDEN / name).read_text())
     want = betti_numbers_reference(A, TRUNCATION)
-    canonical, cancelled = quotient._canonical, []
+    times, calls, products = resolution._times, [], []
 
-    def recording(row, p):
-        out = canonical(row, p)
-        if len(row) == 1 and not out:
-            cancelled.append(row)
-        return out
+    def recording(rows, table, lam, p, columns):
+        rows = list(rows)
+        calls.append((rows, table, lam, p, columns))
+        out = list(times(rows, table, lam, p, columns))
+        # copies: the echelon consumes the rows it is given
+        products.extend((p, dict(prod)) for prod in out)
+        return iter(out)
 
-    monkeypatch.setattr(quotient, "_canonical", recording)
+    monkeypatch.setattr(resolution, "_times", recording)
     assert betti_numbers(A, TRUNCATION).betti == want
+    assert all(prod and is_canonical_row(prod, p) for p, prod in products)
+    # the raw sums of each row's products by each variable, reduced nowhere
+    cancelled = []
+    for rows, table, lam, p, columns in calls:
+        for row in rows:
+            sums = {}
+            for col, c in row.items():
+                base = col - col % lam
+                for v, j, s in table[col % lam]:
+                    prod = sums.setdefault(v, {})
+                    k = columns[base + j]
+                    prod[k] = prod.get(k, 0) + c * s
+            cancelled += [prod for prod in sums.values()
+                          if len(prod) == 1 and not any(x % p if p else x for x in prod.values())]
     assert cancelled
 
 
