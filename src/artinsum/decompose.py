@@ -170,10 +170,10 @@ def certify_indecomposable(Q):
     if h2 >= comb(d, 2) + 2:
         out.append(Certificate("HILBERT2",
                                f"H(2) = {h2} >= C({d},2) + 2 = {comb(d, 2) + 2}"))
-    mu = mu_direct(Q)
-    if d >= 3 and mu == d:
+    # mu(I) is read only from edim 3 on, and counting it builds the reduced basis
+    if d >= 3 and mu_direct(Q) == d:
         out.append(Certificate("COMPLETE_INTERSECTION",
-                               f"mu(I) = {mu} = edim >= 3"))
+                               f"mu(I) = {d} = edim >= 3"))
     kinds = classify(Q)
     if kinds.compressed and Q.loewy_length >= 4:
         out.append(Certificate("COMPRESSED",

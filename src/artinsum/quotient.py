@@ -31,8 +31,10 @@ that lead no linear element of their reduced basis; text that is not
 minimal is then taken as the subalgebra its variables generate.  Every
 derived algebra, a subalgebra or a quotient, has an ideal containing a
 power of m: it is given by the classes of the monomials up to that degree,
-as dict rows.  The monomials are enumerated in ascending Grevlex order
-(`_monomials_up_to`), so nothing is sorted, and the left kernel of their
+as dict rows.  The monomials come from one shared table per variable count
+and degree, in ascending Grevlex order with each monomial's predecessor
+(`_monomial_table`), so nothing is sorted; their classes are made in one
+forward pass over it (`_forward_classes`), and the left kernel of the
 classes is the reduced echelon basis of the truncated ideal
 (`kernel_algebra`): dict rows keyed by their lead column, from which
 `_read_echelon` reads the standard monomials and the class of every
@@ -47,15 +49,19 @@ one.
 """
 
 from bisect import bisect_left
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from operator import add
+from typing import NamedTuple
 
 from . import _kernels, linalg
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
                      ResourceGuardError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
 from .poly import PolyRing, mono_deg
+
+# how many monomial tables `_monomial_table` keeps
+MONOMIAL_TABLES = 64
 
 
 class Subspace:
@@ -123,9 +129,10 @@ class ArtinAlgebra:
     over GF(p), and over QQ an int exactly where it is integral.  It is
     symmetric, so entry k also lists the products of e_k by each e_l.  The
     products by the variables are gathered from it into `times_table`.
-    Elements are dict rows over the basis: the class of each monomial is
-    one, its predecessor's times one variable, memoised (`monomial_row`),
-    and `element_row` gives the class of a polynomial.  `gb`, the reduced
+    Elements are dict rows over the basis: the classes of the monomials up
+    to the Loewy length are made on first use in one forward pass, each its
+    predecessor's times one variable (`monomial_row`), and `element_row`
+    gives the class of a polynomial.  `gb`, the reduced
     Groebner basis of the ideal under Grevlex, ascending, is read off those
     classes on its first read; the table, the filtration and the
     constructors' identity checks are made without it.  An algebra
@@ -141,7 +148,6 @@ class ArtinAlgebra:
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self.struct_table = table
-        self._classes = {(0,) * self.ring.nvars: {self.basis_index[(0,) * self.ring.nvars]: 1}}
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
@@ -292,13 +298,24 @@ class ArtinAlgebra:
         """Carry a polynomial of the original ring through the recorded elimination."""
         return poly if self.reduction is None else poly.compose(*self.reduction)
 
+    @cached_property
+    def _classes(self):
+        """The class of every monomial up to degree s, the Loewy length, by monomial.
+
+        One forward pass over the monomial table (`_forward_classes`), in
+        its order; m^(s+1) is zero, so no monomial above needs a product.
+        """
+        table = _monomial_table(self.ring.nvars, self.loewy_length)
+        rows = _forward_classes(table, self._variable_tables, self.length, self.field.char)
+        return dict(zip(table.monos, rows))
+
     def monomial_row(self, mono):
         """The class of a monomial of the presentation ring as a dict row.
 
-        The row is memoised and shared: callers copy it before changing it.
+        The row is shared: callers copy it before changing it.  A monomial
+        above the Loewy length has class 0.
         """
-        lam = self.length
-        return _class_row(self._classes, mono, self._variable_tables, lam, self.field.char)
+        return self._classes.get(mono, {})
 
     def element_row(self, poly):
         """The class of `poly` as a dict row over the standard basis."""
@@ -359,8 +376,13 @@ class ArtinAlgebra:
         return len(reps), reps
 
     def same_presentation(self, other):
-        """Whether `other` is presented on the same ring by the same reduced basis."""
-        return (self.ring, self.gb) == (other.ring, other.gb)
+        """Whether `other` is presented on the same ring by the same reduced basis.
+
+        The reduced basis is read off `basis` and `times_table`, so the
+        algebras are compared by those, and no basis is built.
+        """
+        return ((self.ring, self.basis, self.times_table)
+                == (other.ring, other.basis, other.times_table))
 
     def __repr__(self):
         return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
@@ -380,21 +402,6 @@ def _checked_rows(A, rows):
                 raise ValueError(f"column {k!r} outside the basis of length {lam}")
         out.append(_canonical(row, p))
     return out
-
-
-def _class_row(memo, mono, tables, lam, p):
-    """The class of `mono` as a dict row, memoised: its predecessor's times one variable.
-
-    The predecessor is `mono` with its first nonzero exponent lowered, and
-    `tables[i]` lists the products by the image of variable i, one entry
-    per basis element.
-    """
-    row = memo.get(mono)
-    if row is None:
-        i = next(k for k, e in enumerate(mono) if e)
-        row = _class_row(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], tables, lam, p)
-        row = memo[mono] = next(_times([row], tables[i], lam, p, range(lam)), {})
-    return row
 
 
 def _canonical(row, p):
@@ -573,7 +580,7 @@ def kernel_algebra(ring, degree, classes):
     """The algebra k[ring]/I, on the variables that minimally generate m.
 
     I is the kernel of the map sending the j-th monomial of `ring` up to
-    `degree` in ascending Grevlex order (`_monomials_up_to`) to the dict
+    `degree` in ascending Grevlex order (`_monomial_table`) to the dict
     row `classes[j]` (canonical scalars), and m^degree lies in I.  The left
     kernel of the classes (`_kernels.left_kernel`) is the reduced echelon
     basis of I up to `degree`, the linear dependencies that FGLM reads:
@@ -593,7 +600,7 @@ def kernel_algebra(ring, degree, classes):
         raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(classes),
                                  "matrix dimension")
     fld, p = ring.field, ring.field.char
-    monos = _monomials_up_to(ring, degree)
+    monos = _monomial_table(ring.nvars, degree).monos
     rows = _kernels.left_kernel(classes, p)
     # columns 1..nvars are the variables
     linear = [part for row in rows.values()
@@ -622,15 +629,46 @@ def kernel_algebra(ring, degree, classes):
     return A
 
 
-def _monomials_up_to(ring, degree):
-    """The monomials of `ring` up to `degree`, in ascending Grevlex order.
+class MonomialTable(NamedTuple):
+    """The monomials in some variables up to a degree, ascending under Grevlex.
+
+    `monos[j]` is `monos[pred[j]]` times variable `var[j]`: its predecessor
+    is the monomial with its first nonzero exponent lowered, of lower
+    degree, so it comes first.  The monomial 1 has neither (-1).
+    """
+
+    monos: tuple
+    pred: tuple
+    var: tuple
+
+
+@lru_cache(maxsize=MONOMIAL_TABLES)
+def _monomial_table(nvars, degree):
+    """The monomial table of `nvars` variables up to `degree`, made once and shared.
 
     Within a degree, Grevlex ascends with the combinations of the variables
     taken last variable first.
     """
-    n = ring.nvars
-    return [tuple(map(combo.count, range(n))) for d in range(degree + 1)
-            for combo in combinations_with_replacement(range(n - 1, -1, -1), d)]
+    monos = tuple(tuple(map(combo.count, range(nvars))) for d in range(degree + 1)
+                  for combo in combinations_with_replacement(range(nvars - 1, -1, -1), d))
+    index = {m: j for j, m in enumerate(monos)}
+    var = tuple(next((i for i, e in enumerate(m) if e), -1) for m in monos)
+    pred = tuple(index[m[:i] + (m[i] - 1,) + m[i + 1:]] if i >= 0 else -1
+                 for m, i in zip(monos, var))
+    return MonomialTable(monos, pred, var)
+
+
+def _forward_classes(table, tables, lam, p):
+    """The class of each monomial of a `MonomialTable`, as dict rows in its order.
+
+    The class of 1 is e_0, and row j is row pred[j] times the element that
+    variable var[j] maps to, one `_times` step: `tables[i]` lists the
+    products by the image of variable i, one entry per basis element.
+    """
+    rows = [{0: 1}]
+    for i, v in zip(table.pred[1:], table.var[1:]):
+        rows.append(next(_times([rows[i]], tables[v], lam, p, range(lam)), {}))
+    return rows
 
 
 def subalgebra(Q, new_ring, images):
@@ -641,12 +679,13 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal.
     """
-    lam, p = Q.length, Q.field.char
     tables = [Q.product_table([Q.element_row(f)]) for f in images]
-    degree = Q.loewy_length + 1
-    monos = _monomials_up_to(new_ring, degree)
-    memo = {monos[0]: Q.monomial_row((0,) * Q.ring.nvars)}
-    return kernel_algebra(new_ring, degree, [_class_row(memo, m, tables, lam, p) for m in monos])
+    s = Q.loewy_length
+    classes = _forward_classes(_monomial_table(new_ring.nvars, s), tables, Q.length,
+                               Q.field.char)
+    # the monomials of degree s+1 map into m^(s+1) = 0
+    classes += [{}] * (len(_monomial_table(new_ring.nvars, s + 1).monos) - len(classes))
+    return kernel_algebra(new_ring, s + 1, classes)
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -681,7 +720,7 @@ def quotient_algebra(A, targets):
     would lie in m^(d+1), inside targets[d], and so be zero.
     """
     degree = A.loewy_length + 1
-    residues = monomial_residues(A, _monomials_up_to(A.ring, degree), targets)
+    residues = monomial_residues(A, _monomial_table(A.ring.nvars, degree).monos, targets)
     if not residues[0]:
         raise UnitIdealError("1 lies in the ideal")
     return kernel_algebra(A.ring, degree, residues)
@@ -689,5 +728,5 @@ def quotient_algebra(A, targets):
 
 def square_zero_algebra(ring):
     """k[ring]/m^2: 1 and the variables are independent, and every quadric is zero."""
-    count = len(_monomials_up_to(ring, 2))
+    count = len(_monomial_table(ring.nvars, 2).monos)
     return kernel_algebra(ring, 2, [{j: 1} if j <= ring.nvars else {} for j in range(count)])

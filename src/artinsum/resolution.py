@@ -31,7 +31,7 @@ from operator import add
 from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
-from .quotient import _finished, _monomials_up_to, _times
+from .quotient import _finished, _monomial_table, _times
 from .series import SeriesTrunc
 from .sums import modulo_socle
 
@@ -159,7 +159,7 @@ def mu_direct(A):
     if not A.gb:
         return 0
     bound = A.loewy_length + 1
-    monos = _monomials_up_to(A.ring, bound)
+    monos = _monomial_table(A.ring.nvars, bound).monos
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:

@@ -38,7 +38,7 @@ from heapq import merge
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import Polynomial, PolyRing, mono_deg
-from .quotient import (ArtinAlgebra, _canonical, _monomials_up_to, kernel_algebra,
+from .quotient import (ArtinAlgebra, _canonical, _monomial_table, kernel_algebra,
                        quotient_algebra)
 
 
@@ -235,22 +235,20 @@ def _derive(terms, i, p):
 def _apolar_classes(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and dict rows of their derivatives of F.
 
-    The monomials ascend under Grevlex (`_monomials_up_to`), as
+    The monomials ascend under Grevlex (`_monomial_table`), as
     `kernel_algebra` takes their classes.  Each monomial's derivative is a
-    term dict, one derivative (`_derive`) of its predecessor's, the
-    monomial with its first nonzero exponent lowered, as `ArtinAlgebra`
-    memoises classes; the predecessor has lower degree, so it comes first.
+    term dict, one derivative (`_derive`) of its predecessor's, in one
+    forward pass over the table, as `ArtinAlgebra` makes its classes.
     Column c of the rows is the c-th term met among the derivatives.
     """
     p = F.ring.field.char
-    monos = _monomials_up_to(ops, F.total_degree() + 1)
-    derived = {monos[0]: F.terms}
-    for m in monos[1:]:
-        i = next(k for k, e in enumerate(m) if e)
-        derived[m] = _derive(derived[m[:i] + (m[i] - 1,) + m[i + 1:]], i, p)
+    table = _monomial_table(ops.nvars, F.total_degree() + 1)
+    derived = [F.terms]
+    for i, v in zip(table.pred[1:], table.var[1:]):
+        derived.append(_derive(derived[i], v, p))
     col = {}
-    return monos, [{col.setdefault(t, len(col)): c for t, c in terms.items()}
-                   for terms in derived.values()]
+    return table.monos, [{col.setdefault(t, len(col)): c for t, c in terms.items()}
+                         for terms in derived]
 
 
 def apolar_algebra(F, operator_names=None):

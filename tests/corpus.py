@@ -20,18 +20,27 @@ FIELD = GF(101)
 def random_dual_poly(rng, ring, degree):
     """Random polynomial with a guaranteed nonzero degree-`degree` part.
 
-    The coefficients are integers drawn from [0, 101), read in the ring's field.
+    The coefficients are integers drawn from [0, 101), read in the ring's
+    field; one that vanishes there is skipped, and the forced top term is
+    drawn again until it does not vanish.  Over QQ or GF(p) with p >= 101 no
+    drawn integer but 0 vanishes, so the draws are those of a plain
+    nonzero test.
     """
+    p = ring.field.char
     terms = {}
     for d in range(2, degree + 1):
         for mono in ring.monomials_of_degree(d):
             if rng.random() < 0.6:
                 c = rng.randrange(0, 101)
-                if c:
+                if c and (not p or c % p):
                     terms[mono] = c
     top = ring.monomials_of_degree(degree)
     if not any(sum(m) == degree and m in terms for m in top):
-        terms[top[rng.randrange(len(top))]] = rng.randrange(1, 101)
+        # the coefficient is drawn before the monomial, which keeps seeded draws as they were
+        c = rng.randrange(1, 101)
+        while p and not c % p:
+            c = rng.randrange(1, 101)
+        terms[top[rng.randrange(len(top))]] = c
     return ring.poly(terms)
 
 

@@ -67,7 +67,7 @@ from artinsum.grobner import IdealPresentation, _check_degree, degree_guard
 from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm,
                            mono_mul)
-from artinsum.quotient import (ArtinAlgebra, _canonical, _monomials_up_to, build_algebra,
+from artinsum.quotient import (ArtinAlgebra, _canonical, _monomial_table, _times, build_algebra,
                                kernel_algebra, square_zero_algebra)
 from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
 
@@ -1107,7 +1107,7 @@ def mu_direct_reference(A):
     if not A.gb:
         return 0
     bound = A.loewy_length + 1
-    monos = _monomials_up_to(ring, bound)
+    monos = _monomial_table(ring.nvars, bound).monos
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:
@@ -1345,6 +1345,39 @@ def _dense_class(memo, mono, matrices, field):
     return vec
 
 
+def _class_row(memo, mono, tables, lam, p):
+    """The class of `mono` as a dict row, memoised: its predecessor's times one variable.
+
+    The predecessor is `mono` with its first nonzero exponent lowered, and
+    `tables[i]` lists the products by the image of variable i, one entry
+    per basis element.
+    """
+    row = memo.get(mono)
+    if row is None:
+        i = next(k for k, e in enumerate(mono) if e)
+        row = _class_row(memo, mono[:i] + (mono[i] - 1,) + mono[i + 1:], tables, lam, p)
+        row = memo[mono] = next(_times([row], tables[i], lam, p, range(lam)), {})
+    return row
+
+
+def monomial_rows_reference(A, monos):
+    """The classes of monomials by the memoised recursion on their predecessors.
+
+    `ArtinAlgebra.monomial_row`, filled by one forward pass, must give the
+    same rows.
+    """
+    memo = {(0,) * A.ring.nvars: {0: 1}}
+    return [_class_row(memo, m, A._variable_tables, A.length, A.field.char) for m in monos]
+
+
+def subalgebra_classes_reference(Q, new_ring, images):
+    """The classes that `quotient.subalgebra` hands `kernel_algebra`, by the recursion."""
+    tables = [Q.product_table([Q.element_row(f)]) for f in images]
+    memo = {(0,) * new_ring.nvars: {0: 1}}
+    monos = _monomial_table(new_ring.nvars, Q.loewy_length + 1).monos
+    return [_class_row(memo, m, tables, Q.length, Q.field.char) for m in monos]
+
+
 def monomial_vector_reference(A, mono):
     """The class of a monomial as a chain of dense products by the variables' matrices.
 
@@ -1385,7 +1418,7 @@ def subalgebra_reference(Q, new_ring, images):
     """
     matrices = [prepared(Q.field, mult_matrix(Q, vector(Q, f))) for f in images]
     degree = Q.loewy_length + 1
-    monos = _monomials_up_to(new_ring, degree)
+    monos = _monomial_table(new_ring.nvars, degree).monos
     memo = {monos[0]: one_vector(Q)}
     classes = matrix(Q.field, [_dense_class(memo, m, matrices, Q.field) for m in monos],
                             width=Q.length)

@@ -144,6 +144,18 @@ def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == (GOLDEN / "betti_connect_qq_max6.json").read_text()
 
 
+def test_qq_decompose_of_a_written_quartic_is_golden(tmp_path, monkeypatch, capsys):
+    # a generic binary quartic, the `quartic` shape of the decompose_qq
+    # benchmark: certified indecomposable by HILBERT2 and COMPRESSED, on the
+    # certificate path that counts no mu(I) below edim 3
+    monkeypatch.chdir(tmp_path)
+    assert main(["apolar", "--poly", "3*w1^4 - 2*w1^3*w2 + 5*w1^2*w2^2 + w1*w2^3 - 4*w2^4",
+                 "--dual-vars", "w1", "w2", "--field", "QQ", "-o", "quartic_qq.txt"]) == 0
+    capsys.readouterr()
+    assert main(["decompose", "quartic_qq.txt", "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "decompose_quartic_qq.json").read_text()
+
+
 def _assert_gf_betti_of_written_sum_is_golden(prefix, name, capsys):
     assert main(["connect", str(GOLDEN / f"{prefix}_left.txt"),
                  str(GOLDEN / f"{prefix}_right.txt"), "--unit", "2", "-o", f"{name}.txt"]) == 0

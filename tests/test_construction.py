@@ -19,7 +19,7 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, assoc
 from artinsum.grobner import IdealPresentation
 from artinsum.parse import parse_presentation
 from artinsum.poly import Grevlex
-from artinsum.quotient import _monomials_up_to, square_zero_algebra, subalgebra
+from artinsum.quotient import _monomial_table, square_zero_algebra, subalgebra
 
 from corpus import dual_polynomials, pair_corpus, random_gorenstein
 from oracles import (kernel_algebra_reference, normal_form_table_reference, sparse_row,
@@ -43,7 +43,32 @@ def test_monomials_up_to_ascend_under_grevlex():
         ring = PolyRing(QQ, tuple(f"x{i}" for i in range(nvars)))
         for degree in range(8):
             monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
-            assert _monomials_up_to(ring, degree) == sorted(monos, key=Grevlex().key)
+            got = _monomial_table(ring.nvars, degree).monos
+            assert list(got) == sorted(monos, key=Grevlex().key)
+
+
+def test_monomial_tables_are_shared_tuples_per_variable_count_and_degree():
+    left, right = PolyRing(QQ, ("x", "y", "z")), PolyRing(GF(7), ("a", "b", "c"))
+    for degree in range(6):
+        table = _monomial_table(left.nvars, degree)
+        assert _monomial_table(right.nvars, degree) is table
+        assert type(table) is quotient.MonomialTable
+        assert all(type(part) is tuple for part in table)
+        assert all(type(m) is tuple for m in table.monos)
+    assert _monomial_table.cache_info().maxsize == quotient.MONOMIAL_TABLES
+
+
+def test_monomial_table_predecessors_lower_the_first_nonzero_exponent():
+    for nvars in range(5):
+        for degree in range(6):
+            monos, pred, var = _monomial_table(nvars, degree)
+            assert len(monos) == len(pred) == len(var)
+            assert monos[0] == (0,) * nvars and pred[0] == var[0] == -1
+            for j in range(1, len(monos)):
+                m = monos[j]
+                i = next(k for k, e in enumerate(m) if e)
+                assert var[j] == i
+                assert pred[j] < j and monos[pred[j]] == m[:i] + (m[i] - 1,) + m[i + 1:]
 
 
 def _unit_rows(A):
@@ -77,7 +102,7 @@ def _checked_kernels():
 
     def compared(ring, degree, classes):
         got = original(ring, degree, classes)
-        column = {m: j for j, m in enumerate(_monomials_up_to(ring, degree))}
+        column = {m: j for j, m in enumerate(_monomial_table(ring.nvars, degree).monos)}
         monos = [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
         want = kernel_algebra_reference(ring, monos, [classes[column[m]] for m in monos])
         _assert_same_algebra(got, want)

@@ -19,7 +19,7 @@ from artinsum.cli import main
 from artinsum.decompose import check_split
 from artinsum.errors import ArtinsumError, ResourceGuardError
 from artinsum.grobner import buchberger, s_polynomial
-from artinsum.quotient import _monomials_up_to, build_algebra, kernel_algebra, subalgebra
+from artinsum.quotient import _monomial_table, build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_classes, connected_sum
 
 from corpus import dual_polynomials, pair_corpus, random_apolar_ideal, random_dual_poly
@@ -391,7 +391,7 @@ def test_kernel_presentation_needs_the_top_power_of_m():
     # classes, as dict rows, whose left kernel is spanned by the given rows
     field = GF(101)
     ring = PolyRing(field, ("X", "Y"))
-    monos = _monomials_up_to(ring, 2)
+    monos = _monomial_table(ring.nvars, 2).monos
     top = [m for m in monos if sum(m) == 2 and m != (1, 1)]
     rows = np.array([[int(m == t) for m in monos] for t in top], dtype=np.int64)
     with pytest.raises(ArtinsumError) as info:

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
-                      betti_numbers, connected_sum, fibre_product, h2_bound_check,
-                      modulo_socle, resolution, verify_cs_series, verify_fp_series,
-                      verify_mu_formulas, verify_socle_quotient)
+                      betti_numbers, certify_indecomposable, connected_sum, fibre_product,
+                      h2_bound_check, modulo_socle, parse_polynomial, resolution,
+                      verify_cs_series, verify_fp_series, verify_mu_formulas,
+                      verify_socle_quotient)
 from artinsum.errors import (ArtinsumError, NotLocalError, ParseError, PreconditionError,
                              ResourceGuardError)
 from artinsum.poly import Polynomial
@@ -223,6 +224,25 @@ def test_mu_direct_matches_polynomial_products_on_corpus_sums(monkeypatch, field
 
     monkeypatch.setattr(Polynomial, "mul_term", no_products)
     assert [mu_direct(A) for A in algebras] == want
+
+
+def test_certificates_count_mu_only_from_edim_three(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A.edim)
+        return mu_direct(A)
+
+    monkeypatch.setattr(resolution, "mu_direct", counting)
+    # the quartic of decompose_quartic_qq.json
+    dual = PolyRing(QQ, ("w1", "w2"))
+    quartic = apolar_algebra(parse_polynomial(
+        "3*w1^4 - 2*w1^3*w2 + 5*w1^2*w2^2 + w1*w2^3 - 4*w2^4", dual))
+    assert [c.name for c in certify_indecomposable(quartic)] == ["HILBERT2", "COMPRESSED"]
+    assert calls == [] and "gb" not in vars(quartic)
+    ci = algebra_from_text((GOLDEN / "ci_qq.txt").read_text())
+    assert [c.name for c in certify_indecomposable(ci)] == ["COMPLETE_INTERSECTION"]
+    assert calls == [3]
 
 
 def test_mu_direct_matches_polynomial_products_on_golden_presentations():
