@@ -982,7 +982,7 @@ def test_forward_pass_classes_match_the_recursive_and_dense_classes(monkeypatch,
     rng = random.Random(89)
     for R, S in pair_corpus(2, seed=71, max_edim=3, max_ll=4, min_ll=2, field=field):
         Q = connected_sum(R, S).algebra
-        for ring, images in (_subalgebra_images(rng, Q), (Q.ring, list(Q.ring.gens()))):
+        for ring, images in (_subalgebra_images(rng, Q), (Q.ring, Q.ring.gens())):
             handed.clear()
             monkeypatch.setattr(quotient, "kernel_algebra", recording)
             got = subalgebra(Q, ring, images)
