@@ -72,7 +72,10 @@ def echelon(rows, p, reduced=False):
     columns are struck from the other rows (LaMacchia-Odlyzko 1990): no
     other pivot row then holds a struck column, so none can fill in there.
     The rest is eliminated forward, in input order; with `reduced`, every
-    pivot column is then cleared from the other rows, the last pivot first.
+    pivot column is then cleared from the other rows, the last pivot first,
+    by back-substitution into each pivot row of more than one entry: a
+    one-entry pivot row holds only its own pivot, so it has nothing to
+    clear and is passed by.
     A single-entry row is left as it is and a struck row is copied; other
     rows are eliminated in place, but none is scaled in place to make its
     pivot one.
@@ -105,7 +108,8 @@ def echelon(rows, p, reduced=False):
             _eliminate(row, c, prow, p)
     if reduced:
         for c in sorted(pivots, reverse=True):
-            pivots[c] = reduce(pivots.pop(c), pivots, p)
+            row = pivots.pop(c)
+            pivots[c] = reduce(row, pivots, p) if len(row) > 1 else row
     return pivots
 
 
@@ -127,13 +131,15 @@ def kernel(pivots, width, p):
     """The right kernel of a reduced echelon form of `width` columns, keyed by free column.
 
     Row f is one at the free column f and minus column f of each pivot row
-    at that row's pivot.
+    at that row's pivot.  A one-entry pivot row is zero at every free
+    column, so it adds no entry to any row and is skipped.
     """
     rows = {f: {f: 1} for f in range(width) if f not in pivots}
     for c, prow in pivots.items():
-        for f, x in monic(prow, c).items():
-            if f != c:
-                rows[f][c] = (-x) % p if p else -x
+        if len(prow) > 1:
+            for f, x in monic(prow, c).items():
+                if f != c:
+                    rows[f][c] = (-x) % p if p else -x
     return rows
 
 

@@ -33,8 +33,10 @@ derived algebra, a subalgebra or a quotient, has an ideal containing a
 power of m: it is given by the classes of the monomials up to that degree,
 as dict rows.  The monomials come from one shared table per variable count
 and degree, in ascending Grevlex order with each monomial's predecessor
-(`_monomial_table`), so nothing is sorted; their classes are made in one
-forward pass over it (`_forward_classes`), and the left kernel of the
+(`_monomial_table`), so nothing is sorted.  A class is made by one rule,
+its predecessor's class times one variable, forming only what is missing
+on the predecessor chain (`_monomial_class`), so the classes of a whole
+table, read in its order, are one forward pass; the left kernel of the
 classes is the reduced echelon basis of the truncated ideal
 (`kernel_algebra`): dict rows keyed by their lead column, from which
 `_read_echelon` reads the standard monomials and the class of every
@@ -129,10 +131,10 @@ class ArtinAlgebra:
     over GF(p), and over QQ an int exactly where it is integral.  It is
     symmetric, so entry k also lists the products of e_k by each e_l.  The
     products by the variables are gathered from it into `times_table`.
-    Elements are dict rows over the basis: the classes of the monomials up
-    to the Loewy length are made on first use in one forward pass, each its
-    predecessor's times one variable (`monomial_row`), and `element_row`
-    gives the class of a polynomial.  `gb`, the reduced
+    Elements are dict rows over the basis: the class of a monomial is made
+    when it is first read, its predecessor's times one variable, along with
+    the classes missing on its predecessor chain (`monomial_row`), and
+    `element_row` gives the class of a polynomial.  `gb`, the reduced
     Groebner basis of the ideal under Grevlex, ascending, is read off those
     classes on its first read; the table, the filtration and the
     constructors' identity checks are made without it.  An algebra
@@ -182,7 +184,9 @@ class ArtinAlgebra:
 
         `elements` are dict rows; each is multiplied through the entries of
         `struct_table` at its nonzeros, so only its nonzero products are made,
-        reduced mod p as they accumulate (as in `_times`).
+        reduced mod p as they accumulate (as in `_times`).  An entry lists its
+        triples grouped by element, in increasing v, each j once per element,
+        as `_times` reads a one-entry row's products.
         """
         p = self.field.char
         table = [[] for _ in range(self.length)]
@@ -210,7 +214,8 @@ class ArtinAlgebra:
         walked there with the product terms at high columns skipped
         (`_times_below`).  Every variable is a basis element, and the
         entries of its `struct_table` row list those products in this
-        order, so the table is gathered from them.
+        order, so the table is gathered from them.  Like `product_table`, an
+        entry lists its triples grouped by variable, in increasing v.
         """
         n = self.ring.nvars
         table = [[] for _ in range(self.length)]
@@ -300,22 +305,22 @@ class ArtinAlgebra:
 
     @cached_property
     def _classes(self):
-        """The class of every monomial up to degree s, the Loewy length, by monomial.
-
-        One forward pass over the monomial table (`_forward_classes`), in
-        its order; m^(s+1) is zero, so no monomial above needs a product.
-        """
-        table = _monomial_table(self.ring.nvars, self.loewy_length)
-        rows = _forward_classes(table, self._variable_tables, self.length, self.field.char)
-        return dict(zip(table.monos, rows))
+        """The classes formed so far, by monomial: the class e_0 of 1, and each one read since."""
+        return {(0,) * self.ring.nvars: {0: 1}}
 
     def monomial_row(self, mono):
         """The class of a monomial of the presentation ring as a dict row.
 
-        The row is shared: callers copy it before changing it.  A monomial
-        above the Loewy length has class 0.
+        Only the classes missing on its predecessor chain are formed, at
+        most s products for s the Loewy length (`_monomial_class`), so reads
+        in the order of the monomial table make one product each.  The row
+        is shared: callers copy it before changing it.  A monomial above the
+        Loewy length has class 0.
         """
-        return self._classes.get(mono, {})
+        if mono_deg(mono) > self.loewy_length:
+            return {}
+        return _monomial_class(self._classes, mono, self._variable_tables, self.length,
+                               self.field.char)
 
     def element_row(self, poly):
         """The class of `poly` as a dict row over the standard basis."""
@@ -429,9 +434,27 @@ def _times(rows, table, lam, p, columns):
     when some entry has a nonzero product by it.  Over GF(p) each entry is
     reduced mod p as it accumulates, so a one-term product is born final; a
     product row is copied only to drop a zero that a cancellation left
-    (`_finished`).
+    (`_finished`).  A one-entry row {col: c}, the most common row of a
+    resolution, takes its products straight off the table, whose entries
+    list their triples grouped by element: each group (v, j, s) is the
+    product row {columns[base + j]: c*s}.  Nothing accumulates and nothing
+    is finished, since the j of a group are distinct, `columns` renames
+    them apart and c*s is nonzero mod a prime; over QQ the row is still
+    written by `_canonical`.
     """
     for row in rows:
+        if len(row) == 1:
+            ((col, c),) = row.items()
+            base, last, prod = col - col % lam, None, None
+            for v, j, s in table[col % lam]:
+                if v != last:
+                    if prod:
+                        yield prod if p else _canonical(prod, p)
+                    last, prod = v, {}
+                prod[columns[base + j]] = c * s % p if p else c * s
+            if prod:
+                yield prod if p else _canonical(prod, p)
+            continue
         out = {}
         for col, c in row.items():
             base = col - col % lam
@@ -481,7 +504,8 @@ def _finished(row, p):
 
     Over GF(p) the walk reduced every entry mod p, so the row is returned as
     it is unless a cancellation left a zero in it; over QQ it is
-    `_canonical`'s copy, an int where an entry is integral.
+    `_canonical`'s copy, an int where an entry is integral.  The products of
+    a one-entry row in `_times` accumulate nothing and do not come here.
     """
     if not p:
         return _canonical(row, p)
@@ -658,17 +682,28 @@ def _monomial_table(nvars, degree):
     return MonomialTable(monos, pred, var)
 
 
-def _forward_classes(table, tables, lam, p):
-    """The class of each monomial of a `MonomialTable`, as dict rows in its order.
+def _monomial_class(classes, mono, tables, lam, p):
+    """The class of `mono` as a dict row, forming the classes missing on its predecessor chain.
 
-    The class of 1 is e_0, and row j is row pred[j] times the element that
-    variable var[j] maps to, one `_times` step: `tables[i]` lists the
-    products by the image of variable i, one entry per basis element.
+    `classes` maps monomials to their classes, and holds the monomial 1.
+    A monomial's class is its predecessor's, the monomial with its first
+    nonzero exponent lowered, times the image of that variable, one
+    `_times` step: `tables[i]` lists the products by the image of variable
+    i, one entry per basis element.  The predecessor comes first in a
+    `MonomialTable`, so classes read in its order are one forward pass.
     """
-    rows = [{0: 1}]
-    for i, v in zip(table.pred[1:], table.var[1:]):
-        rows.append(next(_times([rows[i]], tables[v], lam, p, range(lam)), {}))
-    return rows
+    chain = []
+    row = classes.get(mono)
+    while row is None:
+        v = 0
+        while not mono[v]:
+            v += 1
+        chain.append((mono, v))
+        mono = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+        row = classes.get(mono)
+    for mono, v in reversed(chain):
+        row = classes[mono] = next(_times([row], tables[v], lam, p, range(lam)), {})
+    return row
 
 
 def subalgebra(Q, new_ring, images):
@@ -680,9 +715,9 @@ def subalgebra(Q, new_ring, images):
     ideal.
     """
     tables = [Q.product_table([Q.element_row(f)]) for f in images]
-    s = Q.loewy_length
-    classes = _forward_classes(_monomial_table(new_ring.nvars, s), tables, Q.length,
-                               Q.field.char)
+    s, memo = Q.loewy_length, {(0,) * new_ring.nvars: {0: 1}}
+    classes = [_monomial_class(memo, m, tables, Q.length, Q.field.char)
+               for m in _monomial_table(new_ring.nvars, s).monos]
     # the monomials of degree s+1 map into m^(s+1) = 0
     classes += [{}] * (len(_monomial_table(new_ring.nvars, s + 1).monos) - len(classes))
     return kernel_algebra(new_ring, s + 1, classes)

@@ -11,7 +11,12 @@ algebra's sparse structure table, `struct_table`.  Both walks reduce each
 entry mod p as it accumulates over GF(p), so their rows are canonical when
 they are made, and a row is copied only when a cancellation left a zero in
 it (`quotient._finished`); over QQ each finished row is written with an int
-where an entry is integral.
+where an entry is integral.  Most kernel rows, product rows and
+differential rows have one entry, and those take a direct path: a one-entry
+kernel row has its products read straight off the table's group for each
+variable, with nothing to accumulate or finish, and a one-entry pivot row
+is passed by in the echelon's back-substitution and in the kernel readout,
+since it has no column but its pivot.
 
 Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of

@@ -691,6 +691,21 @@ def _assert_echelon_matches_reference(field, n, rows):
         assert all(type(x) is int and 0 < x < p for row in got.values() for x in row.values())
     for i in untouched:
         assert rows[i] == kept[i]
+    # a one-entry pivot row has nothing to clear in the back-substitution and
+    # adds nothing to the kernel: each pivot row is zero at the other pivots
+    a = dense(field, kept, n)
+    pivots = _kernels.echelon([dict(row) for row in kept], p, reduced=True)
+    assert all(not (row.keys() & pivots.keys()) - {c} for c, row in pivots.items())
+    monic = [_kernels.monic(pivots[c], c) for c in sorted(pivots)]
+    assert np.array_equal(dense(field, monic, n), want)
+    kernel = _kernels.kernel(pivots, n, p)
+    got, expected = dense(field, kernel.values(), n), right_kernel_reference(field, a)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert list(kernel) == sorted(kernel) and all(row[f] == 1 for f, row in kernel.items())
+    if p:
+        assert all(type(x) is int and 0 < x < p for row in kernel.values() for x in row.values())
+    else:
+        _assert_canonical_rows(kernel.values())
 
 
 # two singletons on one column; a singleton after a longer row with the same
@@ -705,8 +720,46 @@ def _assert_echelon_matches_reference(field, n, rows):
 @example((QQ, 5, [{0: 1, 1: 2, 3: 4}, {1: 5, 3: 1, 4: 1}, {3: -3}, {0: 1, 4: 2}]))
 @example((GF(TOP_PRIME), 5, [{0: 1, 1: 2, 3: 4}, {1: 5, 3: 1, 4: 1}, {3: TOP_PRIME - 3},
                              {0: 1, 4: 2}]))
+# elimination leaves a one-entry pivot row whose column the other row holds
+@example((GF(101), 3, [{0: 2, 1: 5}, {0: 2, 1: 6}]))
+@example((QQ, 3, [{0: 2, 1: 5}, {0: 2, 1: 6}, {2: Fraction(-3, 2)}]))
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([GF(TOP_PRIME), QQ]).flatmap(
+@given(st.sampled_from(FIELDS).flatmap(
     lambda field: _singleton_heavy_rows(field).map(lambda case: (field, *case))))
 def test_singleton_pass_matches_reference_on_hypothesis_inputs(case):
     _assert_echelon_matches_reference(*case)
+
+
+def _singleton_rich_rows(rng, field, n):
+    """Mostly one-entry rows with scalars other than one, and pairs that leave one entry.
+
+    The two rows of a pair share their support and differ at its last
+    column, so eliminating the first from the second leaves a one-entry row
+    whose column the first row still holds.
+    """
+    p = field.char
+
+    def scalar():
+        if p:
+            return rng.choice([1, p - 1, rng.randrange(2, p)])
+        return Fraction(rng.choice([-5, -2, 1, 3, 4]), rng.randint(1, 3))
+
+    rows = [{rng.randrange(n): scalar()} for _ in range(rng.randint(0, n))]
+    for _ in range(rng.randint(0, 2)):
+        support = sorted(rng.sample(range(n), rng.randint(2, min(n, 4))))
+        first = {k: scalar() for k in support}
+        second = dict(first)
+        second[support[-1]] = (first[support[-1]] + 1) % p if p else first[support[-1]] + 1
+        rows += [first, {k: x for k, x in second.items() if x}]
+    rows += [{k: scalar() for k in rng.sample(range(n), rng.randint(1, n))}
+             for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_one_entry_pivots_match_reference_on_seeded_inputs(field):
+    rng = random.Random(103)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        _assert_echelon_matches_reference(field, n, _singleton_rich_rows(rng, field, n))

@@ -843,6 +843,96 @@ def test_one_entry_products_are_canonical(field):
     assert quotient._canonical(row, p) is not row
 
 
+# -- one-entry rows take their products straight off the table -----------------
+
+def _product_tables(rng, A):
+    """`times_table` and the product tables of random elements, each with its element count."""
+    elements = sparse_rows(A.field, matrix(A.field, _random_elements(rng, A), width=A.length))
+    return [(A.times_table, A.ring.nvars), (A.product_table(elements), len(elements)),
+            (A.product_table(elements[2:3]), 1)]
+
+
+def _assert_grouped_by_element(table, count):
+    # `_times` reads a one-entry row's products off one entry, a group per element
+    for entry in table:
+        elements = [v for v, _, _ in entry]
+        assert elements == sorted(elements) and set(elements) <= set(range(count))
+        for v in set(elements):
+            columns = [j for w, j, _ in entry if w == v]
+            assert len(columns) == len(set(columns))
+
+
+def _assert_one_entry_products_match_reference(A, table, count, row, order):
+    lam, p = A.length, A.field.char
+    before = dict(row)
+    got = list(quotient._times([row], table, lam, p, order))
+    assert row == before, "the caller's row changed"
+    per_element = [[[(j, s) for w, j, s in entry if w == v] for entry in table]
+                   for v in range(count)]
+    want = [prod for entries in per_element
+            if (prod := times_reference(row, entries, lam, p, order))]
+    assert got == want
+    assert all(prod and is_canonical_row(prod, p) for prod in got)
+
+
+def _one_entry_scalars(rng, field):
+    if field == QQ:
+        return [Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(2, 4)), Fraction(6, 3),
+                Fraction(-7), 1]
+    return [1, field.p - 1, rng.randrange(2, field.p)]
+
+
+@pytest.mark.parametrize("field", [GF(7), *FIELDS], ids=repr)
+def test_product_tables_list_their_entries_grouped_by_element(field):
+    rng = random.Random(97)
+    for A in _product_corpus(field):
+        for table, count in _product_tables(rng, A):
+            _assert_grouped_by_element(table, count)
+
+
+@pytest.mark.parametrize("field", [GF(7), *FIELDS], ids=repr)
+def test_one_entry_products_match_the_reference_on_seeded_algebras(monkeypatch, field):
+    # coefficients other than 1, Fractions over QQ, one and three blocks, both
+    # kinds of table and a renaming of the columns; a one-entry row's products
+    # are read off the table, so none is accumulated and finished
+    rng = random.Random(101)
+    cases = [(A, _product_tables(rng, A)) for A in _product_corpus(field)]
+
+    def finished(row, p):
+        raise AssertionError("a one-entry row's product went through _finished")
+
+    monkeypatch.setattr(quotient, "_finished", finished)
+    for A, tables in cases:
+        lam = A.length
+        for table, count in tables:
+            for blocks in (1, 3):
+                order = rng.sample(range(blocks * lam), blocks * lam)
+                for col in rng.sample(range(blocks * lam), min(blocks * lam, 6)):
+                    for c in _one_entry_scalars(rng, field):
+                        _assert_one_entry_products_match_reference(
+                            A, table, count, {col: field.coerce(c) if field == QQ else c},
+                            order)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_one_entry_products_match_the_reference_on_hypothesis_rows(data):
+    field = data.draw(st.sampled_from([GF(7), *FIELDS]))
+    A = _m_times_corpus(field)[data.draw(st.integers(0, 1))]
+    lam = A.length
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    table, count = data.draw(st.sampled_from(_product_tables(rng, A)))
+    blocks = data.draw(st.integers(1, 3))
+    if field == QQ:
+        scalar = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 4))
+    else:
+        scalar = st.integers(1, field.p - 1)
+    row = {data.draw(st.integers(0, blocks * lam - 1)): data.draw(scalar)}
+    order = data.draw(st.permutations(range(blocks * lam)))
+    _assert_grouped_by_element(table, count)
+    _assert_one_entry_products_match_reference(A, table, count, row, order)
+
+
 # -- classes and products by elements on dict rows against the dense products --
 
 def _table_matrix(A, table, count):
@@ -990,6 +1080,35 @@ def test_forward_pass_classes_match_the_recursive_and_dense_classes(monkeypatch,
             assert handed == [oracles.subalgebra_classes_reference(Q, ring, images)]
             want = subalgebra_reference(Q, ring, images)
             assert got.same_presentation(want) and got.basis == want.basis
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, field):
+    # s = 8 and 495 monomials up to degree s in four variables: one read forms
+    # the classes on its chain, at most s products, and no other
+    A = algebra_from_text(f"field {field}; vars x1 x2 x3 x4; ideal x1^2, x2^2, x3^2, x4^6")
+    s = A.loewy_length
+    assert s == 8 and len(quotient._monomial_table(4, s).monos) == 495
+    products = []
+    times = quotient._times
+
+    def counting(*args):
+        products.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(quotient, "_times", counting)
+    row = A.monomial_row((1, 1, 1, 5))
+    assert row == {A.length - 1: 1}
+    assert len(A._classes) <= s + 1 and len(products) <= s
+    # a read whose chain is formed already makes no product
+    count = len(products)
+    assert A.monomial_row((0, 1, 1, 5)) == oracles.monomial_rows_reference(A, [(0, 1, 1, 5)])[0]
+    assert len(products) == count
+    # reads in a shuffled order give the reference classes, one product per class
+    monos = list(quotient._monomial_table(4, s + 1).monos)
+    random.Random(107).shuffle(monos)
+    assert [A.monomial_row(m) for m in monos] == oracles.monomial_rows_reference(A, monos)
+    assert len(products) == len(A._classes) - 1 <= 495 - 1
 
 
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):

@@ -15,6 +15,7 @@ from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_a
                       verify_socle_quotient)
 from artinsum.errors import (ArtinsumError, NotLocalError, ParseError, PreconditionError,
                              ResourceGuardError)
+from artinsum import _kernels
 from artinsum.poly import Polynomial
 from artinsum.resolution import _differential, mu_direct
 
@@ -157,14 +158,31 @@ def _assert_betti_matches_reference(A, truncation):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_betti_matches_reference_on_corpus_pairs(field):
+def test_betti_matches_reference_on_corpus_pairs(monkeypatch, field):
     # pairs 0 and 2 of the module's corpus, read in each field; QQ stops at
-    # truncation 4 to keep the Fraction lane's edim-4 sums affordable
+    # truncation 4 to keep the Fraction lane's edim-4 sums affordable.  One-entry
+    # kernel rows take their products off the table, and one-entry pivot rows
+    # pass the back-substitution and the kernel readout by: both must occur
+    seen = {"rows": 0, "pivots": 0}
+    times, kernel = resolution._times, _kernels.kernel
+
+    def recording_times(rows, table, lam, p, columns):
+        rows = list(rows)
+        seen["rows"] += sum(len(row) == 1 for row in rows)
+        return times(rows, table, lam, p, columns)
+
+    def recording_kernel(pivots, width, p):
+        seen["pivots"] += sum(len(row) == 1 for row in pivots.values())
+        return kernel(pivots, width, p)
+
+    monkeypatch.setattr(resolution, "_times", recording_times)
+    monkeypatch.setattr(_kernels, "kernel", recording_kernel)
     truncation = 4 if field == QQ else 5
     for index in (0, 2):
         R, S = pair_corpus(3, max_edim=2, max_ll=3, field=field)[index]
         for A in (R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra):
             _assert_betti_matches_reference(A, truncation)
+    assert seen["rows"] and seen["pivots"]
 
 
 def test_betti_matches_reference_on_edge_algebras():
@@ -390,3 +408,4 @@ def test_betti_matches_reference_on_hypothesis_sums_and_products(pair):
     R, S = pair
     for A in (connected_sum(R, S).algebra, fibre_product(R, S).algebra):
         _assert_betti_matches_reference(A, 4)
+
