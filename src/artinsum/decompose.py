@@ -198,8 +198,6 @@ class DecompositionReport:
     trivial: bool = False
     components: tuple = None
     unit: object = None
-    witness: SplitWitness = None
-    split_algebra: ArtinAlgebra = None
     coordinate_change: dict = None
     certificates: list = field(default_factory=list)
     verified_identities: list = field(default_factory=list)
@@ -264,7 +262,5 @@ def structure_decompose(Q):
     coordinate_change = {name: str(img)
                          for name, img in zip(witness.new_ring.names, witness.images)}
     return DecompositionReport(status="decomposed", trivial=False, components=(R, S),
-                               unit=check.unit, witness=witness,
-                               split_algebra=split_algebra,
-                               coordinate_change=coordinate_change,
+                               unit=check.unit, coordinate_change=coordinate_change,
                                verified_identities=identities)

@@ -44,10 +44,10 @@ monomial, walking the columns in order.  A quotient, gr(A) and Q0
 included, takes the classes modulo one subspace per degree
 (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
-eliminated: the rows are echeloned once more, with the columns ranked
-first by their degree in the eliminated variables and then by column, and
-give the classes on the kept variables and the image of each eliminated
-one.
+eliminated by the same rule: the algebra is the kernel of the classes of
+the monomials in the kept variables, and each eliminated variable's image
+is read off one left kernel of the standard monomials' classes followed
+by its own.
 """
 
 from bisect import bisect_left
@@ -186,7 +186,9 @@ class ArtinAlgebra:
         `struct_table` at its nonzeros, so only its nonzero products are made,
         reduced mod p as they accumulate (as in `_times`).  An entry lists its
         triples grouped by element, in increasing v, each j once per element,
-        as `_times` reads a one-entry row's products.
+        as `_times` reads a one-entry row's products.  It stays its own walk:
+        gathered through a `_times` that yields (element, row) pairs, the
+        `poincare` benchmark's ops took 2.5-3.0% more CPU in process.
         """
         p = self.field.char
         table = [[] for _ in range(self.length)]
@@ -480,6 +482,10 @@ def _times_below(rows, table, top, p):
     while the table is walked, so a product term at a column >= `top` is
     never accumulated.  As in `_times`, each entry is reduced mod p as it
     accumulates, and a row is copied only to drop a zero (`_finished`).
+    It stays its own walk: the filtration through `_times` on a
+    `times_table` filtered below `top` took the `sums` benchmark's ops
+    7.3-8.6% more CPU in process, and through unit rows struck by the
+    echelon's singleton pass 15-19% more.
     """
     for row in rows:
         out = {}
@@ -576,23 +582,22 @@ def _table_algebra(ring, basis, classes):
 def _read_echelon(ring, monos, rows):
     """The standard monomials and classes of the ideal I that `rows` span.
 
-    `monos` maps columns to the monomials of `ring` up to a degree D, in
-    ascending Grevlex order of the monomials, which is the order the
-    columns are walked in; m^D lies in I, and `rows`, dict rows over those
-    columns keyed by lead column, are the reduced echelon basis of
-    I ∩ span(monos): each row is one at its lead, which is its largest
-    monomial, and zero at the other leads, so the leads are the leading
-    monomials of I up to degree D.  The columns that lead no row are the
-    standard monomials, and the class of a lead is minus its row's tail.
+    `monos` is a monomial table's tuple: the monomials of `ring` up to a
+    degree D, in ascending Grevlex order, which is the order the columns
+    are walked in; m^D lies in I, and `rows`, dict rows over those columns
+    keyed by lead column, are the reduced echelon basis of I ∩ span(monos):
+    each row is one at its lead, which is its largest monomial, and zero at
+    the other leads, so the leads are the leading monomials of I up to
+    degree D.  The columns that lead no row are the standard monomials, and
+    the class of a lead is minus its row's tail.
     """
     p = ring.field.char
-    leads = {monos[c] for c in rows}
-    top = mono_deg(next(reversed(monos.values())))
-    missing = [m for m in monos.values() if mono_deg(m) == top and m not in leads]
+    top = mono_deg(monos[-1])
+    missing = [m for c, m in enumerate(monos) if mono_deg(m) == top and c not in rows]
     if missing and ring.nvars:
         raise ArtinsumError(f"kernel presentation needs m^{top} inside the ideal, but "
                             f"{ring.monomial(missing[0])} of degree {top} is not in its span")
-    standard = [c for c in monos if c not in rows]
+    standard = [c for c in range(len(monos)) if c not in rows]
     index = {c: i for i, c in enumerate(standard)}
     classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
     for c, row in rows.items():
@@ -611,45 +616,43 @@ def kernel_algebra(ring, degree, classes):
     its dict rows are keyed by free column, and each is one at its free
     column, which is its largest monomial, and zero at the other free
     columns.  The pivots of the linear parts' echelon form, in declaration
-    order, are eliminated; there are none when I lies inside m^2.  Only then are the rows echeloned again, with each column
-    renamed to its rank in decreasing order of (degree in the eliminated
-    variables, column).  The rows led by a kept monomial are then the
-    reduced echelon basis of I ∩ k[kept], the minimal ideal, because
-    Grevlex restricts to the kept variables; and the row led by an
-    eliminated variable is that variable minus the standard-monomial lift
-    of its class.  One reduction step carries the given ring to the kept
-    one.
+    order, are eliminated; there are none when I lies inside m^2.  The
+    algebra is then the kernel of the classes of the monomials in the kept
+    variables, taken in the same order, since Grevlex restricts to them:
+    one call on the kept ring, which eliminates nothing, because the least
+    variable of a linear part in I is one of the pivots.  Every class lies
+    in the span of the standard monomials' classes, which are independent,
+    so in the left kernel of those followed by the eliminated variables'
+    classes each eliminated variable is a free row, one at the variable
+    and minus its image at the standard monomials.  One reduction step
+    carries the given ring to the kept one.
     """
     if len(classes) > linalg.MAX_ECHELON_DIM:
         raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(classes),
                                  "matrix dimension")
-    fld, p = ring.field, ring.field.char
+    p = ring.field.char
     monos = _monomial_table(ring.nvars, degree).monos
     rows = _kernels.left_kernel(classes, p)
     # columns 1..nvars are the variables
     linear = [part for row in rows.values()
               if (part := {monos[k].index(1): x for k, x in row.items() if 0 < k <= ring.nvars})]
     if not linear:
-        return _table_algebra(ring, *_read_echelon(ring, dict(enumerate(monos)), rows))
+        return _table_algebra(ring, *_read_echelon(ring, monos, rows))
     elim = sorted(_kernels.echelon(linear, p))
     keep = [v for v in range(ring.nvars) if v not in elim]
-    cols = sorted(range(len(monos)), reverse=True,
-                  key=lambda j: (sum(monos[j][v] for v in elim), j))
-    rank = {j: r for r, j in enumerate(cols)}
-    lead_rows = _kernels.basis([{rank[k]: x for k, x in row.items()} for row in rows.values()], p)
-    first = next(r for r, j in enumerate(cols) if not any(monos[j][v] for v in elim))
-    sub = PolyRing(fld, [ring.names[v] for v in keep])
-    # the kept columns ascend in the reverse of their ranks
-    kept = {r: tuple(monos[cols[r]][v] for v in keep) for r in range(len(cols) - 1, first - 1, -1)}
-    A = _table_algebra(sub, *_read_echelon(sub, kept, {c: row for c, row in lead_rows.items()
-                                                       if c >= first}))
-    # the rows led by a variable are those of the eliminated ones
-    tails = {monos[cols[c]].index(1): {kept[k]: x for k, x in row.items() if k >= first}
-             for c, row in lead_rows.items() if 0 < cols[c] <= ring.nvars}
-    images = [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
-              for v in range(ring.nvars)]
+    sub = PolyRing(ring.field, [ring.names[v] for v in keep])
+    # the columns of the kept monomials, by their exponents on the kept variables
+    kept = {tuple(m[v] for v in keep): j for j, m in enumerate(monos)
+            if not any(m[v] for v in elim)}
+    A = kernel_algebra(sub, degree, [classes[j] for j in kept.values()])
+    units = {monos[k].index(1): classes[k] for k in range(1, ring.nvars + 1)}
+    s = A.length
+    free = _kernels.left_kernel([classes[kept[b]] for b in A.basis] + [units[v] for v in elim], p)
+    images = {v: -sub.poly({A.basis[k]: x for k, x in free[s + i].items() if k < s})
+              for i, v in enumerate(elim)}
     A.original_ring = ring
-    A.reduction = (sub, images)
+    A.reduction = (sub, [images[v] if v in images else sub.var(keep.index(v))
+                         for v in range(ring.nvars)])
     return A
 
 

@@ -37,7 +37,7 @@ from heapq import merge
 
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
-from .poly import Polynomial, PolyRing, mono_deg
+from .poly import PolyRing, mono_deg
 from .quotient import (ArtinAlgebra, _canonical, _monomial_table, kernel_algebra,
                        quotient_algebra)
 
@@ -49,10 +49,6 @@ class SumResult:
     algebra: ArtinAlgebra
     trivial: bool = False
     unit: object = None
-    socle_left: Polynomial = None
-    socle_right: Polynomial = None
-    left_names: tuple = ()
-    right_names: tuple = ()
 
 
 def _combined_ring(R, S):
@@ -134,8 +130,7 @@ def fibre_product(R, S):
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
         raise ArtinsumError("fibre product additivity failed")
-    return SumResult(P, trivial=False,
-                     left_names=R.ring.names, right_names=S.ring.names)
+    return SumResult(P, trivial=False)
 
 
 def socle_generator(A):
@@ -202,9 +197,7 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
         raise ArtinsumError("connected sum length identity failed")
     if Q.hilbert_function()[1] != R.edim + S.edim:
         raise ArtinsumError("connected sum embedding-dimension identity failed")
-    return SumResult(Q, trivial=False, unit=unit,
-                     socle_left=delta_r, socle_right=delta_s,
-                     left_names=R.ring.names, right_names=S.ring.names)
+    return SumResult(Q, trivial=False, unit=unit)
 
 
 def modulo_socle(A):

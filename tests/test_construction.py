@@ -19,7 +19,8 @@ from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, assoc
 from artinsum.grobner import IdealPresentation
 from artinsum.parse import parse_presentation
 from artinsum.poly import Grevlex
-from artinsum.quotient import _monomial_table, square_zero_algebra, subalgebra
+from artinsum.quotient import (_monomial_table, quotient_algebra, square_zero_algebra,
+                               subalgebra)
 
 from corpus import dual_polynomials, pair_corpus, random_gorenstein
 from oracles import (kernel_algebra_reference, normal_form_table_reference, sparse_row,
@@ -147,7 +148,29 @@ def test_kernel_algebras_match_the_sorting_reference_on_linear_elimination(field
         A = apolar_algebra(parse_polynomial(text, PolyRing(field, names)))
         modulo_socle(A)
     assert A.reduction is not None and A.ring.nvars < A.original_ring.nvars
-    assert built[0] is A and len(built) == 2
+    # the call on the kept variables builds the algebra that the eliminating
+    # call returns, and A/soc A eliminates nothing
+    assert built[0] is built[1] is A and len(built) == 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(1048573)], ids=str)
+def test_kernel_algebras_match_the_sorting_reference_at_the_restriction_edges(field):
+    # y and z are eliminated, leaving x with images of degrees 2-4 and 3;
+    # the residue field eliminates every variable, leaving the kept ring empty
+    text = f"field {field}; vars x y z; ideal y - x^2 + 3*x*z, z - 5*x*y, x^5;"
+    with _checked_kernels() as built:
+        A = algebra_from_text(text)
+        algebras = (A, square_zero_algebra(A.original_ring))
+        residues = [quotient_algebra(B, [B.power(1)] * (B.loewy_length + 2)) for B in algebras]
+    ring = A.ring
+    assert ring.names == ("x",) and A.hilbert_function() == (1,) * 5
+    assert A.reduction == (ring, [ring.var(0), parse_polynomial("x^2 - 15*x^4", ring),
+                                  parse_polynomial("5*x^3", ring)])
+    for B, k in zip(algebras, residues):
+        assert k.ring.nvars == 0 and k.length == 1 and k.original_ring == B.ring
+        assert k.reduction == (k.ring, [k.ring.zero] * B.ring.nvars)
+    # each elimination is compared twice: on the kept ring and as returned
+    assert len(built) == 7
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
