@@ -13,9 +13,8 @@ of a resolution have one entry.  Rows passed in are consumed, but none is
 scaled in place to make its pivot one.  Outside this module an
 echelon basis has one format (`basis`): the monic rows by increasing
 pivot, against which residues are exact.  The left kernel of a list of
-rows (`left_kernel`) and the rows that extend a span (`complement`) are
-dict rows too; `rref_mod` is the adapter for a dense array, and imports numpy
-when it is called.
+rows (`left_kernel`) is dict rows too; `rref_mod` is the adapter for a dense
+array, and imports numpy when it is called.
 """
 
 from fractions import Fraction
@@ -155,26 +154,6 @@ def left_kernel(rows, p):
         for k, x in row.items():
             columns.setdefault(k, {})[i] = x
     return kernel(echelon(columns.values(), p, reduced=True), len(rows), p)
-
-
-def complement(rows, base, p):
-    """Monic residues of dict `rows` that extend the span of the basis `base`, in input order.
-
-    Row j yields its residue modulo the base and rows 0..j-1, scaled so its
-    least column is one, when that residue is nonzero.  A residue taken
-    with zeros at the span's pivot columns is unique: each row is reduced
-    exactly against the base and then against the reduced basis of the
-    residues kept so far, which is zero at the base's pivots.  The rows
-    are not changed.
-    """
-    kept = {}
-    out = []
-    for row in map(dict, rows):
-        if reduce(reduce(row, base, p), kept, p):
-            c = min(row)
-            kept = basis([*kept.values(), row], p)
-            out.append(dict(kept[c]))
-    return out
 
 
 def sparse_rows(a):

@@ -13,7 +13,6 @@ re-verified at presentation level before it is reported.
 from dataclasses import dataclass, field
 from math import comb
 
-from . import _kernels
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import associated_graded, classify, gls_split, interior_socle_dimension
 from .poly import PolyRing
@@ -106,8 +105,8 @@ def split_witness(Q):
     ann2 = Q.annihilator(Q.power(2).basis.values())
     if not ann2.intersect(Q.power(2)) == Q.power(s - 1):
         raise PreconditionError("clause (a) failed: (0:m^2) meets m^2 beyond m^(s-1)")
-    top = Q.power(s - 1)
-    z_rows = _kernels.complement(ann2.basis.values(), top.basis, Q.field.char)
+    # m^(s+1) = 0 puts m^(s-1) inside (0:m^2), so its complement is read off the pivots
+    z_rows = ann2.complement(Q.power(s - 1))
     if len(z_rows) != n:
         raise PreconditionError(
             f"clause (b) failed: (0:m^2)/m^(s-1) has dimension {len(z_rows)}, expected {n}")
@@ -132,8 +131,8 @@ def split_witness(Q):
         raise ArtinsumError("0:J + J is not the maximal ideal")
     mu_j, _ = Q.minimal_generators(J)
     mu_i, y_reps = Q.minimal_generators(ideal_i)
-    # (0:J)^r is (0:J)^(r-1) times the minimal generators of 0:J
-    generators = Q.product_table(Q.subspace(y_reps).basis.values())
+    # (0:J)^r is (0:J)^(r-1) times the minimal generators of 0:J, rows of a reduced basis
+    generators = Q.product_table(y_reps)
     power_i = ideal_i
     for r in range(2, s + 1):
         power_i = Q.span_times(power_i.basis.values(), generators)

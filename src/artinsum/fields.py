@@ -124,7 +124,7 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a):
-        a = int(a) % self.p  # a caller's integer may be a numpy scalar
+        a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)

@@ -22,7 +22,8 @@ from math import comb
 from . import _kernels
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .poly import PolyRing, mono_deg
-from .quotient import ArtinAlgebra, monomial_residues, quotient_algebra, square_zero_algebra
+from .quotient import (ArtinAlgebra, Subspace, monomial_residues, quotient_algebra,
+                       square_zero_algebra)
 
 
 def _homogeneous(A):
@@ -123,8 +124,9 @@ def gls_split(G):
         raise PreconditionError("algebra is not Gorenstein up to linear socle")
     ring = G.ring
     forms = [_linear_form(ring, row) for row in witness]
-    # the ideal of the forms is the degree-1 socle, which they span
-    J = G.subspace(socle_by_degree(G).get(1, []))
+    # the ideal of the forms is the degree-1 socle, which they span: the socle's
+    # rows with a pivot of degree one are its reduced echelon basis
+    J = Subspace(G, {c: row for c, row in G.socle().basis.items() if mono_deg(G.basis[c]) == 1})
     a_part = _homogeneous(quotient_algebra(G, [J] * (G.loewy_length + 2)))
     eliminated = tuple(name for name in ring.names if name not in a_part.ring.names)
     substitution = {name: a_part.reduction[1][ring.index[name]]

@@ -4,8 +4,9 @@ Elements and subspaces are dict rows everywhere in the library (see
 `_kernels`); only `rref` takes a numpy array: dtype int64 with entries
 reduced mod p over a prime field, dtype object over QQ.  `_checked` is the
 way in for such an array: it enforces the dimension guard
-(`MAX_ECHELON_DIM`) and reduces entries mod p.  `rref` has no caller in the
-library: it is kept because the benchmark's set-up probe and its span
+(`quotient.MAX_ECHELON_DIM`, which `kernel_algebra` reads too) and reduces
+entries mod p.  No module of the library imports this one, and `rref` has
+no caller: it is kept because the benchmark's set-up probe and its span
 tracer name it, with `is_prime_field`.  A QQ matrix it returns is
 canonical: an entry is an `int` exactly when it is integral, and a
 `Fraction` otherwise.  numpy is imported when `rref` or `_checked` is
@@ -18,11 +19,9 @@ stays at 2**20 all the same; raising it is a change of its own, with
 goldens at a larger prime.
 """
 
-from . import _kernels
+from . import _kernels, quotient
 from .errors import ResourceGuardError
 from .fields import PrimeField
-
-MAX_ECHELON_DIM = 1 << 22
 
 
 def is_prime_field(field):
@@ -37,8 +36,9 @@ def _checked(field, a):
     if a.ndim != 2:
         raise ValueError("matrix expected")
     size = max(a.shape, default=0)
-    if size > MAX_ECHELON_DIM:
-        raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, size, "matrix dimension")
+    if size > quotient.MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", quotient.MAX_ECHELON_DIM, size,
+                                 "matrix dimension")
     if is_prime_field(field):
         return np.asarray(a, dtype=np.int64) % field.p
     return np.asarray(a, dtype=object)

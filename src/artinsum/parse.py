@@ -3,7 +3,7 @@
 Grammar (whitespace-insensitive, `#` starts a comment running to end of line):
 
     field  := "field" ("QQ" | "GF(" integer ")") ";"
-    vars   := "vars" ident+ ";"
+    vars   := "vars" ident* ";"
     ideal  := "ideal" poly ("," poly)* ";"?
     poly   := signed sum of terms
     term   := coeff? ("*"? ident ("^" integer)?)*
@@ -135,15 +135,15 @@ class _Parser:
 
     def vars_decl(self):
         self.expect_keyword("vars")
-        names = self.var_names()
+        names = self.var_names(empty=True)
         self.expect(";")
         return names
 
-    def var_names(self):
+    def var_names(self, empty=False):
         names = []
         while self.peek().kind == "ident" and self.peek().text != "ideal":
             names.append(self.next().text)
-        if not names:
+        if not names and not empty:
             tok = self.peek()
             raise ParseError("expected at least one variable name", tok.line, tok.col)
         if len(set(names)) != len(names):
@@ -243,7 +243,7 @@ def parse_field(text):
 
 
 def parse_names(text):
-    """Parse variable names, as the `vars` declaration lists them."""
+    """Parse variable names, as the `vars` declaration lists them, but at least one."""
     parser = _Parser(text)
     return parser.end(parser.var_names())
 

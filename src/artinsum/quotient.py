@@ -56,7 +56,7 @@ from itertools import combinations_with_replacement
 from operator import add
 from typing import NamedTuple
 
-from . import _kernels, linalg
+from . import _kernels
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
                      ResourceGuardError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
@@ -64,6 +64,8 @@ from .poly import PolyRing, mono_deg
 
 # how many monomial tables `_monomial_table` keeps
 MONOMIAL_TABLES = 64
+# the largest dimension of one echelon: the monomial count here, either side in `linalg.rref`
+MAX_ECHELON_DIM = 1 << 22
 
 
 class Subspace:
@@ -102,6 +104,14 @@ class Subspace:
         meet = [{k - n: x for k, x in row.items()}
                 for c, row in _kernels.echelon(rows, p).items() if c >= n]
         return Subspace(self.algebra, _kernels.basis(meet, p))
+
+    def complement(self, sub):
+        """The rows of this basis at the pivots that `sub`, a subspace inside it, lacks.
+
+        The pivots of `sub` are among these, and the other rows are the reduced
+        basis of the elements vanishing at them: a complement of `sub`.
+        """
+        return [row for c, row in self.basis.items() if c not in sub.basis]
 
     def lifts(self):
         """The echelon basis as explicit polynomials over the standard monomials."""
@@ -375,11 +385,11 @@ class ArtinAlgebra:
         return Subspace(self, _kernels.basis(_times(rows, table, lam, p, range(lam)), p))
 
     def minimal_generators(self, sub):
-        """mu(W) and representatives for an ideal W: monic dict rows extending m*W."""
+        """mu(W) and representatives for an ideal W: the complement of m*W read off the pivots."""
         mw = self.m_times(sub)
         if not sub.contains_space(mw):
             raise NotAnIdealError("minimal generators requested for a non-ideal subspace")
-        reps = _kernels.complement(sub.basis.values(), mw.basis, self.field.char)
+        reps = sub.complement(mw)
         return len(reps), reps
 
     def same_presentation(self, other):
@@ -392,7 +402,7 @@ class ArtinAlgebra:
                 == (other.ring, other.basis, other.times_table))
 
     def __repr__(self):
-        return f"<algebra {self.ring} / {len(self.gb)} gens, dim {self.length}>"
+        return f"<algebra {self.ring}, dim {self.length}>"
 
 
 def _checked_rows(A, rows):
@@ -627,8 +637,8 @@ def kernel_algebra(ring, degree, classes):
     and minus its image at the standard monomials.  One reduction step
     carries the given ring to the kept one.
     """
-    if len(classes) > linalg.MAX_ECHELON_DIM:
-        raise ResourceGuardError("max_echelon_dim", linalg.MAX_ECHELON_DIM, len(classes),
+    if len(classes) > MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, len(classes),
                                  "matrix dimension")
     p = ring.field.char
     monos = _monomial_table(ring.nvars, degree).monos

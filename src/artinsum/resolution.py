@@ -22,7 +22,8 @@ Each step holds the kernel K of the current differential as a basis that
 is the identity on its lead columns.  Minimal generators are the rows of
 that basis whose lead is not a pivot of m*K, echeloned with the lead
 columns first: since m*K lies inside K, its pivots are among K's leads, and
-the other rows span a complement of m*K in K.  The next kernel is read off
+the other rows span a complement of m*K in K, read off the pivots as
+`Subspace.complement` reads it.  The next kernel is read off
 the reduced echelon form of the transposed differential.  Minimality is
 certified by checking that no differential entry has a unit component.
 Betti numbers are the ranks; truncated Poincare identities are then
@@ -98,7 +99,8 @@ def betti_numbers(A, truncation=DEFAULT_TRUNCATION):
     """Betti numbers beta_0..beta_N from a minimal free resolution of k over A.
 
     The generators at each step are the rows of the kernel basis whose lead
-    column is not a pivot of m*K; a pivot of m*K outside the leads would
+    column is not a pivot of m*K, the complement read off the pivots as
+    `Subspace.complement` reads it; a pivot of m*K outside the leads would
     mean m*K is not inside K, and raises.  Minimality is certified at every
     step (all differential entries in m) and exactness is enforced by rank
     arithmetic; a dimension guard, the module constant `MAX_FREE_RANK_DIM`,

@@ -439,8 +439,10 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
     """Monic residues of `rows` extending the base: the per-vector loop on dense echelon forms.
 
     Reduces each row against the span accumulated so far and re-echelons
-    the whole span after every kept row; `_kernels.complement` must give
-    the same rows, written dense, in the same order.
+    the whole span after every kept row.  For a base spanning U inside W,
+    `W.complement(U)` must give the rows this loop keeps from W's reduced
+    basis taken by decreasing pivot, in reverse order, and the reduced
+    echelon form of the rows it keeps by increasing pivot.
     """
     out = []
     acc_rows, acc_piv = base_rows, base_pivots
@@ -448,7 +450,7 @@ def complement_rows_reference(field, rows, base_rows, base_pivots):
         res = reduce_row_reference(field, w, acc_rows, acc_piv)
         if np.any(res != field.zero):
             lead = next(i for i, c in enumerate(res) if c != field.zero)
-            inv = field.inv(res[lead])
+            inv = field.inv(field.coerce(res[lead]))
             res = np.asarray([field.mul(inv, c) for c in res], dtype=res.dtype)
             out.append(res)
             acc_rows, acc_piv = echelon_reference(field, np.vstack([acc_rows, res.reshape(1, -1)]))
@@ -644,8 +646,8 @@ def degreewise_generators_reference(A, targets):
         images = matrix(A.field, [vector_reference(A, ring.monomial(m)) for m in monos],
                                width=A.length)
         rows = preimage_rows(A.field, images, space_rows(targets[d]))
-        gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r) if c != A.field.zero})
-                    for r in rows)
+        gens.extend(Polynomial(ring, {m: c for m, c in zip(monos, r.tolist())
+                                      if c != A.field.zero}) for r in rows)
     return gens
 
 

@@ -367,9 +367,10 @@ def test_a_reader_that_closed_stdout_early_gives_exit_141_and_no_traceback(json_
 
 def test_importing_the_package_loads_no_numpy():
     # only the dense adapters (`linalg.rref`, `_kernels.rref_mod`) use numpy,
-    # and they import it when called
+    # and they import it when called; no module of the library imports `linalg`
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = "import sys, artinsum, artinsum.cli; print('numpy' in sys.modules)"
+    code = ("import sys, artinsum, artinsum.cli; "
+            "print('numpy' in sys.modules, 'artinsum.linalg' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          timeout=60)
-    assert run.returncode == 0 and run.stdout == "False\n", run.stderr
+    assert run.returncode == 0 and run.stdout == "False False\n", run.stderr

@@ -1,8 +1,9 @@
 """Exact linear algebra over both coefficient lanes, and the row-reduction kernel.
 
-The sparse kernel, its left kernel and complements, and the subspaces held
-as its pivot bases, are checked against the dense loops they replaced, over
-GF(101), the largest supported prime and QQ.  Results are dict rows; the
+The sparse kernel, its left kernel, and the subspaces held as its pivot
+bases with the complement read off a nested span's pivots, are checked
+against the dense loops they replaced, over GF(101), the largest supported
+prime and QQ, and the complement over GF(7) too.  Results are dict rows; the
 oracles' dense writers turn them into arrays for the references.
 """
 
@@ -16,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artinsum import GF, QQ, PolyRing
-from artinsum import _kernels, linalg
+from artinsum import _kernels, linalg, quotient
 from artinsum._kernels import rref_mod
 from artinsum.errors import ResourceGuardError
 from artinsum.fields import MAX_PRIME
 from artinsum.quotient import square_zero_algebra
 
+from corpus import random_gorenstein
 from oracles import (complement_rows_reference, dense, echelon_reference, intersect_reference,
                      mat_mul, matrix, preimage_rows, prepared, reduce_row_reference,
                      rref_bareiss_reference, rref_fraction_reference, rref_mod_reference,
@@ -239,65 +241,72 @@ def _matrix(field, ints, width):
     return matrix(field, [[field.coerce(x) for x in row] for row in ints], width=width)
 
 
-def _assert_complement_matches_reference(field, width, base_ints, row_ints):
-    base, pivots = echelon_reference(field, _matrix(field, base_ints, width))
-    rows = list(_matrix(field, row_ints, width))
-    if base.shape[0]:
-        rows.insert(0, mat_mul(field, np.arange(1, base.shape[0] + 1), base))
-    if rows:
-        rows.append(rows[-1].copy())
-        rows.insert(len(rows) // 2, rows[0].copy())
-    rows = matrix(field, rows, width=width)
-    p = field.char
-    given = sparse_rows(field, rows)
-    before = [dict(row) for row in given]
-    got = _kernels.complement(given, _kernels.basis(sparse_rows(field, base), p), p)
-    assert given == before
-    want = complement_rows_reference(field, rows, base, pivots)
-    assert len(got) == len(want)
+def _assert_complement_matches_reference(W, U):
+    """W.complement(U), for U inside W, against the per-vector complement loop.
+
+    Given W's rows by decreasing pivot, the loop keeps exactly W's rows at
+    the pivots U lacks, in reverse order; given them by increasing pivot, it
+    keeps an echelon basis of the same span, whose reduced form they are.
+    """
+    field, width = W.algebra.field, W.algebra.length
+    assert W.contains_space(U)
+    rows = space_rows(W)
+    before = [dict(row) for row in W.basis.values()]
+    got = W.complement(U)
+    assert list(W.basis.values()) == before
+    assert len(got) == W.dim - U.dim
+    base = space_rows(U), np.asarray(list(U.basis), dtype=np.int64)
+    want = complement_rows_reference(field, rows[::-1], *base)[::-1]
+    assert len(want) == len(got)
     for g, w in zip(dense(field, got, width), want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
-        if field == QQ:
-            _assert_canonical(g)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    kept = complement_rows_reference(field, rows, *base)
+    reduced, pivots = echelon_reference(field, matrix(field, kept, width=width))
+    assert [min(row) for row in got] == pivots.tolist()
+    assert np.array_equal(dense(field, got, width), reduced)
     if field == QQ:
         _assert_canonical_rows(got)
+    else:
+        assert all(type(x) is int and 0 < x < field.p for row in got for x in row.values())
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_complement_rows_matches_reference_on_seeded_inputs(field):
-    rng = random.Random(11)
-    top = 50 if field == QQ else field.p
-    for _ in range(40):
-        width = rng.randrange(1, 9)
-        base = [[rng.randrange(-top, top) for _ in range(width)]
-                for _ in range(rng.randrange(0, width + 1))]
-        rows = [[rng.randrange(-top, top) if rng.random() < 0.7 else 0 for _ in range(width)]
-                for _ in range(rng.randrange(0, 10))]
-        _assert_complement_matches_reference(field, width, base, rows)
+@pytest.mark.parametrize("field", [GF(7), *FIELDS], ids=str)
+def test_pivot_complement_matches_reference_on_corpus_algebras(field):
+    # m*W inside W for ideals W, as `minimal_generators` takes it, and
+    # m^(s-1) inside (0 : m^2), as `split_witness` takes it
+    rng = random.Random(29)
+    for edim, loewy in ((1, 3), (2, 3), (2, 4), (3, 3)):
+        A = random_gorenstein(rng, edim, loewy, "Y", field)
+        ann2 = A.annihilator(A.power(2).basis.values())
+        element = {c: rng.randrange(1, 50) for c in range(A.length) if rng.random() < 0.5}
+        ideals = [A.power(i) for i in range(loewy + 1)]
+        ideals += [A.socle(), ann2, A.ideal_span([element]), A.annihilator([element])]
+        for W in ideals:
+            U = A.m_times(W)
+            _assert_complement_matches_reference(W, U)
+            assert A.minimal_generators(W) == (W.dim - U.dim, W.complement(U))
+        _assert_complement_matches_reference(ann2, A.power(loewy - 1))
 
 
 @st.composite
-def _complement_case(draw):
+def _nested_case(draw):
     width = draw(st.integers(1, 6))
     row = st.lists(st.integers(-4, 4), min_size=width, max_size=width)
-    return width, draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=7))
+    return width, draw(st.lists(row, max_size=5)), draw(st.lists(row, max_size=5))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FIELDS), _complement_case())
-def test_complement_rows_matches_reference_on_hypothesis_inputs(field, case):
-    _assert_complement_matches_reference(field, *case)
-
-
-def test_complement_rows_edge_cases():
-    rows = [{1: 2, 2: 4}, {1: 1, 2: 2}, {0: 3}, {0: 3}]
-    got = _kernels.complement(rows, {}, 7)
-    assert got == [{1: 1, 2: 2}, {0: 1}]
-    base = _kernels.basis([dict(row) for row in rows], 7)
-    assert _kernels.complement(rows, base, 7) == []
-    assert _kernels.complement([], base, 7) == []
-    assert _kernels.complement([{}], {}, 7) == []
+@given(st.sampled_from([GF(7), *FIELDS]), _nested_case())
+def test_pivot_complement_matches_reference_on_hypothesis_inputs(field, case):
+    # U is spanned by combinations of W's rows, the coefficients read from
+    # the leading entries of the drawn rows
+    width, w_ints, c_ints = case
+    W = _space(field, w_ints, width)
+    combos = [[0] * width]
+    if W.dim:
+        combos += mat_mul(field, _matrix(field, [c[:W.dim] for c in c_ints], W.dim),
+                          space_rows(W)).tolist()
+    _assert_complement_matches_reference(W, _space(field, combos, width))
 
 
 def _rref_python(rows, p):
@@ -345,7 +354,7 @@ def test_rref_mod_at_the_largest_supported_prime():
 
 def test_rref_dimension_guard_names_itself():
     # a matrix with no rows allocates nothing, whatever its width
-    width = linalg.MAX_ECHELON_DIM + 1
+    width = quotient.MAX_ECHELON_DIM + 1
     for field in (GF(101), QQ):
         with pytest.raises(ResourceGuardError) as info:
             linalg.rref(field, zeros(field, (0, width)))

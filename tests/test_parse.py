@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinsum import GF, QQ, PolyRing, parse_polynomial, parse_presentation, print_presentation
+from artinsum import (GF, QQ, PolyRing, build_algebra, parse_polynomial, parse_presentation,
+                      print_presentation)
 from artinsum.errors import ParseError
+from artinsum.parse import parse_names
 
 
 def test_basic_presentation():
@@ -100,6 +102,28 @@ def test_print_parse_round_trip_golden():
     text = print_presentation(ring, gens)
     ring2, gens2 = parse_presentation(text)
     assert ring2 == ring and gens2 == gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_residue_field_presentation_round_trip(field):
+    # k on no variables prints `vars ;`, which reads back; so does k presented
+    # on a variable that lies in the ideal, which prints the same text
+    k = build_algebra(PolyRing(field, []), [])
+    text = print_presentation(k.ring, k.gb)
+    assert text == f"field {field.name};\nvars ;\nideal 0;\n"
+    ring, gens = parse_presentation(text)
+    assert ring == k.ring and gens == []
+    assert build_algebra(ring, gens).length == 1
+    A = build_algebra(*parse_presentation(f"field {field.name}; vars x; ideal x;"))
+    assert A.length == 1 and print_presentation(A.ring, A.gb) == text
+
+
+def test_parse_names_rejects_an_empty_list():
+    # the CLI's `--dual-vars` and `--ops` need a variable, where a `vars` declaration does not
+    for text in ("", "  "):
+        with pytest.raises(ParseError, match="expected at least one variable name"):
+            parse_names(text)
+    assert parse_names("w1 w2") == ["w1", "w2"]
 
 
 def _poly_strategy(field):

@@ -62,6 +62,12 @@ def test_square_zero():
     assert A.length == 3
 
 
+def test_repr_names_the_ring_and_length_and_builds_no_basis():
+    A = algebra_from_text(STRETCHED)
+    assert repr(A) == "<algebra QQ[Y, Z], dim 5>"
+    assert "gb" not in vars(A)
+
+
 def test_length_cross_check():
     # length of the sum of two cubics: 3 + 3 - 2
     A = algebra_from_text("field QQ; vars Y Z; ideal Y*Z, Y^2-Z^2")
@@ -593,12 +599,12 @@ def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
 def test_kernel_algebra_guards_its_monomial_count(monkeypatch):
     # the classes are dict rows, one per monomial: the echelon guard is on their count
     ring = PolyRing(QQ, ("X", "Y"))
-    monkeypatch.setattr(linalg, "MAX_ECHELON_DIM", 5)
+    monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", 5)
     with pytest.raises(ResourceGuardError) as info:
         square_zero_algebra(ring)
     err = info.value
     assert (err.guard, err.limit, err.value) == ("max_echelon_dim", 5, 6)
-    monkeypatch.setattr(linalg, "MAX_ECHELON_DIM", 6)
+    monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", 6)
     assert square_zero_algebra(ring).hilbert_function() == (1, 2)
 
 
