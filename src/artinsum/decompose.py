@@ -18,6 +18,7 @@ from .graded import associated_graded, classify, gls_split, interior_socle_dimen
 from .poly import PolyRing
 from .quotient import (ArtinAlgebra, presentation_in_coordinates, square_zero_algebra,
                        subalgebra)
+from .resolution import mu_direct
 from .sums import _proportionality_unit, connected_sum, socle_generator
 
 
@@ -161,7 +162,6 @@ def certify_indecomposable(Q):
     """Certificates that rule out any non-trivial connected-sum decomposition."""
     if not Q.is_gorenstein():
         raise NotGorensteinError("certificates target Gorenstein algebras")
-    from .resolution import mu_direct
     out = []
     H = Q.hilbert_function()
     d = Q.edim

@@ -60,6 +60,7 @@ from . import _kernels
 from .errors import (ArtinsumError, NotAnIdealError, NotLocalError, NotZeroDimensionalError,
                      ResourceGuardError, RingMismatchError, UnitIdealError)
 from .grobner import IdealPresentation
+from .parse import parse_presentation
 from .poly import PolyRing, mono_deg
 
 # how many monomial tables `_monomial_table` keeps
@@ -745,7 +746,6 @@ def presentation_in_coordinates(Q, new_ring, images):
 
 
 def algebra_from_text(text):
-    from .parse import parse_presentation
     ring, gens = parse_presentation(text)
     return build_algebra(ring, gens)
 

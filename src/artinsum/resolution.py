@@ -39,7 +39,7 @@ from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
 from .quotient import _finished, _monomial_table, _times
 from .series import SeriesTrunc
-from .sums import modulo_socle
+from .sums import connected_sum, fibre_product, modulo_socle
 
 DEFAULT_TRUNCATION = 6
 MAX_FREE_RANK_DIM = 200_000
@@ -271,7 +271,6 @@ def verify_mu_formulas(R, S):
     psi from `cs_psi`: 1 for m, n >= 2, -1 for m = n = 1, and 0 otherwise.
     Like `verify_cs_series`, it needs both Loewy lengths at least 2.
     """
-    from .sums import connected_sum, fibre_product
     if R.loewy_length < 2 or S.loewy_length < 2:
         raise PreconditionError("connected-sum generator-count identity needs both Loewy lengths >= 2")
     m, n = R.edim, S.edim

@@ -1,9 +1,11 @@
 """Golden schema-1 JSON reports of the CLI, compared byte for byte."""
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -365,12 +367,77 @@ def test_a_reader_that_closed_stdout_early_gives_exit_141_and_no_traceback(json_
     assert "Traceback" not in run.stderr and "BrokenPipeError" not in run.stderr
 
 
+def _python(code):
+    """Run `code` in a fresh interpreter that imports the library from the sources."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def test_importing_the_package_loads_no_numpy():
     # only the dense adapters (`linalg.rref`, `_kernels.rref_mod`) use numpy,
-    # and they import it when called; no module of the library imports `linalg`
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    code = ("import sys, artinsum, artinsum.cli; "
-            "print('numpy' in sys.modules, 'artinsum.linalg' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         timeout=60)
+    # and they import it when called; no module of the library imports `linalg`,
+    # not even once every public name has been resolved
+    run = _python("import sys, artinsum, artinsum.cli\n"
+                  "for name in artinsum.__all__:\n"
+                  "    getattr(artinsum, name)\n"
+                  "print('numpy' in sys.modules, 'artinsum.linalg' in sys.modules)")
     assert run.returncode == 0 and run.stdout == "False False\n", run.stderr
+
+
+def test_package_loads_each_submodule_on_first_use():
+    # PEP 562: a public name is imported from its submodule when it is first
+    # read and kept in the package, where the benchmark's span tracer rebinds it
+    run = _python(textwrap.dedent("""
+        import sys
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("artinsum."))
+
+        import artinsum
+        assert loaded() == [], loaded()
+        assert set(artinsum.__all__) | {"__all__", "__version__"} <= set(dir(artinsum))
+        from artinsum import _kernels
+        assert loaded() == ["artinsum._kernels"], loaded()
+        try:
+            artinsum.nope
+        except AttributeError as exc:
+            assert "'artinsum'" in str(exc) and "'nope'" in str(exc), exc
+        else:
+            raise AssertionError("artinsum.nope resolved")
+        try:
+            from artinsum import nope
+        except ImportError:
+            pass
+        else:
+            raise AssertionError("from artinsum import nope succeeded")
+        assert loaded() == ["artinsum._kernels"], loaded()
+        for name in artinsum.__all__:
+            value = getattr(artinsum, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
+            assert vars(artinsum)[name] is value, name
+        namespace = {}
+        exec("from artinsum import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(artinsum.__all__)
+        print("ok")
+        """))
+    assert run.returncode == 0 and run.stdout == "ok\n", run.stderr
+
+
+def test_no_function_imports_a_library_module():
+    # a module's own imports load every library module its functions call, so
+    # that no module is compiled inside the first call that needs it; numpy
+    # stays local to the dense adapters, and multiprocessing to `analyze --jobs`
+    local = set()
+    for path in sorted((SRC / "artinsum").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.ImportFrom):
+                        local.add((path.stem, fn.name, "." * node.level + (node.module or "")))
+                    elif isinstance(node, ast.Import):
+                        local |= {(path.stem, fn.name, alias.name) for alias in node.names}
+    assert not [i for i in local if i[2].startswith((".", "artinsum"))], local
+    assert local == {("_kernels", "rref_mod", "numpy"), ("linalg", "_checked", "numpy"),
+                     ("linalg", "rref", "numpy"), ("cli", "cmd_analyze", "multiprocessing")}

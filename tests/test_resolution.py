@@ -9,9 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
-                      betti_numbers, certify_indecomposable, connected_sum, fibre_product,
-                      h2_bound_check, modulo_socle, parse_polynomial, resolution,
-                      verify_cs_series, verify_fp_series, verify_mu_formulas,
+                      betti_numbers, certify_indecomposable, connected_sum, decompose,
+                      fibre_product, h2_bound_check, modulo_socle, parse_polynomial,
+                      resolution, verify_cs_series, verify_fp_series, verify_mu_formulas,
                       verify_socle_quotient)
 from artinsum.errors import (ArtinsumError, NotLocalError, ParseError, PreconditionError,
                              ResourceGuardError)
@@ -251,7 +251,7 @@ def test_certificates_count_mu_only_from_edim_three(monkeypatch):
         calls.append(A.edim)
         return mu_direct(A)
 
-    monkeypatch.setattr(resolution, "mu_direct", counting)
+    monkeypatch.setattr(decompose, "mu_direct", counting)
     # the quartic of decompose_quartic_qq.json
     dual = PolyRing(QQ, ("w1", "w2"))
     quartic = apolar_algebra(parse_polynomial(
