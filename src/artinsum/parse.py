@@ -6,96 +6,102 @@ Grammar (whitespace-insensitive, `#` starts a comment running to end of line):
     vars   := "vars" ident* ";"
     ideal  := "ideal" poly ("," poly)* ";"?
     poly   := signed sum of terms
-    term   := coeff? ("*"? ident ("^" integer)?)*
+    term   := factor ("*"? factor)*
+    factor := integer ("/" integer)? | ident ("^" integer)?
 
 Coefficients are integers or quotients `a/b`; a denominator that is zero in
-the field, a multiple of p over GF(p), is a parse error.
+the field, a multiple of p over GF(p), is a parse error, and so is a `*`
+that no factor follows.  An integer is a run of decimal digits
+(`str.isdecimal`), and an identifier a letter or `_` followed by letters,
+digits and `_` (`str.isalpha`, `str.isalnum`).
+
+The text is cut into tokens by one compiled pattern, each token a tuple
+(integer, identifier, symbol, other) with one nonempty slot, and
+(``""``,) * 4 at the end of input.  The parser walks that list by index
+and collects a polynomial's terms into one dict, each exponent tuple made
+once per term.  A token's line and column are read off the text only when
+an error names them: the column counts characters from the start of the
+line, tabs and carriage returns as one, and the end of input after a
+trailing comment sits where the comment starts.
 """
+
+import re
+from itertools import islice
 
 from .errors import NonPrimeModulusError, ParseError
 from .fields import GF, QQ
-from .poly import PolyRing
+from .poly import Polynomial, PolyRing
 
-_SYMBOLS = set(";,*^+-/()")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"{self.kind}:{self.text}@{self.line}:{self.col}"
+# whitespace and comments, then an integer, an ASCII identifier, a symbol,
+# or anything else: an identifier that starts outside ASCII (kept when its
+# first character is a letter) or an unexpected character
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*"
+                    r"(?:(\d+)|([A-Za-z_]\w*)|([;,*^+\-/()])|([^\W\d]\w*|.))?", re.S)
+_EOF = ("", "", "", "")
 
 
 def _tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isdecimal():
-            start, c0 = i, col
-            while i < n and text[i].isdecimal():
-                i += 1
-                col += 1
-            tokens.append(_Token("int", text[start:i], line, c0))
-        elif ch.isalpha() or ch == "_":
-            start, c0 = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, c0))
-        elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    """The token tuples of `text`, ending with `_EOF`; an unexpected character raises."""
+    tokens = _TOKEN.findall(text)
+    for i, (_, _, _, other) in enumerate(tokens):
+        if other:
+            if not other[0].isalpha():
+                raise ParseError(f"unexpected character {other[0]!r}",
+                                 *_line_col(text, _offset(text, i)))
+            tokens[i] = ("", other, "", "")
     return tokens
+
+
+def _offset(text, i):
+    """Where token i of `text` starts; the end of input after a trailing comment is its `#`."""
+    m = next(islice(_TOKEN.finditer(text), i, None), None)
+    if m is not None and m.lastindex:
+        return m.start(m.lastindex)
+    last = text.rfind("\n") + 1
+    comment = text.find("#", last)
+    return len(text) if comment < 0 else comment
+
+
+def _line_col(text, offset):
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _kind(tok):
+    num, name, sym, _ = tok
+    return "int" if num else "ident" if name else sym or "eof"
+
+
+def _text(tok):
+    return "".join(tok)
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+
+    def fail(self, message, i):
+        raise ParseError(message, *_line_col(self.text, _offset(self.text, i)))
+
+    def found(self, what, i):
+        self.fail(f"expected {what}, found {_text(self.tokens[i]) or 'end of input'!r}", i)
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind, what=None):
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what or kind}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+        i = self.pos
+        self.pos += 1
+        if _kind(self.tokens[i]) != kind:
+            self.found(what or kind, i)
+        return _text(self.tokens[i])
 
     def expect_keyword(self, word):
-        tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            raise ParseError(f"expected keyword {word!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return tok
+        i = self.pos
+        self.pos += 1
+        if self.tokens[i][1] != word:
+            self.found(f"keyword {word!r}", i)
 
     # -- top level -----------------------------------------------------------
 
@@ -107,8 +113,8 @@ class _Parser:
 
     def end(self, value):
         tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        if tok != _EOF:
+            self.fail(f"trailing input {_text(tok)!r}", self.pos)
         return value
 
     def field_decl(self):
@@ -118,20 +124,22 @@ class _Parser:
         return field
 
     def field_name(self):
-        tok = self.next()
-        if tok.kind == "ident" and tok.text == "QQ":
-            field = QQ
-        elif tok.kind == "ident" and tok.text == "GF":
+        i = self.pos
+        name = self.tokens[i][1]
+        self.pos += 1
+        if name == "QQ":
+            return QQ
+        if name == "GF":
             self.expect("(")
-            ptok = self.expect("int", "a prime modulus")
+            at = self.pos
+            p = int(self.expect("int", "a prime modulus"))
             self.expect(")")
             try:
-                field = GF(int(ptok.text))
+                return GF(p)
             except NonPrimeModulusError as exc:
-                raise ParseError(str(exc), ptok.line, ptok.col) from None
-        else:
-            raise ParseError(f"expected QQ or GF(p), found {tok.text!r}", tok.line, tok.col)
-        return field
+                message = str(exc)
+            self.fail(message, at)
+        self.fail(f"expected QQ or GF(p), found {_text(self.tokens[i])!r}", i)
 
     def vars_decl(self):
         self.expect_keyword("vars")
@@ -141,88 +149,95 @@ class _Parser:
 
     def var_names(self, empty=False):
         names = []
-        while self.peek().kind == "ident" and self.peek().text != "ideal":
-            names.append(self.next().text)
+        while (name := self.peek()[1]) and name != "ideal":
+            names.append(name)
+            self.pos += 1
         if not names and not empty:
-            tok = self.peek()
-            raise ParseError("expected at least one variable name", tok.line, tok.col)
+            self.fail("expected at least one variable name", self.pos)
         if len(set(names)) != len(names):
-            tok = self.peek()
             name = next(n for i, n in enumerate(names) if n in names[:i])
-            raise ParseError(f"duplicate variable name {name!r}", tok.line, tok.col)
+            self.fail(f"duplicate variable name {name!r}", self.pos)
         return names
 
     def ideal_decl(self, ring):
         self.expect_keyword("ideal")
         gens = [self.polynomial(ring)]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek()[2] == ",":
+            self.pos += 1
             gens.append(self.polynomial(ring))
-        if self.peek().kind == ";":
-            self.next()
+        if self.peek()[2] == ";":
+            self.pos += 1
         return [g for g in gens if not g.is_zero()]
 
     # -- polynomials ----------------------------------------------------------
 
     def polynomial(self, ring):
-        result = ring.zero
-        sign = 1
-        tok = self.peek()
-        if tok.kind in "+-":
-            sign = -1 if tok.kind == "-" else 1
-            self.next()
-        while True:
-            result = result + self.term(ring, sign)
-            tok = self.peek()
-            if tok.kind == "+":
-                sign = 1
-            elif tok.kind == "-":
-                sign = -1
-            else:
-                return result
-            self.next()
+        """A signed sum of terms, collected into one dict of exponent tuples.
 
-    def term(self, ring, sign):
-        coeff = ring.field.one
-        exps = [0] * ring.nvars
-        saw_factor = False
+        A term's coefficient is the product of its integers and quotients,
+        made a field element once, with its sign; a term that is zero in the
+        field adds nothing, and a sum that cancels drops its monomial.
+        """
+        tokens, i = self.tokens, self.pos
+        field, index, n = ring.field, ring.index, ring.nvars
+        terms = {}
+        sign = tokens[i][2]
+        if sign == "+" or sign == "-":
+            i += 1
         while True:
-            tok = self.peek()
-            if tok.kind == "int":
-                self.next()
-                value = int(tok.text)
-                if self.peek().kind == "/":
-                    self.next()
-                    den = self.expect("int", "a denominator")
-                    # over GF(p) a multiple of p is zero too
-                    divisor = ring.field.coerce(int(den.text))
-                    if divisor == ring.field.zero:
-                        raise ParseError("zero denominator", den.line, den.col)
-                    value = ring.field.div(ring.field.coerce(value), divisor)
-                coeff = ring.field.mul(coeff, ring.field.coerce(value))
-                saw_factor = True
-            elif tok.kind == "ident":
-                self.next()
-                if tok.text not in ring.index:
-                    raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-                power = 1
-                if self.peek().kind == "^":
-                    self.next()
-                    power = int(self.expect("int", "an exponent").text)
-                exps[ring.index[tok.text]] += power
-                saw_factor = True
-            else:
-                break
-            if self.peek().kind == "*":
-                self.next()
-                continue
-        if not saw_factor:
-            tok = self.peek()
-            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        if sign < 0:
-            coeff = ring.field.neg(coeff)
-        return ring.monomial(exps, coeff)
+            start, coeff, exps = i, 1, [0] * n
+            while True:
+                num, name, _, _ = tokens[i]
+                if num:
+                    i += 1
+                    value = int(num)
+                    if tokens[i][2] == "/":
+                        den = tokens[i + 1][0]
+                        if not den:
+                            self.found("a denominator", i + 1)
+                        # over GF(p) a multiple of p is zero too
+                        divisor = field.coerce(int(den))
+                        if not divisor:
+                            self.fail("zero denominator", i + 1)
+                        value = field.div(field.coerce(value), divisor)
+                        i += 2
+                    coeff = coeff * value
+                elif name:
+                    v = index.get(name)
+                    if v is None:
+                        self.fail(f"unknown variable {name!r}", i)
+                    i += 1
+                    if tokens[i][2] == "^":
+                        power = tokens[i + 1][0]
+                        if not power:
+                            self.found("an exponent", i + 1)
+                        exps[v] += int(power)
+                        i += 2
+                    else:
+                        exps[v] += 1
+                else:
+                    break
+                if tokens[i][2] == "*":
+                    i += 1
+                    if not (tokens[i][0] or tokens[i][1]):
+                        self.found("a factor after '*'", i)
+            if i == start:
+                self.found("a term", i)
+            c = field.coerce(-coeff if sign == "-" else coeff)
+            mono = tuple(exps)
+            if mono in terms:
+                c = field.add(terms[mono], c)
+                if c:
+                    terms[mono] = c
+                else:
+                    del terms[mono]
+            elif c:
+                terms[mono] = c
+            sign = tokens[i][2]
+            if sign != "+" and sign != "-":
+                self.pos = i
+                return Polynomial(ring, terms)
+            i += 1
 
 
 def parse_presentation(text):

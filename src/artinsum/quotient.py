@@ -34,9 +34,10 @@ power of m: it is given by the classes of the monomials up to that degree,
 as dict rows.  The monomials come from one shared table per variable count
 and degree, in ascending Grevlex order with each monomial's predecessor
 (`_monomial_table`), so nothing is sorted.  A class is made by one rule,
-its predecessor's class times one variable, forming only what is missing
-on the predecessor chain (`_monomial_class`), so the classes of a whole
-table, read in its order, are one forward pass; the left kernel of the
+its predecessor's class times one variable: a single read forms only what
+is missing on its predecessor chain (`_monomial_class`), and the bulk
+reads of a quotient or a subalgebra take a whole table in its order, one
+forward pass (`_table_classes`); the left kernel of the
 classes is the reduced echelon basis of the truncated ideal
 (`kernel_algebra`): dict rows keyed by their lead column, from which
 `_read_echelon` reads the standard monomials and the class of every
@@ -720,6 +721,28 @@ def _monomial_class(classes, mono, tables, lam, p):
     return row
 
 
+def _table_classes(classes, nvars, s, tables, lam, p):
+    """The monomials up to degree s+1 and their classes, for an algebra of socle degree s.
+
+    The classes are read in the order of the monomial table, in one forward
+    pass: each is its predecessor's class times its variable, one `_times`
+    step by the rule of `_monomial_class`, with no walk down a predecessor
+    chain, since the predecessor's class was read before.  `classes` holds
+    the monomial 1; a class it holds is read from it, and each class formed
+    is kept in it.  The monomials of degree s+1 have class 0.
+    """
+    monos, pred, var = _monomial_table(nvars, s + 1)
+    count = len(_monomial_table(nvars, s).monos)
+    rows = [classes[monos[0]]]
+    for j in range(1, count):
+        row = classes.get(monos[j])
+        if row is None:
+            row = classes[monos[j]] = next(
+                _times([rows[pred[j]]], tables[var[j]], lam, p, range(lam)), {})
+        rows.append(row)
+    return monos, rows + [{}] * (len(monos) - count)
+
+
 def subalgebra(Q, new_ring, images):
     """The subalgebra of Q that `images` generate, presented on `new_ring`.
 
@@ -729,11 +752,8 @@ def subalgebra(Q, new_ring, images):
     ideal.
     """
     tables = [Q.product_table([Q.element_row(f)]) for f in images]
-    s, memo = Q.loewy_length, {(0,) * new_ring.nvars: {0: 1}}
-    classes = [_monomial_class(memo, m, tables, Q.length, Q.field.char)
-               for m in _monomial_table(new_ring.nvars, s).monos]
-    # the monomials of degree s+1 map into m^(s+1) = 0
-    classes += [{}] * (len(_monomial_table(new_ring.nvars, s + 1).monos) - len(classes))
+    s, n = Q.loewy_length, new_ring.nvars
+    _, classes = _table_classes({(0,) * n: {0: 1}}, n, s, tables, Q.length, Q.field.char)
     return kernel_algebra(new_ring, s + 1, classes)
 
 
@@ -766,12 +786,20 @@ def quotient_algebra(A, targets):
     gr(A) passes m^(d+1) and Q0 Iarrobino's targets; the kernel is then
     graded, since in a vanishing sum of residues the one of least degree d
     would lie in m^(d+1), inside targets[d], and so be zero.
+
+    The classes of the monomials up to s are read in one forward pass over
+    the monomial table (`_table_classes`), each its predecessor's times its
+    variable, and kept in A's classes, so later reads of them
+    (`monomial_row`) form nothing; the monomials of degree s+1 have class 0.
     """
-    degree = A.loewy_length + 1
-    residues = monomial_residues(A, _monomial_table(A.ring.nvars, degree).monos, targets)
+    s, p = A.loewy_length, A.field.char
+    monos, classes = _table_classes(A._classes, A.ring.nvars, s, A._variable_tables,
+                                    A.length, p)
+    residues = [_kernels.reduce(dict(row), targets[mono_deg(m)].basis, p)
+                for m, row in zip(monos, classes)]
     if not residues[0]:
         raise UnitIdealError("1 lies in the ideal")
-    return kernel_algebra(A.ring, degree, residues)
+    return kernel_algebra(A.ring, s + 1, residues)
 
 
 def square_zero_algebra(ring):

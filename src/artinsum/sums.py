@@ -27,9 +27,10 @@ restricts to Grevlex on Y and on Z.
   is P's without lm h.
 
 Only the standard monomials and the structure table are assembled
-(`_fibre_table`, and `_socle_quotient`, which reads the terms of h); the
-filtration, the socle, the identity checks and, on its first read, the
-reduced basis are taken from them.
+(`_fibre_table`, and `_socle_quotient`, which takes h as a dict row over
+P's basis, placed from the factors' socle rows, so no polynomial is
+built); the filtration, the socle, the identity checks and, on its first
+read, the reduced basis are taken from them.
 """
 
 from dataclasses import dataclass
@@ -65,52 +66,59 @@ def _embed(poly, big, offset):
     return poly.rename_into(big, index_map)
 
 
-def _fibre_table(R, S, big):
-    """P = R x_k S on `big`: its standard monomials and structure table.
+def _fibre_table(R, S):
+    """P = R x_k S on R's variables then S's: its standard monomials, structure table and places.
 
-    Both factors' bases ascend, and within a degree Grevlex on `big` puts
-    every pure-Z monomial before every pure-Y one, so P's basis is 1 and
-    then, degree by degree, S's monomials followed by R's: a merge by
-    degree that keeps each factor's order.
+    Both factors' bases ascend, and within a degree Grevlex on the joined
+    ring puts every pure-Z monomial before every pure-Y one, so P's basis
+    is 1 and then, degree by degree, S's monomials followed by R's: a merge
+    by degree that keeps each factor's order.  `places` lists, for R and
+    for S, the index in P's basis of each of the factor's basis elements.
     """
     m, n = R.ring.nvars, S.ring.nvars
     left = [a + (0,) * n for a in R.basis]
     right = [(0,) * m + b for b in S.basis]
     basis = [left[0], *merge(right[1:], left[1:], key=mono_deg)]
     index = {mono: i for i, mono in enumerate(basis)}
+    places = [[index[mono] for mono in monos] for monos in (left, right)]
     # 1 is basis[0] of every algebra, and its products are the identity; each
     # factor's basis keeps its order in P's, so renamed entries stay sorted
     table = [[(k, k, 1) for k in range(len(basis))]] + [None] * (len(basis) - 1)
-    for A, monos in ((R, left), (S, right)):
-        idx = [index[mono] for mono in monos]
+    for A, idx in zip((R, S), places):
         for a, entry in enumerate(A.struct_table[1:], 1):
             table[idx[a]] = [(idx[k], idx[j], c) for k, j, c in entry]
-    return basis, table
+    return basis, table, places
 
 
-def _socle_quotient(basis, table, h):
-    """P / (h) from P's standard monomials and table, for a monic h with m*h in I_P.
+def _socle_quotient(basis, table, h, field):
+    """P / (h) from P's standard monomials and table, for h a dict row over P's basis with m*h in I_P.
 
-    The table's lm h component is rewritten through h, as the tails are:
-    in each product with a nonzero a at e_lead, e_lead becomes e_lead - h;
-    then the index of lm h is dropped.  The basis ascends, so lm h is the
-    term of h at the largest index.
+    The basis ascends, so lm h is the column of h's largest index, and h
+    is made monic there.  The table's lm h component is rewritten through
+    h, as the tails are: in each product with a nonzero a at e_lead, e_lead
+    becomes e_lead - h; then the index of lm h is dropped.  Only the
+    entries holding such a product are rewritten; the others lose their
+    triples at lm h, and their larger indices shift down by one, which
+    keeps them sorted and canonical.
     """
-    p = h.ring.field.char
-    index = {mono: i for i, mono in enumerate(basis)}
-    at = max(index[mono] for mono in h.terms)
-    lead_class = [(index[mono], -c) for mono, c in h.terms.items() if index[mono] != at]
+    at = max(h)
+    inv = field.inv(h[at])
+    lead_class = [(t, -field.mul(inv, x)) for t, x in h.items() if t != at]
     out = []
     for l, entry in enumerate(table):
         if l == at:
             continue
+        landing = [(k, a) for k, j, a in entry if j == at and k != at]
+        if not landing:
+            out.append([(k - (k > at), j - (j > at), c) for k, j, c in entry
+                        if k != at and j != at])
+            continue
         row = {(k, j): c for k, j, c in entry if at not in (k, j)}
-        for k, j, a in entry:
-            if j == at and k != at:
-                for t, x in lead_class:
-                    row[k, t] = row.get((k, t), 0) + a * x
+        for k, a in landing:
+            for t, x in lead_class:
+                row[k, t] = row.get((k, t), 0) + a * x
         out.append([(k - (k > at), j - (j > at), c)
-                    for (k, j), c in sorted(_canonical(row, p).items())])
+                    for (k, j), c in sorted(_canonical(row, field.char).items())])
     return basis[:at] + basis[at + 1:], out
 
 
@@ -124,8 +132,8 @@ def fibre_product(R, S):
         return SumResult(S, trivial=True)
     if S.length == 1:
         return SumResult(R, trivial=True)
-    big = _combined_ring(R, S)
-    P = ArtinAlgebra(big, *_fibre_table(R, S, big))
+    basis, table, _ = _fibre_table(R, S)
+    P = ArtinAlgebra(_combined_ring(R, S), basis, table)
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -141,9 +149,14 @@ def socle_generator(A):
     """
     if not A.is_gorenstein():
         raise NotGorensteinError(f"socle has dimension {A.type}, not 1")
+    return A.lift(_socle_row(A))
+
+
+def _socle_row(A):
+    """The socle generator of a Gorenstein algebra as a dict row, one at its largest column."""
     (row,) = A.socle().basis.values()
     inv = A.field.inv(row[max(row)])
-    return A.ring.poly({A.basis[k]: A.field.mul(inv, x) for k, x in row.items()})
+    return {k: A.field.mul(inv, x) for k, x in row.items()}
 
 
 def _proportionality_unit(Q, left, right):
@@ -159,12 +172,13 @@ def _proportionality_unit(Q, left, right):
 
 
 def _validate_socle(A, poly, side):
+    """The class of a socle expression, a dict row, checked to be a nonzero socle element."""
     row = A.element_row(poly)
     if not row:
         raise BadSocleError(f"{side} socle expression vanishes in the quotient")
     if not A.socle().contains(row):
         raise BadSocleError(f"{side} socle expression does not lie in the socle")
-    return A.lift(row)
+    return row
 
 
 def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
@@ -172,7 +186,11 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
 
     Quotients the fibre product by (socle_left - unit * socle_right).  When a
     factor has length two the sum collapses to the other factor, returned
-    with the trivial flag.
+    with the trivial flag.  h is a dict row over the fibre product's basis:
+    each factor's socle element is its socle row, normalised as
+    `socle_generator` normalises it, or the class (`element_row`) of the
+    given expression once it is checked to be a nonzero socle element, and
+    the two are placed at their factors' places (`_fibre_table`).
     """
     for A in (R, S):
         if not A.is_gorenstein():
@@ -186,11 +204,13 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
         return SumResult(R, trivial=True, unit=unit)
     if R.length == 2:
         return SumResult(S, trivial=True, unit=unit)
-    delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
-    delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
-    big = _combined_ring(R, S)
-    h = (delta_r.rename_into(big) - delta_s.rename_into(big).scale(unit)).monic()
-    Q = ArtinAlgebra(big, *_socle_quotient(*_fibre_table(R, S, big), h))
+    delta_r = _socle_row(R) if socle_left is None else _validate_socle(R, socle_left, "left")
+    delta_s = _socle_row(S) if socle_right is None else _validate_socle(S, socle_right, "right")
+    basis, table, (left, right) = _fibre_table(R, S)
+    # both socles lie in the maximal ideals, whose places in P are disjoint
+    h = {left[k]: x for k, x in delta_r.items()}
+    h.update((right[k], -unit * x) for k, x in delta_s.items())
+    Q = ArtinAlgebra(_combined_ring(R, S), *_socle_quotient(basis, table, h, R.field))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:
@@ -215,13 +235,16 @@ def default_operator_names(n):
 def _derive(terms, i, p):
     """The partial derivative by variable i of a term dict (exponent tuple to scalar).
 
-    Each term's coefficient is multiplied by its exponent, mod p over GF(p).
+    Each term's coefficient is multiplied by its exponent, mod p over GF(p);
+    over QQ the product is written as an int where it is integral, so the
+    derivatives of canonical terms are canonical (`quotient._canonical`).
     """
     out = {}
     for t, c in terms.items():
         if e := t[i]:
             if d := (c * e % p if p else c * e):
-                out[t[:i] + (e - 1,) + t[i + 1:]] = d
+                out[t[:i] + (e - 1,) + t[i + 1:]] = (
+                    d if type(d) is int or d.denominator != 1 else d.numerator)
     return out
 
 
@@ -229,14 +252,17 @@ def _apolar_classes(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and dict rows of their derivatives of F.
 
     The monomials ascend under Grevlex (`_monomial_table`), as
-    `kernel_algebra` takes their classes.  Each monomial's derivative is a
-    term dict, one derivative (`_derive`) of its predecessor's, in one
-    forward pass over the table, as `ArtinAlgebra` makes its classes.
-    Column c of the rows is the c-th term met among the derivatives.
+    `kernel_algebra` takes their classes.  F's terms are written by the
+    `_canonical` rule, an int over QQ wherever a coefficient is integral,
+    and each monomial's derivative is a term dict, one derivative
+    (`_derive`) of its predecessor's, in one forward pass over the table,
+    as `ArtinAlgebra` makes its classes; so every row is canonical, as
+    `kernel_algebra` requires.  Column c of the rows is the c-th term met
+    among the derivatives.
     """
     p = F.ring.field.char
     table = _monomial_table(ops.nvars, F.total_degree() + 1)
-    derived = [F.terms]
+    derived = [_canonical(F.terms, p)]
     for i, v in zip(table.pred[1:], table.var[1:]):
         derived.append(_derive(derived[i], v, p))
     col = {}

@@ -61,7 +61,8 @@ import numpy as np
 from artinsum import _kernels, linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
-from artinsum.errors import PreconditionError, ResourceGuardError
+from artinsum.errors import NonPrimeModulusError, ParseError, PreconditionError, ResourceGuardError
+from artinsum.fields import GF, QQ
 from artinsum.graded import GlsSplit, _linear_form, is_gls
 from artinsum.grobner import IdealPresentation, _check_degree, degree_guard
 from artinsum.graded import _homogeneous
@@ -912,8 +913,10 @@ def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
     Its generators are in general not a Groebner basis.
     """
     big = _combined_ring(R, S)
-    delta_r = socle_generator(R) if socle_left is None else _validate_socle(R, socle_left, "left")
-    delta_s = socle_generator(S) if socle_right is None else _validate_socle(S, socle_right, "right")
+    delta_r = (socle_generator(R) if socle_left is None
+               else R.lift(_validate_socle(R, socle_left, "left")))
+    delta_s = (socle_generator(S) if socle_right is None
+               else S.lift(_validate_socle(S, socle_right, "right")))
     h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
     return IdealPresentation(big, _fibre_generators(R, S, big) + [h])
 
@@ -1372,6 +1375,20 @@ def monomial_rows_reference(A, monos):
     return [_class_row(memo, m, A._variable_tables, A.length, A.field.char) for m in monos]
 
 
+def quotient_residues_reference(A, targets):
+    """The residues that `quotient.quotient_algebra` hands `kernel_algebra`, by the recursion.
+
+    Every monomial up to degree s+1, those of degree s+1 included, takes its
+    class from the memoised recursion on its predecessors, and its residue
+    modulo targets[d] for d its degree.  Returns the residues and the memo.
+    """
+    memo, p = {(0,) * A.ring.nvars: {0: 1}}, A.field.char
+    monos = _monomial_table(A.ring.nvars, A.loewy_length + 1).monos
+    residues = [_kernels.reduce(dict(_class_row(memo, m, A._variable_tables, A.length, p)),
+                                targets[mono_deg(m)].basis, p) for m in monos]
+    return residues, memo
+
+
 def subalgebra_classes_reference(Q, new_ring, images):
     """The classes that `quotient.subalgebra` hands `kernel_algebra`, by the recursion."""
     tables = [Q.product_table([Q.element_row(f)]) for f in images]
@@ -1505,3 +1522,210 @@ def kernel_algebra_reference(ring, monos, classes):
     A.reduction = (sub, [-sub.poly(tails[v]) if v in tails else sub.var(keep.index(v))
                          for v in range(ring.nvars)])
     return A
+
+
+# ---------------------------------------------------------------------------
+# the parser as it read before it walked one token list by index: a
+# character-at-a-time tokenizer, token objects read by peek and next, and each
+# term made a polynomial and added to the sum, which copies the sum's dict
+
+_REFERENCE_SYMBOLS = set(";,*^+-/()")
+
+
+class _ReferenceToken:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize_reference(text):
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch.isdecimal():
+            start, c0 = i, col
+            while i < n and text[i].isdecimal():
+                i += 1
+                col += 1
+            tokens.append(_ReferenceToken("int", text[start:i], line, c0))
+        elif ch.isalpha() or ch == "_":
+            start, c0 = i, col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(_ReferenceToken("ident", text[start:i], line, c0))
+        elif ch in _REFERENCE_SYMBOLS:
+            tokens.append(_ReferenceToken(ch, ch, line, col))
+            i += 1
+            col += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_ReferenceToken("eof", "", line, col))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = _tokenize_reference(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what=None):
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what or kind}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def expect_keyword(self, word):
+        tok = self.next()
+        if tok.kind != "ident" or tok.text != word:
+            raise ParseError(f"expected keyword {word!r}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return tok
+
+    def presentation(self):
+        self.expect_keyword("field")
+        field = self.field_name()
+        self.expect(";")
+        self.expect_keyword("vars")
+        names = self.var_names()
+        self.expect(";")
+        ring = PolyRing(field, names)
+        return ring, self.end(self.ideal_decl(ring))
+
+    def end(self, value):
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        return value
+
+    def field_name(self):
+        tok = self.next()
+        if tok.kind == "ident" and tok.text == "QQ":
+            return QQ
+        if tok.kind == "ident" and tok.text == "GF":
+            self.expect("(")
+            ptok = self.expect("int", "a prime modulus")
+            self.expect(")")
+            try:
+                return GF(int(ptok.text))
+            except NonPrimeModulusError as exc:
+                raise ParseError(str(exc), ptok.line, ptok.col) from None
+        raise ParseError(f"expected QQ or GF(p), found {tok.text!r}", tok.line, tok.col)
+
+    def var_names(self):
+        names = []
+        while self.peek().kind == "ident" and self.peek().text != "ideal":
+            names.append(self.next().text)
+        if len(set(names)) != len(names):
+            tok = self.peek()
+            name = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ParseError(f"duplicate variable name {name!r}", tok.line, tok.col)
+        return names
+
+    def ideal_decl(self, ring):
+        self.expect_keyword("ideal")
+        gens = [self.polynomial(ring)]
+        while self.peek().kind == ",":
+            self.next()
+            gens.append(self.polynomial(ring))
+        if self.peek().kind == ";":
+            self.next()
+        return [g for g in gens if not g.is_zero()]
+
+    def polynomial(self, ring):
+        result = ring.zero
+        sign = 1
+        tok = self.peek()
+        if tok.kind in "+-":
+            sign = -1 if tok.kind == "-" else 1
+            self.next()
+        while True:
+            result = result + self.term(ring, sign)
+            tok = self.peek()
+            if tok.kind == "+":
+                sign = 1
+            elif tok.kind == "-":
+                sign = -1
+            else:
+                return result
+            self.next()
+
+    def term(self, ring, sign):
+        coeff = ring.field.one
+        exps = [0] * ring.nvars
+        saw_factor = False
+        while True:
+            tok = self.peek()
+            if tok.kind == "int":
+                self.next()
+                value = int(tok.text)
+                if self.peek().kind == "/":
+                    self.next()
+                    den = self.expect("int", "a denominator")
+                    divisor = ring.field.coerce(int(den.text))
+                    if divisor == ring.field.zero:
+                        raise ParseError("zero denominator", den.line, den.col)
+                    value = ring.field.div(ring.field.coerce(value), divisor)
+                coeff = ring.field.mul(coeff, ring.field.coerce(value))
+                saw_factor = True
+            elif tok.kind == "ident":
+                self.next()
+                if tok.text not in ring.index:
+                    raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+                power = 1
+                if self.peek().kind == "^":
+                    self.next()
+                    power = int(self.expect("int", "an exponent").text)
+                exps[ring.index[tok.text]] += power
+                saw_factor = True
+            else:
+                break
+            if self.peek().kind == "*":
+                self.next()
+                if self.peek().kind not in ("int", "ident"):
+                    tok = self.peek()
+                    raise ParseError(f"expected a factor after '*', found "
+                                     f"{tok.text or 'end of input'!r}", tok.line, tok.col)
+        if not saw_factor:
+            tok = self.peek()
+            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        if sign < 0:
+            coeff = ring.field.neg(coeff)
+        return ring.monomial(exps, coeff)
+
+
+def parse_polynomial_reference(text, ring):
+    """`parse.parse_polynomial` as it was: the same polynomial, or the same `ParseError`."""
+    parser = _ReferenceParser(text)
+    return parser.end(parser.polynomial(ring))
+
+
+def parse_presentation_reference(text):
+    """`parse.parse_presentation` as it was: the same ring and generators, or the same error."""
+    return _ReferenceParser(text).presentation()

@@ -274,6 +274,17 @@ def test_a_digit_that_int_does_not_read_is_a_parse_error(argv, column, monkeypat
     assert f"column {column})" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, says", [
+    ("dangling_times_qq.txt", "expected a factor after '*', found '-' (line 3, column 9)"),
+    ("error_after_tab_and_comment_qq.txt", "unknown variable 'z' (line 4, column 2)"),
+])
+def test_parse_error_goldens_name_the_token_and_its_column(name, says, monkeypatch, capsys):
+    # `x*-y` has a `*` that no factor follows; a tab is one column, on the line after a comment
+    monkeypatch.chdir(GOLDEN)
+    assert main(["analyze", name]) == 2
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
 def test_arabic_indic_digits_read_as_exponents(capsys):
     # str.isdecimal and int accept the same digits
     assert main(["apolar", "--poly", "w^\u0663", "--dual-vars", "w", "--json"]) == 0

@@ -1,6 +1,9 @@
 """Presentation grammar: golden cases, error locations, and round trips."""
 
 import pickle
+import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,11 @@ from artinsum import (GF, QQ, PolyRing, build_algebra, parse_polynomial, parse_p
                       print_presentation)
 from artinsum.errors import ParseError
 from artinsum.parse import parse_names
+
+from oracles import parse_polynomial_reference, parse_presentation_reference
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+LANES = [QQ, GF(5), GF(101)]
 
 
 def test_basic_presentation():
@@ -149,3 +157,117 @@ def test_round_trip_prime_field(p):
     ring2, gens2 = parse_presentation(text)
     assert ring2 == ring
     assert gens2 == [g for g in gens if not g.is_zero()]
+
+
+# -- the one-pass parser against the character-at-a-time reference ------------
+
+def _outcome(parse, *args):
+    """A parse's polynomials as (monomial, scalar, scalar type) in dict order, or its error text."""
+    try:
+        result = parse(*args)
+    except ParseError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        ring, gens = result
+        return ring, [_typed_terms(g) for g in gens]
+    return _typed_terms(result)
+
+
+def _typed_terms(poly):
+    return [(m, c, type(c)) for m, c in poly.terms.items()]
+
+
+def _assert_parses_as_reference(text, ring):
+    assert _outcome(parse_polynomial, text, ring) == _outcome(parse_polynomial_reference, text, ring)
+
+
+def _assert_presentation_parses_as_reference(text):
+    assert _outcome(parse_presentation, text) == _outcome(parse_presentation_reference, text)
+
+
+def _workload_text(rng, names, degree):
+    """A dual polynomial's text as the benchmark writes it, with a fraction now and then."""
+    pieces = []
+    for d in range(degree, 1, -1):
+        for exps in PolyRing(QQ, names).monomials_of_degree(d):
+            c = rng.choice([-3, -2, -1, 1, 2, 3, 5, 42, 100])
+            factors = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+                               for i, e in enumerate(exps) if e)
+            coeff = f"{abs(c)}/{rng.randrange(1, 12)}" if rng.random() < 0.1 else str(abs(c))
+            pieces.append(("-" if c < 0 else "+", f"{coeff}*{factors}"))
+    text = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in pieces[1:])
+
+
+@pytest.mark.parametrize("field", LANES, ids=str)
+def test_parser_matches_reference_on_seeded_workload_texts(field):
+    rng = random.Random(113)
+    for names in (("u1",), ("u1", "u2"), ("w1", "w2", "w3")):
+        ring = PolyRing(field, names)
+        for degree in range(2, 6):
+            for _ in range(6):
+                text = _workload_text(rng, names, degree)
+                _assert_parses_as_reference(text, ring)
+                # a space dropped or a character changed keeps the two in step too
+                at = rng.randrange(len(text))
+                for edit in ("", rng.choice("*^/+- 0x\t\n#")):
+                    _assert_parses_as_reference(text[:at] + edit + text[at + 1:], ring)
+
+
+@pytest.mark.parametrize("lane", ["own", "swapped"])
+def test_parser_matches_reference_on_every_golden_presentation(lane):
+    for path in sorted(GOLDEN.glob("*.txt")):
+        text = path.read_text()
+        if lane == "swapped":
+            other = "GF(5)" if "field QQ" in text else "QQ"
+            text = re.sub(r"field [^;]*;", f"field {other};", text, count=1)
+        _assert_presentation_parses_as_reference(text)
+
+
+_PIECES = st.sampled_from([*"xyzß é0123456789+-*/^(),;#\t\r\n\u00b2\u0663_!",
+                           "x^2", "\u00e9", " + ", " - ", "3/4", "1/5", "y*", "GF(5)", "ideal"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=14).map("".join), st.sampled_from(LANES))
+def test_parser_matches_reference_on_hypothesis_texts(text, field):
+    _assert_parses_as_reference(text, PolyRing(field, ("x", "y", "\u00df", "\u00e9")))
+    _assert_presentation_parses_as_reference(
+        f"field {field.name};\nvars x y \u00df;\t# declared\nideal {text}")
+
+
+@pytest.mark.parametrize("text, column, found", [
+    ("x* + y", 4, "+"), ("x*-y", 3, "-"), ("2*", 3, "end of input")])
+def test_a_star_that_no_factor_follows_is_a_parse_error(text, column, found):
+    # `term := factor ("*"? factor)*`: a `*` must be followed by a factor
+    ring = PolyRing(QQ, ("x", "y"))
+    for parse in (parse_polynomial, parse_polynomial_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text, ring)
+        assert err.value.message == f"expected a factor after '*', found {found!r}"
+        assert (err.value.line, err.value.col) == (1, column)
+    assert parse_polynomial("2*3x*y^2", ring) == parse_polynomial("6*x*y^2", ring)
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    # a tab and a carriage return are one column each
+    ("field QQ;\r\nvars x;\n\t\rideal z", "unknown variable 'z'", 3, 9),
+    ("field QQ; vars x;\nideal x^2,\t# then nothing\n# more\n\tz", "unknown variable 'z'", 4, 2),
+    # the end of input after a trailing comment sits where the comment starts
+    ("field QQ; vars x;\nideal x^2 +  # no term follows", "expected a term, found 'end of input'",
+     2, 14),
+    ("field QQ; vars x;\nideal x^2 +", "expected a term, found 'end of input'", 2, 12),
+    ("field QQ; vars \u00e9\u00df x\u00b2;\nideal \u00e9^\u0663 + x\u00b2 + \u00b2",
+     "unexpected character '\u00b2'", 2, 18),
+])
+def test_error_positions_count_characters_from_the_line_start(text, message, line, column):
+    for parse in (parse_presentation, parse_presentation_reference):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.line, err.value.col) == (message, line, column)
+
+
+def test_unicode_letters_and_digits_read_as_the_reference_reads_them():
+    ring, gens = parse_presentation("field QQ; vars \u00e9 \u00df1; ideal \u00e9^\u0663 - \u00df1^2")
+    assert ring.names == ("\u00e9", "\u00df1")
+    assert gens[0] == ring.var(0) ** 3 - ring.var(1) ** 2

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra,
                       associated_graded, build_algebra, connected_sum, fibre_product,
-                      gls_split, iarrobino, linalg,
+                      gls_split, iarrobino, is_gls, linalg,
                       modulo_socle, parse_polynomial, parse_presentation, structure_decompose)
 from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              NotZeroDimensionalError, ParseError, ResourceGuardError,
                              UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
-from artinsum import _kernels, quotient
+from artinsum import _kernels, graded, quotient, sums
 from artinsum.quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
                                square_zero_algebra, subalgebra)
 from artinsum.sums import _apolar_classes
@@ -328,7 +328,7 @@ def test_same_presentation_agrees_with_comparing_reduced_bases(field):
         try:
             A = algebra_from_text(text)
         except (ParseError, NotLocalError):
-            # the goldens of rejected input: two parse errors and a non-local ideal
+            # the goldens of rejected input: four parse errors and a non-local ideal
             continue
         algebras += [A, associated_graded(A)]
     for R, S in pair_corpus(3, seed=97, max_edim=2, max_ll=3, min_ll=2, field=field):
@@ -1091,6 +1091,59 @@ def test_forward_pass_classes_match_the_recursive_and_dense_classes(monkeypatch,
             assert handed == [oracles.subalgebra_classes_reference(Q, ring, images)]
             want = subalgebra_reference(Q, ring, images)
             assert got.same_presentation(want) and got.basis == want.basis
+
+
+@pytest.mark.parametrize("field", [GF(7), *FIELDS], ids=repr)
+def test_quotients_read_their_classes_in_one_forward_pass(monkeypatch, field):
+    # quotient_algebra forms each class up to s with one product, from its
+    # predecessor's, and gives degree s+1 class 0: the residues it hands
+    # kernel_algebra, for gr(A), Q0, A/soc A and the gls_split quotients, are
+    # the memoised recursion's, and the classes it keeps on A too
+    records = []
+    times, kernel = quotient._times, quotient.kernel_algebra
+    original = quotient.quotient_algebra
+
+    def counting(*args):
+        if records and records[-1]["residues"] is None:
+            records[-1]["products"] += 1
+        return times(*args)
+
+    def recording_quotient(A, targets):
+        records.append({"A": A, "targets": targets, "held": len(A._classes),
+                        "products": 0, "residues": None})
+        return original(A, targets)
+
+    def recording_kernel(ring, degree, classes):
+        if records and records[-1]["residues"] is None:
+            records[-1]["residues"] = classes
+        return kernel(ring, degree, classes)
+
+    for module, name, patch in ((quotient, "_times", counting),
+                                (quotient, "kernel_algebra", recording_kernel),
+                                (graded, "quotient_algebra", recording_quotient),
+                                (sums, "quotient_algebra", recording_quotient)):
+        monkeypatch.setattr(module, name, patch)
+    splits = 0
+    for A in _product_corpus(field):
+        if A.is_gorenstein() and A.length > 1:
+            modulo_socle(A)
+        G = associated_graded(A)
+        if G.loewy_length >= 2 and is_gls(G)[0]:
+            gls_split(G)
+            splits += 1
+    monkeypatch.undo()
+    assert splits and len(records) > 3 * splits
+    for record in records:
+        A = record["A"]
+        want, memo = oracles.quotient_residues_reference(A, record["targets"])
+        assert record["residues"] == want
+        assert all(is_canonical_row(row, field.char) for row in record["residues"])
+        monos = quotient._monomial_table(A.ring.nvars, A.loewy_length).monos
+        assert set(monos) <= set(A._classes)
+        assert all(A._classes[m] == memo[m] for m in monos)
+    # each class formed is one product; one pass forms every class its algebra lacked
+    assert all(r["products"] == len(r["A"]._classes) - r["held"] for r in records)
+    assert any(r["products"] for r in records)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -269,7 +269,7 @@ def test_mu_direct_matches_polynomial_products_on_golden_presentations():
         try:
             A = algebra_from_text(path.read_text())
         except (ParseError, NotLocalError):
-            # the goldens of rejected input: two parse errors and a non-local ideal
+            # the goldens of rejected input: four parse errors and a non-local ideal
             continue
         fields.add(str(A.field))
         assert mu_direct(A) == mu_direct_reference(A), path.name

@@ -17,7 +17,7 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
 from artinsum.poly import Polynomial
-from artinsum.quotient import kernel_algebra, quotient_algebra
+from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein, random_pair
@@ -248,6 +248,24 @@ def test_apolar_classes_take_one_derivative_per_monomial(monkeypatch, field):
         assert calls["derive"] == len(got_monos) - 1
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_apolar_classes_are_canonical_rows(field):
+    # kernel_algebra takes canonical rows: over QQ an int wherever an entry is
+    # integral, in F's own row and in every derivative, also where a
+    # fraction's derivative is integral (1/2*w1^2 gives w1)
+    dual = PolyRing(field, ("w1", "w2", "w3"))
+    ops = PolyRing(field, ("X1", "X2", "X3"))
+    rng = random.Random(131)
+    polys = [parse_polynomial(text, dual) for text in (
+        "3*w1^3 - 2*w1*w2^2 + w3^2", "1/2*w1^2*w2 + 2/3*w2^3 - 5/6*w1*w3 + 7*w3^4")]
+    polys += [random_dual_poly(rng, dual, degree) for degree in (2, 3, 4)]
+    for F in polys:
+        for row in _apolar_classes(F, ops)[1]:
+            want = _canonical(row, field.char)
+            assert [(k, x, type(x)) for k, x in row.items()] == \
+                [(k, x, type(x)) for k, x in want.items()]
+
+
 def test_apolar_sum_check_examples():
     ring_y = PolyRing(QQ, ("Y",))
     ring_z = PolyRing(QQ, ("Z",))
@@ -320,6 +338,19 @@ def test_sums_match_reference_on_unequal_loewy_lengths_and_edim_one(field):
         R = random_gorenstein(rng, m, lr, "Y", field)
         S = random_gorenstein(rng, n, ls, "Z", field)
         _assert_sums_match_reference(R, S)
+
+
+def test_sums_match_reference_where_lm_h_is_not_the_last_basis_element():
+    # over GF(7) some factors are not graded: their socle is a sum of standard
+    # monomials of lower degree than their last one, so lm h can sit below the
+    # top of P's basis, and the indices above it shift down
+    shifted = 0
+    for R, S in pair_corpus(2, seed=53, max_edim=3, max_ll=4, min_ll=2, field=GF(7)):
+        basis, _, (left, right) = sums._fibre_table(R, S)
+        lead = max(left[max(sums._socle_row(R))], right[max(sums._socle_row(S))])
+        shifted += lead < len(basis) - 1
+        _assert_sums_match_reference(R, S)
+    assert shifted
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
