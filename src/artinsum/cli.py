@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .decompose import certify_indecomposable, check_split, structure_decompose
+from .decompose import (certify_indecomposable, check_split, h2_bound_check,
+                        structure_decompose)
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NonPrimeModulusError, NotAnIdealError, NotGorensteinError,
                      NotLocalError, NotZeroDimensionalError, ParseError,
@@ -26,7 +27,6 @@ from .poly import PolyRing
 from .quotient import build_algebra
 from .resolution import betti_numbers, inverse_poincare, mu_from_betti, verify_cs_series
 from .sums import apolar_algebra, connected_sum, fibre_product
-from .decompose import h2_bound_check
 
 EXIT_CODES = (
     ((ParseError, NonPrimeModulusError), 2),
@@ -45,9 +45,22 @@ def _digest(text):
 
 
 def _load_algebra(path):
+    """The algebra of the presentation in a file, and the report's input block for it."""
     text = Path(path).read_text()
-    ring, gens = parse_presentation(text)
-    return build_algebra(ring, gens), text
+    return build_algebra(*parse_presentation(text)), {"path": str(path), "sha256": _digest(text)}
+
+
+def _load_pair(args):
+    """The algebras of `args.left` and `args.right`, and the report's input block for both."""
+    R, left = _load_algebra(args.left)
+    S, right = _load_algebra(args.right)
+    return R, S, {"left": left, "right": right}
+
+
+def _report(command, inputs, algebra, **fields):
+    """A schema-1 report of `command` on `inputs`, with the invariants of `algebra`."""
+    return {"schema": 1, "command": command, "input": inputs,
+            "invariants": _invariants_block(algebra), **fields}
 
 
 def _presentation_block(algebra):
@@ -71,6 +84,10 @@ def _invariants_block(algebra):
     }
 
 
+def _certificates(certs):
+    return [{"name": c.name, "detail": c.detail} for c in certs]
+
+
 def _print_invariants(inv, indent=""):
     print(f"{indent}length        {inv['length']}")
     print(f"{indent}edim          {inv['edim']}")
@@ -80,16 +97,8 @@ def _print_invariants(inv, indent=""):
     print(f"{indent}gorenstein    {'yes' if inv['gorenstein'] else 'no'}")
 
 
-def _emit(report, args):
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return
-    _render_human(report)
-
-
 def _render_human(report):
-    cmd = report["command"]
-    print(f"== {cmd} ==")
+    print(f"== {report['command']} ==")
     if "invariants" in report:
         _print_invariants(report["invariants"])
     if "classification" in report:
@@ -107,9 +116,8 @@ def _render_human(report):
     if "output" in report:
         print("output presentation:")
         print(report["output"]["source"], end="")
-    if "identities" in report:
-        for name, ok in report["identities"]:
-            print(f"identity {name}: {'ok' if ok else 'FAILED'}")
+    for name, ok in report.get("identities", []):
+        print(f"identity {name}: {'ok' if ok else 'FAILED'}")
     if "betti" in report:
         print(f"betti         {report['betti']}")
         print(f"1/P           {report['inverse_poincare']}")
@@ -117,49 +125,33 @@ def _render_human(report):
         print(f"status        {report['status']}")
         for cert in report.get("certificates", []):
             print(f"certificate   {cert['name']}: {cert['detail']}")
-        if report.get("components"):
-            for side, comp in zip(("left", "right"), report["components"]):
-                print(f"{side} component:")
-                for g in comp["reduced_basis"]:
-                    print(f"  {g}")
-        if report.get("reasons"):
-            for r in report["reasons"]:
-                print(f"reason        {r}")
-    if "files" in report:
-        for f in report["files"]:
-            print(f"-- {f['path']}")
-            _print_invariants(f["invariants"], indent="  ")
-
-
-def _write_output(args, text):
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        for side, comp in zip(("left", "right"), report.get("components", [])):
+            print(f"{side} component:")
+            for g in comp["reduced_basis"]:
+                print(f"  {g}")
+        for r in report.get("reasons", []):
+            print(f"reason        {r}")
+    for f in report.get("files", []):
+        print(f"-- {f['path']}")
+        _print_invariants(f["invariants"], indent="  ")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _analyze_one(path):
-    algebra, text = _load_algebra(path)
-    report = {
-        "schema": 1,
-        "command": "analyze",
-        "input": {"path": str(path), "sha256": _digest(text)},
-        "invariants": _invariants_block(algebra),
-        "presentation": _presentation_block(algebra),
-    }
+    algebra, inputs = _load_algebra(path)
     graded = associated_graded(algebra)
     block = _presentation_block(graded)
     if graded.loewy_length >= 2:
-        flag, witness = is_gls(graded)
-        block["gls"] = flag
-    report["graded"] = block
+        block["gls"] = is_gls(graded)[0]
+    report = _report("analyze", inputs, algebra,
+                     presentation=_presentation_block(algebra), graded=block)
     if algebra.is_gorenstein():
         kinds = classify(algebra)
         report["classification"] = {"short": kinds.short, "stretched": kinds.stretched,
                                     "compressed": kinds.compressed}
-        _, q0 = iarrobino(algebra)
-        report["iarrobino_hilbert"] = list(q0.hilbert_function())
+        report["iarrobino_hilbert"] = list(iarrobino(algebra)[1].hilbert_function())
     return report
 
 
@@ -196,14 +188,12 @@ def cmd_analyze(args):
             if isinstance(r, Exception):
                 raise _FileFailed(name, r)
         return {"schema": 1, "command": "analyze",
-                "files": [{"path": r["input"]["path"], "sha256": r["input"]["sha256"],
-                           "invariants": r["invariants"]} for r in reports]}
-    return _analyze_one(str(path))
+                "files": [{**r["input"], "invariants": r["invariants"]} for r in reports]}
+    return _analyze_one(path)
 
 
 def cmd_connect(args):
-    R, text_r = _load_algebra(args.left)
-    S, text_s = _load_algebra(args.right)
+    R, S, inputs = _load_pair(args)
     socle_left = parse_polynomial(args.socle_r, R.ring) if args.socle_r else None
     socle_right = parse_polynomial(args.socle_s, S.ring) if args.socle_s else None
     unit = R.field.coerce(parse_polynomial(args.unit, PolyRing(R.field, [])).constant_term()) \
@@ -219,52 +209,25 @@ def cmd_connect(args):
     if args.verify_series and not result.trivial:
         rep = verify_cs_series(R, S, Q, args.verify_series)
         identities.append([f"poincare-series-t{args.verify_series}", rep.holds])
-    report = {
-        "schema": 1,
-        "command": "connect",
-        "input": {"left": {"path": args.left, "sha256": _digest(text_r)},
-                  "right": {"path": args.right, "sha256": _digest(text_s)}},
-        "unit": R.field.format(result.unit),
-        "trivial": result.trivial,
-        "invariants": _invariants_block(Q),
-        "output": _presentation_block(Q),
-        "identities": identities,
-    }
-    _write_output(args, report["output"]["source"])
-    return report
+    return _report("connect", inputs, Q, unit=R.field.format(result.unit),
+                   trivial=result.trivial, output=_presentation_block(Q), identities=identities)
 
 
 def cmd_fibre(args):
-    R, text_r = _load_algebra(args.left)
-    S, text_s = _load_algebra(args.right)
+    R, S, inputs = _load_pair(args)
     result = fibre_product(R, S)
     P = result.algebra
     identities = [["length", P.length == R.length + S.length - 1 or result.trivial]]
     if not result.trivial:
         identities.append(["edim", P.hilbert_function()[1] == R.edim + S.edim])
         identities.append(["type", P.type == R.type + S.type])
-    report = {
-        "schema": 1,
-        "command": "fibre",
-        "input": {"left": {"path": args.left, "sha256": _digest(text_r)},
-                  "right": {"path": args.right, "sha256": _digest(text_s)}},
-        "trivial": result.trivial,
-        "invariants": _invariants_block(P),
-        "output": _presentation_block(P),
-        "identities": identities,
-    }
-    _write_output(args, report["output"]["source"])
-    return report
+    return _report("fibre", inputs, P, trivial=result.trivial,
+                   output=_presentation_block(P), identities=identities)
 
 
 def cmd_decompose(args):
-    Q, text = _load_algebra(args.path)
-    report = {
-        "schema": 1,
-        "command": "decompose",
-        "input": {"path": args.path, "sha256": _digest(text)},
-        "invariants": _invariants_block(Q),
-    }
+    Q, inputs = _load_algebra(args.path)
+    report = _report("decompose", inputs, Q)
     if args.partition:
         left, _, right = args.partition.partition("|")
         part = ([v.strip() for v in left.split(",") if v.strip()],
@@ -277,26 +240,18 @@ def cmd_decompose(args):
             report["components"] = [_presentation_block(result.left),
                                     _presentation_block(result.right)]
         return report
-    if args.structure:
-        result = structure_decompose(Q)
-    else:
+    if not args.structure:
         certs = certify_indecomposable(Q)
-        if certs:
-            report["status"] = "indecomposable-certified"
-            report["certificates"] = [{"name": c.name, "detail": c.detail} for c in certs]
+        if certs or Q.loewy_length < 3:
+            report["status"] = "indecomposable-certified" if certs else "inconclusive"
+            report["certificates"] = _certificates(certs)
             return report
-        if Q.loewy_length < 3:
-            report["status"] = "inconclusive"
-            report["certificates"] = []
-            return report
-        result = structure_decompose(Q)
+    result = structure_decompose(Q)
     report["status"] = result.status
     report["trivial"] = result.trivial
-    report["certificates"] = [{"name": c.name, "detail": c.detail}
-                              for c in result.certificates]
+    report["certificates"] = _certificates(result.certificates)
     if result.components:
-        report["components"] = [_presentation_block(result.components[0]),
-                                _presentation_block(result.components[1])]
+        report["components"] = [_presentation_block(c) for c in result.components]
         report["unit"] = Q.field.format(result.unit)
     if result.coordinate_change:
         report["coordinate_change"] = result.coordinate_change
@@ -310,33 +265,18 @@ def cmd_apolar(args):
     dual = PolyRing(field, parse_names(" ".join(args.dual_vars)))
     F = parse_polynomial(args.poly, dual)
     A = apolar_algebra(F, parse_names(" ".join(args.ops)) if args.ops else None)
-    report = {
-        "schema": 1,
-        "command": "apolar",
-        "input": {"poly": args.poly, "dual_vars": list(args.dual_vars),
-                  "field": field.name, "sha256": _digest(args.poly)},
-        "invariants": _invariants_block(A),
-        "output": _presentation_block(A),
-    }
-    _write_output(args, report["output"]["source"])
-    return report
+    inputs = {"poly": args.poly, "dual_vars": list(args.dual_vars), "field": field.name,
+              "sha256": _digest(args.poly)}
+    return _report("apolar", inputs, A, output=_presentation_block(A))
 
 
 def cmd_betti(args):
-    A, text = _load_algebra(args.path)
+    A, inputs = _load_algebra(args.path)
     data = betti_numbers(A, args.max)
-    report = {
-        "schema": 1,
-        "command": "betti",
-        "input": {"path": args.path, "sha256": _digest(text)},
-        "invariants": _invariants_block(A),
-        "betti": list(data.betti),
-        "deviations": {"eps1": data.eps1, "eps2": data.eps2},
-        "mu_defining_ideal": mu_from_betti(A, data),
-        "poincare": repr(data.poincare()),
-        "inverse_poincare": repr(inverse_poincare(A, args.max)),
-    }
-    return report
+    return _report("betti", inputs, A, betti=list(data.betti),
+                   deviations={"eps1": data.eps1, "eps2": data.eps2},
+                   mu_defining_ideal=mu_from_betti(A, data), poincare=repr(data.poincare()),
+                   inverse_poincare=repr(inverse_poincare(A, args.max)))
 
 
 def build_parser():
@@ -404,12 +344,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
+        if getattr(args, "output", None):
+            Path(args.output).write_text(report["output"]["source"])
     except _FileFailed as failed:
         return _fail(failed.error, f"{failed.path}: ")
     except (ArtinsumError, OSError, UnicodeDecodeError) as exc:
         return _fail(exc)
     try:
-        _emit(report, args)
+        if args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            _render_human(report)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early: what is still buffered goes to

@@ -26,26 +26,25 @@ is made.  Pairs wait in a heap under that key, so each step pops the
 smallest pending pair without rescanning the others; a set of the pending
 pairs answers the chain criterion's membership test.  `normal_form` accepts
 the leading terms precomputed, and `IdealPresentation` keeps them beside
-its cached basis.  The degree guard's one setting is `ARTINSUM_MAX_DEGREE`.
+its cached basis.  The degree guard is the module constant `MAX_DEGREE`,
+read where it trips, so a program that imports the library may set it.
 """
 
 import heapq
-import os
 from functools import cached_property
 
 from .errors import ResourceGuardError, RingMismatchError
 from .poly import Polynomial, mono_coprime, mono_deg, mono_div, mono_lcm, mono_mul
 
-
-def degree_guard():
-    """Total-degree cap for intermediate polynomials: `ARTINSUM_MAX_DEGREE`, else 64."""
-    return int(os.environ.get("ARTINSUM_MAX_DEGREE") or 64)
+# the total-degree cap for intermediate polynomials
+MAX_DEGREE = 64
 
 
-def _check_degree(poly, cap):
+def _check_degree(poly):
     degree = poly.total_degree()
-    if degree > cap:
-        raise ResourceGuardError("max_degree", cap, degree, "intermediate polynomial degree")
+    if degree > MAX_DEGREE:
+        raise ResourceGuardError("max_degree", MAX_DEGREE, degree,
+                                 "intermediate polynomial degree")
 
 
 def normal_form(f, basis, leads=None):
@@ -57,7 +56,6 @@ def normal_form(f, basis, leads=None):
     here otherwise.
     """
     ring = f.ring
-    cap = degree_guard()
     for g in basis:
         if g.ring != ring:
             raise RingMismatchError("normal form arguments in different rings")
@@ -79,8 +77,8 @@ def normal_form(f, basis, leads=None):
                     if gm == lm:
                         continue
                     key = mono_mul(q, gm)
-                    if mono_deg(key) > cap:
-                        raise ResourceGuardError("max_degree", cap, mono_deg(key),
+                    if mono_deg(key) > MAX_DEGREE:
+                        raise ResourceGuardError("max_degree", MAX_DEGREE, mono_deg(key),
                                                  "reduction term degree")
                     s = fld.sub(work.get(key, fld.zero), fld.mul(factor, gc))
                     if s == fld.zero:
@@ -127,7 +125,6 @@ def _interreduce(basis, leads):
 
 def buchberger(generators):
     """The unique reduced Groebner basis of the given generators."""
-    cap = degree_guard()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
@@ -147,7 +144,7 @@ def buchberger(generators):
         leads.append(lead)
 
     for g in gens:
-        _check_degree(g, cap)
+        _check_degree(g)
         add(g.monic())
     while queue:
         _, _, (i, j), lcm = heapq.heappop(queue)
@@ -164,7 +161,7 @@ def buchberger(generators):
         s = s_polynomial(basis[i], basis[j])
         r = normal_form(s, basis, leads=leads)
         if not r.is_zero():
-            _check_degree(r, cap)
+            _check_degree(r)
             add(r.monic())
     return _interreduce(*_minimalize(basis, leads))
 
@@ -215,33 +212,24 @@ class IdealPresentation:
         return True
 
     def standard_monomials(self):
-        """All monomials outside the leading-term ideal, sorted ascending."""
+        """The monomials outside the leading-term ideal, ascending; None if not zero-dimensional.
+
+        They form an order ideal, so the walk goes up from 1 one degree at a
+        time: each degree's are the variable multiples of the previous
+        degree's that no leading monomial divides.  A monomial is reached
+        once, from the one with its last variable lowered, so each carries
+        the index of the variable last raised and only that and later ones
+        are raised.  Grevlex is graded, so sorting each degree sorts the list.
+        """
         if not self.is_zero_dimensional():
             return None
-        if self.is_unit_ideal():
-            return []
         leads = self.leading_monomials()
         n = self.ring.nvars
-        if n == 0:
-            return [()]
-        bounds = []
-        for i in range(n):
-            powers = [m[i] for m in leads
-                      if m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i)]
-            bounds.append(min(powers))
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == n:
-                m = tuple(prefix)
-                if all(mono_div(m, lm) is None for lm in leads):
-                    out.append(m)
-                return
-            for e in range(bounds[len(prefix)]):
-                rec(prefix + [e])
-
-        rec([])
-        out.sort(key=self.ring.order.key)
+        out, layer = [], [((0,) * n, 0)]
+        while layer:
+            layer = [(m, s) for m, s in layer if all(mono_div(m, lm) is None for lm in leads)]
+            out += sorted((m for m, _ in layer), key=self.ring.order.key)
+            layer = [(m[:i] + (m[i] + 1,) + m[i + 1:], i) for m, s in layer for i in range(s, n)]
         return out
 
     def __eq__(self, other):

@@ -15,9 +15,10 @@ against m times the kernel, the block-order elimination that contracted
 an ideal to the ring on a subset of its variables, the fibre products
 and connected sums built by Buchberger and normal forms from their
 generator lists, classes of polynomials by normal forms, quotients and the
-linear-socle split built by Buchberger on generator lists, the ideal
-spanned by elements grown by m*W until it stops growing, the m-adic
-filtration as m*W repeated from the whole algebra, and the
+linear-socle split built by Buchberger on generator lists, the standard
+monomials found by testing every point of the box that the pure powers
+bound, the ideal spanned by elements grown by m*W until it stops growing,
+the m-adic filtration as m*W repeated from the whole algebra, and the
 cross-product test of a coordinate split by ideal membership, the two
 ranks that counted the minimal generators of an ideal and the count from
 `Polynomial` products of the reduced basis, and the graded socle taken as
@@ -58,13 +59,13 @@ from math import gcd, lcm
 
 import numpy as np
 
-from artinsum import _kernels, linalg
+from artinsum import _kernels, grobner, linalg
 from artinsum.errors import (ArtinsumError, NotLocalError, NotZeroDimensionalError,
                              UnitIdealError)
 from artinsum.errors import NonPrimeModulusError, ParseError, PreconditionError, ResourceGuardError
 from artinsum.fields import GF, QQ
 from artinsum.graded import GlsSplit, _linear_form, is_gls
-from artinsum.grobner import IdealPresentation, _check_degree, degree_guard
+from artinsum.grobner import IdealPresentation, _check_degree
 from artinsum.graded import _homogeneous
 from artinsum.poly import (Polynomial, PolyRing, mono_coprime, mono_deg, mono_div, mono_lcm,
                            mono_mul)
@@ -477,7 +478,7 @@ def normal_form_reference(f, basis, order):
     Under an order that is not graded a reduction can raise the degree, so
     every new term is held to the degree guard, as `grobner.normal_form` does.
     """
-    cap = degree_guard()
+    cap = grobner.MAX_DEGREE
     fld = f.ring.field
     leads = [leading_reference(g, order) for g in basis]
     remainder = {}
@@ -545,15 +546,14 @@ def buchberger_reference(generators, order):
     Recomputes leading terms wherever it needs them and picks the next pair
     with `min` over the pending set; under Grevlex `grobner.buchberger` must
     return the same basis, and under `Block` it is the elimination that
-    `contract_reference` runs.  The degree guard is `grobner.degree_guard`.
+    `contract_reference` runs.  The degree guard is `grobner.MAX_DEGREE`.
     """
-    cap = degree_guard()
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
     basis = []
     for g in gens:
-        _check_degree(g, cap)
+        _check_degree(g)
         basis.append(monic_reference(g, order))
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
@@ -587,11 +587,47 @@ def buchberger_reference(generators, order):
         s = s_polynomial_reference(basis[i], basis[j], order)
         r = normal_form_reference(s, basis, order)
         if not r.is_zero():
-            _check_degree(r, cap)
+            _check_degree(r)
             basis.append(monic_reference(r, order))
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
     return _interreduce_reference(_minimalize_reference(basis, order), order)
+
+
+def standard_monomials_reference(pres):
+    """The standard monomials of `pres` as `IdealPresentation.standard_monomials` gives them.
+
+    Enumerates the box that the pure powers among the leading monomials
+    bound and keeps each point that no leading monomial divides; the
+    library walks the order ideal up from 1 instead.
+    """
+    if not pres.is_zero_dimensional():
+        return None
+    if pres.is_unit_ideal():
+        return []
+    leads = pres.leading_monomials()
+    n = pres.ring.nvars
+    if n == 0:
+        return [()]
+    bounds = []
+    for i in range(n):
+        powers = [m[i] for m in leads
+                  if m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i)]
+        bounds.append(min(powers))
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == n:
+            m = tuple(prefix)
+            if all(mono_div(m, lm) is None for lm in leads):
+                out.append(m)
+            return
+        for e in range(bounds[len(prefix)]):
+            rec(prefix + [e])
+
+    rec([])
+    out.sort(key=pres.ring.order.key)
+    return out
 
 
 def algebra_ideal(A):

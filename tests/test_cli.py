@@ -1,6 +1,7 @@
 """Golden schema-1 JSON reports of the CLI, compared byte for byte."""
 
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -156,6 +157,27 @@ def test_qq_decompose_of_a_written_quartic_is_golden(tmp_path, monkeypatch, caps
     capsys.readouterr()
     assert main(["decompose", "quartic_qq.txt", "--json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "decompose_quartic_qq.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "qq_left.txt", "qq_right.txt", "--unit", "2/3"],
+    ["fibre", "gf_left.txt", "gf_right.txt"],
+    ["apolar", "--poly", "1/2*w1^3 + w1*w2^2 - 2/3*w2^3", "--dual-vars", "w1", "w2"],
+], ids=["connect", "fibre", "apolar"])
+def test_output_file_holds_the_reported_presentation(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    written = tmp_path / "out.txt"
+    assert main(argv + ["--json", "-o", str(written)]) == 0
+    assert written.read_text() == json.loads(capsys.readouterr().out)["output"]["source"]
+
+
+def test_output_into_a_missing_directory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    target = tmp_path / "missing" / "out.txt"
+    assert main(["fibre", "gf_left.txt", "gf_right.txt", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.parent.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def _assert_gf_betti_of_written_sum_is_golden(prefix, name, capsys):
@@ -433,6 +455,20 @@ def test_package_loads_each_submodule_on_first_use():
         print("ok")
         """))
     assert run.returncode == 0 and run.stdout == "ok\n", run.stderr
+
+
+def test_library_reads_no_environment():
+    # every setting of the library is an argument or a module constant, so
+    # a stray environment variable can neither change a result nor crash a run;
+    # an attribute, a name and an imported name are each caught
+    reads = []
+    for path in sorted((SRC / "artinsum").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) \
+                or getattr(node, "name", None)
+            if name in ("environ", "environb", "getenv", "getenvb"):
+                reads.append((path.name, node.lineno, name))
+    assert reads == []
 
 
 def test_no_function_imports_a_library_module():

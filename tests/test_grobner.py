@@ -1,6 +1,5 @@
 """Groebner engine: golden bases, normal forms, kernel presentations, zero-dimensionality."""
 
-import os
 import pickle
 import random
 from fractions import Fraction
@@ -28,7 +27,7 @@ from oracles import (Block, algebra_ideal, buchberger_reference,
                      classes_matrix, cross_products_outside_reference,
                      fibre_product_reference, gls_split_reference, ideal_member,
                      left_kernel_reference, right_kernel_reference, same_ideal, sparse_rows,
-                     subring_quotient_dimension, support_vars)
+                     standard_monomials_reference, subring_quotient_dimension, support_vars)
 
 # GF(1048573) is the largest prime below MAX_PRIME
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -202,7 +201,7 @@ def test_contraction_soundness_and_completeness():
 
 def test_degree_guard_trips(monkeypatch):
     I = ideal_of("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3")
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "2")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 2)
     with pytest.raises(ResourceGuardError) as info:
         I.groebner_basis()
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 2, 3)
@@ -212,7 +211,7 @@ def test_degree_guard_trips(monkeypatch):
 def test_degree_guard_trips_on_a_new_basis_element(monkeypatch):
     # both inputs have degree 3; the reduced basis gains Y^4 - X^2
     text = "field QQ; vars X Y; ideal X^2*Y - Y^2, X*Y^2 - X^2"
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "3")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 3)
     with pytest.raises(ResourceGuardError) as info:
         ideal_of(text).groebner_basis()
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 3, 4)
@@ -220,7 +219,7 @@ def test_degree_guard_trips_on_a_new_basis_element(monkeypatch):
     with pytest.raises(ResourceGuardError) as ref:
         buchberger_reference(list(ideal_of(text).generators), ideal_of(text).ring.order)
     assert ref.value.value == 4
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "4")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 4)
     assert ideal_of(text).groebner_basis()
 
 
@@ -228,12 +227,12 @@ def test_degree_guard_trips_inside_a_reduction(monkeypatch):
     # X -> Y carries X^6 through X^5*Y, of degree 6, to Y^6
     ring = PolyRing(QQ, ("X", "Y"))
     x, y = ring.gens()
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "5")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 5)
     with pytest.raises(ResourceGuardError) as info:
         normal_form(x ** 6, [x - y])
     assert (info.value.guard, info.value.limit, info.value.value) == ("max_degree", 5, 6)
     assert str(info.value) == "reduction term degree 6 exceeds the max_degree guard of 5"
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "6")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 6)
     assert normal_form(x ** 6, [x - y]) == y ** 6
 
 
@@ -266,7 +265,7 @@ def test_resource_guard_error_survives_pickling():
 def test_cli_exit_code_for_a_tripped_guard(tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.txt"
     path.write_text("field QQ; vars Y Z; ideal Y*Z, Z^2-Y^3")
-    monkeypatch.setenv("ARTINSUM_MAX_DEGREE", "2")
+    monkeypatch.setattr(grobner, "MAX_DEGREE", 2)
     assert main(["analyze", str(path)]) == 7
     assert "exceeds the max_degree guard of 2" in capsys.readouterr().err
 
@@ -332,8 +331,46 @@ def generator_sets(draw):
 @given(generator_sets())
 def test_buchberger_matches_reference_on_hypothesis_inputs(case):
     gens, probes = case
-    with mock.patch.dict(os.environ, {"ARTINSUM_MAX_DEGREE": "12"}):
+    with mock.patch.object(grobner, "MAX_DEGREE", 12):
         _assert_matches_reference(gens, probes)
+
+
+# -- standard monomials: the order-ideal walk against the box enumeration ----
+
+def _assert_walk_matches_box(pres):
+    walk = pres.standard_monomials()
+    assert walk == standard_monomials_reference(pres)
+    return walk
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(1048573)], ids=repr)
+def test_standard_monomials_walk_matches_box_on_corpus_bases(field):
+    # the factors, their connected sum and their fibre product: the sums'
+    # bases lead with the cross products, which are not pure powers
+    for R, S in pair_corpus(3, seed=5, max_edim=2, max_ll=4, field=field):
+        for A in (R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra):
+            assert tuple(_assert_walk_matches_box(algebra_ideal(A))) == A.basis
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generator_sets())
+def test_standard_monomials_walk_matches_box_on_hypothesis_inputs(case):
+    gens, _ = case
+    with mock.patch.object(grobner, "MAX_DEGREE", 12):
+        _assert_walk_matches_box(IdealPresentation(gens[0].ring, gens))
+
+
+def test_standard_monomials_walk_matches_box_on_edge_ideals():
+    point = PolyRing(QQ, ())
+    ring = PolyRing(QQ, ("X", "Y"))
+    x, y = ring.gens()
+    # X^40, Y^40, X*Y: a box of 1,600 points around 79 standard monomials
+    skewed = [(0, 0)] + [m for d in range(1, 40) for m in ((0, d), (d, 0))]
+    for pres, expected in [(IdealPresentation(point, []), [()]),
+                           (IdealPresentation(point, [point.one]), []),
+                           (IdealPresentation(ring, [x * y]), None),
+                           (IdealPresentation(ring, [x ** 40, y ** 40, x * y]), skewed)]:
+        assert _assert_walk_matches_box(pres) == expected
 
 
 def test_ideal_membership_oracle_is_two_sided():
