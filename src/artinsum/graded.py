@@ -32,10 +32,10 @@ def _homogeneous(A):
     Each element of the basis is m minus the lift of its class, and each
     class is a chain of products by the variables, so the basis is
     homogeneous exactly when every product e_l * x_v of `times_table` has
-    degree deg e_l + 1; the basis itself is not built.
+    degree deg e_l + 1; the filtration tests that once, when the algebra is
+    made (`A.homogeneous`), and the basis itself is not built.
     """
-    deg = [mono_deg(m) for m in A.basis]
-    if any(deg[j] != deg[l] + 1 for l, entry in enumerate(A.times_table) for _, j, _ in entry):
+    if not A.homogeneous:
         raise ArtinsumError("graded algebra built from a non-homogeneous presentation")
     return A
 

@@ -201,15 +201,12 @@ class IdealPresentation:
         return [lm for lm, _ in self._leads]
 
     def is_zero_dimensional(self):
-        """True iff every variable has a pure power among the leading terms."""
-        if self.ring.nvars == 0:
-            return True
+        """True iff every variable has a pure power among the leading terms, 1 = x^0 included.
+
+        The unit ideal, whose one leading term is 1, has no standard monomial.
+        """
         leads = self.leading_monomials()
-        for i in range(self.ring.nvars):
-            if not any(m[i] > 0 and all(e == 0 for k, e in enumerate(m) if k != i)
-                       for m in leads):
-                return False
-        return True
+        return all(any(not any(m[:i] + m[i + 1:]) for m in leads) for i in range(self.ring.nvars))
 
     def standard_monomials(self):
         """The monomials outside the leading-term ideal, ascending; None if not zero-dimensional.

@@ -13,19 +13,18 @@ Elements are coefficient vectors over the standard-monomial basis
 (ascending Grevlex order), held as dict rows from column to nonzero
 scalar, at every entry point too: rows a caller passes in go through one
 check of their columns and scalars (`_checked_rows`).  The structure
-table lists the products of the basis elements and is gathered from a
-table of monomial classes.  Every product is one pass over dict rows
-against a sparse product table (`_times`): the algebra's
-`times_table`, the products by the variables, read off the variables'
-entries of the structure table (`struct_table`), for m*W, for the classes
-of monomials and for the resolution, or the table of any elements
+table lists the products of the basis elements.  Every product is one
+pass over dict rows against a sparse product table (`_times`): the
+algebra's `times_table`, the products by the variables, for m*W, for the
+classes of monomials and for the resolution, or the table of any elements
 (`product_table`, gathered from the structure table) for products by
 elements and annihilators.  Over GF(p) every such walk reduces each entry
 mod p as it accumulates, so its rows are canonical when they are made.
 The powers of m are read off the
 degrees of the standard monomials: the unit rows of those of degree >= i
-lie in m^i, so only the products of m^(i-1) by the variables that fall
-below degree i are echeloned.  Only parsed generator lists take the class
+lie in m^i, so a graded algebra's powers are those suffixes, and otherwise
+only the products of m^(i-1) by the variables that fall below degree i
+are echeloned.  Only parsed generator lists take the class
 table from Buchberger and normal forms (`build_algebra`), on the variables
 that lead no linear element of their reduced basis; text that is not
 minimal is then taken as the subalgebra its variables generate.  Every
@@ -41,9 +40,12 @@ forward pass (`_table_classes`); the left kernel of the
 classes is the reduced echelon basis of the truncated ideal
 (`kernel_algebra`): dict rows keyed by their lead column, from which
 `_read_echelon` reads the standard monomials and the class of every
-monomial, walking the columns in order.  A quotient, gr(A) and Q0
-included, takes the classes modulo one subspace per degree
-(`quotient_algebra`).
+monomial, walking the columns in order.  The algebra keeps those classes:
+its `times_table` is looked up in them, and its structure table is
+gathered from them only when it is first read.  Fibre products, connected
+sums and parsed presentations pass their structure table instead.  A
+quotient, gr(A) and Q0 included, takes the classes modulo one subspace per
+degree (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
 eliminated by the same rule: the algebra is the kernel of the classes of
 the monomials in the kept variables, and each eliminated variable's image
@@ -137,31 +139,57 @@ class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
     `basis` holds the standard monomials under Grevlex, ascending, 1
-    first, and every variable among them.  Entry l of `struct_table`, the
-    one multiplication data, lists the triples (k, j, c)
+    first, and every variable among them.  Entry l of `struct_table`
+    lists the triples (k, j, c)
     with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
     over GF(p), and over QQ an int exactly where it is integral.  It is
-    symmetric, so entry k also lists the products of e_k by each e_l.  The
-    products by the variables are gathered from it into `times_table`.
-    Elements are dict rows over the basis: the class of a monomial is made
-    when it is first read, its predecessor's times one variable, along with
-    the classes missing on its predecessor chain (`monomial_row`), and
-    `element_row` gives the class of a polynomial.  `gb`, the reduced
-    Groebner basis of the ideal under Grevlex, ascending, is read off those
-    classes on its first read; the table, the filtration and the
-    constructors' identity checks are made without it.  An algebra
-    presented on fewer variables than `original_ring` keeps the
-    substitution onto its ring as `reduction`, (ring, images).
+    symmetric, so entry k also lists the products of e_k by each e_l.
+    Entry l of `times_table` lists the triples (v, j, c) with
+    e_l * x_v = sum of c*e_j, grouped by v in increasing order, as
+    `product_table` lists its elements' products; the filtration walks it
+    with the product terms at high columns skipped (`_times_below`).
+
+    An algebra is given by `table`, its structure table, from whose
+    variables' entries `times_table` is gathered; or, when it is a kernel,
+    by `classes`, the class of every monomial of its ring up to a degree D
+    with m^D in its ideal, each listing its columns in increasing order.
+    They are kept as the algebra's classes, `times_table` is looked up in
+    them, and `struct_table` is gathered from them on its first read.
+    Elements are dict rows over the basis: the class of a monomial not held
+    yet is made when it is first read, its predecessor's times one
+    variable, along with the classes missing on its predecessor chain
+    (`monomial_row`), and `element_row` gives the class of a polynomial.
+    `gb`, the reduced Groebner basis of the ideal under Grevlex, ascending,
+    is read off those classes on its first read; the tables, the filtration
+    and the constructors' identity checks are made without it.
+    `homogeneous` tells whether that basis is made of forms, the algebra
+    graded.  An algebra presented on fewer variables than `original_ring`
+    keeps the substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, basis, table):
+    def __init__(self, ring, basis, table=None, classes=None):
         self.ring = ring
         self.field = ring.field
         self.original_ring = ring
         self.reduction = None
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
-        self.struct_table = table
+        n = ring.nvars
+        if table is None:
+            # a standard monomial has degree below D, so each b*x_v has a class
+            self._classes = classes
+            self.times_table = [
+                [(v, j, c) for v in range(n)
+                 for j, c in classes[b[:v] + (b[v] + 1,) + b[v + 1:]].items()]
+                for b in self.basis]
+        else:
+            self.struct_table = table
+            # the entries of the variables' rows list the products by them
+            self.times_table = [[] for _ in self.basis]
+            for v in range(n):
+                unit = tuple(int(i == v) for i in range(n))
+                for l, j, c in table[self.basis_index[unit]]:
+                    self.times_table[l].append((v, j, c))
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
@@ -221,23 +249,18 @@ class ArtinAlgebra:
         return table
 
     @cached_property
-    def times_table(self):
-        """Entry l lists the triples (v, j, c) with e_l * x_v = sum of c*e_j, by v.
+    def struct_table(self):
+        """The products of the basis elements, gathered from the classes on the first read.
 
-        The filtration builds it, so it is made once per algebra; it is
-        walked there with the product terms at high columns skipped
-        (`_times_below`).  Every variable is a basis element, and the
-        entries of its `struct_table` row list those products in this
-        order, so the table is gathered from them.  Like `product_table`, an
-        entry lists its triples grouped by variable, in increasing v.
+        Only a kernel comes here; every other constructor passes its table.
+        The class of e_a * e_b is that of the monomial a*b, and a monomial
+        of degree D or more, absent from the classes, has class 0.  Each
+        class lists its columns in increasing order, so an entry is sorted.
         """
-        n = self.ring.nvars
-        table = [[] for _ in range(self.length)]
-        for v in range(n):
-            unit = tuple(int(i == v) for i in range(n))
-            for l, j, c in self.struct_table[self.basis_index[unit]]:
-                table[l].append((v, j, c))
-        return table
+        classes = self._classes
+        return [[(k, j, c) for k, b in enumerate(self.basis)
+                 for j, c in classes.get(tuple(map(add, a, b)), {}).items()]
+                for a in self.basis]
 
     @cached_property
     def _variable_tables(self):
@@ -250,14 +273,24 @@ class ArtinAlgebra:
 
         For i >= 1 a standard monomial of degree >= i is a product of i
         variables, so its unit row lies in m^i and is a row of that basis;
-        the basis is ascending, so those columns are a suffix.  The other
-        rows are the reduced echelon basis of the products of m^(i-1) by the
+        the basis is ascending, so those columns are a suffix.  The algebra
+        is graded, its reduced basis homogeneous (`homogeneous`), exactly
+        when every product e_l * x_v of `times_table` has degree
+        deg e_l + 1, and then m^i is that suffix.  Otherwise the other rows
+        are the reduced echelon basis of the products of m^(i-1) by the
         variables, restricted to the columns of degree < i (`_times_below`).
         """
         lam, p = self.length, self.field.char
+        deg = [mono_deg(m) for m in self.basis]
+        self.homogeneous = all(deg[j] == deg[l] + 1
+                               for l, entry in enumerate(self.times_table) for _, j, _ in entry)
+        if self.homogeneous:
+            self.filtration = [Subspace(self, {c: {c: 1} for c in range(bisect_left(deg, i), lam)})
+                               for i in range(deg[-1] + 2)]
+            return
 
         def power(i, prev):
-            top = bisect_left(self.basis, i, key=mono_deg)
+            top = bisect_left(deg, i)
             rows = _kernels.basis(_times_below(prev.basis.values(), self.times_table, top, p), p)
             rows.update((c, {c: 1}) for c in range(top, lam))
             return Subspace(self, rows)
@@ -319,7 +352,11 @@ class ArtinAlgebra:
 
     @cached_property
     def _classes(self):
-        """The classes formed so far, by monomial: the class e_0 of 1, and each one read since."""
+        """The classes formed so far, by monomial: the class e_0 of 1, and each one read since.
+
+        A kernel holds the class of every monomial up to its degree D from
+        the start.
+        """
         return {(0,) * self.ring.nvars: {0: 1}}
 
     def monomial_row(self, mono):
@@ -367,11 +404,18 @@ class ArtinAlgebra:
         """The elements w with w*e = 0 for every product table entry: the table's left kernel.
 
         Row l holds the coefficient of e_j in e_l * element v at column
-        v*lambda + j.
+        v*lambda + j.  The rows are taken last first: the left kernel's row
+        at a free row f is one there and zero at the other free rows, and
+        its other entries lie at pivot rows before f, so back in the basis
+        order each kernel row is one at its least column and zero at the
+        other kernel rows' least columns, the reduced echelon basis.
         """
         lam, p = self.length, self.field.char
-        rows = [{v * lam + j: c for v, j, c in entry} for entry in table]
-        return Subspace(self, _kernels.basis(_kernels.left_kernel(rows, p).values(), p))
+        last = lam - 1
+        rows = [{v * lam + j: c for v, j, c in entry} for entry in reversed(table)]
+        kernel = _kernels.left_kernel(rows, p)
+        return Subspace(self, {last - f: {last - k: x for k, x in row.items()}
+                               for f, row in reversed(kernel.items())})
 
     def ideal_span(self, rows):
         """Smallest ideal containing the given elements, dict rows: their products by the basis."""
@@ -601,7 +645,8 @@ def _read_echelon(ring, monos, rows):
     each row is one at its lead, which is its largest monomial, and zero at
     the other leads, so the leads are the leading monomials of I up to
     degree D.  The columns that lead no row are the standard monomials, and
-    the class of a lead is minus its row's tail.
+    the class of a lead is minus its row's tail, its columns in increasing
+    order, as `ArtinAlgebra` takes classes.
     """
     p = ring.field.char
     top = mono_deg(monos[-1])
@@ -613,7 +658,8 @@ def _read_echelon(ring, monos, rows):
     index = {c: i for i, c in enumerate(standard)}
     classes = {monos[c]: {i: 1} for i, c in enumerate(standard)}
     for c, row in rows.items():
-        classes[monos[c]] = {index[k]: (-x) % p if p else -x for k, x in row.items() if k != c}
+        classes[monos[c]] = {index[k]: (-x) % p if p else -x for k, x in sorted(row.items())
+                             if k != c}
     return [monos[c] for c in standard], classes
 
 
@@ -637,7 +683,8 @@ def kernel_algebra(ring, degree, classes):
     so in the left kernel of those followed by the eliminated variables'
     classes each eliminated variable is a free row, one at the variable
     and minus its image at the standard monomials.  One reduction step
-    carries the given ring to the kept one.
+    carries the given ring to the kept one.  The algebra keeps the classes
+    that `_read_echelon` reads, and its tables are read off them.
     """
     if len(classes) > MAX_ECHELON_DIM:
         raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, len(classes),
@@ -649,7 +696,8 @@ def kernel_algebra(ring, degree, classes):
     linear = [part for row in rows.values()
               if (part := {monos[k].index(1): x for k, x in row.items() if 0 < k <= ring.nvars})]
     if not linear:
-        return _table_algebra(ring, *_read_echelon(ring, monos, rows))
+        basis, kept_classes = _read_echelon(ring, monos, rows)
+        return ArtinAlgebra(ring, basis, classes=kept_classes)
     elim = sorted(_kernels.echelon(linear, p))
     keep = [v for v in range(ring.nvars) if v not in elim]
     sub = PolyRing(ring.field, [ring.names[v] for v in keep])
@@ -751,10 +799,19 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal.
     """
-    tables = [Q.product_table([Q.element_row(f)]) for f in images]
+    tables = [_image_table(Q, Q.element_row(f)) for f in images]
     s, n = Q.loewy_length, new_ring.nvars
     _, classes = _table_classes({(0,) * n: {0: 1}}, n, s, tables, Q.length, Q.field.char)
     return kernel_algebra(new_ring, s + 1, classes)
+
+
+def _image_table(Q, row):
+    """The products of Q's basis by the element `row`: Q's own table when it is a variable."""
+    if len(row) == 1:
+        ((k, c),) = row.items()
+        if c == 1 and mono_deg(Q.basis[k]) == 1:
+            return Q._variable_tables[Q.basis[k].index(1)]
+    return Q.product_table([row])
 
 
 def presentation_in_coordinates(Q, new_ring, images):
@@ -803,6 +860,7 @@ def quotient_algebra(A, targets):
 
 
 def square_zero_algebra(ring):
-    """k[ring]/m^2: 1 and the variables are independent, and every quadric is zero."""
-    count = len(_monomial_table(ring.nvars, 2).monos)
-    return kernel_algebra(ring, 2, [{j: 1} if j <= ring.nvars else {} for j in range(count)])
+    """k[ring]/m^2: the basis is 1 and the variables, and every product of two variables is 0."""
+    basis = _monomial_table(ring.nvars, 1).monos
+    return ArtinAlgebra(ring, basis, [[(k, k, 1) for k in range(len(basis))]]
+                        + [[(0, l, 1)] for l in range(1, len(basis))])

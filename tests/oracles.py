@@ -50,7 +50,10 @@ was when it sorted its monomials by their Grevlex keys and looked the
 products of basis elements up by `mono_mul`.  The references that build
 an algebra (`build_algebra_reference`, `kernel_algebra_reference`) set
 its reduced basis to the one Buchberger or the echelon rows give, in
-place of the one the library reads off the algebra's classes.
+place of the one the library reads off the algebra's classes.  A kernel
+keeps its classes and reads its tables off them; `table_algebra_reference`
+gathers the whole structure table from them at once, as a kernel did
+before.
 """
 
 from fractions import Fraction
@@ -1495,6 +1498,21 @@ def _table_algebra_reference(ring, gb, basis, classes):
     A = ArtinAlgebra(ring, basis, table)
     A.gb = tuple(gb)
     return A
+
+
+def table_algebra_reference(A):
+    """A kernel-built algebra rebuilt from its kept classes by the eager gather.
+
+    Every product of two basis elements is looked up in the classes at once,
+    by `mono_mul`, and the table is passed to the constructor, which gathers
+    `times_table` from the variables' entries, as every kernel was built
+    before it kept its classes; A's lazily gathered `struct_table` and its
+    `times_table`, looked up in the classes, must equal these.
+    """
+    rows = {mono: sorted(row.items()) for mono, row in A._classes.items()}
+    table = [[(k, j, c) for k, b in enumerate(A.basis) for j, c in rows.get(mono_mul(a, b), ())]
+             for a in A.basis]
+    return ArtinAlgebra(A.ring, A.basis, table)
 
 
 def _read_echelon_reference(ring, monos, rows):

@@ -10,11 +10,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, algebra_from_text, apolar_algebra, associated_graded,
-                      connected_sum, fibre_product, gls_split, iarrobino, modulo_socle,
+                      connected_sum, fibre_product, gls_split, iarrobino, is_gls, modulo_socle,
                       parse_polynomial, quotient, sums)
 from artinsum.grobner import IdealPresentation
 from artinsum.parse import parse_presentation
@@ -23,8 +25,10 @@ from artinsum.quotient import (_monomial_table, quotient_algebra, square_zero_al
                                subalgebra)
 
 from corpus import dual_polynomials, pair_corpus, random_gorenstein
-from oracles import (kernel_algebra_reference, normal_form_table_reference, sparse_row,
-                     typed_table, vector_reference)
+from oracles import (_class_row, annihilator_reference, dense, filtration_reference,
+                     is_canonical_row, kernel_algebra_reference, normal_form_table_reference,
+                     space_rows, sparse_row, table_algebra_reference, typed_table,
+                     vector_reference)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -169,8 +173,9 @@ def test_kernel_algebras_match_the_sorting_reference_at_the_restriction_edges(fi
     for B, k in zip(algebras, residues):
         assert k.ring.nvars == 0 and k.length == 1 and k.original_ring == B.ring
         assert k.reduction == (k.ring, [k.ring.zero] * B.ring.nvars)
-    # each elimination is compared twice: on the kept ring and as returned
-    assert len(built) == 7
+    # each elimination is compared twice: on the kept ring and as returned;
+    # the square-zero algebra is assembled directly, not as a kernel
+    assert len(built) == 6
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -235,3 +240,134 @@ def test_fibre_product_basis_is_the_sorted_union(field, edims):
         union = {a + (0,) * n for a in R.basis} | {(0,) * m + b for b in S.basis}
         assert P.basis == tuple(sorted(union, key=P.ring.order.key))
         assert typed_table(P.struct_table) == typed_table(normal_form_table_reference(P))
+
+
+# -- kernels keep their classes: each fast path against its reference ---------
+
+DIFFERENTIAL_FIELDS = [QQ, GF(7), GF(1048573)]
+
+# Z^3 lies in m^4 (its class is Y^4), so m^3 is not spanned by monomials of degree 3
+DEGREE_DROPS = ["vars Y Z; ideal Y*Z, Y^4 - Z^3", "vars X Y Z; ideal X*Y, X*Z, Y*Z, X^3 - Y^2, Z^2 - Y^3"]
+
+
+@contextmanager
+def _kernels_built():
+    """Record every algebra that `kernel_algebra` returns, with its degree D.
+
+    A kernel's structure table is gathered only when it is first read, so
+    none is held when the algebra is returned.
+    """
+    built = []
+    original = quotient.kernel_algebra
+
+    def recording(ring, degree, classes):
+        A = original(ring, degree, classes)
+        assert "struct_table" not in vars(A)
+        built.append((A, degree))
+        return A
+
+    with mock.patch.object(quotient, "kernel_algebra", recording), \
+            mock.patch.object(sums, "kernel_algebra", recording):
+        yield built
+
+
+def _assert_kept_classes_and_tables(A, degree):
+    """A kernel's classes are the recursion's, and its tables the eager gather's."""
+    lam, p = A.length, A.field.char
+    monos = _monomial_table(A.ring.nvars, degree).monos
+    want = table_algebra_reference(A)
+    assert set(A._classes) == set(monos)
+    memo = {monos[0]: {0: 1}}
+    for m in monos:
+        row = A._classes[m]
+        assert list(row) == sorted(row) and is_canonical_row(row, p)
+        assert row == _class_row(memo, m, want._variable_tables, lam, p)
+    assert typed_table(A.times_table) == typed_table(want.times_table)
+    assert typed_table(A.struct_table) == typed_table(want.struct_table)
+    assert A.gb == want.gb and A.same_presentation(want)
+
+
+def _assert_filtration_and_annihilators(A, rng):
+    """The filtration, the socle and annihilators against their references."""
+    want = filtration_reference(A)
+    assert [list(W.basis.items()) for W in A.filtration] == \
+        [list(W.basis.items()) for W in want]
+    assert A.homogeneous == all(g.is_homogeneous() for g in A.gb)
+    field, lam = A.field, A.length
+    variables = [{A.basis_index[tuple(int(i == v) for i in range(A.ring.nvars))]: 1}
+                 for v in range(A.ring.nvars)]
+    elements = [{k: field.coerce(rng.randint(-4, 4)) for k in rng.sample(range(lam), min(lam, 3))}
+                for _ in range(2)]
+    for got, rows in ((A.socle(), variables), (A.annihilator(variables), variables),
+                      (A.annihilator(elements), elements),
+                      (A.annihilator(list(A.power(2).basis.values())),
+                       list(A.power(2).basis.values()))):
+        ann, pivots = annihilator_reference(A, [dense(field, [row], lam)[0] for row in rows])
+        assert list(got.basis) == pivots.tolist()
+        written = space_rows(got)
+        assert written.dtype == ann.dtype and np.array_equal(written, ann)
+
+
+def _derived_kernels(Q, rng):
+    """gr(Q), Q0, Q/soc Q, subalgebras of Q and the linear-socle split of gr(Q), when defined."""
+    G = associated_graded(Q)
+    if Q.is_gorenstein() and Q.length > 1:
+        iarrobino(Q)
+        modulo_socle(Q)
+    ring = Q.ring
+    subalgebra(Q, PolyRing(Q.field, ring.names[:1]), [ring.var(0)])
+    last = ring.var(ring.nvars - 1)
+    subalgebra(Q, ring, [x + last * last.scale(Q.field.coerce(rng.randint(1, 3)))
+                         for x in ring.gens()])
+    if G.loewy_length >= 2 and is_gls(G)[0] and G.type > 1:
+        gls_split(G)
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=str)
+def test_kernels_match_their_references_on_seeded_algebras(field):
+    rng = random.Random(113)
+    texts = [f"field {field}; {text};" for text in DEGREE_DROPS]
+    texts += [(GOLDEN / name).read_text().replace("field QQ", f"field {field}")
+              for name in ("hidden_sum.txt", "hidden_sum_edim2.txt", "nonminimal_qq.txt")]
+    with _kernels_built() as built:
+        algebras = [algebra_from_text(text) for text in texts]
+        for R, S in pair_corpus(3, seed=17, max_edim=2, max_ll=4, min_ll=2, field=field):
+            algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
+        for Q in list(algebras):
+            _derived_kernels(Q, rng)
+    for A, degree in built:
+        _assert_kept_classes_and_tables(A, degree)
+    algebras += [A for A, _ in built]
+    for A in algebras:
+        _assert_filtration_and_annihilators(A, rng)
+    # graded kernels and kernels with a degree drop, parsed algebras with one too
+    assert any(A.homogeneous for A, _ in built) and any(not A.homogeneous for A, _ in built)
+    assert not any(A.homogeneous for A in algebras[:len(DEGREE_DROPS)])
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dual_polynomials(DIFFERENTIAL_FIELDS), st.integers(0, 2 ** 16))
+def test_kernels_match_their_references_on_hypothesis_inputs(F, seed):
+    rng = random.Random(seed)
+    with _kernels_built() as built:
+        A = apolar_algebra(F)
+        if A.length > 2:
+            _derived_kernels(A, rng)
+    for B, degree in built:
+        _assert_kept_classes_and_tables(B, degree)
+        _assert_filtration_and_annihilators(B, rng)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+@pytest.mark.parametrize("names", [(), ("x",), ("x", "y", "z")])
+def test_square_zero_algebras_are_the_kernel_of_their_classes(field, names):
+    # 1 and the variables are independent, and every quadric is zero
+    ring = PolyRing(field, names)
+    count = len(_monomial_table(ring.nvars, 2).monos)
+    want = quotient.kernel_algebra(ring, 2, [{j: 1} if j <= ring.nvars else {}
+                                             for j in range(count)])
+    got = square_zero_algebra(ring)
+    _assert_same_algebra(got, want)
+    assert got.homogeneous and got.hilbert_function() == ((1, len(names)) if names else (1,))
+    assert [list(W.basis.items()) for W in got.filtration] == \
+        [list(W.basis.items()) for W in filtration_reference(got)]

@@ -16,7 +16,7 @@ from artinsum import (GF, QQ, IdealPresentation, Polynomial, PolyRing, algebra_f
                       iarrobino, modulo_socle, normal_form, parse_presentation)
 from artinsum.cli import main
 from artinsum.decompose import check_split
-from artinsum.errors import ArtinsumError, ResourceGuardError
+from artinsum.errors import ArtinsumError, ResourceGuardError, UnitIdealError
 from artinsum.grobner import buchberger, s_polynomial
 from artinsum.quotient import _monomial_table, build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_classes, connected_sum
@@ -371,6 +371,20 @@ def test_standard_monomials_walk_matches_box_on_edge_ideals():
                            (IdealPresentation(ring, [x * y]), None),
                            (IdealPresentation(ring, [x ** 40, y ** 40, x * y]), skewed)]:
         assert _assert_walk_matches_box(pres) == expected
+
+
+@pytest.mark.parametrize("names", [("X",), ("X", "Y"), ("X", "Y", "Z")])
+def test_the_unit_ideal_is_zero_dimensional_with_no_standard_monomial(names):
+    # the one leading monomial 1 = x^0 is a pure power of every variable
+    ring = PolyRing(QQ, names)
+    x, y = ring.var(0), ring.var(len(names) - 1)
+    gens = [x, y - ring.one, x + y]
+    pres = IdealPresentation(ring, gens)
+    assert pres.groebner_basis() == (ring.one,) and pres.is_unit_ideal()
+    assert pres.is_zero_dimensional() and pres.standard_monomials() == []
+    assert standard_monomials_reference(pres) == []
+    with pytest.raises(UnitIdealError):
+        build_algebra(ring, gens)
 
 
 def test_ideal_membership_oracle_is_two_sided():

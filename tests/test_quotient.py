@@ -21,8 +21,7 @@ from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
                              UnitIdealError)
 from artinsum.grobner import IdealPresentation, normal_form
 from artinsum import _kernels, graded, quotient, sums
-from artinsum.quotient import (ArtinAlgebra, kernel_algebra, quotient_algebra,
-                               square_zero_algebra, subalgebra)
+from artinsum.quotient import ArtinAlgebra, kernel_algebra, quotient_algebra, subalgebra
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
@@ -570,42 +569,34 @@ def test_kernel_algebra_echelons_its_rows_once(monkeypatch, text, shapes):
     # kernel of the classes of the kept monomials 1, X2, ..., X2^4 (the
     # call on the kept ring) and that of the standard monomials' classes
     # followed by X1's, which gives its image; no kernel row is echeloned
-    # again.  `shapes` holds the row counts of the echelons past the first,
-    # leaving out those of the algebra's own constructor
-    recorded, recording = [], [True]
-    echelon, table = _kernels.echelon, quotient._table_algebra
+    # again.  `shapes` holds the row counts of the echelons past the first;
+    # both algebras are graded, so their constructors echelon nothing
+    recorded, echelon = [], _kernels.echelon
 
     def recording_echelon(rows, p, reduced=False):
         rows = list(rows)
-        if recording[0]:
-            recorded.append(len(rows))
+        recorded.append(len(rows))
         return echelon(rows, p, reduced)
-
-    def table_algebra(*args):
-        recording[0] = False
-        try:
-            return table(*args)
-        finally:
-            recording[0] = True
 
     dual, ops = PolyRing(QQ, ("w1", "w2")), PolyRing(QQ, ("X1", "X2"))
     monos, classes = _apolar_classes(parse_polynomial(text, dual), ops)
     monkeypatch.setattr(_kernels, "echelon", recording_echelon)
-    monkeypatch.setattr(quotient, "_table_algebra", table_algebra)
     kernel_algebra(ops, sum(monos[-1]), classes)
     assert recorded == [len({c for row in classes for c in row}), *shapes]
 
 
 def test_kernel_algebra_guards_its_monomial_count(monkeypatch):
     # the classes are dict rows, one per monomial: the echelon guard is on their count
+    # the classes of k[X, Y]/m^2: 1, Y and X are independent, and the quadrics are 0
     ring = PolyRing(QQ, ("X", "Y"))
+    classes = [{0: 1}, {1: 1}, {2: 1}, {}, {}, {}]
     monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", 5)
     with pytest.raises(ResourceGuardError) as info:
-        square_zero_algebra(ring)
+        kernel_algebra(ring, 2, classes)
     err = info.value
     assert (err.guard, err.limit, err.value) == ("max_echelon_dim", 5, 6)
     monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", 6)
-    assert square_zero_algebra(ring).hilbert_function() == (1, 2)
+    assert kernel_algebra(ring, 2, classes).hilbert_function() == (1, 2)
 
 
 @st.composite
