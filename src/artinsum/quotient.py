@@ -24,8 +24,8 @@ The powers of m are read off the
 degrees of the standard monomials: the unit rows of those of degree >= i
 lie in m^i, so a graded algebra's powers are those suffixes, and otherwise
 only the products of m^(i-1) by the variables that fall below degree i
-are echeloned.  Only parsed generator lists take the class
-table from Buchberger and normal forms (`build_algebra`), on the variables
+are echeloned.  Only parsed generator lists take the classes
+from Buchberger and normal forms (`build_algebra`), on the variables
 that lead no linear element of their reduced basis; text that is not
 minimal is then taken as the subalgebra its variables generate.  Every
 derived algebra, a subalgebra or a quotient, has an ideal containing a
@@ -42,8 +42,9 @@ classes is the reduced echelon basis of the truncated ideal
 `_read_echelon` reads the standard monomials and the class of every
 monomial, walking the columns in order.  The algebra keeps those classes:
 its `times_table` is looked up in them, and its structure table is
-gathered from them only when it is first read.  Fibre products, connected
-sums and parsed presentations pass their structure table instead.  A
+gathered from them only when it is first read.  Parsed presentations keep
+the classes of the products of their basis elements in the same way; only
+fibre products, connected sums and k[x]/m^2 pass their structure table.  A
 quotient, gr(A) and Q0 included, takes the classes modulo one subspace per
 degree (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
@@ -149,12 +150,15 @@ class ArtinAlgebra:
     `product_table` lists its elements' products; the filtration walks it
     with the product terms at high columns skipped (`_times_below`).
 
-    An algebra is given by `table`, its structure table, from whose
-    variables' entries `times_table` is gathered; or, when it is a kernel,
-    by `classes`, the class of every monomial of its ring up to a degree D
-    with m^D in its ideal, each listing its columns in increasing order.
-    They are kept as the algebra's classes, `times_table` is looked up in
-    them, and `struct_table` is gathered from them on its first read.
+    An algebra is given by exactly one of `table`, its structure table,
+    from whose variables' entries `times_table` is gathered, and `classes`,
+    dict rows by monomial of its ring, each listing its columns in
+    increasing order.  A kernel gives the class of every monomial up to a
+    degree D with m^D in its ideal, `build_algebra` that of every product
+    of two basis elements; either way each b*x_v has a class, and a
+    product of basis elements absent from them has class 0.  They are kept
+    as the algebra's classes, `times_table` is looked up in them, and
+    `struct_table` is gathered from them on its first read.
     Elements are dict rows over the basis: the class of a monomial not held
     yet is made when it is first read, its predecessor's times one
     variable, along with the classes missing on its predecessor chain
@@ -167,7 +171,9 @@ class ArtinAlgebra:
     keeps the substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, basis, table=None, classes=None):
+    def __init__(self, ring, basis, table=None, *, classes=None):
+        if (table is None) == (classes is None):
+            raise TypeError("an algebra is given by exactly one of table and classes")
         self.ring = ring
         self.field = ring.field
         self.original_ring = ring
@@ -176,7 +182,7 @@ class ArtinAlgebra:
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         n = ring.nvars
         if table is None:
-            # a standard monomial has degree below D, so each b*x_v has a class
+            # b*x_v is a product of two basis elements or of degree at most D
             self._classes = classes
             self.times_table = [
                 [(v, j, c) for v in range(n)
@@ -252,10 +258,11 @@ class ArtinAlgebra:
     def struct_table(self):
         """The products of the basis elements, gathered from the classes on the first read.
 
-        Only a kernel comes here; every other constructor passes its table.
-        The class of e_a * e_b is that of the monomial a*b, and a monomial
-        of degree D or more, absent from the classes, has class 0.  Each
-        class lists its columns in increasing order, so an entry is sorted.
+        Only an algebra given by its classes comes here; the others were
+        given their table.  The class of e_a * e_b is that of the monomial
+        a*b, and a product absent from the classes, of degree D or more in
+        a kernel, has class 0.  Each class lists its columns in increasing
+        order, so an entry is sorted.
         """
         classes = self._classes
         return [[(k, j, c) for k, b in enumerate(self.basis)
@@ -583,8 +590,9 @@ def build_algebra(ring, generators):
     the input is unsuitable.  Parsed generators bound no degree of the
     ideal, so only this runs Buchberger, once per presentation, and normal
     forms.  A variable x_v leading a linear element x_v - l of the reduced
-    basis divides no standard monomial, so the table is built on the other
-    variables; l must vanish at the origin.  When dim m/m^2 falls short of
+    basis divides no standard monomial, so the classes are taken on the
+    other variables, those of every product of two standard monomials, each
+    sorted by column; l must vanish at the origin.  When dim m/m^2 falls short of
     the variable count, the returned algebra is the subalgebra that the
     variables generate, x_v going to l, which `kernel_algebra` presents on
     the variables that minimally generate m; it still takes classes of
@@ -611,28 +619,16 @@ def build_algebra(ring, generators):
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
     products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in basis)
-    A = _table_algebra(sub, [kept(m) for m in basis], {
-        kept(mono): _canonical({index[m]: c for m, c in
-                                pres.normal_form(ring.monomial(mono)).terms.items()}, p)
+    A = ArtinAlgebra(sub, [kept(m) for m in basis], classes={
+        kept(mono): dict(sorted(_canonical({index[m]: c for m, c in
+                                            pres.normal_form(ring.monomial(mono)).terms.items()},
+                                           p).items()))
         for mono in products})
     if A.power(1).dim - A.power(2).dim == ring.nvars:
         return A
     images = [sub.poly({kept(m): c for m, c in (ring.var(v) - linear[v]).terms.items()})
               if v in linear else sub.var(keep.index(v)) for v in range(ring.nvars)]
     return subalgebra(A, ring, images)
-
-
-def _table_algebra(ring, basis, classes):
-    """The algebra whose basis products have the classes, canonical dict rows, or else are 0.
-
-    The class of each product of basis elements is looked up by the sum of
-    their exponent tuples.
-    """
-    rows = {mono: sorted(row.items()) for mono, row in classes.items()}
-    table = [[(k, j, c) for k, b in enumerate(basis)
-              for j, c in rows.get(tuple(map(add, a, b)), ())]
-             for a in basis]
-    return ArtinAlgebra(ring, basis, table)
 
 
 def _read_echelon(ring, monos, rows):
@@ -799,19 +795,10 @@ def subalgebra(Q, new_ring, images):
     so the kernel of the map up to one degree beyond it is the truncated
     ideal.
     """
-    tables = [_image_table(Q, Q.element_row(f)) for f in images]
+    tables = [Q.product_table([Q.element_row(f)]) for f in images]
     s, n = Q.loewy_length, new_ring.nvars
     _, classes = _table_classes({(0,) * n: {0: 1}}, n, s, tables, Q.length, Q.field.char)
     return kernel_algebra(new_ring, s + 1, classes)
-
-
-def _image_table(Q, row):
-    """The products of Q's basis by the element `row`: Q's own table when it is a variable."""
-    if len(row) == 1:
-        ((k, c),) = row.items()
-        if c == 1 and mono_deg(Q.basis[k]) == 1:
-            return Q._variable_tables[Q.basis[k].index(1)]
-    return Q.product_table([row])
 
 
 def presentation_in_coordinates(Q, new_ring, images):

@@ -51,9 +51,9 @@ products of basis elements up by `mono_mul`.  The references that build
 an algebra (`build_algebra_reference`, `kernel_algebra_reference`) set
 its reduced basis to the one Buchberger or the echelon rows give, in
 place of the one the library reads off the algebra's classes.  A kernel
-keeps its classes and reads its tables off them; `table_algebra_reference`
-gathers the whole structure table from them at once, as a kernel did
-before.
+or a parsed algebra keeps its classes and reads its tables off them;
+`table_algebra_reference` gathers the whole structure table from them at
+once, as both did before.
 """
 
 from fractions import Fraction
@@ -1501,7 +1501,7 @@ def _table_algebra_reference(ring, gb, basis, classes):
 
 
 def table_algebra_reference(A):
-    """A kernel-built algebra rebuilt from its kept classes by the eager gather.
+    """An algebra given by its classes, a kernel or a parsed one, rebuilt by the eager gather.
 
     Every product of two basis elements is looked up in the classes at once,
     by `mono_mul`, and the table is passed to the constructor, which gathers

@@ -282,6 +282,11 @@ def _assert_kept_classes_and_tables(A, degree):
         row = A._classes[m]
         assert list(row) == sorted(row) and is_canonical_row(row, p)
         assert row == _class_row(memo, m, want._variable_tables, lam, p)
+    _assert_tables_are_the_eager_gather(A, want)
+
+
+def _assert_tables_are_the_eager_gather(A, want):
+    """The tables of an algebra given by its classes are those of `table_algebra_reference`."""
     assert typed_table(A.times_table) == typed_table(want.times_table)
     assert typed_table(A.struct_table) == typed_table(want.struct_table)
     assert A.gb == want.gb and A.same_presentation(want)
@@ -331,12 +336,16 @@ def test_kernels_match_their_references_on_seeded_algebras(field):
               for name in ("hidden_sum.txt", "hidden_sum_edim2.txt", "nonminimal_qq.txt")]
     with _kernels_built() as built:
         algebras = [algebra_from_text(text) for text in texts]
+        # parsed algebras keep their classes too, and gather no table yet
+        assert not any("struct_table" in vars(A) for A in algebras)
         for R, S in pair_corpus(3, seed=17, max_edim=2, max_ll=4, min_ll=2, field=field):
             algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
         for Q in list(algebras):
             _derived_kernels(Q, rng)
     for A, degree in built:
         _assert_kept_classes_and_tables(A, degree)
+    for A in algebras[:len(texts)]:
+        _assert_tables_are_the_eager_gather(A, table_algebra_reference(A))
     algebras += [A for A, _ in built]
     for A in algebras:
         _assert_filtration_and_annihilators(A, rng)

@@ -1139,11 +1139,15 @@ def test_quotients_read_their_classes_in_one_forward_pass(monkeypatch, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, field):
-    # s = 8 and 495 monomials up to degree s in four variables: one read forms
-    # the classes on its chain, at most s products, and no other
-    A = algebra_from_text(f"field {field}; vars x1 x2 x3 x4; ideal x1^2, x2^2, x3^2, x4^6")
+    # s = 8 and 495 monomials up to degree s in four variables.  The parsed
+    # algebra holds the class of every product of two basis elements; given
+    # by its table it holds only the class of 1, and one read forms the
+    # classes on its chain, at most s products, and no other
+    parsed = algebra_from_text(f"field {field}; vars x1 x2 x3 x4; ideal x1^2, x2^2, x3^2, x4^6")
+    A = ArtinAlgebra(parsed.ring, parsed.basis, parsed.struct_table)
     s = A.loewy_length
     assert s == 8 and len(quotient._monomial_table(4, s).monos) == 495
+    assert len(A._classes) == 1
     products = []
     times = quotient._times
 
@@ -1155,6 +1159,8 @@ def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, f
     row = A.monomial_row((1, 1, 1, 5))
     assert row == {A.length - 1: 1}
     assert len(A._classes) <= s + 1 and len(products) <= s
+    count = len(products)
+    assert parsed.monomial_row((1, 1, 1, 5)) == row and len(products) == count
     # a read whose chain is formed already makes no product
     count = len(products)
     assert A.monomial_row((0, 1, 1, 5)) == oracles.monomial_rows_reference(A, [(0, 1, 1, 5)])[0]
@@ -1164,6 +1170,15 @@ def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, f
     random.Random(107).shuffle(monos)
     assert [A.monomial_row(m) for m in monos] == oracles.monomial_rows_reference(A, monos)
     assert len(products) == len(A._classes) - 1 <= 495 - 1
+
+
+def test_an_algebra_is_given_by_exactly_one_of_its_table_and_its_classes():
+    A = algebra_from_text("field QQ; vars X; ideal X^3")
+    for args, kwargs in (((), {}), ((A.struct_table,), {"classes": A._classes})):
+        with pytest.raises(TypeError, match="exactly one of table and classes"):
+            ArtinAlgebra(A.ring, A.basis, *args, **kwargs)
+    with pytest.raises(TypeError):
+        ArtinAlgebra(A.ring, A.basis, None, A._classes)
 
 
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):
