@@ -1,7 +1,8 @@
 """Artinian local algebras as finite-dimensional vector spaces with multiplication.
 
 `ArtinAlgebra` is the one object that carries an algebra k[x]/I: its
-standard monomials under Grevlex and the sparse structure table.  Its
+standard monomials under Grevlex and the classes of monomials, from which
+its sparse tables are read.  Its
 ideal lies inside the square of the maximal ideal, so every variable is a
 basis element and the variable count equals the embedding dimension, and
 the powers of m failing to shrink to zero show that the quotient is not
@@ -42,9 +43,10 @@ classes is the reduced echelon basis of the truncated ideal
 `_read_echelon` reads the standard monomials and the class of every
 monomial, walking the columns in order.  The algebra keeps those classes:
 its `times_table` is looked up in them, and its structure table is
-gathered from them only when it is first read.  Parsed presentations keep
-the classes of the products of their basis elements in the same way; only
-fibre products, connected sums and k[x]/m^2 pass their structure table.  A
+gathered from them only when it is first read.  Every algebra is given so:
+parsed presentations by the classes of the products of their basis
+elements, fibre products and connected sums by their factors' classes
+(`sums`), and k[x]/m^2 by the classes of 1 and the variables.  A
 quotient, gr(A) and Q0 included, takes the classes modulo one subspace per
 degree (`quotient_algebra`).
 When the ideal holds linear forms, the pivots of their echelon form are
@@ -150,15 +152,15 @@ class ArtinAlgebra:
     `product_table` lists its elements' products; the filtration walks it
     with the product terms at high columns skipped (`_times_below`).
 
-    An algebra is given by exactly one of `table`, its structure table,
-    from whose variables' entries `times_table` is gathered, and `classes`,
-    dict rows by monomial of its ring, each listing its columns in
-    increasing order.  A kernel gives the class of every monomial up to a
-    degree D with m^D in its ideal, `build_algebra` that of every product
-    of two basis elements; either way each b*x_v has a class, and a
-    product of basis elements absent from them has class 0.  They are kept
-    as the algebra's classes, `times_table` is looked up in them, and
-    `struct_table` is gathered from them on its first read.
+    An algebra is given by its classes, dict rows by monomial of its ring,
+    each listing its columns in increasing order.  A kernel gives the
+    class of every monomial up to a degree D with m^D in its ideal,
+    `build_algebra` that of every product of two basis elements, and a
+    fibre product or connected sum those of its factors, rewritten; a
+    product of basis elements absent from them, of degree D or more in a
+    kernel or mixed in a sum, has class 0.  They are kept as the algebra's
+    classes, `times_table` is looked up in them, and `struct_table` is
+    gathered from them on its first read.
     Elements are dict rows over the basis: the class of a monomial not held
     yet is made when it is first read, its predecessor's times one
     variable, along with the classes missing on its predecessor chain
@@ -171,31 +173,20 @@ class ArtinAlgebra:
     keeps the substitution onto its ring as `reduction`, (ring, images).
     """
 
-    def __init__(self, ring, basis, table=None, *, classes=None):
-        if (table is None) == (classes is None):
-            raise TypeError("an algebra is given by exactly one of table and classes")
+    def __init__(self, ring, basis, classes):
         self.ring = ring
         self.field = ring.field
         self.original_ring = ring
         self.reduction = None
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
+        self._classes = classes
         n = ring.nvars
-        if table is None:
-            # b*x_v is a product of two basis elements or of degree at most D
-            self._classes = classes
-            self.times_table = [
-                [(v, j, c) for v in range(n)
-                 for j, c in classes[b[:v] + (b[v] + 1,) + b[v + 1:]].items()]
-                for b in self.basis]
-        else:
-            self.struct_table = table
-            # the entries of the variables' rows list the products by them
-            self.times_table = [[] for _ in self.basis]
-            for v in range(n):
-                unit = tuple(int(i == v) for i in range(n))
-                for l, j, c in table[self.basis_index[unit]]:
-                    self.times_table[l].append((v, j, c))
+        # b*x_v is a product of two basis elements: one absent from the classes is 0
+        self.times_table = [
+            [(v, j, c) for v in range(n)
+             for j, c in classes.get(b[:v] + (b[v] + 1,) + b[v + 1:], {}).items()]
+            for b in self.basis]
         self._build_filtration()
         self._socle = None
         self._betti_cache = None
@@ -258,11 +249,9 @@ class ArtinAlgebra:
     def struct_table(self):
         """The products of the basis elements, gathered from the classes on the first read.
 
-        Only an algebra given by its classes comes here; the others were
-        given their table.  The class of e_a * e_b is that of the monomial
-        a*b, and a product absent from the classes, of degree D or more in
-        a kernel, has class 0.  Each class lists its columns in increasing
-        order, so an entry is sorted.
+        The class of e_a * e_b is that of the monomial a*b, and a product
+        absent from the classes has class 0.  Each class lists its columns
+        in increasing order, so an entry is sorted.
         """
         classes = self._classes
         return [[(k, j, c) for k, b in enumerate(self.basis)
@@ -356,15 +345,6 @@ class ArtinAlgebra:
     def reduce_to_presentation_ring(self, poly):
         """Carry a polynomial of the original ring through the recorded elimination."""
         return poly if self.reduction is None else poly.compose(*self.reduction)
-
-    @cached_property
-    def _classes(self):
-        """The classes formed so far, by monomial: the class e_0 of 1, and each one read since.
-
-        A kernel holds the class of every monomial up to its degree D from
-        the start.
-        """
-        return {(0,) * self.ring.nvars: {0: 1}}
 
     def monomial_row(self, mono):
         """The class of a monomial of the presentation ring as a dict row.
@@ -480,7 +460,7 @@ def _canonical(row, p):
     It is the one check of the scalars in rows that come from outside a
     product walk: a caller's rows (`_checked_rows`), the class of a
     polynomial (`element_row`), the normal forms of `build_algebra` and the
-    rewritten table of `sums._socle_quotient`.  The product walks reduce mod
+    rewritten classes of `sums._socle_quotient`.  The product walks reduce mod
     p as they accumulate and call it only over QQ (`_finished`).
     """
     if p:
@@ -619,7 +599,7 @@ def build_algebra(ring, generators):
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
     products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in basis)
-    A = ArtinAlgebra(sub, [kept(m) for m in basis], classes={
+    A = ArtinAlgebra(sub, [kept(m) for m in basis], {
         kept(mono): dict(sorted(_canonical({index[m]: c for m, c in
                                             pres.normal_form(ring.monomial(mono)).terms.items()},
                                            p).items()))
@@ -693,7 +673,7 @@ def kernel_algebra(ring, degree, classes):
               if (part := {monos[k].index(1): x for k, x in row.items() if 0 < k <= ring.nvars})]
     if not linear:
         basis, kept_classes = _read_echelon(ring, monos, rows)
-        return ArtinAlgebra(ring, basis, classes=kept_classes)
+        return ArtinAlgebra(ring, basis, kept_classes)
     elim = sorted(_kernels.echelon(linear, p))
     keep = [v for v in range(ring.nvars) if v not in elim]
     sub = PolyRing(ring.field, [ring.names[v] for v in keep])
@@ -849,5 +829,4 @@ def quotient_algebra(A, targets):
 def square_zero_algebra(ring):
     """k[ring]/m^2: the basis is 1 and the variables, and every product of two variables is 0."""
     basis = _monomial_table(ring.nvars, 1).monos
-    return ArtinAlgebra(ring, basis, [[(k, k, 1) for k in range(len(basis))]]
-                        + [[(0, l, 1)] for l in range(1, len(basis))])
+    return ArtinAlgebra(ring, basis, {m: {k: 1} for k, m in enumerate(basis)})

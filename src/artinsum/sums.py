@@ -7,8 +7,8 @@ Nothing here runs Buchberger or a normal form.  An apolar algebra is
 k[X]/Ann(F), presented by the derivatives of F that the monomials of k[X]
 give (`quotient.kernel_algebra`), taken as term dicts (`_derive`).
 
-Fibre products and connected sums are assembled from their factors'
-standard monomials and structure tables (`ArtinAlgebra.struct_table`).
+Fibre products and connected sums are given, as every algebra is, by the
+classes of monomials (`ArtinAlgebra`), here their factors' own classes.
 Let R = k[Y]/I_R and S = k[Z]/I_S, with I_R and I_S inside the square of
 the maximal ideal, as every algebra is presented.  Grevlex on Y, Z
 restricts to Grevlex on Y and on Z.
@@ -26,11 +26,13 @@ restricts to Grevlex on Y and on Z.
   multiples of lm h by variables are leads of I_P already.  So Q's basis
   is P's without lm h.
 
-Only the standard monomials and the structure table are assembled
-(`_fibre_table`, and `_socle_quotient`, which takes h as a dict row over
-P's basis, placed from the factors' socle rows, so no polynomial is
-built); the filtration, the socle, the identity checks and, on its first
-read, the reduced basis are taken from them.
+Only the standard monomials and the classes are assembled
+(`_fibre_classes`: the factors' classes with their columns moved to their
+places in P, a mixed monomial having class 0; and `_socle_quotient`, which
+rewrites them through h, taken as a dict row over P's basis, placed from
+the factors' socle rows, so no polynomial is built); the tables, the
+filtration, the socle, the identity checks and, on its first read, the
+reduced basis are read off them.
 """
 
 from dataclasses import dataclass
@@ -66,14 +68,17 @@ def _embed(poly, big, offset):
     return poly.rename_into(big, index_map)
 
 
-def _fibre_table(R, S):
-    """P = R x_k S on R's variables then S's: its standard monomials, structure table and places.
+def _fibre_classes(R, S):
+    """P = R x_k S on R's variables then S's: its standard monomials, classes and places.
 
     Both factors' bases ascend, and within a degree Grevlex on the joined
     ring puts every pure-Z monomial before every pure-Y one, so P's basis
     is 1 and then, degree by degree, S's monomials followed by R's: a merge
     by degree that keeps each factor's order.  `places` lists, for R and
     for S, the index in P's basis of each of the factor's basis elements.
+    P's classes are the factors' own, each monomial padded with zeros and
+    each column moved to its place, which keeps every class sorted; a mixed
+    monomial lies in m_R*m_S = 0 and is left out.
     """
     m, n = R.ring.nvars, S.ring.nvars
     left = [a + (0,) * n for a in R.basis]
@@ -81,44 +86,34 @@ def _fibre_table(R, S):
     basis = [left[0], *merge(right[1:], left[1:], key=mono_deg)]
     index = {mono: i for i, mono in enumerate(basis)}
     places = [[index[mono] for mono in monos] for monos in (left, right)]
-    # 1 is basis[0] of every algebra, and its products are the identity; each
-    # factor's basis keeps its order in P's, so renamed entries stay sorted
-    table = [[(k, k, 1) for k in range(len(basis))]] + [None] * (len(basis) - 1)
-    for A, idx in zip((R, S), places):
-        for a, entry in enumerate(A.struct_table[1:], 1):
-            table[idx[a]] = [(idx[k], idx[j], c) for k, j, c in entry]
-    return basis, table, places
+    idx_r, idx_s, pad_r, pad_s = *places, (0,) * n, (0,) * m
+    classes = {a + pad_r: {idx_r[k]: c for k, c in row.items()} for a, row in R._classes.items()}
+    classes.update((pad_s + b, {idx_s[k]: c for k, c in row.items()})
+                   for b, row in S._classes.items())
+    return basis, classes, places
 
 
-def _socle_quotient(basis, table, h, field):
-    """P / (h) from P's standard monomials and table, for h a dict row over P's basis with m*h in I_P.
+def _socle_quotient(basis, classes, h, field):
+    """P / (h) from P's standard monomials and classes, for h a dict row over P's basis with m*h in I_P.
 
     The basis ascends, so lm h is the column of h's largest index, and h
-    is made monic there.  The table's lm h component is rewritten through
-    h, as the tails are: in each product with a nonzero a at e_lead, e_lead
-    becomes e_lead - h; then the index of lm h is dropped.  Only the
-    entries holding such a product are rewritten; the others lose their
-    triples at lm h, and their larger indices shift down by one, which
-    keeps them sorted and canonical.
+    is made monic there.  A class with an entry a at lm h is rewritten
+    through h: e_lead becomes e_lead - h.  Then the index of lm h is
+    dropped, and the larger indices shift down by one, which keeps every
+    class sorted and canonical.
     """
     at = max(h)
     inv = field.inv(h[at])
     lead_class = [(t, -field.mul(inv, x)) for t, x in h.items() if t != at]
-    out = []
-    for l, entry in enumerate(table):
-        if l == at:
-            continue
-        landing = [(k, a) for k, j, a in entry if j == at and k != at]
-        if not landing:
-            out.append([(k - (k > at), j - (j > at), c) for k, j, c in entry
-                        if k != at and j != at])
-            continue
-        row = {(k, j): c for k, j, c in entry if at not in (k, j)}
-        for k, a in landing:
+    out = {}
+    for mono, row in classes.items():
+        a = row.get(at)
+        if a is not None:
+            row = {k: c for k, c in row.items() if k != at}
             for t, x in lead_class:
-                row[k, t] = row.get((k, t), 0) + a * x
-        out.append([(k - (k > at), j - (j > at), c)
-                    for (k, j), c in sorted(_canonical(row, field.char).items())])
+                row[t] = row.get(t, 0) + a * x
+            row = dict(sorted(_canonical(row, field.char).items()))
+        out[mono] = {k - (k > at): c for k, c in row.items()}
     return basis[:at] + basis[at + 1:], out
 
 
@@ -132,8 +127,8 @@ def fibre_product(R, S):
         return SumResult(S, trivial=True)
     if S.length == 1:
         return SumResult(R, trivial=True)
-    basis, table, _ = _fibre_table(R, S)
-    P = ArtinAlgebra(_combined_ring(R, S), basis, table)
+    basis, classes, _ = _fibre_classes(R, S)
+    P = ArtinAlgebra(_combined_ring(R, S), basis, classes)
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -190,7 +185,7 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     each factor's socle element is its socle row, normalised as
     `socle_generator` normalises it, or the class (`element_row`) of the
     given expression once it is checked to be a nonzero socle element, and
-    the two are placed at their factors' places (`_fibre_table`).
+    the two are placed at their factors' places (`_fibre_classes`).
     """
     for A in (R, S):
         if not A.is_gorenstein():
@@ -206,11 +201,11 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
         return SumResult(S, trivial=True, unit=unit)
     delta_r = _socle_row(R) if socle_left is None else _validate_socle(R, socle_left, "left")
     delta_s = _socle_row(S) if socle_right is None else _validate_socle(S, socle_right, "right")
-    basis, table, (left, right) = _fibre_table(R, S)
+    basis, classes, (left, right) = _fibre_classes(R, S)
     # both socles lie in the maximal ideals, whose places in P are disjoint
     h = {left[k]: x for k, x in delta_r.items()}
     h.update((right[k], -unit * x) for k, x in delta_s.items())
-    Q = ArtinAlgebra(_combined_ring(R, S), *_socle_quotient(basis, table, h, R.field))
+    Q = ArtinAlgebra(_combined_ring(R, S), *_socle_quotient(basis, classes, h, R.field))
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:

@@ -50,15 +50,22 @@ was when it sorted its monomials by their Grevlex keys and looked the
 products of basis elements up by `mono_mul`.  The references that build
 an algebra (`build_algebra_reference`, `kernel_algebra_reference`) set
 its reduced basis to the one Buchberger or the echelon rows give, in
-place of the one the library reads off the algebra's classes.  A kernel
-or a parsed algebra keeps its classes and reads its tables off them;
-`table_algebra_reference` gathers the whole structure table from them at
-once, as both did before.
+place of the one the library reads off the algebra's classes, and give
+the constructor the classes of the products of two basis elements read
+off their table (`classes_from_table`).  Every algebra keeps its classes
+and reads its tables off them; `table_algebra_reference` gathers the
+whole structure table from them at once, and the variables' table from
+its variables' entries (`times_table_reference`), as a kernel and a
+parsed algebra did before.  Fibre products and connected sums were
+assembled as tables, the factors' entries renamed and the entries landing
+on lm h rewritten: `fibre_table_reference` and `socle_quotient_reference`
+keep that assembly.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -820,8 +827,8 @@ def build_algebra_reference(pres):
     bounds = _nilpotency_bound(pres, len(pres.standard_monomials()))
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
-    A = ArtinAlgebra(minimal.ring, basis,
-                     struct_readout(normal_form_structure_reference(minimal, basis)))
+    A = ArtinAlgebra(minimal.ring, basis, classes_from_table(
+        basis, struct_readout(normal_form_structure_reference(minimal, basis))))
     # Buchberger's basis in place of the one read off the classes
     A.gb = minimal.groebner_basis()
     A.original_ring = pres.ring
@@ -963,6 +970,54 @@ def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
 def connected_sum_reference(R, S, unit=1, socle_left=None, socle_right=None):
     """R # S by `build_algebra_reference` on the fibre product's generators and socle difference."""
     return build_algebra_reference(connected_sum_ideal(R, S, unit, socle_left, socle_right))
+
+
+def fibre_table_reference(R, S):
+    """P = R x_k S: its standard monomials, structure table and places, renamed from the factors'.
+
+    P's basis is 1 and then, degree by degree, S's monomials followed by
+    R's, and `places` lists, for R and for S, the index in P's basis of each
+    of the factor's basis elements.  The entries of both factors'
+    structure tables are renamed to those places, and 1's entry is the
+    identity; `sums._fibre_classes` must give classes whose tables are these.
+    """
+    m, n = R.ring.nvars, S.ring.nvars
+    left = [a + (0,) * n for a in R.basis]
+    right = [(0,) * m + b for b in S.basis]
+    basis = [left[0], *sorted(right[1:] + left[1:], key=mono_deg)]
+    index = {mono: i for i, mono in enumerate(basis)}
+    places = [[index[mono] for mono in monos] for monos in (left, right)]
+    table = [[(k, k, 1) for k in range(len(basis))]] + [None] * (len(basis) - 1)
+    for A, idx in zip((R, S), places):
+        for a, entry in enumerate(A.struct_table[1:], 1):
+            table[idx[a]] = [(idx[k], idx[j], c) for k, j, c in entry]
+    return basis, table, places
+
+
+def socle_quotient_reference(basis, table, h, field):
+    """P / (h) from P's standard monomials and table, for h a dict row over P's basis.
+
+    lm h is the column of h's largest index.  In each product with a
+    nonzero a at e_lead, e_lead becomes e_lead - h/h_lead; the triples at
+    lm h are dropped, and the larger indices shift down by one.
+    `sums._socle_quotient`, which rewrites classes instead, must give an
+    algebra with this table.
+    """
+    at = max(h)
+    inv = field.inv(h[at])
+    lead_class = [(t, -field.mul(inv, x)) for t, x in h.items() if t != at]
+    out = []
+    for l, entry in enumerate(table):
+        if l == at:
+            continue
+        row = {(k, j): c for k, j, c in entry if at not in (k, j)}
+        for k, j, a in entry:
+            if j == at and k != at:
+                for t, x in lead_class:
+                    row[k, t] = row.get((k, t), 0) + a * x
+        out.append([(k - (k > at), j - (j > at), c)
+                    for (k, j), c in sorted(_canonical(row, field.char).items())])
+    return basis[:at] + basis[at + 1:], out
 
 
 # ---------------------------------------------------------------------------
@@ -1492,27 +1547,66 @@ def _table_algebra_reference(ring, gb, basis, classes):
     `gb`, the echelon rows read as the reduced basis, stands in for the one
     read off the classes.
     """
-    rows = {mono: sorted(row.items()) for mono, row in classes.items()}
-    table = [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
-             for a in basis]
-    A = ArtinAlgebra(ring, basis, table)
+    A = ArtinAlgebra(ring, basis, classes_from_table(basis, _products_table(basis, classes)))
     A.gb = tuple(gb)
     return A
 
 
+def _products_table(basis, classes):
+    """The structure table of the products of two basis elements, looked up by `mono_mul`."""
+    rows = {mono: sorted(row.items()) for mono, row in classes.items()}
+    return [[(k, j, c) for k, b in enumerate(basis) for j, c in rows.get(mono_mul(a, b), ())]
+            for a in basis]
+
+
+def classes_from_table(basis, table):
+    """The classes of the products of two basis elements, read off a structure table.
+
+    Entry l lists the triples (k, j, c) sorted by (k, j), so the class of
+    basis[l]*basis[k] lists its columns in increasing order; a product with
+    no triple has class 0 and is left out, as `ArtinAlgebra` reads it.
+    """
+    classes = {}
+    for a, entry in zip(basis, table):
+        for k, j, c in entry:
+            classes.setdefault(mono_mul(a, basis[k]), {})[j] = c
+    return classes
+
+
+def times_table_reference(basis, table):
+    """The variables' table gathered from the variables' entries of a structure table.
+
+    Entry l lists the triples (v, j, c) with e_l * x_v = sum of c*e_j, by v:
+    the triples (l, j, c) of the entry of x_v, as `ArtinAlgebra` gathered
+    them when it could be given its structure table.
+    """
+    n = len(basis[0])
+    index = {m: i for i, m in enumerate(basis)}
+    times = [[] for _ in basis]
+    for v in range(n):
+        for l, j, c in table[index[tuple(int(i == v) for i in range(n))]]:
+            times[l].append((v, j, c))
+    return times
+
+
+class EagerTables(NamedTuple):
+    """The structure table and the variables' table of an algebra, gathered at once."""
+
+    struct_table: list
+    times_table: list
+
+
 def table_algebra_reference(A):
-    """An algebra given by its classes, a kernel or a parsed one, rebuilt by the eager gather.
+    """The tables of an algebra, gathered eagerly from its classes.
 
     Every product of two basis elements is looked up in the classes at once,
-    by `mono_mul`, and the table is passed to the constructor, which gathers
-    `times_table` from the variables' entries, as every kernel was built
-    before it kept its classes; A's lazily gathered `struct_table` and its
-    `times_table`, looked up in the classes, must equal these.
+    by `mono_mul`, and `times_table` is gathered from the variables' entries
+    (`times_table_reference`), as every kernel was built before it kept its
+    classes; A's lazily gathered `struct_table` and its `times_table`,
+    looked up in the classes, must equal these.
     """
-    rows = {mono: sorted(row.items()) for mono, row in A._classes.items()}
-    table = [[(k, j, c) for k, b in enumerate(A.basis) for j, c in rows.get(mono_mul(a, b), ())]
-             for a in A.basis]
-    return ArtinAlgebra(A.ring, A.basis, table)
+    table = _products_table(A.basis, A._classes)
+    return EagerTables(table, times_table_reference(A.basis, table))
 
 
 def _read_echelon_reference(ring, monos, rows):

@@ -1,8 +1,8 @@
 """Construction that sorts nothing, against the references that sorted.
 
 Monomials are enumerated in ascending Grevlex, `kernel_algebra` takes the
-classes in that order, the variables' table is gathered from the structure
-table, and a fibre product's basis is merged from its factors'.
+classes in that order, the tables are read off the classes, and a fibre
+product's basis is merged from its factors'.
 """
 
 import random
@@ -275,21 +275,27 @@ def _assert_kept_classes_and_tables(A, degree):
     """A kernel's classes are the recursion's, and its tables the eager gather's."""
     lam, p = A.length, A.field.char
     monos = _monomial_table(A.ring.nvars, degree).monos
-    want = table_algebra_reference(A)
     assert set(A._classes) == set(monos)
+    _assert_tables_are_the_eager_gather(A)
     memo = {monos[0]: {0: 1}}
     for m in monos:
         row = A._classes[m]
         assert list(row) == sorted(row) and is_canonical_row(row, p)
-        assert row == _class_row(memo, m, want._variable_tables, lam, p)
-    _assert_tables_are_the_eager_gather(A, want)
+        assert row == _class_row(memo, m, A._variable_tables, lam, p)
 
 
-def _assert_tables_are_the_eager_gather(A, want):
-    """The tables of an algebra given by its classes are those of `table_algebra_reference`."""
+def _assert_tables_are_the_eager_gather(A):
+    """The tables of an algebra, read off its classes, are those of `table_algebra_reference`."""
+    want = table_algebra_reference(A)
     assert typed_table(A.times_table) == typed_table(want.times_table)
     assert typed_table(A.struct_table) == typed_table(want.struct_table)
-    assert A.gb == want.gb and A.same_presentation(want)
+
+
+def _absent_products_by_variables(A):
+    """The monomials b*x_v, for b in A's basis, that A's classes do not hold."""
+    n = A.ring.nvars
+    return [m for b in A.basis for v in range(n)
+            if (m := b[:v] + (b[v] + 1,) + b[v + 1:]) not in A._classes]
 
 
 def _assert_filtration_and_annihilators(A, rng):
@@ -338,14 +344,25 @@ def test_kernels_match_their_references_on_seeded_algebras(field):
         algebras = [algebra_from_text(text) for text in texts]
         # parsed algebras keep their classes too, and gather no table yet
         assert not any("struct_table" in vars(A) for A in algebras)
+        # every kernel and parsed algebra holds the class of each b*x_v
+        assert not any(_absent_products_by_variables(A) for A, _ in built)
+        assert not any(_absent_products_by_variables(A) for A in algebras)
         for R, S in pair_corpus(3, seed=17, max_edim=2, max_ll=4, min_ll=2, field=field):
-            algebras += [R, S, connected_sum(R, S).algebra, fibre_product(R, S).algebra]
+            Q, P = connected_sum(R, S).algebra, fibre_product(R, S).algebra
+            # sums and products read their factors' classes, and no one gathers a table
+            assert not any("struct_table" in vars(X) for X in (R, S, P, Q))
+            # a sum or product leaves out only mixed monomials, whose class is 0
+            r = R.ring.nvars
+            for X in (P, Q):
+                assert all(any(m[:r]) and any(m[r:]) for m in _absent_products_by_variables(X))
+            assert any(_absent_products_by_variables(P))
+            algebras += [R, S, Q, P]
         for Q in list(algebras):
             _derived_kernels(Q, rng)
     for A, degree in built:
         _assert_kept_classes_and_tables(A, degree)
-    for A in algebras[:len(texts)]:
-        _assert_tables_are_the_eager_gather(A, table_algebra_reference(A))
+    for A in algebras:
+        _assert_tables_are_the_eager_gather(A)
     algebras += [A for A, _ in built]
     for A in algebras:
         _assert_filtration_and_annihilators(A, rng)

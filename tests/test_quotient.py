@@ -1140,14 +1140,13 @@ def test_quotients_read_their_classes_in_one_forward_pass(monkeypatch, field):
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, field):
     # s = 8 and 495 monomials up to degree s in four variables.  The parsed
-    # algebra holds the class of every product of two basis elements; given
-    # by its table it holds only the class of 1, and one read forms the
-    # classes on its chain, at most s products, and no other
-    parsed = algebra_from_text(f"field {field}; vars x1 x2 x3 x4; ideal x1^2, x2^2, x3^2, x4^6")
-    A = ArtinAlgebra(parsed.ring, parsed.basis, parsed.struct_table)
-    s = A.loewy_length
+    # algebra holds the class of every product of two basis elements; read
+    # into classes that hold only 1, one read forms the classes on its
+    # chain, at most s products, and no other
+    A = algebra_from_text(f"field {field}; vars x1 x2 x3 x4; ideal x1^2, x2^2, x3^2, x4^6")
+    s, lam, p = A.loewy_length, A.length, field.char
     assert s == 8 and len(quotient._monomial_table(4, s).monos) == 495
-    assert len(A._classes) == 1
+    classes = {(0,) * 4: {0: 1}}
     products = []
     times = quotient._times
 
@@ -1155,30 +1154,23 @@ def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, f
         products.append(args)
         return times(*args)
 
+    def read(mono):
+        return quotient._monomial_class(classes, mono, A._variable_tables, lam, p)
+
     monkeypatch.setattr(quotient, "_times", counting)
-    row = A.monomial_row((1, 1, 1, 5))
-    assert row == {A.length - 1: 1}
-    assert len(A._classes) <= s + 1 and len(products) <= s
+    row = read((1, 1, 1, 5))
+    assert row == {lam - 1: 1}
+    assert len(classes) <= s + 1 and len(products) <= s
     count = len(products)
-    assert parsed.monomial_row((1, 1, 1, 5)) == row and len(products) == count
+    assert A.monomial_row((1, 1, 1, 5)) == row and len(products) == count
     # a read whose chain is formed already makes no product
-    count = len(products)
-    assert A.monomial_row((0, 1, 1, 5)) == oracles.monomial_rows_reference(A, [(0, 1, 1, 5)])[0]
+    assert read((0, 1, 1, 5)) == oracles.monomial_rows_reference(A, [(0, 1, 1, 5)])[0]
     assert len(products) == count
     # reads in a shuffled order give the reference classes, one product per class
-    monos = list(quotient._monomial_table(4, s + 1).monos)
+    monos = list(quotient._monomial_table(4, s).monos)
     random.Random(107).shuffle(monos)
-    assert [A.monomial_row(m) for m in monos] == oracles.monomial_rows_reference(A, monos)
-    assert len(products) == len(A._classes) - 1 <= 495 - 1
-
-
-def test_an_algebra_is_given_by_exactly_one_of_its_table_and_its_classes():
-    A = algebra_from_text("field QQ; vars X; ideal X^3")
-    for args, kwargs in (((), {}), ((A.struct_table,), {"classes": A._classes})):
-        with pytest.raises(TypeError, match="exactly one of table and classes"):
-            ArtinAlgebra(A.ring, A.basis, *args, **kwargs)
-    with pytest.raises(TypeError):
-        ArtinAlgebra(A.ring, A.basis, None, A._classes)
+    assert [read(m) for m in monos] == oracles.monomial_rows_reference(A, monos)
+    assert len(products) == len(classes) - 1 <= 495 - 1
 
 
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):

@@ -17,13 +17,14 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
 from artinsum.poly import Polynomial
-from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra
+from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra, square_zero_algebra
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein, random_pair
 from oracles import (apolar_classes_reference, classes_matrix, connected_sum_ideal,
                      connected_sum_reference, dense, fibre_product_reference,
-                     kernel_algebra_reference, rank_reference, residue_field_algebra,
+                     fibre_table_reference, kernel_algebra_reference, rank_reference,
+                     residue_field_algebra, socle_quotient_reference, times_table_reference,
                      typed_table)
 
 FIELDS = [GF(101), GF(1048573), QQ]
@@ -291,15 +292,29 @@ def _assert_same_algebra(new, old):
     assert typed_table(new.struct_table) == typed_table(old.struct_table)
 
 
+def _assert_tables_are(A, basis, table):
+    """A's lazily gathered tables are `table` and the variables' entries of it."""
+    assert A.basis == tuple(basis)
+    assert typed_table(A.struct_table) == typed_table(table)
+    assert typed_table(A.times_table) == typed_table(times_table_reference(basis, table))
+
+
 def _assert_sums_match_reference(R, S, unit=1, socle_left=None, socle_right=None):
     P = fibre_product(R, S)
     assert not P.trivial
     _assert_same_algebra(P.algebra, fibre_product_reference(R, S))
+    basis, table, (left, right) = fibre_table_reference(R, S)
+    _assert_tables_are(P.algebra, basis, table)
     Q = connected_sum(R, S, unit=unit, socle_left=socle_left, socle_right=socle_right)
     if Q.trivial:
         assert min(R.length, S.length) == 2
         return
     _assert_same_algebra(Q.algebra, connected_sum_reference(R, S, unit, socle_left, socle_right))
+    delta_r = sums._socle_row(R) if socle_left is None else R.element_row(socle_left)
+    delta_s = sums._socle_row(S) if socle_right is None else S.element_row(socle_right)
+    h = {left[k]: x for k, x in delta_r.items()}
+    h.update((right[k], -Q.unit * x) for k, x in delta_s.items())
+    _assert_tables_are(Q.algebra, *socle_quotient_reference(basis, table, h, R.field))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -346,11 +361,26 @@ def test_sums_match_reference_where_lm_h_is_not_the_last_basis_element():
     # top of P's basis, and the indices above it shift down
     shifted = 0
     for R, S in pair_corpus(2, seed=53, max_edim=3, max_ll=4, min_ll=2, field=GF(7)):
-        basis, _, (left, right) = sums._fibre_table(R, S)
+        basis, _, (left, right) = sums._fibre_classes(R, S)
         lead = max(left[max(sums._socle_row(R))], right[max(sums._socle_row(S))])
         shifted += lead < len(basis) - 1
         _assert_sums_match_reference(R, S)
     assert shifted
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sums_and_products_of_a_connected_sum_match_reference(field):
+    # a connected sum's classes are rewritten from its fibre product's, and
+    # a sum or product of it reads them as it reads a kernel's
+    rng = random.Random(67)
+    square_zero = square_zero_algebra(PolyRing(field, ("v",)))
+    for R, S in pair_corpus(3, seed=67, max_edim=2, max_ll=3, min_ll=2, field=field):
+        RS = connected_sum(R, S).algebra
+        T = random_gorenstein(rng, rng.randint(1, 2), rng.randint(2, 3), "W", field)
+        for build, reference, right in ((connected_sum, connected_sum_reference, T),
+                                        (fibre_product, fibre_product_reference, T),
+                                        (fibre_product, fibre_product_reference, square_zero)):
+            _assert_same_algebra(build(RS, right).algebra, reference(RS, right))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
