@@ -194,10 +194,10 @@ def cmd_analyze(args):
 
 def cmd_connect(args):
     R, S, inputs = _load_pair(args)
-    socle_left = parse_polynomial(args.socle_r, R.ring) if args.socle_r else None
-    socle_right = parse_polynomial(args.socle_s, S.ring) if args.socle_s else None
+    socle_left = parse_polynomial(args.socle_r, R.ring) if args.socle_r is not None else None
+    socle_right = parse_polynomial(args.socle_s, S.ring) if args.socle_s is not None else None
     unit = R.field.coerce(parse_polynomial(args.unit, PolyRing(R.field, [])).constant_term()) \
-        if args.unit else R.field.one
+        if args.unit is not None else R.field.one
     result = connected_sum(R, S, unit=unit, socle_left=socle_left, socle_right=socle_right)
     Q = result.algebra
     identities = [
@@ -228,7 +228,7 @@ def cmd_fibre(args):
 def cmd_decompose(args):
     Q, inputs = _load_algebra(args.path)
     report = _report("decompose", inputs, Q)
-    if args.partition:
+    if args.partition is not None:
         left, _, right = args.partition.partition("|")
         part = ([v.strip() for v in left.split(",") if v.strip()],
                 [v.strip() for v in right.split(",") if v.strip()])
@@ -344,7 +344,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-        if getattr(args, "output", None):
+        if getattr(args, "output", None) is not None:
             Path(args.output).write_text(report["output"]["source"])
     except _FileFailed as failed:
         return _fail(failed.error, f"{failed.path}: ")

@@ -1,7 +1,8 @@
 """Associated graded rings, graded socles, linear-socle splitting, and classifiers.
 
 A graded algebra is an `ArtinAlgebra` with a homogeneous reduced basis;
-its degree pieces are read off its standard monomials.  The homogeneous
+its degree pieces are read off its standard monomials, and it is its own
+gr(A), returned as it is.  The homogeneous
 presentations of gr(A) and of Iarrobino's quotient Q0 are found degreewise
 by exact linear algebra: a degree-d form belongs to the ideal exactly when
 its image in A falls into a target subspace, m^(d+1) for gr(A) and
@@ -72,15 +73,17 @@ def associated_graded(A):
 
     Degree d of the presentation consists of the degree-d forms whose image
     in A lies in m^(d+1); all monomials of degree loewy+1 are adjoined so the
-    presentation is visibly zero-dimensional.  The result is kept on A, and
-    is its own associated graded ring.
+    presentation is visibly zero-dimensional.  The quotient is kept on A.
+    A graded algebra is its own associated graded ring and is returned as
+    it is, so the quotient, which is graded, is its own too.
     """
+    if A.homogeneous:
+        return A
     if A._graded is None:
         graded = _homogeneous(quotient_algebra(
             A, [A.power(d + 1) for d in range(A.loewy_length + 2)]))
         if graded.hilbert_function() != A.hilbert_function():
             raise ArtinsumError("initial-form computation broke the Hilbert function")
-        graded._graded = graded
         A._graded = graded
     return A._graded
 

@@ -9,7 +9,7 @@ every derived ideal contains a power of the maximal ideal and is the
 kernel of the map sending each monomial to its class, and the left kernel
 of those classes, with the monomials in increasing order, is the reduced
 echelon basis of its truncation (`quotient.kernel_algebra`); fibre products
-and connected sums merge their factors' tables (`sums`).  Every algebra
+and connected sums are given by their factors' classes (`sums`).  Every algebra
 reads its reduced basis off its own classes (`quotient.ArtinAlgebra.gb`).
 No Buchberger elimination runs.
 

@@ -2,58 +2,55 @@
 
 `ArtinAlgebra` is the one object that carries an algebra k[x]/I: its
 standard monomials under Grevlex and the classes of monomials, from which
-its sparse tables are read.  Its
-ideal lies inside the square of the maximal ideal, so every variable is a
-basis element and the variable count equals the embedding dimension, and
-the powers of m failing to shrink to zero show that the quotient is not
-local.  The reduced Grevlex basis of I (`gb`) is read off the classes on
-its first read, by the one rule every algebra shares: each minimal
-monomial outside the basis minus the lift of its class.
+its sparse tables are read.  Its ideal lies inside the square of the maximal
+ideal, so every variable is a basis element and the variable count equals
+the embedding dimension, and the powers of m failing to shrink to zero show
+that the quotient is not local (but for the algebra that `build_algebra`
+hands to a quotient).  The reduced Grevlex basis of I (`gb`) is read off the
+classes on its first read, by the one rule every algebra shares: each
+minimal monomial outside the basis minus the lift of its class.
 
-Elements are coefficient vectors over the standard-monomial basis
-(ascending Grevlex order), held as dict rows from column to nonzero
-scalar, at every entry point too: rows a caller passes in go through one
-check of their columns and scalars (`_checked_rows`).  The structure
-table lists the products of the basis elements.  Every product is one
-pass over dict rows against a sparse product table (`_times`): the
-algebra's `times_table`, the products by the variables, for m*W, for the
-classes of monomials and for the resolution, or the table of any elements
-(`product_table`, gathered from the structure table) for products by
-elements and annihilators.  Over GF(p) every such walk reduces each entry
-mod p as it accumulates, so its rows are canonical when they are made.
-The powers of m are read off the
-degrees of the standard monomials: the unit rows of those of degree >= i
-lie in m^i, so a graded algebra's powers are those suffixes, and otherwise
-only the products of m^(i-1) by the variables that fall below degree i
-are echeloned.  Only parsed generator lists take the classes
-from Buchberger and normal forms (`build_algebra`), on the variables
-that lead no linear element of their reduced basis; text that is not
-minimal is then taken as the subalgebra its variables generate.  Every
-derived algebra, a subalgebra or a quotient, has an ideal containing a
-power of m: it is given by the classes of the monomials up to that degree,
-as dict rows.  The monomials come from one shared table per variable count
-and degree, in ascending Grevlex order with each monomial's predecessor
-(`_monomial_table`), so nothing is sorted.  A class is made by one rule,
-its predecessor's class times one variable: a single read forms only what
-is missing on its predecessor chain (`_monomial_class`), and the bulk
-reads of a quotient or a subalgebra take a whole table in its order, one
-forward pass (`_table_classes`); the left kernel of the
-classes is the reduced echelon basis of the truncated ideal
+Elements are coefficient vectors over the standard-monomial basis (ascending
+Grevlex order), held as dict rows from column to nonzero scalar, at every
+entry point too: rows a caller passes in go through one check of their
+columns and scalars (`_checked_rows`).  The structure table lists the
+products of the basis elements.  Every product is one pass over dict rows
+against a sparse product table (`_times`): the algebra's `times_table`, the
+products by the variables, for m*W, for the classes of monomials and for the
+resolution, or the table of any elements (`product_table`, gathered from the
+structure table) for products by elements and annihilators.  Over GF(p) every
+such walk reduces each entry mod p as it accumulates, so its rows are
+canonical when they are made.  The powers of m are read off the degrees of
+the standard monomials: the unit rows of those of degree >= i lie in m^i, so
+a graded algebra's powers are those suffixes, and otherwise only the
+products of m^(i-1) by the variables that fall below degree i are
+echeloned.  Only parsed generator lists take the classes from Buchberger and
+normal forms (`build_algebra`), on the parsed ring; text that is not minimal
+is then taken modulo zero, so that `kernel_algebra`, the one rule that drops
+variables, presents it.  Every derived algebra, a subalgebra or a quotient,
+has an ideal containing a power of m: it is given by the classes of the
+monomials up to that degree, as dict rows.  The monomials come from one
+shared table per variable count and degree, in ascending Grevlex order with
+each monomial's predecessor (`_monomial_table`), so nothing is sorted.  A
+class is made by one rule, its predecessor's class times one variable: a
+single read forms only what is missing on its predecessor chain
+(`_monomial_class`), and the bulk reads of a quotient or a subalgebra take a
+whole table in its order, one forward pass (`_table_classes`); the left
+kernel of the classes is the reduced echelon basis of the truncated ideal
 (`kernel_algebra`): dict rows keyed by their lead column, from which
 `_read_echelon` reads the standard monomials and the class of every
-monomial, walking the columns in order.  The algebra keeps those classes:
-its `times_table` is looked up in them, and its structure table is
-gathered from them only when it is first read.  Every algebra is given so:
-parsed presentations by the classes of the products of their basis
-elements, fibre products and connected sums by their factors' classes
-(`sums`), and k[x]/m^2 by the classes of 1 and the variables.  A
-quotient, gr(A) and Q0 included, takes the classes modulo one subspace per
-degree (`quotient_algebra`).
-When the ideal holds linear forms, the pivots of their echelon form are
-eliminated by the same rule: the algebra is the kernel of the classes of
-the monomials in the kept variables, and each eliminated variable's image
-is read off one left kernel of the standard monomials' classes followed
-by its own.
+monomial, walking the columns in order.  The algebra keeps those classes: its
+`times_table` is looked up in them, and its structure table is gathered from
+them only when it is first read.  Every algebra is given so: parsed
+presentations by the classes of the products of their basis elements and of
+their basis elements by the variables, fibre products and connected sums by
+their factors' classes (`sums`), and k[x]/m^2 by the classes of 1 and the
+variables.  A quotient, gr(A) and Q0 included, takes the classes modulo one
+subspace per degree (`quotient_algebra`).  When the ideal holds linear forms,
+the pivots of their echelon form are eliminated by the same rule: the
+algebra is the kernel of the classes of the monomials in the kept variables,
+and each eliminated variable's image is read off one left kernel of the
+standard monomials' classes followed by its own.
 """
 
 from bisect import bisect_left
@@ -141,36 +138,35 @@ class Subspace:
 class ArtinAlgebra:
     """Zero-dimensional local quotient with basis, multiplication, and filtration.
 
-    `basis` holds the standard monomials under Grevlex, ascending, 1
-    first, and every variable among them.  Entry l of `struct_table`
-    lists the triples (k, j, c)
-    with e_l * e_k = sum of c*e_j, sorted by (k, j); c is an int in [0, p)
-    over GF(p), and over QQ an int exactly where it is integral.  It is
-    symmetric, so entry k also lists the products of e_k by each e_l.
-    Entry l of `times_table` lists the triples (v, j, c) with
+    `basis` holds the standard monomials under Grevlex, ascending, 1 first,
+    and every variable among them (see the module).  Entry l of `struct_table`
+    lists the triples (k, j, c) with e_l * e_k = sum of c*e_j, sorted by
+    (k, j); c is an int in [0, p) over GF(p), and over QQ an int exactly where
+    it is integral.  It is symmetric, so entry k also lists the products of
+    e_k by each e_l.  Entry l of `times_table` lists the triples (v, j, c) with
     e_l * x_v = sum of c*e_j, grouped by v in increasing order, as
-    `product_table` lists its elements' products; the filtration walks it
-    with the product terms at high columns skipped (`_times_below`).
+    `product_table` lists its elements' products; the filtration walks it with
+    the product terms at high columns skipped (`_times_below`).
 
     An algebra is given by its classes, dict rows by monomial of its ring,
-    each listing its columns in increasing order.  A kernel gives the
-    class of every monomial up to a degree D with m^D in its ideal,
-    `build_algebra` that of every product of two basis elements, and a
-    fibre product or connected sum those of its factors, rewritten; a
-    product of basis elements absent from them, of degree D or more in a
-    kernel or mixed in a sum, has class 0.  They are kept as the algebra's
-    classes, `times_table` is looked up in them, and `struct_table` is
-    gathered from them on its first read.
-    Elements are dict rows over the basis: the class of a monomial not held
-    yet is made when it is first read, its predecessor's times one
-    variable, along with the classes missing on its predecessor chain
-    (`monomial_row`), and `element_row` gives the class of a polynomial.
-    `gb`, the reduced Groebner basis of the ideal under Grevlex, ascending,
-    is read off those classes on its first read; the tables, the filtration
-    and the constructors' identity checks are made without it.
-    `homogeneous` tells whether that basis is made of forms, the algebra
-    graded.  An algebra presented on fewer variables than `original_ring`
-    keeps the substitution onto its ring as `reduction`, (ring, images).
+    each listing its columns in increasing order.  A kernel gives the class of
+    every monomial up to a degree D with m^D in its ideal, `build_algebra`
+    that of every product of two basis elements and of every basis element by
+    a variable, and a fibre product or connected sum those of its factors,
+    rewritten; a product of basis elements absent from them, of degree D or
+    more in a kernel or mixed in a sum, has class 0.  They are kept as the
+    algebra's classes, `times_table` is looked up in them, and `struct_table`
+    is gathered from them on its first read.  Elements are dict rows over the
+    basis: the class of a monomial not held yet is made when it is first read,
+    its predecessor's times one variable, along with the classes missing on
+    its predecessor chain (`monomial_row`), and `element_row` gives the class
+    of a polynomial.  `gb`, the reduced Groebner basis of the ideal under
+    Grevlex, ascending, is read off those classes on its first read; the
+    tables, the filtration and the constructors' identity checks are made
+    without it.  `homogeneous` tells whether that basis is made of forms, the
+    algebra graded.  An algebra presented on fewer variables than
+    `original_ring` keeps the substitution onto its ring as `reduction`,
+    (ring, images).
     """
 
     def __init__(self, ring, basis, classes):
@@ -569,14 +565,14 @@ def build_algebra(ring, generators):
     Raises UnitIdealError, NotZeroDimensionalError, or NotLocalError when
     the input is unsuitable.  Parsed generators bound no degree of the
     ideal, so only this runs Buchberger, once per presentation, and normal
-    forms.  A variable x_v leading a linear element x_v - l of the reduced
-    basis divides no standard monomial, so the classes are taken on the
-    other variables, those of every product of two standard monomials, each
-    sorted by column; l must vanish at the origin.  When dim m/m^2 falls short of
-    the variable count, the returned algebra is the subalgebra that the
-    variables generate, x_v going to l, which `kernel_algebra` presents on
-    the variables that minimally generate m; it still takes classes of
-    polynomials in the given ring.
+    forms.  The algebra is built on the given ring from the classes of every
+    product of two standard monomials and of every b*x_v, each sorted by
+    column: a variable x_v leading a linear element x_v - l of the reduced
+    basis is not standard, so b*x_v is then no such product, and l must
+    vanish at the origin.  When dim m/m^2 falls short of the variable count,
+    the returned algebra is its quotient by zero, which `kernel_algebra`
+    presents on the variables that minimally generate m; it still takes
+    classes of polynomials in the given ring.
     """
     pres = IdealPresentation(ring, generators)
     if pres.is_unit_ideal():
@@ -584,31 +580,24 @@ def build_algebra(ring, generators):
     if not pres.is_zero_dimensional():
         raise NotZeroDimensionalError(
             "no pure variable power among the leading terms; quotient is infinite-dimensional")
-    linear = {g.leading()[0].index(1): g for g in pres.groebner_basis() if g.total_degree() == 1}
-    for g in linear.values():
-        if g.constant_term() != ring.field.zero:
+    for g in pres.groebner_basis():
+        if g.total_degree() == 1 and g.constant_term() != ring.field.zero:
             raise NotLocalError(f"the quotient is not local: {g} lies in the ideal "
                                 f"but does not vanish at the origin")
-    keep = [v for v in range(ring.nvars) if v not in linear]
-    sub = PolyRing(ring.field, [ring.names[v] for v in keep]) if linear else ring
-
-    def kept(mono):
-        return tuple(mono[v] for v in keep)
-
     basis = pres.standard_monomials()
     index = {m: i for i, m in enumerate(basis)}
     p = ring.field.char
-    products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in basis)
-    A = ArtinAlgebra(sub, [kept(m) for m in basis], {
-        kept(mono): dict(sorted(_canonical({index[m]: c for m, c in
-                                            pres.normal_form(ring.monomial(mono)).terms.items()},
-                                           p).items()))
+    units = _monomial_table(ring.nvars, 1).monos[1:]
+    products = dict.fromkeys(tuple(map(add, a, b)) for a in basis for b in (*basis, *units))
+    A = ArtinAlgebra(ring, basis, {
+        mono: dict(sorted(_canonical({index[m]: c for m, c in
+                                      pres.normal_form(ring.monomial(mono)).terms.items()},
+                                     p).items()))
         for mono in products})
     if A.power(1).dim - A.power(2).dim == ring.nvars:
         return A
-    images = [sub.poly({kept(m): c for m, c in (ring.var(v) - linear[v]).terms.items()})
-              if v in linear else sub.var(keep.index(v)) for v in range(ring.nvars)]
-    return subalgebra(A, ring, images)
+    # this A is read only by the quotient's forward pass, through `_variable_tables`
+    return quotient_algebra(A, [Subspace(A, {})] * (A.loewy_length + 2))
 
 
 def _read_echelon(ring, monos, rows):

@@ -3,10 +3,12 @@
 A random dual polynomial with a nonzero top-degree part yields a Gorenstein
 algebra with socle degree equal to its degree; retries pin the embedding
 dimension.  Everything is deterministic for a fixed Random seed.
-`dual_polynomials` draws small dual polynomials for hypothesis.
+`dual_polynomials` draws small dual polynomials for hypothesis, and
+`golden_texts` reads the golden presentations that parse.
 """
 
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -15,6 +17,11 @@ from artinsum import GF, PolyRing, apolar_algebra
 from oracles import algebra_ideal
 
 FIELD = GF(101)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the golden inputs that are rejected: four parse errors and a non-local ideal
+REJECTED = {"zero_denominator_gf5.txt", "superscript_digit_qq.txt", "not_local_linear_qq.txt",
+            "dangling_times_qq.txt", "error_after_tab_and_comment_qq.txt"}
 
 
 def random_dual_poly(rng, ring, degree):
@@ -93,3 +100,15 @@ def dual_polynomials(draw, fields):
     exponent = st.tuples(*[st.integers(0, 3)] * nvars).filter(lambda m: 0 < sum(m) <= 4)
     return draw(st.dictionaries(exponent, st.integers(-5, 5), min_size=1, max_size=4)
                 .map(ring.poly).filter(lambda p: not p.is_zero()))
+
+
+def golden_texts(field):
+    """The parsed goldens over `field`: the QQ ones read over it, the others over their own."""
+    for path in sorted(GOLDEN.glob("*.txt")):
+        text = path.read_text()
+        if path.name in REJECTED:
+            continue
+        if "field QQ" in text:
+            yield text.replace("field QQ", f"field {field}")
+        elif f"field {field}" in text:
+            yield text

@@ -33,7 +33,8 @@ dense writers that turn the library's dict rows, classes and subspaces
 into the arrays the references compare (`dense`, `vector`, `space_rows`,
 ...).
 The per-variable product that formed m*W one variable at a time, apolar
-classes with every derivative taken from F, and the right kernel and the
+classes with every derivative taken from F, a Gorenstein algebra's dual
+generator read off normal forms, and the right kernel and the
 resolution on dense echelons (numpy mod p, Bareiss over QQ) are
 references too.  So is the dense product layer that the library ran before
 its products moved onto dict rows: `mat_mul` (int64 products mod p,
@@ -64,7 +65,7 @@ keep that assembly.
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -1242,7 +1243,7 @@ def socle_by_degree_reference(G):
 
 
 # ---------------------------------------------------------------------------
-# apolar classes with every derivative taken from F
+# apolar classes with every derivative taken from F, and a dual generator
 
 def _apply_operator(exps, F):
     out = F
@@ -1273,6 +1274,30 @@ def apolar_classes_reference(F, ops):
         for t, c in p.terms.items():
             mat[i, col[t]] = c
     return monos, mat
+
+
+def dual_generator_reference(A):
+    """A dual generator of a Gorenstein algebra A: sum of phi(x^m) w^m / m! over deg m <= s.
+
+    phi is the coordinate at the pivot of the socle's one echelon row, so it
+    is nonzero on the socle, which lies in every nonzero ideal: under
+    differentiation, f kills F exactly when phi vanishes on the ideal that
+    f generates, that is when f lies in A's ideal.  So `sums.apolar_algebra`
+    of F on A's variables is A again.  The classes of the monomials are
+    normal forms modulo A's reduced basis, with no product walk.  Like
+    `apolar_algebra`, it needs characteristic zero or larger than s.
+    """
+    ((pivot, _),) = A.socle().basis.items()
+    field, ring, lead = A.field, A.ring, A.basis[pivot]
+    dual = PolyRing(field, tuple(f"w{i + 1}" for i in range(ring.nvars)))
+    ideal = algebra_ideal(A)
+    terms = {}
+    for d in range(A.loewy_length + 1):
+        for m in ring.monomials_of_degree(d):
+            c = ideal.normal_form(ring.monomial(m)).terms.get(lead)
+            if c:
+                terms[m] = field.div(c, field.coerce(prod(map(factorial, m))))
+    return dual.poly(terms)
 
 
 def classes_matrix(field, rows):

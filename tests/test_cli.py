@@ -74,6 +74,11 @@ SRC = GOLDEN.parents[1] / "src"
 # intersection: the default decompose route certifies it indecomposable
 # (COMPLETE_INTERSECTION), while --structure goes straight to the structure
 # route, where a Gorenstein associated graded ring gives the trivial sum.
+#
+# linear_lead_qq.txt and linear_lead_gf1048573.txt have reduced bases with a
+# linear element x_v - l, X - 2*Y and Y + 209714*Z + 629144*W: the parsed
+# algebra is built on a ring whose variable x_v is not standard.  Over
+# GF(1048573) X is eliminated as well, since X^2 + 2*X lies in the ideal.
 EDIM2_POLY = ("w1^4 + 13/3*w1^3*w2 - 1/3*w1^3*w3 + 8*w1^2*w2^2 - 3*w1^2*w2*w3 + w1^2*w3^2"
               " - 2*w1^2 + 7*w1*w2^3 - 5*w1*w2^2*w3 + 2*w1*w2*w3^2 - 8*w1*w3 + 1/3*w2^4"
               " + 17/3*w2^3*w3 - 11*w2^2*w3^2 + 8*w2*w3^3 - 2*w3^4 - 8*w3^2")
@@ -95,6 +100,8 @@ QQ_CASES = {
     "decompose_hidden_sum_edim2": ["decompose", "hidden_sum_edim2.txt"],
     "decompose_ci_qq": ["decompose", "ci_qq.txt"],
     "decompose_ci_structure_qq": ["decompose", "ci_qq.txt", "--structure"],
+    "analyze_linear_lead_qq": ["analyze", "linear_lead_qq.txt"],
+    "betti_linear_lead_qq": ["betti", "linear_lead_qq.txt"],
 }
 
 
@@ -113,6 +120,8 @@ GF_CASES = {
         "apolar", "--poly", "w1^4 + 8*w1^3*w3 + 24*w1^2*w3^2 + 32*w1*w3^3 + 5*w2^3"
         " - 15*w2^2*w3 + 15*w2*w3^2 + 16*w3^4 - 5*w3^3",
         "--dual-vars", "w1", "w2", "w3", "--field", "GF(1048573)"],
+    "analyze_linear_lead_gf1048573": ["analyze", "linear_lead_gf1048573.txt"],
+    "betti_linear_lead_gf1048573": ["betti", "linear_lead_gf1048573.txt"],
 }
 
 
@@ -177,6 +186,38 @@ def test_output_into_a_missing_directory_is_an_error_line(tmp_path, monkeypatch,
     assert main(["fibre", "gf_left.txt", "gf_right.txt", "-o", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not target.parent.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["connect", "qq_left.txt", "qq_right.txt", "--unit"], 2),
+    (["connect", "qq_left.txt", "qq_right.txt", "--socle-r"], 2),
+    (["connect", "qq_left.txt", "qq_right.txt", "--socle-s"], 2),
+    (["decompose", "split_gf101.txt", "--partition"], 6),
+], ids=["unit", "socle-r", "socle-s", "partition"])
+def test_an_empty_option_value_fails_as_a_blank_one_does(argv, code, monkeypatch, capsys):
+    # an empty value is given, not absent: it is read, and rejected
+    monkeypatch.chdir(GOLDEN)
+    errors = []
+    for value in ("", " "):
+        assert main(argv + [value]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err.split(" (line ")[0])
+    assert errors[0] == errors[1] and errors[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "qq_left.txt", "qq_right.txt"],
+    ["fibre", "gf_left.txt", "gf_right.txt"],
+    ["apolar", "--poly", "1/2*w1^3 + w1*w2^2 - 2/3*w2^3", "--dual-vars", "w1", "w2"],
+], ids=["connect", "fibre", "apolar"])
+def test_an_empty_output_path_is_an_error_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(GOLDEN / a) if a.endswith(".txt") else a for a in argv]
+    assert main(argv + ["-o", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
@@ -268,9 +309,10 @@ def test_a_denominator_that_is_zero_mod_p_is_a_parse_error(argv, monkeypatch, ca
 
 
 def test_a_linear_element_with_a_constant_term_is_not_local(monkeypatch, capsys):
-    # Y - 1 lies in the ideal: Y leads a linear element, and the table is
-    # built on Z alone, so build_algebra rejects the constant term itself,
-    # as the substitution-loop reference rejects a variable not nilpotent
+    # Y - 1 lies in the ideal: Y leads a linear element of the reduced
+    # basis, and build_algebra rejects its constant term before any class
+    # is taken, as the substitution-loop reference rejects a variable not
+    # nilpotent
     ring, gens = parse_presentation((GOLDEN / "not_local_linear_qq.txt").read_text())
     for build in (lambda: build_algebra(ring, gens),
                   lambda: build_algebra_reference(IdealPresentation(ring, gens))):

@@ -27,8 +27,7 @@ from artinsum.quotient import (_monomial_table, quotient_algebra, square_zero_al
 from corpus import dual_polynomials, pair_corpus, random_gorenstein
 from oracles import (_class_row, annihilator_reference, dense, filtration_reference,
                      is_canonical_row, kernel_algebra_reference, normal_form_table_reference,
-                     space_rows, sparse_row, table_algebra_reference, typed_table,
-                     vector_reference)
+                     space_rows, table_algebra_reference, typed_table)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -196,36 +195,43 @@ def test_sums_gather_their_variables_tables(field):
             _assert_times_table_is_gathered(A)
 
 
-@pytest.mark.parametrize("text, eliminated", [
+@pytest.mark.parametrize("text, leads", [
     ((GOLDEN / "nonminimal_qq.txt").read_text(), 0),
     ((GOLDEN / "nonminimal_gf101.txt").read_text(), 0),
     # linear forms of the ideal: X leads X - 2*Y, and Y leads Y - 3*Z
     ("field QQ; vars X Y Z; ideal X - 2*Y, Y^3, Z^2 - Y^2, Y*Z", 1),
     ("field GF(101); vars X Y Z; ideal Y - 3*Z, X^3, Z^2 - X^2, X*Z", 1)])
-def test_parsed_presentations_tabulate_their_variables_classes(text, eliminated):
-    # build_algebra's algebra before minimising is on the variables that
-    # lead no linear element of the reduced basis, each of them standard,
-    # so its variables' table is gathered, and it is the product table of
-    # the normal forms; the subalgebra's images are the variables' normal
-    # forms, a lead of a linear element going to minus its tail
+def test_parsed_presentations_tabulate_their_variables_classes(text, leads):
+    # build_algebra's algebra before minimising is on the parsed ring, a
+    # variable leading a linear element of the reduced basis not standard,
+    # and its variables' table is the product table of their normal forms;
+    # it is handed to one quotient by zero, which reads no structure table
     seen = []
-    original = quotient.subalgebra
+    original = quotient.quotient_algebra
 
-    def capturing(Q, new_ring, images):
-        seen.append((Q, new_ring, images))
-        return original(Q, new_ring, images)
+    def capturing(B, targets):
+        seen.append((B, targets, "struct_table" in vars(B)))
+        return original(B, targets)
 
-    with mock.patch.object(quotient, "subalgebra", capturing):
+    with mock.patch.object(quotient, "quotient_algebra", capturing):
         A = algebra_from_text(text)
-    ((B, ring, images),) = seen
-    assert ring == A.original_ring and B.ring.nvars == ring.nvars - eliminated
+    ((B, targets, gathered),) = seen
+    assert B.ring == A.original_ring and not gathered and "struct_table" not in vars(B)
+    assert len(targets) == B.loewy_length + 2 and not any(W.basis for W in targets)
     n = B.ring.nvars
-    assert all(tuple(int(i == v) for i in range(n)) in B.basis_index for v in range(n))
-    classes = [sparse_row(B.field, vector_reference(B, x)) for x in B.ring.gens()]
-    assert typed_table(B.times_table) == typed_table(B.product_table(classes))
+    units = [tuple(int(i == v) for i in range(n)) for v in range(n)]
+    assert sum(x not in B.basis_index for x in units) == leads
     pres = IdealPresentation(*parse_presentation(text))
-    assert [f.rename_into(ring) for f in images] == [pres.normal_form(x) for x in ring.gens()]
+    classes = [{B.basis_index[m]: c for m, c in pres.normal_form(x).terms.items()}
+               for x in B.ring.gens()]
+    assert typed_table(B.times_table) == typed_table(B.product_table(classes))
     _assert_times_table_is_gathered(A)
+
+
+def test_a_minimal_presentation_is_built_without_a_quotient():
+    with mock.patch.object(quotient, "quotient_algebra", mock.Mock()) as quotients:
+        A = algebra_from_text((GOLDEN / "hidden_sum.txt").read_text())
+    assert not quotients.called and A.reduction is None and A.ring is A.original_ring
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -18,9 +18,9 @@ from artinsum.errors import ArtinsumError, PreconditionError
 from artinsum.graded import (compressed_hilbert, interior_socle_dimension, linear_socle_rows,
                              socle_by_degree)
 from artinsum.grobner import IdealPresentation, buchberger
-from artinsum.quotient import presentation_in_coordinates
+from artinsum.quotient import presentation_in_coordinates, quotient_algebra
 
-from corpus import pair_corpus, random_gorenstein, random_pair
+from corpus import golden_texts, pair_corpus, random_gorenstein, random_pair
 from oracles import (build_algebra_reference, dense, degreewise_generators_reference,
                      graded_from_homogeneous, gls_split_reference, initial_form_generators,
                      normal_form_table_reference, residue_field_algebra,
@@ -301,6 +301,26 @@ def test_compressed_hilbert_values():
     assert compressed_hilbert(3, 4) == (1, 3, 6, 3, 1)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(1048573)], ids=repr)
+def test_a_graded_algebra_is_its_own_associated_graded_ring(field):
+    # differential against the quotient by the powers of m, which presents
+    # a graded algebra as it is
+    algebras = [algebra_from_text(text) for text in golden_texts(field)]
+    for R, S in pair_corpus(4, seed=61, max_edim=3, max_ll=4, min_ll=2, field=field):
+        Q = connected_sum(R, S).algebra
+        G = associated_graded(Q)
+        algebras += [R, S, Q, fibre_product(R, S).algebra, G, iarrobino(Q)[1]]
+        if G.loewy_length >= 2 and is_gls(G)[0]:
+            split = gls_split(G)
+            algebras += [split.gorenstein_part, split.square_zero_part]
+    graded_ones = [A for A in algebras if A.homogeneous]
+    assert len(graded_ones) >= 12 and len(graded_ones) < len(algebras)
+    for A in graded_ones:
+        assert associated_graded(A) is A
+        old = quotient_algebra(A, [A.power(d + 1) for d in range(A.loewy_length + 2)])
+        assert old.same_presentation(A) and old.hilbert_function() == A.hilbert_function()
+
+
 def test_gr_of_fibre_product_is_fibre_of_gr():
     pairs = [(algebra_from_text("field QQ; vars Y; ideal Y^3"),
               algebra_from_text("field QQ; vars Z1 Z2; ideal Z1^2, Z2^2"))]
@@ -329,10 +349,12 @@ def test_associated_graded_is_built_once_per_algebra(monkeypatch):
     report = structure_decompose(Q)
     assert report.status == "decomposed"
     gr_built = Counter({A: n for (A, caller), n in built.items() if caller == "associated_graded"})
-    # Q, the split algebra and the left component
-    assert gr_built[Q] == 1 and len(gr_built) == 3 and set(gr_built.values()) == {1}
+    # Q and the split algebra; the left component is graded, its own gr
+    R = report.components[0]
+    assert gr_built[Q] == 1 and len(gr_built) == 2 and set(gr_built.values()) == {1}
+    assert R.homogeneous and R not in gr_built and associated_graded(R) is R
     # and the Gorenstein part of gr of the split algebra, once
-    assert callers == Counter(associated_graded=3, gls_split=1)
+    assert callers == Counter(associated_graded=2, gls_split=1)
     assert associated_graded(Q) is associated_graded(Q)
 
 

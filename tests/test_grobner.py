@@ -3,7 +3,6 @@
 import pickle
 import random
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,8 @@ from artinsum.grobner import buchberger, s_polynomial
 from artinsum.quotient import _monomial_table, build_algebra, kernel_algebra, subalgebra
 from artinsum.sums import _apolar_classes, connected_sum
 
-from corpus import dual_polynomials, pair_corpus, random_apolar_ideal, random_dual_poly
+from corpus import (GOLDEN, dual_polynomials, golden_texts, pair_corpus, random_apolar_ideal,
+                    random_dual_poly)
 from oracles import (Block, algebra_ideal, buchberger_reference,
                      build_algebra_reference, connected_sum_ideal, contract_reference,
                      classes_matrix, cross_products_outside_reference,
@@ -494,11 +494,6 @@ def test_split_cross_products_match_ideal_membership_on_hypothesis_inputs(F):
 
 # -- the reduced basis read off the classes against Buchberger -----------------
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-REJECTED = {"zero_denominator_gf5.txt", "superscript_digit_qq.txt", "not_local_linear_qq.txt",
-            "dangling_times_qq.txt", "error_after_tab_and_comment_qq.txt"}
-
-
 def _assert_basis_read_off_the_classes(A, reference=None):
     # a reduced basis is its own Buchberger fixed point, and it is the one
     # of A's ideal when it vanishes in A and leaves A's basis standard, as
@@ -511,18 +506,6 @@ def _assert_basis_read_off_the_classes(A, reference=None):
     assert not any(A.element_row(g) for g in A.gb)
     if reference is not None:
         assert A.gb == tuple(reference)
-
-
-def _golden_texts(field):
-    """The parsed goldens over `field`: the QQ ones read over it, the others over their own."""
-    for path in sorted(GOLDEN.glob("*.txt")):
-        text = path.read_text()
-        if path.name in REJECTED:
-            continue
-        if "field QQ" in text:
-            yield text.replace("field QQ", f"field {field}")
-        elif f"field {field}" in text:
-            yield text
 
 
 def _assert_derived_bases(R, S):
@@ -544,7 +527,7 @@ def _assert_derived_bases(R, S):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_reduced_bases_read_off_the_classes_match_buchberger(field):
-    texts = list(_golden_texts(field))
+    texts = list(golden_texts(field))
     assert any("vars A B C D" in text for text in texts)
     for text in texts:
         ring, gens = parse_presentation(text)

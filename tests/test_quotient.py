@@ -427,6 +427,25 @@ def test_minimal_presentation_matches_reference_on_hand_inputs(field):
         _assert_same_algebra(IdealPresentation(ring, gens), _probes(rng, ring))
 
 
+# presentations whose reduced basis has a linear element x_v - l
+LINEAR_LEADS = [
+    "vars X Y Z; ideal X - 2*Y, Y^3, Z^2 - Y^2, Y*Z",
+    "vars X Y Z; ideal Y - 3*Z, X^3, Z^2 - X^2, X*Z",
+    "vars X Y Z W; ideal W - 3*Z + 5*Y, X^3, Z^2 - X^2, X*Z, Y - 2*X - Z^2",
+    "vars X Y Z; ideal X - Y - Z, Y^2, Z^2",
+]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_linear_leads_match_reference(field):
+    rng = random.Random(8)
+    for text in LINEAR_LEADS:
+        ring, gens = parse_presentation(f"field {field}; {text}")
+        pres = IdealPresentation(ring, gens)
+        assert any(g.total_degree() == 1 for g in pres.groebner_basis())
+        _assert_same_algebra(pres, _probes(rng, ring))
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_minimal_presentation_matches_reference_on_seeded_inputs(field):
     rng = random.Random(17)
@@ -1114,16 +1133,21 @@ def test_quotients_read_their_classes_in_one_forward_pass(monkeypatch, field):
                                 (graded, "quotient_algebra", recording_quotient),
                                 (sums, "quotient_algebra", recording_quotient)):
         monkeypatch.setattr(module, name, patch)
-    splits = 0
-    for A in _product_corpus(field):
+    corpus = _product_corpus(field)
+    made = len(records)
+    splits = socles = grs = 0
+    for A in corpus:
         if A.is_gorenstein() and A.length > 1:
             modulo_socle(A)
+            socles += 1
+        # a graded algebra is its own gr, and a gr is built once
+        grs += not A.homogeneous and A._graded is None
         G = associated_graded(A)
         if G.loewy_length >= 2 and is_gls(G)[0]:
             gls_split(G)
             splits += 1
     monkeypatch.undo()
-    assert splits and len(records) > 3 * splits
+    assert splits and grs and len(records) - made == socles + grs + splits
     for record in records:
         A = record["A"]
         want, memo = oracles.quotient_residues_reference(A, record["targets"])

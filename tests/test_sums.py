@@ -20,12 +20,12 @@ from artinsum.poly import Polynomial
 from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra, square_zero_algebra
 from artinsum.sums import _apolar_classes
 
-from corpus import pair_corpus, random_dual_poly, random_gorenstein, random_pair
+from corpus import golden_texts, pair_corpus, random_dual_poly, random_gorenstein, random_pair
 from oracles import (apolar_classes_reference, classes_matrix, connected_sum_ideal,
-                     connected_sum_reference, dense, fibre_product_reference,
-                     fibre_table_reference, kernel_algebra_reference, rank_reference,
-                     residue_field_algebra, socle_quotient_reference, times_table_reference,
-                     typed_table)
+                     connected_sum_reference, dense, dual_generator_reference,
+                     fibre_product_reference, fibre_table_reference, kernel_algebra_reference,
+                     rank_reference, residue_field_algebra, socle_quotient_reference,
+                     times_table_reference, typed_table)
 
 FIELDS = [GF(101), GF(1048573), QQ]
 
@@ -482,3 +482,37 @@ def test_derived_algebras_run_no_buchberger_and_no_normal_form(monkeypatch):
     assert structure_decompose(hidden).status == "decomposed"
     assert structure_decompose(graded_gorenstein).trivial
     assert calls == Counter()
+
+
+# -- the dual generator of a Gorenstein algebra: its apolar algebra is the algebra
+
+def _dual_round_trip_corpus(field):
+    """R, S and R # S of seeded pairs, and the Gorenstein goldens over `field`.
+
+    Each golden is taken with its Q0 and, from Loewy length three, the
+    components of its structure decomposition.
+    """
+    algebras = []
+    for R, S in pair_corpus(30, max_edim=3, max_ll=4, field=field):
+        algebras += [R, S, connected_sum(R, S).algebra]
+    for text in golden_texts(field):
+        A = algebra_from_text(text)
+        if not A.is_gorenstein():
+            continue
+        algebras += [A, iarrobino(A)[1]]
+        if A.loewy_length >= 3:
+            algebras += structure_decompose(A).components or ()
+    return algebras
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_apolar_algebra_of_a_dual_generator_is_the_algebra(field):
+    # the dual side differentiates F and takes one kernel, so it checks the
+    # parsed, quotient and subalgebra routes by a walk of its own
+    algebras = _dual_round_trip_corpus(field)
+    assert len(algebras) >= 90 and all(A.is_gorenstein() for A in algebras)
+    assert any(A.reduction is not None for A in algebras)
+    for A in algebras:
+        F = dual_generator_reference(A)
+        assert F.total_degree() == A.loewy_length
+        assert apolar_algebra(F, A.ring.names).same_presentation(A), A
