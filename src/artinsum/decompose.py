@@ -12,6 +12,7 @@ re-verified at presentation level before it is reported.
 
 from dataclasses import dataclass, field
 from math import comb
+from operator import add
 
 from .errors import ArtinsumError, NotGorensteinError, PreconditionError
 from .graded import associated_graded, classify, gls_split, interior_socle_dimension
@@ -51,13 +52,16 @@ def check_split(Q, partition):
     if not left_names or not right_names:
         raise PreconditionError("both sides of the partition must be nonempty")
     reasons = []
-    var = {n: Q.ring.var(i) for i, n in enumerate(Q.ring.names)}
+    exps = {n: tuple(int(k == v) for k in range(Q.ring.nvars))
+            for v, n in enumerate(Q.ring.names)}
     offending = [f"{yn}*{zn}" for yn in left_names for zn in right_names
-                 if Q.element_row(var[yn] * var[zn])]
+                 if Q.monomial_row(tuple(map(add, exps[yn], exps[zn])))]
     if offending:
         reasons.append("cross products outside the ideal: " + ", ".join(offending))
     sides = [[n for n in Q.ring.names if n in side] for side in (left_names, right_names)]
-    left, right = (subalgebra(Q, PolyRing(Q.field, names), [var[n] for n in names])
+    # every variable is a basis element, so its class is a unit row
+    left, right = (subalgebra(Q, PolyRing(Q.field, names),
+                              [{Q.basis_index[exps[n]]: 1} for n in names])
                    for names in sides)
     for name, A in (("left", left), ("right", right)):
         if not A.is_gorenstein():
@@ -77,12 +81,11 @@ def check_split(Q, partition):
 
 @dataclass
 class SplitWitness:
-    """Lifted data splitting m into an annihilator pair of ideals."""
+    """Elements of Q, dict rows, splitting m into an annihilator pair of ideals."""
 
-    z_lifts: list          # polynomials generating J, images of the new Z variables
-    y_lifts: list          # minimal generators of 0 : J, images of the new Y variables
-    new_ring: PolyRing
-    images: list           # all new-variable images, in new_ring order
+    z_rows: list           # generators of J, images of the new Z variables
+    y_rows: list           # minimal generators of 0 : J, images of the new Y variables
+    new_ring: PolyRing     # the Y variables, then the Z variables
 
 
 def split_witness(Q):
@@ -141,12 +144,8 @@ def split_witness(Q):
             raise ArtinsumError(f"m^{r} differs from (0:J)^{r}")
     if mu_j != n or mu_i + mu_j != Q.edim:
         raise ArtinsumError("generator counts of the annihilator pair are off")
-    y_lifts = [Q.lift(row) for row in y_reps]
-    z_lifts = [Q.lift(row) for row in z_rows]
-    m = mu_i
-    names = [f"Y{i + 1}" for i in range(m)] + [f"Z{j + 1}" for j in range(n)]
-    new_ring = PolyRing(Q.field, names)
-    return SplitWitness(z_lifts, y_lifts, new_ring, y_lifts + z_lifts)
+    names = [f"Y{i + 1}" for i in range(mu_i)] + [f"Z{j + 1}" for j in range(n)]
+    return SplitWitness(z_rows, y_reps, PolyRing(Q.field, names))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +237,9 @@ def structure_decompose(Q):
         report.verified_identities.append(("graded-part-is-whole-ring", True))
         return report
     witness = split_witness(Q)
-    split_algebra = presentation_in_coordinates(Q, witness.new_ring, witness.images)
-    m = len(witness.y_lifts)
+    images = witness.y_rows + witness.z_rows
+    split_algebra = presentation_in_coordinates(Q, witness.new_ring, images)
+    m = len(witness.y_rows)
     left_names = list(witness.new_ring.names[:m])
     right_names = list(witness.new_ring.names[m:])
     check = check_split(split_algebra, (left_names, right_names))
@@ -258,8 +258,8 @@ def structure_decompose(Q):
     if not all(flag for _, flag in identities):
         failed = [name for name, flag in identities if not flag]
         raise ArtinsumError("verification failed: " + ", ".join(failed))
-    coordinate_change = {name: str(img)
-                         for name, img in zip(witness.new_ring.names, witness.images)}
+    coordinate_change = {name: str(Q.lift(row))
+                         for name, row in zip(witness.new_ring.names, images)}
     return DecompositionReport(status="decomposed", trivial=False, components=(R, S),
                                unit=check.unit, coordinate_change=coordinate_change,
                                verified_identities=identities)

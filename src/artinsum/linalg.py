@@ -4,10 +4,10 @@ Elements and subspaces are dict rows everywhere in the library (see
 `_kernels`); only `rref` takes a numpy array: dtype int64 with entries
 reduced mod p over a prime field, dtype object over QQ.  `_checked` is the
 way in for such an array: it enforces the dimension guard
-(`quotient.MAX_ECHELON_DIM`, which `kernel_algebra` reads too) and reduces
-entries mod p.  No module of the library imports this one, and `rref` has
-no caller: it is kept because the benchmark's set-up probe and its span
-tracer name it, with `is_prime_field`.  A QQ matrix it returns is
+(`quotient.MAX_ECHELON_DIM`, which `quotient._checked_table` reads too) and
+reduces entries mod p.  No module of the library imports this one, and
+`rref` has no caller: it is kept because the benchmark's set-up probe and
+its span tracer name it, with `is_prime_field`.  A QQ matrix it returns is
 canonical: an entry is an `int` exactly when it is integral, and a
 `Fraction` otherwise.  numpy is imported when `rref` or `_checked` is
 called, so importing the library does not load it.

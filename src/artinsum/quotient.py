@@ -31,31 +31,33 @@ variables, presents it.  Every derived algebra, a subalgebra or a quotient,
 has an ideal containing a power of m: it is given by the classes of the
 monomials up to that degree, as dict rows.  The monomials come from one
 shared table per variable count and degree, in ascending Grevlex order with
-each monomial's predecessor (`_monomial_table`), so nothing is sorted.  A
-class is made by one rule, its predecessor's class times one variable: a
-single read forms only what is missing on its predecessor chain
-(`_monomial_class`), and the bulk reads of a quotient or a subalgebra take a
-whole table in its order, one forward pass (`_table_classes`); the left
-kernel of the classes is the reduced echelon basis of the truncated ideal
-(`kernel_algebra`): dict rows keyed by their lead column, from which
-`_read_echelon` reads the standard monomials and the class of every
-monomial, walking the columns in order.  The algebra keeps those classes: its
-`times_table` is looked up in them, and its structure table is gathered from
-them only when it is first read.  Every algebra is given so: parsed
-presentations by the classes of the products of their basis elements and of
-their basis elements by the variables, fibre products and connected sums by
-their factors' classes (`sums`), and k[x]/m^2 by the classes of 1 and the
-variables.  A quotient, gr(A) and Q0 included, takes the classes modulo one
-subspace per degree (`quotient_algebra`).  When the ideal holds linear forms,
-the pivots of their echelon form are eliminated by the same rule: the
-algebra is the kernel of the classes of the monomials in the kept variables,
-and each eliminated variable's image is read off one left kernel of the
-standard monomials' classes followed by its own.
+each monomial's predecessor (`_monomial_table`), so nothing is sorted; the
+echelon guard checks a table's size before it is enumerated
+(`_checked_table`).  A class is made by one rule, its predecessor's class
+times one variable, and a read forms only what is missing on its
+predecessor chain (`_monomial_class`): the classes of a whole table, read
+in its order, as a quotient or a subalgebra reads them, make one product
+each.  The left kernel of the classes is the reduced echelon basis of the
+truncated ideal (`kernel_algebra`): dict rows keyed by their lead column,
+from which `_read_echelon` reads the standard monomials and the class of
+every monomial, walking the columns in order.  The algebra keeps those
+classes: its `times_table` is looked up in them, and its structure table is
+gathered from them only when it is first read.  Every algebra is given so:
+parsed presentations by the classes of the products of their basis elements
+and of their basis elements by the variables, fibre products and connected
+sums by their factors' classes (`sums`), and k[x]/m^2 by the classes of 1
+and the variables.  A quotient, gr(A) and Q0 included, takes the classes
+modulo one subspace per degree (`quotient_algebra`).  When the ideal holds
+linear forms, the pivots of their echelon form are eliminated by the same
+rule: the algebra is the kernel of the classes of the monomials in the kept
+variables, and each eliminated variable's image is read off one left kernel
+of the standard monomials' classes followed by its own.
 """
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 from operator import add
 from typing import NamedTuple
 
@@ -596,7 +598,7 @@ def build_algebra(ring, generators):
         for mono in products})
     if A.power(1).dim - A.power(2).dim == ring.nvars:
         return A
-    # this A is read only by the quotient's forward pass, through `_variable_tables`
+    # this A is read only by the quotient's class reads, through `_variable_tables`
     return quotient_algebra(A, [Subspace(A, {})] * (A.loewy_length + 2))
 
 
@@ -651,11 +653,8 @@ def kernel_algebra(ring, degree, classes):
     carries the given ring to the kept one.  The algebra keeps the classes
     that `_read_echelon` reads, and its tables are read off them.
     """
-    if len(classes) > MAX_ECHELON_DIM:
-        raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, len(classes),
-                                 "matrix dimension")
     p = ring.field.char
-    monos = _monomial_table(ring.nvars, degree).monos
+    monos = _checked_table(ring.nvars, degree).monos
     rows = _kernels.left_kernel(classes, p)
     # columns 1..nvars are the variables
     linear = [part for row in rows.values()
@@ -710,6 +709,19 @@ def _monomial_table(nvars, degree):
     return MonomialTable(monos, pred, var)
 
 
+def _checked_table(nvars, degree):
+    """The monomial table of `nvars` variables up to `degree`, within the echelon guard.
+
+    Its monomials are the columns of an echelon, so their count,
+    C(nvars + degree, nvars), is checked against `MAX_ECHELON_DIM` before
+    the table is looked up or enumerated: outside the cache, at every call.
+    """
+    count = comb(nvars + degree, nvars)
+    if count > MAX_ECHELON_DIM:
+        raise ResourceGuardError("max_echelon_dim", MAX_ECHELON_DIM, count, "matrix dimension")
+    return _monomial_table(nvars, degree)
+
+
 def _monomial_class(classes, mono, tables, lam, p):
     """The class of `mono` as a dict row, forming the classes missing on its predecessor chain.
 
@@ -734,44 +746,25 @@ def _monomial_class(classes, mono, tables, lam, p):
     return row
 
 
-def _table_classes(classes, nvars, s, tables, lam, p):
-    """The monomials up to degree s+1 and their classes, for an algebra of socle degree s.
-
-    The classes are read in the order of the monomial table, in one forward
-    pass: each is its predecessor's class times its variable, one `_times`
-    step by the rule of `_monomial_class`, with no walk down a predecessor
-    chain, since the predecessor's class was read before.  `classes` holds
-    the monomial 1; a class it holds is read from it, and each class formed
-    is kept in it.  The monomials of degree s+1 have class 0.
-    """
-    monos, pred, var = _monomial_table(nvars, s + 1)
-    count = len(_monomial_table(nvars, s).monos)
-    rows = [classes[monos[0]]]
-    for j in range(1, count):
-        row = classes.get(monos[j])
-        if row is None:
-            row = classes[monos[j]] = next(
-                _times([rows[pred[j]]], tables[var[j]], lam, p, range(lam)), {})
-        rows.append(row)
-    return monos, rows + [{}] * (len(monos) - count)
-
-
 def subalgebra(Q, new_ring, images):
     """The subalgebra of Q that `images` generate, presented on `new_ring`.
 
-    `images` are polynomials of Q's ring in its maximal ideal, one per
-    variable of `new_ring`.  Monomials above the Loewy length map to zero,
-    so the kernel of the map up to one degree beyond it is the truncated
-    ideal.
+    `images` are elements of Q's maximal ideal, dict rows, one per variable
+    of `new_ring`.  Each monomial up to the Loewy length s is read in the
+    order of the monomial table (`_monomial_class`), one product per class;
+    monomials above s map to zero, so the kernel of the map up to degree
+    s+1 is the truncated ideal.
     """
-    tables = [Q.product_table([Q.element_row(f)]) for f in images]
-    s, n = Q.loewy_length, new_ring.nvars
-    _, classes = _table_classes({(0,) * n: {0: 1}}, n, s, tables, Q.length, Q.field.char)
-    return kernel_algebra(new_ring, s + 1, classes)
+    lam, p, s, n = Q.length, Q.field.char, Q.loewy_length, new_ring.nvars
+    tables = [Q.product_table([row]) for row in _checked_rows(Q, images)]
+    classes = {(0,) * n: {0: 1}}
+    return kernel_algebra(new_ring, s + 1, [
+        _monomial_class(classes, m, tables, lam, p) if mono_deg(m) <= s else {}
+        for m in _checked_table(n, s + 1).monos])
 
 
 def presentation_in_coordinates(Q, new_ring, images):
-    """Q presented on a new minimal generating set of m, lifted by `images`."""
+    """Q presented on a new minimal generating set of m, given by `images`, dict rows."""
     rebuilt = subalgebra(Q, new_ring, images)
     if rebuilt.length != Q.length or rebuilt.hilbert_function() != Q.hilbert_function():
         raise ArtinsumError("coordinate change did not preserve the algebra")
@@ -800,16 +793,13 @@ def quotient_algebra(A, targets):
     graded, since in a vanishing sum of residues the one of least degree d
     would lie in m^(d+1), inside targets[d], and so be zero.
 
-    The classes of the monomials up to s are read in one forward pass over
-    the monomial table (`_table_classes`), each its predecessor's times its
-    variable, and kept in A's classes, so later reads of them
-    (`monomial_row`) form nothing; the monomials of degree s+1 have class 0.
+    The classes of the monomials up to s are read in the order of the
+    monomial table (`monomial_residues`), each its predecessor's times its
+    variable, and kept in A's classes, so later reads of them form nothing;
+    the monomials of degree s+1 have class 0.
     """
-    s, p = A.loewy_length, A.field.char
-    monos, classes = _table_classes(A._classes, A.ring.nvars, s, A._variable_tables,
-                                    A.length, p)
-    residues = [_kernels.reduce(dict(row), targets[mono_deg(m)].basis, p)
-                for m, row in zip(monos, classes)]
+    s = A.loewy_length
+    residues = monomial_residues(A, _checked_table(A.ring.nvars, s + 1).monos, targets)
     if not residues[0]:
         raise UnitIdealError("1 lies in the ideal")
     return kernel_algebra(A.ring, s + 1, residues)

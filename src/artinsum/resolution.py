@@ -37,7 +37,7 @@ from operator import add
 from . import _kernels
 from .errors import (ArtinsumError, NotGorensteinError, PreconditionError,
                      ResourceGuardError)
-from .quotient import _finished, _monomial_table, _times
+from .quotient import _checked_table, _finished, _times
 from .series import SeriesTrunc
 from .sums import connected_sum, fibre_product, modulo_socle
 
@@ -168,7 +168,7 @@ def mu_direct(A):
     if not A.gb:
         return 0
     bound = A.loewy_length + 1
-    monos = _monomial_table(A.ring.nvars, bound).monos
+    monos = _checked_table(A.ring.nvars, bound).monos
     col = {m: j for j, m in enumerate(monos)}
     rows = []
     for g in A.gb:

@@ -41,7 +41,7 @@ from heapq import merge
 from .errors import (ArtinsumError, BadSocleError, CharacteristicError,
                      NotGorensteinError, PreconditionError, RingMismatchError)
 from .poly import PolyRing, mono_deg
-from .quotient import (ArtinAlgebra, _canonical, _monomial_table, kernel_algebra,
+from .quotient import (ArtinAlgebra, _canonical, _checked_table, kernel_algebra,
                        quotient_algebra)
 
 
@@ -246,7 +246,7 @@ def _derive(terms, i, p):
 def _apolar_classes(F, ops):
     """The monomials of `ops` up to degree deg F + 1, and dict rows of their derivatives of F.
 
-    The monomials ascend under Grevlex (`_monomial_table`), as
+    The monomials ascend under Grevlex (`_checked_table`, in the guard), as
     `kernel_algebra` takes their classes.  F's terms are written by the
     `_canonical` rule, an int over QQ wherever a coefficient is integral,
     and each monomial's derivative is a term dict, one derivative
@@ -256,7 +256,7 @@ def _apolar_classes(F, ops):
     among the derivatives.
     """
     p = F.ring.field.char
-    table = _monomial_table(ops.nvars, F.total_degree() + 1)
+    table = _checked_table(ops.nvars, F.total_degree() + 1)
     derived = [_canonical(F.terms, p)]
     for i, v in zip(table.pred[1:], table.var[1:]):
         derived.append(_derive(derived[i], v, p))

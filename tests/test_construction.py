@@ -128,9 +128,9 @@ def test_kernel_algebras_match_the_sorting_reference_on_corpus_constructions(fie
             associated_graded(Q)
             iarrobino(Q)
             modulo_socle(Q)
-            subalgebra(Q, PolyRing(Q.field, Q.ring.names[:1]), [Q.ring.var(0)])
+            subalgebra(Q, PolyRing(Q.field, Q.ring.names[:1]), [Q.element_row(Q.ring.var(0))])
             last = Q.ring.var(Q.ring.nvars - 1)
-            subalgebra(Q, Q.ring, [x + last * last for x in Q.ring.gens()])
+            subalgebra(Q, Q.ring, [Q.element_row(x + last * last) for x in Q.ring.gens()])
             square_zero_algebra(Q.ring)
     # per pair at least: R and S, then gr(Q), Q0, Q/soc Q, two subalgebras
     # and k[Q.ring]/m^2
@@ -332,9 +332,9 @@ def _derived_kernels(Q, rng):
         iarrobino(Q)
         modulo_socle(Q)
     ring = Q.ring
-    subalgebra(Q, PolyRing(Q.field, ring.names[:1]), [ring.var(0)])
+    subalgebra(Q, PolyRing(Q.field, ring.names[:1]), [Q.element_row(ring.var(0))])
     last = ring.var(ring.nvars - 1)
-    subalgebra(Q, ring, [x + last * last.scale(Q.field.coerce(rng.randint(1, 3)))
+    subalgebra(Q, ring, [Q.element_row(x + last * last.scale(Q.field.coerce(rng.randint(1, 3))))
                          for x in ring.gens()])
     if G.loewy_length >= 2 and is_gls(G)[0] and G.type > 1:
         gls_split(G)

@@ -274,7 +274,7 @@ def test_degreewise_algebras_match_the_per_degree_preimage_route_on_hidden_sums(
     images = [ring.var(v) + sum((ring.var(j).scale(coeff()) for j in range(v)), ring.zero)
               + (ring.var(data.draw(st.integers(0, ring.nvars - 1))) ** 2).scale(coeff())
               for v in range(ring.nvars)]
-    A = presentation_in_coordinates(Q, ring, images)
+    A = presentation_in_coordinates(Q, ring, [Q.element_row(f) for f in images])
     s = A.loewy_length
     q0_targets = [A.annihilator(A.power(s - i).basis.values()).intersect(A.power(i))
                   .add(A.power(i + 1)) for i in range(s + 1)] + [A.power(s + 2)]
@@ -383,7 +383,7 @@ def _hidden(Q, coeff):
     ring = Q.ring
     images = [ring.var(v) + sum((ring.var(j).scale(coeff()) for j in range(v)), ring.zero)
               for v in range(ring.nvars)]
-    return presentation_in_coordinates(Q, ring, images)
+    return presentation_in_coordinates(Q, ring, [Q.element_row(f) for f in images])
 
 
 def _assert_same_graded(got, expected):

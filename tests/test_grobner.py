@@ -14,10 +14,11 @@ from artinsum import (GF, QQ, IdealPresentation, Polynomial, PolyRing, algebra_f
                       apolar_algebra, associated_graded, fibre_product, gls_split, grobner,
                       iarrobino, modulo_socle, normal_form, parse_presentation)
 from artinsum.cli import main
-from artinsum.decompose import check_split
-from artinsum.errors import ArtinsumError, ResourceGuardError, UnitIdealError
+from artinsum.decompose import check_split, split_witness
+from artinsum.errors import ArtinsumError, PreconditionError, ResourceGuardError, UnitIdealError
 from artinsum.grobner import buchberger, s_polynomial
-from artinsum.quotient import _monomial_table, build_algebra, kernel_algebra, subalgebra
+from artinsum.quotient import (_monomial_table, build_algebra, kernel_algebra,
+                               presentation_in_coordinates, subalgebra)
 from artinsum.sums import _apolar_classes, connected_sum
 
 from corpus import (GOLDEN, dual_polynomials, golden_texts, pair_corpus, random_apolar_ideal,
@@ -91,7 +92,8 @@ def test_normal_form_standard_monomial():
 def _subalgebra_on(Q, keep):
     """The subalgebra of Q on the kept variable names, in Q's variable order."""
     keep = sorted(keep, key=Q.ring.index.get)
-    return subalgebra(Q, PolyRing(Q.field, keep), [Q.ring.var(Q.ring.index[n]) for n in keep])
+    return subalgebra(Q, PolyRing(Q.field, keep),
+                      [Q.element_row(Q.ring.var(Q.ring.index[n])) for n in keep])
 
 
 def test_contract_golden():
@@ -481,7 +483,8 @@ def test_split_cross_products_match_ideal_membership(field):
         images = [Q.ring.var(v) + sum((Q.ring.var(j).scale(rng.randint(-2, 2))
                                        for j in range(v)), Q.ring.zero)
                   for v in range(Q.ring.nvars)]
-        _assert_cross_products_match_reference(subalgebra(Q, Q.ring, images))
+        _assert_cross_products_match_reference(
+            subalgebra(Q, Q.ring, [Q.element_row(f) for f in images]))
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -490,6 +493,52 @@ def test_split_cross_products_match_ideal_membership_on_hypothesis_inputs(F):
     A = apolar_algebra(F, tuple(f"X{i}" for i in range(F.ring.nvars)))
     if A.is_gorenstein() and A.edim >= 2:
         _assert_cross_products_match_reference(A)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_splits_multiply_no_polynomials(monkeypatch, field):
+    # the cross products are classes of monomials and the components are
+    # generated by unit rows, and the witness reaches the split as dict rows:
+    # on the corpus sums, the golden partitions and the witness coordinates
+    # of every golden algebra that has them, no polynomial product is formed
+    def read(name):
+        return algebra_from_text((GOLDEN / name).read_text().replace("field QQ", f"field {field}"))
+
+    splits = [(connected_sum(R, S).algebra, (R.ring.names, S.ring.names), True)
+              for R, S in pair_corpus(4, seed=53, max_edim=2, max_ll=3, min_ll=2, field=field)]
+    splits.append((connected_sum(read("qq_left.txt"), read("qq_right.txt"),
+                                 unit=Fraction(2, 3)).algebra,
+                   (["Y1", "Y2"], ["Z1", "Z2"]), True))
+    splits.append((read("hidden_sum.txt"), (["X1"], ["X2"]), False))
+    if field == GF(101):
+        splits.append((read("split_gf101.txt"), (["Y"], ["Z"]), True))
+    witnesses = []
+    for text in golden_texts(field):
+        A = algebra_from_text(text)
+        if A.is_gorenstein() and A.loewy_length >= 3:
+            try:
+                witness = split_witness(A)
+            except PreconditionError:
+                continue
+            if witness is not None:
+                witnesses.append((A, witness))
+    assert witnesses
+
+    def product(*args):
+        raise AssertionError("a polynomial product")
+
+    x = splits[0][0].ring.var(0)
+    monkeypatch.setattr(Polynomial, "__mul__", product)
+    with pytest.raises(AssertionError):
+        x * x
+    for Q, partition, ok in splits:
+        check = check_split(Q, partition)
+        assert check.ok == ok
+        assert ok or check.reasons == ["cross products outside the ideal: X1*X2"]
+    for A, witness in witnesses:
+        m = len(witness.y_rows)
+        Q = presentation_in_coordinates(A, witness.new_ring, witness.y_rows + witness.z_rows)
+        assert check_split(Q, (witness.new_ring.names[:m], witness.new_ring.names[m:])).ok
 
 
 # -- the reduced basis read off the classes against Buchberger -----------------

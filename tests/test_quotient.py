@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from artinsum.errors import (ArtinsumError, NotAnIdealError, NotLocalError,
 from artinsum.grobner import IdealPresentation, normal_form
 from artinsum import _kernels, graded, quotient, sums
 from artinsum.quotient import ArtinAlgebra, kernel_algebra, quotient_algebra, subalgebra
+from artinsum.resolution import mu_direct
 from artinsum.sums import _apolar_classes
 
 from corpus import pair_corpus, random_dual_poly, random_gorenstein
@@ -30,7 +32,7 @@ from oracles import (algebra_ideal, annihilator_reference, build_algebra_referen
                      classes_matrix, dense_struct, echelon_reference, left_kernel_reference,
                      ideal_span_reference, mat_mul, matrix, modulo_socle_reference,
                      is_canonical_row, monomial_vector,
-                     monomial_vector_reference, mult_matrix, multiply,
+                     monomial_vector_reference, mu_direct_reference, mult_matrix, multiply,
                      normal_form_table_reference, one_vector, prepared,
                      quotient_algebra_reference, residue_field_algebra, space_rows,
                      sparse_row, sparse_rows, subalgebra_reference, times_reference,
@@ -507,11 +509,11 @@ def _derived_from(R, S):
     Q = connected_sum(R, S).algebra
     out = [R, S, Q, associated_graded(Q), iarrobino(Q)[1]]
     names = Q.ring.names
-    out.append(subalgebra(Q, PolyRing(Q.field, names[:1]), [Q.ring.var(0)]))
+    out.append(subalgebra(Q, PolyRing(Q.field, names[:1]), [Q.element_row(Q.ring.var(0))]))
     # a coordinate change that keeps m: every variable plus the last one squared
     last = Q.ring.var(len(names) - 1)
     images = [Q.ring.var(i) + last * last for i in range(len(names))]
-    out.append(subalgebra(Q, Q.ring, images))
+    out.append(subalgebra(Q, Q.ring, [Q.element_row(f) for f in images]))
     return Q, out
 
 
@@ -616,6 +618,31 @@ def test_kernel_algebra_guards_its_monomial_count(monkeypatch):
     assert (err.guard, err.limit, err.value) == ("max_echelon_dim", 5, 6)
     monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", 6)
     assert kernel_algebra(ring, 2, classes).hilbert_function() == (1, 2)
+
+
+def test_the_echelon_guard_trips_before_any_monomial_table_is_made(monkeypatch):
+    # the apolar classes, a quotient's residues, a subalgebra's classes and
+    # mu_direct's rows are read over the monomials up to degree d + 1: their
+    # count C(n + d + 1, n) is checked before the table is looked up or made
+    n, d = 3, 4
+    F = parse_polynomial("w1^4 + w2^4 + w3^4 + w1*w2*w3", PolyRing(QQ, ("w1", "w2", "w3")))
+    A = apolar_algebra(F)
+    assert A.loewy_length == d and A.gb
+    images = [A.element_row(x) for x in A.ring.gens()]
+    count = comb(n + d + 1, n)
+    monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", count - 1)
+    before = quotient._monomial_table.cache_info()
+    for build in (lambda: apolar_algebra(F),
+                  lambda: quotient_algebra(A, [A.socle()] * (d + 2)),
+                  lambda: subalgebra(A, A.ring, images),
+                  lambda: mu_direct(A)):
+        with pytest.raises(ResourceGuardError) as info:
+            build()
+        err = info.value
+        assert (err.guard, err.limit, err.value) == ("max_echelon_dim", count - 1, count)
+    assert quotient._monomial_table.cache_info() == before
+    monkeypatch.setattr(quotient, "MAX_ECHELON_DIM", count)
+    assert apolar_algebra(F).same_presentation(A) and mu_direct(A) == mu_direct_reference(A)
 
 
 @st.composite
@@ -1096,7 +1123,7 @@ def test_forward_pass_classes_match_the_recursive_and_dense_classes(monkeypatch,
         for ring, images in (_subalgebra_images(rng, Q), (Q.ring, Q.ring.gens())):
             handed.clear()
             monkeypatch.setattr(quotient, "kernel_algebra", recording)
-            got = subalgebra(Q, ring, images)
+            got = subalgebra(Q, ring, [Q.element_row(f) for f in images])
             monkeypatch.undo()
             assert handed == [oracles.subalgebra_classes_reference(Q, ring, images)]
             want = subalgebra_reference(Q, ring, images)
@@ -1198,7 +1225,8 @@ def test_a_class_read_on_its_own_forms_only_its_predecessor_chain(monkeypatch, f
 
 
 def _assert_subalgebra_matches_dense_classes(Q, ring, images):
-    got, want = subalgebra(Q, ring, images), subalgebra_reference(Q, ring, images)
+    got = subalgebra(Q, ring, [Q.element_row(f) for f in images])
+    want = subalgebra_reference(Q, ring, images)
     assert got.same_presentation(want) and got.basis == want.basis
     assert typed_table(got.struct_table) == typed_table(want.struct_table)
     assert got.reduction == want.reduction
