@@ -194,8 +194,8 @@ def cmd_analyze(args):
 
 def cmd_connect(args):
     R, S, inputs = _load_pair(args)
-    socle_left = parse_polynomial(args.socle_r, R.ring) if args.socle_r is not None else None
-    socle_right = parse_polynomial(args.socle_s, S.ring) if args.socle_s is not None else None
+    socle_left = parse_polynomial(args.socle_r, R.original_ring) if args.socle_r is not None else None
+    socle_right = parse_polynomial(args.socle_s, S.original_ring) if args.socle_s is not None else None
     unit = R.field.coerce(parse_polynomial(args.unit, PolyRing(R.field, [])).constant_term()) \
         if args.unit is not None else R.field.one
     result = connected_sum(R, S, unit=unit, socle_left=socle_left, socle_right=socle_right)

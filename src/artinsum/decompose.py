@@ -20,7 +20,7 @@ from .poly import PolyRing
 from .quotient import (ArtinAlgebra, presentation_in_coordinates, square_zero_algebra,
                        subalgebra)
 from .resolution import mu_direct
-from .sums import _proportionality_unit, connected_sum, socle_generator
+from .sums import _socle_unit, connected_sum
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +70,7 @@ def check_split(Q, partition):
         return SplitCheck(False, left=left, right=right, reasons=reasons)
     if left.length + right.length != Q.length + 2:
         raise ArtinsumError("split length identity failed")
-    dl = socle_generator(left).rename_into(Q.ring)
-    dr = socle_generator(right).rename_into(Q.ring)
-    unit = _proportionality_unit(Q, Q.element_row(dl), Q.element_row(dr))
-    return SplitCheck(True, left=left, right=right, unit=unit)
+    return SplitCheck(True, left=left, right=right, unit=_socle_unit(Q, left, right))
 
 
 # ---------------------------------------------------------------------------

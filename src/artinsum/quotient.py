@@ -119,19 +119,12 @@ class Subspace:
         """
         return [row for c, row in self.basis.items() if c not in sub.basis]
 
-    def lifts(self):
-        """The echelon basis as explicit polynomials over the standard monomials."""
-        return [self.algebra.lift(row) for row in self.basis.values()]
-
     def is_ideal(self):
         return self.contains_space(self.algebra.m_times(self))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.algebra is self.algebra
                 and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((id(self.algebra), self.dim))
 
     def __repr__(self):
         return f"<subspace dim {self.dim} of algebra dim {self.algebra.length}>"

@@ -60,11 +60,8 @@ class BettiData:
     def eps2(self):
         return self.betti[2] - comb(self.betti[1], 2)
 
-    def poincare(self, truncation=None):
-        n = self.truncation if truncation is None else truncation
-        if n > self.truncation:
-            raise ValueError("requested more coefficients than were computed")
-        return SeriesTrunc.from_terms(n, dict(enumerate(self.betti[: n + 1])))
+    def poincare(self):
+        return SeriesTrunc(self.betti)
 
 
 def _differential(struct, gens, lam, p):

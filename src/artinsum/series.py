@@ -16,12 +16,8 @@ class SeriesTrunc:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, truncation=None):
-        coeffs = [_exact(c) for c in coeffs]
-        if truncation is not None:
-            coeffs = coeffs[: truncation + 1]
-            coeffs += [0] * (truncation + 1 - len(coeffs))
-        self.coeffs = tuple(coeffs)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(_exact(c) for c in coeffs)
 
     @property
     def truncation(self):
@@ -40,40 +36,16 @@ class SeriesTrunc:
     def one(cls, truncation):
         return cls.from_terms(truncation, {0: 1})
 
-    def _match(self, other):
-        if not isinstance(other, SeriesTrunc):
-            other = SeriesTrunc.from_terms(self.truncation, {0: other})
+    def __add__(self, other):
         if other.truncation != self.truncation:
             raise ValueError("series with different truncations")
-        return other
-
-    def __add__(self, other):
-        other = self._match(other)
         return SeriesTrunc([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
 
     def __neg__(self):
         return SeriesTrunc([-a for a in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._match(other))
-
-    def __rsub__(self, other):
-        return self._match(other) - self
-
-    def __mul__(self, other):
-        other = self._match(other)
-        n = self.truncation
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return SeriesTrunc(out)
+        return self + (-other)
 
     def reciprocal(self):
         """Inverse modulo t^(N+1); the constant term must be a unit (on ints if it is ±1)."""

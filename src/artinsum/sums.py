@@ -63,11 +63,6 @@ def _combined_ring(R, S):
     return PolyRing(R.field, R.ring.names + S.ring.names)
 
 
-def _embed(poly, big, offset):
-    index_map = [offset + i for i in range(poly.ring.nvars)]
-    return poly.rename_into(big, index_map)
-
-
 def _fibre_classes(R, S):
     """P = R x_k S on R's variables then S's: its standard monomials, classes and places.
 
@@ -154,9 +149,15 @@ def _socle_row(A):
     return {k: A.field.mul(inv, x) for k, x in row.items()}
 
 
-def _proportionality_unit(Q, left, right):
-    """u with left = u * right, for elements of Q, dict rows, spanning the same line."""
+def _socle_unit(Q, R, S):
+    """The unit u with soc R = u * soc S in Q, whose ring holds R's and S's variables by name.
+
+    Each factor's `socle_generator` is moved into Q's ring by variable name
+    and read as a class (`element_row`); the two classes must be nonzero and
+    proportional.
+    """
     fld = Q.field
+    left, right = (Q.element_row(socle_generator(A).rename_into(Q.ring)) for A in (R, S))
     if not left or not right:
         raise ArtinsumError("socle generators vanish in the quotient")
     k = min(right)
@@ -315,13 +316,9 @@ def apolar_sum_check(F, G):
     R = apolar_algebra(F, all_ops[:m])
     S = apolar_algebra(G, all_ops[m:])
     dual = PolyRing(F.ring.field, F.ring.names + G.ring.names)
-    H = _embed(F, dual, 0) + _embed(G, dual, m)
-    combined = apolar_algebra(H, all_ops)
-    delta_r = _embed(socle_generator(R), combined.ring, 0)
-    delta_s = _embed(socle_generator(S), combined.ring, m)
+    combined = apolar_algebra(F.rename_into(dual) + G.rename_into(dual), all_ops)
     try:
-        unit = _proportionality_unit(combined, combined.element_row(delta_r),
-                                     combined.element_row(delta_s))
+        unit = _socle_unit(combined, R, S)
     except ArtinsumError as exc:
         return ApolarSumReport(False, None, combined, None, detail=str(exc))
     reconstructed = connected_sum(R, S, unit=unit).algebra

@@ -82,7 +82,7 @@ from artinsum.poly import (Polynomial, PolyRing, mono_coprime, mono_deg, mono_di
                            mono_mul)
 from artinsum.quotient import (ArtinAlgebra, _canonical, _monomial_table, _times, build_algebra,
                                kernel_algebra, square_zero_algebra)
-from artinsum.sums import _combined_ring, _embed, _validate_socle, socle_generator
+from artinsum.sums import _combined_ring, _validate_socle, socle_generator
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +943,7 @@ def betti_numbers_reference(A, truncation):
 def _fibre_generators(R, S, big):
     """Both factors' reduced bases in `big`, joined by every cross product of their variables."""
     m = R.ring.nvars
-    gens = [_embed(g, big, 0) for g in R.gb] + [_embed(g, big, m) for g in S.gb]
+    gens = [g.rename_into(big) for g in (*R.gb, *S.gb)]
     gens += [big.var(i) * big.var(m + j) for i in range(m) for j in range(S.ring.nvars)]
     return gens
 
@@ -964,7 +964,7 @@ def connected_sum_ideal(R, S, unit=1, socle_left=None, socle_right=None):
                else R.lift(_validate_socle(R, socle_left, "left")))
     delta_s = (socle_generator(S) if socle_right is None
                else S.lift(_validate_socle(S, socle_right, "right")))
-    h = _embed(delta_r, big, 0) - _embed(delta_s, big, R.ring.nvars).scale(unit)
+    h = delta_r.rename_into(big) - delta_s.rename_into(big).scale(unit)
     return IdealPresentation(big, _fibre_generators(R, S, big) + [h])
 
 
@@ -1104,7 +1104,7 @@ def filtration_reference(A):
 
 def modulo_socle_reference(A):
     """A / soc(A) by `quotient_algebra_reference`; `sums.modulo_socle` must agree."""
-    return quotient_algebra_reference(A, A.socle().lifts())
+    return quotient_algebra_reference(A, [A.lift(r) for r in A.socle().basis.values()])
 
 
 def graded_from_homogeneous(ring, generators):

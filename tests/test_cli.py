@@ -79,6 +79,9 @@ SRC = GOLDEN.parents[1] / "src"
 # linear element x_v - l, X - 2*Y and Y + 209714*Z + 629144*W: the parsed
 # algebra is built on a ring whose variable x_v is not standard.  Over
 # GF(1048573) X is eliminated as well, since X^2 + 2*X lies in the ideal.
+# A socle expression is read in the input's own variables, X among them:
+# X^2 = 4*Y^2 generates the socle of linear_lead_qq.txt, and the
+# connect_socle_linear_lead_qq golden was written from --socle-r "4*Y^2".
 EDIM2_POLY = ("w1^4 + 13/3*w1^3*w2 - 1/3*w1^3*w3 + 8*w1^2*w2^2 - 3*w1^2*w2*w3 + w1^2*w3^2"
               " - 2*w1^2 + 7*w1*w2^3 - 5*w1*w2^2*w3 + 2*w1*w2*w3^2 - 8*w1*w3 + 1/3*w2^4"
               " + 17/3*w2^3*w3 - 11*w2^2*w3^2 + 8*w2*w3^3 - 2*w3^4 - 8*w3^2")
@@ -102,6 +105,8 @@ QQ_CASES = {
     "decompose_ci_structure_qq": ["decompose", "ci_qq.txt", "--structure"],
     "analyze_linear_lead_qq": ["analyze", "linear_lead_qq.txt"],
     "betti_linear_lead_qq": ["betti", "linear_lead_qq.txt"],
+    "connect_socle_linear_lead_qq": ["connect", "linear_lead_qq.txt", "qq_right.txt",
+                                     "--socle-r", "X^2"],
 }
 
 
@@ -141,6 +146,15 @@ def test_json_report_is_golden(command, monkeypatch, capsys):
 def test_qq_json_report_is_golden(golden, monkeypatch, capsys):
     out = _report(QQ_CASES[golden], monkeypatch, capsys)
     assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize("pair, option", [
+    (["linear_lead_qq.txt", "qq_right.txt"], "--socle-r"),
+    (["qq_left.txt", "linear_lead_qq.txt"], "--socle-s"),
+], ids=["left", "right"])
+def test_a_socle_expression_may_name_an_eliminated_variable(pair, option, monkeypatch, capsys):
+    eliminated = _report(["connect", *pair, option, "X^2"], monkeypatch, capsys)
+    assert eliminated == _report(["connect", *pair, option, "4*Y^2"], monkeypatch, capsys)
 
 
 def test_qq_betti_of_a_written_connected_sum_is_golden(tmp_path, monkeypatch, capsys):

@@ -571,7 +571,7 @@ def _assert_derived_bases(R, S):
     _assert_basis_read_off_the_classes(associated_graded(Q))
     _assert_basis_read_off_the_classes(iarrobino(Q)[1])
     _assert_basis_read_off_the_classes(
-        modulo_socle(Q), IdealPresentation(Q.ring, [*Q.gb, *Q.socle().lifts()]).groebner_basis())
+        modulo_socle(Q), IdealPresentation(Q.ring, [*Q.gb, *map(Q.lift, Q.socle().basis.values())]).groebner_basis())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

@@ -77,10 +77,10 @@ def test_length_cross_check():
 
 def test_socle_examples():
     A = algebra_from_text("field QQ; vars Y; ideal Y^3")
-    assert [str(p) for p in A.socle().lifts()] == ["Y^2"]
+    assert [str(A.lift(r)) for r in A.socle().basis.values()] == ["Y^2"]
     B = algebra_from_text("field QQ; vars Y Z; ideal Y^2, Z^2, Y*Z")
     assert B.type == 2
-    assert {str(p) for p in B.socle().lifts()} == {"Y", "Z"}
+    assert {str(B.lift(r)) for r in B.socle().basis.values()} == {"Y", "Z"}
     C = algebra_from_text(STRETCHED)
     assert C.type == 1
     # y*z = 0 but z*z = y^3 is nonzero, so z is not in the socle
@@ -123,12 +123,12 @@ def test_annihilator_examples():
     A = algebra_from_text(STRETCHED)
     ann2 = A.annihilator(A.power(2).basis.values())
     assert ann2.dim == 3 and ann2.is_ideal()
-    lifts = {str(p) for p in ann2.lifts()}
+    lifts = {str(A.lift(r)) for r in ann2.basis.values()}
     assert lifts == {"Z", "Y^2", "Z^2"}   # z, y^2, and y^3 = z^2
     z = A.element_row(A.ring.var(1))
     annz = A.annihilator([z])
     assert annz.is_ideal() and annz.dim == 3
-    assert {str(p) for p in annz.lifts()} == {"Y", "Y^2", "Z^2"}
+    assert {str(A.lift(r)) for r in annz.basis.values()} == {"Y", "Y^2", "Z^2"}
     one = A.element_row(A.ring.one)
     ann1 = A.annihilator([one])
     assert ann1.dim == 0
@@ -244,10 +244,11 @@ def test_qq_polynomials_from_arrays_hold_fractions():
     A = algebra_from_text(text)
     assert A.reduction is not None
     polys = list(A.gb) + list(A.reduction[1])
-    polys += A.socle().lifts() + A.power(1).lifts()
+    polys += [A.lift(r) for W in (A.socle(), A.power(1)) for r in W.basis.values()]
     R, S = pair_corpus(3, max_edim=2, max_ll=3, field=QQ)[2]
     Q = connected_sum(R, S).algebra
-    polys += list(Q.gb) + list(modulo_socle(Q).gb) + Q.power(2).lifts()
+    polys += list(Q.gb) + list(modulo_socle(Q).gb)
+    polys += [Q.lift(r) for r in Q.power(2).basis.values()]
     coefficients = [c for p in polys for c in p.terms.values()]
     assert any(c.denominator == 1 for c in coefficients)
     assert all(type(c) is Fraction for c in coefficients)

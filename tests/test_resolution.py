@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from artinsum import (GF, QQ, PolyRing, SeriesTrunc, algebra_from_text, apolar_algebra,
                       betti_numbers, certify_indecomposable, connected_sum, decompose,
-                      fibre_product, h2_bound_check, modulo_socle, parse_polynomial,
-                      resolution, verify_cs_series, verify_fp_series, verify_mu_formulas,
-                      verify_socle_quotient)
-from artinsum.errors import (ArtinsumError, NotLocalError, ParseError, PreconditionError,
-                             ResourceGuardError)
+                      fibre_product, h2_bound_check, modulo_socle, mu_from_betti,
+                      parse_polynomial, resolution, verify_cs_series, verify_fp_series,
+                      verify_mu_formulas, verify_socle_quotient)
+from artinsum.errors import (ArtinsumError, NotGorensteinError, NotLocalError, ParseError,
+                             PreconditionError, ResourceGuardError)
 from artinsum import _kernels
 from artinsum.poly import Polynomial
 from artinsum.resolution import _differential, mu_direct
@@ -44,6 +44,23 @@ def test_betti_of_dual_numbers_is_all_ones():
 def test_betti_of_complete_intersection(field):
     A = algebra_from_text(f"field {field}; vars X Y; ideal X^2, Y^2")
     assert betti_numbers(A, TRUNCATION).betti == (1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_the_residue_field_is_resolved_by_itself(field):
+    # m = 0: beta_1 = 0 ends the resolution, and the later Betti numbers are padding
+    k = residue_field_algebra(field)
+    data = betti_numbers(k, TRUNCATION)
+    assert data.betti == (1,) + (0,) * TRUNCATION
+    assert resolution.inverse_poincare(k, TRUNCATION) == SeriesTrunc.one(TRUNCATION)
+    assert mu_from_betti(k, data) == 0
+
+
+def test_socle_quotient_identity_checks_its_preconditions():
+    with pytest.raises(NotGorensteinError):
+        verify_socle_quotient(algebra_from_text("field QQ; vars Y Z; ideal Y^2, Y*Z, Z^2"))
+    with pytest.raises(PreconditionError, match="embedding dimension"):
+        verify_socle_quotient(algebra_from_text("field QQ; vars X; ideal X^3"))
 
 
 @pytest.mark.parametrize("index, construction, expected", [
@@ -76,7 +93,7 @@ def test_series_keeps_fractions_where_a_coefficient_is_not_integral():
     inverse = SeriesTrunc([2, 1]).reciprocal()
     assert inverse.coeffs == (Fraction(1, 2), Fraction(-1, 4))
     assert [type(c) for c in inverse.coeffs] == [Fraction, Fraction]
-    assert SeriesTrunc([2, 1], 3).reciprocal().coeffs == (
+    assert SeriesTrunc([2, 1, 0, 0]).reciprocal().coeffs == (
         Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8), Fraction(-1, 16))
     # a Fraction sum that is integral is stored as an int
     half = SeriesTrunc([Fraction(1, 2), 0])
@@ -84,8 +101,8 @@ def test_series_keeps_fractions_where_a_coefficient_is_not_integral():
 
 
 def test_series_of_fractions_and_of_ints_are_equal_and_print_alike():
-    ints = SeriesTrunc([1, -4, 1, 0], 3)
-    fractions = SeriesTrunc([Fraction(1), Fraction(-4), Fraction(1), Fraction(0)], 3)
+    ints = SeriesTrunc([1, -4, 1, 0])
+    fractions = SeriesTrunc([Fraction(1), Fraction(-4), Fraction(1), Fraction(0)])
     assert ints == fractions and hash(ints) == hash(fractions)
     assert ints == SeriesTrunc.from_terms(3, {0: Fraction(1), 1: Fraction(-4), 2: 1})
     assert repr(ints) == repr(fractions) == "1 - 4*t + t^2 + O(t^4)"

@@ -20,7 +20,8 @@ from artinsum.poly import Polynomial
 from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra, square_zero_algebra
 from artinsum.sums import _apolar_classes
 
-from corpus import golden_texts, pair_corpus, random_dual_poly, random_gorenstein, random_pair
+from corpus import (dual_polynomials, golden_texts, pair_corpus, random_dual_poly,
+                    random_gorenstein, random_pair)
 from oracles import (apolar_classes_reference, classes_matrix, connected_sum_ideal,
                      connected_sum_reference, dense, dual_generator_reference,
                      fibre_product_reference, fibre_table_reference, kernel_algebra_reference,
@@ -281,6 +282,15 @@ def test_apolar_sum_check_examples():
     assert quadrics.matched and quadrics.unit == 1
 
 
+def test_apolar_sum_check_moves_socle_generators_by_name_past_a_dropped_variable():
+    # X1 - X2 kills (w1 + w2)^3, so the left factor and the sum lose X1:
+    # X2^3 sends F to 6 and X3^2 sends v^2 to 2, so X2^3 = 3*X3^2 in the sum
+    F = parse_polynomial("w1^3 + 3*w1^2*w2 + 3*w1*w2^2 + w2^3", PolyRing(QQ, ("w1", "w2")))
+    report = apolar_sum_check(F, parse_polynomial("v^2", PolyRing(QQ, ("v",))))
+    assert report.combined.ring.names == ("X2", "X3")
+    assert report.matched and report.unit == 3
+
+
 # ---------------------------------------------------------------------------
 # assembled fibre products and connected sums against Buchberger on generators
 
@@ -516,3 +526,11 @@ def test_the_apolar_algebra_of_a_dual_generator_is_the_algebra(field):
         F = dual_generator_reference(A)
         assert F.total_degree() == A.loewy_length
         assert apolar_algebra(F, A.ring.names).same_presentation(A), A
+
+
+# every lane has characteristic zero or above 4, the largest degree drawn
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dual_polynomials(FIELDS))
+def test_the_apolar_algebra_of_a_dual_generator_is_the_algebra_on_hypothesis_inputs(F):
+    A = apolar_algebra(F)
+    assert apolar_algebra(dual_generator_reference(A), A.ring.names).same_presentation(A)
