@@ -121,8 +121,13 @@ def monic(row, c):
 
 
 def basis(rows, p):
-    """The reduced echelon basis of the span of `rows` (consumed): monic rows by pivot."""
+    """The reduced echelon basis of the span of `rows` (consumed): monic rows by pivot.
+
+    Over GF(p) every pivot row is one at its pivot already.
+    """
     pivots = echelon(rows, p, reduced=True)
+    if p:
+        return dict(sorted(pivots.items()))
     return {c: monic(pivots[c], c) for c in sorted(pivots)}
 
 

@@ -22,13 +22,19 @@ structure table) for products by elements and annihilators.  Over GF(p) every
 such walk reduces each entry mod p as it accumulates, so its rows are
 canonical when they are made.  The powers of m are read off the degrees of
 the standard monomials: the unit rows of those of degree >= i lie in m^i, so
-a graded algebra's powers are those suffixes, and otherwise only the
-products of m^(i-1) by the variables that fall below degree i are
-echeloned.  Only parsed generator lists take the classes from Buchberger and
-normal forms (`build_algebra`), on the parsed ring; text that is not minimal
-is then taken modulo zero, so that `kernel_algebra`, the one rule that drops
-variables, presents it.  Every derived algebra, a subalgebra or a quotient,
-has an ideal containing a power of m: it is given by the classes of the
+a graded algebra's powers are those suffixes.  Otherwise the rest of m^i is
+read top down off the classes of the monomials outside the basis when the
+classes are complete, every monomial absent from them having class 0; a
+parsed presentation holds only its pair and border classes, so for it, and
+for a sum with a parsed factor, only the products of m^(i-1) by the
+variables that fall below degree i are echeloned.  The type is the length
+minus the rank of the products by the variables, and the socle, which
+holds m^s, is m^s when the type equals its dimension.  Only parsed generator lists take the
+classes from Buchberger and normal forms (`build_algebra`), on the parsed
+ring; text that is not minimal is then taken modulo zero, so that
+`kernel_algebra`, the one rule that drops variables, presents it.  Every
+derived algebra, a subalgebra or a quotient, has an ideal containing a
+power of m: it is given by the classes of the
 monomials up to that degree, as dict rows.  The monomials come from one
 shared table per variable count and degree, in ascending Grevlex order with
 each monomial's predecessor (`_monomial_table`), so nothing is sorted; the
@@ -140,8 +146,7 @@ class ArtinAlgebra:
     it is integral.  It is symmetric, so entry k also lists the products of
     e_k by each e_l.  Entry l of `times_table` lists the triples (v, j, c) with
     e_l * x_v = sum of c*e_j, grouped by v in increasing order, as
-    `product_table` lists its elements' products; the filtration walks it with
-    the product terms at high columns skipped (`_times_below`).
+    `product_table` lists its elements' products.
 
     An algebra is given by its classes, dict rows by monomial of its ring,
     each listing its columns in increasing order.  A kernel gives the class of
@@ -149,13 +154,17 @@ class ArtinAlgebra:
     that of every product of two basis elements and of every basis element by
     a variable, and a fibre product or connected sum those of its factors,
     rewritten; a product of basis elements absent from them, of degree D or
-    more in a kernel or mixed in a sum, has class 0.  They are kept as the
-    algebra's classes, `times_table` is looked up in them, and `struct_table`
-    is gathered from them on its first read.  Elements are dict rows over the
-    basis: the class of a monomial not held yet is made when it is first read,
-    its predecessor's times one variable, along with the classes missing on
-    its predecessor chain (`monomial_row`), and `element_row` gives the class
-    of a polynomial.  `gb`, the reduced Groebner basis of the ideal under
+    more in a kernel or mixed in a sum, has class 0.  The classes are
+    complete, every monomial absent from them having class 0, except a
+    parsed presentation's and those of a sum with a parsed factor, which
+    pass the keyword `_complete=False`; complete classes give the
+    filtration with no product.  They are kept as the algebra's classes,
+    `times_table` is looked up in them, and `struct_table` is gathered from
+    them on its first read.  Elements are dict rows over the basis: the
+    class of a monomial not held yet is made when it is first read, its
+    predecessor's times one variable, along with the classes missing on its
+    predecessor chain (`monomial_row`), and `element_row` gives the class of
+    a polynomial.  `gb`, the reduced Groebner basis of the ideal under
     Grevlex, ascending, is read off those classes on its first read; the
     tables, the filtration and the constructors' identity checks are made
     without it.  `homogeneous` tells whether that basis is made of forms, the
@@ -164,7 +173,7 @@ class ArtinAlgebra:
     (ring, images).
     """
 
-    def __init__(self, ring, basis, classes):
+    def __init__(self, ring, basis, classes, *, _complete=True):
         self.ring = ring
         self.field = ring.field
         self.original_ring = ring
@@ -172,6 +181,7 @@ class ArtinAlgebra:
         self.basis = tuple(basis)
         self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._classes = classes
+        self._complete = _complete
         n = ring.nvars
         # b*x_v is a product of two basis elements: one absent from the classes is 0
         self.times_table = [
@@ -182,6 +192,8 @@ class ArtinAlgebra:
         self._socle = None
         self._betti_cache = None
         self._graded = None
+        # the last fibre product assembled with this algebra as R: (S, assembly), see `sums`
+        self._fibre = None
 
     # -- construction --------------------------------------------------------
 
@@ -260,12 +272,15 @@ class ArtinAlgebra:
 
         For i >= 1 a standard monomial of degree >= i is a product of i
         variables, so its unit row lies in m^i and is a row of that basis;
-        the basis is ascending, so those columns are a suffix.  The algebra
-        is graded, its reduced basis homogeneous (`homogeneous`), exactly
-        when every product e_l * x_v of `times_table` has degree
-        deg e_l + 1, and then m^i is that suffix.  Otherwise the other rows
-        are the reduced echelon basis of the products of m^(i-1) by the
-        variables, restricted to the columns of degree < i (`_times_below`).
+        the basis is ascending, so those columns are a suffix, and the other
+        rows vanish on it.  The algebra is graded, its reduced basis
+        homogeneous (`homogeneous`), exactly when every product e_l * x_v of
+        `times_table` has degree deg e_l + 1, and then m^i is that suffix.
+        Otherwise, when the classes are complete, the other rows are read
+        off them (`_powers_from_classes`); when they are not, as for a
+        parsed presentation, they are the reduced echelon basis of the
+        products of m^(i-1) by the variables, restricted to the columns of
+        degree < i (`_times_below`).
         """
         lam, p = self.length, self.field.char
         deg = [mono_deg(m) for m in self.basis]
@@ -275,6 +290,10 @@ class ArtinAlgebra:
             self.filtration = [Subspace(self, {c: {c: 1} for c in range(bisect_left(deg, i), lam)})
                                for i in range(deg[-1] + 2)]
             return
+        whole = Subspace(self, {i: {i: 1} for i in range(lam)})
+        if self._complete:
+            self.filtration = [whole, *reversed(self._powers_from_classes(deg))]
+            return
 
         def power(i, prev):
             top = bisect_left(deg, i)
@@ -282,7 +301,6 @@ class ArtinAlgebra:
             rows.update((c, {c: 1}) for c in range(top, lam))
             return Subspace(self, rows)
 
-        whole = Subspace(self, {i: {i: 1} for i in range(lam)})
         levels = [whole, power(1, whole)]
         while levels[-1].dim:
             nxt = power(len(levels), levels[-1])
@@ -292,6 +310,33 @@ class ArtinAlgebra:
                     f"at dimension {levels[-1].dim}")
             levels.append(nxt)
         self.filtration = levels
+
+    def _powers_from_classes(self, deg):
+        """m^(t+1) = 0, m^t, ..., m^1, read top down off complete classes.
+
+        Every monomial absent from complete classes has class 0, so m^i is
+        spanned by the unit rows of the standard monomials of degree >= i
+        and the classes of the other monomials of degree >= i, and t is the
+        highest degree of a nonzero class.  Below the first standard
+        monomial of degree i, m^i is the span of m^(i+1)'s rows and of the
+        degree-i classes, each restricted there; the rows of m^(i+1) with
+        a pivot at or past it vanish below it.
+        """
+        lam, p, index = self.length, self.field.char, self.basis_index
+        by_degree = {}
+        for mono, row in self._classes.items():
+            if row and mono not in index:
+                by_degree.setdefault(mono_deg(mono), []).append(row)
+        levels = [Subspace(self, {})]
+        for i in range(max(deg[-1], *by_degree, 0), 0, -1):
+            top = bisect_left(deg, i)
+            below = [row for c, row in levels[-1].basis.items() if c < top]
+            below += by_degree.get(i, ())
+            rows = _kernels.basis([{k: x for k, x in row.items() if k < top} for row in below],
+                                  p) if below else {}
+            rows.update((c, {c: 1}) for c in range(top, lam))
+            levels.append(Subspace(self, rows))
+        return levels
 
     # -- invariants ----------------------------------------------------------
 
@@ -320,13 +365,25 @@ class ArtinAlgebra:
         return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1))
 
     def socle(self):
+        """(0 : m), which holds m^s for s the Loewy length: m^s itself when the type is dim m^s.
+
+        Only when the type exceeds dim m^s is the socle the left kernel of
+        `times_table` (`_annihilator`).
+        """
         if self._socle is None:
-            self._socle = self._annihilator(self.times_table)
+            top = self.filtration[-2]
+            self._socle = top if self.type == top.dim else self._annihilator(self.times_table)
         return self._socle
 
-    @property
+    @cached_property
     def type(self):
-        return self.socle().dim
+        """dim (0 : m): the length minus the rank of `times_table`, with no socle basis.
+
+        The rank is read off one forward echelon of the rows {v*lambda + j: c}.
+        """
+        lam = self.length
+        return lam - len(_kernels.echelon([{v * lam + j: c for v, j, c in entry}
+                                           for entry in self.times_table], self.field.char))
 
     def is_gorenstein(self):
         return self.type == 1
@@ -564,7 +621,10 @@ def build_algebra(ring, generators):
     product of two standard monomials and of every b*x_v, each sorted by
     column: a variable x_v leading a linear element x_v - l of the reduced
     basis is not standard, so b*x_v is then no such product, and l must
-    vanish at the origin.  When dim m/m^2 falls short of the variable count,
+    vanish at the origin.  Those classes are not complete: completing them
+    would take every monomial up to degree s+1, C(n+s+1, n) classes, so the
+    filtration multiplies by the variables, and that walk raises
+    NotLocalError.  When dim m/m^2 falls short of the variable count,
     the returned algebra is its quotient by zero, which `kernel_algebra`
     presents on the variables that minimally generate m; it still takes
     classes of polynomials in the given ring.
@@ -588,7 +648,7 @@ def build_algebra(ring, generators):
         mono: dict(sorted(_canonical({index[m]: c for m, c in
                                       pres.normal_form(ring.monomial(mono)).terms.items()},
                                      p).items()))
-        for mono in products})
+        for mono in products}, _complete=False)
     if A.power(1).dim - A.power(2).dim == ring.nvars:
         return A
     # this A is read only by the quotient's class reads, through `_variable_tables`

@@ -32,7 +32,10 @@ places in P, a mixed monomial having class 0; and `_socle_quotient`, which
 rewrites them through h, taken as a dict row over P's basis, placed from
 the factors' socle rows, so no polynomial is built); the tables, the
 filtration, the socle, the identity checks and, on its first read, the
-reduced basis are read off them.
+reduced basis are read off them.  A pair's assembly is made once, for its
+connected sum and its fibre product alike.  The classes of a sum are
+complete when both factors' are, so its filtration is read off them, with
+no product by a variable, unless a factor is a parsed presentation.
 """
 
 from dataclasses import dataclass
@@ -73,8 +76,14 @@ def _fibre_classes(R, S):
     for S, the index in P's basis of each of the factor's basis elements.
     P's classes are the factors' own, each monomial padded with zeros and
     each column moved to its place, which keeps every class sorted; a mixed
-    monomial lies in m_R*m_S = 0 and is left out.
+    monomial lies in m_R*m_S = 0 and is left out.  R keeps its last
+    assembly with its S, so a connected sum and a fibre product of one
+    pair assemble P once.  No algebra keeps the assembled classes, since
+    an algebra adds the classes it reads to the dict it keeps: the fibre
+    product takes a copy, and the connected sum their rewrite.
     """
+    if R._fibre is not None and R._fibre[0] is S:
+        return R._fibre[1]
     m, n = R.ring.nvars, S.ring.nvars
     left = [a + (0,) * n for a in R.basis]
     right = [(0,) * m + b for b in S.basis]
@@ -85,6 +94,7 @@ def _fibre_classes(R, S):
     classes = {a + pad_r: {idx_r[k]: c for k, c in row.items()} for a, row in R._classes.items()}
     classes.update((pad_s + b, {idx_s[k]: c for k, c in row.items()})
                    for b, row in S._classes.items())
+    R._fibre = S, (basis, classes, places)
     return basis, classes, places
 
 
@@ -123,7 +133,8 @@ def fibre_product(R, S):
     if S.length == 1:
         return SumResult(R, trivial=True)
     basis, classes, _ = _fibre_classes(R, S)
-    P = ArtinAlgebra(_combined_ring(R, S), basis, classes)
+    P = ArtinAlgebra(_combined_ring(R, S), basis, dict(classes),
+                     _complete=R._complete and S._complete)
     if P.length != R.length + S.length - 1:
         raise ArtinsumError("fibre product length identity failed")
     if P.hilbert_function()[1] != R.edim + S.edim or P.type != R.type + S.type:
@@ -206,7 +217,8 @@ def connected_sum(R, S, unit=1, socle_left=None, socle_right=None):
     # both socles lie in the maximal ideals, whose places in P are disjoint
     h = {left[k]: x for k, x in delta_r.items()}
     h.update((right[k], -unit * x) for k, x in delta_s.items())
-    Q = ArtinAlgebra(_combined_ring(R, S), *_socle_quotient(basis, classes, h, R.field))
+    Q = ArtinAlgebra(_combined_ring(R, S), *_socle_quotient(basis, classes, h, R.field),
+                     _complete=R._complete and S._complete)
     if not Q.is_gorenstein():
         raise ArtinsumError("connected sum is not Gorenstein")
     if Q.length != R.length + S.length - 2:

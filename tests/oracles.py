@@ -829,7 +829,7 @@ def build_algebra_reference(pres):
     minimal, steps = minimalize_presentation(pres, bounds)
     basis = minimal.standard_monomials()
     A = ArtinAlgebra(minimal.ring, basis, classes_from_table(
-        basis, struct_readout(normal_form_structure_reference(minimal, basis))))
+        basis, struct_readout(normal_form_structure_reference(minimal, basis))), _complete=False)
     # Buchberger's basis in place of the one read off the classes
     A.gb = minimal.groebner_basis()
     A.original_ring = pres.ring
@@ -1572,7 +1572,8 @@ def _table_algebra_reference(ring, gb, basis, classes):
     `gb`, the echelon rows read as the reduced basis, stands in for the one
     read off the classes.
     """
-    A = ArtinAlgebra(ring, basis, classes_from_table(basis, _products_table(basis, classes)))
+    A = ArtinAlgebra(ring, basis, classes_from_table(basis, _products_table(basis, classes)),
+                     _complete=False)
     A.gb = tuple(gb)
     return A
 

@@ -82,6 +82,11 @@ SRC = GOLDEN.parents[1] / "src"
 # A socle expression is read in the input's own variables, X among them:
 # X^2 = 4*Y^2 generates the socle of linear_lead_qq.txt, and the
 # connect_socle_linear_lead_qq golden was written from --socle-r "4*Y^2".
+#
+# fibre_drop_qq and connect_drop_qq join drop_qq.txt (Z^3 = Y^4, socle
+# degree 4) and qq_right.txt (socle degree 3), two parsed presentations:
+# their sums' filtrations multiply by the variables, and the fibre
+# product's type 2, read as a rank, exceeds dim m^4 = 1.
 EDIM2_POLY = ("w1^4 + 13/3*w1^3*w2 - 1/3*w1^3*w3 + 8*w1^2*w2^2 - 3*w1^2*w2*w3 + w1^2*w3^2"
               " - 2*w1^2 + 7*w1*w2^3 - 5*w1*w2^2*w3 + 2*w1*w2*w3^2 - 8*w1*w3 + 1/3*w2^4"
               " + 17/3*w2^3*w3 - 11*w2^2*w3^2 + 8*w2*w3^3 - 2*w3^4 - 8*w3^2")
@@ -107,6 +112,8 @@ QQ_CASES = {
     "betti_linear_lead_qq": ["betti", "linear_lead_qq.txt"],
     "connect_socle_linear_lead_qq": ["connect", "linear_lead_qq.txt", "qq_right.txt",
                                      "--socle-r", "X^2"],
+    "fibre_drop_qq": ["fibre", "drop_qq.txt", "qq_right.txt"],
+    "connect_drop_qq": ["connect", "drop_qq.txt", "qq_right.txt"],
 }
 
 

@@ -302,21 +302,128 @@ def _reference_filtration(A):
     A.filtration = oracles.filtration_reference(A)
 
 
+def _spy_filtration_rules(monkeypatch):
+    """Record, by id, the rule each algebra built from now on took for its filtration.
+
+    "graded" reads the unit suffixes, "classes" reads complete classes
+    (`_powers_from_classes`), and "products" multiplies by the variables
+    (`_times_below`); the algebras must be kept alive while their ids are read.
+    """
+    rules, fired = {}, []
+    build = ArtinAlgebra._build_filtration
+    from_classes = ArtinAlgebra._powers_from_classes
+    times_below = quotient._times_below
+
+    def spy_build(A):
+        fired.clear()
+        build(A)
+        (rules[id(A)],) = set(fired) or {"graded"}
+        assert A.homogeneous == (rules[id(A)] == "graded")
+
+    def spy_classes(A, deg):
+        fired.append("classes")
+        return from_classes(A, deg)
+
+    def spy_below(*args):
+        fired.append("products")
+        return times_below(*args)
+
+    monkeypatch.setattr(ArtinAlgebra, "_build_filtration", spy_build)
+    monkeypatch.setattr(ArtinAlgebra, "_powers_from_classes", spy_classes)
+    monkeypatch.setattr(quotient, "_times_below", spy_below)
+    return rules
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-def test_filtration_matches_the_m_times_reference(field):
+def test_filtration_matches_the_m_times_reference(monkeypatch, field):
+    rules = _spy_filtration_rules(monkeypatch)
     golden = Path(__file__).resolve().parent / "golden"
-    algebras = [algebra_from_text((golden / name).read_text().replace("field QQ", f"field {field}"))
-                for name in ("hidden_sum.txt", "hidden_sum_edim2.txt", "nonminimal_qq.txt",
-                             "ci_qq.txt")]
+
+    def parsed(name):
+        return algebra_from_text((golden / name).read_text().replace("field QQ", f"field {field}"))
+
+    algebras = [parsed(name) for name in ("hidden_sum.txt", "hidden_sum_edim2.txt",
+                                          "nonminimal_qq.txt", "ci_qq.txt")]
     for R, S in pair_corpus(3, seed=41, min_ll=2, field=field):
         Q = connected_sum(R, S).algebra
         algebras += [R, S, fibre_product(R, S).algebra, Q, associated_graded(Q),
                      iarrobino(Q)[1], modulo_socle(Q)]
+    # sums of parsed factors hold only pair and border classes; sums of kernels are complete
+    groups = {"parsed sums": [], "kernel sums": [], "derived": []}
+    for left, right in (("drop_qq.txt", "qq_right.txt"), ("qq_left.txt", "drop_qq.txt")):
+        R, S = parsed(left), parsed(right)
+        groups["parsed sums"] += [fibre_product(R, S).algebra, connected_sum(R, S).algebra]
+    for R, S in pair_corpus(3, seed=43, min_ll=3, field=field):
+        groups["kernel sums"] += [fibre_product(R, S).algebra, connected_sum(R, S).algebra]
+    for Q in groups["kernel sums"][1::2]:
+        ring = Q.ring
+        last = ring.var(ring.nvars - 1)
+        ideal = Q.ideal_span([Q.element_row(last * last)])
+        groups["derived"] += [
+            subalgebra(Q, ring, [Q.element_row(x + last * last) for x in ring.gens()]),
+            quotient_algebra(Q, [ideal] * (Q.loewy_length + 2))]
+    for group in groups.values():
+        algebras += group
     assert sum(not all(g.is_homogeneous() for g in A.gb) for A in algebras) >= 6
     for A in algebras:
         want = oracles.filtration_reference(A)
         assert [list(W.basis.items()) for W in A.filtration] == \
             [list(W.basis.items()) for W in want]
+    assert {rules[id(A)] for A in algebras} == {"graded", "classes", "products"}
+    for name, rule in (("parsed sums", "products"), ("kernel sums", "classes"),
+                       ("derived", "classes")):
+        assert {rules[id(A)] for A in groups[name]} - {"graded"} == {rule}, name
+
+
+def _assert_socle_matches_the_reference(A):
+    """The socle against the left kernel of the variables' dense multiplication matrices."""
+    ann, pivots = annihilator_reference(A, [vector(A, x) for x in A.ring.gens()])
+    got = A.socle()
+    assert list(got.basis) == pivots.tolist()
+    assert np.array_equal(space_rows(got), ann)
+
+
+def _socle_corpus(field):
+    """Pairs' R, S, P and Q, hidden sums and their gr, a non-minimal presentation, and more.
+
+    The hidden sums' gr(Q) have a linear socle element beside m^s, and the
+    last fibre product's factors have socle degrees 4 and 2.
+    """
+    golden = Path(__file__).resolve().parent / "golden"
+    algebras = []
+    for R, S in pair_corpus(4, seed=53, min_ll=2, field=field):
+        algebras += [R, S, fibre_product(R, S).algebra, connected_sum(R, S).algebra]
+    for name in ("hidden_sum.txt", "hidden_sum_edim2.txt"):
+        A = algebra_from_text((golden / name).read_text().replace("field QQ", f"field {field}"))
+        algebras += [A, associated_graded(A)]
+    algebras.append(_nonminimal_algebra(field))
+    rng = random.Random(59)
+    R = random_gorenstein(rng, 2, 4, "Y", field)
+    S = random_gorenstein(rng, 2, 2, "Z", field)
+    return algebras + [fibre_product(R, S).algebra]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_socle_matches_the_annihilator_reference_on_both_branches(monkeypatch, field):
+    algebras = _socle_corpus(field)
+    calls = []
+    annihilator = ArtinAlgebra._annihilator
+    monkeypatch.setattr(ArtinAlgebra, "_annihilator",
+                        lambda A, table: calls.append(A) or annihilator(A, table))
+    branches = Counter()
+    for A in algebras:
+        A._socle = None
+        top = A.filtration[-2]
+        _assert_socle_matches_the_reference(A)
+        if calls and calls[-1] is A:
+            # the type exceeds dim m^s: the socle is the times table's left kernel
+            assert A.type > top.dim
+            branches["left kernel"] += 1
+        else:
+            assert A.socle() is top
+            branches["m^s"] += 1
+        calls.clear()
+    assert branches["left kernel"] >= 3 and branches["m^s"] >= 10, branches
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -670,6 +777,15 @@ def test_derived_algebras_match_normal_forms_and_buchberger_on_hypothesis_pairs(
     for A in algebras:
         _assert_tensor_and_classes(A, _probes(rng, A.ring, count=2))
     _assert_quotients_match(rng, Q)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_apolar_pairs())
+def test_socle_matches_the_annihilator_reference_on_hypothesis_pairs(pair):
+    R, S = pair
+    Q = connected_sum(R, S).algebra
+    for A in (R, S, fibre_product(R, S).algebra, Q, associated_graded(Q)):
+        _assert_socle_matches_the_reference(A)
 
 
 # -- apolar algebras of forms in fewer linear forms than dual variables -------

@@ -17,6 +17,7 @@ from artinsum.errors import (BadSocleError, CharacteristicError,
                              NotGorensteinError, RingMismatchError)
 from artinsum.grobner import IdealPresentation
 from artinsum.poly import Polynomial
+from artinsum import quotient
 from artinsum.quotient import _canonical, kernel_algebra, quotient_algebra, square_zero_algebra
 from artinsum.sums import _apolar_classes
 
@@ -492,6 +493,41 @@ def test_derived_algebras_run_no_buchberger_and_no_normal_form(monkeypatch):
     assert structure_decompose(hidden).status == "decomposed"
     assert structure_decompose(graded_gorenstein).trivial
     assert calls == Counter()
+
+
+def test_sums_of_kernels_multiply_nothing_for_their_filtrations_and_assemble_p_once(monkeypatch):
+    # apolar factors are kernels, so their classes are complete: every
+    # filtration is read off classes or unit suffixes.  The type is a rank,
+    # and a socle is m^s unless the type exceeds dim m^s, as for a fibre
+    # product of factors of different socle degrees (type 2, dim m^s = 1)
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((quotient, "_times_below"), (quotient.ArtinAlgebra, "_annihilator"),
+                        (sums, "merge")):
+        counting(owner, name)
+    pairs = pair_corpus(14, seed=61, max_edim=2, max_ll=5, min_ll=2)
+    unequal = sum(R.loewy_length != S.loewy_length for R, S in pairs)
+    assert 3 <= unequal < len(pairs)
+    products = []
+    for R, S in pairs:
+        Q = connected_sum(R, S).algebra
+        P = fibre_product(R, S).algebra
+        assert Q.is_gorenstein() and P.type == 2
+        assert Q.socle() is Q.power(Q.loewy_length)
+        assert P._classes is not R._fibre[1][1]
+        products.append(P)
+    assert calls == Counter({"merge": len(pairs)})
+    for P in products:
+        P.socle()
+    assert calls == Counter({"_annihilator": unequal, "merge": len(pairs)})
 
 
 # -- the dual generator of a Gorenstein algebra: its apolar algebra is the algebra
